@@ -10,7 +10,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use kepler_bench::{pipeline_dictionary, pipeline_record, PIPELINE_TIME_COMPRESSION};
 use kepler_core::config::KeplerConfig;
-use kepler_core::ingest::ParallelIngest;
 use kepler_core::input::InputModule;
 use kepler_core::intern::Interner;
 use kepler_core::monitor::Monitor;
@@ -18,7 +17,6 @@ use kepler_core::shard::ShardedMonitor;
 use kepler_topology::ColocationMap;
 
 const N: u64 = 1_000_000;
-const QUARANTINE: u64 = 600;
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
@@ -56,31 +54,6 @@ fn bench_pipeline(c: &mut Criterion) {
                         bins += monitor.observe(elem.time, &ev).len();
                     }
                 }
-            }
-            bins += monitor
-                .advance_to(1_400_000_000 + N / PIPELINE_TIME_COMPRESSION + 3 * 86_400)
-                .len();
-            (bins, monitor.baseline_size())
-        })
-    });
-    g.bench_function("records_1m_parallel_8x8", |b| {
-        b.iter(|| {
-            let template = InputModule::new(pipeline_dictionary(), ColocationMap::new());
-            let mut ingest = ParallelIngest::new(&template, QUARANTINE, 8);
-            let mut interner = Interner::new();
-            let mut monitor = ShardedMonitor::new(KeplerConfig::default(), 8);
-            let mut events = Vec::new();
-            let mut bins = 0usize;
-            for i in 0..N {
-                ingest.push_owned(pipeline_record(i));
-                ingest.drain_ready(&mut interner, &mut events);
-                for (t, ev) in events.drain(..) {
-                    bins += monitor.observe(t, &ev).len();
-                }
-            }
-            ingest.finish(&mut interner, &mut events);
-            for (t, ev) in events.drain(..) {
-                bins += monitor.observe(t, &ev).len();
             }
             bins += monitor
                 .advance_to(1_400_000_000 + N / PIPELINE_TIME_COMPRESSION + 3 * 86_400)

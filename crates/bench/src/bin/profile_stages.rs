@@ -2,9 +2,9 @@
 //!
 //! Times cumulative prefixes of the pipeline (construct → explode →
 //! decode+intern → monitor) so the marginal cost of each stage is the
-//! difference between consecutive rows. The record-dense rows measure
-//! the explosion-free hot path ([`InputModule::process_record_events`])
-//! against the historical per-element one, and the MRT rows measure the
+//! difference between consecutive rows. The record rows measure the
+//! explosion-free product path ([`InputModule::process_record_events`])
+//! against the per-element reference, and the MRT rows measure the
 //! zero-copy wire path (`FrameView` → `UpdateView` → dense intern) over
 //! an encoded archive. Plus the probe stage (schedule → simulate →
 //! analyze, per validation request). Guides optimization work; not part
@@ -58,7 +58,7 @@ fn main() {
         input.process_record_events(&rec, &mut interner, |_ev| n += 1);
     }
     black_box(n);
-    report("construct+record-dense", t.elapsed().as_secs_f64());
+    report("construct+record-events", t.elapsed().as_secs_f64());
 
     // The zero-copy wire path: the same workload pre-encoded as an MRT
     // archive, walked borrow-only (no `BgpUpdate` materialization, no

@@ -105,14 +105,12 @@ fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// The perf-trajectory artifact tracked across PRs: pushes 1M synthetic
-/// records through input module → interner → monitor (single-shard,
-/// 8-way sharded monitor, and the fully parallel 8×8 ingest+monitor
-/// pipeline), measures the zero-copy MRT decode stage (frame → view →
+/// records through input module → interner → monitor (single-shard and
+/// 8-way sharded monitor), measures the zero-copy MRT decode stage (frame → view →
 /// dense intern over an encoded archive), and writes events/sec plus
 /// peak RSS to `BENCH_monitor.json`.
 fn bench_monitor_json() {
     use kepler::core::config::KeplerConfig;
-    use kepler::core::ingest::ParallelIngest;
     use kepler::core::input::InputModule;
     use kepler::core::intern::Interner;
     use kepler::core::monitor::Monitor;
@@ -159,31 +157,6 @@ fn bench_monitor_json() {
     let sharded_secs = t.elapsed().as_secs_f64();
     assert_eq!(single_bins, sharded_bins, "single and sharded runs must close the same bins");
     let sharded_eps = N as f64 / sharded_secs;
-
-    eprintln!("[bench: 1M-record pipeline, 8-way parallel ingest + 8-way sharded monitor...]");
-    let t = Instant::now();
-    let template = InputModule::new(pipeline_dictionary(), ColocationMap::new());
-    let mut ingest = ParallelIngest::new(&template, KeplerConfig::default().quarantine_secs, 8);
-    let mut interner = Interner::new();
-    let mut monitor = ShardedMonitor::new(KeplerConfig::default(), 8);
-    let mut events = Vec::new();
-    let mut parallel_bins = 0usize;
-    for i in 0..N {
-        ingest.push_owned(pipeline_record(i));
-        ingest.drain_ready(&mut interner, &mut events);
-        for (time, ev) in events.drain(..) {
-            parallel_bins += monitor.observe(time, &ev).len();
-        }
-    }
-    ingest.finish(&mut interner, &mut events);
-    for (time, ev) in events.drain(..) {
-        parallel_bins += monitor.observe(time, &ev).len();
-    }
-    parallel_bins +=
-        monitor.advance_to(1_400_000_000 + N / PIPELINE_TIME_COMPRESSION + 3 * 86_400).len();
-    let parallel_secs = t.elapsed().as_secs_f64();
-    assert_eq!(single_bins, parallel_bins, "parallel ingest must close the same bins");
-    let parallel_eps = N as f64 / parallel_secs;
 
     eprintln!("[bench: zero-copy MRT decode, frame -> view -> dense intern...]");
     const DECODE_RECS: u64 = 200_000;
@@ -386,7 +359,7 @@ fn bench_monitor_json() {
 
     let rss = peak_rss_bytes();
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_1m\",\n  \"events\": {N},\n  \"bins_closed\": {single_bins},\n  \"single_shard\": {{ \"seconds\": {single_secs:.3}, \"events_per_sec\": {single_eps:.0} }},\n  \"sharded_8\": {{ \"seconds\": {sharded_secs:.3}, \"events_per_sec\": {sharded_eps:.0} }},\n  \"parallel_8x8\": {{ \"seconds\": {parallel_secs:.3}, \"events_per_sec\": {parallel_eps:.0} }},\n  \"decode\": {{ \"seconds\": {decode_secs:.3}, \"records\": {DECODE_RECS}, \"decode_recs_per_sec\": {decode_rps:.0} }},\n  \"probe\": {{ \"seconds\": {probe_secs:.3}, \"verdicts\": {probe_verdicts}, \"probe_verdicts_per_sec\": {probe_vps:.0} }},\n  \"probe_batched\": {{ \"seconds\": {batched_secs:.3}, \"verdicts\": {batched_verdicts}, \"probe_batched_verdicts_per_sec\": {batched_vps:.0} }},\n  \"probe_faulty\": {{ \"seconds\": {faulty_secs:.3}, \"verdicts\": {faulty_verdicts}, \"probe_faulty_verdicts_per_sec\": {faulty_vps:.0} }},\n  \"fuzz\": {{ \"seconds\": {fuzz_secs:.3}, \"worlds\": {FUZZ_WORLDS}, \"fuzz_worlds_per_sec\": {fuzz_wps:.1} }},\n  \"fusion\": {{ \"seconds\": {fusion_secs:.3}, \"events\": {fusion_events}, \"fusion_events_per_sec\": {fusion_eps:.0} }},\n  \"serve\": {{ \"seconds\": {serve_secs:.3}, \"events\": {serve_events}, \"commits\": {serve_commits}, \"serve_events_per_sec\": {serve_eps:.0} }},\n  \"query\": {{ \"seconds\": {query_secs:.3}, \"reads\": {query_reads}, \"query_reads_per_sec\": {query_rps:.0} }},\n  \"peak_rss_bytes\": {}\n}}\n",
+        "{{\n  \"bench\": \"pipeline_1m\",\n  \"events\": {N},\n  \"bins_closed\": {single_bins},\n  \"single_shard\": {{ \"seconds\": {single_secs:.3}, \"events_per_sec\": {single_eps:.0} }},\n  \"sharded_8\": {{ \"seconds\": {sharded_secs:.3}, \"events_per_sec\": {sharded_eps:.0} }},\n  \"decode\": {{ \"seconds\": {decode_secs:.3}, \"records\": {DECODE_RECS}, \"decode_recs_per_sec\": {decode_rps:.0} }},\n  \"probe\": {{ \"seconds\": {probe_secs:.3}, \"verdicts\": {probe_verdicts}, \"probe_verdicts_per_sec\": {probe_vps:.0} }},\n  \"probe_batched\": {{ \"seconds\": {batched_secs:.3}, \"verdicts\": {batched_verdicts}, \"probe_batched_verdicts_per_sec\": {batched_vps:.0} }},\n  \"probe_faulty\": {{ \"seconds\": {faulty_secs:.3}, \"verdicts\": {faulty_verdicts}, \"probe_faulty_verdicts_per_sec\": {faulty_vps:.0} }},\n  \"fuzz\": {{ \"seconds\": {fuzz_secs:.3}, \"worlds\": {FUZZ_WORLDS}, \"fuzz_worlds_per_sec\": {fuzz_wps:.1} }},\n  \"fusion\": {{ \"seconds\": {fusion_secs:.3}, \"events\": {fusion_events}, \"fusion_events_per_sec\": {fusion_eps:.0} }},\n  \"serve\": {{ \"seconds\": {serve_secs:.3}, \"events\": {serve_events}, \"commits\": {serve_commits}, \"serve_events_per_sec\": {serve_eps:.0} }},\n  \"query\": {{ \"seconds\": {query_secs:.3}, \"reads\": {query_reads}, \"query_reads_per_sec\": {query_rps:.0} }},\n  \"peak_rss_bytes\": {}\n}}\n",
         rss.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
     );
     std::fs::write("BENCH_monitor.json", &json).expect("write BENCH_monitor.json");
@@ -477,7 +450,7 @@ fn serve_cmd(args: &[String]) -> ! {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => seed = it.next().and_then(|s| s.parse().ok()).expect("--seed N"),
+            "--seed" => seed = flag_value(&mut it, "--seed"),
             "--compact" => compact = true,
             "--store" => {
                 it.next();
@@ -660,6 +633,48 @@ fn stats_cmd(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
+const USAGE: &str = "usage: repro [--seed N] [--compact] [--bench] [--fuzz-seed N] [--fuzz-script PATH] <exp>...\n       repro serve [--store DIR] [--seed N] [--compact]\n       repro query <facility:N|ixp:N|city:N|N> [--store DIR]\n       repro stats [--store DIR] [--dump PATH]\n  exps: fig1 fig3 fig5 fig7a fig7b fig7c tab1 fig8a fig8b fig8c fig9a fig9b fig9c fig10a fig10b fig10c fig10d val dict all\n  --bench: run the monitor throughput benchmark and write BENCH_monitor.json\n  --fuzz-seed N: replay generated fuzz world N through the invariant checker (exit 1 on violation)\n  --fuzz-script PATH: replay a serialized fuzz artifact (target/fuzz-artifacts/seed-N.script)\n  --fused: replay fuzz worlds with the multi-signal detector (forecast + delay fusion)\n  serve: run the detector as a daemon over the AMS-IX scenario with a durable store and alert log\n  query: read a scope's status from a serve store (exit 0=up, 2=down, 3=recovering, 1=error)\n  stats: summarize a serve store; --dump writes a serialized snapshot";
+
+/// One figure/table reproduction.
+type Experiment = fn(&Ctx, &mut Cache);
+
+/// Every experiment `repro <exp>...` accepts, in `all` order.
+const EXPERIMENTS: [(&str, Experiment); 19] = [
+    ("fig1", fig1),
+    ("fig3", |ctx, _| fig3(ctx)),
+    ("fig5", |ctx, _| fig5(ctx)),
+    ("fig7a", |ctx, _| fig7a(ctx)),
+    ("fig7b", |ctx, _| fig7b(ctx)),
+    ("fig7c", fig7c),
+    ("tab1", |ctx, _| tab1(ctx)),
+    ("fig8a", |ctx, _| fig8a(ctx)),
+    ("fig8b", fig8b),
+    ("fig8c", fig8c),
+    ("fig9a", fig9a),
+    ("fig9b", fig9b),
+    ("fig9c", fig9c),
+    ("fig10a", fig10a),
+    ("fig10b", fig10b),
+    ("fig10c", fig10c),
+    ("fig10d", fig10d),
+    ("val", val),
+    ("dict", |ctx, _| dict(ctx)),
+];
+
+/// A command line the user got wrong: say what, print the usage, exit 2.
+fn usage_error(what: &str) -> ! {
+    eprintln!("repro: {what}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed; a missing or unparsable one is a
+/// usage error.
+fn flag_value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
+    it.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a valid value")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Service subcommands take their own flags; dispatch before the
@@ -678,21 +693,15 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => {
-                ctx.seed = it.next().and_then(|s| s.parse().ok()).expect("--seed N");
-            }
+            "--seed" => ctx.seed = flag_value(&mut it, "--seed"),
             "--compact" => ctx.compact = true,
             "--bench" => {
                 bench_monitor_json();
                 return;
             }
             "--fused" => fused = true,
-            "--fuzz-seed" => {
-                fuzz_seed = Some(it.next().and_then(|s| s.parse().ok()).expect("--fuzz-seed N"));
-            }
-            "--fuzz-script" => {
-                fuzz_script = Some(it.next().expect("--fuzz-script PATH").clone());
-            }
+            "--fuzz-seed" => fuzz_seed = Some(flag_value(&mut it, "--fuzz-seed")),
+            "--fuzz-script" => fuzz_script = Some(flag_value(&mut it, "--fuzz-script")),
             other => wanted.push(other.to_string()),
         }
     }
@@ -704,9 +713,10 @@ fn main() {
         });
     }
     if let Some(path) = fuzz_script {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| usage_error(&format!("cannot read {path}: {e}")));
         let script = kepler::netsim::fuzz::ScenarioScript::parse(&text)
-            .unwrap_or_else(|e| panic!("parse {path}: {e}"));
+            .unwrap_or_else(|e| usage_error(&format!("cannot parse {path}: {e}")));
         fuzz_replay(if fused {
             kepler::fuzz_harness::check_world_fused(&script.build())
         } else {
@@ -714,45 +724,22 @@ fn main() {
         });
     }
     if wanted.is_empty() {
-        eprintln!(
-            "usage: repro [--seed N] [--compact] [--bench] [--fuzz-seed N] [--fuzz-script PATH] <exp>...\n       repro serve [--store DIR] [--seed N] [--compact]\n       repro query <facility:N|ixp:N|city:N|N> [--store DIR]\n       repro stats [--store DIR] [--dump PATH]\n  exps: fig1 fig3 fig5 fig7a fig7b fig7c tab1 fig8a fig8b fig8c fig9a fig9b fig9c fig10a fig10b fig10c fig10d val dict all\n  --bench: run the monitor throughput benchmark and write BENCH_monitor.json\n  --fuzz-seed N: replay generated fuzz world N through the invariant checker (exit 1 on violation)\n  --fuzz-script PATH: replay a serialized fuzz artifact (target/fuzz-artifacts/seed-N.script)\n  --fused: replay fuzz worlds with the multi-signal detector (forecast + delay fusion)\n  serve: run the detector as a daemon over the AMS-IX scenario with a durable store and alert log\n  query: read a scope's status from a serve store (exit 0=up, 2=down, 3=recovering, 1=error)\n  stats: summarize a serve store; --dump writes a serialized snapshot"
-        );
-        std::process::exit(2);
+        usage_error("no experiment named");
     }
     if wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "fig1", "fig3", "fig5", "fig7a", "fig7b", "fig7c", "tab1", "fig8a", "fig8b", "fig8c",
-            "fig9a", "fig9b", "fig9c", "fig10a", "fig10b", "fig10c", "fig10d", "val", "dict",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        wanted = EXPERIMENTS.iter().map(|(name, _)| name.to_string()).collect();
     }
+    // Resolve every name before running any: a typo must not cost the
+    // minutes the experiments ahead of it take.
+    let find = |w: &String| EXPERIMENTS.iter().find(|(name, _)| name == w);
+    let plan: Vec<_> = wanted
+        .iter()
+        .map(|w| find(w).unwrap_or_else(|| usage_error(&format!("unknown experiment: {w}"))))
+        .collect();
     let mut cache = Cache::default();
-    for w in &wanted {
-        println!("\n================ {w} ================");
-        match w.as_str() {
-            "fig1" => fig1(&ctx, &mut cache),
-            "fig3" => fig3(&ctx),
-            "fig5" => fig5(&ctx),
-            "fig7a" => fig7a(&ctx),
-            "fig7b" => fig7b(&ctx),
-            "fig7c" => fig7c(&ctx, &mut cache),
-            "tab1" => tab1(&ctx),
-            "fig8a" => fig8a(&ctx),
-            "fig8b" => fig8b(&ctx, &mut cache),
-            "fig8c" => fig8c(&ctx, &mut cache),
-            "fig9a" => fig9a(&ctx, &mut cache),
-            "fig9b" => fig9b(&ctx, &mut cache),
-            "fig9c" => fig9c(&ctx, &mut cache),
-            "fig10a" => fig10a(&ctx, &mut cache),
-            "fig10b" => fig10b(&ctx, &mut cache),
-            "fig10c" => fig10c(&ctx, &mut cache),
-            "fig10d" => fig10d(&ctx, &mut cache),
-            "val" => val(&ctx, &mut cache),
-            "dict" => dict(&ctx),
-            other => eprintln!("unknown experiment: {other}"),
-        }
+    for (name, run) in plan {
+        println!("\n================ {name} ================");
+        run(&ctx, &mut cache);
     }
 }
 

@@ -79,7 +79,7 @@ impl AsPath {
     }
 
     /// [`hops`](Self::hops) into a caller-provided buffer (cleared first),
-    /// so the batch ingest decoder pays no per-record allocation.
+    /// so the record-level decoder pays no per-record allocation.
     pub fn hops_into(&self, out: &mut Vec<Asn>) {
         out.clear();
         for asn in self.asns() {

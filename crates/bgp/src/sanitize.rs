@@ -167,7 +167,7 @@ impl Sanitizer {
 
     /// Path-level verdict alone, without touching the counters. `hops`
     /// must be the collapsed hop list of `path` (see
-    /// [`AsPath::hops`]); passing it in lets the batch ingest decoder
+    /// [`AsPath::hops`]); passing it in lets the record-level decoder
     /// check a multi-prefix update's path once and then account per
     /// prefix via [`assess_prefix`](Self::assess_prefix) +
     /// [`tally`](Self::tally), with byte-identical statistics to calling

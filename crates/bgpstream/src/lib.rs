@@ -17,8 +17,6 @@
 //!   affected by collector feed disruptions rather than real outages.
 //! * [`broker`] — time-windowed queries over a set of registered archives
 //!   (the "broker" interface of BGPStream).
-//! * [`batch`] — per-collector-session record batching, the routing layer
-//!   of the parallel ingest pipeline in `kepler-core`.
 //!
 //! # Invariants
 //!
@@ -28,11 +26,7 @@
 //! * **Session state is part of the data**: collector session drops
 //!   surface as records (not silence), so [`gap`] can quarantine
 //!   feed-loss windows instead of mistaking them for outages.
-//! * [`batch`] keys strictly on (collector, peer) — a session's records
-//!   never interleave across ingest workers, which is what makes
-//!   parallel decode order-exact.
 
-pub mod batch;
 pub mod broker;
 pub mod collector;
 pub mod gap;
@@ -40,7 +34,6 @@ pub mod merge;
 pub mod record;
 pub mod source;
 
-pub use batch::{session_key, RecordBatcher};
 pub use broker::Broker;
 pub use collector::{CollectorId, CollectorRegistry, PeerId};
 pub use gap::GapTracker;

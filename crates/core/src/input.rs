@@ -9,10 +9,10 @@
 //! path, the method of Giotsas & Zhou \[51\].
 
 use crate::events::RouteKey;
-use crate::intern::{DenseCrossing, DenseRouteEvent, Interner, RouteId};
-use kepler_bgp::mrt::UpdateView;
-use kepler_bgp::sanitize::{SanitizeStats, Sanitizer, SanitizerConfig};
-use kepler_bgp::{Asn, Community, PathAttributes};
+use crate::intern::{DenseCrossing, DenseRouteEvent, Interner, RouteId, RouteSession};
+use kepler_bgp::mrt::{AsPathView, UpdateView};
+use kepler_bgp::sanitize::{RejectReason, SanitizeStats, Sanitizer, SanitizerConfig};
+use kepler_bgp::{AsPath, Asn, Community, PathAttributes, Prefix};
 use kepler_bgpstream::{BgpElem, BgpRecord, CollectorId, ElemKind, PeerId, RecordPayload};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_topology::ColocationMap;
@@ -77,7 +77,7 @@ impl InputStats {
 }
 
 /// One decoded element in dense-id space, borrowed from the decoder's
-/// scratch buffers. Produced by [`InputModule::process_record_dense`].
+/// scratch buffers. Produced by [`InputModule::process_update_view_dense`].
 #[derive(Debug, Clone, Copy)]
 pub enum DenseElem<'a> {
     /// The route is (re-)announced with these interned crossings.
@@ -94,10 +94,33 @@ pub enum DenseElem<'a> {
     },
 }
 
-/// Recycled per-record scratch arena for the batch decoders. One arena
-/// lives inside each [`InputModule`]; every record-level decode *resets*
-/// the buffers (length to zero, capacity kept), so after warm-up the
-/// per-record allocation count is zero.
+/// An announcement's AS path wherever it lives — materialized
+/// ([`AsPath`]) or still on the wire ([`AsPathView`]) — so the
+/// record-level decoder is one body over both.
+trait PathSource {
+    /// Collapses the path (prepending removed) into `hops`, cleared
+    /// first, and returns the sanitizer's path-level verdict on it.
+    fn assess(&self, sanitizer: &Sanitizer, hops: &mut Vec<Asn>) -> Result<(), RejectReason>;
+}
+
+impl PathSource for AsPath {
+    fn assess(&self, sanitizer: &Sanitizer, hops: &mut Vec<Asn>) -> Result<(), RejectReason> {
+        self.hops_into(hops);
+        sanitizer.path_verdict(self, hops)
+    }
+}
+
+impl PathSource for AsPathView<'_> {
+    fn assess(&self, sanitizer: &Sanitizer, hops: &mut Vec<Asn>) -> Result<(), RejectReason> {
+        self.hops_into(hops);
+        sanitizer.path_verdict_parts(self.is_empty(), hops, || self.has_special_purpose_asn())
+    }
+}
+
+/// Recycled per-record scratch arena for the record-level decoders. One
+/// arena lives inside each [`InputModule`]; every record-level decode
+/// *resets* the buffers (length to zero, capacity kept), so after warm-up
+/// the per-record allocation count is zero.
 ///
 /// Ownership rule: emitted [`DenseElem`]s borrow `dense` — callers must
 /// finish with (or copy out of) one record's elements before the next
@@ -130,19 +153,9 @@ impl InputModule {
         }
     }
 
-    /// The dictionary in use.
-    pub fn dictionary(&self) -> &CommunityDictionary {
-        &self.dictionary
-    }
-
     /// Replaces the dictionary (bi-weekly refresh, §3.2).
     pub fn set_dictionary(&mut self, dictionary: CommunityDictionary) {
         self.dictionary = dictionary;
-    }
-
-    /// The colocation map in use.
-    pub fn colo(&self) -> &ColocationMap {
-        &self.colo
     }
 
     /// Accumulated statistics.
@@ -196,79 +209,20 @@ impl InputModule {
         self.process(elem).map(|ev| interner.intern_event(&ev))
     }
 
-    /// Decodes one whole record straight into dense-id space, without the
-    /// per-prefix [`BgpElem`] explosion (no `Arc<PathAttributes>` clone,
-    /// no per-element `Vec`s): the path is sanitized and its communities
-    /// mapped **once per update**, then each announced prefix re-uses the
-    /// scratch-backed crossing list. Statistics (both [`InputStats`] and
-    /// [`SanitizeStats`]) are accounted per element, byte-identical to
-    /// calling [`process_dense`](Self::process_dense) on every exploded
-    /// element. State records yield nothing (they are the
+    /// Decodes one whole record into owned [`DenseRouteEvent`]s, without
+    /// the per-prefix [`BgpElem`] explosion (no `Arc<PathAttributes>`
+    /// clone, no per-element `Vec`s): the path is sanitized and its
+    /// communities mapped **once per update**, and every announced prefix
+    /// shares one cached `Arc` per distinct crossing set (see
+    /// [`Interner::intern_crossings`]). Statistics (both [`InputStats`]
+    /// and [`SanitizeStats`]) are accounted per element, byte-identical
+    /// to calling [`process_dense`](Self::process_dense) on every
+    /// exploded element, and `emit` receives events in the exact order
+    /// [`BgpRecord::explode`] would have produced them. State records
+    /// yield nothing (they are the
     /// [`GapTracker`](kepler_bgpstream::GapTracker)'s business).
     ///
-    /// This is the decode stage of the parallel ingest pipeline
-    /// ([`crate::ingest`]); `emit` receives elements in the exact order
-    /// [`BgpRecord::explode`] would have produced them.
-    pub fn process_record_dense<F: for<'a> FnMut(DenseElem<'a>)>(
-        &mut self,
-        rec: &BgpRecord,
-        interner: &mut Interner,
-        mut emit: F,
-    ) {
-        let RecordPayload::Update(update) = &rec.payload else { return };
-        let sess = interner.route_session(rec.collector, rec.peer);
-        for p in &update.withdrawn {
-            self.stats.elems += 1;
-            let v = self.sanitizer.assess_prefix(p);
-            self.sanitizer.tally(v);
-            if v.is_err() {
-                self.stats.rejected += 1;
-                continue;
-            }
-            emit(DenseElem::Withdraw { route: interner.route_id_in(sess, *p) });
-        }
-        let Some(attrs) = &update.attrs else { return };
-        if update.announced.is_empty() {
-            return;
-        }
-        let mut hops = std::mem::take(&mut self.arena.hops);
-        attrs.as_path.hops_into(&mut hops);
-        let path_verdict = self.sanitizer.path_verdict(&attrs.as_path, &hops);
-        let mut dense = std::mem::take(&mut self.arena.dense);
-        dense.clear();
-        let mut located = false;
-        if path_verdict.is_ok() {
-            let mut cross = std::mem::take(&mut self.arena.cross);
-            self.map_crossings_into(attrs, &hops, &mut cross);
-            located = !cross.is_empty();
-            dense.extend(cross.iter().map(|c| interner.crossing(c)));
-            self.arena.cross = cross;
-        }
-        for p in &update.announced {
-            self.stats.elems += 1;
-            let v = path_verdict.and_then(|()| self.sanitizer.assess_prefix(p));
-            self.sanitizer.tally(v);
-            if v.is_err() {
-                self.stats.rejected += 1;
-                continue;
-            }
-            if located {
-                self.stats.located += 1;
-            } else {
-                self.stats.unlocated += 1;
-            }
-            emit(DenseElem::Update { route: interner.route_id_in(sess, *p), crossings: &dense });
-        }
-        self.arena.hops = hops;
-        self.arena.dense = dense;
-    }
-
-    /// [`process_record_dense`](Self::process_record_dense) variant that
-    /// emits owned [`DenseRouteEvent`]s, sharing one cached `Arc` per
-    /// distinct crossing set (see [`Interner::intern_crossings`]) — the
-    /// serial-pipeline twin of the parallel coordinator's crossing cache.
-    /// Event order, minted ids and statistics are identical to
-    /// `process_record_dense`.
+    /// This is the decode stage of [`Kepler`](crate::system::Kepler).
     pub fn process_record_events<F: FnMut(DenseRouteEvent)>(
         &mut self,
         rec: &BgpRecord,
@@ -276,55 +230,29 @@ impl InputModule {
         mut emit: F,
     ) {
         let RecordPayload::Update(update) = &rec.payload else { return };
-        let sess = interner.route_session(rec.collector, rec.peer);
-        for p in &update.withdrawn {
-            self.stats.elems += 1;
-            let v = self.sanitizer.assess_prefix(p);
-            self.sanitizer.tally(v);
-            if v.is_err() {
-                self.stats.rejected += 1;
-                continue;
-            }
-            emit(DenseRouteEvent::Withdraw { route: interner.route_id_in(sess, *p) });
-        }
-        let Some(attrs) = &update.attrs else { return };
-        if update.announced.is_empty() {
-            return;
-        }
-        let mut hops = std::mem::take(&mut self.arena.hops);
-        attrs.as_path.hops_into(&mut hops);
-        let path_verdict = self.sanitizer.path_verdict(&attrs.as_path, &hops);
-        let mut dense = std::mem::take(&mut self.arena.dense);
-        dense.clear();
-        let mut located = false;
-        if path_verdict.is_ok() {
-            let mut cross = std::mem::take(&mut self.arena.cross);
-            self.map_crossings_into(attrs, &hops, &mut cross);
-            located = !cross.is_empty();
-            dense.extend(cross.iter().map(|c| interner.crossing(c)));
-            self.arena.cross = cross;
-        }
-        let shared = interner.intern_crossings(&dense);
-        for p in &update.announced {
-            self.stats.elems += 1;
-            let v = path_verdict.and_then(|()| self.sanitizer.assess_prefix(p));
-            self.sanitizer.tally(v);
-            if v.is_err() {
-                self.stats.rejected += 1;
-                continue;
-            }
-            if located {
-                self.stats.located += 1;
-            } else {
-                self.stats.unlocated += 1;
-            }
-            emit(DenseRouteEvent::Update {
-                route: interner.route_id_in(sess, *p),
-                crossings: Arc::clone(&shared),
+        let announcement =
+            update.attrs.as_ref().filter(|_| !update.announced.is_empty()).map(|a| {
+                (&a.as_path, a.communities.iter().copied(), update.announced.iter().copied())
             });
-        }
-        self.arena.hops = hops;
-        self.arena.dense = dense;
+        // One update carries one crossing set: interned on first use.
+        let mut shared = None;
+        self.decode_update(
+            interner.route_session(rec.collector, rec.peer),
+            update.withdrawn.iter().copied(),
+            announcement,
+            interner,
+            |interner, elem| {
+                emit(match elem {
+                    DenseElem::Withdraw { route } => DenseRouteEvent::Withdraw { route },
+                    DenseElem::Update { route, crossings } => DenseRouteEvent::Update {
+                        route,
+                        crossings: Arc::clone(
+                            shared.get_or_insert_with(|| interner.intern_crossings(crossings)),
+                        ),
+                    },
+                })
+            },
+        );
     }
 
     /// Decodes a zero-copy [`UpdateView`] straight into dense-id space —
@@ -334,7 +262,7 @@ impl InputModule {
     /// decode one at a time from the NLRI regions. Event order, minted
     /// ids and statistics are byte-identical to materializing the frame
     /// into a [`BgpRecord`] and calling
-    /// [`process_record_dense`](Self::process_record_dense).
+    /// [`process_record_events`](Self::process_record_events).
     pub fn process_update_view_dense<F: for<'a> FnMut(DenseElem<'a>)>(
         &mut self,
         collector: CollectorId,
@@ -343,8 +271,38 @@ impl InputModule {
         interner: &mut Interner,
         mut emit: F,
     ) {
-        let sess = interner.route_session(collector, peer);
-        for p in update.withdrawn_v4().chain(update.mp_withdrawn()) {
+        let path = update.as_path();
+        let communities = update.communities();
+        // Matches the materializing path's `attrs == None` normalization:
+        // an update announcing nothing carries no meaningful attributes.
+        let announcement = update.has_announcements().then(|| {
+            (&path, communities.iter(), update.announced_v4().chain(update.mp_announced()))
+        });
+        self.decode_update(
+            interner.route_session(collector, peer),
+            update.withdrawn_v4().chain(update.mp_withdrawn()),
+            announcement,
+            interner,
+            |_, elem| emit(elem),
+        );
+    }
+
+    /// The one record-level decode body behind
+    /// [`process_record_events`](Self::process_record_events) and
+    /// [`process_update_view_dense`](Self::process_update_view_dense):
+    /// every withdrawn prefix, then — for an `announcement` of (path,
+    /// communities, prefixes) — one path verdict and one community
+    /// mapping shared by every announced prefix. `emit` gets the interner
+    /// back so a front-end can intern what it keeps.
+    fn decode_update<P: PathSource>(
+        &mut self,
+        sess: RouteSession,
+        withdrawn: impl Iterator<Item = Prefix>,
+        announcement: Option<(&P, impl Iterator<Item = Community>, impl Iterator<Item = Prefix>)>,
+        interner: &mut Interner,
+        mut emit: impl for<'a> FnMut(&mut Interner, DenseElem<'a>),
+    ) {
+        for p in withdrawn {
             self.stats.elems += 1;
             let v = self.sanitizer.assess_prefix(&p);
             self.sanitizer.tally(v);
@@ -352,31 +310,23 @@ impl InputModule {
                 self.stats.rejected += 1;
                 continue;
             }
-            emit(DenseElem::Withdraw { route: interner.route_id_in(sess, p) });
+            let route = interner.route_id_in(sess, p);
+            emit(interner, DenseElem::Withdraw { route });
         }
-        // Matches the materializing path's `attrs == None` normalization:
-        // an update announcing nothing carries no meaningful attributes.
-        if !update.has_announcements() {
-            return;
-        }
-        let path = update.as_path();
+        let Some((path, communities, announced)) = announcement else { return };
         let mut hops = std::mem::take(&mut self.arena.hops);
-        path.hops_into(&mut hops);
-        let path_verdict = self
-            .sanitizer
-            .path_verdict_parts(path.is_empty(), &hops, || path.has_special_purpose_asn());
+        let path_verdict = path.assess(&self.sanitizer, &mut hops);
         let mut dense = std::mem::take(&mut self.arena.dense);
         dense.clear();
         let mut located = false;
         if path_verdict.is_ok() {
             let mut cross = std::mem::take(&mut self.arena.cross);
-            let comms = update.communities();
-            self.map_communities_into(comms.iter(), &hops, &mut cross);
+            self.map_communities_into(communities, &hops, &mut cross);
             located = !cross.is_empty();
             dense.extend(cross.iter().map(|c| interner.crossing(c)));
             self.arena.cross = cross;
         }
-        for p in update.announced_v4().chain(update.mp_announced()) {
+        for p in announced {
             self.stats.elems += 1;
             let v = path_verdict.and_then(|()| self.sanitizer.assess_prefix(&p));
             self.sanitizer.tally(v);
@@ -389,7 +339,8 @@ impl InputModule {
             } else {
                 self.stats.unlocated += 1;
             }
-            emit(DenseElem::Update { route: interner.route_id_in(sess, p), crossings: &dense });
+            let route = interner.route_id_in(sess, p);
+            emit(interner, DenseElem::Update { route, crossings: &dense });
         }
         self.arena.hops = hops;
         self.arena.dense = dense;
@@ -398,24 +349,14 @@ impl InputModule {
     /// Maps the communities of an announcement onto path crossings.
     pub fn map_crossings(&self, attrs: &PathAttributes, hops: &[Asn]) -> Vec<PopCrossing> {
         let mut out: Vec<PopCrossing> = Vec::new();
-        self.map_crossings_into(attrs, hops, &mut out);
+        self.map_communities_into(attrs.communities.iter().copied(), hops, &mut out);
         out
     }
 
-    /// [`map_crossings`](Self::map_crossings) into a caller-provided
-    /// buffer (cleared first).
-    pub fn map_crossings_into(
-        &self,
-        attrs: &PathAttributes,
-        hops: &[Asn],
-        out: &mut Vec<PopCrossing>,
-    ) {
-        self.map_communities_into(attrs.communities.iter().copied(), hops, out);
-    }
-
-    /// [`map_crossings_into`](Self::map_crossings_into) over any community
-    /// source — this is what lets the zero-copy path stream communities
-    /// straight out of the attribute bytes.
+    /// [`map_crossings`](Self::map_crossings) over any community source,
+    /// into a caller-provided buffer (cleared first) — this is what lets
+    /// the zero-copy path stream communities straight out of the
+    /// attribute bytes.
     pub fn map_communities_into<I: IntoIterator<Item = Community>>(
         &self,
         communities: I,

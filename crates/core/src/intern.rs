@@ -338,8 +338,8 @@ impl Interner {
     }
 
     /// Display keys of the routes minted at id `n` and later, in id order
-    /// — the delta a parallel-ingest worker ships to the remap layer after
-    /// a batch (see [`crate::ingest`]).
+    /// — with `n == 0`, the whole table (what the differential tests
+    /// compare across decode roads).
     pub fn route_keys_since(&self, n: usize) -> &[RouteKey] {
         &self.route_keys[n..]
     }

@@ -30,7 +30,7 @@
 //! The [`system::Kepler`] type wires all of it together behind a
 //! feed-records-in, get-outages-out API. Scaling layers sit beside the
 //! pipeline: [`intern`] (dense ids for every hot-path identity),
-//! [`shard`] (N-way sharded monitor), [`ingest`] (parallel decode).
+//! [`shard`] (N-way sharded monitor).
 //!
 //! # Key types
 //!
@@ -44,9 +44,9 @@
 //! * **Dense hot path.** Display identities are interned once at input
 //!   time; monitor, shards and tracker work on `u32` ids and resolve
 //!   back only at report time ([`monitor::DenseBinOutcome::resolve`]).
-//! * **Parallelism is exact.** Sharded monitoring and parallel ingest
-//!   produce bit-identical resolved outcomes to their serial
-//!   counterparts (differential property tests in `crates/core/tests/`).
+//! * **Parallelism is exact.** Sharded monitoring produces
+//!   bit-identical resolved outcomes to the single monitor
+//!   (differential property tests in `crates/core/tests/`).
 //! * **Probing is monotone.** Attaching a prober never changes outcomes
 //!   for events it does not probe; confident localizations bypass it.
 //! * **Closes are evidence-driven.** An incident ends only when the
@@ -58,7 +58,6 @@ pub mod config;
 pub mod dataplane;
 pub mod events;
 pub mod fx;
-pub mod ingest;
 pub mod input;
 pub mod intern;
 pub mod investigate;
@@ -74,7 +73,6 @@ pub use config::KeplerConfig;
 pub use events::{
     IncidentState, OutageReport, OutageScope, RouteKey, SignalClass, ValidationStatus,
 };
-pub use ingest::ParallelIngest;
 pub use intern::{AsnId, DenseCrossing, DenseRouteEvent, Interner, PopId, RouteId};
 pub use investigate::{FacilityCandidate, Localization, PendingIncident};
 pub use remote::RemotenessMap;

@@ -3,7 +3,6 @@
 use crate::config::KeplerConfig;
 use crate::dataplane::{confirm, DataPlaneProbe};
 use crate::events::{OutageReport, OutageScope, SignalClass, ValidationStatus};
-use crate::ingest::{AnyIngest, ParallelIngest};
 use crate::input::InputModule;
 use crate::intern::{DenseRouteEvent, Interner};
 use crate::investigate::{Investigator, LocalizedIncident, PendingIncident};
@@ -100,7 +99,8 @@ const DEFER_ATTEMPTS: u32 = 2;
 /// The Kepler detection system.
 pub struct Kepler {
     config: KeplerConfig,
-    ingest: AnyIngest,
+    input: InputModule,
+    gap: GapTracker,
     interner: Interner,
     monitor: AnyMonitor,
     investigator: Investigator,
@@ -112,8 +112,8 @@ pub struct Kepler {
     deferred: Vec<DeferredPending>,
     counts: ClassCounts,
     last_time: Timestamp,
-    /// Reusable buffer for events drained from the ingest stage.
-    event_scratch: Vec<(Timestamp, DenseRouteEvent)>,
+    /// Reusable buffer for one record's decoded events.
+    event_scratch: Vec<DenseRouteEvent>,
     /// Monitor bins handled so far — the serve daemon's commit clock.
     bins_closed: u64,
     /// End of the most recently handled bin.
@@ -127,10 +127,8 @@ impl Kepler {
         let mut tracker = Tracker::new(config.clone());
         tracker.set_geography(&inputs.colo);
         Kepler {
-            ingest: AnyIngest::Serial {
-                input: InputModule::new(inputs.dictionary, inputs.colo.clone()),
-                gap: GapTracker::new(config.quarantine_secs),
-            },
+            input: InputModule::new(inputs.dictionary, inputs.colo.clone()),
+            gap: GapTracker::new(config.quarantine_secs),
             interner: Interner::new(),
             monitor: AnyMonitor::Single(Monitor::new(config.clone())),
             investigator: Investigator::new(config.clone(), inputs.colo, inputs.orgs),
@@ -222,19 +220,6 @@ impl Kepler {
         self
     }
 
-    /// Replaces the serial decode stage with an N-way parallel ingest
-    /// pipeline ([`ParallelIngest`]). Must be called before the first
-    /// record is processed (per-session decode state is not migrated).
-    pub fn with_parallel_ingest(mut self, workers: usize) -> Self {
-        assert_eq!(self.last_time, 0, "with_parallel_ingest must precede processing");
-        let AnyIngest::Serial { input, .. } = &self.ingest else {
-            return self; // already parallel
-        };
-        self.ingest =
-            AnyIngest::Parallel(ParallelIngest::new(input, self.config.quarantine_secs, workers));
-        self
-    }
-
     /// Replaces the monitor with an N-way sharded one. Must be called
     /// before the first record is processed (monitor state is not
     /// migrated).
@@ -274,11 +259,9 @@ impl Kepler {
         self.monitor.watch_series(pop)
     }
 
-    /// Input-module statistics (coverage fractions etc.). In parallel
-    /// ingest mode these cover every record merged back so far; after
-    /// [`finish`](Self::finish) they cover the whole run.
+    /// Input-module statistics (coverage fractions etc.).
     pub fn input_stats(&self) -> &crate::input::InputStats {
-        self.ingest.stats()
+        self.input.stats()
     }
 
     /// Classification counters.
@@ -348,20 +331,25 @@ impl Kepler {
     /// Feeds one record through the pipeline.
     pub fn process_record(&mut self, rec: &BgpRecord) {
         self.last_time = self.last_time.max(rec.time);
+        self.gap.observe(rec);
+        if !self.gap.is_usable(rec.collector, rec.peer, rec.time) {
+            return;
+        }
         let mut events = std::mem::take(&mut self.event_scratch);
-        self.ingest.process_record(rec, &mut self.interner, &mut events);
-        self.observe_events(&mut events);
+        self.input.process_record_events(rec, &mut self.interner, |event| events.push(event));
+        for event in events.drain(..) {
+            let outcomes = self.monitor.observe(rec.time, &event);
+            for outcome in outcomes {
+                self.handle_bin(outcome);
+            }
+        }
         self.event_scratch = events;
     }
 
-    /// Feeds one owned record — the parallel ingest path dispatches it to
-    /// its worker without a deep clone ([`run`](Self::run) uses this).
+    /// [`process_record`](Self::process_record) for callers that hand
+    /// over ownership.
     pub fn process_record_owned(&mut self, rec: BgpRecord) {
-        self.last_time = self.last_time.max(rec.time);
-        let mut events = std::mem::take(&mut self.event_scratch);
-        self.ingest.process_record_owned(rec, &mut self.interner, &mut events);
-        self.observe_events(&mut events);
-        self.event_scratch = events;
+        self.process_record(&rec);
     }
 
     /// Advances the bin clock to `t` without feeding a record: every
@@ -375,16 +363,6 @@ impl Kepler {
         let outcomes = self.monitor.advance_to(t);
         for outcome in outcomes {
             self.handle_bin(outcome);
-        }
-    }
-
-    /// Feeds drained dense events to the monitor and handles closed bins.
-    fn observe_events(&mut self, events: &mut Vec<(Timestamp, DenseRouteEvent)>) {
-        for (t, event) in events.drain(..) {
-            let outcomes = self.monitor.observe(t, &event);
-            for outcome in outcomes {
-                self.handle_bin(outcome);
-            }
         }
     }
 
@@ -762,7 +740,7 @@ impl Kepler {
     /// Feeds a whole stream, then finishes.
     pub fn run<I: IntoIterator<Item = BgpRecord>>(mut self, records: I) -> Vec<OutageReport> {
         for rec in records {
-            self.process_record_owned(rec);
+            self.process_record(&rec);
         }
         self.finish()
     }
@@ -777,9 +755,6 @@ impl Kepler {
     /// includes work done during this final flush — e.g. incidents the
     /// restoration prober closed in the trailing bins).
     pub fn finalize(&mut self) -> Vec<OutageReport> {
-        let mut events = std::mem::take(&mut self.event_scratch);
-        self.ingest.finish(&mut self.interner, &mut events);
-        self.observe_events(&mut events);
         let outcomes =
             self.monitor.advance_to(self.last_time.saturating_add(2 * self.config.bin_secs));
         for outcome in outcomes {
@@ -883,8 +858,9 @@ mod tests {
         (0..6u8).map(|i| announce(t + i as u64, 10 + (i % 3) as u32, 20 + i as u32, i)).collect()
     }
 
-    #[test]
-    fn detects_facility_outage_end_to_end() {
+    /// Base table, a facility-wide detour at `T0 + 2 days + 1 h`, and the
+    /// restoration half an hour later.
+    fn outage_stream() -> Vec<BgpRecord> {
         let mut records = base_records();
         let t_fail = T0 + 2 * DAY + 3600;
         records.extend(outage_records(t_fail));
@@ -892,8 +868,15 @@ mod tests {
         records.extend(restore_records(t_restore));
         // A closing marker so bins flush well past the merge window.
         records.push(announce(t_restore + 13 * 3600, 10, 20, 0));
+        records
+    }
+
+    #[test]
+    fn detects_facility_outage_end_to_end() {
+        let t_fail = T0 + 2 * DAY + 3600;
+        let t_restore = t_fail + 1800;
         let kepler = Kepler::new(inputs());
-        let reports = kepler.run(records);
+        let reports = kepler.run(outage_stream());
         assert_eq!(reports.len(), 1, "{reports:?}");
         let r = &reports[0];
         assert_eq!(r.scope, OutageScope::Facility(FacilityId(0)));
@@ -905,20 +888,35 @@ mod tests {
     }
 
     #[test]
-    fn detects_facility_outage_with_parallel_ingest_and_shards() {
-        // The fully parallel system: 3 ingest workers fanning into a
-        // 2-way sharded monitor, same stream as the serial test above.
-        let mut records = base_records();
-        let t_fail = T0 + 2 * DAY + 3600;
-        records.extend(outage_records(t_fail));
-        let t_restore = t_fail + 1800;
-        records.extend(restore_records(t_restore));
-        records.push(announce(t_restore + 13 * 3600, 10, 20, 0));
-        let kepler = Kepler::new(inputs()).with_parallel_ingest(3).with_shards(2);
-        let reports = kepler.run(records);
+    fn detects_facility_outage_with_shards() {
+        let kepler = Kepler::new(inputs()).with_shards(2);
+        let reports = kepler.run(outage_stream());
         assert_eq!(reports.len(), 1, "{reports:?}");
         assert_eq!(reports[0].scope, OutageScope::Facility(FacilityId(0)));
         assert_eq!(reports[0].affected_near, [Asn(10), Asn(11), Asn(12)].into());
+    }
+
+    #[test]
+    fn advancing_the_clock_between_records_changes_nothing() {
+        // Every record is decoded and observed before `process_record`
+        // returns — nothing is buffered for the clock to overtake — so
+        // closing bins up to each record's time just before and just
+        // after feeding it must leave reports and the bin clock exactly
+        // as the straight run has them.
+        let mut straight = Kepler::new(inputs());
+        let mut interleaved = Kepler::new(inputs());
+        for rec in outage_stream() {
+            straight.process_record(&rec);
+            interleaved.advance_clock(rec.time);
+            interleaved.process_record(&rec);
+            interleaved.advance_clock(rec.time);
+        }
+        let expected = straight.finalize();
+        assert_eq!(expected.len(), 1, "{expected:?}");
+        assert_eq!(interleaved.finalize(), expected);
+        assert_eq!(interleaved.bins_closed(), straight.bins_closed());
+        assert_eq!(interleaved.last_bin_end(), straight.last_bin_end());
+        assert_eq!(interleaved.input_stats(), straight.input_stats());
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Differential property tests for the decode hot path: the zero-copy
-//! wire path (MRT archive → [`FrameView`] → [`UpdateView`] →
-//! [`InputModule::process_update_view_dense`]) must be bit-identical to
-//! the historical materializing path (explode → per-element
-//! [`InputModule::process_dense`]) and to the record-dense middle path
-//! ([`InputModule::process_record_events`]) — same dense event stream,
-//! same interner tables (ids, keys, tags), same input statistics, and
-//! same resolved [`BinOutcome`](kepler_core::monitor::BinOutcome)s whether
-//! the events feed a single [`Monitor`] or a
+//! Differential property tests for the three decode roads: the
+//! per-element reference (explode → [`InputModule::process_dense`]),
+//! the record road the product runs
+//! ([`InputModule::process_record_events`]) and the zero-copy wire road
+//! (MRT archive → [`FrameView`] → `UpdateView` →
+//! [`InputModule::process_update_view_dense`]) must be bit-identical —
+//! same dense event stream, same interner tables (ids, keys, tags), same
+//! input and sanitizer statistics, and same resolved
+//! [`BinOutcome`](kepler_core::monitor::BinOutcome)s whether the events
+//! feed a single [`Monitor`] or a
 //! [`ShardedMonitor`](kepler_core::shard::ShardedMonitor) with 1, 2 or 8
 //! shards.
 
 use kepler_bgp::mrt::{FrameView, MrtWriter};
+use kepler_bgp::sanitize::SanitizeStats;
 use kepler_bgp::{
     AsPath, Asn, BgpUpdate, Community, PathAttributes, PeerState, Prefix, StateChange,
 };
@@ -202,14 +204,15 @@ fn mrt_archive(records: &[BgpRecord]) -> Vec<u8> {
 }
 
 /// Full observable state of one decode run: the dense event stream (with
-/// timestamps), the final interner tables, input statistics, and the
-/// resolved monitor outcomes plus baseline size.
+/// timestamps), the final interner tables, input and sanitizer
+/// statistics, and the resolved monitor outcomes plus baseline size.
 struct DecodeRun {
     events: Vec<(Timestamp, DenseRouteEvent)>,
     route_keys: Vec<kepler_core::events::RouteKey>,
     pop_tags: Vec<LocationTag>,
     asns: Vec<Asn>,
     stats: InputStats,
+    sanitize: SanitizeStats,
     outcomes: Vec<BinOutcome>,
     baseline: usize,
 }
@@ -233,12 +236,13 @@ fn finish_run(
         pop_tags: interner.pop_tags_since(0).to_vec(),
         asns: interner.asns_since(0).to_vec(),
         stats: input.stats().clone(),
+        sanitize: input.sanitize_stats().clone(),
         outcomes,
         baseline,
     }
 }
 
-/// The historical reference: gap tracking → explode → per-element
+/// The reference road: gap tracking → explode → per-element
 /// [`InputModule::process_dense`], single monitor.
 fn run_materializing(records: &[BgpRecord]) -> DecodeRun {
     let mut input = input_module();
@@ -265,8 +269,8 @@ fn run_materializing(records: &[BgpRecord]) -> DecodeRun {
     finish_run(interner, &input, events, monitor, last)
 }
 
-/// The record-dense middle path: one sanitize + community-map per update,
-/// shared `Arc` crossing sets ([`InputModule::process_record_events`]).
+/// The record road: one sanitize + community-map per update, shared
+/// `Arc` crossing sets ([`InputModule::process_record_events`]).
 fn run_record_dense(records: &[BgpRecord]) -> DecodeRun {
     let mut input = input_module();
     let mut gap = GapTracker::new(QUARANTINE);
@@ -289,7 +293,7 @@ fn run_record_dense(records: &[BgpRecord]) -> DecodeRun {
 }
 
 /// The zero-copy wire path: the stream round-trips through an MRT
-/// archive, then decodes borrow-only — [`FrameView`] → [`UpdateView`] →
+/// archive, then decodes borrow-only — [`FrameView`] → `UpdateView` →
 /// [`InputModule::process_update_view_dense`] — with no `BgpUpdate`
 /// materialization. Gap tracking still runs on the original records
 /// (it is upstream of decode and identical in every path); collector
@@ -365,6 +369,7 @@ fn assert_runs_identical(a: &DecodeRun, b: &DecodeRun, what: &str) {
     assert_eq!(a.pop_tags, b.pop_tags, "{what}: pop intern table diverged");
     assert_eq!(a.asns, b.asns, "{what}: asn intern table diverged");
     assert_eq!(a.stats, b.stats, "{what}: input stats diverged");
+    assert_eq!(a.sanitize, b.sanitize, "{what}: sanitizer stats diverged");
     assert_eq!(a.outcomes, b.outcomes, "{what}: resolved outcomes diverged");
     assert_eq!(a.baseline, b.baseline, "{what}: baseline size diverged");
 }
@@ -406,6 +411,7 @@ proptest! {
             );
             prop_assert_eq!(reference.baseline, sharded.baseline);
             prop_assert_eq!(&reference.stats, &sharded.stats);
+            prop_assert_eq!(&reference.sanitize, &sharded.sanitize);
         }
     }
 }
@@ -417,6 +423,7 @@ fn empty_archive_decodes_to_nothing() {
     assert!(run.events.is_empty());
     assert!(run.outcomes.is_empty());
     assert_eq!(run.stats, InputStats::default());
+    assert_eq!(run.sanitize, SanitizeStats::default());
     assert_eq!(run.baseline, 0);
 }
 

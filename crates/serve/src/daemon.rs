@@ -10,10 +10,7 @@
 //!
 //! Backpressure: [`Daemon::run_stream`] pulls records through a
 //! **bounded** channel. The producer blocks when the daemon falls
-//! behind; records are never dropped. (Decode itself can additionally
-//! be parallelized by building the detector with
-//! `Kepler::with_parallel_ingest` — the daemon is agnostic to which
-//! ingest stage backs the detector.)
+//! behind; records are never dropped.
 //!
 //! Restart: [`Daemon::new`] recovers snapshot+WAL state from the store
 //! directory and seeds the fresh detector with it
