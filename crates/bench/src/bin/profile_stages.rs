@@ -130,24 +130,20 @@ fn main() {
     // Probe stage: one validation request = schedule (token-bucket
     // admission) → simulate (baseline + fresh traceroute per admitted
     // pair) → analyze (hop diff, verdicts) over two candidate twins.
-    // Measured twice: per-trace tree computation vs the batched form
-    // (one routing tree per (origin, failure-state), shared across the
-    // campaign) — the difference is pure `compute_tree` savings.
+    // The backend is resident: one routing tree per (origin,
+    // failure-state) and one path skeleton per (pair, failure-state),
+    // shared across every campaign.
     use kepler::probe::Prober;
-    for (label, batched) in
-        [("probe validate (per request)", false), ("probe validate (batched)", true)]
-    {
-        let (mut prober, request) = kepler_bench::probe_fixture(41, batched);
-        let t = Instant::now();
-        let mut verdicts = 0usize;
-        for i in 0..PROBE_REQUESTS {
-            // Advance time so the per-facility buckets refill between bins.
-            let report = prober.validate(&request, request.bin_start + 60 * i);
-            verdicts += report.verdicts.len();
-        }
-        black_box(verdicts);
-        report_n(label, t.elapsed().as_secs_f64(), PROBE_REQUESTS);
+    let (mut prober, request) = kepler_bench::probe_fixture(41);
+    let t = Instant::now();
+    let mut verdicts = 0usize;
+    for i in 0..PROBE_REQUESTS {
+        // Advance time so the per-facility buckets refill between bins.
+        let report = prober.validate(&request, request.bin_start + 60 * i);
+        verdicts += report.verdicts.len();
     }
+    black_box(verdicts);
+    report_n("probe validate (per request)", t.elapsed().as_secs_f64(), PROBE_REQUESTS);
 }
 
 fn report(stage: &str, secs: f64) {

@@ -197,28 +197,20 @@ fn bench_monitor_json() {
     let decode_rps = DECODE_RECS as f64 / decode_secs;
 
     const PROBE_REQUESTS: u64 = 300;
-    let mut probe_runs = [(false, 0usize, 0f64), (true, 0usize, 0f64)];
-    for (batched, verdicts, secs) in &mut probe_runs {
-        eprintln!(
-            "[bench: probe validation, schedule->simulate->analyze ({})...]",
-            if *batched { "batched trees" } else { "per-trace trees" }
-        );
-        let (mut prober, request) = kepler_bench::probe_fixture(41, *batched);
-        let t = Instant::now();
-        {
-            use kepler::probe::Prober;
-            for i in 0..PROBE_REQUESTS {
-                // Advance time so per-facility token buckets refill per bin.
-                let report = prober.validate(&request, request.bin_start + 60 * i);
-                *verdicts += report.verdicts.len();
-            }
+    eprintln!("[bench: probe validation, schedule->simulate->analyze...]");
+    let (mut prober, request) = kepler_bench::probe_fixture(41);
+    let mut batched_verdicts = 0usize;
+    let t = Instant::now();
+    {
+        use kepler::probe::Prober;
+        for i in 0..PROBE_REQUESTS {
+            // Advance time so per-facility token buckets refill per bin.
+            let report = prober.validate(&request, request.bin_start + 60 * i);
+            batched_verdicts += report.verdicts.len();
         }
-        *secs = t.elapsed().as_secs_f64();
-        assert!(*verdicts > 0, "probe bench must judge candidates");
     }
-    let [(_, probe_verdicts, probe_secs), (_, batched_verdicts, batched_secs)] = probe_runs;
-    assert_eq!(probe_verdicts, batched_verdicts, "batching must not change verdicts");
-    let probe_vps = probe_verdicts as f64 / probe_secs;
+    let batched_secs = t.elapsed().as_secs_f64();
+    assert!(batched_verdicts > 0, "probe bench must judge candidates");
     let batched_vps = batched_verdicts as f64 / batched_secs;
 
     eprintln!("[bench: probe validation under 30% fault injection...]");
@@ -359,7 +351,7 @@ fn bench_monitor_json() {
 
     let rss = peak_rss_bytes();
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_1m\",\n  \"events\": {N},\n  \"bins_closed\": {single_bins},\n  \"single_shard\": {{ \"seconds\": {single_secs:.3}, \"events_per_sec\": {single_eps:.0} }},\n  \"sharded_8\": {{ \"seconds\": {sharded_secs:.3}, \"events_per_sec\": {sharded_eps:.0} }},\n  \"decode\": {{ \"seconds\": {decode_secs:.3}, \"records\": {DECODE_RECS}, \"decode_recs_per_sec\": {decode_rps:.0} }},\n  \"probe\": {{ \"seconds\": {probe_secs:.3}, \"verdicts\": {probe_verdicts}, \"probe_verdicts_per_sec\": {probe_vps:.0} }},\n  \"probe_batched\": {{ \"seconds\": {batched_secs:.3}, \"verdicts\": {batched_verdicts}, \"probe_batched_verdicts_per_sec\": {batched_vps:.0} }},\n  \"probe_faulty\": {{ \"seconds\": {faulty_secs:.3}, \"verdicts\": {faulty_verdicts}, \"probe_faulty_verdicts_per_sec\": {faulty_vps:.0} }},\n  \"fuzz\": {{ \"seconds\": {fuzz_secs:.3}, \"worlds\": {FUZZ_WORLDS}, \"fuzz_worlds_per_sec\": {fuzz_wps:.1} }},\n  \"fusion\": {{ \"seconds\": {fusion_secs:.3}, \"events\": {fusion_events}, \"fusion_events_per_sec\": {fusion_eps:.0} }},\n  \"serve\": {{ \"seconds\": {serve_secs:.3}, \"events\": {serve_events}, \"commits\": {serve_commits}, \"serve_events_per_sec\": {serve_eps:.0} }},\n  \"query\": {{ \"seconds\": {query_secs:.3}, \"reads\": {query_reads}, \"query_reads_per_sec\": {query_rps:.0} }},\n  \"peak_rss_bytes\": {}\n}}\n",
+        "{{\n  \"bench\": \"pipeline_1m\",\n  \"events\": {N},\n  \"bins_closed\": {single_bins},\n  \"single_shard\": {{ \"seconds\": {single_secs:.3}, \"events_per_sec\": {single_eps:.0} }},\n  \"sharded_8\": {{ \"seconds\": {sharded_secs:.3}, \"events_per_sec\": {sharded_eps:.0} }},\n  \"decode\": {{ \"seconds\": {decode_secs:.3}, \"records\": {DECODE_RECS}, \"decode_recs_per_sec\": {decode_rps:.0} }},\n  \"probe_batched\": {{ \"seconds\": {batched_secs:.3}, \"verdicts\": {batched_verdicts}, \"probe_batched_verdicts_per_sec\": {batched_vps:.0} }},\n  \"probe_faulty\": {{ \"seconds\": {faulty_secs:.3}, \"verdicts\": {faulty_verdicts}, \"probe_faulty_verdicts_per_sec\": {faulty_vps:.0} }},\n  \"fuzz\": {{ \"seconds\": {fuzz_secs:.3}, \"worlds\": {FUZZ_WORLDS}, \"fuzz_worlds_per_sec\": {fuzz_wps:.1} }},\n  \"fusion\": {{ \"seconds\": {fusion_secs:.3}, \"events\": {fusion_events}, \"fusion_events_per_sec\": {fusion_eps:.0} }},\n  \"serve\": {{ \"seconds\": {serve_secs:.3}, \"events\": {serve_events}, \"commits\": {serve_commits}, \"serve_events_per_sec\": {serve_eps:.0} }},\n  \"query\": {{ \"seconds\": {query_secs:.3}, \"reads\": {query_reads}, \"query_reads_per_sec\": {query_rps:.0} }},\n  \"peak_rss_bytes\": {}\n}}\n",
         rss.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
     );
     std::fs::write("BENCH_monitor.json", &json).expect("write BENCH_monitor.json");

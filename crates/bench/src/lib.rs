@@ -8,8 +8,8 @@
 //!   workload and writes `BENCH_monitor.json` (the perf-trajectory
 //!   artifact tracked across PRs);
 //! * `profile_stages` — cumulative stage-cost breakdown (construct →
-//!   explode → decode+intern → monitor, plus per-trace vs batched probe
-//!   validation) guiding optimization work;
+//!   explode → decode+intern → monitor, plus probe validation) guiding
+//!   optimization work;
 //! * `bench_gate` — compares a fresh `BENCH_monitor.json` against the
 //!   committed baseline and fails CI on regression ([`gate`]).
 //!
@@ -111,25 +111,18 @@ pub fn pipeline_dictionary() -> kepler_docmine::CommunityDictionary {
 /// The probe-stage benchmark fixture: a tiny world with one facility
 /// outage, the glue-layer simulated trace backend, and a two-candidate
 /// validation request against the outage window. Shared by
-/// `profile_stages` (ns/request rows) and `repro --bench`
-/// (`probe_verdicts_per_sec` / `probe_batched_verdicts_per_sec` in
-/// `BENCH_monitor.json`) so all measure the same workload:
-/// schedule → simulate → analyze.
-///
-/// `batched` toggles the backend's shared routing-tree cache: `false`
-/// reproduces the historical per-trace `compute_tree` cost (the `probe`
-/// row), `true` measures the batched path (`probe_batched`) where one
-/// tree per (origin, failure-state) is shared across the campaign.
+/// `profile_stages` (ns/request row) and `repro --bench`
+/// (`probe_batched_verdicts_per_sec` in `BENCH_monitor.json`) so both
+/// measure the same workload: schedule → simulate → analyze.
 pub fn probe_fixture(
     seed: u64,
-    batched: bool,
 ) -> (
     kepler::probe::ProbeEngine<kepler::probe::SyncAdapter<kepler::glue::SimTraceBackend>>,
     kepler::probe::ProbeRequest,
 ) {
     use kepler::probe::{ProbeEngine, ProbeEngineConfig};
 
-    let (world, backend, request) = probe_fixture_parts(seed, batched);
+    let (world, backend, request) = probe_fixture_parts(seed);
     let engine = ProbeEngine::new(
         backend,
         kepler::glue::vantage_registry_for(&world),
@@ -152,7 +145,7 @@ pub fn probe_faulty_fixture(
     use kepler::netsim::{FaultConfig, FaultyBackend};
     use kepler::probe::{ProbeEngine, ProbeEngineConfig};
 
-    let (world, backend, request) = probe_fixture_parts(seed, true);
+    let (world, backend, request) = probe_fixture_parts(seed);
     let fault = FaultConfig { drop_rate: 0.30, ..FaultConfig::default() };
     let engine = ProbeEngine::with_async(
         FaultyBackend::new(backend, fault),
@@ -166,7 +159,6 @@ pub fn probe_faulty_fixture(
 /// The shared world/backend/request triple behind both probe fixtures.
 fn probe_fixture_parts(
     seed: u64,
-    batched: bool,
 ) -> (kepler::netsim::World, kepler::glue::SimTraceBackend, kepler::probe::ProbeRequest) {
     use kepler::glue::SimTraceBackend;
     use kepler::netsim::events::{EventKind, ScheduledEvent};
@@ -191,8 +183,7 @@ fn probe_fixture_parts(
         kind: EventKind::FacilityOutage { facility: down, affected_fraction: 1.0 },
     }];
     let backend =
-        SimTraceBackend::new(std::sync::Arc::new(world.clone()), &timeline, seed ^ 0x9B0E)
-            .with_tree_cache(batched);
+        SimTraceBackend::new(std::sync::Arc::new(world.clone()), &timeline, seed ^ 0x9B0E);
     let affected_far: Vec<_> =
         world.colo.members_of_facility(down).iter().copied().take(10).collect();
     let request = ProbeRequest {

@@ -1,11 +1,15 @@
 //! A multiply-xor hasher for small integer keys (the Firefox/rustc "Fx"
-//! construction), used on the monitor hot path.
+//! construction), used on the monitor hot path and by the data-plane
+//! simulator's caches.
 //!
 //! The detector's inner maps are keyed by dense `u32`/`u64` identifiers
-//! (see [`crate::intern`]); SipHash's per-call setup cost dominates lookups
+//! (`kepler_core::intern`), the simulator's by world indices and set ids
+//! it hands out itself; SipHash's per-call setup cost dominates lookups
 //! at that key size, while this hasher folds a word in two multiplies. It
 //! is *not* DoS-resistant and must only be used for keys derived from
-//! interned ids, never for attacker-controlled strings.
+//! interned ids, never for attacker-controlled strings. It lives in the
+//! base crate so the detector and the simulator (which must not depend
+//! on each other) share one copy; `kepler_core::fx` re-exports it.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

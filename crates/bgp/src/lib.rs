@@ -45,6 +45,7 @@ pub mod asn;
 pub mod aspath;
 pub mod attrs;
 pub mod community;
+pub mod fx;
 pub mod message;
 pub mod mrt;
 pub mod prefix;

@@ -110,14 +110,15 @@ impl BgpRecord {
     }
 
     /// Converts a decoded MRT record into a [`BgpRecord`], if it is a
-    /// message or state change (RIB records are handled separately).
-    pub fn from_mrt(rec: &MrtRecord, collector: CollectorId) -> Option<BgpRecord> {
-        match &rec.body {
+    /// message or state change (RIB records are handled separately). The
+    /// record is consumed: its update moves into the result uncopied.
+    pub fn from_mrt(rec: MrtRecord, collector: CollectorId) -> Option<BgpRecord> {
+        match rec.body {
             MrtBody::Message(m) => Some(BgpRecord {
                 time: rec.timestamp as Timestamp,
                 collector,
                 peer: PeerId { asn: m.peer_as, addr: m.peer_ip },
-                payload: RecordPayload::Update(m.update.clone()),
+                payload: RecordPayload::Update(m.update),
             }),
             MrtBody::StateChange(s) => Some(BgpRecord {
                 time: rec.timestamp as Timestamp,
@@ -210,7 +211,7 @@ mod tests {
             PathAttributes::with_path_and_communities(AsPath::from_sequence([13030]), vec![]);
         let r = rec(BgpUpdate::announce(vec![Prefix::v4(184, 84, 242, 0, 24)], attrs));
         let mrt = r.to_mrt(Asn(6447), "192.0.2.254".parse().unwrap());
-        let back = BgpRecord::from_mrt(&mrt, CollectorId(0)).unwrap();
+        let back = BgpRecord::from_mrt(mrt, CollectorId(0)).unwrap();
         assert_eq!(back, r);
     }
 }

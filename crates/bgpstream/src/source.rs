@@ -82,7 +82,7 @@ impl<R: Read> MrtSource<R> {
             match self.reader.next() {
                 None => return,
                 Some(Ok(rec)) => {
-                    if let Some(r) = BgpRecord::from_mrt(&rec, self.collector) {
+                    if let Some(r) = BgpRecord::from_mrt(rec, self.collector) {
                         self.buffered = Some(r);
                     }
                 }

@@ -57,7 +57,6 @@
 pub mod config;
 pub mod dataplane;
 pub mod events;
-pub mod fx;
 pub mod input;
 pub mod intern;
 pub mod investigate;
@@ -75,6 +74,7 @@ pub use events::{
 };
 pub use intern::{AsnId, DenseCrossing, DenseRouteEvent, Interner, PopId, RouteId};
 pub use investigate::{FacilityCandidate, Localization, PendingIncident};
+pub use kepler_bgp::fx;
 pub use remote::RemotenessMap;
 pub use shard::{AnyMonitor, ShardedMonitor};
 pub use signal::{

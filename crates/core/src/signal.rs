@@ -336,8 +336,10 @@ impl<B: TraceBackend> SignalSource for DelayDetector<B> {
 
     fn poll(&mut self, view: &BinView<'_>) -> Vec<SourceSignal> {
         let bin_end = view.bin_start + view.bin_secs;
+        // One lock per poll: the canary round and the drain are one
+        // critical section (campaigns never run concurrently with a poll).
+        let mut ledger = self.ledger.lock().expect("rtt ledger poisoned");
         if let Some((backend, pairs, baseline_t)) = &self.canary {
-            let mut ledger = self.ledger.lock().expect("rtt ledger poisoned");
             if !self.canary_baselined {
                 for p in pairs {
                     ledger.observe_baseline(
@@ -355,7 +357,8 @@ impl<B: TraceBackend> SignalSource for DelayDetector<B> {
                 );
             }
         }
-        let anomalies = self.ledger.lock().expect("rtt ledger poisoned").drain_anomalies();
+        let anomalies = ledger.drain_anomalies();
+        drop(ledger);
         // Distinct anomalous measurement keys and total excess per site.
         let mut by_site: SiteAnomalies = BTreeMap::new();
         for a in anomalies {

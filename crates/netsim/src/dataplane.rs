@@ -20,13 +20,15 @@
 use crate::events::{EventKind, ScheduledEvent};
 use crate::routing::policy::FailedSet;
 use crate::routing::propagate::{compute_tree, RouteTree};
-use crate::routing::tag::snapshot_route;
+use crate::routing::tag::{route_visits, PopVisit};
 use crate::world::{AsIdx, PrefixIdx, World};
+use kepler_bgp::fx::FxHashMap;
 use kepler_bgp::Asn;
 use kepler_probe::splitmix64 as splitmix;
 use kepler_topology::{FacilityId, GeoPoint, IxpId};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
+use std::sync::Arc;
 
 // The interface-level trace vocabulary is owned by `kepler-probe` (the
 // detector-side path analysis consumes the same types); this module
@@ -100,24 +102,176 @@ impl Default for DataplaneConfig {
     }
 }
 
-/// Shared routing-tree cache for **batched traceroute simulation**.
+/// Longest restoration tail plus one: every per-(pair, event) tail drawn
+/// by [`restoration_tail`] is strictly below this many seconds.
+const MAX_TAIL_SECS: u64 = 10_800;
+
+/// How long after `event` is repaired `pair` keeps its detour: the data
+/// plane converges faster than BGP but not instantly (85% < 1 h, Figure
+/// 10b), deterministically per (pair, event).
+fn restoration_tail(seed: u64, event: usize, pair: ProbePair) -> u64 {
+    let h = splitmix(seed ^ (event as u64) << 40 ^ (pair.src.0 as u64) << 20 ^ pair.dst.0 as u64);
+    let frac = (h % 1000) as f64 / 1000.0;
+    if frac < 0.85 {
+        (frac / 0.85 * 3600.0) as u64
+    } else {
+        3600 + (((frac - 0.85) / 0.15) * 7200.0) as u64
+    }
+}
+
+/// Whether an event can change routes. Flaps touch no routes; surges
+/// touch none either (they are pure-latency events read off the timeline
+/// per hop), so neither may perturb an active set — the cache key.
+fn affects_routes(kind: &EventKind) -> bool {
+    !matches!(kind, EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. })
+}
+
+/// One route-affecting event that may be active somewhere in an epoch.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// Timeline index.
+    event: u32,
+    /// `None`: the event runs through the whole epoch, active for every
+    /// pair. `Some(end)`: it ended at `end`, less than [`MAX_TAIL_SECS`]
+    /// before the epoch began — active for the pairs whose restoration
+    /// tail has not run out yet.
+    ended: Option<u64>,
+}
+
+/// The **route-epoch index**: the route-affecting events' `start`, `end`
+/// and `end + MAX_TAIL_SECS` instants, sorted, cut the clock into epochs
+/// inside which the set of events that *can* be active is fixed. Built
+/// once per simulator; a query is a binary search plus a per-pair tail
+/// check on the few events that ended within the last three hours.
+#[derive(Debug, Default)]
+struct EpochIndex {
+    /// Sorted distinct edges; epoch `k` spans `edges[k] ..= edges[k + 1] - 1`
+    /// (the last one runs to the top of the clock). Nothing is active
+    /// before `edges[0]`.
+    edges: Vec<u64>,
+    /// Epoch `k`'s candidates are `candidates[spans[k]..spans[k + 1]]`,
+    /// in timeline order.
+    spans: Vec<usize>,
+    candidates: Vec<Candidate>,
+}
+
+impl EpochIndex {
+    fn build(timeline: &[ScheduledEvent]) -> Self {
+        let routed = || timeline.iter().enumerate().filter(|(_, ev)| affects_routes(&ev.kind));
+        let mut edges: Vec<u64> = routed()
+            .flat_map(|(_, ev)| [ev.start, ev.end(), ev.end().saturating_add(MAX_TAIL_SECS)])
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        // Every event boundary is an edge, so an event's standing at an
+        // epoch's first instant is its standing throughout the epoch.
+        let mut spans = vec![0];
+        let mut candidates = Vec::new();
+        for &edge in &edges {
+            for (i, ev) in routed() {
+                if ev.start <= edge && edge < ev.end().saturating_add(MAX_TAIL_SECS) {
+                    let ended = (ev.end() <= edge).then(|| ev.end());
+                    candidates.push(Candidate { event: i as u32, ended });
+                }
+            }
+            spans.push(candidates.len());
+        }
+        EpochIndex { edges, spans, candidates }
+    }
+
+    /// Writes the indices of the events `pair` experiences at `t` into
+    /// `active` (ascending) and returns the inclusive `[from, last]`
+    /// window around `t` on which that set is constant for `pair`: the
+    /// epoch, narrowed by the pair's own restoration-tail cut-offs, which
+    /// the same scan computes.
+    fn active_at(&self, seed: u64, t: u64, pair: ProbePair, active: &mut Vec<u32>) -> (u64, u64) {
+        active.clear();
+        let k = self.edges.partition_point(|&e| e <= t);
+        let mut last = self.edges.get(k).map_or(u64::MAX, |&e| e - 1);
+        let Some(epoch) = k.checked_sub(1) else { return (0, last) };
+        let mut from = self.edges[epoch];
+        for c in &self.candidates[self.spans[epoch]..self.spans[epoch + 1]] {
+            let Some(end) = c.ended else {
+                active.push(c.event);
+                continue;
+            };
+            let cutoff = end.saturating_add(restoration_tail(seed, c.event as usize, pair));
+            if t < cutoff {
+                active.push(c.event);
+                last = last.min(cutoff - 1);
+            } else {
+                from = from.max(cutoff);
+            }
+        }
+        (from, last)
+    }
+}
+
+/// One responding interface of a path skeleton.
+#[derive(Debug, Clone, Copy)]
+struct SkeletonHop {
+    owner: IfaceOwner,
+    addr: IpAddr,
+    /// Propagation plus router delay of the segment entering this hop:
+    /// `km · 0.01 · 2.0 + 0.3` — everything in the RTT step that depends
+    /// on neither the instant nor the [`DataplaneConfig`].
+    base_ms: f64,
+}
+
+/// The time-independent part of one pair's traceroute under one active
+/// event set: the responding hops in TTL order, or `None` when the
+/// destination has no surviving policy path.
+type Skeleton = Option<Vec<SkeletonHop>>;
+
+/// The window on which a pair's last trace resolved to a skeleton.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    from: u64,
+    last: u64,
+    skeleton: u32,
+}
+
+/// Shared cache for **batched traceroute simulation**: routing trees,
+/// path skeletons and per-pair epoch windows.
 ///
 /// Computing a route means building the per-origin routing tree
 /// ([`compute_tree`]) — by far the dominant cost of a simulated
-/// traceroute. But the tree depends only on the *origin* and the set of
-/// timeline events active for the measured (pair, time), so within a
-/// campaign (many vantages × few targets, one failure state) the same
-/// tree is recomputed over and over. A `TreeCache` keyed on
-/// `(origin, active event set)` computes each distinct tree once and
-/// shares it across the whole campaign — and, when held by a persistent
-/// backend, across campaigns of consecutive bins.
+/// traceroute — and walking it into interface hops. Neither depends on
+/// the instant: the tree is a function of `(origin, active event set)`,
+/// the hop sequence with its propagation delays (the *skeleton*) of
+/// `(pair, active event set)`. Within a campaign (many vantages × few
+/// targets, one failure state) the same tree is shared across pairs;
+/// across the bins of a panel (same pairs, advancing `t`) the same
+/// skeleton is replayed with only the per-instant terms — jitter, surge,
+/// loss, TTL budget, configured extra latency — recomputed. In front of
+/// both sits one *window* per pair: the `[from, last]` range of instants
+/// on which the pair's last skeleton stays valid, so re-tracing a pair at
+/// an advancing `t` is a range check.
 ///
-/// Caching is exact, not approximate: the key captures everything
-/// [`compute_tree`] reads besides the immutable world, so cached and
-/// uncached campaigns are bit-identical (tested below).
-#[derive(Debug, Default)]
+/// Caching is exact, not approximate: the keys capture everything the
+/// cached values read besides the immutable world, timeline and seed, so
+/// cached and uncached traces are bit-identical (differentially tested
+/// against the straight-line reference below). A skeleton never depends
+/// on `t` or on a [`DataplaneConfig`] field. A cache belongs to one
+/// simulator: its keys are that simulator's timeline indices.
+///
+/// Memory is bounded: when a miss would push the tree count past
+/// `TREE_CACHE_CAP` or the skeleton count past `SKELETON_CACHE_CAP`,
+/// everything is evicted wholesale.
+#[derive(Debug)]
 pub struct TreeCache {
-    trees: HashMap<(u32, Vec<u32>), RouteTree>,
+    tree_cap: usize,
+    skeleton_cap: usize,
+    /// Interned active-event sets; a set's id keys everything below.
+    set_ids: HashMap<Vec<u32>, u32>,
+    /// Failure state per interned set, by id.
+    failed: Vec<FailedSet>,
+    trees: FxHashMap<(u32, u32), RouteTree>,
+    skeleton_ids: FxHashMap<(ProbePair, u32), u32>,
+    skeletons: Vec<Skeleton>,
+    windows: FxHashMap<ProbePair, Window>,
+    /// Recycled active-set buffer.
+    scratch: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -126,13 +280,37 @@ pub struct TreeCache {
 /// multi-year replays; a campaign needs far fewer distinct trees).
 const TREE_CACHE_CAP: usize = 4096;
 
+/// Retained skeletons before the cache evicts wholesale. A skeleton is a
+/// few hundred bytes against a tree's tens of kilobytes, and there is one
+/// per (pair, failure state) rather than per (origin, failure state).
+const SKELETON_CACHE_CAP: usize = 8 * TREE_CACHE_CAP;
+
+impl Default for TreeCache {
+    fn default() -> Self {
+        TreeCache {
+            tree_cap: TREE_CACHE_CAP,
+            skeleton_cap: SKELETON_CACHE_CAP,
+            set_ids: HashMap::new(),
+            failed: Vec::new(),
+            trees: FxHashMap::default(),
+            skeleton_ids: FxHashMap::default(),
+            skeletons: Vec::new(),
+            windows: FxHashMap::default(),
+            scratch: Vec::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
 impl TreeCache {
     /// An empty cache.
     pub fn new() -> Self {
         TreeCache::default()
     }
 
-    /// (hits, misses) since construction — the speedup audit trail.
+    /// Routing-tree (hits, misses) since construction — the speedup audit
+    /// trail. Trees are only consulted when a skeleton has to be built.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -147,53 +325,92 @@ impl TreeCache {
         self.trees.is_empty()
     }
 
-    fn get_or_compute(
-        &mut self,
-        world: &World,
-        failed: &FailedSet,
-        origin: AsIdx,
-        active: Vec<u32>,
-    ) -> &RouteTree {
-        let key = (origin.0, active);
-        // Evict wholesale only when a *new* tree would overflow the cap —
-        // a hit must never flush the cache it is about to read.
-        if self.trees.len() >= TREE_CACHE_CAP && !self.trees.contains_key(&key) {
-            self.trees.clear();
-        }
-        match self.trees.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                e.insert(compute_tree(world, failed, origin))
-            }
+    fn clear(&mut self) {
+        self.set_ids.clear();
+        self.failed.clear();
+        self.trees.clear();
+        self.skeleton_ids.clear();
+        self.skeletons.clear();
+        self.windows.clear();
+    }
+}
+
+/// A world or timeline a simulator either borrows (scoped simulators) or
+/// shares (resident ones that outlive the scope that built them).
+enum Held<'a, T: ?Sized> {
+    Borrowed(&'a T),
+    Shared(Arc<T>),
+}
+
+impl<T: ?Sized> std::ops::Deref for Held<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Held::Borrowed(t) => t,
+            Held::Shared(t) => t,
         }
     }
 }
 
+/// A [`EventKind::LatencySurge`] lifted off the timeline.
+struct Surge {
+    start: u64,
+    end: u64,
+    facility: FacilityId,
+    extra_ms: f64,
+}
+
 /// The data-plane simulator for one event timeline.
 pub struct DataplaneSim<'w> {
-    world: &'w World,
-    timeline: Vec<ScheduledEvent>,
+    world: Held<'w, World>,
+    timeline: Held<'w, [ScheduledEvent]>,
     seed: u64,
     config: DataplaneConfig,
     iface_map: HashMap<IpAddr, IfaceOwner>,
+    epochs: EpochIndex,
+    /// The timeline's latency surges, in timeline order.
+    surges: Vec<Surge>,
 }
 
 impl<'w> DataplaneSim<'w> {
-    /// A lean simulator without the pre-registered interface map — enough
-    /// for probing (`traceroute`/`campaign`); `locate` only resolves
-    /// addresses seen in this instance's own traces.
-    pub fn probe_only(world: &'w World, timeline: &[ScheduledEvent], seed: u64) -> Self {
+    fn build(world: Held<'w, World>, timeline: Held<'w, [ScheduledEvent]>, seed: u64) -> Self {
+        let epochs = EpochIndex::build(&timeline);
+        let surges = timeline
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::LatencySurge { facility, extra_ms } => {
+                    Some(Surge { start: ev.start, end: ev.end(), facility, extra_ms })
+                }
+                _ => None,
+            })
+            .collect();
         DataplaneSim {
             world,
-            timeline: timeline.to_vec(),
+            timeline,
             seed,
             config: DataplaneConfig::default(),
             iface_map: HashMap::new(),
+            epochs,
+            surges,
         }
+    }
+
+    /// A lean simulator without the pre-registered interface map — enough
+    /// for probing (`traceroute`/`campaign`); `locate` only resolves
+    /// addresses seen in this instance's own traces.
+    pub fn probe_only(world: &'w World, timeline: &'w [ScheduledEvent], seed: u64) -> Self {
+        Self::build(Held::Borrowed(world), Held::Borrowed(timeline), seed)
+    }
+
+    /// [`probe_only`](Self::probe_only) over a shared world and timeline:
+    /// the simulator a long-lived backend keeps for its whole life.
+    pub fn resident(
+        world: Arc<World>,
+        timeline: Arc<[ScheduledEvent]>,
+        seed: u64,
+    ) -> DataplaneSim<'static> {
+        DataplaneSim::build(Held::Shared(world), Held::Shared(timeline), seed)
     }
 
     /// Overrides the measurement-fidelity configuration.
@@ -203,44 +420,26 @@ impl<'w> DataplaneSim<'w> {
     }
 
     /// Builds the simulator (and its interface map) for a timeline.
-    pub fn new(world: &'w World, timeline: &[ScheduledEvent], seed: u64) -> Self {
-        let mut sim = DataplaneSim {
-            world,
-            timeline: timeline.to_vec(),
-            seed,
-            config: DataplaneConfig::default(),
-            iface_map: HashMap::new(),
-        };
+    pub fn new(world: &'w World, timeline: &'w [ScheduledEvent], seed: u64) -> Self {
+        let mut sim = Self::probe_only(world, timeline, seed);
         // Pre-register every (AS, facility) port and IXP LAN address so
         // `locate` works without having traced first.
         for node in &world.ases {
             for &f in &node.facilities {
-                let addr = sim.facility_port_addr(node.asn, f);
+                let addr = facility_port_addr(node.asn, f);
                 sim.iface_map.insert(addr, IfaceOwner::FacilityPort { asn: node.asn, facility: f });
             }
             for &x in node.local_ixps.iter().chain(node.remote_ixps.iter()) {
-                let addr = sim.ixp_lan_addr(node.asn, x);
+                let addr = ixp_lan_addr(node.asn, x);
                 sim.iface_map.insert(addr, IfaceOwner::IxpLan { asn: node.asn, ixp: x });
             }
         }
         sim
     }
 
-    /// Deterministic facility-port address (11.0.0.0/8 experiment space).
-    fn facility_port_addr(&self, asn: Asn, fac: FacilityId) -> IpAddr {
-        let h = splitmix((asn.0 as u64) << 32 | fac.0 as u64) as u32;
-        IpAddr::V4(Ipv4Addr::from(0x0B00_0000 | (h & 0x00FF_FFFF)))
-    }
-
-    /// Deterministic IXP LAN address: 193.<ixp>.<member-hash> style.
-    fn ixp_lan_addr(&self, asn: Asn, ixp: IxpId) -> IpAddr {
-        let h = splitmix((asn.0 as u64) << 20 | ixp.0 as u64) as u32;
-        IpAddr::V4(Ipv4Addr::new(
-            193,
-            (ixp.0 % 250) as u8,
-            ((h >> 8) & 0xFF) as u8,
-            (h & 0xFF) as u8,
-        ))
+    /// The world this simulator measures.
+    pub fn world(&self) -> &World {
+        &self.world
     }
 
     /// Resolves an interface to its infrastructure (the traIXroute role).
@@ -248,65 +447,32 @@ impl<'w> DataplaneSim<'w> {
         self.iface_map.get(&addr).copied()
     }
 
-    /// Indices of the timeline events the *data plane* experiences at `t`
-    /// for `pair`: events apply during their window; after restoration
-    /// the pair keeps its detour for a deterministic extra delay
-    /// (85% < 1 h). This index set — not the time — is what a routing
-    /// tree depends on, so it doubles as the [`TreeCache`] key.
-    fn active_events(&self, t: u64, pair: ProbePair) -> Vec<u32> {
-        let mut active = Vec::new();
-        for (i, ev) in self.timeline.iter().enumerate() {
-            // Flaps touch no routes; surges touch no routes either (they
-            // are pure-latency events read off the timeline per hop), so
-            // neither may perturb the tree-cache key.
-            if matches!(ev.kind, EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. }) {
-                continue;
-            }
-            let extra = {
-                let h = splitmix(
-                    self.seed ^ (i as u64) << 40 ^ (pair.src.0 as u64) << 20 ^ pair.dst.0 as u64,
-                );
-                let frac = (h % 1000) as f64 / 1000.0;
-                if frac < 0.85 {
-                    (frac / 0.85 * 3600.0) as u64
-                } else {
-                    3600 + (((frac - 0.85) / 0.15) * 7200.0) as u64
-                }
-            };
-            if t >= ev.start && t < ev.end() + extra {
-                active.push(i as u32);
-            }
-        }
-        active
-    }
-
     /// Materializes the failure set of an active-event index set.
     fn failed_from(&self, active: &[u32]) -> FailedSet {
         let mut failed = FailedSet::default();
         for &i in active {
-            apply_to(&mut failed, self.world, i as usize, &self.timeline[i as usize].kind);
+            apply_to(&mut failed, &self.world, i as usize, &self.timeline[i as usize].kind);
         }
         failed
     }
 
-    /// The failure state the *data plane* experiences at `t` for `pair`.
+    /// The failure state the *data plane* experiences at `t` for `pair`:
+    /// events apply during their window; after restoration the pair keeps
+    /// its detour for a deterministic extra delay (85% < 1 h).
     pub fn failed_at(&self, t: u64, pair: ProbePair) -> FailedSet {
-        self.failed_from(&self.active_events(t, pair))
+        let mut active = Vec::new();
+        self.epochs.active_at(self.seed, t, pair, &mut active);
+        self.failed_from(&active)
     }
 
     /// Extra milliseconds from [`EventKind::LatencySurge`] events active
     /// on `facility` at `t`. Congestion has no recovery tail — the queue
     /// drains the moment the event ends — so the window is exact.
     fn surge_ms(&self, t: u64, facility: FacilityId) -> f64 {
-        self.timeline
+        self.surges
             .iter()
-            .filter(|ev| t >= ev.start && t < ev.end())
-            .filter_map(|ev| match ev.kind {
-                EventKind::LatencySurge { facility: f, extra_ms } if f == facility => {
-                    Some(extra_ms)
-                }
-                _ => None,
-            })
+            .filter(|s| s.facility == facility && t >= s.start && t < s.end)
+            .map(|s| s.extra_ms)
             .sum()
     }
 
@@ -321,90 +487,127 @@ impl<'w> DataplaneSim<'w> {
         self.traceroute_with(&mut TreeCache::new(), pair, t)
     }
 
-    /// Like [`traceroute`](Self::traceroute), but sharing routing trees
-    /// through `cache` — the batched form every campaign-shaped caller
-    /// should use. Results are bit-identical to the uncached path.
+    /// Like [`traceroute`](Self::traceroute), but sharing routing trees,
+    /// path skeletons and epoch windows through `cache` — the batched form
+    /// every campaign- or panel-shaped caller should use. Results are
+    /// bit-identical to the uncached path. `cache` must only ever be used
+    /// with this simulator.
     pub fn traceroute_with(
         &self,
         cache: &mut TreeCache,
         pair: ProbePair,
         t: u64,
     ) -> TraceroutePath {
-        let active = self.active_events(t, pair);
-        let failed = self.failed_from(&active);
-        let origin = self.world.origin_of(pair.dst);
-        let tree = cache.get_or_compute(self.world, &failed, origin, active);
-        let is_v6 = self.world.prefix(pair.dst).is_ipv6();
-        let Some(snap) = snapshot_route(self.world, &failed, tree, pair.src, is_v6) else {
+        let skeleton = match cache.windows.get(&pair) {
+            Some(w) if w.from <= t && t <= w.last => w.skeleton,
+            _ => self.resolve(cache, pair, t),
+        };
+        self.replay(&cache.skeletons[skeleton as usize], pair, t)
+    }
+
+    /// Finds (or builds) the skeleton `pair` traces over at `t` and
+    /// remembers the window it holds on.
+    fn resolve(&self, cache: &mut TreeCache, pair: ProbePair, t: u64) -> u32 {
+        let mut active = std::mem::take(&mut cache.scratch);
+        let (from, last) = self.epochs.active_at(self.seed, t, pair, &mut active);
+        let known = cache.set_ids.get(active.as_slice()).copied();
+        let cached = known.and_then(|set| cache.skeleton_ids.get(&(pair, set)).copied());
+        let skeleton = cached.unwrap_or_else(|| self.build_skeleton(cache, pair, known, &active));
+        cache.scratch = active;
+        cache.windows.insert(pair, Window { from, last, skeleton });
+        skeleton
+    }
+
+    /// Walks `pair`'s route under the `active` event set into a skeleton
+    /// and retains it. `known` is the set's id if it is already interned.
+    fn build_skeleton(
+        &self,
+        cache: &mut TreeCache,
+        pair: ProbePair,
+        mut known: Option<u32>,
+        active: &[u32],
+    ) -> u32 {
+        let world: &World = &self.world;
+        let origin = world.origin_of(pair.dst);
+        // Evict wholesale only when a *new* entry would overflow a cap — a
+        // tree hit must never flush the cache it is about to read.
+        let tree_cached = known.is_some_and(|set| cache.trees.contains_key(&(origin.0, set)));
+        if cache.skeletons.len() >= cache.skeleton_cap
+            || (cache.trees.len() >= cache.tree_cap && !tree_cached)
+        {
+            cache.clear();
+            known = None;
+        }
+        let set = known.unwrap_or_else(|| {
+            let id = cache.failed.len() as u32;
+            cache.failed.push(self.failed_from(active));
+            cache.set_ids.insert(active.to_vec(), id);
+            id
+        });
+        let failed = &cache.failed[set as usize];
+        let tree = match cache.trees.entry((origin.0, set)) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                cache.hits += 1;
+                e.into_mut()
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                cache.misses += 1;
+                e.insert(compute_tree(world, failed, origin))
+            }
+        };
+        let hops = route_visits(world, failed, tree, pair.src).map(|visits| {
+            let src_city = world.ases[pair.src.0 as usize].info.home_city;
+            let mut here: GeoPoint = world.gazetteer.cities()[src_city.0 as usize].point;
+            let mut hops = Vec::with_capacity(visits.len());
+            for v in &visits {
+                let Some((owner, addr, point)) = responding_iface(world, v, here) else {
+                    continue;
+                };
+                // ~1 ms RTT per 100 km of great-circle fiber, plus router delay.
+                let base_ms = here.distance_km(&point) * 0.01 * 2.0 + 0.3;
+                hops.push(SkeletonHop { owner, addr, base_ms });
+                here = point;
+            }
+            hops
+        });
+        let id = cache.skeletons.len() as u32;
+        cache.skeletons.push(hops);
+        cache.skeleton_ids.insert((pair, set), id);
+        id
+    }
+
+    /// Plays a skeleton at instant `t`: the TTL budget, configured extra
+    /// latency, surges, per-bin jitter and hop loss — in exactly the
+    /// floating-point order of the straight-line reference.
+    fn replay(&self, skeleton: &Skeleton, pair: ProbePair, t: u64) -> TraceroutePath {
+        let Some(skeleton) = skeleton else {
             return TraceroutePath { pair, time: t, hops: Vec::new(), reached: false };
         };
-        let mut hops = Vec::new();
-        let src_city = self.world.ases[pair.src.0 as usize].info.home_city;
-        let mut here: GeoPoint = self.world.gazetteer.cities()[src_city.0 as usize].point;
+        let mut hops = Vec::with_capacity(skeleton.len());
         let mut rtt = 0.5; // first-hop base
-        let mut ttl = 0usize;
         let mut reached = true;
-        for v in &snap.visits {
-            // The responding interface is the far-end router's ingress port:
-            // the IXP LAN address for public peering, else its facility port.
-            let (owner, addr, point) = if let Some(x) = v.ixp {
-                // A remote member's LAN interface answers from the far
-                // end of its reseller circuit — its home metro — not
-                // from the exchange's city. This is what makes remote
-                // peering *latency-visible*: the RTT step onto the LAN
-                // carries the reseller tail, which the detector-side
-                // heuristic (`kepler_core::remote`) keys on.
-                let remote_home = self
-                    .world
-                    .asn_to_idx
-                    .get(&v.far)
-                    .map(|i| &self.world.ases[i.0 as usize])
-                    .filter(|n| n.remote_ixps.contains(&x))
-                    .map(|n| self.world.gazetteer.cities()[n.info.home_city.0 as usize].point);
-                let p = remote_home.or_else(|| {
-                    self.world
-                        .colo
-                        .ixp(x)
-                        .map(|i| self.world.gazetteer.cities()[i.city.0 as usize].point)
-                });
-                (
-                    IfaceOwner::IxpLan { asn: v.far, ixp: x },
-                    self.ixp_lan_addr(v.far, x),
-                    p.unwrap_or(here),
-                )
-            } else if let Some(f) = v.far_fac.or(v.near_fac) {
-                let p = self.world.colo.facility(f).map(|f| f.point).unwrap_or(here);
-                (
-                    IfaceOwner::FacilityPort { asn: v.far, facility: f },
-                    self.facility_port_addr(v.far, f),
-                    p,
-                )
-            } else {
-                continue;
-            };
-            ttl += 1;
+        for (i, hop) in skeleton.iter().enumerate() {
+            let ttl = i + 1;
             if ttl > self.config.max_ttl {
                 reached = false;
                 break;
             }
-            let km = here.distance_km(&point);
-            // ~1 ms RTT per 100 km of great-circle fiber, plus router delay.
-            rtt += km * 0.01 * 2.0 + 0.3 + self.config.extra_hop_latency_ms;
+            rtt += hop.base_ms + self.config.extra_hop_latency_ms;
             // A congested facility's queueing delay lands on the segment
             // *entering* it and, RTT being cumulative, every hop beyond.
-            if let IfaceOwner::FacilityPort { facility, .. } = owner {
+            if let IfaceOwner::FacilityPort { facility, .. } = hop.owner {
                 rtt += self.surge_ms(t, facility);
             }
-            let jitter = (splitmix(self.seed ^ addr_hash(addr) ^ (t / 60)) % 100) as f64 / 100.0;
+            let jitter =
+                (splitmix(self.seed ^ addr_hash(hop.addr) ^ (t / 60)) % 100) as f64 / 100.0;
             rtt += jitter * self.config.jitter_ms;
-            here = point;
             if self.config.hop_loss > 0.0 {
-                let roll = splitmix(self.seed ^ addr_hash(addr) ^ t ^ (ttl as u64) << 48);
+                let roll = splitmix(self.seed ^ addr_hash(hop.addr) ^ t ^ (ttl as u64) << 48);
                 if ((roll % 10_000) as f64) < self.config.hop_loss * 10_000.0 {
                     continue; // the `*` row: no answer, trace continues
                 }
             }
-            hops.push(TraceHop { addr, owner, rtt_ms: rtt });
+            hops.push(TraceHop { addr: hop.addr, owner: hop.owner, rtt_ms: rtt });
         }
         TraceroutePath { pair, time: t, hops, reached }
     }
@@ -493,6 +696,55 @@ impl<'w> DataplaneSim<'w> {
     }
 }
 
+/// Deterministic facility-port address (11.0.0.0/8 experiment space).
+fn facility_port_addr(asn: Asn, fac: FacilityId) -> IpAddr {
+    let h = splitmix((asn.0 as u64) << 32 | fac.0 as u64) as u32;
+    IpAddr::V4(Ipv4Addr::from(0x0B00_0000 | (h & 0x00FF_FFFF)))
+}
+
+/// Deterministic IXP LAN address: 193.<ixp>.<member-hash> style.
+fn ixp_lan_addr(asn: Asn, ixp: IxpId) -> IpAddr {
+    let h = splitmix((asn.0 as u64) << 20 | ixp.0 as u64) as u32;
+    IpAddr::V4(Ipv4Addr::new(193, (ixp.0 % 250) as u8, ((h >> 8) & 0xFF) as u8, (h & 0xFF) as u8))
+}
+
+/// The interface answering for one crossing, reached from `here`: the
+/// far-end router's ingress port — the IXP LAN address for public
+/// peering, else its facility port — with its location. `None` when the
+/// crossing has neither (no TTL slot).
+fn responding_iface(
+    world: &World,
+    v: &PopVisit,
+    here: GeoPoint,
+) -> Option<(IfaceOwner, IpAddr, GeoPoint)> {
+    if let Some(x) = v.ixp {
+        // A remote member's LAN interface answers from the far end of its
+        // reseller circuit — its home metro — not from the exchange's
+        // city. This is what makes remote peering *latency-visible*: the
+        // RTT step onto the LAN carries the reseller tail, which the
+        // detector-side heuristic (`kepler_core::remote`) keys on.
+        let remote_home = world
+            .asn_to_idx
+            .get(&v.far)
+            .map(|i| &world.ases[i.0 as usize])
+            .filter(|n| n.remote_ixps.contains(&x))
+            .map(|n| world.gazetteer.cities()[n.info.home_city.0 as usize].point);
+        let p = remote_home.or_else(|| {
+            world.colo.ixp(x).map(|i| world.gazetteer.cities()[i.city.0 as usize].point)
+        });
+        Some((IfaceOwner::IxpLan { asn: v.far, ixp: x }, ixp_lan_addr(v.far, x), p.unwrap_or(here)))
+    } else if let Some(f) = v.far_fac.or(v.near_fac) {
+        let p = world.colo.facility(f).map(|f| f.point).unwrap_or(here);
+        Some((
+            IfaceOwner::FacilityPort { asn: v.far, facility: f },
+            facility_port_addr(v.far, f),
+            p,
+        ))
+    } else {
+        None
+    }
+}
+
 fn addr_hash(a: IpAddr) -> u64 {
     match a {
         IpAddr::V4(v) => u32::from(v) as u64,
@@ -546,6 +798,81 @@ fn apply_to(failed: &mut FailedSet, world: &World, id: usize, kind: &EventKind) 
     }
 }
 
+/// The straight-line reference the incremental path is differentially
+/// tested against: the pre-index, pre-skeleton body of
+/// [`DataplaneSim::traceroute_with`], rebuilding everything from the
+/// timeline on every call. Test-only; do not optimise it.
+#[cfg(test)]
+impl DataplaneSim<'_> {
+    fn active_events_reference(&self, t: u64, pair: ProbePair) -> Vec<u32> {
+        let mut active = Vec::new();
+        for (i, ev) in self.timeline.iter().enumerate() {
+            if !affects_routes(&ev.kind) {
+                continue;
+            }
+            let extra = restoration_tail(self.seed, i, pair);
+            if t >= ev.start && t < ev.end().saturating_add(extra) {
+                active.push(i as u32);
+            }
+        }
+        active
+    }
+
+    fn traceroute_reference(&self, pair: ProbePair, t: u64) -> TraceroutePath {
+        use crate::routing::tag::snapshot_route;
+        let world: &World = &self.world;
+        let failed = self.failed_from(&self.active_events_reference(t, pair));
+        let tree = compute_tree(world, &failed, world.origin_of(pair.dst));
+        let is_v6 = world.prefix(pair.dst).is_ipv6();
+        let Some(snap) = snapshot_route(world, &failed, &tree, pair.src, is_v6) else {
+            return TraceroutePath { pair, time: t, hops: Vec::new(), reached: false };
+        };
+        let mut hops = Vec::new();
+        let src_city = world.ases[pair.src.0 as usize].info.home_city;
+        let mut here: GeoPoint = world.gazetteer.cities()[src_city.0 as usize].point;
+        let mut rtt = 0.5; // first-hop base
+        let mut ttl = 0usize;
+        let mut reached = true;
+        for v in &snap.visits {
+            let Some((owner, addr, point)) = responding_iface(world, v, here) else {
+                continue;
+            };
+            ttl += 1;
+            if ttl > self.config.max_ttl {
+                reached = false;
+                break;
+            }
+            let km = here.distance_km(&point);
+            rtt += km * 0.01 * 2.0 + 0.3 + self.config.extra_hop_latency_ms;
+            if let IfaceOwner::FacilityPort { facility, .. } = owner {
+                let surge: f64 = self
+                    .timeline
+                    .iter()
+                    .filter(|ev| t >= ev.start && t < ev.end())
+                    .filter_map(|ev| match ev.kind {
+                        EventKind::LatencySurge { facility: f, extra_ms } if f == facility => {
+                            Some(extra_ms)
+                        }
+                        _ => None,
+                    })
+                    .sum();
+                rtt += surge;
+            }
+            let jitter = (splitmix(self.seed ^ addr_hash(addr) ^ (t / 60)) % 100) as f64 / 100.0;
+            rtt += jitter * self.config.jitter_ms;
+            here = point;
+            if self.config.hop_loss > 0.0 {
+                let roll = splitmix(self.seed ^ addr_hash(addr) ^ t ^ (ttl as u64) << 48);
+                if ((roll % 10_000) as f64) < self.config.hop_loss * 10_000.0 {
+                    continue;
+                }
+            }
+            hops.push(TraceHop { addr, owner, rtt_ms: rtt });
+        }
+        TraceroutePath { pair, time: t, hops, reached }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,7 +917,8 @@ mod tests {
             duration: 600,
             kind: EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
         };
-        let dp = DataplaneSim::new(&w, &[ev], 2);
+        let timeline = [ev];
+        let dp = DataplaneSim::new(&w, &timeline, 2);
         let pairs = dp.default_pairs(60);
         let before = dp.campaign(&pairs, T0);
         let during = dp.campaign(&pairs, T0 + 1200);
@@ -657,7 +985,8 @@ mod tests {
             duration: 600,
             kind: EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
         };
-        let dp = DataplaneSim::new(&w, &[ev], 2);
+        let timeline = [ev];
+        let dp = DataplaneSim::new(&w, &timeline, 2);
         let pairs = dp.default_pairs(60);
         let mut cache = TreeCache::new();
         for t in [T0, T0 + 1200, T0 + 1000 + 600 + 1800, T0 + 1000 + 600 + 11_000] {
@@ -729,7 +1058,8 @@ mod tests {
             duration: 600,
             kind: EventKind::LatencySurge { facility: fac, extra_ms: 80.0 },
         };
-        let dp = DataplaneSim::new(&w, &[ev], 4);
+        let timeline = [ev];
+        let dp = DataplaneSim::new(&w, &timeline, 4);
         let pairs = dp.default_pairs(60);
         let before = dp.campaign(&pairs, T0 + 900);
         // Jitter differs by at most jitter_ms per hop between instants,
@@ -771,5 +1101,279 @@ mod tests {
         let tr = dp.traceroute(pair, T0);
         assert_eq!(dp.ping(pair, T0).is_some(), tr.reached);
         assert_eq!(dp.pair_between(Asn(999_999), dst.asn), None, "unknown vantage");
+    }
+
+    // ---- the incremental path against the straight-line reference ----
+
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    fn shared_world() -> &'static World {
+        static WORLD: OnceLock<World> = OnceLock::new();
+        WORLD.get_or_init(|| World::generate(WorldConfig::tiny(93)))
+    }
+
+    /// Whole-path equality, f64 *bits* included (`==` alone would let
+    /// `-0.0` pass for `0.0`).
+    fn assert_identical(got: &TraceroutePath, want: &TraceroutePath, what: &str) {
+        assert_eq!(got, want, "{what}");
+        let bits =
+            |p: &TraceroutePath| p.hops.iter().map(|h| h.rtt_ms.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: RTT bits");
+    }
+
+    /// (kind selector, start offset, duration, affected fraction, pick).
+    type EventSpec = (u8, u64, u64, f64, u32);
+
+    /// The ports and LAN interfaces the measured pairs answer from on a
+    /// quiet day: events staged there actually move the measured paths,
+    /// so a stale window or a wrong skeleton shows in the trace.
+    #[derive(Default)]
+    struct Crossed {
+        ports: Vec<(Asn, FacilityId)>,
+        lans: Vec<(Asn, IxpId)>,
+    }
+
+    fn crossed_by(w: &World, seed: u64, pairs: &[ProbePair]) -> Crossed {
+        let mut crossed = Crossed::default();
+        for tr in DataplaneSim::probe_only(w, &[], seed).campaign(pairs, T0) {
+            for hop in tr.hops {
+                match hop.owner {
+                    IfaceOwner::FacilityPort { asn, facility } => {
+                        crossed.ports.push((asn, facility))
+                    }
+                    IfaceOwner::IxpLan { asn, ixp } => crossed.lans.push((asn, ixp)),
+                }
+            }
+        }
+        crossed
+    }
+
+    /// Two events in three hit infrastructure on the measured paths; the
+    /// rest land anywhere in the world.
+    fn event_from(
+        w: &World,
+        crossed: &Crossed,
+        (kind, start_off, duration, fraction, pick): EventSpec,
+    ) -> ScheduledEvent {
+        let pick = pick as usize;
+        let on_path = !pick.is_multiple_of(3);
+        let facs = w.colo.facilities();
+        let ixps = w.colo.ixps();
+        let (port_asn, facility) = match crossed.ports.as_slice() {
+            on if on_path && !on.is_empty() => on[pick % on.len()],
+            _ => (Asn(1), facs[pick % facs.len()].id),
+        };
+        let (lan_asn, ixp) = match crossed.lans.as_slice() {
+            on if on_path && !on.is_empty() => on[pick % on.len()],
+            _ => (Asn(1), ixps[pick % ixps.len()].id),
+        };
+        let kind = match kind % 10 {
+            0 => EventKind::FacilityOutage { facility, affected_fraction: 1.0 },
+            1 => EventKind::FacilityOutage { facility, affected_fraction: fraction },
+            2 => EventKind::IxpOutage { ixp, affected_fraction: 1.0 },
+            3 => EventKind::IxpOutage { ixp, affected_fraction: fraction },
+            4 => {
+                let adj = &w.adjacencies[pick % w.adjacencies.len()];
+                EventKind::Depeering {
+                    a: w.ases[adj.a.0 as usize].asn,
+                    b: w.ases[adj.b.0 as usize].asn,
+                }
+            }
+            5 => EventKind::IxpMemberLeave { asn: lan_asn, ixp },
+            6 => EventKind::OperatorWithdraw {
+                asns: std::iter::once(port_asn)
+                    .chain(w.colo.members_of_facility(facility).iter().copied().take(2))
+                    .collect(),
+                facility,
+            },
+            7 => EventKind::FiberCut { facility, affected_fraction: fraction },
+            8 => EventKind::LatencySurge { facility, extra_ms: 10.0 + fraction * 70.0 },
+            _ => EventKind::CollectorFlap { peer_slot: pick % 4 },
+        };
+        ScheduledEvent { start: T0 + start_off, duration, kind }
+    }
+
+    fn arb_timeline() -> impl Strategy<Value = Vec<EventSpec>> {
+        // Starts within ~5.5 h and durations up to ~4 h: windows and
+        // three-hour restoration tails overlap more often than not.
+        prop::collection::vec(
+            (0u8..10, 0u64..20_000, 0u64..15_000, 0.2f64..1.0, any::<u32>()),
+            1..7,
+        )
+    }
+
+    /// Every instant at which `pair`'s active set can change — each
+    /// event's start, end, its own restoration cut-off and the longest
+    /// possible one — ±1, ascending, plus the ends of the clock.
+    fn edge_instants(timeline: &[ScheduledEvent], seed: u64, pair: ProbePair) -> Vec<u64> {
+        let mut out = vec![0, 1, T0, u64::MAX - 1, u64::MAX];
+        for (i, ev) in timeline.iter().enumerate() {
+            let cutoff = ev.end() + restoration_tail(seed, i, pair);
+            for e in [ev.start, ev.end(), cutoff, ev.end() + MAX_TAIL_SECS] {
+                out.extend([e - 1, e, e + 1]);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    const CONFIGS: [DataplaneConfig; 3] = [
+        DataplaneConfig { hop_loss: 0.0, extra_hop_latency_ms: 0.0, jitter_ms: 0.4, max_ttl: 30 },
+        DataplaneConfig { hop_loss: 0.3, extra_hop_latency_ms: 1.5, jitter_ms: 0.9, max_ttl: 30 },
+        // A TTL budget smaller than most paths.
+        DataplaneConfig { hop_loss: 0.1, extra_hop_latency_ms: 0.0, jitter_ms: 0.4, max_ttl: 2 },
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(36))]
+
+        /// The incremental path (epoch index → window → skeleton → replay)
+        /// returns exactly what the straight-line reference does: random
+        /// multi-event timelines staged on the measured paths, every edge
+        /// instant ±1 swept upwards per pair (a window set one second
+        /// early must not cover the next) and again in non-monotone order
+        /// with random instants mixed in, panel-style advancing sweeps,
+        /// loss, a strangling TTL budget, and caches so small they evict
+        /// mid-sequence. ≥ 150 whole-path comparisons per case.
+        #[test]
+        fn incremental_path_matches_the_reference(
+            specs in arb_timeline(),
+            seed in any::<u64>(),
+            config in 0usize..3,
+            caps in prop::sample::select(vec![(TREE_CACHE_CAP, SKELETON_CACHE_CAP), (2, 3), (1, 1), (3, 64)]),
+            random_ts in prop::collection::vec(0u64..40_000, 20),
+            shuffle in any::<u64>(),
+        ) {
+            let w = shared_world();
+            let pairs: Vec<ProbePair> =
+                DataplaneSim::probe_only(w, &[], seed).default_pairs(12).into_iter().take(5).collect();
+            prop_assert!(pairs.len() >= 3);
+            let crossed = crossed_by(w, seed, &pairs);
+            let timeline: Vec<ScheduledEvent> =
+                specs.iter().map(|&s| event_from(w, &crossed, s)).collect();
+            let sim = DataplaneSim::probe_only(w, &timeline, seed).with_config(CONFIGS[config]);
+
+            let mut queries: Vec<(ProbePair, u64)> = Vec::new();
+            for &p in &pairs {
+                queries.extend(edge_instants(&timeline, seed, p).into_iter().map(|t| (p, t)));
+            }
+            // The same again, non-monotone and interleaved across pairs:
+            // ordered by a keyed hash of the position.
+            let mut keyed: Vec<(u64, (ProbePair, u64))> = queries
+                .iter()
+                .copied()
+                .chain(random_ts.iter().enumerate().map(|(i, off)| (pairs[i % pairs.len()], T0 - 5_000 + off)))
+                .enumerate()
+                .map(|(i, q)| (splitmix(shuffle ^ i as u64), q))
+                .collect();
+            keyed.sort_by_key(|(k, _)| *k);
+            queries.extend(keyed.into_iter().map(|(_, q)| q));
+            // Then a panel: every pair re-traced at an advancing clock,
+            // the shape the window fast path exists for.
+            for step in 0..12u64 {
+                queries.extend(pairs.iter().map(|&p| (p, T0 - 500 + step * 2_111)));
+            }
+
+            let mut cache = TreeCache::new();
+            (cache.tree_cap, cache.skeleton_cap) = caps;
+            for &(pair, t) in &queries {
+                let want = sim.traceroute_reference(pair, t);
+                let got = sim.traceroute_with(&mut cache, pair, t);
+                assert_identical(&got, &want, &format!("pair {pair:?} t {t} timeline {timeline:?}"));
+                // The window left behind covers `t` and holds one active
+                // set from end to end.
+                let window = cache.windows[&pair];
+                prop_assert!(window.from <= t && t <= window.last);
+                let active = sim.active_events_reference(t, pair);
+                prop_assert_eq!(&sim.active_events_reference(window.from, pair), &active);
+                prop_assert_eq!(&sim.active_events_reference(window.last, pair), &active);
+                prop_assert!(cache.trees.len() <= cache.tree_cap.max(1));
+                prop_assert!(cache.skeletons.len() <= cache.skeleton_cap.max(1));
+            }
+            prop_assert!(queries.len() >= 150, "{} comparisons", queries.len());
+            if caps.1 <= 3 {
+                prop_assert!(cache.skeletons.len() < pairs.len(), "tiny caps must have evicted");
+            }
+            // The public failure-state accessor rides the same index.
+            for &(pair, t) in queries.iter().step_by(7) {
+                let want = sim.failed_from(&sim.active_events_reference(t, pair));
+                prop_assert_eq!(sim.failed_at(t, pair), want);
+            }
+        }
+    }
+
+    #[test]
+    fn window_never_outlives_its_active_set() {
+        // The window `active_at` reports may stop short of the full run of
+        // instants sharing the active set (an epoch edge is any pair's
+        // edge) but must never be wider: walk a dense clock and check
+        // both ends against the reference.
+        let w = shared_world();
+        let fac = w.colo.facilities()[0].id;
+        let timeline = vec![
+            ScheduledEvent {
+                start: T0 + 100,
+                duration: 50,
+                kind: EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
+            },
+            ScheduledEvent {
+                start: T0 + 120,
+                duration: 4_000,
+                kind: EventKind::IxpOutage { ixp: w.colo.ixps()[0].id, affected_fraction: 0.5 },
+            },
+        ];
+        let sim = DataplaneSim::probe_only(w, &timeline, 77);
+        let mut active = Vec::new();
+        let mut widest = 0;
+        for pair in sim.default_pairs(6) {
+            for t in (T0..T0 + 16_000).step_by(97).chain([0, u64::MAX]) {
+                let (from, last) = sim.epochs.active_at(sim.seed, t, pair, &mut active);
+                assert!(from <= t && t <= last);
+                assert_eq!(active, sim.active_events_reference(t, pair));
+                assert_eq!(active, sim.active_events_reference(from, pair), "window start");
+                assert_eq!(active, sim.active_events_reference(last, pair), "window end");
+                if last < u64::MAX {
+                    widest = widest.max(last - from);
+                }
+            }
+        }
+        assert!(widest > 3_000, "the outage's own window is one range check, not many");
+    }
+
+    #[test]
+    fn events_at_the_top_of_the_clock_saturate_instead_of_wrapping() {
+        // A hand-written timeline with `start + duration` (and the
+        // restoration tail on top) past u64::MAX: no panic in debug, no
+        // wrap in release — the event simply never ends.
+        let w = shared_world();
+        let fac = w.colo.facilities()[0].id;
+        let outage = |start, duration| ScheduledEvent {
+            start,
+            duration,
+            kind: EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
+        };
+        let timeline = vec![
+            outage(u64::MAX - 1, u64::MAX),
+            outage(T0, u64::MAX),
+            outage(u64::MAX - 5_000, 10),
+            ScheduledEvent {
+                start: u64::MAX - 1,
+                duration: u64::MAX,
+                kind: EventKind::LatencySurge { facility: fac, extra_ms: 40.0 },
+            },
+        ];
+        assert_eq!(timeline[0].end(), u64::MAX);
+        let sim = DataplaneSim::new(w, &timeline, 5);
+        let pair = sim.default_pairs(4)[0];
+        assert!(sim.failed_at(T0 - 1, pair).is_empty(), "nothing has started yet");
+        let mut cache = TreeCache::new();
+        for t in [T0, T0 + (1 << 40), u64::MAX - 5_001, u64::MAX - 4_000, u64::MAX - 1, u64::MAX] {
+            if t < u64::MAX {
+                assert!(!sim.failed_at(t, pair).is_empty(), "the outage never ends (t={t})");
+            }
+            let got = sim.traceroute_with(&mut cache, pair, t);
+            assert_identical(&got, &sim.traceroute_reference(pair, t), &format!("t={t}"));
+        }
     }
 }

@@ -117,9 +117,11 @@ pub struct ScheduledEvent {
 }
 
 impl ScheduledEvent {
-    /// End time.
+    /// End time. Saturates at the top of the clock: a hand-written
+    /// timeline with `start + duration` past `u64::MAX` describes an
+    /// event that never ends, not a wrapped (or panicking) one.
     pub fn end(&self) -> u64 {
-        self.start + self.duration
+        self.start.saturating_add(self.duration)
     }
 }
 

@@ -23,10 +23,13 @@
 //!   and slow reconvergence after restoration.
 //! * [`dataplane`] — the traceroute substitute: interface-level paths over
 //!   the same physical topology, haversine-propagation RTTs, archived
-//!   weekly dumps and targeted campaigns. Campaigns are **batched**: one
-//!   routing tree per (origin, failure-state) is computed and shared
-//!   across all traces through a [`dataplane::TreeCache`] (bit-identical
-//!   to per-trace computation, ~20x cheaper per probe request).
+//!   weekly dumps and targeted campaigns. Tracing is **incremental**: a
+//!   route-epoch index finds the events a pair experiences by binary
+//!   search, and a [`dataplane::TreeCache`] shares one routing tree per
+//!   (origin, failure-state) and one path skeleton per (pair,
+//!   failure-state), so a re-trace recomputes only the per-instant terms
+//!   (bit-identical to rebuilding everything per trace, differentially
+//!   tested against that reference).
 //! * [`traffic`] — the IPFIX substitute: sampled traffic series at a
 //!   remote IXP, with asymmetric-routing members that lose traffic during
 //!   outages elsewhere.

@@ -100,6 +100,33 @@ fn ingress_communities(
     }
 }
 
+/// The physical crossing of the link `node → far` over `adj_idx`, with
+/// the near-end port (what ingress tagging reads) and the route server
+/// that redistributed the route there, if any.
+fn crossing<'w>(
+    world: &'w World,
+    failed: &FailedSet,
+    node: AsIdx,
+    far: AsIdx,
+    adj_idx: crate::world::AdjIdx,
+) -> (PopVisit, &'w PortLoc, Option<Asn>) {
+    let adj = &world.adjacencies[adj_idx.0 as usize];
+    let inst_i =
+        failed.active_instance(world, adj_idx).expect("tree only uses available adjacencies");
+    let inst = &adj.instances[inst_i];
+    let (near_side, far_side) =
+        if adj.a == node { (&inst.a_side, &inst.b_side) } else { (&inst.b_side, &inst.a_side) };
+    let visit = PopVisit {
+        near: world.ases[node.0 as usize].asn,
+        far: world.ases[far.0 as usize].asn,
+        adj: adj_idx,
+        near_fac: near_side.facility,
+        far_fac: far_side.facility,
+        ixp: near_side.ixp.or(far_side.ixp),
+    };
+    (visit, near_side, inst.via_rs)
+}
+
 /// Extracts the observable route at `vantage` from a routing tree, or
 /// `None` if the vantage has no route.
 pub fn snapshot_route(
@@ -116,32 +143,37 @@ pub fn snapshot_route(
     for (i, (node, adj_opt)) in chain.iter().enumerate() {
         as_path.push(world.ases[node.0 as usize].asn);
         let Some(adj_idx) = adj_opt else { continue };
-        let adj = &world.adjacencies[adj_idx.0 as usize];
-        let far = chain[i + 1].0;
-        let inst_i =
-            failed.active_instance(world, *adj_idx).expect("tree only uses available adjacencies");
-        let inst = &adj.instances[inst_i];
-        let (near_side, far_side) = if adj.a == *node {
-            (&inst.a_side, &inst.b_side)
-        } else {
-            (&inst.b_side, &inst.a_side)
-        };
+        let (visit, near_side, via_rs) = crossing(world, failed, *node, chain[i + 1].0, *adj_idx);
         ingress_communities(world, *node, near_side, is_v6, &mut communities);
-        if let Some(rs) = inst.via_rs {
+        if let Some(rs) = via_rs {
             if let Ok(rs16) = u16::try_from(rs.0) {
                 communities.push(Community::new(rs16, 1));
             }
         }
-        visits.push(PopVisit {
-            near: world.ases[node.0 as usize].asn,
-            far: world.ases[far.0 as usize].asn,
-            adj: *adj_idx,
-            near_fac: near_side.facility,
-            far_fac: far_side.facility,
-            ixp: near_side.ixp.or(far_side.ixp),
-        });
+        visits.push(visit);
     }
     Some(RouteSnapshot { as_path, communities, visits })
+}
+
+/// The physical crossings of `vantage`'s route, vantage side first —
+/// [`snapshot_route`]'s `visits` without the AS path and communities a
+/// traceroute never reads. `None` if the vantage has no route.
+pub fn route_visits(
+    world: &World,
+    failed: &FailedSet,
+    tree: &RouteTree,
+    vantage: AsIdx,
+) -> Option<Vec<PopVisit>> {
+    let chain = tree.path_from(vantage)?;
+    Some(
+        chain
+            .windows(2)
+            .map(|link| {
+                let adj_idx = link[0].1.expect("only the origin has no parent adjacency");
+                crossing(world, failed, link[0].0, link[1].0, adj_idx).0
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]

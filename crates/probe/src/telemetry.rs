@@ -97,28 +97,11 @@ impl RttLedger {
         }
     }
 
-    /// Decomposes a trace into per-segment steps: (pair key, step ms,
-    /// owner of the entered hop). Non-monotone cumulative RTTs (possible
-    /// during reconvergence) yield clamped zero steps rather than
-    /// negative baselines.
-    fn steps(vantage: Asn, trace: &Trace) -> Vec<(PairKey, f64, IfaceOwner)> {
-        let mut out = Vec::with_capacity(trace.hops.len());
-        let mut prev_key = PAIR_START;
-        let mut prev_rtt = 0.0f64;
-        for hop in &trace.hops {
-            let key = (vantage.0, prev_key, owner_key(hop.owner));
-            out.push((key, (hop.rtt_ms - prev_rtt).max(0.0), hop.owner));
-            prev_key = owner_key(hop.owner);
-            prev_rtt = hop.rtt_ms;
-        }
-        out
-    }
-
     /// Feeds a pre-event (baseline) trace: each segment step lowers its
     /// key's min-filtered baseline.
     pub fn observe_baseline(&mut self, vantage: Asn, trace: &Trace) {
         self.baseline_obs += 1;
-        for (key, step, _) in Self::steps(vantage, trace) {
+        for (key, step, _) in steps(vantage, trace) {
             self.baselines.entry(key).and_modify(|b| *b = b.min(step)).or_insert(step);
         }
     }
@@ -129,7 +112,7 @@ impl RttLedger {
     /// without baseline, same invariant as the probe engine).
     pub fn observe_current(&mut self, vantage: Asn, t: Timestamp, trace: &Trace) {
         self.current_obs += 1;
-        for (key, step, owner) in Self::steps(vantage, trace) {
+        for (key, step, owner) in steps(vantage, trace) {
             if let Some(&base) = self.baselines.get(&key) {
                 let excess = step - base;
                 if excess > self.threshold_ms {
@@ -159,6 +142,22 @@ impl RttLedger {
     pub fn observations(&self) -> (usize, usize) {
         (self.baseline_obs, self.current_obs)
     }
+}
+
+/// Walks a trace's per-segment steps — (pair key, step ms, owner of the
+/// entered hop) — hop by hop, without materialising them. Non-monotone
+/// cumulative RTTs (possible during reconvergence) yield clamped zero
+/// steps rather than negative baselines.
+fn steps(vantage: Asn, trace: &Trace) -> impl Iterator<Item = (PairKey, f64, IfaceOwner)> + '_ {
+    let mut prev_key = PAIR_START;
+    let mut prev_rtt = 0.0f64;
+    trace.hops.iter().map(move |hop| {
+        let entered = owner_key(hop.owner);
+        let step = ((vantage.0, prev_key, entered), (hop.rtt_ms - prev_rtt).max(0.0), hop.owner);
+        prev_key = entered;
+        prev_rtt = hop.rtt_ms;
+        step
+    })
 }
 
 /// The ledger handle shared between the probe engine (writer) and the

@@ -16,6 +16,7 @@
 //!   detector-agnostic [`TruthOutage`] records used for evaluation,
 //!   including the paper's trackability rule.
 
+use kepler_bgp::fx::FxHashMap;
 use kepler_core::dataplane::{DataPlaneProbe, ProbeResult};
 use kepler_core::events::OutageScope;
 use kepler_core::metrics::TruthOutage;
@@ -45,9 +46,10 @@ use std::sync::Arc;
 /// the "stable subpaths from archived weekly dumps" selection of §4.4.
 /// Probing a scope re-traces only those pairs.
 pub struct SimProbe {
-    world: Arc<World>,
-    timeline: Vec<ScheduledEvent>,
-    seed: u64,
+    sim: DataplaneSim<'static>,
+    /// Trees, path skeletons and epoch windows, kept across re-probes:
+    /// consecutive probes of a scope mostly see one failure state.
+    cache: RefCell<TreeCache>,
     baseline: HashMap<OutageScope, Vec<ProbePair>>,
 }
 
@@ -61,20 +63,19 @@ impl SimProbe {
         quiet_t: u64,
         n_pairs: usize,
     ) -> Self {
+        let sim = DataplaneSim::resident(world, timeline.into(), seed);
+        let mut cache = TreeCache::new();
         let mut baseline: HashMap<OutageScope, Vec<ProbePair>> = HashMap::new();
-        {
-            let dp = DataplaneSim::probe_only(&world, timeline, seed);
-            let pairs = dp.default_pairs(n_pairs);
-            for tr in dp.campaign(&pairs, quiet_t) {
-                if !tr.reached {
-                    continue;
-                }
-                for scope in scopes_of(&world, &tr) {
-                    baseline.entry(scope).or_default().push(tr.pair);
-                }
+        let pairs = sim.default_pairs(n_pairs);
+        for tr in sim.campaign_with(&mut cache, &pairs, quiet_t) {
+            if !tr.reached {
+                continue;
+            }
+            for scope in scopes_of(sim.world(), &tr) {
+                baseline.entry(scope).or_default().push(tr.pair);
             }
         }
-        SimProbe { world, timeline: timeline.to_vec(), seed, baseline }
+        SimProbe { sim, cache: RefCell::new(cache), baseline }
     }
 
     /// Number of scopes with baseline coverage.
@@ -123,15 +124,12 @@ impl DataPlaneProbe for SimProbe {
         if pairs.is_empty() {
             return None;
         }
-        let dp = DataplaneSim::probe_only(&self.world, &self.timeline, self.seed);
-        // A re-probe is a campaign against one failure state: share the
-        // routing trees across the whole baseline set.
-        let mut cache = TreeCache::new();
+        let mut cache = self.cache.borrow_mut();
         let still = pairs
             .iter()
             .filter(|&&p| {
-                let tr = dp.traceroute_with(&mut cache, p, t);
-                tr.reached && crosses(&self.world, &tr, scope)
+                let tr = self.sim.traceroute_with(&mut cache, p, t);
+                tr.reached && crosses(self.sim.world(), &tr, scope)
             })
             .count();
         Some(ProbeResult { still_crossing: still, baseline: pairs.len() })
@@ -144,62 +142,49 @@ impl DataPlaneProbe for SimProbe {
 /// archive lookups, the present is a live campaign — the simulator
 /// answers both from the same timeline.
 ///
-/// By default the backend holds a persistent [`TreeCache`], so a whole
-/// campaign (and consecutive campaigns against the same failure state)
-/// computes each routing tree once instead of per trace —
-/// `profile_stages` shows this removing the dominant cost of the probe
-/// row. Results are bit-identical either way; [`Self::with_tree_cache`]
-/// turns the cache off for apples-to-apples benchmarking.
+/// The backend is *resident*: it builds one [`DataplaneSim`] (with its
+/// route-epoch index) and one [`TreeCache`] at construction and keeps
+/// both for its lifetime, so a campaign computes each routing tree once,
+/// and a pair re-traced bin after bin replays its cached path skeleton
+/// with only the per-instant terms recomputed. Traces are bit-identical
+/// to rebuilding everything per call (the simulator's differential suite
+/// pins that); there is no way to turn the caches off.
 pub struct SimTraceBackend {
-    world: Arc<World>,
-    timeline: Vec<ScheduledEvent>,
-    seed: u64,
-    config: DataplaneConfig,
-    cache: Option<RefCell<TreeCache>>,
+    sim: DataplaneSim<'static>,
+    cache: RefCell<TreeCache>,
+    /// (vantage ASN, target ASN) → probe pair; `None` = unmeasurable.
+    pairs: RefCell<FxHashMap<(kepler_bgp::Asn, kepler_bgp::Asn), Option<ProbePair>>>,
 }
 
 impl SimTraceBackend {
     /// Builds the backend for a world and event timeline.
     pub fn new(world: Arc<World>, timeline: &[ScheduledEvent], seed: u64) -> Self {
         SimTraceBackend {
-            world,
-            timeline: timeline.to_vec(),
-            seed,
-            config: DataplaneConfig::default(),
-            cache: Some(RefCell::new(TreeCache::new())),
+            sim: DataplaneSim::resident(world, timeline.into(), seed),
+            cache: RefCell::new(TreeCache::new()),
+            pairs: RefCell::new(FxHashMap::default()),
         }
     }
 
     /// Overrides the measurement-fidelity configuration (loss, latency,
     /// TTL budget).
     pub fn with_config(mut self, config: DataplaneConfig) -> Self {
-        self.config = config;
+        self.sim = self.sim.with_config(config);
         self
-    }
-
-    /// Enables/disables the shared routing-tree cache (on by default).
-    pub fn with_tree_cache(mut self, enabled: bool) -> Self {
-        self.cache = enabled.then(|| RefCell::new(TreeCache::new()));
-        self
-    }
-
-    /// (hits, misses) of the shared tree cache; `None` when disabled.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(|c| c.borrow().stats())
     }
 }
 
 impl TraceBackend for SimTraceBackend {
     fn trace(&self, vantage: kepler_bgp::Asn, target: kepler_bgp::Asn, t: u64) -> Trace {
-        let dp = DataplaneSim::probe_only(&self.world, &self.timeline, self.seed)
-            .with_config(self.config);
-        let Some(pair) = dp.pair_between(vantage, target) else {
+        let pair = *self
+            .pairs
+            .borrow_mut()
+            .entry((vantage, target))
+            .or_insert_with(|| self.sim.pair_between(vantage, target));
+        let Some(pair) = pair else {
             return Trace::unreachable();
         };
-        let tr = match &self.cache {
-            Some(cache) => dp.traceroute_with(&mut cache.borrow_mut(), pair, t),
-            None => dp.traceroute(pair, t),
-        };
+        let tr = self.sim.traceroute_with(&mut self.cache.borrow_mut(), pair, t);
         Trace { hops: tr.hops, reached: tr.reached }
     }
 }
@@ -223,11 +208,27 @@ pub fn prober_for(
     scenario: &Scenario,
     config: ProbeEngineConfig,
 ) -> ProbeEngine<SyncAdapter<SimTraceBackend>> {
-    let backend = SimTraceBackend::new(
-        Arc::new(scenario.world.clone()),
-        &scenario.timeline,
-        scenario.seed ^ 0x9B0E,
-    );
+    prober_on(shared_world(scenario), scenario, config)
+}
+
+/// One shareable copy of the scenario's world: a detector's backends all
+/// measure the same (immutable) world, so each detector clones it once.
+fn shared_world(scenario: &Scenario) -> Arc<World> {
+    Arc::new(scenario.world.clone())
+}
+
+/// The simulated trace backend every scenario prober measures through.
+fn backend_on(world: Arc<World>, scenario: &Scenario) -> SimTraceBackend {
+    SimTraceBackend::new(world, &scenario.timeline, scenario.seed ^ 0x9B0E)
+}
+
+/// [`prober_for`] over an already-shared world.
+fn prober_on(
+    world: Arc<World>,
+    scenario: &Scenario,
+    config: ProbeEngineConfig,
+) -> ProbeEngine<SyncAdapter<SimTraceBackend>> {
+    let backend = backend_on(world, scenario);
     ProbeEngine::new(
         backend,
         vantage_registry_for(&scenario.world),
@@ -245,14 +246,17 @@ pub fn faulty_prober_for(
     config: ProbeEngineConfig,
     fault: FaultConfig,
 ) -> ProbeEngine<FaultyBackend<SimTraceBackend>> {
-    let backend = FaultyBackend::new(
-        SimTraceBackend::new(
-            Arc::new(scenario.world.clone()),
-            &scenario.timeline,
-            scenario.seed ^ 0x9B0E,
-        ),
-        fault,
-    );
+    faulty_prober_on(shared_world(scenario), scenario, config, fault)
+}
+
+/// [`faulty_prober_for`] over an already-shared world.
+fn faulty_prober_on(
+    world: Arc<World>,
+    scenario: &Scenario,
+    config: ProbeEngineConfig,
+    fault: FaultConfig,
+) -> ProbeEngine<FaultyBackend<SimTraceBackend>> {
+    let backend = FaultyBackend::new(backend_on(world, scenario), fault);
     ProbeEngine::with_async(
         backend,
         vantage_registry_for(&scenario.world),
@@ -270,11 +274,7 @@ pub fn recording_prober_for(
     fault: FaultConfig,
 ) -> ProbeEngine<RecordingBackend<FaultyBackend<SimTraceBackend>>> {
     let backend = RecordingBackend::new(FaultyBackend::new(
-        SimTraceBackend::new(
-            Arc::new(scenario.world.clone()),
-            &scenario.timeline,
-            scenario.seed ^ 0x9B0E,
-        ),
+        backend_on(shared_world(scenario), scenario),
         fault,
     ));
     ProbeEngine::with_async(
@@ -302,8 +302,12 @@ pub fn detector_with_prober(scenario: &Scenario, config: KeplerConfig) -> Kepler
 /// — mirroring a deployment where validation and restoration campaigns
 /// run under distinct measurement-platform credits.
 pub fn detector_with_lifecycle(scenario: &Scenario, config: KeplerConfig) -> Kepler {
-    let restoration = prober_for(scenario, ProbeEngineConfig::default());
-    detector_with_prober(scenario, config).with_restoration_prober(Box::new(restoration))
+    let world = shared_world(scenario);
+    let prober = prober_on(Arc::clone(&world), scenario, ProbeEngineConfig::default());
+    let restoration = prober_on(world, scenario, ProbeEngineConfig::default());
+    detector_for(scenario, config)
+        .with_prober(Box::new(prober))
+        .with_restoration_prober(Box::new(restoration))
 }
 
 /// [`detector_with_lifecycle`] under fault injection: both the validation
@@ -317,8 +321,10 @@ pub fn detector_with_faulty_prober(
     config: KeplerConfig,
     fault: FaultConfig,
 ) -> Kepler {
-    let prober = faulty_prober_for(scenario, ProbeEngineConfig::default(), fault.clone());
-    let restoration = faulty_prober_for(scenario, ProbeEngineConfig::default(), fault);
+    let world = shared_world(scenario);
+    let engine = ProbeEngineConfig::default();
+    let prober = faulty_prober_on(Arc::clone(&world), scenario, engine, fault.clone());
+    let restoration = faulty_prober_on(world, scenario, engine, fault);
     detector_for(scenario, config)
         .with_prober(Box::new(prober))
         .with_restoration_prober(Box::new(restoration))
@@ -375,7 +381,6 @@ pub fn canary_panel(
     per_facility: usize,
     quiet_t: u64,
 ) -> Vec<CanaryPair> {
-    use kepler_netsim::dataplane::TreeCache;
     let world = &scenario.world;
     let dp = DataplaneSim::probe_only(world, &scenario.timeline, scenario.seed ^ 0x9B0E);
     let mut cache = TreeCache::new();
@@ -432,7 +437,9 @@ pub fn detector_with_fusion(
     let quiet_t = scenario.start + 600;
     let trackable = trackable_facilities(scenario, &config);
     let ledger = kepler_probe::telemetry::shared_ledger(config.delay_threshold_ms);
-    let prober = prober_for(scenario, ProbeEngineConfig::default()).with_telemetry(ledger.clone());
+    let world = shared_world(scenario);
+    let prober = prober_on(Arc::clone(&world), scenario, ProbeEngineConfig::default())
+        .with_telemetry(ledger.clone());
     let mut kepler = detector_for(scenario, config.clone()).with_prober(Box::new(prober));
     if opts.forecast || opts.delay {
         // Presence watches keep the monitor closing every dense bin even
@@ -448,11 +455,7 @@ pub fn detector_with_fusion(
     }
     if opts.delay {
         let panel = canary_panel(scenario, &trackable, opts.canaries_per_facility, quiet_t);
-        let backend = SimTraceBackend::new(
-            Arc::new(scenario.world.clone()),
-            &scenario.timeline,
-            scenario.seed ^ 0x9B0E,
-        );
+        let backend = backend_on(world, scenario);
         kepler = kepler.with_signal_source(Box::new(DelayDetector::with_canary(
             &config, ledger, backend, panel, quiet_t,
         )));

@@ -125,7 +125,7 @@ fn detection_survives_mrt_roundtrip() {
     let mut restored = Vec::with_capacity(records.len());
     for (rec, orig) in MrtReader::new(&bytes[..]).zip(records.iter()) {
         let rec = rec.expect("valid archive");
-        let back = BgpRecord::from_mrt(&rec, orig.collector).expect("bgp record");
+        let back = BgpRecord::from_mrt(rec, orig.collector).expect("bgp record");
         restored.push(back);
     }
     assert_eq!(restored.len(), records.len());
