@@ -2,8 +2,7 @@
 //! baseline maintenance and deviation tracking.
 //!
 //! The timed path includes interning (`RouteEvent` → `DenseRouteEvent`),
-//! i.e. the full per-event pipeline cost downstream of the input module,
-//! for both the single monitor and the sharded one.
+//! i.e. the full per-event pipeline cost downstream of the input module.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use kepler_bgp::{Asn, Prefix};
@@ -13,7 +12,6 @@ use kepler_core::events::RouteKey;
 use kepler_core::input::{PopCrossing, RouteEvent};
 use kepler_core::intern::Interner;
 use kepler_core::monitor::Monitor;
-use kepler_core::shard::ShardedMonitor;
 use kepler_docmine::LocationTag;
 use kepler_topology::FacilityId;
 
@@ -51,19 +49,6 @@ fn bench_monitor(c: &mut Criterion) {
                 m.observe(t0 + (i / 100) as u64, &ev);
             }
             // Close the stable window and a few bins.
-            let out = m.advance_to(t0 + 3 * 86_400);
-            (m.baseline_size(), out.len())
-        })
-    });
-    g.bench_function("observe_20k_events_sharded_4", |b| {
-        b.iter(|| {
-            let mut interner = Interner::new();
-            let mut m = ShardedMonitor::new(KeplerConfig::default(), 4);
-            let t0 = 1_000_000u64;
-            for i in 0..N {
-                let ev = interner.intern_event(&event(i));
-                m.observe(t0 + (i / 100) as u64, &ev);
-            }
             let out = m.advance_to(t0 + 3 * 86_400);
             (m.baseline_size(), out.len())
         })

@@ -1,6 +1,6 @@
 //! End-to-end pipeline throughput: 1M synthetic BGP records through the
 //! input module (sanitize + community→PoP mapping), input-time interning
-//! and the monitor — single-shard and sharded.
+//! and the monitor.
 //!
 //! This is the macro-benchmark the perf trajectory is tracked against
 //! across PRs (see `repro --bench`, which measures the identical workload
@@ -13,7 +13,6 @@ use kepler_core::config::KeplerConfig;
 use kepler_core::input::InputModule;
 use kepler_core::intern::Interner;
 use kepler_core::monitor::Monitor;
-use kepler_core::shard::ShardedMonitor;
 use kepler_topology::ColocationMap;
 
 const N: u64 = 1_000_000;
@@ -26,26 +25,6 @@ fn bench_pipeline(c: &mut Criterion) {
             let mut input = InputModule::new(pipeline_dictionary(), ColocationMap::new());
             let mut interner = Interner::new();
             let mut monitor = Monitor::new(KeplerConfig::default());
-            let mut bins = 0usize;
-            for i in 0..N {
-                let rec = pipeline_record(i);
-                for elem in rec.explode() {
-                    if let Some(ev) = input.process_dense(&elem, &mut interner) {
-                        bins += monitor.observe(elem.time, &ev).len();
-                    }
-                }
-            }
-            bins += monitor
-                .advance_to(1_400_000_000 + N / PIPELINE_TIME_COMPRESSION + 3 * 86_400)
-                .len();
-            (bins, monitor.baseline_size())
-        })
-    });
-    g.bench_function("records_1m_sharded_8", |b| {
-        b.iter(|| {
-            let mut input = InputModule::new(pipeline_dictionary(), ColocationMap::new());
-            let mut interner = Interner::new();
-            let mut monitor = ShardedMonitor::new(KeplerConfig::default(), 8);
             let mut bins = 0usize;
             for i in 0..N {
                 let rec = pipeline_record(i);

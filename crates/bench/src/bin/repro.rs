@@ -64,7 +64,7 @@ impl Cache {
             for r in scenario.records() {
                 detector.process_record(&r);
             }
-            let truth = truth_outages_observed(&scenario, &config, &mut detector);
+            let truth = truth_outages_observed(&scenario, &config, &detector);
             let counts = detector.class_counts();
             let reports = detector.finish();
             let eval = evaluate(&reports, &truth, 1800);
@@ -105,23 +105,22 @@ fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// The perf-trajectory artifact tracked across PRs: pushes 1M synthetic
-/// records through input module → interner → monitor (single-shard and
-/// 8-way sharded monitor), measures the zero-copy MRT decode stage (frame → view →
-/// dense intern over an encoded archive), and writes events/sec plus
+/// records through input module → interner → monitor, measures the
+/// zero-copy MRT decode stage (frame → view → dense intern over an
+/// encoded archive), and writes events/sec plus
 /// peak RSS to `BENCH_monitor.json`.
 fn bench_monitor_json() {
     use kepler::core::config::KeplerConfig;
     use kepler::core::input::InputModule;
     use kepler::core::intern::Interner;
     use kepler::core::monitor::Monitor;
-    use kepler::core::shard::ShardedMonitor;
     use kepler::topology::ColocationMap;
     use kepler_bench::{pipeline_dictionary, pipeline_record, PIPELINE_TIME_COMPRESSION};
     use std::time::Instant;
 
     const N: u64 = 1_000_000;
 
-    eprintln!("[bench: 1M-record pipeline, single-shard...]");
+    eprintln!("[bench: 1M-record pipeline...]");
     let t = Instant::now();
     let mut input = InputModule::new(pipeline_dictionary(), ColocationMap::new());
     let mut interner = Interner::new();
@@ -138,25 +137,6 @@ fn bench_monitor_json() {
         monitor.advance_to(1_400_000_000 + N / PIPELINE_TIME_COMPRESSION + 3 * 86_400).len();
     let single_secs = t.elapsed().as_secs_f64();
     let single_eps = N as f64 / single_secs;
-
-    eprintln!("[bench: 1M-record pipeline, 8-way sharded...]");
-    let t = Instant::now();
-    let mut input = InputModule::new(pipeline_dictionary(), ColocationMap::new());
-    let mut interner = Interner::new();
-    let mut sharded = ShardedMonitor::new(KeplerConfig::default(), 8);
-    let mut sharded_bins = 0usize;
-    for i in 0..N {
-        let rec = pipeline_record(i);
-        let time = rec.time;
-        input.process_record_events(&rec, &mut interner, |ev| {
-            sharded_bins += sharded.observe(time, &ev).len();
-        });
-    }
-    sharded_bins +=
-        sharded.advance_to(1_400_000_000 + N / PIPELINE_TIME_COMPRESSION + 3 * 86_400).len();
-    let sharded_secs = t.elapsed().as_secs_f64();
-    assert_eq!(single_bins, sharded_bins, "single and sharded runs must close the same bins");
-    let sharded_eps = N as f64 / sharded_secs;
 
     eprintln!("[bench: zero-copy MRT decode, frame -> view -> dense intern...]");
     const DECODE_RECS: u64 = 200_000;
@@ -351,7 +331,7 @@ fn bench_monitor_json() {
 
     let rss = peak_rss_bytes();
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_1m\",\n  \"events\": {N},\n  \"bins_closed\": {single_bins},\n  \"single_shard\": {{ \"seconds\": {single_secs:.3}, \"events_per_sec\": {single_eps:.0} }},\n  \"sharded_8\": {{ \"seconds\": {sharded_secs:.3}, \"events_per_sec\": {sharded_eps:.0} }},\n  \"decode\": {{ \"seconds\": {decode_secs:.3}, \"records\": {DECODE_RECS}, \"decode_recs_per_sec\": {decode_rps:.0} }},\n  \"probe_batched\": {{ \"seconds\": {batched_secs:.3}, \"verdicts\": {batched_verdicts}, \"probe_batched_verdicts_per_sec\": {batched_vps:.0} }},\n  \"probe_faulty\": {{ \"seconds\": {faulty_secs:.3}, \"verdicts\": {faulty_verdicts}, \"probe_faulty_verdicts_per_sec\": {faulty_vps:.0} }},\n  \"fuzz\": {{ \"seconds\": {fuzz_secs:.3}, \"worlds\": {FUZZ_WORLDS}, \"fuzz_worlds_per_sec\": {fuzz_wps:.1} }},\n  \"fusion\": {{ \"seconds\": {fusion_secs:.3}, \"events\": {fusion_events}, \"fusion_events_per_sec\": {fusion_eps:.0} }},\n  \"serve\": {{ \"seconds\": {serve_secs:.3}, \"events\": {serve_events}, \"commits\": {serve_commits}, \"serve_events_per_sec\": {serve_eps:.0} }},\n  \"query\": {{ \"seconds\": {query_secs:.3}, \"reads\": {query_reads}, \"query_reads_per_sec\": {query_rps:.0} }},\n  \"peak_rss_bytes\": {}\n}}\n",
+        "{{\n  \"bench\": \"pipeline_1m\",\n  \"events\": {N},\n  \"bins_closed\": {single_bins},\n  \"single_shard\": {{ \"seconds\": {single_secs:.3}, \"events_per_sec\": {single_eps:.0} }},\n  \"decode\": {{ \"seconds\": {decode_secs:.3}, \"records\": {DECODE_RECS}, \"decode_recs_per_sec\": {decode_rps:.0} }},\n  \"probe_batched\": {{ \"seconds\": {batched_secs:.3}, \"verdicts\": {batched_verdicts}, \"probe_batched_verdicts_per_sec\": {batched_vps:.0} }},\n  \"probe_faulty\": {{ \"seconds\": {faulty_secs:.3}, \"verdicts\": {faulty_verdicts}, \"probe_faulty_verdicts_per_sec\": {faulty_vps:.0} }},\n  \"fuzz\": {{ \"seconds\": {fuzz_secs:.3}, \"worlds\": {FUZZ_WORLDS}, \"fuzz_worlds_per_sec\": {fuzz_wps:.1} }},\n  \"fusion\": {{ \"seconds\": {fusion_secs:.3}, \"events\": {fusion_events}, \"fusion_events_per_sec\": {fusion_eps:.0} }},\n  \"serve\": {{ \"seconds\": {serve_secs:.3}, \"events\": {serve_events}, \"commits\": {serve_commits}, \"serve_events_per_sec\": {serve_eps:.0} }},\n  \"query\": {{ \"seconds\": {query_secs:.3}, \"reads\": {query_reads}, \"query_reads_per_sec\": {query_rps:.0} }},\n  \"peak_rss_bytes\": {}\n}}\n",
         rss.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
     );
     std::fs::write("BENCH_monitor.json", &json).expect("write BENCH_monitor.json");

@@ -23,6 +23,8 @@
 //!   benchmarks may be added or retired across PRs
 //!   ([`gate::THROUGHPUT_KEYS`]).
 
+#![forbid(unsafe_code)]
+
 pub mod gate;
 
 use kepler_bgp::{AsPath, Asn, BgpUpdate, Community, PathAttributes, Prefix};

@@ -41,6 +41,8 @@
 //! * Parsing never panics on malformed input; [`mrt`] errors carry byte
 //!   offsets.
 
+#![forbid(unsafe_code)]
+
 pub mod asn;
 pub mod aspath;
 pub mod attrs;

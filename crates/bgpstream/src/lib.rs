@@ -27,6 +27,8 @@
 //!   surface as records (not silence), so [`gap`] can quarantine
 //!   feed-loss windows instead of mistaking them for outages.
 
+#![forbid(unsafe_code)]
+
 pub mod broker;
 pub mod collector;
 pub mod gap;

@@ -22,9 +22,9 @@
 //!   the paper's workload bounds at tens of millions — 4-byte ids keep the
 //!   tables compact.
 //! * Dense ids are only meaningful relative to the interner that minted
-//!   them. [`crate::shard::ShardedMonitor`] relies on this: one shared
-//!   interner feeds every shard, so `(PopId, AsnId)` group keys agree
-//!   across shards and per-shard deviation counts are additive.
+//!   them: one interner feeds the monitor, investigator and tracker of a
+//!   [`crate::system::Kepler`], so `(PopId, AsnId)` group keys agree
+//!   between them.
 //! * Display types (`RouteKey`, `LocationTag`, `Asn`) are resolved back
 //!   **only at report time** (bin outcomes with signals, final reports) —
 //!   never on the per-event path.
@@ -116,8 +116,8 @@ impl DenseRouteEvent {
 /// Bidirectional mapping between display identities and dense ids.
 ///
 /// Every identity crossing into the hot path — route keys, PoP tags,
-/// ASNs — is interned once at input time; the monitor, sharder and
-/// tracker then work exclusively on `u32` ids, and display types are
+/// ASNs — is interned once at input time; the monitor and tracker
+/// then work exclusively on `u32` ids, and display types are
 /// resolved back only at report time. Interning is idempotent and ids
 /// are dense (0, 1, 2, …), so flat `Vec`s indexed by id replace hash
 /// maps everywhere downstream.

@@ -28,9 +28,8 @@
 //! 6. [`metrics`] — evaluation against ground truth (TP/FP/FN).
 //!
 //! The [`system::Kepler`] type wires all of it together behind a
-//! feed-records-in, get-outages-out API. Scaling layers sit beside the
-//! pipeline: [`intern`] (dense ids for every hot-path identity),
-//! [`shard`] (N-way sharded monitor).
+//! feed-records-in, get-outages-out API. One scaling layer sits beside
+//! the pipeline: [`intern`] (dense ids for every hot-path identity).
 //!
 //! # Key types
 //!
@@ -42,17 +41,20 @@
 //! # Invariants
 //!
 //! * **Dense hot path.** Display identities are interned once at input
-//!   time; monitor, shards and tracker work on `u32` ids and resolve
+//!   time; monitor and tracker work on `u32` ids and resolve
 //!   back only at report time ([`monitor::DenseBinOutcome::resolve`]).
-//! * **Parallelism is exact.** Sharded monitoring produces
-//!   bit-identical resolved outcomes to the single monitor
-//!   (differential property tests in `crates/core/tests/`).
+//! * **One sequential monitor.** [`monitor::Monitor`] is the only
+//!   monitor; its one fast path (the empty-stretch bin skip) is
+//!   differentially tested against the bin-by-bin walk
+//!   (`crates/core/tests/differential.rs`).
 //! * **Probing is monotone.** Attaching a prober never changes outcomes
 //!   for events it does not probe; confident localizations bypass it.
 //! * **Closes are evidence-driven.** An incident ends only when the
 //!   control plane restores (>`restore_fraction` of watched crossings
 //!   back) or two consecutive restoration re-probes observe the
 //!   epicenter forwarding again — never on a timer.
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod dataplane;
@@ -63,7 +65,6 @@ pub mod investigate;
 pub mod metrics;
 pub mod monitor;
 pub mod remote;
-pub mod shard;
 pub mod signal;
 pub mod system;
 pub mod tracker;
@@ -76,7 +77,6 @@ pub use intern::{AsnId, DenseCrossing, DenseRouteEvent, Interner, PopId, RouteId
 pub use investigate::{FacilityCandidate, Localization, PendingIncident};
 pub use kepler_bgp::fx;
 pub use remote::RemotenessMap;
-pub use shard::{AnyMonitor, ShardedMonitor};
 pub use signal::{
     BinView, CanaryPair, DelayDetector, ForecastDetector, SignalKind, SignalSource,
     SourceContribution, SourceSignal,

@@ -18,11 +18,10 @@
 //! `current` and `baseline` are flat `Vec`s indexed by [`RouteId`] (so the
 //! per-event lookups are array indexing, not hashing), deviation groups
 //! are small-int maps keyed by packed `(PopId, AsnId)` words, and crossing
-//! lists are shared `Arc<[DenseCrossing]>` snapshots. The split between
-//! [`MonitorCore`] (pure event/baseline state machine) and [`Monitor`]
-//! (bin clock + watches) exists so [`crate::shard::ShardedMonitor`] can
-//! drive many cores in lockstep and merge their per-bin group counts
-//! exactly.
+//! lists are shared `Arc<[DenseCrossing]>` snapshots. [`Monitor`] is one
+//! sequential struct — route tables, stable index, promotion queue, bin
+//! clock and watches — and the only monitor (`ARCHITECTURE.md` records
+//! the measurements behind that).
 
 use crate::config::KeplerConfig;
 use crate::events::RouteKey;
@@ -162,18 +161,15 @@ impl DenseBinOutcome {
 }
 
 /// Per-group deviation statistics at bin close, before thresholding.
-/// Numerators and denominators are additive across shards, which is what
-/// makes the sharded merge exact.
-#[derive(Debug, Clone)]
-pub struct GroupStat {
+struct GroupStat {
     /// Packed `(PopId, AsnId)` group key.
-    pub key: GroupKey,
+    key: GroupKey,
     /// Deviated stable routes of the group.
-    pub deviated: Vec<RouteId>,
-    /// Stable routes of the group before the bin (local denominator).
-    pub stable_total: usize,
+    deviated: Vec<RouteId>,
+    /// Stable routes of the group before the bin.
+    stable_total: usize,
     /// Far-end ASes of the deviated crossings.
-    pub fars: Vec<AsnId>,
+    fars: Vec<AsnId>,
 }
 
 #[derive(Debug, Clone)]
@@ -182,43 +178,10 @@ struct CurrentRoute {
     since: Timestamp,
 }
 
-/// Pre-finish state captured during an eager bin close
-/// ([`MonitorCore::close_bin_eager`]): for every group key and PoP the
-/// finish *touched* (pruned from or promoted into), the denominator and
-/// snapshot as they stood at the bin boundary. Untouched keys/PoPs are
-/// answered from live state — `apply` never mutates the stable index, so
-/// live equals pre-finish for them even after later-bin events have been
-/// applied. This is what lets [`crate::shard::ShardedMonitor`] close bins
-/// with one in-stream marker instead of lockstep collect/snapshot/finish
-/// round-trips.
-#[derive(Debug, Default)]
-pub struct BinPreState {
-    totals: FxHashMap<GroupKey, usize>,
-    snaps: FxHashMap<PopId, SnapshotPair>,
-}
-
-/// Everything an eager bin close returns to the shard loop.
-#[derive(Debug)]
-pub struct EagerClose {
-    /// The bin's per-group deviation statistics (pre-threshold).
-    pub groups: Vec<GroupStat>,
-    /// Pre-finish stable counts of the watched PoPs, in argument order.
-    pub watch_stables: Vec<usize>,
-    /// This shard's presence counts of the presence-watched PoPs, in
-    /// argument order (additive across shards).
-    pub presence: Vec<u64>,
-    /// Captured pre-finish state for deferred denominator queries.
-    pub pre: BinPreState,
-}
-
-/// The event/baseline state machine: everything the monitor does *except*
-/// bin bookkeeping. One instance per shard.
-///
-/// `stride` is the total shard count: a core only ever sees routes with
-/// `id % stride == shard`, so it stores them densely at `id / stride`.
-pub struct MonitorCore {
+/// The monitoring module: route tables, stable index, promotion queue,
+/// bin clock and watch series in one single-threaded state machine.
+pub struct Monitor {
     config: KeplerConfig,
-    stride: u32,
     current: Vec<Option<CurrentRoute>>,
     baseline: Vec<Option<Arc<[DenseCrossing]>>>,
     baseline_len: usize,
@@ -236,21 +199,20 @@ pub struct MonitorCore {
     coverage: FxHashMap<PopId, (FxHashSet<AsnId>, FxHashSet<AsnId>)>,
     /// Per-PoP count of crossings on *currently announced* routes — the
     /// forecast detector's presence series. Maintained unconditionally
-    /// (shards cannot know the watch set before the first bin close);
-    /// pure extra state that never feeds the deviation path.
+    /// (a presence watch may be registered after routes were announced,
+    /// and must still sample the full count); pure extra state that never
+    /// feeds the deviation path.
     presence: FxHashMap<PopId, u64>,
-    /// Active pre-finish capture (only during
-    /// [`close_bin_eager`](Self::close_bin_eager)).
-    pre: Option<BinPreState>,
+    bin_start: Option<Timestamp>,
+    watches: FxHashMap<PopId, Vec<(Timestamp, f64)>>,
+    presence_watch: Vec<PopId>,
 }
 
-impl MonitorCore {
-    /// A core for one shard out of `stride`.
-    pub fn new(config: KeplerConfig, stride: u32) -> Self {
-        assert!(stride >= 1, "stride must be at least 1");
-        MonitorCore {
+impl Monitor {
+    /// A monitor with the given configuration.
+    pub fn new(config: KeplerConfig) -> Self {
+        Monitor {
             config,
-            stride,
             current: Vec::new(),
             baseline: Vec::new(),
             baseline_len: 0,
@@ -261,21 +223,17 @@ impl MonitorCore {
             deviation_fars: FxHashMap::default(),
             coverage: FxHashMap::default(),
             presence: FxHashMap::default(),
-            pre: None,
+            bin_start: None,
+            watches: FxHashMap::default(),
+            presence_watch: Vec::new(),
         }
     }
 
-    #[inline]
-    fn slot(&self, route: RouteId) -> usize {
-        (route.0 / self.stride) as usize
-    }
-
-    /// Applies one event (no bin logic). The caller drives bin closes via
-    /// [`bin_groups`](Self::bin_groups) / [`finish_bin`](Self::finish_bin).
-    pub fn apply(&mut self, t: Timestamp, event: &DenseRouteEvent) {
+    /// Applies one event to the route tables (no bin logic).
+    fn apply(&mut self, t: Timestamp, event: &DenseRouteEvent) {
         match event {
             DenseRouteEvent::Withdraw { route } => {
-                let slot = self.slot(*route);
+                let slot = route.0 as usize;
                 if let Some(Some(base)) = self.baseline.get(slot) {
                     let base = Arc::clone(base);
                     for c in base.iter() {
@@ -291,7 +249,7 @@ impl MonitorCore {
                 }
             }
             DenseRouteEvent::Update { route, crossings } => {
-                let slot = self.slot(*route);
+                let slot = route.0 as usize;
                 if let Some(Some(base)) = self.baseline.get(slot) {
                     let base = Arc::clone(base);
                     for c in base.iter() {
@@ -345,22 +303,9 @@ impl MonitorCore {
         }
     }
 
-    /// Current per-PoP presence: crossings on currently announced routes,
-    /// in argument order. Additive across shards (each route lives on
-    /// exactly one).
-    pub fn presence_counts(&self, pops: &[PopId]) -> Vec<u64> {
-        pops.iter().map(|p| self.presence.get(p).copied().unwrap_or(0)).collect()
-    }
-
-    /// Whether any deviation was marked since the last
-    /// [`finish_bin`](Self::finish_bin).
-    pub fn has_deviations(&self) -> bool {
-        !self.deviations.is_empty()
-    }
-
     /// This bin's per-group deviation statistics (pre-threshold,
     /// pre-pruning). Order is unspecified.
-    pub fn bin_groups(&self) -> Vec<GroupStat> {
+    fn bin_groups(&self) -> Vec<GroupStat> {
         self.deviations
             .iter()
             .map(|(key, routes)| GroupStat {
@@ -376,15 +321,8 @@ impl MonitorCore {
             .collect()
     }
 
-    /// Stable-route counts for the given groups (denominator lookups for
-    /// the sharded merge: every shard holds part of a group's stable set,
-    /// including shards that saw no deviation for it this bin).
-    pub fn group_totals(&self, keys: &[GroupKey]) -> Vec<usize> {
-        keys.iter().map(|key| self.pop_index.get(key).map(FxHashSet::len).unwrap_or(0)).collect()
-    }
-
     /// Number of this bin's deviated stable routes crossing `pop`.
-    pub fn deviation_count(&self, pop: PopId) -> usize {
+    fn deviation_count(&self, pop: PopId) -> usize {
         self.deviations
             .iter()
             .filter(|(key, _)| unpack_group(**key).0 == pop)
@@ -392,70 +330,10 @@ impl MonitorCore {
             .sum()
     }
 
-    /// Eagerly closes one bin in a single step: reports the bin's group
-    /// statistics and watched stable counts (both pre-finish), captures
-    /// the pre-finish state the coordinator may still query
-    /// ([`group_totals_pre`](Self::group_totals_pre),
-    /// [`snapshot_pre`](Self::snapshot_pre)), then prunes + promotes
-    /// immediately — at the exact stream position the serial path would,
-    /// so later-bin events may be applied right away.
-    pub fn close_bin_eager(
-        &mut self,
-        bin_end: Timestamp,
-        watched: &[PopId],
-        presence_watched: &[PopId],
-    ) -> EagerClose {
-        let groups = self.bin_groups();
-        let watch_stables = watched.iter().map(|&p| self.stable_count(p)).collect();
-        // Sampled at the exact stream position of the marker; `finish_bin`
-        // never touches `current`, so before/after the finish is identical.
-        let presence = self.presence_counts(presence_watched);
-        self.pre = Some(BinPreState::default());
-        self.finish_bin(bin_end);
-        let pre = self.pre.take().expect("pre-state capture active");
-        EagerClose { groups, watch_stables, presence, pre }
-    }
-
-    /// Pre-finish stable-route counts for the given groups, answered from
-    /// the captured state where the finish touched a key and from live
-    /// state otherwise (equivalent, because `apply` never mutates the
-    /// stable index).
-    pub fn group_totals_pre(&self, pre: &BinPreState, keys: &[GroupKey]) -> Vec<usize> {
-        keys.iter()
-            .map(|key| match pre.totals.get(key) {
-                Some(&n) => n,
-                None => self.pop_index.get(key).map(FxHashSet::len).unwrap_or(0),
-            })
-            .collect()
-    }
-
-    /// Pre-finish `(stable_fars, stable_nears)` snapshot of one PoP.
-    pub fn snapshot_pre(&self, pre: &BinPreState, pop: PopId) -> SnapshotPair {
-        match pre.snaps.get(&pop) {
-            Some(snap) => snap.clone(),
-            None => (self.stable_fars(pop), self.stable_nears(pop)),
-        }
-    }
-
-    /// First-touch capture of a group's denominator and its PoP's
-    /// snapshot, called before any mutation of that key/PoP during an
-    /// eagerly-finished bin. No-op outside [`close_bin_eager`].
-    fn record_pre(&mut self, key: GroupKey, pop: PopId) {
-        let Some(pre) = &self.pre else { return };
-        if !pre.totals.contains_key(&key) {
-            let n = self.pop_index.get(&key).map(FxHashSet::len).unwrap_or(0);
-            self.pre.as_mut().expect("pre active").totals.insert(key, n);
-        }
-        if !self.pre.as_ref().expect("pre active").snaps.contains_key(&pop) {
-            let snap = (self.stable_fars(pop), self.stable_nears(pop));
-            self.pre.as_mut().expect("pre active").snaps.insert(pop, snap);
-        }
-    }
-
     /// Closes the bin's bookkeeping: prunes every deviated path from the
     /// stable set, clears deviation state, and promotes routes that became
     /// stable by `now`.
-    pub fn finish_bin(&mut self, now: Timestamp) {
+    fn finish_bin(&mut self, now: Timestamp) {
         let changed: Vec<RouteId> =
             self.deviations.values().flat_map(|s| s.iter().copied()).collect();
         for route in changed {
@@ -468,13 +346,13 @@ impl MonitorCore {
 
     /// Promotes routes whose crossings have been unchanged for the
     /// stability window as of `now`.
-    pub fn run_promotions(&mut self, now: Timestamp) {
+    fn run_promotions(&mut self, now: Timestamp) {
         while let Some(Reverse((due, route))) = self.promotions.peek().copied() {
             if due > now {
                 break;
             }
             self.promotions.pop();
-            let slot = self.slot(route);
+            let slot = route.0 as usize;
             let Some(Some(cur)) = self.current.get(slot) else { continue };
             // Checked: a route (re-)announced near the top of the clock
             // has an unreachable stability deadline, never a wrapped one.
@@ -493,11 +371,6 @@ impl MonitorCore {
                 .unwrap_or(false)
             {
                 continue;
-            }
-            if self.pre.is_some() {
-                for c in Arc::clone(&crossings).iter() {
-                    self.record_pre(c.group(), c.pop);
-                }
             }
             self.remove_from_baseline(route);
             for c in crossings.iter() {
@@ -518,16 +391,7 @@ impl MonitorCore {
     }
 
     fn remove_from_baseline(&mut self, route: RouteId) {
-        let slot = self.slot(route);
-        if self.pre.is_some() {
-            let base = self.baseline.get(slot).and_then(|o| o.as_ref().map(Arc::clone));
-            if let Some(base) = base {
-                for c in base.iter() {
-                    self.record_pre(c.group(), c.pop);
-                }
-            }
-        }
-        let Some(opt) = self.baseline.get_mut(slot) else { return };
+        let Some(opt) = self.baseline.get_mut(route.0 as usize) else { return };
         let Some(base) = opt.take() else { return };
         self.baseline_len -= 1;
         for c in base.iter() {
@@ -570,7 +434,7 @@ impl MonitorCore {
     /// Whether the current route of `route` still crosses `pop` at `near`.
     pub fn route_has_crossing(&self, route: RouteId, pop: PopId, near: AsnId) -> bool {
         self.current
-            .get(self.slot(route))
+            .get(route.0 as usize)
             .and_then(Option::as_ref)
             .map(|c| c.crossings.iter().any(|x| x.pop == pop && x.near == near))
             .unwrap_or(false)
@@ -578,14 +442,14 @@ impl MonitorCore {
 
     /// Far-end ASes (with stable path counts) of the baseline routes
     /// crossing `pop`, grouped by the near-end AS of the crossing.
-    pub fn stable_fars(&self, pop: PopId) -> PopFars {
+    fn stable_fars(&self, pop: PopId) -> PopFars {
         let Some(nears) = self.pop_groups.get(&pop) else { return Vec::new() };
         let mut out = Vec::with_capacity(nears.len());
         for &near in nears {
             let Some(routes) = self.pop_index.get(&pack_group(pop, near)) else { continue };
             let mut by_far: FxHashMap<AsnId, usize> = FxHashMap::default();
             for &route in routes {
-                if let Some(Some(base)) = self.baseline.get(self.slot(route)) {
+                if let Some(Some(base)) = self.baseline.get(route.0 as usize) {
                     for c in base.iter().filter(|c| c.pop == pop && c.near == near) {
                         *by_far.entry(c.far).or_insert(0) += 1;
                     }
@@ -598,7 +462,7 @@ impl MonitorCore {
 
     /// Near-end ASes (with stable path counts) of the baseline routes
     /// crossing `pop`.
-    pub fn stable_nears(&self, pop: PopId) -> PopNears {
+    fn stable_nears(&self, pop: PopId) -> PopNears {
         let Some(nears) = self.pop_groups.get(&pop) else { return Vec::new() };
         nears
             .iter()
@@ -614,45 +478,6 @@ impl MonitorCore {
         self.coverage.get(&pop).map(|(n, f)| (n.len(), f.len())).unwrap_or((0, 0))
     }
 
-    /// The raw coverage sets of a PoP (for cross-shard unioning).
-    pub fn coverage_sets(&self, pop: PopId) -> (Vec<AsnId>, Vec<AsnId>) {
-        self.coverage
-            .get(&pop)
-            .map(|(n, f)| (n.iter().copied().collect(), f.iter().copied().collect()))
-            .unwrap_or_default()
-    }
-
-    /// All PoPs with any recorded coverage.
-    pub fn covered_pops(&self) -> Vec<PopId> {
-        self.coverage.keys().copied().collect()
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &KeplerConfig {
-        &self.config
-    }
-}
-
-/// The single-threaded monitoring module: one [`MonitorCore`] plus the bin
-/// clock and watch series.
-pub struct Monitor {
-    core: MonitorCore,
-    bin_start: Option<Timestamp>,
-    watches: FxHashMap<PopId, Vec<(Timestamp, f64)>>,
-    presence_watch: Vec<PopId>,
-}
-
-impl Monitor {
-    /// A monitor with the given configuration.
-    pub fn new(config: KeplerConfig) -> Self {
-        Monitor {
-            core: MonitorCore::new(config, 1),
-            bin_start: None,
-            watches: FxHashMap::default(),
-            presence_watch: Vec::new(),
-        }
-    }
-
     /// Registers a PoP whose presence count (crossings on currently
     /// announced routes) is sampled into every closed bin's
     /// [`DenseBinOutcome::watch_presence`] — the forecast detector's
@@ -663,11 +488,6 @@ impl Monitor {
             self.presence_watch.push(pop);
             self.presence_watch.sort_unstable();
         }
-    }
-
-    /// All presence-watched PoPs, sorted.
-    pub fn presence_watched(&self) -> &[PopId] {
-        &self.presence_watch
     }
 
     /// Registers a PoP whose per-bin aggregate change fraction should be
@@ -681,38 +501,6 @@ impl Monitor {
         self.watches.get(&pop).map(Vec::as_slice)
     }
 
-    /// All registered watch PoPs.
-    pub fn watched_pops(&self) -> Vec<PopId> {
-        self.watches.keys().copied().collect()
-    }
-
-    /// Number of stable routes currently indexed at `pop`.
-    pub fn stable_count(&self, pop: PopId) -> usize {
-        self.core.stable_count(pop)
-    }
-
-    /// Total stable routes.
-    pub fn baseline_size(&self) -> usize {
-        self.core.baseline_size()
-    }
-
-    /// Whether the current route of `route` still crosses `pop` at `near`.
-    pub fn route_has_crossing(&self, route: RouteId, pop: PopId, near: AsnId) -> bool {
-        self.core.route_has_crossing(route, pop, near)
-    }
-
-    /// Bulk [`route_has_crossing`](Self::route_has_crossing) (one call per
-    /// restoration check; the sharded monitor answers it with one
-    /// round-trip per shard).
-    pub fn crossings_present(&self, items: &[(RouteId, PopId, AsnId)]) -> Vec<bool> {
-        items.iter().map(|&(r, p, a)| self.core.route_has_crossing(r, p, a)).collect()
-    }
-
-    /// High-water observability of a PoP.
-    pub fn pop_coverage(&self, pop: PopId) -> (usize, usize) {
-        self.core.pop_coverage(pop)
-    }
-
     /// All PoPs whose observed coverage reaches `min_nears`/`min_fars` —
     /// the PoPs where the methodology is applicable (trackable). Sorted by
     /// display order via `interner`.
@@ -723,13 +511,10 @@ impl Monitor {
         min_fars: usize,
     ) -> Vec<PopId> {
         let mut v: Vec<PopId> = self
-            .core
-            .covered_pops()
-            .into_iter()
-            .filter(|&p| {
-                let (n, f) = self.core.pop_coverage(p);
-                n >= min_nears && f >= min_fars
-            })
+            .coverage
+            .iter()
+            .filter(|(_, (n, f))| n.len() >= min_nears && f.len() >= min_fars)
+            .map(|(&p, _)| p)
             .collect();
         v.sort_by_key(|&p| pop_order(&interner.pop_tag(p)));
         v
@@ -738,14 +523,14 @@ impl Monitor {
     /// Feeds one event, returning any bins closed by time advancing.
     pub fn observe(&mut self, t: Timestamp, event: &DenseRouteEvent) -> Vec<DenseBinOutcome> {
         let closed = self.advance_to(t);
-        self.core.apply(t, event);
+        self.apply(t, event);
         closed
     }
 
     /// Advances virtual time to `t`, closing every bin that ends at or
     /// before it.
     pub fn advance_to(&mut self, t: Timestamp) -> Vec<DenseBinOutcome> {
-        let bin_secs = self.core.config.bin_secs;
+        let bin_secs = self.config.bin_secs;
         let mut out = Vec::new();
         match self.bin_start {
             None => {
@@ -762,14 +547,14 @@ impl Monitor {
                     // needs a per-bin sample).
                     let next = bin_start + bin_secs;
                     if out.last().map(|o| o.signals.is_empty()).unwrap_or(false)
-                        && !self.core.has_deviations()
+                        && self.deviations.is_empty()
                         && self.watches.is_empty()
                         && self.presence_watch.is_empty()
                         && next.checked_add(bin_secs).is_some_and(|end| t >= end)
                     {
                         bin_start = t - t % bin_secs;
                         // Still run promotions for the skipped stretch.
-                        self.core.run_promotions(bin_start);
+                        self.run_promotions(bin_start);
                     } else {
                         bin_start = next;
                     }
@@ -781,53 +566,38 @@ impl Monitor {
     }
 
     fn close_bin(&mut self, bin_start: Timestamp) -> DenseBinOutcome {
-        let config = self.core.config.clone();
-        let bin_end = bin_start + config.bin_secs;
-        let groups = self.core.bin_groups();
-        let mut outcome = finalize_bin(&config, bin_start, groups, |pop| {
-            (self.core.stable_fars(pop), self.core.stable_nears(pop))
-        });
+        let mut outcome = self.finalize_bin(bin_start);
 
         // Watched series (pre-pruning stable counts, like the snapshot).
-        for (&pop, series) in self.watches.iter_mut() {
-            let stable = self.core.stable_count(pop);
-            let deviated = self.core.deviation_count(pop);
+        let mut watches = std::mem::take(&mut self.watches);
+        for (&pop, series) in watches.iter_mut() {
+            let stable = self.stable_count(pop);
+            let deviated = self.deviation_count(pop);
             let frac = if stable == 0 { 0.0 } else { deviated as f64 / stable as f64 };
             series.push((bin_start, frac));
         }
+        self.watches = watches;
 
         // Presence samples for the forecast detector.
-        if !self.presence_watch.is_empty() {
-            outcome.watch_presence = self
-                .presence_watch
-                .iter()
-                .copied()
-                .zip(self.core.presence_counts(&self.presence_watch))
-                .collect();
-        }
+        outcome.watch_presence = self
+            .presence_watch
+            .iter()
+            .map(|&pop| (pop, self.presence.get(&pop).copied().unwrap_or(0)))
+            .collect();
 
-        self.core.finish_bin(bin_end);
+        self.finish_bin(bin_start + self.config.bin_secs);
         outcome
     }
-}
 
-/// Thresholds merged group statistics into a [`DenseBinOutcome`] and
-/// snapshots denominators for the signaled PoPs via `snapshot`. Shared by
-/// [`Monitor`] and [`crate::shard::ShardedMonitor`] so both paths apply
-/// identical signal logic.
-pub fn finalize_bin(
-    config: &KeplerConfig,
-    bin_start: Timestamp,
-    groups: Vec<GroupStat>,
-    mut snapshot: impl FnMut(PopId) -> SnapshotPair,
-) -> DenseBinOutcome {
-    let mut outcome = DenseBinOutcome { bin_start, ..Default::default() };
-    for g in groups {
-        if !group_signals(config, &g) {
-            continue;
-        }
-        let fraction = g.deviated.len() as f64 / g.stable_total as f64;
-        {
+    /// Thresholds this bin's group statistics into a [`DenseBinOutcome`]
+    /// and snapshots the denominators of the signaled PoPs (pre-pruning).
+    fn finalize_bin(&self, bin_start: Timestamp) -> DenseBinOutcome {
+        let mut outcome = DenseBinOutcome { bin_start, ..Default::default() };
+        for g in self.bin_groups() {
+            if !group_signals(&self.config, &g) {
+                continue;
+            }
+            let fraction = g.deviated.len() as f64 / g.stable_total as f64;
             let (pop, near) = unpack_group(g.key);
             outcome.signals.push(DenseOutageSignal {
                 pop,
@@ -839,29 +609,22 @@ pub fn finalize_bin(
                 fraction,
             });
         }
+        let mut pops: Vec<PopId> = outcome.signals.iter().map(|s| s.pop).collect();
+        pops.sort_unstable();
+        pops.dedup();
+        for pop in pops {
+            outcome.stable_fars.push((pop, self.stable_fars(pop)));
+            outcome.stable_nears.push((pop, self.stable_nears(pop)));
+        }
+        outcome
     }
-    let mut pops: Vec<PopId> = outcome.signals.iter().map(|s| s.pop).collect();
-    pops.sort_unstable();
-    pops.dedup();
-    for pop in pops {
-        let (fars, nears) = snapshot(pop);
-        outcome.stable_fars.push((pop, fars));
-        outcome.stable_nears.push((pop, nears));
-    }
-    outcome
 }
 
-/// Whether a group's deviations cross the signal thresholds — the single
-/// predicate both [`finalize_bin`] and the sharded pre-scan
-/// ([`crate::shard::ShardedMonitor`]) apply, so they cannot drift apart.
-pub fn group_signals(config: &KeplerConfig, g: &GroupStat) -> bool {
+/// Whether a group's deviations cross the signal thresholds.
+fn group_signals(config: &KeplerConfig, g: &GroupStat) -> bool {
     g.stable_total >= config.min_stable_paths
         && g.deviated.len() as f64 / g.stable_total as f64 > config.t_fail
 }
-
-/// `(stable_fars, stable_nears)` of one PoP, as returned by the snapshot
-/// callback of [`finalize_bin`].
-pub type SnapshotPair = (PopFars, PopNears);
 
 pub(crate) fn pop_order(p: &LocationTag) -> (u8, u32) {
     match p {
@@ -1104,7 +867,6 @@ mod tests {
         let pop = pop_of(&mut interner, 1);
         m.watch_presence(pop);
         m.watch_presence(pop); // idempotent
-        assert_eq!(m.presence_watched(), &[pop]);
         let t0 = 1_000_000u64;
         for i in 0..4u8 {
             update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60 + i as u32)], vec![]);
@@ -1148,28 +910,40 @@ mod tests {
         assert_eq!(outcomes.last().unwrap().watch_presence, vec![(pop, 1)]);
     }
 
-    #[test]
-    fn sharded_slot_packing_is_dense() {
-        // A stride-4 core owning routes 2, 6, 10 stores them at slots 0..3.
-        let mut core = MonitorCore::new(cfg(), 4);
-        let mut interner = Interner::new();
-        let t0 = 1_000_000u64;
-        let events: Vec<DenseRouteEvent> = (0..12u8)
-            .map(|i| {
-                interner.intern_event(&RouteEvent::Update {
-                    key: key(i),
-                    crossings: vec![fac(1, 50, 60 + i as u32)],
-                    hops: vec![],
-                })
-            })
-            .collect();
-        for ev in &events {
-            if ev.route().0 % 4 == 2 {
-                core.apply(t0, ev);
-            }
+    fn synthetic_update(route: u32) -> DenseRouteEvent {
+        DenseRouteEvent::Update {
+            route: RouteId(route),
+            crossings: vec![DenseCrossing { pop: PopId(0), near: AsnId(0), far: AsnId(1) }].into(),
         }
-        core.run_promotions(t0 + 3 * DAY);
-        assert_eq!(core.baseline_size(), 3);
-        assert!(core.current.len() <= 3, "dense packing, got {}", core.current.len());
+    }
+
+    /// Timestamps at the top of the clock: a bin whose end would overflow
+    /// `u64` can never close, so observing and advancing at `u64::MAX` must
+    /// neither panic nor wrap.
+    #[test]
+    fn single_monitor_survives_u64_max_timestamps() {
+        let mut monitor = Monitor::new(cfg());
+        // Ordinary warm-up far below the top.
+        assert!(monitor.observe(1_000_000, &synthetic_update(0)).is_empty());
+        // Jump to the top of the clock: terminates (empty-stretch skip) and
+        // closes bins without overflow.
+        let closed = monitor.advance_to(u64::MAX);
+        assert!(!closed.is_empty(), "the warm-up bin closes on the way up");
+        // Events inside the final, never-closable bin.
+        monitor.observe(u64::MAX - 5, &synthetic_update(1));
+        monitor.observe(u64::MAX, &DenseRouteEvent::Withdraw { route: RouteId(1) });
+        // Idempotent at the top; nothing further can close.
+        assert!(monitor.advance_to(u64::MAX).is_empty());
+        assert!(monitor.advance_to(u64::MAX).is_empty());
+    }
+
+    /// A monitor whose very first observation sits at `u64::MAX` starts its
+    /// bin there and stays silent forever — no overflow on the aligned
+    /// `bin_start` computation either.
+    #[test]
+    fn first_event_at_u64_max_is_inert() {
+        let mut monitor = Monitor::new(cfg());
+        assert!(monitor.observe(u64::MAX, &synthetic_update(0)).is_empty());
+        assert!(monitor.advance_to(u64::MAX).is_empty());
     }
 }

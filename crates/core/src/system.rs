@@ -7,7 +7,6 @@ use crate::input::InputModule;
 use crate::intern::{DenseRouteEvent, Interner};
 use crate::investigate::{Investigator, LocalizedIncident, PendingIncident};
 use crate::monitor::{DenseBinOutcome, Monitor};
-use crate::shard::{AnyMonitor, ShardedMonitor};
 use crate::signal::{BinView, SignalKind, SignalSource, SourceContribution, SourceSignal};
 use crate::tracker::{IncidentMeta, Tracker};
 use kepler_bgp::Asn;
@@ -102,7 +101,7 @@ pub struct Kepler {
     input: InputModule,
     gap: GapTracker,
     interner: Interner,
-    monitor: AnyMonitor,
+    monitor: Monitor,
     investigator: Investigator,
     tracker: Tracker,
     dataplane: Option<Box<dyn DataPlaneProbe>>,
@@ -130,7 +129,7 @@ impl Kepler {
             input: InputModule::new(inputs.dictionary, inputs.colo.clone()),
             gap: GapTracker::new(config.quarantine_secs),
             interner: Interner::new(),
-            monitor: AnyMonitor::Single(Monitor::new(config.clone())),
+            monitor: Monitor::new(config.clone()),
             investigator: Investigator::new(config.clone(), inputs.colo, inputs.orgs),
             tracker,
             dataplane: None,
@@ -220,24 +219,6 @@ impl Kepler {
         self
     }
 
-    /// Replaces the monitor with an N-way sharded one. Must be called
-    /// before the first record is processed (monitor state is not
-    /// migrated).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert_eq!(self.last_time, 0, "with_shards must precede processing");
-        // Carry registered watches over to the replacement monitor.
-        let watched = self.monitor.watched_pops();
-        let presence = self.monitor.presence_watched().to_vec();
-        self.monitor = AnyMonitor::Sharded(ShardedMonitor::new(self.config.clone(), shards));
-        for pop in watched {
-            self.monitor.watch(pop);
-        }
-        for pop in presence {
-            self.monitor.watch_presence(pop);
-        }
-        self
-    }
-
     /// Registers a PoP whose per-bin change fraction should be recorded.
     pub fn watch(&mut self, pop: kepler_docmine::LocationTag) {
         let pop = self.interner.pop_id(pop);
@@ -312,20 +293,15 @@ impl Kepler {
         self.tracker.finished()
     }
 
-    /// The monitor (for inspection in tests and harnesses).
-    pub fn monitor(&mut self) -> &mut AnyMonitor {
-        &mut self.monitor
-    }
-
     /// The dense-id interner of this run.
     pub fn interner(&self) -> &Interner {
         &self.interner
     }
 
-    /// The monitor and interner together — a split borrow for callers
-    /// that resolve tags while querying the monitor.
-    pub fn monitor_and_interner(&mut self) -> (&mut AnyMonitor, &Interner) {
-        (&mut self.monitor, &self.interner)
+    /// The monitor and interner together, for callers that resolve tags
+    /// while querying the monitor.
+    pub fn monitor_and_interner(&self) -> (&Monitor, &Interner) {
+        (&self.monitor, &self.interner)
     }
 
     /// Feeds one record through the pipeline.
@@ -560,7 +536,7 @@ impl Kepler {
         if let Some(rp) = self.restoration.as_mut() {
             self.counts.probe_closed += self.tracker.probe_restorations(bin_end, rp.as_mut());
         }
-        self.tracker.check_restorations(bin_end, &mut self.monitor);
+        self.tracker.check_restorations(bin_end, &self.monitor);
     }
 
     /// Polls every attached signal source for the closed bin and fuses
@@ -885,15 +861,6 @@ mod tests {
         assert!(end >= t_restore && end <= t_restore + 600, "end {end}");
         assert_eq!(r.affected_near, [Asn(10), Asn(11), Asn(12)].into());
         assert!(r.affected_far.len() >= 3);
-    }
-
-    #[test]
-    fn detects_facility_outage_with_shards() {
-        let kepler = Kepler::new(inputs()).with_shards(2);
-        let reports = kepler.run(outage_stream());
-        assert_eq!(reports.len(), 1, "{reports:?}");
-        assert_eq!(reports[0].scope, OutageScope::Facility(FacilityId(0)));
-        assert_eq!(reports[0].affected_near, [Asn(10), Asn(11), Asn(12)].into());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::config::KeplerConfig;
 use crate::events::{IncidentState, OutageReport, OutageScope, RouteKey, ValidationStatus};
 use crate::intern::{AsnId, Interner, PopId, RouteId};
 use crate::investigate::LocalizedIncident;
-use crate::shard::AnyMonitor;
+use crate::monitor::Monitor;
 use crate::signal::{SignalKind, SourceContribution};
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
@@ -628,10 +628,8 @@ impl Tracker {
         closed
     }
 
-    /// Checks ongoing outages for restoration at the close of a bin. The
-    /// per-scope watch lists are queried in bulk (one round-trip per shard
-    /// on a sharded monitor).
-    pub fn check_restorations(&mut self, now: Timestamp, monitor: &mut AnyMonitor) {
+    /// Checks ongoing outages for restoration at the close of a bin.
+    pub fn check_restorations(&mut self, now: Timestamp, monitor: &Monitor) {
         let scopes: Vec<OutageScope> = self.ongoing.keys().copied().collect();
         for scope in scopes {
             let restored = {
@@ -639,8 +637,11 @@ impl Tracker {
                 if on.watch.is_empty() {
                     false
                 } else {
-                    let present = monitor.crossings_present(&on.watch);
-                    let returned = present.iter().filter(|&&b| b).count();
+                    let returned = on
+                        .watch
+                        .iter()
+                        .filter(|&&(r, p, a)| monitor.route_has_crossing(r, p, a))
+                        .count();
                     returned as f64 / on.watch.len() as f64 > self.config.restore_fraction
                 }
             };
@@ -935,7 +936,6 @@ pub struct TrackerState {
 mod tests {
     use super::*;
     use crate::input::{PopCrossing, RouteEvent};
-    use crate::monitor::Monitor;
     use kepler_bgp::Prefix;
     use kepler_bgpstream::{CollectorId, PeerId};
     use kepler_docmine::LocationTag;
@@ -983,7 +983,7 @@ mod tests {
     }
 
     /// Monitor whose `current` holds crossings for the given keys.
-    fn monitor_with(interner: &mut Interner, keys_present: &[u8]) -> AnyMonitor {
+    fn monitor_with(interner: &mut Interner, keys_present: &[u8]) -> Monitor {
         let mut m = Monitor::new(KeplerConfig::default());
         for &i in keys_present {
             let ev = interner.intern_event(&RouteEvent::Update {
@@ -997,7 +997,7 @@ mod tests {
             });
             m.observe(1000, &ev);
         }
-        AnyMonitor::Single(m)
+        m
     }
 
     /// A restoration prober answering from a fixed script of verdicts.
@@ -1044,10 +1044,10 @@ mod tests {
             vec![(OutageScope::Facility(FacilityId(1)), IncidentState::Open)]
         );
         // 2 of 4 back: exactly 50%, not >50% — still ongoing.
-        t.check_restorations(2000, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         assert_eq!(t.ongoing_count(), 1);
         // 3 of 4 back: restored.
-        t.check_restorations(3000, &mut monitor_with(&mut interner, &[0, 1, 2]));
+        t.check_restorations(3000, &monitor_with(&mut interner, &[0, 1, 2]));
         assert_eq!(t.ongoing_count(), 0);
         assert_eq!(
             t.live_states(),
@@ -1066,12 +1066,12 @@ mod tests {
         let mut interner = Interner::new();
         let mut t = Tracker::new(KeplerConfig::default());
         t.record(&[incident(1000, &[0, 1, 2, 3])], &[IncidentMeta::default()], &mut interner);
-        t.check_restorations(2000, &mut monitor_with(&mut interner, &[0, 1, 2, 3]));
+        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1, 2, 3]));
         assert_eq!(t.ongoing_count(), 0);
         // Re-fails 1h later (< 12h window): same incident.
         t.record(&[incident(2000 + 3600, &[0, 1])], &[IncidentMeta::default()], &mut interner);
         assert_eq!(t.ongoing_count(), 1);
-        t.check_restorations(2000 + 7200, &mut monitor_with(&mut interner, &[0, 1, 2, 3]));
+        t.check_restorations(2000 + 7200, &monitor_with(&mut interner, &[0, 1, 2, 3]));
         let reports = t.finish();
         assert_eq!(reports.len(), 1, "one merged incident");
         assert_eq!(reports[0].oscillations, 2);
@@ -1085,10 +1085,10 @@ mod tests {
         let mut interner = Interner::new();
         let mut t = Tracker::new(cfg);
         t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
-        t.check_restorations(2000, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         // Second outage far beyond the merge window.
         t.record(&[incident(2000 + w + 100, &[0, 1])], &[IncidentMeta::default()], &mut interner);
-        t.check_restorations(2000 + w + 200, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000 + w + 200, &monitor_with(&mut interner, &[0, 1]));
         let reports = t.finish();
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.oscillations == 1));
@@ -1107,7 +1107,7 @@ mod tests {
             }],
             &mut interner,
         );
-        t.check_restorations(5000, &mut monitor_with(&mut interner, &[]));
+        t.check_restorations(5000, &monitor_with(&mut interner, &[]));
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].end, None);
@@ -1380,7 +1380,7 @@ mod tests {
         let mut prober = ScriptedRestoration::new(vec![RestorationVerdict::Restored]);
         let t1 = 1000 + first;
         assert_eq!(t.probe_restorations(t1, &mut prober), 0);
-        t.check_restorations(t1 + 60, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(t1 + 60, &monitor_with(&mut interner, &[0, 1]));
         let reports = t.finish();
         assert_eq!(reports[0].end, Some(t1), "corroborated verdict stamps the earlier end");
         // Stale: a single unconfirmed verdict whose confirming check
@@ -1391,7 +1391,7 @@ mod tests {
         let mut prober = ScriptedRestoration::new(vec![RestorationVerdict::Restored]);
         assert_eq!(t.probe_restorations(t1, &mut prober), 0);
         let late = t1 + 10_000;
-        t.check_restorations(late, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(late, &monitor_with(&mut interner, &[0, 1]));
         let reports = t.finish();
         assert_eq!(reports[0].end, Some(late), "stale streaks cannot erase downtime");
     }
@@ -1452,7 +1452,7 @@ mod tests {
         let mut prober = ScriptedRestoration::new(vec![]); // always StillDown
         t.probe_restorations(u64::MAX, &mut prober);
         t.probe_restorations(u64::MAX, &mut prober);
-        t.check_restorations(u64::MAX, &mut monitor_with(&mut interner, &[]));
+        t.check_restorations(u64::MAX, &monitor_with(&mut interner, &[]));
         assert_eq!(t.ongoing_count(), 1, "incident survives without panicking");
     }
 
@@ -1462,17 +1462,17 @@ mod tests {
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 3));
         t.record(&[incident(1000, &[0, 1, 2, 3])], &[IncidentMeta::default()], &mut interner);
         // First two restored checks: Recovering, not closed.
-        t.check_restorations(2000, &mut monitor_with(&mut interner, &[0, 1, 2]));
+        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1, 2]));
         assert_eq!(t.ongoing_count(), 1);
         assert_eq!(
             t.live_states(),
             vec![(OutageScope::Facility(FacilityId(1)), IncidentState::Recovering)]
         );
-        t.check_restorations(2060, &mut monitor_with(&mut interner, &[0, 1, 2]));
+        t.check_restorations(2060, &monitor_with(&mut interner, &[0, 1, 2]));
         assert_eq!(t.ongoing_count(), 1);
         // Third consecutive restored check closes, backdated to the
         // streak's first check.
-        t.check_restorations(2120, &mut monitor_with(&mut interner, &[0, 1, 2]));
+        t.check_restorations(2120, &monitor_with(&mut interner, &[0, 1, 2]));
         assert_eq!(t.ongoing_count(), 0);
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
@@ -1485,10 +1485,10 @@ mod tests {
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
         t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
         // One restored check: one short of the threshold.
-        t.check_restorations(2000, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         assert_eq!(t.ongoing_count(), 1, "streak of 1 < threshold 2 must not close");
         // Exactly at the threshold: closes.
-        t.check_restorations(2060, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2060, &monitor_with(&mut interner, &[0, 1]));
         assert_eq!(t.ongoing_count(), 0, "streak of 2 == threshold 2 closes");
         assert_eq!(t.finish()[0].end, Some(2000));
     }
@@ -1498,17 +1498,17 @@ mod tests {
         let mut interner = Interner::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
         t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
-        t.check_restorations(2000, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         // The watch list dips below restore_fraction: streak resets.
-        t.check_restorations(2060, &mut monitor_with(&mut interner, &[]));
+        t.check_restorations(2060, &monitor_with(&mut interner, &[]));
         assert_eq!(
             t.live_states(),
             vec![(OutageScope::Facility(FacilityId(1)), IncidentState::Open)],
             "a broken streak is Open again, not Recovering"
         );
-        t.check_restorations(2120, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2120, &monitor_with(&mut interner, &[0, 1]));
         assert_eq!(t.ongoing_count(), 1, "post-dip streak restarts at 1");
-        t.check_restorations(2180, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2180, &monitor_with(&mut interner, &[0, 1]));
         assert_eq!(t.ongoing_count(), 0);
         assert_eq!(t.finish()[0].end, Some(2120), "close anchors after the dip");
     }
@@ -1518,13 +1518,13 @@ mod tests {
         let mut interner = Interner::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
         t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
-        t.check_restorations(2000, &mut monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         // Fresh deviation signals between restored checks: the epicenter
         // is flapping, the streak must not survive.
         t.record(&[incident(2030, &[2, 3])], &[IncidentMeta::default()], &mut interner);
-        t.check_restorations(2060, &mut monitor_with(&mut interner, &[0, 1, 2, 3]));
+        t.check_restorations(2060, &monitor_with(&mut interner, &[0, 1, 2, 3]));
         assert_eq!(t.ongoing_count(), 1, "streak restarted after new signals");
-        t.check_restorations(2120, &mut monitor_with(&mut interner, &[0, 1, 2, 3]));
+        t.check_restorations(2120, &monitor_with(&mut interner, &[0, 1, 2, 3]));
         assert_eq!(t.ongoing_count(), 0);
         assert_eq!(t.finish()[0].end, Some(2060));
     }

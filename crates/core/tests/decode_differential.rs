@@ -6,10 +6,8 @@
 //! [`InputModule::process_update_view_dense`]) must be bit-identical —
 //! same dense event stream, same interner tables (ids, keys, tags), same
 //! input and sanitizer statistics, and same resolved
-//! [`BinOutcome`](kepler_core::monitor::BinOutcome)s whether the events
-//! feed a single [`Monitor`] or a
-//! [`ShardedMonitor`](kepler_core::shard::ShardedMonitor) with 1, 2 or 8
-//! shards.
+//! [`BinOutcome`](kepler_core::monitor::BinOutcome)s once the events
+//! feed a [`Monitor`].
 
 use kepler_bgp::mrt::{FrameView, MrtWriter};
 use kepler_bgp::sanitize::SanitizeStats;
@@ -21,7 +19,6 @@ use kepler_core::config::KeplerConfig;
 use kepler_core::input::{DenseElem, InputModule, InputStats};
 use kepler_core::intern::{DenseRouteEvent, Interner};
 use kepler_core::monitor::{BinOutcome, Monitor};
-use kepler_core::shard::{AnyMonitor, ShardedMonitor};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_topology::{ColocationMap, FacilityId};
 use proptest::prelude::*;
@@ -221,9 +218,9 @@ fn finish_run(
     interner: Interner,
     input: &InputModule,
     events: Vec<(Timestamp, DenseRouteEvent)>,
-    mut monitor: AnyMonitor,
     last: Timestamp,
 ) -> DecodeRun {
+    let mut monitor = Monitor::new(KeplerConfig { min_stable_paths: 1, ..Default::default() });
     let mut outcomes = Vec::new();
     for (t, ev) in &events {
         outcomes.extend(monitor.observe(*t, ev).iter().map(|o| o.resolve(&interner)));
@@ -243,7 +240,7 @@ fn finish_run(
 }
 
 /// The reference road: gap tracking → explode → per-element
-/// [`InputModule::process_dense`], single monitor.
+/// [`InputModule::process_dense`].
 fn run_materializing(records: &[BgpRecord]) -> DecodeRun {
     let mut input = input_module();
     let mut gap = GapTracker::new(QUARANTINE);
@@ -262,11 +259,7 @@ fn run_materializing(records: &[BgpRecord]) -> DecodeRun {
             }
         }
     }
-    let monitor = AnyMonitor::Single(Monitor::new(KeplerConfig {
-        min_stable_paths: 1,
-        ..Default::default()
-    }));
-    finish_run(interner, &input, events, monitor, last)
+    finish_run(interner, &input, events, last)
 }
 
 /// The record road: one sanitize + community-map per update, shared
@@ -285,11 +278,7 @@ fn run_record_dense(records: &[BgpRecord]) -> DecodeRun {
         }
         input.process_record_events(rec, &mut interner, |ev| events.push((rec.time, ev)));
     }
-    let monitor = AnyMonitor::Single(Monitor::new(KeplerConfig {
-        min_stable_paths: 1,
-        ..Default::default()
-    }));
-    finish_run(interner, &input, events, monitor, last)
+    finish_run(interner, &input, events, last)
 }
 
 /// The zero-copy wire path: the stream round-trips through an MRT
@@ -344,23 +333,7 @@ fn run_zero_copy(records: &[BgpRecord]) -> DecodeRun {
     let mut input = input_module();
     let mut interner = Interner::new();
     let (events, last) = zero_copy_events(records, &mut input, &mut interner);
-    let monitor = AnyMonitor::Single(Monitor::new(KeplerConfig {
-        min_stable_paths: 1,
-        ..Default::default()
-    }));
-    finish_run(interner, &input, events, monitor, last)
-}
-
-/// Zero-copy decode feeding a sharded monitor.
-fn run_zero_copy_sharded(records: &[BgpRecord], shards: usize) -> DecodeRun {
-    let mut input = input_module();
-    let mut interner = Interner::new();
-    let (events, last) = zero_copy_events(records, &mut input, &mut interner);
-    let monitor = AnyMonitor::Sharded(ShardedMonitor::new(
-        KeplerConfig { min_stable_paths: 1, ..Default::default() },
-        shards,
-    ));
-    finish_run(interner, &input, events, monitor, last)
+    finish_run(interner, &input, events, last)
 }
 
 fn assert_runs_identical(a: &DecodeRun, b: &DecodeRun, what: &str) {
@@ -388,31 +361,6 @@ proptest! {
         assert_runs_identical(&reference, &record_dense, "record-dense vs materializing");
         let zero_copy = run_zero_copy(&recs);
         assert_runs_identical(&reference, &zero_copy, "zero-copy vs materializing");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Zero-copy decoded events resolve to the same outage reports on a
-    /// sharded monitor with 1, 2 or 8 shards as the materializing path
-    /// does on a single monitor.
-    #[test]
-    fn zero_copy_resolves_identically_across_shards(
-        ops in prop::collection::vec(arb_op(), 1..100)
-    ) {
-        let recs = records(&ops);
-        let reference = run_materializing(&recs);
-        for shards in [1usize, 2, 8] {
-            let sharded = run_zero_copy_sharded(&recs, shards);
-            prop_assert_eq!(
-                &reference.outcomes, &sharded.outcomes,
-                "outcome mismatch at {} monitor shards", shards
-            );
-            prop_assert_eq!(reference.baseline, sharded.baseline);
-            prop_assert_eq!(&reference.stats, &sharded.stats);
-            prop_assert_eq!(&reference.sanitize, &sharded.sanitize);
-        }
     }
 }
 

@@ -1,17 +1,19 @@
-//! Differential property test: a [`ShardedMonitor`] must produce
-//! bit-identical resolved [`BinOutcome`]s to a single [`Monitor`] fed the
-//! same event stream, for any shard count — the sharded merge is exact,
-//! not approximate (per-group numerators and denominators are additive
-//! because routes are partitioned by `RouteId`).
+//! Differential property test for the monitor's one fast path: the
+//! empty-stretch bin skip in [`Monitor::advance_to`]. The same generated
+//! stream goes through a monitor that may skip and through one that
+//! cannot (a `watch` on a PoP no route crosses forces the bin-by-bin
+//! walk); both must raise the same signals, in the same bins, and end
+//! with the same stable set. The stream includes backwards time steps,
+//! and the skipping monitor is finally driven to the top of the `u64`
+//! clock: no panic, and bin starts only ever increase.
 
 use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId};
 use kepler_core::config::KeplerConfig;
 use kepler_core::events::RouteKey;
 use kepler_core::input::{PopCrossing, RouteEvent};
-use kepler_core::intern::Interner;
-use kepler_core::monitor::{BinOutcome, Monitor};
-use kepler_core::shard::ShardedMonitor;
+use kepler_core::intern::{Interner, PopId};
+use kepler_core::monitor::{BinOutcome, DenseBinOutcome, Monitor};
 use kepler_docmine::LocationTag;
 use kepler_topology::{FacilityId, IxpId};
 use proptest::prelude::*;
@@ -33,11 +35,16 @@ fn crossing(pop: u8, near: u8, far: u8) -> PopCrossing {
     PopCrossing { pop: tag, near: Asn(100 + (near % 5) as u32), far: Asn(200 + (far % 6) as u32) }
 }
 
+/// A facility outside [`crossing`]'s range: watching it changes nothing
+/// but disables the skip.
+const IDLE_POP: LocationTag = LocationTag::Facility(FacilityId(99));
+
 #[derive(Debug, Clone)]
 enum Op {
     Update { key: u8, crossings: Vec<(u8, u8, u8)> },
     Withdraw { key: u8 },
     Advance { dt: u32 },
+    Rewind { dt: u32 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -48,128 +55,91 @@ fn arb_op() -> impl Strategy<Value = Op> {
         // Mix of intra-bin jitter and multi-day jumps so streams cross the
         // stability window and produce real deviation bins.
         prop_oneof![1u32..300, 50_000u32..300_000].prop_map(|dt| Op::Advance { dt }),
+        // Out-of-order feed: later events carry an earlier timestamp.
+        (1u32..5_000).prop_map(|dt| Op::Rewind { dt }),
     ]
 }
 
-/// Runs one op stream through a monitor-like observer, resolving outcomes.
-fn run_single(ops: &[Op], interner: &mut Interner) -> (Vec<BinOutcome>, usize) {
-    let config = KeplerConfig { min_stable_paths: 1, ..KeplerConfig::default() };
-    let mut m = Monitor::new(config);
-    let mut t = 1_000_000u64;
-    let mut outcomes = Vec::new();
-    for op in ops {
-        let dense = match op {
-            Op::Update { key: k, crossings } => {
-                let cs: Vec<PopCrossing> =
-                    crossings.iter().map(|&(p, n, f)| crossing(p, n, f)).collect();
-                let ev = interner.intern_event(&RouteEvent::Update {
-                    key: key(*k),
-                    crossings: cs,
-                    hops: vec![],
-                });
-                m.observe(t, &ev)
-            }
-            Op::Withdraw { key: k } => {
-                let ev = interner.intern_event(&RouteEvent::Withdraw { key: key(*k) });
-                m.observe(t, &ev)
-            }
-            Op::Advance { dt } => {
-                t += *dt as u64;
-                m.advance_to(t)
-            }
-        };
-        outcomes.extend(dense.iter().map(|o| o.resolve(interner)));
-    }
-    outcomes.extend(m.advance_to(t + 200_000).iter().map(|o| o.resolve(interner)));
-    (outcomes, m.baseline_size())
+/// What one monitor made of a stream.
+#[derive(Debug, PartialEq)]
+struct Run {
+    /// Resolved outcomes that carry a signal, in emission order.
+    signals: Vec<BinOutcome>,
+    baseline: usize,
+    /// `stable_count` of every interned PoP, by `PopId`.
+    stable: Vec<usize>,
 }
 
-fn run_sharded(ops: &[Op], interner: &mut Interner, shards: usize) -> (Vec<BinOutcome>, usize) {
+/// Feeds one op stream to a skipping and a walking monitor in lockstep.
+fn run_both(ops: &[Op]) -> (Run, Run) {
     let config = KeplerConfig { min_stable_paths: 1, ..KeplerConfig::default() };
-    let mut m = ShardedMonitor::new(config, shards);
+    let mut interner = Interner::new();
+    let mut skipping = Monitor::new(config.clone());
+    let mut walking = Monitor::new(config);
+    walking.watch(interner.pop_id(IDLE_POP));
+    let (mut skipped, mut walked) = (Vec::new(), Vec::new());
     let mut t = 1_000_000u64;
-    let mut outcomes = Vec::new();
     for op in ops {
-        let dense = match op {
-            Op::Update { key: k, crossings } => {
-                let cs: Vec<PopCrossing> =
-                    crossings.iter().map(|&(p, n, f)| crossing(p, n, f)).collect();
-                let ev = interner.intern_event(&RouteEvent::Update {
-                    key: key(*k),
-                    crossings: cs,
-                    hops: vec![],
-                });
-                m.observe(t, &ev)
-            }
-            Op::Withdraw { key: k } => {
-                let ev = interner.intern_event(&RouteEvent::Withdraw { key: key(*k) });
-                m.observe(t, &ev)
-            }
+        let event = match op {
+            Op::Update { key: k, crossings } => Some(RouteEvent::Update {
+                key: key(*k),
+                crossings: crossings.iter().map(|&(p, n, f)| crossing(p, n, f)).collect(),
+                hops: vec![],
+            }),
+            Op::Withdraw { key: k } => Some(RouteEvent::Withdraw { key: key(*k) }),
             Op::Advance { dt } => {
                 t += *dt as u64;
-                m.advance_to(t)
+                None
+            }
+            Op::Rewind { dt } => {
+                t = t.saturating_sub(*dt as u64);
+                None
             }
         };
-        outcomes.extend(dense.iter().map(|o| o.resolve(interner)));
+        match event {
+            Some(event) => {
+                let ev = interner.intern_event(&event);
+                skipped.extend(skipping.observe(t, &ev));
+                walked.extend(walking.observe(t, &ev));
+            }
+            None => {
+                skipped.extend(skipping.advance_to(t));
+                walked.extend(walking.advance_to(t));
+            }
+        }
     }
-    outcomes.extend(m.advance_to(t + 200_000).iter().map(|o| o.resolve(interner)));
-    (outcomes, m.baseline_size())
+    skipped.extend(skipping.advance_to(t + 200_000));
+    walked.extend(walking.advance_to(t + 200_000));
+    let summarize = |m: &Monitor, closed: &[DenseBinOutcome]| Run {
+        signals: closed
+            .iter()
+            .filter(|o| !o.signals.is_empty())
+            .map(|o| o.resolve(&interner))
+            .collect(),
+        baseline: m.baseline_size(),
+        stable: (0..interner.pops_len() as u32).map(|p| m.stable_count(PopId(p))).collect(),
+    };
+    let runs = (summarize(&skipping, &skipped), summarize(&walking, &walked));
+    // Only the skipping monitor can reach the top of the clock: the
+    // walking one would have to close ~3e17 bins on the way.
+    skipped.extend(skipping.advance_to(u64::MAX - 1));
+    for closed in [&skipped, &walked] {
+        assert!(
+            closed.windows(2).all(|w| w[0].bin_start < w[1].bin_start),
+            "bin starts must strictly increase"
+        );
+    }
+    runs
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Identical random streams yield identical resolved bin outcomes for
-    /// 1, 2 and 8 shards.
+    /// Skipping an empty stretch in one step is indistinguishable from
+    /// closing its bins one by one.
     #[test]
-    fn sharded_monitor_is_bit_identical(ops in prop::collection::vec(arb_op(), 1..100)) {
-        let mut interner = Interner::new();
-        let (single, single_baseline) = run_single(&ops, &mut interner);
-        for shards in [1usize, 2, 8] {
-            let (sharded, sharded_baseline) = run_sharded(&ops, &mut interner, shards);
-            prop_assert_eq!(&single, &sharded, "outcome mismatch at {} shards", shards);
-            prop_assert_eq!(single_baseline, sharded_baseline, "baseline mismatch at {} shards", shards);
-        }
+    fn bin_skip_matches_the_bin_by_bin_walk(ops in prop::collection::vec(arb_op(), 1..100)) {
+        let (skip, walk) = run_both(&ops);
+        prop_assert_eq!(skip, walk);
     }
-}
-
-/// Deterministic regression case: a multi-group outage spread over shards
-/// where one group only crosses the threshold after the merge (its
-/// deviated routes live on different shards than most of its stable set).
-#[test]
-fn cross_shard_group_thresholds_after_merge() {
-    let config = KeplerConfig { min_stable_paths: 2, ..KeplerConfig::default() };
-    let mut interner = Interner::new();
-    let mut single = Monitor::new(config.clone());
-    let mut sharded = ShardedMonitor::new(config, 8);
-    let t0 = 1_000_000u64;
-    // 10 stable routes in one (pop, near) group.
-    for i in 0..10u8 {
-        let ev = interner.intern_event(&RouteEvent::Update {
-            key: key(i),
-            crossings: vec![crossing(0, 1, i)],
-            hops: vec![],
-        });
-        single.observe(t0, &ev);
-        sharded.observe(t0, &ev);
-    }
-    let t1 = t0 + 2 * 86_400 + 300;
-    single.advance_to(t1);
-    sharded.advance_to(t1);
-    // Withdraw 2 of 10: 20% > T_fail=10%, but each shard alone sees a
-    // fraction computed over its local stable subset.
-    for i in 0..2u8 {
-        let ev = interner.intern_event(&RouteEvent::Withdraw { key: key(i) });
-        single.observe(t1 + 5, &ev);
-        sharded.observe(t1 + 5, &ev);
-    }
-    let a: Vec<BinOutcome> =
-        single.advance_to(t1 + 120).iter().map(|o| o.resolve(&interner)).collect();
-    let b: Vec<BinOutcome> =
-        sharded.advance_to(t1 + 120).iter().map(|o| o.resolve(&interner)).collect();
-    assert_eq!(a, b);
-    let signals: Vec<_> = a.iter().flat_map(|o| o.signals.iter()).collect();
-    assert_eq!(signals.len(), 1);
-    assert_eq!(signals[0].stable_total, 10, "merged denominator counts every shard");
-    assert!((signals[0].fraction - 0.2).abs() < 1e-12);
 }

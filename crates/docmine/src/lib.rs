@@ -39,6 +39,8 @@
 //! * The miner never invents tags: every dictionary entry traces back to
 //!   a gazetteer/colocation-map entity that actually exists.
 
+#![forbid(unsafe_code)]
+
 pub mod attrition;
 pub mod corpus;
 pub mod dictionary;

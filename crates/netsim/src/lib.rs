@@ -62,6 +62,8 @@
 //!   colocation snapshots, mined (not ground-truth) dictionaries, and
 //!   collector vantage points — never the generator's internals.
 
+#![forbid(unsafe_code)]
+
 pub mod dataplane;
 pub mod engine;
 pub mod events;

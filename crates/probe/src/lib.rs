@@ -94,6 +94,8 @@
 //! [`VantageId`]s, scheduler buckets are keyed on raw
 //! facility ids, and display types only appear in requests and evidence.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod engine;
 pub mod fixture;

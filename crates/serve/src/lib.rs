@@ -30,6 +30,8 @@
 //! # let _ = (reports, summary, view);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alert;
 pub mod codec;
 pub mod daemon;

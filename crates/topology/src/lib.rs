@@ -30,6 +30,8 @@
 //!   return sorted, deduplicated sets, so set algebra over them is
 //!   deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod colomap;
 pub mod entities;
 pub mod geo;

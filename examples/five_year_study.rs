@@ -31,7 +31,7 @@ fn main() {
     for r in scenario.records() {
         detector.process_record(&r);
     }
-    let truth = truth_outages_observed(&scenario, &config, &mut detector);
+    let truth = truth_outages_observed(&scenario, &config, &detector);
     let counts = detector.class_counts();
     let reports = detector.finish();
 

@@ -596,7 +596,7 @@ fn epicenter_tags(world: &World, epicenter: &Epicenter) -> Vec<kepler_docmine::L
 /// what the vantage points actually delivered.
 pub fn observed_trackable(
     world: &World,
-    monitor: &mut kepler_core::AnyMonitor,
+    monitor: &kepler_core::monitor::Monitor,
     interner: &kepler_core::Interner,
     epicenter: &Epicenter,
 ) -> bool {
@@ -612,7 +612,7 @@ pub fn observed_trackable(
 pub fn truth_outages_observed(
     scenario: &Scenario,
     config: &KeplerConfig,
-    detector: &mut Kepler,
+    detector: &Kepler,
 ) -> Vec<TruthOutage> {
     let mut out = truth_outages(scenario, config);
     for t in &mut out {

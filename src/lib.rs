@@ -64,6 +64,8 @@
 //! println!("precision {:.2} recall {:.2}", eval.precision(), eval.recall());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fuzz_harness;
 pub mod glue;
 

@@ -72,7 +72,7 @@ fn five_year_compact_evaluation() {
     for r in scenario.records() {
         detector.process_record(&r);
     }
-    let truth = truth_outages_observed(&scenario, &config, &mut detector);
+    let truth = truth_outages_observed(&scenario, &config, &detector);
     let reports = detector.finish();
     let eval = evaluate(&reports, &truth, 1800);
     assert!(eval.true_positives >= 2, "at least some real outages detected: {eval:?}");
