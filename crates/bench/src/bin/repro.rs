@@ -27,6 +27,7 @@ use kepler::netsim::world::{World, WorldConfig};
 use kepler::topology::Continent;
 use kepler_bench::{pct, quantile, sparkline};
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 struct Ctx {
     seed: u64,
@@ -95,250 +96,6 @@ impl Cache {
     }
 }
 
-/// Peak resident set size of this process in bytes (Linux `VmHWM`), or
-/// `None` where /proc is unavailable.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
-/// The perf-trajectory artifact tracked across PRs: pushes 1M synthetic
-/// records through input module → interner → monitor, measures the
-/// zero-copy MRT decode stage (frame → view → dense intern over an
-/// encoded archive), and writes events/sec plus
-/// peak RSS to `BENCH_monitor.json`.
-fn bench_monitor_json() {
-    use kepler::core::config::KeplerConfig;
-    use kepler::core::input::InputModule;
-    use kepler::core::intern::Interner;
-    use kepler::core::monitor::Monitor;
-    use kepler::topology::ColocationMap;
-    use kepler_bench::{pipeline_dictionary, pipeline_record, PIPELINE_TIME_COMPRESSION};
-    use std::time::Instant;
-
-    const N: u64 = 1_000_000;
-
-    eprintln!("[bench: 1M-record pipeline...]");
-    let t = Instant::now();
-    let mut input = InputModule::new(pipeline_dictionary(), ColocationMap::new());
-    let mut interner = Interner::new();
-    let mut monitor = Monitor::new(KeplerConfig::default());
-    let mut single_bins = 0usize;
-    for i in 0..N {
-        let rec = pipeline_record(i);
-        let time = rec.time;
-        input.process_record_events(&rec, &mut interner, |ev| {
-            single_bins += monitor.observe(time, &ev).len();
-        });
-    }
-    single_bins +=
-        monitor.advance_to(1_400_000_000 + N / PIPELINE_TIME_COMPRESSION + 3 * 86_400).len();
-    let single_secs = t.elapsed().as_secs_f64();
-    let single_eps = N as f64 / single_secs;
-
-    eprintln!("[bench: zero-copy MRT decode, frame -> view -> dense intern...]");
-    const DECODE_RECS: u64 = 200_000;
-    let archive = kepler_bench::pipeline_mrt_bytes(DECODE_RECS);
-    let mut input = InputModule::new(pipeline_dictionary(), ColocationMap::new());
-    let mut interner = Interner::new();
-    let mut decode_events = 0u64;
-    let t = Instant::now();
-    {
-        use kepler::bgp::mrt::FrameView;
-        use kepler::bgpstream::{CollectorId, PeerId};
-        let mut off = 0usize;
-        let mut idx = 0u64;
-        while let Some((frame, used)) =
-            FrameView::parse(&archive[off..]).expect("bench archive is well-formed")
-        {
-            off += used;
-            if let Some(msg) = frame.message().expect("bench frames are AS4 messages") {
-                // MRT has no collector field; reassign in frame order to
-                // match pipeline_record's distribution (see
-                // kepler_bench::pipeline_mrt_bytes).
-                let collector = CollectorId((idx % 4) as u16);
-                let peer = PeerId { asn: msg.peer_as, addr: msg.peer_ip };
-                input.process_update_view_dense(
-                    collector,
-                    peer,
-                    &msg.update,
-                    &mut interner,
-                    |_elem| decode_events += 1,
-                );
-            }
-            idx += 1;
-        }
-        assert_eq!(idx, DECODE_RECS, "archive frame count");
-    }
-    let decode_secs = t.elapsed().as_secs_f64();
-    assert_eq!(decode_events, DECODE_RECS, "one announced prefix per pipeline record");
-    let decode_rps = DECODE_RECS as f64 / decode_secs;
-
-    const PROBE_REQUESTS: u64 = 300;
-    eprintln!("[bench: probe validation, schedule->simulate->analyze...]");
-    let (mut prober, request) = kepler_bench::probe_fixture(41);
-    let mut batched_verdicts = 0usize;
-    let t = Instant::now();
-    {
-        use kepler::probe::Prober;
-        for i in 0..PROBE_REQUESTS {
-            // Advance time so per-facility token buckets refill per bin.
-            let report = prober.validate(&request, request.bin_start + 60 * i);
-            batched_verdicts += report.verdicts.len();
-        }
-    }
-    let batched_secs = t.elapsed().as_secs_f64();
-    assert!(batched_verdicts > 0, "probe bench must judge candidates");
-    let batched_vps = batched_verdicts as f64 / batched_secs;
-
-    eprintln!("[bench: probe validation under 30% fault injection...]");
-    let (mut faulty_prober, faulty_request) = kepler_bench::probe_faulty_fixture(41);
-    let mut faulty_verdicts = 0usize;
-    let t = Instant::now();
-    {
-        use kepler::probe::Prober;
-        for i in 0..PROBE_REQUESTS {
-            let report = faulty_prober.validate(&faulty_request, faulty_request.bin_start + 60 * i);
-            faulty_verdicts += report.verdicts.len();
-        }
-    }
-    let faulty_secs = t.elapsed().as_secs_f64();
-    assert!(faulty_verdicts > 0, "faulty probe bench must still judge candidates");
-    let faulty_vps = faulty_verdicts as f64 / faulty_secs;
-
-    eprintln!("[bench: scenario fuzzer, generate->simulate->detect->check...]");
-    const FUZZ_WORLDS: u64 = 8;
-    let mut fuzz_violations = 0usize;
-    let t = Instant::now();
-    for seed in 0..FUZZ_WORLDS {
-        fuzz_violations += kepler::fuzz_harness::check_seed(seed).violations.len();
-    }
-    let fuzz_secs = t.elapsed().as_secs_f64();
-    assert_eq!(fuzz_violations, 0, "fuzz bench seeds must hold the invariants");
-    let fuzz_wps = FUZZ_WORLDS as f64 / fuzz_secs;
-
-    eprintln!("[bench: fused multi-signal detection, forecast+delay over a drain world...]");
-    let (fusion_secs, fusion_events) = {
-        let fw = kepler::netsim::fuzz::slow_drain(1);
-        let config = kepler::core::KeplerConfig::default()
-            .with_hysteresis(fw.script.open_after, fw.script.close_after);
-        let mut det = kepler::glue::detector_with_fusion(
-            &fw.scenario,
-            config,
-            kepler::glue::FusionOptions::default(),
-        );
-        let records = fw.scenario.records();
-        let n = records.len() as u64;
-        let t = Instant::now();
-        for rec in records {
-            det.process_record_owned(rec);
-        }
-        det.advance_clock(fw.scenario.end);
-        let reports = det.finalize();
-        let secs = t.elapsed().as_secs_f64();
-        assert!(!reports.is_empty(), "fusion bench world must detect its staged drain");
-        (secs, n)
-    };
-    let fusion_eps = fusion_events as f64 / fusion_secs;
-
-    eprintln!("[bench: serve daemon, ingest->commit->alert->publish...]");
-    let (serve_secs, serve_events, serve_commits) = {
-        use kepler::serve::{Daemon, DaemonConfig};
-        let study = AmsIxScenario::new(41).with_config(WorldConfig::tiny(41)).build();
-        let records = study.scenario.records();
-        let n = records.len() as u64;
-        let dir = std::env::temp_dir().join(format!("kepler-serve-bench-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let detector = detector_for(&study.scenario, KeplerConfig::default());
-        let mut daemon =
-            Daemon::new(detector, &DaemonConfig::new(dir.clone())).expect("open bench store");
-        let t = Instant::now();
-        daemon.run_stream(records).expect("serve bench ingest");
-        let (_, summary) = daemon.finish().expect("serve bench finish");
-        let secs = t.elapsed().as_secs_f64();
-        assert_eq!(summary.events, n, "daemon must ingest every record");
-        assert!(summary.commits > 0, "serve bench must commit bins");
-        let _ = std::fs::remove_dir_all(&dir);
-        (secs, n, summary.commits)
-    };
-    let serve_eps = serve_events as f64 / serve_secs;
-
-    eprintln!("[bench: query surface, concurrent readers against live ingest...]");
-    let (query_secs, query_reads) = {
-        use kepler::serve::{Daemon, DaemonConfig};
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let study = AmsIxScenario::new(41).with_config(WorldConfig::tiny(41)).build();
-        // Cycle the stream with a per-cycle time shift so bins keep
-        // closing (and the view keeps swapping) for the whole load
-        // window — long enough that the readers log millions of status
-        // reads against full-rate ingest.
-        let base = study.scenario.records();
-        let span = {
-            let first = base.first().map(|r| r.time).unwrap_or(0);
-            let last = base.last().map(|r| r.time).unwrap_or(0);
-            (last - first + 600).next_multiple_of(300)
-        };
-        let records: Vec<_> = (0..16u64)
-            .flat_map(|cycle| {
-                base.iter().cloned().map(move |mut r| {
-                    r.time += cycle * span;
-                    r
-                })
-            })
-            .collect();
-        let dir = std::env::temp_dir().join(format!("kepler-query-bench-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let detector = detector_for(&study.scenario, KeplerConfig::default());
-        let mut daemon =
-            Daemon::new(detector, &DaemonConfig::new(dir.clone())).expect("open bench store");
-        let view = daemon.view();
-        let stop = AtomicBool::new(false);
-        let t = Instant::now();
-        let mut reads = 0u64;
-        std::thread::scope(|s| {
-            let readers: Vec<_> = (0..2)
-                .map(|_| {
-                    let view = std::sync::Arc::clone(&view);
-                    let stop = &stop;
-                    s.spawn(move || {
-                        let mut n = 0u64;
-                        let mut live = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            // A full status read: load the shared view,
-                            // look a scope up.
-                            let v = view.load();
-                            live += v.live().is_empty() as u64;
-                            n += 1;
-                        }
-                        (n, live)
-                    })
-                })
-                .collect();
-            daemon.run_stream(records).expect("query bench ingest");
-            stop.store(true, Ordering::Relaxed);
-            for r in readers {
-                reads += r.join().expect("reader thread").0;
-            }
-        });
-        let secs = t.elapsed().as_secs_f64();
-        daemon.finish().expect("query bench finish");
-        let _ = std::fs::remove_dir_all(&dir);
-        (secs, reads)
-    };
-    let query_rps = query_reads as f64 / query_secs;
-
-    let rss = peak_rss_bytes();
-    let json = format!(
-        "{{\n  \"bench\": \"pipeline_1m\",\n  \"events\": {N},\n  \"bins_closed\": {single_bins},\n  \"single_shard\": {{ \"seconds\": {single_secs:.3}, \"events_per_sec\": {single_eps:.0} }},\n  \"decode\": {{ \"seconds\": {decode_secs:.3}, \"records\": {DECODE_RECS}, \"decode_recs_per_sec\": {decode_rps:.0} }},\n  \"probe_batched\": {{ \"seconds\": {batched_secs:.3}, \"verdicts\": {batched_verdicts}, \"probe_batched_verdicts_per_sec\": {batched_vps:.0} }},\n  \"probe_faulty\": {{ \"seconds\": {faulty_secs:.3}, \"verdicts\": {faulty_verdicts}, \"probe_faulty_verdicts_per_sec\": {faulty_vps:.0} }},\n  \"fuzz\": {{ \"seconds\": {fuzz_secs:.3}, \"worlds\": {FUZZ_WORLDS}, \"fuzz_worlds_per_sec\": {fuzz_wps:.1} }},\n  \"fusion\": {{ \"seconds\": {fusion_secs:.3}, \"events\": {fusion_events}, \"fusion_events_per_sec\": {fusion_eps:.0} }},\n  \"serve\": {{ \"seconds\": {serve_secs:.3}, \"events\": {serve_events}, \"commits\": {serve_commits}, \"serve_events_per_sec\": {serve_eps:.0} }},\n  \"query\": {{ \"seconds\": {query_secs:.3}, \"reads\": {query_reads}, \"query_reads_per_sec\": {query_rps:.0} }},\n  \"peak_rss_bytes\": {}\n}}\n",
-        rss.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
-    );
-    std::fs::write("BENCH_monitor.json", &json).expect("write BENCH_monitor.json");
-    println!("{json}");
-    println!("wrote BENCH_monitor.json");
-}
-
 /// Replays one fuzzer world — from its seed or from a serialized
 /// `target/fuzz-artifacts/seed-<N>.script` — prints the script, the
 /// ground truth, every detector report and every invariant violation,
@@ -398,17 +155,8 @@ fn fuzz_replay(verdict: kepler::fuzz_harness::FuzzVerdict) -> ! {
 // Service subcommands: serve / query / stats over a kepler-serve store
 // ---------------------------------------------------------------------------
 
-fn store_dir_from(args: &[String], default: &str) -> std::path::PathBuf {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--store" {
-            if let Some(dir) = it.next() {
-                return std::path::PathBuf::from(dir);
-            }
-        }
-    }
-    std::path::PathBuf::from(default)
-}
+/// Where `serve` writes and `query`/`stats` read when `--store` is absent.
+const DEFAULT_STORE: &str = "target/kepler-serve";
 
 /// Runs the detector as a daemon over the AMS-IX case-study stream:
 /// durable store under `--store`, alert fan-out to stderr and
@@ -416,7 +164,7 @@ fn store_dir_from(args: &[String], default: &str) -> std::path::PathBuf {
 /// the same store recovers and reports what the first one committed.
 fn serve_cmd(args: &[String]) -> ! {
     use kepler::serve::{Channel, Daemon, DaemonConfig, FileSink, LogSink, TokenBucket};
-    let store = store_dir_from(args, "target/kepler-serve");
+    let mut store = PathBuf::from(DEFAULT_STORE);
     let mut seed = 7u64;
     let mut compact = false;
     let mut it = args.iter();
@@ -424,13 +172,8 @@ fn serve_cmd(args: &[String]) -> ! {
         match a.as_str() {
             "--seed" => seed = flag_value(&mut it, "--seed"),
             "--compact" => compact = true,
-            "--store" => {
-                it.next();
-            }
-            other => {
-                eprintln!("serve: unknown argument {other}");
-                std::process::exit(1);
-            }
+            "--store" => store = flag_value(&mut it, "--store"),
+            other => usage_error(&format!("serve: unknown argument {other}")),
         }
     }
     eprintln!("[serve: building AMS-IX scenario (seed {seed})...]");
@@ -506,25 +249,30 @@ fn parse_scope(spec: &str) -> Option<OutageScope> {
 fn query_cmd(args: &[String]) -> ! {
     use kepler::core::events::IncidentState;
     use kepler::serve::{IncidentStore, StatusView};
-    let store = store_dir_from(args, "target/kepler-serve");
-    let mut spec: Option<&String> = None;
+    // Exit 2 means "down" here, so a bad command line exits 1 like every
+    // other query error.
+    fn bad_args(what: &str) -> ! {
+        eprintln!("repro: query: {what}\n{USAGE}");
+        std::process::exit(1);
+    }
+    let mut store = PathBuf::from(DEFAULT_STORE);
+    let mut spec: Option<&str> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--store" => {
-                it.next();
-            }
-            other if !other.starts_with("--") => spec = spec.or(Some(a)),
-            _ => {}
+            "--store" => match it.next() {
+                Some(dir) => store = PathBuf::from(dir),
+                None => bad_args("--store needs a value"),
+            },
+            other if other.starts_with("--") => bad_args(&format!("unknown argument {other}")),
+            other => spec = spec.or(Some(other)),
         }
     }
     let Some(spec) = spec else {
-        eprintln!("query: missing scope (facility:N | ixp:N | city:N | N)");
-        std::process::exit(1);
+        bad_args("missing scope (facility:N | ixp:N | city:N | N)");
     };
     let Some(scope) = parse_scope(spec) else {
-        eprintln!("query: cannot parse scope {spec:?}");
-        std::process::exit(1);
+        bad_args(&format!("cannot parse scope {spec:?}"));
     };
     let (state, last_bin, _) = match IncidentStore::recover_state(&store) {
         Ok(s) => s,
@@ -562,12 +310,14 @@ fn query_cmd(args: &[String]) -> ! {
 fn stats_cmd(args: &[String]) -> ! {
     use kepler::core::events::IncidentState;
     use kepler::serve::{IncidentStore, StatusView};
-    let store = store_dir_from(args, "target/kepler-serve");
+    let mut store = PathBuf::from(DEFAULT_STORE);
     let mut dump: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--dump" {
-            dump = it.next().cloned();
+        match a.as_str() {
+            "--store" => store = flag_value(&mut it, "--store"),
+            "--dump" => dump = Some(flag_value(&mut it, "--dump")),
+            other => usage_error(&format!("stats: unknown argument {other}")),
         }
     }
     let (state, last_bin, rec) = match IncidentStore::recover_state(&store) {
@@ -605,7 +355,7 @@ fn stats_cmd(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-const USAGE: &str = "usage: repro [--seed N] [--compact] [--bench] [--fuzz-seed N] [--fuzz-script PATH] <exp>...\n       repro serve [--store DIR] [--seed N] [--compact]\n       repro query <facility:N|ixp:N|city:N|N> [--store DIR]\n       repro stats [--store DIR] [--dump PATH]\n  exps: fig1 fig3 fig5 fig7a fig7b fig7c tab1 fig8a fig8b fig8c fig9a fig9b fig9c fig10a fig10b fig10c fig10d val dict all\n  --bench: run the monitor throughput benchmark and write BENCH_monitor.json\n  --fuzz-seed N: replay generated fuzz world N through the invariant checker (exit 1 on violation)\n  --fuzz-script PATH: replay a serialized fuzz artifact (target/fuzz-artifacts/seed-N.script)\n  --fused: replay fuzz worlds with the multi-signal detector (forecast + delay fusion)\n  serve: run the detector as a daemon over the AMS-IX scenario with a durable store and alert log\n  query: read a scope's status from a serve store (exit 0=up, 2=down, 3=recovering, 1=error)\n  stats: summarize a serve store; --dump writes a serialized snapshot";
+const USAGE: &str = "usage: repro [--seed N] [--compact] [--fuzz-seed N] [--fuzz-script PATH] <exp>...\n       repro serve [--store DIR] [--seed N] [--compact]\n       repro query <facility:N|ixp:N|city:N|N> [--store DIR]\n       repro stats [--store DIR] [--dump PATH]\n  exps: fig1 fig3 fig5 fig7a fig7b fig7c tab1 fig8a fig8b fig8c fig9a fig9b fig9c fig10a fig10b fig10c fig10d val dict all\n  --fuzz-seed N: replay generated fuzz world N through the invariant checker (exit 1 on violation)\n  --fuzz-script PATH: replay a serialized fuzz artifact (target/fuzz-artifacts/seed-N.script)\n  --fused: replay fuzz worlds with the multi-signal detector (forecast + delay fusion)\n  serve: run the detector as a daemon over the AMS-IX scenario with a durable store and alert log\n  query: read a scope's status from a serve store (exit 0=up, 2=down, 3=recovering, 1=error)\n  stats: summarize a serve store; --dump writes a serialized snapshot";
 
 /// One figure/table reproduction.
 type Experiment = fn(&Ctx, &mut Cache);
@@ -667,10 +417,6 @@ fn main() {
         match a.as_str() {
             "--seed" => ctx.seed = flag_value(&mut it, "--seed"),
             "--compact" => ctx.compact = true,
-            "--bench" => {
-                bench_monitor_json();
-                return;
-            }
             "--fused" => fused = true,
             "--fuzz-seed" => fuzz_seed = Some(flag_value(&mut it, "--fuzz-seed")),
             "--fuzz-script" => fuzz_script = Some(flag_value(&mut it, "--fuzz-script")),

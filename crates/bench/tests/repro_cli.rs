@@ -1,7 +1,8 @@
 //! `repro` treats its command line as hostile input: a flag with a
-//! missing or unparsable value, an unreadable or malformed fuzz script
-//! and an unknown experiment name all print the usage and exit 2 —
-//! never a panic (exit 101), never a silent exit 0.
+//! missing or unparsable value, an unknown flag of a service subcommand,
+//! an unreadable or malformed fuzz script and an unknown experiment name
+//! all print the usage and exit 2 (1 under `query`, where 2 means
+//! "down") — never a panic (exit 101), never a silent exit 0.
 
 use std::process::Command;
 
@@ -16,7 +17,7 @@ fn bad_command_lines_print_usage_and_exit_2() {
     let garbage = std::env::temp_dir().join(format!("repro-cli-{}.script", std::process::id()));
     std::fs::write(&garbage, "not a kepler-fuzz-script\n").expect("write scratch script");
     let garbage_path = garbage.to_str().expect("utf-8 temp path");
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 15] = [
         &["--seed"],
         &["--seed", "many"],
         &["--fuzz-seed"],
@@ -25,6 +26,12 @@ fn bad_command_lines_print_usage_and_exit_2() {
         &["--fuzz-script", "/nonexistent/kepler.script"],
         &["--fuzz-script", garbage_path],
         &["serve", "--seed"],
+        &["serve", "--store"],
+        &["serve", "--frobnicate"],
+        &["stats", "--dump"],
+        &["stats", "--store"],
+        // The retired benchmark flag is an unknown experiment now.
+        &["--bench"],
         &["fig99"],
         &["--compact", "fig8b", "fig99"],
     ];
@@ -35,4 +42,17 @@ fn bad_command_lines_print_usage_and_exit_2() {
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
     let _ = std::fs::remove_file(&garbage);
+}
+
+/// `query` reserves exit 2 for "down", so its bad command lines exit 1
+/// like its other errors — with the reason and the usage on stderr.
+#[test]
+fn query_bad_command_line_exits_1_with_usage() {
+    for args in [&["query", "--store"][..], &["query", "--frobnicate", "facility:5"], &["query"]] {
+        let (code, stderr) = repro(args);
+        assert_eq!(code, Some(1), "{args:?} exited {code:?}: {stderr}");
+        assert!(stderr.contains("repro: query:"), "{args:?} gave no reason: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?} printed no usage: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
 }

@@ -5,14 +5,12 @@
 //! classification predicates here follow the IANA special-purpose AS number
 //! registry.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 4-byte autonomous system number (RFC 6793).
 ///
 /// Stored as the full 32-bit value; 2-byte ASNs are the subset `< 65536`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Asn(pub u32);
 
 impl Asn {

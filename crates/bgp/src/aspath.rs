@@ -3,11 +3,10 @@
 //! sanitization and path-comparison logic rely on.
 
 use crate::asn::Asn;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One AS_PATH segment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AsPathSegment {
     /// An ordered sequence of traversed ASNs (`AS_SEQUENCE`).
     Sequence(Vec<Asn>),
@@ -33,7 +32,7 @@ impl AsPathSegment {
 }
 
 /// A full AS path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AsPath {
     segments: Vec<AsPathSegment>,
 }

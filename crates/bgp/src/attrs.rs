@@ -2,12 +2,11 @@
 
 use crate::aspath::AsPath;
 use crate::community::{Community, ExtendedCommunity, LargeCommunity};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
 
 /// The ORIGIN attribute (RFC 4271 §5.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Origin {
     /// Learned from an IGP (`0`).
     Igp,
@@ -49,7 +48,7 @@ impl fmt::Display for Origin {
 }
 
 /// All path attributes Kepler cares about, in decoded form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathAttributes {
     /// ORIGIN.
     pub origin: Origin,

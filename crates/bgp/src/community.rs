@@ -8,12 +8,10 @@
 //! *"route received at the CoreSite LAX1 facility"* in Init7's scheme.
 
 use crate::asn::Asn;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A standard RFC 1997 community, stored as the raw 32-bit value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Community(pub u32);
 
 impl Community {
@@ -82,7 +80,7 @@ impl std::str::FromStr for Community {
 }
 
 /// An RFC 4360 extended community: 8 opaque bytes with a typed header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExtendedCommunity(pub [u8; 8]);
 
 impl ExtendedCommunity {
@@ -116,7 +114,7 @@ impl fmt::Display for ExtendedCommunity {
 }
 
 /// An RFC 8092 large community: three 32-bit fields `GA:L1:L2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LargeCommunity {
     /// Global administrator — the ASN attaching the community.
     pub global: u32,

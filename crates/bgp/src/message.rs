@@ -2,12 +2,11 @@
 
 use crate::attrs::PathAttributes;
 use crate::prefix::Prefix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A decoded BGP UPDATE: withdrawals plus announcements sharing one
 /// attribute bundle (RFC 4271 §4.3). Either list may be empty.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BgpUpdate {
     /// Prefixes explicitly withdrawn.
     pub withdrawn: Vec<Prefix>,
@@ -39,7 +38,7 @@ impl BgpUpdate {
 /// BGP finite-state-machine states (RFC 4271 §8.2.2), as reported in MRT
 /// `BGP4MP_STATE_CHANGE` records. Kepler watches for session flaps on the
 /// collector feed itself to avoid mistaking feed gaps for outages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeerState {
     /// Initial state.
     Idle,
@@ -97,7 +96,7 @@ impl fmt::Display for PeerState {
 }
 
 /// A collector-peer session state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateChange {
     /// State before the transition.
     pub old: PeerState,

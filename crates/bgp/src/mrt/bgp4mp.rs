@@ -5,12 +5,11 @@ use super::error::MrtError;
 use super::wire::{decode_bgp_update, encode_bgp_update, Cursor};
 use crate::message::{BgpUpdate, PeerState, StateChange};
 use crate::Asn;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// A `BGP4MP_MESSAGE_AS4` record: one BGP UPDATE received by a collector
 /// from one of its peers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bgp4mpMessage {
     /// ASN of the collector peer that sent the message.
     pub peer_as: Asn,
@@ -27,7 +26,7 @@ pub struct Bgp4mpMessage {
 }
 
 /// A `BGP4MP_STATE_CHANGE_AS4` record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bgp4mpStateChange {
     /// ASN of the collector peer.
     pub peer_as: Asn,

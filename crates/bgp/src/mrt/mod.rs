@@ -29,8 +29,6 @@ pub use tabledump::{PeerEntry, PeerIndexTable, RibEntry, RibPrefixEntries};
 pub use view::{AsPathView, CommunitiesView, FrameView, MessageView, PrefixIter, UpdateView};
 pub use writer::MrtWriter;
 
-use serde::{Deserialize, Serialize};
-
 /// MRT type code for BGP4MP records.
 pub const MRT_TYPE_BGP4MP: u16 = 16;
 /// MRT type code for TABLE_DUMP_V2 records.
@@ -49,7 +47,7 @@ pub const TDV2_RIB_IPV4_UNICAST: u16 = 2;
 pub const TDV2_RIB_IPV6_UNICAST: u16 = 4;
 
 /// One decoded MRT record: a Unix timestamp plus a typed body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MrtRecord {
     /// Seconds since the Unix epoch (MRT header field).
     pub timestamp: u32,
@@ -58,7 +56,7 @@ pub struct MrtRecord {
 }
 
 /// The payload of an [`MrtRecord`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MrtBody {
     /// An archived BGP UPDATE message.
     Message(Bgp4mpMessage),

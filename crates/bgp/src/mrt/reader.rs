@@ -13,13 +13,17 @@ use std::io::Read;
 /// tooling skips unknown types in mixed archives.
 pub struct MrtReader<R: Read> {
     inner: R,
+    /// The current record's body, reused across records. It grows with
+    /// the bytes the stream delivers, never with the length a header
+    /// merely declares.
+    body: Vec<u8>,
     done: bool,
 }
 
 impl<R: Read> MrtReader<R> {
     /// Wraps a byte stream.
     pub fn new(inner: R) -> Self {
-        MrtReader { inner, done: false }
+        MrtReader { inner, body: Vec::new(), done: false }
     }
 
     fn read_exact_or_eof(&mut self, buf: &mut [u8]) -> Result<bool, MrtError> {
@@ -30,7 +34,7 @@ impl<R: Read> MrtReader<R> {
                     if filled == 0 {
                         return Ok(false); // clean EOF at a record boundary
                     }
-                    return Err(MrtError::UnexpectedEof { context: "MRT header/body" });
+                    return Err(MrtError::UnexpectedEof { context: "MRT header" });
                 }
                 Ok(n) => filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -48,26 +52,28 @@ impl<R: Read> MrtReader<R> {
         let timestamp = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
         let mrt_type = u16::from_be_bytes([header[4], header[5]]);
         let subtype = u16::from_be_bytes([header[6], header[7]]);
-        let length = u32::from_be_bytes([header[8], header[9], header[10], header[11]]) as usize;
-        let mut body = vec![0u8; length];
-        if length > 0 && !self.read_exact_or_eof(&mut body)? {
+        let length = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
+        self.body.clear();
+        let read = (&mut self.inner).take(u64::from(length)).read_to_end(&mut self.body)?;
+        if read < length as usize {
             return Err(MrtError::UnexpectedEof { context: "MRT record body" });
         }
+        let body = &self.body[..];
         let body = match (mrt_type, subtype) {
             (super::MRT_TYPE_BGP4MP, super::BGP4MP_MESSAGE_AS4) => {
-                MrtBody::Message(Bgp4mpMessage::decode_body(&body)?)
+                MrtBody::Message(Bgp4mpMessage::decode_body(body)?)
             }
             (super::MRT_TYPE_BGP4MP, super::BGP4MP_STATE_CHANGE_AS4) => {
-                MrtBody::StateChange(Bgp4mpStateChange::decode_body(&body)?)
+                MrtBody::StateChange(Bgp4mpStateChange::decode_body(body)?)
             }
             (super::MRT_TYPE_TABLE_DUMP_V2, super::TDV2_PEER_INDEX_TABLE) => {
-                MrtBody::PeerIndexTable(PeerIndexTable::decode_body(&body)?)
+                MrtBody::PeerIndexTable(PeerIndexTable::decode_body(body)?)
             }
             (super::MRT_TYPE_TABLE_DUMP_V2, super::TDV2_RIB_IPV4_UNICAST) => {
-                MrtBody::RibEntries(RibPrefixEntries::decode_body(&body, false)?)
+                MrtBody::RibEntries(RibPrefixEntries::decode_body(body, false)?)
             }
             (super::MRT_TYPE_TABLE_DUMP_V2, super::TDV2_RIB_IPV6_UNICAST) => {
-                MrtBody::RibEntries(RibPrefixEntries::decode_body(&body, true)?)
+                MrtBody::RibEntries(RibPrefixEntries::decode_body(body, true)?)
             }
             _ => return Err(MrtError::UnsupportedRecord { mrt_type, subtype }),
         };
@@ -155,6 +161,21 @@ mod tests {
         let results: Vec<_> = MrtReader::new(&buf[..]).collect();
         assert_eq!(results.len(), 1);
         assert!(results[0].is_err());
+    }
+
+    #[test]
+    fn hostile_length_allocates_only_what_the_stream_delivers() {
+        // A torn header claiming a 4 GiB body over a 3-byte tail.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&7u32.to_be_bytes());
+        buf.extend_from_slice(&super::super::MRT_TYPE_BGP4MP.to_be_bytes());
+        buf.extend_from_slice(&super::super::BGP4MP_MESSAGE_AS4.to_be_bytes());
+        buf.extend_from_slice(&u32::MAX.to_be_bytes());
+        buf.extend_from_slice(&[1, 2, 3]);
+        let mut reader = MrtReader::new(&buf[..]);
+        assert!(matches!(reader.next(), Some(Err(MrtError::UnexpectedEof { .. }))));
+        assert!(reader.body.capacity() < 64 * 1024, "capacity {}", reader.body.capacity());
+        assert!(reader.next().is_none(), "framing is lost: the stream ends");
     }
 
     #[test]

@@ -10,11 +10,10 @@ use super::wire::{
 use crate::attrs::PathAttributes;
 use crate::prefix::Prefix;
 use crate::Asn;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// One collector peer in the PEER_INDEX_TABLE.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerEntry {
     /// The peer's BGP identifier.
     pub bgp_id: u32,
@@ -26,7 +25,7 @@ pub struct PeerEntry {
 
 /// The PEER_INDEX_TABLE record heading every TABLE_DUMP_V2 snapshot; RIB
 /// entries refer to peers by index into this table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerIndexTable {
     /// The collector's BGP identifier.
     pub collector_id: u32,
@@ -37,7 +36,7 @@ pub struct PeerIndexTable {
 }
 
 /// One peer's RIB entry for a prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RibEntry {
     /// Index into the preceding [`PeerIndexTable`].
     pub peer_index: u16,
@@ -49,7 +48,7 @@ pub struct RibEntry {
 
 /// All RIB entries for one prefix (`RIB_IPV4_UNICAST` or
 /// `RIB_IPV6_UNICAST`, chosen by the prefix family).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RibPrefixEntries {
     /// Monotonic sequence number within the dump.
     pub sequence: u32,

@@ -41,9 +41,4 @@ impl<W: Write> MrtWriter<W> {
         self.inner.write_all(&body)?;
         Ok(())
     }
-
-    /// Unwraps the underlying sink.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
 }

@@ -4,12 +4,11 @@
 //! prefix length are zeroed, so two prefixes compare equal iff they denote
 //! the same address block.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// An IP prefix (address block) of either family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: IpAddr,
     len: u8,

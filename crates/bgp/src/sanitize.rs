@@ -6,11 +6,10 @@ use crate::asn::Asn;
 use crate::aspath::AsPath;
 use crate::message::BgpUpdate;
 use crate::prefix::Prefix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a route failed sanitization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// The AS path revisits an ASN non-adjacently.
     AsLoop,
@@ -41,7 +40,7 @@ impl fmt::Display for RejectReason {
 }
 
 /// Sanitizer configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SanitizerConfig {
     /// Maximum collapsed hop count tolerated (default 64: far above any
     /// legitimate path; poisoned/leaked paths can be hundreds long).
@@ -57,7 +56,7 @@ impl Default for SanitizerConfig {
 }
 
 /// Running counters of rejected inputs, for observability.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SanitizeStats {
     /// Routes rejected for AS loops.
     pub as_loops: u64,

@@ -1,14 +1,12 @@
 //! Collector and peer identities.
 
 use kepler_bgp::Asn;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::IpAddr;
 
 /// A route collector (e.g. `rrc00`, `route-views2`), identified by a dense
 /// numeric id assigned at registration time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CollectorId(pub u16);
 
 impl fmt::Display for CollectorId {
@@ -19,7 +17,7 @@ impl fmt::Display for CollectorId {
 
 /// A collector peer: the (ASN, address) pair feeding a collector. The same
 /// AS may feed several collectors from different routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeerId {
     /// The peer's ASN.
     pub asn: Asn,
@@ -34,7 +32,7 @@ impl fmt::Display for PeerId {
 }
 
 /// A registry assigning dense [`CollectorId`]s to collector names.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct CollectorRegistry {
     names: Vec<String>,
 }

@@ -7,14 +7,13 @@
 use crate::collector::{CollectorId, PeerId};
 use kepler_bgp::mrt::{Bgp4mpMessage, MrtBody, MrtRecord};
 use kepler_bgp::{BgpUpdate, PathAttributes, Prefix, StateChange};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Seconds since the Unix epoch (virtual time in simulations).
 pub type Timestamp = u64;
 
 /// Payload of a [`BgpRecord`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordPayload {
     /// A BGP UPDATE received from the peer.
     Update(BgpUpdate),
@@ -23,7 +22,7 @@ pub enum RecordPayload {
 }
 
 /// One archived record from one collector peer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpRecord {
     /// Arrival time at the collector.
     pub time: Timestamp,
@@ -36,7 +35,7 @@ pub struct BgpRecord {
 }
 
 /// What a [`BgpElem`] says about its prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ElemKind {
     /// The prefix is announced with the given attributes (shared among all
     /// prefixes of the original update).
@@ -46,7 +45,7 @@ pub enum ElemKind {
 }
 
 /// Per-prefix exploded element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpElem {
     /// Arrival time at the collector.
     pub time: Timestamp,

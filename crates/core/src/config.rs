@@ -1,9 +1,7 @@
 //! Kepler's tunables, with the paper's calibrated defaults (§5.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration for the whole detection pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KeplerConfig {
     /// Deviation fraction that raises an outage signal for a (PoP, AS)
     /// group. The paper sweeps 2–50% and selects **10%** as conservative

@@ -6,12 +6,11 @@ use kepler_bgpstream::{CollectorId, PeerId, Timestamp};
 use kepler_docmine::LocationTag;
 use kepler_probe::HopEvidence;
 use kepler_topology::{CityId, FacilityId, IxpId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identity of one monitored route: a prefix as seen by one collector peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouteKey {
     /// The collector.
     pub collector: CollectorId,
@@ -22,7 +21,7 @@ pub struct RouteKey {
 }
 
 /// Where an outage is localized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OutageScope {
     /// A single building.
     Facility(FacilityId),
@@ -54,7 +53,7 @@ impl fmt::Display for OutageScope {
 }
 
 /// How a bin's signals were classified (paper §4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalClass {
     /// One AS link changed (de-peering, MED change).
     LinkLevel,
@@ -81,7 +80,7 @@ impl fmt::Display for SignalClass {
 
 /// Active-measurement validation status of a reported outage (verdict of
 /// the `kepler-probe` engine for the incident's epicenter).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ValidationStatus {
     /// No probing was needed or attached: the passive localization was
     /// confident on its own.
@@ -115,9 +114,7 @@ impl fmt::Display for ValidationStatus {
 /// of the affected paths back on their baseline PoP) and, when a
 /// restoration prober is attached, the data plane (re-probes of the
 /// epicenter crossing it again, typically well before BGP reconverges).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IncidentState {
     /// The epicenter is still dark; the incident accumulates evidence.
     #[default]
@@ -143,7 +140,7 @@ impl fmt::Display for IncidentState {
 }
 
 /// A detected infrastructure outage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutageReport {
     /// Localized epicenter.
     pub scope: OutageScope,

@@ -16,12 +16,11 @@ use kepler_bgp::{AsPath, Asn, Community, PathAttributes, Prefix};
 use kepler_bgpstream::{BgpElem, BgpRecord, CollectorId, ElemKind, PeerId, RecordPayload};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_topology::ColocationMap;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One located crossing on a route: the near-end AS received the route
 /// from the far-end AS at `pop`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PopCrossing {
     /// The tagged location.
     pub pop: LocationTag,
@@ -52,7 +51,7 @@ pub enum RouteEvent {
 }
 
 /// Statistics over processed elements.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InputStats {
     /// Elements seen.
     pub elems: u64,
@@ -151,11 +150,6 @@ impl InputModule {
             stats: InputStats::default(),
             arena: RecordArena::default(),
         }
-    }
-
-    /// Replaces the dictionary (bi-weekly refresh, §3.2).
-    pub fn set_dictionary(&mut self, dictionary: CommunityDictionary) {
-        self.dictionary = dictionary;
     }
 
     /// Accumulated statistics.

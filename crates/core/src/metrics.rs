@@ -11,10 +11,9 @@
 use crate::events::{OutageReport, OutageScope};
 use kepler_bgpstream::Timestamp;
 use kepler_topology::CityId;
-use serde::{Deserialize, Serialize};
 
 /// Ground truth for one event, detector-agnostic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TruthOutage {
     /// Stable id for bookkeeping.
     pub id: usize,
@@ -50,7 +49,7 @@ impl TruthOutage {
 }
 
 /// One detection ↔ truth match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Match {
     /// Index into the reports slice.
     pub report: usize,
@@ -59,7 +58,7 @@ pub struct Match {
 }
 
 /// Evaluation outcome.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Evaluation {
     /// Correct detections.
     pub true_positives: usize,

@@ -501,25 +501,6 @@ impl Monitor {
         self.watches.get(&pop).map(Vec::as_slice)
     }
 
-    /// All PoPs whose observed coverage reaches `min_nears`/`min_fars` —
-    /// the PoPs where the methodology is applicable (trackable). Sorted by
-    /// display order via `interner`.
-    pub fn trackable_pops(
-        &self,
-        interner: &Interner,
-        min_nears: usize,
-        min_fars: usize,
-    ) -> Vec<PopId> {
-        let mut v: Vec<PopId> = self
-            .coverage
-            .iter()
-            .filter(|(_, (n, f))| n.len() >= min_nears && f.len() >= min_fars)
-            .map(|(&p, _)| p)
-            .collect();
-        v.sort_by_key(|&p| pop_order(&interner.pop_tag(p)));
-        v
-    }
-
     /// Feeds one event, returning any bins closed by time advancing.
     pub fn observe(&mut self, t: Timestamp, event: &DenseRouteEvent) -> Vec<DenseBinOutcome> {
         let closed = self.advance_to(t);

@@ -32,12 +32,11 @@ use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
 use kepler_probe::telemetry::{DelaySite, SharedRttLedger};
 use kepler_probe::TraceBackend;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which detector produced a signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SignalKind {
     /// The paper's per-(PoP, near-AS) deviation test.
     Deviation,
@@ -97,7 +96,7 @@ pub struct SourceSignal {
 
 /// Per-source contribution recorded on an incident: peak confidence and
 /// the first bin the source fired in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourceContribution {
     /// The contributing detector.
     pub kind: SignalKind,

@@ -288,11 +288,6 @@ impl Kepler {
         self.tracker.import(state, &mut self.interner);
     }
 
-    /// Reports finalized so far (not including ongoing/cooling ones).
-    pub fn finished_reports(&self) -> &[OutageReport] {
-        self.tracker.finished()
-    }
-
     /// The dense-id interner of this run.
     pub fn interner(&self) -> &Interner {
         &self.interner

@@ -706,11 +706,6 @@ impl Tracker {
         }
     }
 
-    /// Total downtime of a scope's report, accounting for oscillations.
-    pub fn downtime_of(report: &OutageReport) -> Option<u64> {
-        report.duration()
-    }
-
     /// Lifecycle states of the incidents the tracker is still holding
     /// (sorted by scope): `Open`/`Recovering` for ongoing ones,
     /// `Recovering` for restored incidents inside the oscillation window.
@@ -755,11 +750,6 @@ impl Tracker {
         }
         self.finished.sort_by_key(|r| (r.start, r.scope));
         std::mem::take(&mut self.finished)
-    }
-
-    /// Finalized reports so far (not including ongoing/cooling).
-    pub fn finished(&self) -> &[OutageReport] {
-        &self.finished
     }
 
     /// Number of currently ongoing outages.

@@ -9,10 +9,9 @@
 
 use crate::dictionary::CommunityDictionary;
 use kepler_bgp::Community;
-use serde::{Deserialize, Serialize};
 
 /// Comparison of two dictionaries mined at different times.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttritionReport {
     /// Entries in the old dictionary.
     pub old_size: usize,

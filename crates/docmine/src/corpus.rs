@@ -12,10 +12,9 @@ use crate::scheme::{CommunityScheme, DocStyle, SchemeTarget};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scraped document.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// The operator it documents.
     pub asn: kepler_bgp::Asn,

@@ -7,13 +7,12 @@ use crate::pos::{classify, Voice};
 use crate::scheme::{CommunityScheme, SchemeTarget};
 use kepler_bgp::{Asn, Community};
 use kepler_topology::{CityGazetteer, CityId, ColocationMap, FacilityId, IxpId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// What a dictionary entry geolocates (paper §3.2: "we only keep
 /// communities that tag three types of Named Entities: (i) city-level
 /// locations, (ii) IXPs, and (iii) colocation facilities").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LocationTag {
     /// City-granularity ingress.
     City(CityId),
@@ -24,7 +23,7 @@ pub enum LocationTag {
 }
 
 /// One dictionary entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DictEntry {
     /// The community value.
     pub community: Community,
@@ -35,7 +34,7 @@ pub struct DictEntry {
 /// Headline statistics, mirroring the paper's §3.2 numbers (5,284
 /// communities by 468 ASes and 48 route servers; 288 cities, 172 IXPs,
 /// 103 facilities).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DictionaryStats {
     /// Location communities in the dictionary.
     pub communities: usize,
@@ -55,7 +54,7 @@ pub struct DictionaryStats {
 
 /// The community dictionary: community value → location meaning, plus IXP
 /// route-server redistribution communities.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CommunityDictionary {
     entries: HashMap<Community, LocationTag>,
     route_servers: HashMap<u16, IxpId>,

@@ -8,10 +8,9 @@
 
 use kepler_bgp::{Asn, Community};
 use kepler_topology::{CityId, FacilityId, IxpId};
-use serde::{Deserialize, Serialize};
 
 /// What one community value geolocates, in ground truth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchemeTarget {
     /// Ingress at city granularity; `ident` is the identifier style the
     /// operator documents ("New York City", "NYC", or "JFK").
@@ -38,7 +37,7 @@ pub enum SchemeTarget {
 }
 
 /// One (value, meaning) pair of a scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemeEntry {
     /// The low 16 bits of the community.
     pub value: u16,
@@ -54,7 +53,7 @@ impl SchemeEntry {
 }
 
 /// The documentation style an operator uses — drives corpus rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DocStyle {
     /// `remarks:` lines in an IRR object.
     IrrRemarks,
@@ -63,7 +62,7 @@ pub enum DocStyle {
 }
 
 /// A complete operator scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommunityScheme {
     /// The operator's ASN (16-bit in the classic community convention).
     pub asn: Asn,

@@ -205,11 +205,6 @@ impl WorldConfig {
             v6_tagging_rate: 0.6,
         }
     }
-
-    /// Total AS count.
-    pub fn total_ases(&self) -> usize {
-        self.n_tier1 + self.n_tier2 + self.n_content + self.n_eyeball + self.n_stub
-    }
 }
 
 /// The generated world.

@@ -19,10 +19,9 @@
 use crate::trace::{facility_hop, Trace, TraceHop};
 use kepler_bgp::Asn;
 use kepler_topology::FacilityId;
-use serde::{Deserialize, Serialize};
 
 /// The data plane's verdict on one candidate facility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FacilityVerdict {
     /// Baseline paths through the facility are gone: outage confirmed.
     Confirmed,
@@ -33,7 +32,7 @@ pub enum FacilityVerdict {
 }
 
 /// What became of one baseline path after the event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PostState {
     /// The post-event trace still crosses the candidate at this hop index.
     StillCrossing {
@@ -47,7 +46,7 @@ pub enum PostState {
 }
 
 /// One judged measurement pair: hop-level evidence for a verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopEvidence {
     /// Probe host AS.
     pub vantage: Asn,

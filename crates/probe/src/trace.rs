@@ -9,12 +9,11 @@
 
 use kepler_bgp::Asn;
 use kepler_topology::{FacilityId, IxpId};
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// What an interface address resolves to (the traIXroute-style
 /// IP-to-infrastructure mapping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IfaceOwner {
     /// A router port of `asn` inside `facility`.
     FacilityPort {
@@ -33,7 +32,7 @@ pub enum IfaceOwner {
 }
 
 /// One traceroute hop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceHop {
     /// Responding interface.
     pub addr: IpAddr,
@@ -45,7 +44,7 @@ pub struct TraceHop {
 
 /// One measured path: the hop sequence and whether the destination
 /// answered. Backends return this; the analysis module consumes it.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// The responding hops in TTL order (non-responding hops are simply
     /// absent, like `*` rows of a real traceroute).
@@ -113,7 +112,7 @@ pub fn has_loop(hops: &[TraceHop]) -> bool {
 }
 
 /// Result of re-probing a PoP's baseline paths (paper §4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeResult {
     /// Baseline paths that still cross the PoP.
     pub still_crossing: usize,

@@ -1,8 +1,8 @@
 //! Hand-rolled binary codec for the durable incident store.
 //!
-//! crates.io is unavailable in this build environment (the vendored
-//! `serde` is a no-op stub), so WAL frames and snapshots are encoded
-//! with an explicit little-endian byte codec. The format is
+//! crates.io is unavailable in this build environment, so there is no
+//! serialisation framework to lean on: WAL frames and snapshots are
+//! encoded with an explicit little-endian byte codec. The format is
 //! deterministic — equal [`TrackerState`]s encode to equal bytes — which
 //! is what makes "bit-identical recovery" checkable at the byte level.
 //!

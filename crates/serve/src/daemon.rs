@@ -129,11 +129,6 @@ impl Daemon {
         &self.detector
     }
 
-    /// Per-channel alert delivery counters.
-    pub fn alert_stats(&self) -> Vec<(String, crate::alert::ChannelStats)> {
-        self.router.stats()
-    }
-
     /// Feeds one record, committing durably if it closed a bin.
     pub fn ingest(&mut self, record: BgpRecord) -> io::Result<()> {
         self.detector.process_record_owned(record);

@@ -599,12 +599,6 @@ impl IncidentStore {
         self.bins_since_snapshot = 0;
         Ok(())
     }
-
-    /// Serializes the current state as a standalone snapshot (the
-    /// "snapshot dump" surface: same bytes as `snapshot.bin`).
-    pub fn dump_snapshot(&self) -> Vec<u8> {
-        encode_snapshot(&self.state, self.seq, self.last_bin)
-    }
 }
 
 /// Encodes a snapshot file: header, sequence point, CRC-protected body.

@@ -6,12 +6,11 @@
 
 use crate::entities::{AsInfo, CityId, Facility, FacilityId, Ixp, IxpId};
 use kepler_bgp::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The merged colocation map (paper §3.3): AS↔facility, AS↔IXP and
 /// IXP↔facility relations plus entity metadata.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ColocationMap {
     facilities: Vec<Facility>,
     ixps: Vec<Ixp>,
@@ -105,11 +104,6 @@ impl ColocationMap {
     /// AS metadata, if registered.
     pub fn as_info(&self, asn: Asn) -> Option<&AsInfo> {
         self.as_info.get(&asn)
-    }
-
-    /// All registered AS records.
-    pub fn as_infos(&self) -> impl Iterator<Item = &AsInfo> {
-        self.as_info.values()
     }
 
     // ---- relation queries ----

@@ -2,12 +2,10 @@
 
 use crate::geo::{Continent, GeoPoint};
 use kepler_bgp::Asn;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense identifier of a colocation facility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FacilityId(pub u32);
 
 impl fmt::Display for FacilityId {
@@ -17,8 +15,7 @@ impl fmt::Display for FacilityId {
 }
 
 /// Dense identifier of an IXP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IxpId(pub u32);
 
 impl fmt::Display for IxpId {
@@ -28,8 +25,7 @@ impl fmt::Display for IxpId {
 }
 
 /// Dense identifier of a city (index into the gazetteer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CityId(pub u32);
 
 impl fmt::Display for CityId {
@@ -39,7 +35,7 @@ impl fmt::Display for CityId {
 }
 
 /// A colocation facility: one building with a postal address.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Facility {
     /// Dense id.
     pub id: FacilityId,
@@ -64,7 +60,7 @@ pub struct Facility {
 
 /// An Internet exchange point: a distributed layer-2 fabric whose switches
 /// live inside colocation facilities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ixp {
     /// Dense id.
     pub id: IxpId,
@@ -82,7 +78,7 @@ pub struct Ixp {
 
 /// Coarse business role of an AS; drives topology generation and peering
 /// policy in the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AsType {
     /// Global transit-free backbone.
     Tier1,
@@ -99,7 +95,7 @@ pub enum AsType {
 }
 
 /// Directory entry for an AS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsInfo {
     /// The AS number.
     pub asn: Asn,

@@ -1,11 +1,10 @@
 //! Geography: coordinates, great-circle distances, continents, and the
 //! city gazetteer used for geocoding community location identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A WGS-84 coordinate pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north.
     pub lat: f64,
@@ -31,7 +30,7 @@ impl GeoPoint {
 }
 
 /// Continental buckets used in the paper's Table 1 and Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Continent {
     /// Europe.
     Europe,
@@ -70,7 +69,7 @@ impl fmt::Display for Continent {
 }
 
 /// One gazetteer city.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GazetteerCity {
     /// Canonical English name.
     pub name: &'static str,

@@ -4,13 +4,11 @@
 //! evidence when classifying an outage signal.
 
 use kepler_bgp::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Dense identifier of an organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OrgId(pub u32);
 
 impl fmt::Display for OrgId {
@@ -21,7 +19,7 @@ impl fmt::Display for OrgId {
 
 /// Maps ASNs to organizations. ASNs not explicitly registered are treated
 /// as single-AS organizations distinct from every other AS.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OrgMap {
     asn_to_org: HashMap<Asn, OrgId>,
     org_names: Vec<String>,

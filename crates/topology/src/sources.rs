@@ -9,10 +9,9 @@
 
 use crate::geo::GeoPoint;
 use kepler_bgp::Asn;
-use serde::{Deserialize, Serialize};
 
 /// A facility record as one source publishes it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceFacility {
     /// Source-specific display name.
     pub name: String,
@@ -33,7 +32,7 @@ pub struct SourceFacility {
 }
 
 /// An IXP record as one source publishes it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceIxp {
     /// Source-specific display name.
     pub name: String,
@@ -50,7 +49,7 @@ pub struct SourceIxp {
 }
 
 /// One source's complete snapshot.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ColoSnapshot {
     /// Human-readable source name ("peeringdb", "datacentermap").
     pub source: String,

@@ -77,11 +77,6 @@ impl SimProbe {
         }
         SimProbe { sim, cache: RefCell::new(cache), baseline }
     }
-
-    /// Number of scopes with baseline coverage.
-    pub fn covered_scopes(&self) -> usize {
-        self.baseline.len()
-    }
 }
 
 /// All outage scopes a traceroute path traverses (facilities, IXPs, and

@@ -104,7 +104,7 @@ fn recorded_campaign_replays_bit_identically() {
     let mut recorder = recording_prober_for(scenario, ProbeEngineConfig::default(), fault);
     let live = recorder.validate(&request, request.bin_start);
     assert!(!live.verdicts.is_empty(), "fixture campaign judged nothing: {live:?}");
-    // Serialize the transcript, parse it back, and replay with *no*
+    // Render the transcript, parse it back, and replay with *no*
     // backend behind it — zero network (or simulator) access.
     let text = recorder.backend().transcript.serialize();
     let parsed = kepler::probe::CampaignTranscript::parse(&text).expect("transcript round-trips");
