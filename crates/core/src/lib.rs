@@ -82,4 +82,4 @@ pub use signal::{
     SourceContribution, SourceSignal,
 };
 pub use system::{Kepler, KeplerInputs};
-pub use tracker::{OngoingExport, TrackerState};
+pub use tracker::{Incident, TrackerState};

@@ -276,7 +276,7 @@ impl Kepler {
     /// ([`crate::tracker::TrackerState`]) — the image a durable incident
     /// store persists and replays.
     pub fn export_incidents(&self) -> crate::tracker::TrackerState {
-        self.tracker.export(&self.interner)
+        self.tracker.export()
     }
 
     /// Replaces the tracker's lifecycle state with an exported image,

@@ -21,6 +21,10 @@
 //! Lifecycle states surface as [`IncidentState`] — `Open` while the
 //! epicenter is dark, `Recovering` once restoration has been observed but
 //! the oscillation window is still live, `Closed` when final.
+//!
+//! One struct, [`Incident`], is the live incident everywhere: the
+//! tracker's in-memory record, the row [`Tracker::export`] hands to the
+//! durable store, and the value the serve codec puts on the wire.
 
 use crate::config::KeplerConfig;
 use crate::events::{IncidentState, OutageReport, OutageScope, RouteKey, ValidationStatus};
@@ -30,9 +34,10 @@ use crate::monitor::Monitor;
 use crate::signal::{SignalKind, SourceContribution};
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
+use kepler_docmine::LocationTag;
 use kepler_probe::{Backoff, Epicenter, HopEvidence, RestorationProber, RestorationVerdict};
 use kepler_topology::{CityId, ColocationMap, FacilityId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Validation metadata recorded alongside one localized incident: the
 /// passive data-plane confirmation (paper §4.4 baseline re-probe) and the
@@ -91,77 +96,157 @@ fn merge_sources(acc: &mut Vec<SourceContribution>, add: &[SourceContribution]) 
     acc.sort_by_key(|s| s.kind.tag());
 }
 
-/// Dedup key of one judged measurement pair: (vantage, target, facility).
-type EvidenceKey = (u32, u32, u32);
+/// Set union on a sorted, deduplicated `Vec`.
+fn union<T: Ord>(acc: &mut Vec<T>, add: impl IntoIterator<Item = T>) {
+    acc.extend(add);
+    acc.sort_unstable();
+    acc.dedup();
+}
 
-fn evidence_key(e: &HopEvidence) -> EvidenceKey {
+/// Dedup key of one judged measurement pair: (vantage, target, facility).
+fn evidence_key(e: &HopEvidence) -> (u32, u32, u32) {
     (e.vantage.0, e.target.0, e.facility.0)
 }
 
-#[derive(Debug)]
-struct Ongoing {
-    scope: OutageScope,
-    started: Timestamp,
+/// One live (open or recovering) incident with all its lifecycle clocks
+/// — the tracker's record, its exported image and the store's
+/// `degraded_events` row are this one struct. Everything is in display
+/// space, so the image survives a process restart (a fresh interner
+/// re-mints different dense ids, display keys are stable).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Incident {
+    /// Localized epicenter.
+    pub scope: OutageScope,
+    /// When the incident opened (first segment).
+    pub started: Timestamp,
     /// Duration accumulated by earlier oscillation segments.
-    prior_duration: u64,
-    segment_start: Timestamp,
-    oscillations: usize,
-    affected_near: BTreeSet<Asn>,
-    affected_far: BTreeSet<Asn>,
-    affected_keys: BTreeSet<RouteKey>,
-    /// Crossings to watch for restoration, in dense-id space — restoration
-    /// checks run every bin, so they must not touch fat keys.
-    watch: Vec<(RouteId, PopId, AsnId)>,
-    dataplane_confirmed: Option<bool>,
-    validation: ValidationStatus,
-    /// Accumulated judged pairs, deduplicated by (vantage, target,
-    /// facility); a fresh measurement of the same pair replaces the stale
-    /// one. `BTreeMap` so reports render evidence in a stable order.
-    evidence: BTreeMap<EvidenceKey, HopEvidence>,
+    pub prior_duration: u64,
+    /// Start of the current segment.
+    pub segment_start: Timestamp,
+    /// Oscillation segments so far (1 = never closed).
+    pub oscillations: usize,
+    /// Near-end ASes affected (sorted, unique).
+    pub affected_near: Vec<Asn>,
+    /// Far-end ASes affected (sorted, unique).
+    pub affected_far: Vec<Asn>,
+    /// Affected route keys (sorted, unique).
+    pub affected_keys: Vec<RouteKey>,
+    /// Crossings to watch for restoration: (route, PoP tag, near-end AS).
+    pub watch: Vec<(RouteKey, LocationTag, Asn)>,
+    /// Baseline data-plane confirmation, if a backend ran.
+    pub dataplane_confirmed: Option<bool>,
+    /// Targeted-probe verdict.
+    pub validation: ValidationStatus,
+    /// Accumulated judged pairs, one per (vantage, target, facility) and
+    /// sorted by it, so reports render evidence in a stable order; a
+    /// fresh measurement of the same pair replaces the stale one.
+    pub evidence: Vec<HopEvidence>,
     /// Worst campaign completeness observed across the incident's bins.
-    completeness: f64,
+    pub completeness: f64,
     /// Confidence of the accumulated probe verdict at `confidence_at`
     /// (1.0 = freshly probe-confirmed, decays with the configured
     /// half-life; 0.0 = nothing reusable).
-    confidence: f64,
-    confidence_at: Timestamp,
+    pub confidence: f64,
+    /// Anchor of the confidence decay clock.
+    pub confidence_at: Timestamp,
     /// When the next restoration re-probe is due.
-    next_probe: Timestamp,
+    pub next_probe: Timestamp,
     /// Current re-probe backoff delay.
-    probe_backoff: u64,
+    pub probe_backoff: u64,
     /// First `Restored` verdict of the current streak — the close time if
     /// the next check confirms (`None` once a `StillDown` interrupts).
-    probe_restored_at: Option<Timestamp>,
+    pub probe_restored_at: Option<Timestamp>,
     /// Consecutive BGP restoration checks above `restore_fraction`
     /// (closing hysteresis; resets on any non-restored check or new
     /// deviation signals).
-    restored_streak: usize,
+    pub restored_streak: usize,
     /// First check of the current restored streak — the close anchor
     /// once the streak reaches `close_after_consecutive`.
-    restored_first: Option<Timestamp>,
+    pub restored_first: Option<Timestamp>,
     /// Per-source detection contributions (tag-sorted; see
     /// [`merge_sources`]).
-    sources: Vec<SourceContribution>,
+    pub sources: Vec<SourceContribution>,
 }
 
-impl Ongoing {
-    fn merge_evidence(&mut self, fresh: &[HopEvidence]) {
-        for e in fresh {
-            self.evidence.insert(evidence_key(e), *e);
+impl Incident {
+    /// An incident opening at `scope` with nothing absorbed yet: `started`
+    /// may backdate the bin `now` that opened it (opening hysteresis).
+    fn opened(scope: OutageScope, started: Timestamp, now: Timestamp, backoff: u64) -> Incident {
+        Incident {
+            scope,
+            started,
+            prior_duration: 0,
+            segment_start: started,
+            oscillations: 1,
+            affected_near: Vec::new(),
+            affected_far: Vec::new(),
+            affected_keys: Vec::new(),
+            watch: Vec::new(),
+            dataplane_confirmed: None,
+            validation: ValidationStatus::Unvalidated,
+            evidence: Vec::new(),
+            completeness: 1.0,
+            confidence: 0.0,
+            confidence_at: now,
+            next_probe: now.saturating_add(backoff),
+            probe_backoff: backoff,
+            probe_restored_at: None,
+            restored_streak: 0,
+            restored_first: None,
+            sources: Vec::new(),
         }
     }
 
-    fn evidence_vec(&self) -> Vec<HopEvidence> {
-        self.evidence.values().copied().collect()
-    }
-
-    fn live_state(&self) -> IncidentState {
+    /// `Recovering` once restoration has been observed — a probe's
+    /// `Restored` verdict or a control-plane restored streak — `Open`
+    /// while the epicenter is dark. The one place this rule lives.
+    pub fn live_state(&self) -> IncidentState {
         if self.probe_restored_at.is_some() || self.restored_streak > 0 {
             IncidentState::Recovering
         } else {
             IncidentState::Open
         }
     }
+
+    /// Folds judged pairs into the ledger. On a pair already present the
+    /// incoming measurement replaces it only when `fresh`.
+    fn merge_evidence(&mut self, add: &[HopEvidence], fresh: bool) {
+        for e in add {
+            match self.evidence.binary_search_by_key(&evidence_key(e), evidence_key) {
+                Ok(i) if fresh => self.evidence[i] = *e,
+                Ok(_) => {}
+                Err(i) => self.evidence.insert(i, *e),
+            }
+        }
+    }
+
+    /// The report this incident closes as.
+    fn into_report(self, end: Option<Timestamp>, state: IncidentState) -> OutageReport {
+        OutageReport {
+            scope: self.scope,
+            start: self.started,
+            end,
+            affected_near: self.affected_near.into_iter().collect(),
+            affected_far: self.affected_far.into_iter().collect(),
+            affected_paths: self.affected_keys.len(),
+            oscillations: self.oscillations,
+            dataplane_confirmed: self.dataplane_confirmed,
+            validation: self.validation,
+            probe_evidence: self.evidence,
+            probe_completeness: self.completeness,
+            state,
+            sources: self.sources,
+        }
+    }
+}
+
+/// A live incident plus its watch list in dense-id space — restoration
+/// checks run every bin, so they must not touch fat keys.
+#[derive(Debug)]
+struct Ongoing {
+    inc: Incident,
+    /// `inc.watch`, interned: same crossings, same order.
+    watch: Vec<(RouteId, PopId, AsnId)>,
 }
 
 /// Tracks ongoing and closed outages.
@@ -220,6 +305,20 @@ impl Tracker {
         }
     }
 
+    /// The key in `map` an incident at `scope` merges into: the exact
+    /// scope first, then any related scope (same city).
+    fn merge_target<V>(
+        &self,
+        map: &HashMap<OutageScope, V>,
+        scope: OutageScope,
+    ) -> Option<OutageScope> {
+        if map.contains_key(&scope) {
+            Some(scope)
+        } else {
+            map.keys().find(|s| self.related(s, &scope)).copied()
+        }
+    }
+
     /// The scope to keep when merging two related scopes: identical scopes
     /// stay; a city-level scope corroborating a sharper one is absorbed
     /// into the sharp scope; two distinct physical scopes abstract to
@@ -246,18 +345,18 @@ impl Tracker {
         }
     }
 
-    /// The accumulated confidence of `on`'s probe verdict at `now`,
+    /// The accumulated confidence of `inc`'s probe verdict at `now`,
     /// decayed by the configured half-life.
-    fn decayed_confidence(&self, on: &Ongoing, now: Timestamp) -> f64 {
-        if on.confidence <= 0.0 {
+    fn decayed_confidence(&self, inc: &Incident, now: Timestamp) -> f64 {
+        if inc.confidence <= 0.0 {
             return 0.0;
         }
         let half_life = self.config.evidence_half_life_secs;
         if half_life == 0 {
             return 0.0;
         }
-        let age = now.saturating_sub(on.confidence_at) as f64;
-        on.confidence * 0.5_f64.powf(age / half_life as f64)
+        let age = now.saturating_sub(inc.confidence_at) as f64;
+        inc.confidence * 0.5_f64.powf(age / half_life as f64)
     }
 
     /// Cross-bin evidence reuse: if an *open* incident whose epicenter is
@@ -271,247 +370,195 @@ impl Tracker {
         candidates: &[FacilityId],
         now: Timestamp,
     ) -> Option<(FacilityId, Vec<HopEvidence>)> {
-        let mut best: Option<(f64, FacilityId, Vec<HopEvidence>)> = None;
+        let mut best: Option<(f64, FacilityId, &Incident)> = None;
         // Candidate order (best passive score first) breaks confidence
         // ties, so attribution never depends on map iteration order.
         for &f in candidates {
             let Some(on) = self.ongoing.get(&OutageScope::Facility(f)) else { continue };
-            if on.validation != ValidationStatus::Confirmed {
+            if on.inc.validation != ValidationStatus::Confirmed {
                 continue;
             }
-            let c = self.decayed_confidence(on, now);
+            let c = self.decayed_confidence(&on.inc, now);
             if c < self.config.evidence_reuse_confidence {
                 continue;
             }
             if best.as_ref().map(|(b, ..)| c > *b).unwrap_or(true) {
-                best = Some((c, f, on.evidence_vec()));
+                best = Some((c, f, &on.inc));
             }
         }
-        best.map(|(_, f, ev)| (f, ev))
+        best.map(|(_, f, inc)| (f, inc.evidence.clone()))
     }
 
-    /// Records this bin's localized incidents. The incidents' display-typed
-    /// watch crossings are interned once here; every later restoration
-    /// check runs dense.
+    /// Records this bin's localized incidents. Each one picks its base —
+    /// the ongoing incident it belongs to, a recently closed one it
+    /// reopens, or a fresh one — and is then absorbed into it. The
+    /// display-typed watch crossings are interned once here; every later
+    /// restoration check runs dense.
     pub fn record(
         &mut self,
         incidents: &[LocalizedIncident],
         meta: &[IncidentMeta],
         interner: &mut Interner,
     ) {
-        let backoff = self.backoff();
         for (inc, meta) in incidents.iter().zip(meta.iter()) {
-            let dense_watch: Vec<(RouteId, PopId, AsnId)> = inc
-                .watch
-                .iter()
-                .map(|(k, pop, near)| {
-                    (interner.route_id(k), interner.pop_id(*pop), interner.asn_id(*near))
-                })
-                .collect();
-            // Attribution: an empty meta source list means the plain
-            // deviation test found this bin.
-            let contribs = if meta.sources.is_empty() {
-                vec![SourceContribution {
-                    kind: SignalKind::Deviation,
-                    confidence: 1.0,
-                    first_bin: inc.bin_start,
-                }]
-            } else {
-                meta.sources.clone()
+            let base = match self.merge_target(&self.ongoing, inc.scope) {
+                Some(key) => {
+                    let mut on = self.ongoing.remove(&key).expect("target present");
+                    on.inc.scope = self.merged_scope(key, inc.scope);
+                    Some(on)
+                }
+                None => self.reopen(inc).or_else(|| self.open(inc)),
             };
-            // Merge target among ongoing outages: exact scope first, then
-            // any related scope (same city).
-            let target = if self.ongoing.contains_key(&inc.scope) {
-                Some(inc.scope)
-            } else {
-                self.ongoing.keys().find(|s| self.related(s, &inc.scope)).copied()
-            };
-            if let Some(key) = target {
-                let mut on = self.ongoing.remove(&key).expect("target present");
-                on.affected_near.extend(inc.affected_near.iter().copied());
-                on.affected_far.extend(inc.affected_far.iter().copied());
-                on.affected_keys.extend(inc.affected_keys.iter().copied());
-                on.watch.extend(dense_watch.iter().copied());
-                if on.dataplane_confirmed.is_none() {
-                    on.dataplane_confirmed = meta.dataplane;
-                }
-                if on.validation == ValidationStatus::Unvalidated {
-                    on.validation = meta.validation;
-                }
-                on.completeness = on.completeness.min(meta.completeness);
-                on.merge_evidence(&meta.evidence);
-                merge_sources(&mut on.sources, &contribs);
-                if meta.validation == ValidationStatus::Confirmed && !meta.reused {
-                    // Freshly *measured* confirmation: the verdict is
-                    // current again. (A reused verdict keeps its original
-                    // decay clock — it adds no new measurement.)
-                    on.validation = ValidationStatus::Confirmed;
-                    on.confidence = 1.0;
-                    on.confidence_at = inc.bin_start;
-                }
-                // New signals mean the epicenter is still (or again)
-                // misbehaving: any in-flight restoration streak is stale.
-                on.probe_restored_at = None;
-                on.restored_streak = 0;
-                on.restored_first = None;
-                on.scope = self.merged_scope(key, inc.scope);
-                // A previously separate ongoing entry under the merged
-                // scope is the same incident too.
-                if let Some(other) = self.ongoing.remove(&on.scope) {
-                    if self.decayed_confidence(&other, inc.bin_start)
-                        > self.decayed_confidence(&on, inc.bin_start)
-                    {
-                        on.confidence = other.confidence;
-                        on.confidence_at = other.confidence_at;
-                    }
-                    on.next_probe = on.next_probe.min(other.next_probe);
-                    on.started = on.started.min(other.started);
-                    on.segment_start = on.segment_start.min(other.segment_start);
-                    on.prior_duration = on.prior_duration.max(other.prior_duration);
-                    on.oscillations = on.oscillations.max(other.oscillations);
-                    on.affected_near.extend(other.affected_near);
-                    on.affected_far.extend(other.affected_far);
-                    on.affected_keys.extend(other.affected_keys);
-                    on.watch.extend(other.watch);
-                    if on.validation == ValidationStatus::Unvalidated {
-                        on.validation = other.validation;
-                    }
-                    on.completeness = on.completeness.min(other.completeness);
-                    for (k, e) in other.evidence {
-                        on.evidence.entry(k).or_insert(e);
-                    }
-                    merge_sources(&mut on.sources, &other.sources);
-                }
-                self.ongoing.insert(on.scope, on);
-                continue;
+            let Some(mut on) = base else { continue };
+            self.absorb(&mut on, inc, meta, interner);
+            // A previously separate ongoing entry under the merged scope
+            // is the same incident too.
+            if let Some(other) = self.ongoing.remove(&on.inc.scope) {
+                self.absorb_entry(&mut on, other, inc.bin_start);
             }
-            // Oscillation? Reopen a recently closed incident of a related
-            // scope.
-            let ckey = if self.cooling.contains_key(&inc.scope) {
-                Some(inc.scope)
-            } else {
-                self.cooling.keys().find(|s| self.related(s, &inc.scope)).copied()
-            };
-            if let Some(key) = ckey {
-                let (report, acc) = self.cooling.remove(&key).expect("cooling present");
-                let gap_ok = report
-                    .end
-                    .map(|e| inc.bin_start.saturating_sub(e) < self.config.merge_window_secs)
-                    .unwrap_or(false);
-                if gap_ok {
-                    let scope = self.merged_scope(key, inc.scope);
-                    let mut on = Ongoing {
-                        scope,
-                        started: report.start,
-                        prior_duration: acc,
-                        segment_start: inc.bin_start,
-                        oscillations: report.oscillations + 1,
-                        affected_near: report.affected_near.clone(),
-                        affected_far: report.affected_far.clone(),
-                        affected_keys: BTreeSet::new(),
-                        watch: dense_watch.clone(),
-                        dataplane_confirmed: report.dataplane_confirmed,
-                        validation: report.validation,
-                        evidence: report
-                            .probe_evidence
-                            .iter()
-                            .map(|e| (evidence_key(e), *e))
-                            .collect(),
-                        completeness: report.probe_completeness.min(meta.completeness),
-                        // The earlier segment's confirmation spoke about the
-                        // earlier failure: a reopened incident must re-earn
-                        // its confidence before any verdict reuse.
-                        confidence: 0.0,
-                        confidence_at: inc.bin_start,
-                        next_probe: inc.bin_start.saturating_add(backoff.first()),
-                        probe_backoff: backoff.first(),
-                        probe_restored_at: None,
-                        restored_streak: 0,
-                        restored_first: None,
-                        sources: report.sources.clone(),
-                    };
-                    merge_sources(&mut on.sources, &contribs);
-                    on.affected_near.extend(inc.affected_near.iter().copied());
-                    on.affected_far.extend(inc.affected_far.iter().copied());
-                    on.affected_keys.extend(inc.affected_keys.iter().copied());
-                    if on.dataplane_confirmed.is_none() {
-                        on.dataplane_confirmed = meta.dataplane;
-                    }
-                    if on.validation == ValidationStatus::Unvalidated {
-                        on.validation = meta.validation;
-                    }
-                    on.merge_evidence(&meta.evidence);
-                    if meta.validation == ValidationStatus::Confirmed && !meta.reused {
-                        on.validation = ValidationStatus::Confirmed;
-                        on.confidence = 1.0;
-                    }
-                    self.ongoing.insert(on.scope, on);
-                    continue;
-                }
-                // Too old: the cooled incident is final.
-                self.finish_report(report);
-            }
-            // Opening hysteresis: a brand-new incident only opens once
-            // the signal has recurred in `open_after_consecutive`
-            // consecutive bins (record() is only called for bins that
-            // carry signals, so "consecutive" is a bounded gap between
-            // signal bins). The start backdates to the streak's first
-            // bin. With the default threshold of 1 this is a no-op.
-            let mut started = inc.bin_start;
-            if self.config.open_after_consecutive > 1 {
-                let max_gap = 2 * self.config.bin_secs;
-                let (streak, first) = match self.warming.get(&inc.scope) {
-                    // Same bin re-localized: no double counting.
-                    Some(&(streak, last, first)) if inc.bin_start == last => (streak, first),
-                    Some(&(streak, last, first))
-                        if inc.bin_start > last && inc.bin_start - last <= max_gap =>
-                    {
-                        (streak + 1, first)
-                    }
-                    _ => (1, inc.bin_start),
-                };
-                if streak < self.config.open_after_consecutive {
-                    self.warming.insert(inc.scope, (streak, inc.bin_start, first));
-                    continue;
-                }
-                self.warming.remove(&inc.scope);
-                started = first;
-            }
-            self.ongoing.insert(
-                inc.scope,
-                Ongoing {
-                    scope: inc.scope,
-                    started,
-                    prior_duration: 0,
-                    segment_start: started,
-                    oscillations: 1,
-                    affected_near: inc.affected_near.clone(),
-                    affected_far: inc.affected_far.clone(),
-                    affected_keys: inc.affected_keys.iter().copied().collect(),
-                    watch: dense_watch,
-                    dataplane_confirmed: meta.dataplane,
-                    validation: meta.validation,
-                    evidence: meta.evidence.iter().map(|e| (evidence_key(e), *e)).collect(),
-                    completeness: meta.completeness,
-                    confidence: if meta.validation == ValidationStatus::Confirmed && !meta.reused {
-                        1.0
-                    } else {
-                        0.0
-                    },
-                    confidence_at: inc.bin_start,
-                    next_probe: inc.bin_start.saturating_add(backoff.first()),
-                    probe_backoff: backoff.first(),
-                    probe_restored_at: None,
-                    restored_streak: 0,
-                    restored_first: None,
-                    sources: {
-                        let mut s = Vec::new();
-                        merge_sources(&mut s, &contribs);
-                        s
-                    },
-                },
-            );
+            self.ongoing.insert(on.inc.scope, on);
         }
+    }
+
+    /// Oscillation: the recently closed incident of a related scope,
+    /// reopened with a new segment starting at `inc`'s bin. A cooled
+    /// incident older than the merge window becomes final instead.
+    fn reopen(&mut self, inc: &LocalizedIncident) -> Option<Ongoing> {
+        let key = self.merge_target(&self.cooling, inc.scope)?;
+        let (report, acc) = self.cooling.remove(&key).expect("cooling present");
+        let gap_ok = report
+            .end
+            .map(|e| inc.bin_start.saturating_sub(e) < self.config.merge_window_secs)
+            .unwrap_or(false);
+        if !gap_ok {
+            self.finish_report(report);
+            return None;
+        }
+        let scope = self.merged_scope(key, inc.scope);
+        // The earlier segment's confirmation spoke about the earlier
+        // failure: the reopened incident starts at confidence 0 and must
+        // re-earn it before any verdict reuse.
+        let inc = Incident {
+            started: report.start,
+            prior_duration: acc,
+            oscillations: report.oscillations + 1,
+            affected_near: report.affected_near.into_iter().collect(),
+            affected_far: report.affected_far.into_iter().collect(),
+            dataplane_confirmed: report.dataplane_confirmed,
+            validation: report.validation,
+            evidence: report.probe_evidence,
+            completeness: report.probe_completeness,
+            sources: report.sources,
+            ..Incident::opened(scope, inc.bin_start, inc.bin_start, self.backoff().first())
+        };
+        Some(Ongoing { inc, watch: Vec::new() })
+    }
+
+    /// A brand-new incident — once the signal has recurred in
+    /// `open_after_consecutive` consecutive bins (record() is only called
+    /// for bins that carry signals, so "consecutive" is a bounded gap
+    /// between signal bins). The start backdates to the streak's first
+    /// bin. With the default threshold of 1 it opens at once.
+    fn open(&mut self, inc: &LocalizedIncident) -> Option<Ongoing> {
+        let mut started = inc.bin_start;
+        if self.config.open_after_consecutive > 1 {
+            let max_gap = 2 * self.config.bin_secs;
+            let (streak, first) = match self.warming.get(&inc.scope) {
+                // Same bin re-localized: no double counting.
+                Some(&(streak, last, first)) if inc.bin_start == last => (streak, first),
+                Some(&(streak, last, first))
+                    if inc.bin_start > last && inc.bin_start - last <= max_gap =>
+                {
+                    (streak + 1, first)
+                }
+                _ => (1, inc.bin_start),
+            };
+            if streak < self.config.open_after_consecutive {
+                self.warming.insert(inc.scope, (streak, inc.bin_start, first));
+                return None;
+            }
+            self.warming.remove(&inc.scope);
+            started = first;
+        }
+        let inc = Incident::opened(inc.scope, started, inc.bin_start, self.backoff().first());
+        Some(Ongoing { inc, watch: Vec::new() })
+    }
+
+    /// Folds one bin's localization and its validation metadata into `on`.
+    fn absorb(
+        &self,
+        on: &mut Ongoing,
+        inc: &LocalizedIncident,
+        meta: &IncidentMeta,
+        interner: &mut Interner,
+    ) {
+        on.watch.extend(inc.watch.iter().map(|(k, pop, near)| {
+            (interner.route_id(k), interner.pop_id(*pop), interner.asn_id(*near))
+        }));
+        let on = &mut on.inc;
+        union(&mut on.affected_near, inc.affected_near.iter().copied());
+        union(&mut on.affected_far, inc.affected_far.iter().copied());
+        union(&mut on.affected_keys, inc.affected_keys.iter().copied());
+        on.watch.extend(inc.watch.iter().copied());
+        if on.dataplane_confirmed.is_none() {
+            on.dataplane_confirmed = meta.dataplane;
+        }
+        if on.validation == ValidationStatus::Unvalidated {
+            on.validation = meta.validation;
+        }
+        on.completeness = on.completeness.min(meta.completeness);
+        on.merge_evidence(&meta.evidence, true);
+        // Attribution: an empty meta source list means the plain
+        // deviation test found this bin.
+        let deviation = [SourceContribution {
+            kind: SignalKind::Deviation,
+            confidence: 1.0,
+            first_bin: inc.bin_start,
+        }];
+        merge_sources(
+            &mut on.sources,
+            if meta.sources.is_empty() { &deviation } else { &meta.sources },
+        );
+        if meta.validation == ValidationStatus::Confirmed && !meta.reused {
+            // Freshly *measured* confirmation: the verdict is current
+            // again. (A reused verdict keeps its original decay clock —
+            // it adds no new measurement.)
+            on.validation = ValidationStatus::Confirmed;
+            on.confidence = 1.0;
+            on.confidence_at = inc.bin_start;
+        }
+        // New signals mean the epicenter is still (or again)
+        // misbehaving: any in-flight restoration streak is stale.
+        on.probe_restored_at = None;
+        on.restored_streak = 0;
+        on.restored_first = None;
+    }
+
+    /// Folds a second ongoing entry of the same physical incident into
+    /// `on`: the earlier clocks, the larger counters and the verdict with
+    /// the higher confidence at `now` win; `on`'s evidence wins per pair.
+    fn absorb_entry(&self, on: &mut Ongoing, other: Ongoing, now: Timestamp) {
+        on.watch.extend(other.watch);
+        let (on, other) = (&mut on.inc, other.inc);
+        if self.decayed_confidence(&other, now) > self.decayed_confidence(on, now) {
+            on.confidence = other.confidence;
+            on.confidence_at = other.confidence_at;
+        }
+        on.next_probe = on.next_probe.min(other.next_probe);
+        on.started = on.started.min(other.started);
+        on.segment_start = on.segment_start.min(other.segment_start);
+        on.prior_duration = on.prior_duration.max(other.prior_duration);
+        on.oscillations = on.oscillations.max(other.oscillations);
+        union(&mut on.affected_near, other.affected_near);
+        union(&mut on.affected_far, other.affected_far);
+        union(&mut on.affected_keys, other.affected_keys);
+        on.watch.extend(other.watch);
+        if on.validation == ValidationStatus::Unvalidated {
+            on.validation = other.validation;
+        }
+        on.completeness = on.completeness.min(other.completeness);
+        on.merge_evidence(&other.evidence, false);
+        merge_sources(&mut on.sources, &other.sources);
     }
 
     /// Merges an auxiliary source's contribution into an already-ongoing
@@ -519,39 +566,23 @@ impl Tracker {
     /// incident absorbed it — a `false` leaves the decision of whether
     /// the signal can open an incident on its own to the fusion layer.
     pub fn corroborate(&mut self, scope: OutageScope, contrib: SourceContribution) -> bool {
-        let target = if self.ongoing.contains_key(&scope) {
-            Some(scope)
-        } else {
-            self.ongoing.keys().find(|s| self.related(s, &scope)).copied()
-        };
-        match target {
+        match self.merge_target(&self.ongoing, scope) {
             Some(key) => {
                 let on = self.ongoing.get_mut(&key).expect("target present");
-                merge_sources(&mut on.sources, &[contrib]);
+                merge_sources(&mut on.inc.sources, &[contrib]);
                 true
             }
             None => false,
         }
     }
 
-    fn close_report(&self, on: Ongoing, end: Timestamp) -> (OutageReport, u64) {
-        let seg = end.saturating_sub(on.segment_start);
-        let report = OutageReport {
-            scope: on.scope,
-            start: on.started,
-            end: Some(end),
-            affected_near: on.affected_near,
-            affected_far: on.affected_far,
-            affected_paths: on.affected_keys.len(),
-            oscillations: on.oscillations,
-            dataplane_confirmed: on.dataplane_confirmed,
-            validation: on.validation,
-            probe_evidence: on.evidence.into_values().collect(),
-            probe_completeness: on.completeness,
-            state: IncidentState::Recovering,
-            sources: on.sources,
-        };
-        (report, on.prior_duration + seg)
+    /// Ends `scope`'s current segment at `end`: the incident leaves the
+    /// ongoing set and cools, reopenable for `merge_window_secs`.
+    fn close(&mut self, scope: OutageScope, end: Timestamp) {
+        let inc = self.ongoing.remove(&scope).expect("present").inc;
+        let duration = inc.prior_duration + end.saturating_sub(inc.segment_start);
+        let report = inc.into_report(Some(end), IncidentState::Recovering);
+        self.cooling.insert(scope, (report, duration));
     }
 
     fn finish_report(&mut self, mut report: OutageReport) {
@@ -577,43 +608,37 @@ impl Tracker {
         prober: &mut dyn RestorationProber,
     ) -> usize {
         let backoff = self.backoff();
-        let mut due: Vec<OutageScope> =
-            self.ongoing.iter().filter(|(_, on)| now >= on.next_probe).map(|(s, _)| *s).collect();
+        let mut due: Vec<OutageScope> = self
+            .ongoing
+            .iter()
+            .filter(|(_, on)| now >= on.inc.next_probe)
+            .map(|(s, _)| *s)
+            .collect();
         due.sort(); // deterministic probe order
         let mut closed = 0usize;
         for scope in due {
-            let verdict = {
-                let on = &self.ongoing[&scope];
-                let epicenter = match scope {
-                    OutageScope::Facility(f) => Epicenter::Facility(f),
-                    OutageScope::Ixp(x) => Epicenter::Ixp(x),
-                    OutageScope::City(c) => Epicenter::City(c),
-                };
-                let targets: Vec<Asn> = on.affected_far.iter().copied().collect();
-                prober.check(epicenter, &targets, on.started, now).verdict
+            let on = &mut self.ongoing.get_mut(&scope).expect("present").inc;
+            let epicenter = match scope {
+                OutageScope::Facility(f) => Epicenter::Facility(f),
+                OutageScope::Ixp(x) => Epicenter::Ixp(x),
+                OutageScope::City(c) => Epicenter::City(c),
             };
-            let streak_start = self.ongoing.get(&scope).and_then(|o| o.probe_restored_at);
-            if verdict == RestorationVerdict::Restored {
-                if let Some(first) = streak_start {
+            let verdict = prober.check(epicenter, &on.affected_far, on.started, now).verdict;
+            match (verdict, on.probe_restored_at) {
+                (RestorationVerdict::Restored, Some(first)) => {
                     // Second consecutive confirmation: the outage ended
                     // when the streak began.
-                    let on = self.ongoing.remove(&scope).expect("present");
-                    let entry = self.close_report(on, first);
-                    self.cooling.insert(scope, entry);
+                    self.close(scope, first);
                     closed += 1;
-                    continue;
                 }
-            }
-            let on = self.ongoing.get_mut(&scope).expect("present");
-            match verdict {
-                RestorationVerdict::Restored => {
+                (RestorationVerdict::Restored, None) => {
                     // Observe once, confirm quickly: the streak resets
                     // the backoff to its floor.
                     on.probe_restored_at = Some(now);
                     on.probe_backoff = backoff.first();
                     on.next_probe = now.saturating_add(on.probe_backoff);
                 }
-                RestorationVerdict::StillDown | RestorationVerdict::Inconclusive => {
+                (RestorationVerdict::StillDown | RestorationVerdict::Inconclusive, _) => {
                     // "Two consecutive Restored" is literal: an
                     // Inconclusive check (starved budget, thin baseline)
                     // also breaks the streak — otherwise a close could
@@ -630,45 +655,39 @@ impl Tracker {
 
     /// Checks ongoing outages for restoration at the close of a bin.
     pub fn check_restorations(&mut self, now: Timestamp, monitor: &Monitor) {
+        // How far a close may backdate to a probe's `Restored` verdict:
+        // one initial-backoff window (a streak older than that would
+        // already have faced — and failed — its confirming re-probe, so
+        // it must be stale state from a caller that skips
+        // `probe_restorations`).
+        let fresh_window = self.backoff().first().saturating_add(self.config.bin_secs);
         let scopes: Vec<OutageScope> = self.ongoing.keys().copied().collect();
         for scope in scopes {
-            let restored = {
-                let on = &self.ongoing[&scope];
-                if on.watch.is_empty() {
-                    false
-                } else {
-                    let returned = on
-                        .watch
-                        .iter()
-                        .filter(|&&(r, p, a)| monitor.route_has_crossing(r, p, a))
-                        .count();
-                    returned as f64 / on.watch.len() as f64 > self.config.restore_fraction
-                }
-            };
+            let on = self.ongoing.get_mut(&scope).expect("present");
+            let returned =
+                on.watch.iter().filter(|&&(r, p, a)| monitor.route_has_crossing(r, p, a)).count();
+            let restored = !on.watch.is_empty()
+                && returned as f64 / on.watch.len() as f64 > self.config.restore_fraction;
+            let on = &mut on.inc;
             if !restored {
                 // A non-restored check breaks the closing streak: the
                 // watch list dipped back below `restore_fraction`.
-                let on = self.ongoing.get_mut(&scope).expect("present");
                 on.restored_streak = 0;
                 on.restored_first = None;
                 continue;
             }
-            {
-                // Closing hysteresis: the watch list must stay restored
-                // for `close_after_consecutive` checks before the close
-                // fires (threshold 1 = close immediately, the paper's
-                // behavior). A flapping epicenter keeps breaking the
-                // streak and stays one Open↔Recovering incident.
-                let on = self.ongoing.get_mut(&scope).expect("present");
-                on.restored_streak += 1;
-                if on.restored_first.is_none() {
-                    on.restored_first = Some(now);
-                }
-                if on.restored_streak < self.config.close_after_consecutive {
-                    continue;
-                }
+            // Closing hysteresis: the watch list must stay restored for
+            // `close_after_consecutive` checks before the close fires
+            // (threshold 1 = close immediately, the paper's behavior). A
+            // flapping epicenter keeps breaking the streak and stays one
+            // Open↔Recovering incident.
+            on.restored_streak += 1;
+            if on.restored_first.is_none() {
+                on.restored_first = Some(now);
             }
-            let on = self.ongoing.remove(&scope).expect("present");
+            if on.restored_streak < self.config.close_after_consecutive {
+                continue;
+            }
             // The close anchors at the *first* restored check of the
             // streak — the later checks only confirmed it.
             let anchor = on.restored_first.unwrap_or(now).min(now);
@@ -676,18 +695,13 @@ impl Tracker {
             // outage ended then — BGP reconvergence lag is not downtime.
             // A single Restored verdict does not close on its own, but
             // the control plane crossing `restore_fraction` corroborates
-            // it; the backdate is bounded to one initial-backoff window
-            // (a streak older than that would already have faced — and
-            // failed — its confirming re-probe, so it must be stale
-            // state from a caller that skips `probe_restorations`).
-            let fresh_window = self.backoff().first().saturating_add(self.config.bin_secs);
+            // it; the backdate is bounded to `fresh_window`.
             let end = on
                 .probe_restored_at
                 .filter(|&t| anchor.saturating_sub(t) <= fresh_window)
                 .unwrap_or(anchor)
                 .min(anchor);
-            let entry = self.close_report(on, end);
-            self.cooling.insert(scope, entry);
+            self.close(scope, end);
         }
         // Promote cooled incidents older than the merge window to final.
         let expired: Vec<OutageScope> = self
@@ -713,7 +727,7 @@ impl Tracker {
         let mut out: Vec<(OutageScope, IncidentState)> = self
             .ongoing
             .iter()
-            .map(|(s, on)| (*s, on.live_state()))
+            .map(|(s, on)| (*s, on.inc.live_state()))
             .chain(self.cooling.keys().map(|s| (*s, IncidentState::Recovering)))
             .collect();
         out.sort();
@@ -729,24 +743,9 @@ impl Tracker {
         for report in cooled {
             self.finish_report(report);
         }
-        let open: Vec<Ongoing> = self.ongoing.drain().map(|(_, on)| on).collect();
-        for on in open {
-            let state = on.live_state();
-            self.finished.push(OutageReport {
-                scope: on.scope,
-                start: on.started,
-                end: None,
-                affected_near: on.affected_near,
-                affected_far: on.affected_far,
-                affected_paths: on.affected_keys.len(),
-                oscillations: on.oscillations,
-                dataplane_confirmed: on.dataplane_confirmed,
-                validation: on.validation,
-                probe_evidence: on.evidence.into_values().collect(),
-                probe_completeness: on.completeness,
-                state,
-                sources: on.sources,
-            });
+        for (_, on) in self.ongoing.drain() {
+            let state = on.inc.live_state();
+            self.finished.push(on.inc.into_report(None, state));
         }
         self.finished.sort_by_key(|r| (r.start, r.scope));
         std::mem::take(&mut self.finished)
@@ -757,46 +756,12 @@ impl Tracker {
         self.ongoing.len()
     }
 
-    /// Exports the tracker's full lifecycle state in display space.
-    ///
-    /// Dense watch-list ids are resolved through `interner` so the image
-    /// survives a process restart: a fresh interner re-mints different
-    /// ids, but display keys are stable. Entries are sorted by scope, so
-    /// two trackers holding the same incidents export byte-identical
-    /// state regardless of hash-map iteration order — the property the
-    /// serve layer's WAL/snapshot recovery tests rely on.
-    pub fn export(&self, interner: &Interner) -> TrackerState {
-        let mut ongoing: Vec<OngoingExport> = self
-            .ongoing
-            .values()
-            .map(|on| OngoingExport {
-                scope: on.scope,
-                started: on.started,
-                prior_duration: on.prior_duration,
-                segment_start: on.segment_start,
-                oscillations: on.oscillations,
-                affected_near: on.affected_near.iter().copied().collect(),
-                affected_far: on.affected_far.iter().copied().collect(),
-                affected_keys: on.affected_keys.iter().copied().collect(),
-                watch: on
-                    .watch
-                    .iter()
-                    .map(|&(r, p, a)| (interner.route_key(r), interner.pop_tag(p), interner.asn(a)))
-                    .collect(),
-                dataplane_confirmed: on.dataplane_confirmed,
-                validation: on.validation,
-                evidence: on.evidence.values().copied().collect(),
-                completeness: on.completeness,
-                confidence: on.confidence,
-                confidence_at: on.confidence_at,
-                next_probe: on.next_probe,
-                probe_backoff: on.probe_backoff,
-                probe_restored_at: on.probe_restored_at,
-                restored_streak: on.restored_streak,
-                restored_first: on.restored_first,
-                sources: on.sources.clone(),
-            })
-            .collect();
+    /// Exports the tracker's full lifecycle state. Entries are sorted by
+    /// scope, so two trackers holding the same incidents export
+    /// byte-identical state regardless of hash-map iteration order — the
+    /// property the serve layer's WAL/snapshot recovery tests rely on.
+    pub fn export(&self) -> TrackerState {
+        let mut ongoing: Vec<Incident> = self.ongoing.values().map(|on| on.inc.clone()).collect();
         ongoing.sort_by_key(|e| e.scope);
         let mut cooling: Vec<(OutageScope, OutageReport, u64)> =
             self.cooling.iter().map(|(s, (r, acc))| (*s, r.clone(), *acc)).collect();
@@ -808,44 +773,22 @@ impl Tracker {
     }
 
     /// Replaces the tracker's lifecycle state with an exported image,
-    /// re-interning display keys into `interner` (geography and config
+    /// interning each watch list into `interner` (geography and config
     /// are not part of the image — configure the tracker first). The
     /// round trip `export → import → export` is exact.
     pub fn import(&mut self, state: &TrackerState, interner: &mut Interner) {
         self.ongoing = state
             .ongoing
             .iter()
-            .map(|e| {
-                let on = Ongoing {
-                    scope: e.scope,
-                    started: e.started,
-                    prior_duration: e.prior_duration,
-                    segment_start: e.segment_start,
-                    oscillations: e.oscillations,
-                    affected_near: e.affected_near.iter().copied().collect(),
-                    affected_far: e.affected_far.iter().copied().collect(),
-                    affected_keys: e.affected_keys.iter().copied().collect(),
-                    watch: e
-                        .watch
-                        .iter()
-                        .map(|(k, pop, near)| {
-                            (interner.route_id(k), interner.pop_id(*pop), interner.asn_id(*near))
-                        })
-                        .collect(),
-                    dataplane_confirmed: e.dataplane_confirmed,
-                    validation: e.validation,
-                    evidence: e.evidence.iter().map(|h| (evidence_key(h), *h)).collect(),
-                    completeness: e.completeness,
-                    confidence: e.confidence,
-                    confidence_at: e.confidence_at,
-                    next_probe: e.next_probe,
-                    probe_backoff: e.probe_backoff,
-                    probe_restored_at: e.probe_restored_at,
-                    restored_streak: e.restored_streak,
-                    restored_first: e.restored_first,
-                    sources: e.sources.clone(),
-                };
-                (e.scope, on)
+            .map(|inc| {
+                let watch = inc
+                    .watch
+                    .iter()
+                    .map(|(k, pop, near)| {
+                        (interner.route_id(k), interner.pop_id(*pop), interner.asn_id(*near))
+                    })
+                    .collect();
+                (inc.scope, Ongoing { inc: inc.clone(), watch })
             })
             .collect();
         self.cooling = state.cooling.iter().map(|(s, r, acc)| (*s, (r.clone(), *acc))).collect();
@@ -853,55 +796,6 @@ impl Tracker {
             state.warming.iter().map(|&(s, n, last, first)| (s, (n, last, first))).collect();
         self.finished = state.finished.clone();
     }
-}
-
-/// Display-space image of one ongoing incident: everything the tracker
-/// holds for it, with dense watch-list ids resolved to stable keys. Part
-/// of [`TrackerState`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct OngoingExport {
-    /// Localized epicenter.
-    pub scope: OutageScope,
-    /// When the incident opened (first segment).
-    pub started: Timestamp,
-    /// Duration accumulated by earlier oscillation segments.
-    pub prior_duration: u64,
-    /// Start of the current segment.
-    pub segment_start: Timestamp,
-    /// Oscillation segments so far (1 = never closed).
-    pub oscillations: usize,
-    /// Near-end ASes affected (sorted).
-    pub affected_near: Vec<Asn>,
-    /// Far-end ASes affected (sorted).
-    pub affected_far: Vec<Asn>,
-    /// Affected route keys (sorted).
-    pub affected_keys: Vec<RouteKey>,
-    /// Restoration watch crossings, display-typed.
-    pub watch: Vec<(RouteKey, kepler_docmine::LocationTag, Asn)>,
-    /// Baseline data-plane confirmation, if a backend ran.
-    pub dataplane_confirmed: Option<bool>,
-    /// Targeted-probe verdict.
-    pub validation: ValidationStatus,
-    /// Accumulated judged measurement pairs (evidence-key order).
-    pub evidence: Vec<HopEvidence>,
-    /// Worst campaign completeness observed.
-    pub completeness: f64,
-    /// Probe-verdict confidence at `confidence_at`.
-    pub confidence: f64,
-    /// Anchor of the confidence decay clock.
-    pub confidence_at: Timestamp,
-    /// When the next restoration re-probe is due.
-    pub next_probe: Timestamp,
-    /// Current re-probe backoff delay.
-    pub probe_backoff: u64,
-    /// First `Restored` verdict of the current streak.
-    pub probe_restored_at: Option<Timestamp>,
-    /// Consecutive restored control-plane checks.
-    pub restored_streak: usize,
-    /// First check of the current restored streak.
-    pub restored_first: Option<Timestamp>,
-    /// Per-source detection contributions (tag-sorted).
-    pub sources: Vec<SourceContribution>,
 }
 
 /// Exportable image of a [`Tracker`]'s full lifecycle state — ongoing
@@ -913,7 +807,7 @@ pub struct OngoingExport {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrackerState {
     /// Open/recovering incidents, sorted by scope.
-    pub ongoing: Vec<OngoingExport>,
+    pub ongoing: Vec<Incident>,
     /// Cooling segments: (scope, closed report, accumulated duration).
     pub cooling: Vec<(OutageScope, OutageReport, u64)>,
     /// Opening-hysteresis streaks: (scope, streak, last bin, first bin).
@@ -970,6 +864,30 @@ mod tests {
             evidence,
             ..IncidentMeta::default()
         }
+    }
+
+    /// A colocation map holding the given (facility, city) pairs.
+    fn geography(pairs: &[(u32, u32)]) -> ColocationMap {
+        let mut colo = ColocationMap::new();
+        for &(id, city) in pairs {
+            colo.add_facility(kepler_topology::entities::Facility {
+                id: FacilityId(id),
+                name: format!("F{id}"),
+                address: String::new(),
+                postcode: format!("P{id}"),
+                country: "GB".into(),
+                city: kepler_topology::CityId(city),
+                continent: kepler_topology::Continent::Europe,
+                point: kepler_topology::GeoPoint::new(51.5, 0.0),
+                operator: "Op".into(),
+            });
+        }
+        colo
+    }
+
+    /// `incident` under another scope.
+    fn scoped(scope: OutageScope, t: u64, keys: &[u8]) -> LocalizedIncident {
+        LocalizedIncident { scope, ..incident(t, keys) }
     }
 
     /// Monitor whose `current` holds crossings for the given keys.
@@ -1230,23 +1148,7 @@ mod tests {
         let mut t = Tracker::new(KeplerConfig::default());
         // Two distinct cities so the incidents stay separate (related()
         // merges same-city facility scopes).
-        t.set_geography(&{
-            let mut colo = ColocationMap::new();
-            for (id, city) in [(0u32, 0u32), (1, 1), (2, 2)] {
-                colo.add_facility(kepler_topology::entities::Facility {
-                    id: FacilityId(id),
-                    name: format!("F{id}"),
-                    address: String::new(),
-                    postcode: format!("P{id}"),
-                    country: "GB".into(),
-                    city: kepler_topology::CityId(city),
-                    continent: kepler_topology::Continent::Europe,
-                    point: kepler_topology::GeoPoint::new(51.5, 0.0),
-                    operator: "Op".into(),
-                });
-            }
-            colo
-        });
+        t.set_geography(&geography(&[(0, 0), (1, 1), (2, 2)]));
         let mut inc2 = incident(1000, &[2, 3]);
         inc2.scope = OutageScope::Facility(FacilityId(2));
         t.record(
@@ -1592,6 +1494,134 @@ mod tests {
     }
 
     #[test]
+    fn city_signal_is_absorbed_into_the_open_facility_incident() {
+        let fac1 = OutageScope::Facility(FacilityId(1));
+        let mut interner = Interner::new();
+        let mut t = Tracker::new(KeplerConfig::default());
+        t.set_geography(&geography(&[(0, 9), (1, 0), (2, 0)]));
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        // The city-level shadow of the same failure corroborates the
+        // sharper scope instead of opening a second incident.
+        t.record(
+            &[scoped(OutageScope::City(CityId(0)), 1060, &[2])],
+            &[IncidentMeta { completeness: 0.5, ..IncidentMeta::default() }],
+            &mut interner,
+        );
+        assert_eq!(t.live_states(), vec![(fac1, IncidentState::Open)]);
+        let state = t.export();
+        let on = &state.ongoing[0];
+        assert_eq!((on.scope, on.started, on.oscillations), (fac1, 1000, 1));
+        assert_eq!((on.affected_keys.len(), on.watch.len()), (3, 3));
+        assert_eq!(on.completeness, 0.5);
+        // An unrelated city stays its own incident.
+        t.record(
+            &[scoped(OutageScope::City(CityId(7)), 1120, &[3])],
+            &[IncidentMeta::default()],
+            &mut interner,
+        );
+        assert_eq!(t.ongoing_count(), 2);
+    }
+
+    #[test]
+    fn two_facilities_of_one_city_abstract_to_the_city_and_absorb_its_entry() {
+        let (fac1, fac2) =
+            (OutageScope::Facility(FacilityId(1)), OutageScope::Facility(FacilityId(2)));
+        let city = OutageScope::City(CityId(0));
+        let first = KeplerConfig::default().restore_probe_initial_secs;
+        // With a facility entry and its city's entry both open, a signal
+        // at a second facility of that city relates to both, and which
+        // one `record` merges into follows the hash map's iteration
+        // order (random per tracker). Both outcomes are pinned; the
+        // absorbing one must show up within a few fresh trackers.
+        let mut absorbed = false;
+        for _ in 0..64 {
+            let mut interner = Interner::new();
+            let mut t = Tracker::new(KeplerConfig::default());
+            // Before geography is loaded the two scopes are unrelated. The
+            // city entry oscillates once and reopens probe-confirmed.
+            t.record(&[scoped(city, 400, &[4, 5])], &[IncidentMeta::default()], &mut interner);
+            t.check_restorations(500, &monitor_with(&mut interner, &[4, 5]));
+            t.record(
+                &[scoped(city, 600, &[4])],
+                &[confirmed_meta(vec![
+                    HopEvidence { post: PostState::Unreachable, ..hop_evidence(900, 20) },
+                    hop_evidence(901, 21),
+                ])],
+                &mut interner,
+            );
+            t.record(
+                &[incident(1000, &[0, 1])],
+                &[IncidentMeta {
+                    evidence: vec![hop_evidence(900, 20)],
+                    ..IncidentMeta::default()
+                }],
+                &mut interner,
+            );
+            assert_eq!(t.ongoing_count(), 2);
+            t.set_geography(&geography(&[(0, 9), (1, 0), (2, 0)]));
+            t.record(&[scoped(fac2, 2000, &[2])], &[IncidentMeta::default()], &mut interner);
+            let state = t.export();
+            let scopes: Vec<OutageScope> = state.ongoing.iter().map(|o| o.scope).collect();
+            if scopes == [fac1, fac2] {
+                // Merged into the city entry, which sharpened to fac2.
+                assert_eq!(state.ongoing[1].started, 400);
+                continue;
+            }
+            // Merged into fac1: fac1 + fac2 abstract to the city, whose
+            // separate entry is the same incident.
+            assert_eq!(scopes, [city]);
+            let on = &state.ongoing[0];
+            assert_eq!((on.started, on.segment_start, on.prior_duration), (400, 600, 100));
+            assert_eq!(on.oscillations, 2, "max of the two entries");
+            assert_eq!(on.next_probe, 600 + first, "earliest re-probe wins");
+            // A reopened segment counts only its own paths: {0, 1, 2} + {4}.
+            assert_eq!((on.affected_keys.len(), on.watch.len()), (4, 4));
+            assert_eq!(
+                on.validation,
+                ValidationStatus::Confirmed,
+                "unvalidated adopts the other's"
+            );
+            assert_eq!((on.confidence, on.confidence_at), (1.0, 600), "higher decayed confidence");
+            assert_eq!(on.evidence, [hop_evidence(900, 20), hop_evidence(901, 21)], "or_insert");
+            absorbed = true;
+            break;
+        }
+        assert!(absorbed, "64 hash seeds never picked the facility entry");
+    }
+
+    #[test]
+    fn related_scope_reopens_from_cooling_only_inside_the_merge_window() {
+        let config = KeplerConfig::default();
+        let w = config.merge_window_secs;
+        let fac2 = OutageScope::Facility(FacilityId(2));
+        for (gap, merged) in [(3600, true), (w - 1, true), (w, false), (w + 100, false)] {
+            let mut interner = Interner::new();
+            let mut t = Tracker::new(config.clone());
+            t.set_geography(&geography(&[(0, 9), (1, 0), (2, 0)]));
+            t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+            t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
+            assert_eq!(t.ongoing_count(), 0);
+            // The neighbouring facility fails `gap` seconds after the close.
+            t.record(&[scoped(fac2, 2000 + gap, &[2])], &[IncidentMeta::default()], &mut interner);
+            assert_eq!(t.ongoing_count(), 1);
+            let reports = t.finish();
+            if merged {
+                assert_eq!(reports.len(), 1, "gap {gap}: one oscillating incident");
+                let r = &reports[0];
+                assert_eq!(r.scope, OutageScope::City(CityId(0)), "two facilities → their city");
+                assert_eq!((r.start, r.end, r.oscillations), (1000, None, 2));
+                assert_eq!(r.affected_paths, 1, "only the new segment's paths are counted");
+            } else {
+                assert_eq!(reports.len(), 2, "gap {gap}: the cooled incident is final");
+                assert_eq!((reports[0].start, reports[0].end), (1000, Some(2000)));
+                assert_eq!(reports[0].state, IncidentState::Closed);
+                assert_eq!((reports[1].scope, reports[1].oscillations), (fac2, 1));
+                assert_eq!(reports[1].state, IncidentState::Open);
+            }
+        }
+    }
+
+    #[test]
     fn export_import_round_trips_through_a_fresh_interner() {
         // Build a tracker holding every kind of state at once: an open
         // incident with evidence, a cooling segment, a warming streak and
@@ -1630,7 +1660,7 @@ mod tests {
                 first_bin: 10,
             }],
         });
-        let exported = t.export(&interner);
+        let exported = t.export();
         assert_eq!(exported.ongoing.len(), 2);
         assert_eq!(exported.finished.len(), 1);
 
@@ -1643,7 +1673,7 @@ mod tests {
         interner2.asn_id(Asn(424242));
         let mut t2 = Tracker::new(KeplerConfig::default().with_hysteresis(1, 1));
         t2.import(&exported, &mut interner2);
-        assert_eq!(t2.export(&interner2), exported);
+        assert_eq!(t2.export(), exported);
         assert_eq!(t2.ongoing_count(), t.ongoing_count());
         assert_eq!(t2.live_states(), t.live_states());
         assert_eq!(

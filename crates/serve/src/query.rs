@@ -10,8 +10,8 @@
 //! half-committed transition.
 
 use kepler_bgpstream::Timestamp;
-use kepler_core::events::{IncidentState, OutageScope, ValidationStatus};
-use kepler_core::tracker::TrackerState;
+use kepler_core::events::{IncidentState, OutageReport, OutageScope, ValidationStatus};
+use kepler_core::tracker::{Incident, TrackerState};
 use kepler_topology::{CityId, FacilityId, IxpId};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -37,6 +37,37 @@ pub struct ScopeStatus {
     pub affected_far: usize,
 }
 
+impl ScopeStatus {
+    /// The status a closed report gives its scope: `Closed` once
+    /// finished, `Recovering` while it cools.
+    fn of_report(r: &OutageReport, state: IncidentState) -> ScopeStatus {
+        ScopeStatus {
+            scope: r.scope,
+            state,
+            started: r.start,
+            end: r.end,
+            validation: r.validation,
+            oscillations: r.oscillations,
+            affected_near: r.affected_near.len(),
+            affected_far: r.affected_far.len(),
+        }
+    }
+
+    /// The status of a live incident.
+    fn of_incident(o: &Incident) -> ScopeStatus {
+        ScopeStatus {
+            scope: o.scope,
+            state: o.live_state(),
+            started: o.started,
+            end: None,
+            validation: o.validation,
+            oscillations: o.oscillations,
+            affected_near: o.affected_near.len(),
+            affected_far: o.affected_far.len(),
+        }
+    }
+}
+
 /// An immutable point-in-time map of every known scope's status.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct StatusView {
@@ -52,57 +83,14 @@ impl StatusView {
     /// order is finished → cooling → ongoing, so a scope that closed once
     /// and reopened reads as its **live** incident.
     pub fn from_state(state: &TrackerState, as_of: Timestamp, seq: u64) -> StatusView {
-        let mut scopes = HashMap::new();
-        for r in &state.finished {
-            scopes.insert(
-                r.scope,
-                ScopeStatus {
-                    scope: r.scope,
-                    state: IncidentState::Closed,
-                    started: r.start,
-                    end: r.end,
-                    validation: r.validation,
-                    oscillations: r.oscillations,
-                    affected_near: r.affected_near.len(),
-                    affected_far: r.affected_far.len(),
-                },
-            );
-        }
-        for (scope, r, _) in &state.cooling {
-            scopes.insert(
-                *scope,
-                ScopeStatus {
-                    scope: *scope,
-                    state: IncidentState::Recovering,
-                    started: r.start,
-                    end: r.end,
-                    validation: r.validation,
-                    oscillations: r.oscillations,
-                    affected_near: r.affected_near.len(),
-                    affected_far: r.affected_far.len(),
-                },
-            );
-        }
-        for o in &state.ongoing {
-            let live = if o.probe_restored_at.is_some() || o.restored_streak > 0 {
-                IncidentState::Recovering
-            } else {
-                IncidentState::Open
-            };
-            scopes.insert(
-                o.scope,
-                ScopeStatus {
-                    scope: o.scope,
-                    state: live,
-                    started: o.started,
-                    end: None,
-                    validation: o.validation,
-                    oscillations: o.oscillations,
-                    affected_near: o.affected_near.len(),
-                    affected_far: o.affected_far.len(),
-                },
-            );
-        }
+        let finished =
+            state.finished.iter().map(|r| ScopeStatus::of_report(r, IncidentState::Closed));
+        let cooling = state
+            .cooling
+            .iter()
+            .map(|(_, r, _)| ScopeStatus::of_report(r, IncidentState::Recovering));
+        let ongoing = state.ongoing.iter().map(ScopeStatus::of_incident);
+        let scopes = finished.chain(cooling).chain(ongoing).map(|s| (s.scope, s)).collect();
         StatusView { as_of, seq, scopes }
     }
 
@@ -190,8 +178,6 @@ impl ViewCell {
 mod tests {
     use super::*;
     use kepler_bgp::Asn;
-    use kepler_core::events::OutageReport;
-    use kepler_core::tracker::OngoingExport;
 
     fn report(fac: u32, start: u64, end: Option<u64>) -> OutageReport {
         OutageReport {
@@ -211,8 +197,8 @@ mod tests {
         }
     }
 
-    fn ongoing(fac: u32, started: u64) -> OngoingExport {
-        OngoingExport {
+    fn ongoing(fac: u32, started: u64) -> Incident {
+        Incident {
             scope: OutageScope::Facility(FacilityId(fac)),
             started,
             prior_duration: 0,

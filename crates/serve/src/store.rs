@@ -23,11 +23,11 @@
 //! to the uninterrupted tracker's export — the recovery tests assert
 //! equality on the encoded bytes.
 
-use crate::codec::{self, CodecError, Dec, Enc};
+use crate::codec::{self, wire_struct, CodecError, Dec, Wire};
 use crate::wal::{read_frames, WalWriter};
 use kepler_bgpstream::Timestamp;
 use kepler_core::events::{IncidentState, OutageReport, OutageScope, ValidationStatus};
-use kepler_core::tracker::{OngoingExport, TrackerState};
+use kepler_core::tracker::{Incident, TrackerState};
 use kepler_probe::HopEvidence;
 use std::collections::BTreeMap;
 use std::io;
@@ -70,6 +70,48 @@ pub struct Transition {
     pub oscillations: usize,
 }
 
+impl Transition {
+    /// The context a live incident gives its transition.
+    fn of_incident(kind: TransitionKind, at: Timestamp, o: &Incident) -> Transition {
+        Transition {
+            kind,
+            scope: o.scope,
+            at,
+            started: o.started,
+            end: None,
+            validation: o.validation,
+            completeness: o.completeness,
+            evidence: o.evidence.clone(),
+            affected_near: o.affected_near.len(),
+            affected_far: o.affected_far.len(),
+            oscillations: o.oscillations,
+        }
+    }
+
+    /// The context a closed (cooling or finished) report gives its
+    /// transition at `scope`.
+    fn of_report(
+        kind: TransitionKind,
+        at: Timestamp,
+        scope: OutageScope,
+        r: &OutageReport,
+    ) -> Transition {
+        Transition {
+            kind,
+            scope,
+            at,
+            started: r.start,
+            end: r.end,
+            validation: r.validation,
+            completeness: r.probe_completeness,
+            evidence: r.probe_evidence.clone(),
+            affected_near: r.affected_near.len(),
+            affected_far: r.affected_far.len(),
+            oscillations: r.oscillations,
+        }
+    }
+}
+
 /// The kind of lifecycle transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransitionKind {
@@ -109,268 +151,177 @@ pub struct RecoveryReport {
     pub dropped_bytes: u64,
 }
 
-/// One closed-bin delta between two exported states.
-#[derive(Debug, Default, Clone, PartialEq)]
+/// One row of a scope-sorted lifecycle table of [`TrackerState`].
+trait Row: Clone + PartialEq + Wire {
+    fn scope(&self) -> OutageScope;
+}
+
+impl Row for Incident {
+    fn scope(&self) -> OutageScope {
+        self.scope
+    }
+}
+
+/// A cooling entry: (scope, closed report, accumulated duration).
+impl Row for (OutageScope, OutageReport, u64) {
+    fn scope(&self) -> OutageScope {
+        self.0
+    }
+}
+
+/// A warming entry: (scope, streak, last bin, first bin).
+impl Row for (OutageScope, usize, Timestamp, Timestamp) {
+    fn scope(&self) -> OutageScope {
+        self.0
+    }
+}
+
+fn find<T: Row>(table: &[T], scope: OutageScope) -> Option<&T> {
+    table.binary_search_by_key(&scope, T::scope).ok().map(|i| &table[i])
+}
+
+/// What one bin changed in one lifecycle table: the rows that are new or
+/// differ, and the scopes that left.
+#[derive(Debug)]
+struct TableDelta<T> {
+    upserts: Vec<T>,
+    removes: Vec<OutageScope>,
+}
+
+impl<T: Row> TableDelta<T> {
+    fn diff(old: &[T], new: &[T]) -> Self {
+        TableDelta {
+            upserts: new.iter().filter(|&n| find(old, n.scope()) != Some(n)).cloned().collect(),
+            removes: old.iter().map(T::scope).filter(|&s| find(new, s).is_none()).collect(),
+        }
+    }
+
+    fn apply(&self, table: &mut Vec<T>) {
+        for row in &self.upserts {
+            match table.binary_search_by_key(&row.scope(), T::scope) {
+                Ok(i) => table[i] = row.clone(),
+                Err(i) => table.insert(i, row.clone()),
+            }
+        }
+        for scope in &self.removes {
+            if let Ok(i) = table.binary_search_by_key(scope, T::scope) {
+                table.remove(i);
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.upserts.is_empty() && self.removes.is_empty()
+    }
+}
+
+impl<T: Row> Wire for TableDelta<T> {
+    fn enc(&self, out: &mut Vec<u8>) {
+        self.upserts.enc(out);
+        self.removes.enc(out);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(TableDelta { upserts: Wire::dec(d)?, removes: Wire::dec(d)? })
+    }
+}
+
+/// One closed-bin delta between two exported states — the body of a
+/// bin-commit record.
+#[derive(Debug)]
 struct BinDelta {
     seq: u64,
     bin_end: Timestamp,
-    ongoing_upserts: Vec<OngoingExport>,
-    ongoing_removes: Vec<OutageScope>,
-    cooling_upserts: Vec<(OutageScope, OutageReport, u64)>,
-    cooling_removes: Vec<OutageScope>,
-    warming_upserts: Vec<(OutageScope, usize, Timestamp, Timestamp)>,
-    warming_removes: Vec<OutageScope>,
+    ongoing: TableDelta<Incident>,
+    cooling: TableDelta<(OutageScope, OutageReport, u64)>,
+    warming: TableDelta<(OutageScope, usize, Timestamp, Timestamp)>,
     finished_appended: Vec<OutageReport>,
 }
+wire_struct!(BinDelta { seq, bin_end, ongoing, cooling, warming, finished_appended });
 
-fn diff(old: &TrackerState, new: &TrackerState, seq: u64, bin_end: Timestamp) -> BinDelta {
-    let mut delta = BinDelta { seq, bin_end, ..BinDelta::default() };
-    let old_ongoing: BTreeMap<OutageScope, &OngoingExport> =
-        old.ongoing.iter().map(|o| (o.scope, o)).collect();
-    for o in &new.ongoing {
-        if old_ongoing.get(&o.scope).map(|prev| *prev != o).unwrap_or(true) {
-            delta.ongoing_upserts.push(o.clone());
+impl BinDelta {
+    fn diff(old: &TrackerState, new: &TrackerState, seq: u64, bin_end: Timestamp) -> BinDelta {
+        debug_assert!(
+            new.finished.len() >= old.finished.len()
+                && new.finished[..old.finished.len()] == old.finished[..],
+            "finished reports only grow during a run"
+        );
+        BinDelta {
+            seq,
+            bin_end,
+            ongoing: TableDelta::diff(&old.ongoing, &new.ongoing),
+            cooling: TableDelta::diff(&old.cooling, &new.cooling),
+            warming: TableDelta::diff(&old.warming, &new.warming),
+            finished_appended: new.finished[old.finished.len().min(new.finished.len())..].to_vec(),
         }
     }
-    let new_scopes: std::collections::BTreeSet<OutageScope> =
-        new.ongoing.iter().map(|o| o.scope).collect();
-    delta.ongoing_removes =
-        old.ongoing.iter().map(|o| o.scope).filter(|s| !new_scopes.contains(s)).collect();
 
-    let old_cooling: BTreeMap<OutageScope, (&OutageReport, u64)> =
-        old.cooling.iter().map(|(s, r, a)| (*s, (r, *a))).collect();
-    for (s, r, a) in &new.cooling {
-        if old_cooling.get(s).map(|(pr, pa)| *pr != r || *pa != *a).unwrap_or(true) {
-            delta.cooling_upserts.push((*s, r.clone(), *a));
-        }
+    fn apply(&self, state: &mut TrackerState) {
+        self.ongoing.apply(&mut state.ongoing);
+        self.cooling.apply(&mut state.cooling);
+        self.warming.apply(&mut state.warming);
+        state.finished.extend(self.finished_appended.iter().cloned());
     }
-    let new_scopes: std::collections::BTreeSet<OutageScope> =
-        new.cooling.iter().map(|(s, ..)| *s).collect();
-    delta.cooling_removes =
-        old.cooling.iter().map(|(s, ..)| *s).filter(|s| !new_scopes.contains(s)).collect();
 
-    let old_warming: BTreeMap<OutageScope, (usize, Timestamp, Timestamp)> =
-        old.warming.iter().map(|&(s, n, l, f)| (s, (n, l, f))).collect();
-    for &(s, n, l, f) in &new.warming {
-        if old_warming.get(&s).map(|&prev| prev != (n, l, f)).unwrap_or(true) {
-            delta.warming_upserts.push((s, n, l, f));
-        }
-    }
-    let new_scopes: std::collections::BTreeSet<OutageScope> =
-        new.warming.iter().map(|&(s, ..)| s).collect();
-    delta.warming_removes =
-        old.warming.iter().map(|&(s, ..)| s).filter(|s| !new_scopes.contains(s)).collect();
-
-    debug_assert!(
-        new.finished.len() >= old.finished.len()
-            && new.finished[..old.finished.len()] == old.finished[..],
-        "finished reports only grow during a run"
-    );
-    delta.finished_appended = new.finished[old.finished.len().min(new.finished.len())..].to_vec();
-    delta
-}
-
-fn apply(state: &mut TrackerState, delta: &BinDelta) {
-    fn upsert_by_scope<T>(
-        vec: &mut Vec<T>,
-        scope: OutageScope,
-        value: T,
-        key: impl Fn(&T) -> OutageScope,
-    ) {
-        match vec.binary_search_by_key(&scope, key) {
-            Ok(i) => vec[i] = value,
-            Err(i) => vec.insert(i, value),
-        }
-    }
-    fn remove_by_scope<T>(vec: &mut Vec<T>, scope: OutageScope, key: impl Fn(&T) -> OutageScope) {
-        if let Ok(i) = vec.binary_search_by_key(&scope, key) {
-            vec.remove(i);
-        }
-    }
-    for o in &delta.ongoing_upserts {
-        upsert_by_scope(&mut state.ongoing, o.scope, o.clone(), |x| x.scope);
-    }
-    for &s in &delta.ongoing_removes {
-        remove_by_scope(&mut state.ongoing, s, |x| x.scope);
-    }
-    for (s, r, a) in &delta.cooling_upserts {
-        upsert_by_scope(&mut state.cooling, *s, (*s, r.clone(), *a), |x| x.0);
-    }
-    for &s in &delta.cooling_removes {
-        remove_by_scope(&mut state.cooling, s, |x| x.0);
-    }
-    for &(s, n, l, f) in &delta.warming_upserts {
-        upsert_by_scope(&mut state.warming, s, (s, n, l, f), |x| x.0);
-    }
-    for &s in &delta.warming_removes {
-        remove_by_scope(&mut state.warming, s, |x| x.0);
-    }
-    state.finished.extend(delta.finished_appended.iter().cloned());
-}
-
-fn enc_scopes(e: &mut Enc, scopes: &[OutageScope]) {
-    e.len(scopes.len());
-    for &s in scopes {
-        codec::enc_scope(e, s);
+    fn is_empty(&self) -> bool {
+        self.ongoing.is_empty()
+            && self.cooling.is_empty()
+            && self.warming.is_empty()
+            && self.finished_appended.is_empty()
     }
 }
 
-fn dec_scopes(d: &mut Dec) -> Result<Vec<OutageScope>, CodecError> {
-    let n = d.len("scope list")?;
-    (0..n).map(|_| codec::dec_scope(d)).collect()
+/// The body of a run-closed record: the final report set.
+#[derive(Debug)]
+struct RunClosed {
+    seq: u64,
+    bin_end: Timestamp,
+    finished: Vec<OutageReport>,
 }
+wire_struct!(RunClosed { seq, bin_end, finished });
 
-fn encode_delta(delta: &BinDelta) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(REC_BIN_COMMIT);
-    e.u64(delta.seq);
-    e.u64(delta.bin_end);
-    e.len(delta.ongoing_upserts.len());
-    for o in &delta.ongoing_upserts {
-        codec::enc_ongoing(&mut e, o);
-    }
-    enc_scopes(&mut e, &delta.ongoing_removes);
-    e.len(delta.cooling_upserts.len());
-    for (s, r, a) in &delta.cooling_upserts {
-        codec::enc_scope(&mut e, *s);
-        codec::enc_report(&mut e, r);
-        e.u64(*a);
-    }
-    enc_scopes(&mut e, &delta.cooling_removes);
-    e.len(delta.warming_upserts.len());
-    for &(s, n, l, f) in &delta.warming_upserts {
-        codec::enc_scope(&mut e, s);
-        e.usize(n);
-        e.u64(l);
-        e.u64(f);
-    }
-    enc_scopes(&mut e, &delta.warming_removes);
-    e.len(delta.finished_appended.len());
-    for r in &delta.finished_appended {
-        codec::enc_report(&mut e, r);
-    }
-    e.into_bytes()
-}
-
-fn decode_delta(d: &mut Dec) -> Result<BinDelta, CodecError> {
-    let seq = d.u64("delta seq")?;
-    let bin_end = d.u64("delta bin end")?;
-    let n = d.len("delta ongoing upserts")?;
-    let ongoing_upserts = (0..n).map(|_| codec::dec_ongoing(d)).collect::<Result<_, _>>()?;
-    let ongoing_removes = dec_scopes(d)?;
-    let n = d.len("delta cooling upserts")?;
-    let cooling_upserts = (0..n)
-        .map(|_| {
-            let s = codec::dec_scope(d)?;
-            let r = codec::dec_report(d)?;
-            let a = d.u64("cooling acc")?;
-            Ok((s, r, a))
-        })
-        .collect::<Result<_, CodecError>>()?;
-    let cooling_removes = dec_scopes(d)?;
-    let n = d.len("delta warming upserts")?;
-    let warming_upserts = (0..n)
-        .map(|_| {
-            let s = codec::dec_scope(d)?;
-            let streak = d.usize("warming streak")?;
-            let l = d.u64("warming last")?;
-            let f = d.u64("warming first")?;
-            Ok((s, streak, l, f))
-        })
-        .collect::<Result<_, CodecError>>()?;
-    let warming_removes = dec_scopes(d)?;
-    let n = d.len("delta finished")?;
-    let finished_appended = (0..n).map(|_| codec::dec_report(d)).collect::<Result<_, _>>()?;
-    Ok(BinDelta {
-        seq,
-        bin_end,
-        ongoing_upserts,
-        ongoing_removes,
-        cooling_upserts,
-        cooling_removes,
-        warming_upserts,
-        warming_removes,
-        finished_appended,
-    })
-}
-
-/// The live-set view of a state: scope → (lifecycle state, Recovering
-/// hint source). Mirrors `Tracker::live_states`.
-fn live_view(state: &TrackerState) -> BTreeMap<OutageScope, IncidentState> {
-    let mut map = BTreeMap::new();
-    for o in &state.ongoing {
-        let s = if o.probe_restored_at.is_some() || o.restored_streak > 0 {
-            IncidentState::Recovering
-        } else {
-            IncidentState::Open
-        };
-        map.insert(o.scope, s);
-    }
-    for (s, ..) in &state.cooling {
-        map.entry(*s).or_insert(IncidentState::Recovering);
-    }
-    map
-}
-
-fn transition_context(state: &TrackerState, scope: OutageScope, at: Timestamp) -> Transition {
-    // Prefer the live entry; fall back to cooling, then the most recent
-    // finished report of that scope (the Closed case).
-    if let Ok(i) = state.ongoing.binary_search_by_key(&scope, |o| o.scope) {
-        let o = &state.ongoing[i];
-        return Transition {
-            kind: TransitionKind::Opened,
-            scope,
-            at,
-            started: o.started,
-            end: None,
-            validation: o.validation,
-            completeness: o.completeness,
-            evidence: o.evidence.clone(),
-            affected_near: o.affected_near.len(),
-            affected_far: o.affected_far.len(),
-            oscillations: o.oscillations,
-        };
-    }
-    let report = state
-        .cooling
-        .iter()
-        .find(|(s, ..)| *s == scope)
-        .map(|(_, r, _)| r)
-        .or_else(|| state.finished.iter().rev().find(|r| r.scope == scope));
-    match report {
-        Some(r) => Transition {
-            kind: TransitionKind::Closed,
-            scope,
-            at,
-            started: r.start,
-            end: r.end,
-            validation: r.validation,
-            completeness: r.probe_completeness,
-            evidence: r.probe_evidence.clone(),
-            affected_near: r.affected_near.len(),
-            affected_far: r.affected_far.len(),
-            oscillations: r.oscillations,
-        },
-        None => Transition {
-            kind: TransitionKind::Closed,
-            scope,
-            at,
-            started: at,
-            end: Some(at),
-            validation: ValidationStatus::Unvalidated,
-            completeness: 1.0,
-            evidence: Vec::new(),
-            affected_near: 0,
-            affected_far: 0,
-            oscillations: 0,
-        },
-    }
+/// One WAL record: the tag byte, then the body.
+fn record(tag: u8, body: &impl Wire) -> Vec<u8> {
+    let mut out = vec![tag];
+    body.enc(&mut out);
+    out
 }
 
 /// Lifecycle transitions between two states, in scope order.
 fn transitions(old: &TrackerState, new: &TrackerState, at: Timestamp) -> Vec<Transition> {
-    let before = live_view(old);
-    let after = live_view(new);
+    // A state's live set: scope → lifecycle state, the ongoing entry
+    // shadowing a cooling one (as `Tracker::live_states` reports it).
+    let live = |state: &TrackerState| -> BTreeMap<OutageScope, IncidentState> {
+        let cooling = state.cooling.iter().map(|(s, ..)| (*s, IncidentState::Recovering));
+        cooling.chain(state.ongoing.iter().map(|o| (o.scope, o.live_state()))).collect()
+    };
+    // The context of `scope` in the new state: the live entry, else the
+    // cooling one, else the most recent finished report of that scope,
+    // else — the incident merged into another scope — nothing.
+    let context = |kind: TransitionKind, scope: OutageScope| {
+        if let Some(o) = find(&new.ongoing, scope) {
+            return Transition::of_incident(kind, at, o);
+        }
+        let report = find(&new.cooling, scope)
+            .map(|(_, r, _)| r)
+            .or_else(|| new.finished.iter().rev().find(|r| r.scope == scope));
+        match report {
+            Some(r) => Transition::of_report(kind, at, scope, r),
+            None => Transition {
+                kind,
+                scope,
+                at,
+                started: at,
+                end: Some(at),
+                validation: ValidationStatus::Unvalidated,
+                completeness: 1.0,
+                evidence: Vec::new(),
+                affected_near: 0,
+                affected_far: 0,
+                oscillations: 0,
+            },
+        }
+    };
+    let (before, after) = (live(old), live(new));
     let mut out = Vec::new();
     for (&scope, &state) in &after {
         let kind = match before.get(&scope) {
@@ -379,15 +330,11 @@ fn transitions(old: &TrackerState, new: &TrackerState, at: Timestamp) -> Vec<Tra
             Some(IncidentState::Open) => TransitionKind::Recovering,
             Some(_) => TransitionKind::Reopened,
         };
-        let mut t = transition_context(new, scope, at);
-        t.kind = kind;
-        out.push(t);
+        out.push(context(kind, scope));
     }
     for &scope in before.keys() {
         if !after.contains_key(&scope) {
-            let mut t = transition_context(new, scope, at);
-            t.kind = TransitionKind::Closed;
-            out.push(t);
+            out.push(context(TransitionKind::Closed, scope));
         }
     }
     out
@@ -441,50 +388,40 @@ impl IncidentStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
             Ok(bytes) => {
-                let (s, sq, lb) = decode_snapshot(&bytes)?;
-                state = s;
-                seq = sq;
-                last_bin = lb;
+                (state, seq, last_bin) = decode_snapshot(&bytes)?;
                 recovery.had_snapshot = true;
-                recovery.snapshot_seq = sq;
+                recovery.snapshot_seq = seq;
             }
         }
         let scan = read_frames(&dir.join("wal.log"))?;
         recovery.dropped_bytes = scan.dropped_bytes;
+        // A record the snapshot (or an earlier frame) already covers.
+        let had_snapshot = recovery.had_snapshot;
+        let covered = |record: u64, seq: u64| record <= seq && (had_snapshot || seq > 0);
         for frame in &scan.frames {
-            let mut d = Dec::new(frame);
-            let tag = d.u8("record tag").map_err(|e| bad_data(e.to_string()))?;
+            let (&tag, body) = frame.split_first().ok_or_else(|| bad_data("empty WAL record"))?;
             match tag {
                 REC_BIN_COMMIT => {
-                    let delta = decode_delta(&mut d).map_err(|e| bad_data(e.to_string()))?;
-                    if delta.seq <= seq && (recovery.had_snapshot || seq > 0) {
+                    let delta = BinDelta::from_bytes(body)?;
+                    if covered(delta.seq, seq) {
                         recovery.frames_skipped += 1;
                         continue;
                     }
-                    apply(&mut state, &delta);
-                    seq = delta.seq;
-                    last_bin = delta.bin_end;
-                    recovery.frames_applied += 1;
+                    delta.apply(&mut state);
+                    (seq, last_bin) = (delta.seq, delta.bin_end);
                 }
                 REC_RUN_CLOSED => {
-                    let sq = d.u64("closed seq").map_err(|e| bad_data(e.to_string()))?;
-                    let bin = d.u64("closed bin").map_err(|e| bad_data(e.to_string()))?;
-                    let n = d.len("closed finished").map_err(|e| bad_data(e.to_string()))?;
-                    let finished = (0..n)
-                        .map(|_| codec::dec_report(&mut d))
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(|e| bad_data(e.to_string()))?;
-                    if sq <= seq && (recovery.had_snapshot || seq > 0) {
+                    let closed = RunClosed::from_bytes(body)?;
+                    if covered(closed.seq, seq) {
                         recovery.frames_skipped += 1;
                         continue;
                     }
-                    state = TrackerState { finished, ..TrackerState::default() };
-                    seq = sq;
-                    last_bin = bin;
-                    recovery.frames_applied += 1;
+                    state = TrackerState { finished: closed.finished, ..TrackerState::default() };
+                    (seq, last_bin) = (closed.seq, closed.bin_end);
                 }
                 _ => return Err(bad_data(format!("unknown WAL record tag {tag}"))),
             }
+            recovery.frames_applied += 1;
         }
         Ok((state, seq, last_bin, recovery))
     }
@@ -523,21 +460,14 @@ impl IncidentStore {
         new_state: &TrackerState,
     ) -> io::Result<Vec<Transition>> {
         assert!(seq > self.seq, "bin sequence must be monotone ({} <= {})", seq, self.seq);
-        let delta = diff(&self.state, new_state, seq, bin_end);
+        let delta = BinDelta::diff(&self.state, new_state, seq, bin_end);
         let out = transitions(&self.state, new_state, bin_end);
-        let changed = !(delta.ongoing_upserts.is_empty()
-            && delta.ongoing_removes.is_empty()
-            && delta.cooling_upserts.is_empty()
-            && delta.cooling_removes.is_empty()
-            && delta.warming_upserts.is_empty()
-            && delta.warming_removes.is_empty()
-            && delta.finished_appended.is_empty());
-        if changed {
-            self.wal.append(&encode_delta(&delta))?;
+        if !delta.is_empty() {
+            self.wal.append(&record(REC_BIN_COMMIT, &delta))?;
             // fsync on bin close: the frame is durable before the bin is
             // acknowledged upstream.
             self.wal.sync()?;
-            apply(&mut self.state, &delta);
+            delta.apply(&mut self.state);
             debug_assert_eq!(&self.state, new_state, "delta application must reconstruct");
         }
         self.seq = seq;
@@ -558,19 +488,12 @@ impl IncidentStore {
         bin_end: Timestamp,
         finished: &[OutageReport],
     ) -> io::Result<Vec<Transition>> {
-        let final_state = TrackerState { finished: finished.to_vec(), ..TrackerState::default() };
-        let out = transitions(&self.state, &final_state, bin_end);
-        let mut e = Enc::new();
-        e.u8(REC_RUN_CLOSED);
-        e.u64(seq.max(self.seq + 1));
-        e.u64(bin_end);
-        e.len(finished.len());
-        for r in finished {
-            codec::enc_report(&mut e, r);
-        }
-        self.wal.append(&e.into_bytes())?;
+        let closed = RunClosed { seq: seq.max(self.seq + 1), bin_end, finished: finished.to_vec() };
+        self.wal.append(&record(REC_RUN_CLOSED, &closed))?;
         self.wal.sync()?;
-        self.seq = seq.max(self.seq + 1);
+        let final_state = TrackerState { finished: closed.finished, ..TrackerState::default() };
+        let out = transitions(&self.state, &final_state, bin_end);
+        self.seq = closed.seq;
         self.last_bin = bin_end;
         self.state = final_state;
         self.compact()?;
@@ -603,9 +526,7 @@ impl IncidentStore {
 
 /// Encodes a snapshot file: header, sequence point, CRC-protected body.
 pub fn encode_snapshot(state: &TrackerState, seq: u64, last_bin: Timestamp) -> Vec<u8> {
-    let mut body = Enc::new();
-    codec::enc_state(&mut body, state);
-    let body = body.into_bytes();
+    let body = state.to_bytes();
     let mut out = Vec::with_capacity(body.len() + 28);
     out.extend_from_slice(SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -632,11 +553,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> io::Result<(TrackerState, u64, Timestamp
     if codec::crc32(body) != crc {
         return Err(bad_data("snapshot checksum mismatch"));
     }
-    let mut d = Dec::new(body);
-    let state = codec::dec_state(&mut d).map_err(|e| bad_data(e.to_string()))?;
-    if !d.is_empty() {
-        return Err(bad_data("snapshot trailing bytes"));
-    }
+    let state = TrackerState::from_bytes(body)?;
     Ok((state, seq, last_bin))
 }
 
@@ -652,8 +569,8 @@ mod tests {
         dir
     }
 
-    fn ongoing(fac: u32, started: u64) -> OngoingExport {
-        OngoingExport {
+    fn ongoing(fac: u32, started: u64) -> Incident {
+        Incident {
             scope: OutageScope::Facility(FacilityId(fac)),
             started,
             prior_duration: 0,
@@ -810,5 +727,62 @@ mod tests {
         bytes[n - 1] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(IncidentStore::recover_state(&dir).is_err());
+    }
+
+    /// A state whose delta against `codec::tests::sample_state` removes a
+    /// row from every lifecycle table (and upserts all of the sample's).
+    fn state_before_sample() -> TrackerState {
+        TrackerState {
+            ongoing: vec![ongoing(9, 50)],
+            cooling: vec![(OutageScope::Facility(FacilityId(8)), closed_report(8, 10, 20), 10)],
+            warming: vec![(OutageScope::Facility(FacilityId(7)), 1, 40, 40)],
+            finished: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_in_a_wal_record_are_corruption() {
+        let (before, sample) = (state_before_sample(), codec::tests::sample_state());
+        let delta = BinDelta::diff(&before, &sample, 2, 600);
+        let closed = RunClosed { seq: 2, bin_end: 600, finished: sample.finished.clone() };
+        for payload in [record(REC_BIN_COMMIT, &delta), record(REC_RUN_CLOSED, &closed)] {
+            let dir = tmpdir("trailing");
+            let (mut store, _) = IncidentStore::open(&dir, 0).unwrap();
+            store.commit_bin(1, 300, &before).unwrap();
+            drop(store);
+            // A CRC-valid frame whose record is followed by one more byte.
+            let mut padded = payload.clone();
+            padded.push(0);
+            let mut wal = WalWriter::open(&dir.join("wal.log")).unwrap();
+            wal.append(&padded).unwrap();
+            drop(wal);
+            let err = IncidentStore::recover_state(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("trailing bytes"), "{err}");
+            assert!(IncidentStore::open(&dir, 0).is_err(), "no store opens over a corrupt log");
+            // The same record without the extra byte replays.
+            let _ = std::fs::remove_file(dir.join("wal.log"));
+            let mut wal = WalWriter::open(&dir.join("wal.log")).unwrap();
+            wal.append(&record(
+                REC_BIN_COMMIT,
+                &BinDelta::diff(&Default::default(), &before, 1, 300),
+            ))
+            .unwrap();
+            wal.append(&payload).unwrap();
+            drop(wal);
+            let (state, last_bin, rec) = IncidentStore::recover_state(&dir).unwrap();
+            assert_eq!((last_bin, rec.frames_applied), (600, 2));
+            assert_eq!(state.finished, sample.finished);
+        }
+    }
+
+    #[test]
+    fn hostile_wal_payloads_error_or_stay_canonical() {
+        let (before, sample) = (state_before_sample(), codec::tests::sample_state());
+        let delta = BinDelta::diff(&before, &sample, 2, 600);
+        assert!(!delta.ongoing.removes.is_empty() && !delta.warming.removes.is_empty());
+        codec::tests::assert_total_and_canonical::<BinDelta>(&delta.to_bytes(), 2_000);
+        let closed = RunClosed { seq: 2, bin_end: 600, finished: sample.finished };
+        codec::tests::assert_total_and_canonical::<RunClosed>(&closed.to_bytes(), 2_000);
     }
 }

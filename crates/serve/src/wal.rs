@@ -24,6 +24,20 @@ const MAGIC: &[u8; 4] = b"KWAL";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 8;
 
+/// Rejects a file that does not start with this format's header: the
+/// magic, then a version this build reads.
+fn check_header(bytes: &[u8], path: &Path) -> std::io::Result<()> {
+    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+    if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC {
+        return Err(invalid(format!("{} is not a kepler WAL", path.display())));
+    }
+    let version = u32::from_le_bytes(bytes[4..HEADER_LEN].try_into().unwrap());
+    if version != VERSION {
+        return Err(invalid(format!("{}: unsupported WAL version {version}", path.display())));
+    }
+    Ok(())
+}
+
 /// Appends CRC-framed records to a WAL file.
 #[derive(Debug)]
 pub struct WalWriter {
@@ -32,7 +46,8 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Opens `path` for appending, writing the header if the file is new
-    /// (or empty). An existing file must carry a valid header.
+    /// (or empty). An existing file must carry a valid header of this
+    /// version.
     pub fn open(path: &Path) -> std::io::Result<WalWriter> {
         let mut file = OpenOptions::new().read(true).create(true).append(true).open(path)?;
         let len = file.metadata()?.len();
@@ -42,14 +57,8 @@ impl WalWriter {
             file.sync_all()?;
         } else {
             let mut header = [0u8; HEADER_LEN];
-            let mut probe = File::open(path)?;
-            probe.read_exact(&mut header)?;
-            if &header[..4] != MAGIC {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{} is not a kepler WAL", path.display()),
-                ));
-            }
+            File::open(path)?.read_exact(&mut header)?;
+            check_header(&header, path)?;
         }
         Ok(WalWriter { file })
     }
@@ -94,12 +103,7 @@ pub fn read_frames(path: &Path) -> std::io::Result<WalScan> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(WalScan::default()),
         Err(e) => return Err(e),
     };
-    if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{} is not a kepler WAL", path.display()),
-        ));
-    }
+    check_header(&bytes, path)?;
     let mut scan = WalScan::default();
     let mut pos = HEADER_LEN;
     while pos < bytes.len() {
@@ -193,6 +197,25 @@ mod tests {
         assert_eq!(scan.frames.len(), 1);
         assert_eq!(scan.frames[0], b"frame-one");
         assert_eq!(scan.dropped_bytes, (8 + b"frame-two".len()) as u64);
+    }
+
+    #[test]
+    fn unknown_version_is_rejected_by_reader_and_writer() {
+        let dir = tmpdir("version");
+        let path = dir.join("wal.log");
+        let mut w = WalWriter::open(&path).unwrap();
+        w.append(b"frame").unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&(VERSION + 1).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        // A later format must not be replayed — or appended to — as v1.
+        let err = read_frames(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = WalWriter::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a rejected log is left untouched");
     }
 
     #[test]

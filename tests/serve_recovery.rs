@@ -12,11 +12,13 @@
 mod common;
 
 use common::{run_passive, twin_study, SLACK_SECS, TWIN_SEEDS};
+use kepler::core::events::{IncidentState, OutageScope};
 use kepler::core::{KeplerConfig, TrackerState};
 use kepler::glue::detector_for;
-use kepler::serve::store::encode_snapshot;
+use kepler::serve::store::{decode_snapshot, encode_snapshot};
+use kepler::serve::wal::read_frames;
 use kepler::serve::{Daemon, DaemonConfig, IncidentStore};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kepler-serve-rec-{name}-{}", std::process::id()));
@@ -281,5 +283,87 @@ fn snapshot_plus_wal_replay_is_bit_identical_on_scenario() {
         state_bytes(&last),
         "snapshot + WAL replay must reproduce the final export bit-for-bit"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed v1 store: written by the codec as it stood before the
+/// `Wire` refactor, covering every enum arm, `Some`/`None` of every
+/// optional, an IPv6 route key, and a WAL whose frames hold upserts and
+/// removes in all three lifecycle maps plus a run-closed record.
+const GOLDEN_STORE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/store-v1");
+
+#[test]
+fn golden_store_v1_decodes_and_reencodes_byte_identically() {
+    let golden = Path::new(GOLDEN_STORE);
+    let snapshot = std::fs::read(golden.join("snapshot.bin")).unwrap();
+    let wal = std::fs::read(golden.join("wal.log")).unwrap();
+
+    // The snapshot decodes to the state it was written from and encodes
+    // back to the committed bytes.
+    let (snap_state, snap_seq, snap_bin) = decode_snapshot(&snapshot).unwrap();
+    assert_eq!((snap_seq, snap_bin), (1, 300));
+    assert_eq!(encode_snapshot(&snap_state, snap_seq, snap_bin), snapshot);
+    let kinds: Vec<u8> = snap_state
+        .ongoing
+        .iter()
+        .map(|o| match o.scope {
+            OutageScope::Facility(_) => 0,
+            OutageScope::Ixp(_) => 1,
+            OutageScope::City(_) => 2,
+        })
+        .collect();
+    assert_eq!(kinds, [0, 1, 2], "one live incident per scope kind");
+    let rich = &snap_state.ongoing[0];
+    assert_eq!((rich.affected_keys.len(), rich.watch.len(), rich.evidence.len()), (4, 3, 3));
+    assert_eq!((rich.probe_restored_at, rich.restored_first), (Some(350), Some(340)));
+    assert_eq!(rich.sources.len(), 3);
+    assert_eq!(snap_state.cooling.len(), 1);
+    assert_eq!(snap_state.warming, [(OutageScope::Ixp(kepler::topology::IxpId(5)), 1, 240, 240)]);
+    let states: Vec<_> = snap_state.finished.iter().map(|r| (r.state, r.end)).collect();
+    assert_eq!(states, [(IncidentState::Closed, Some(20)), (IncidentState::Open, None)]);
+
+    // The store as it stood after each WAL frame: recovery of the
+    // snapshot plus the log cut behind that frame.
+    let frames = read_frames(&golden.join("wal.log")).unwrap().frames;
+    assert_eq!(frames.len(), 3);
+    let mut cut = 8; // the WAL header
+    let mut steps = Vec::new();
+    for frame in &frames {
+        cut += 8 + frame.len();
+        let dir = tmpdir("golden-cut");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("snapshot.bin"), &snapshot).unwrap();
+        std::fs::write(dir.join("wal.log"), &wal[..cut]).unwrap();
+        let (store, recovery) = IncidentStore::open(&dir, 0).unwrap();
+        assert_eq!(recovery.dropped_bytes, 0);
+        steps.push((store.seq(), store.last_bin(), store.state().clone()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(cut, wal.len(), "the golden log has no damaged tail");
+    let (closed, commits) = steps.split_last().unwrap();
+    assert_eq!(commits.iter().map(|s| (s.0, s.1)).collect::<Vec<_>>(), [(2, 600), (3, 900)]);
+    assert_eq!(commits[0].2.ongoing.len(), 2, "frame 1 removes a live incident");
+    assert_eq!(commits[0].2.finished.len(), 3, "frame 1 appends a finished report");
+    assert_eq!(commits[1].2.ongoing.len(), 3);
+    assert_eq!((closed.0, closed.1), (5, 1500));
+    assert!(closed.2.ongoing.is_empty() && closed.2.cooling.is_empty());
+    assert_eq!(closed.2.finished.len(), 4);
+
+    // Re-encode every frame: a store seeded with the snapshot alone
+    // commits the same states and must write the same log.
+    let dir = tmpdir("golden-replay");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("snapshot.bin"), &snapshot).unwrap();
+    let (mut store, _) = IncidentStore::open(&dir, 0).unwrap();
+    for (seq, bin_end, state) in commits {
+        store.commit_bin(*seq, *bin_end, state).unwrap();
+    }
+    // The last frame is a run-closed record. `close_run` compacts right
+    // after appending it, which restarts the log; a directory squatting
+    // on the snapshot's tmp path makes that compaction fail — the crash
+    // window between append and compaction — so the frame stays on disk.
+    std::fs::create_dir(dir.join("snapshot.tmp")).unwrap();
+    assert!(store.close_run(closed.0, closed.1, &closed.2.finished).is_err());
+    assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), wal);
     let _ = std::fs::remove_dir_all(&dir);
 }
