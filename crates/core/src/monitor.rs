@@ -15,13 +15,17 @@
 //! # Hot-path layout
 //!
 //! All per-event state is keyed by dense ids from [`crate::intern`]:
-//! `current` and `baseline` are flat `Vec`s indexed by [`RouteId`] (so the
-//! per-event lookups are array indexing, not hashing), deviation groups
-//! are small-int maps keyed by packed `(PopId, AsnId)` words, and crossing
-//! lists are shared `Arc<[DenseCrossing]>` snapshots. [`Monitor`] is one
-//! sequential struct — route tables, stable index, promotion queue, bin
-//! clock and watches — and the only monitor (`ARCHITECTURE.md` records
-//! the measurements behind that).
+//! `current`, `baseline` and `queued` are flat `Vec`s indexed by
+//! [`RouteId`] and `presence` one indexed by [`PopId`] (so the per-event
+//! lookups are array indexing, not hashing), a bin's deviations are one
+//! small-int map keyed by packed `(PopId, AsnId)` words, and crossing
+//! lists are shared `Arc<[DenseCrossing]>` snapshots. The stable index
+//! holds *counts* per group, kept at promote/prune time, so nothing at bin
+//! close walks the routes of a group; stability deadlines sit in a FIFO
+//! (push and pop O(1)) with a heap only for stragglers whose timestamp ran
+//! backwards. [`Monitor`] is one sequential struct — route tables, stable
+//! index, promotion queue, bin clock and watches — and the only monitor
+//! (`ARCHITECTURE.md` records the measurements behind both).
 
 use crate::config::KeplerConfig;
 use crate::events::RouteKey;
@@ -34,7 +38,10 @@ use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::binary_heap::PeekMut;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// One (PoP, near-end AS) group whose stable paths deviated beyond
@@ -160,22 +167,30 @@ impl DenseBinOutcome {
     }
 }
 
-/// Per-group deviation statistics at bin close, before thresholding.
-struct GroupStat {
-    /// Packed `(PopId, AsnId)` group key.
-    key: GroupKey,
-    /// Deviated stable routes of the group.
-    deviated: Vec<RouteId>,
-    /// Stable routes of the group before the bin.
-    stable_total: usize,
-    /// Far-end ASes of the deviated crossings.
-    fars: Vec<AsnId>,
-}
-
 #[derive(Debug, Clone)]
 struct CurrentRoute {
     crossings: Arc<[DenseCrossing]>,
     since: Timestamp,
+}
+
+/// The stable paths of one (PoP, near-end AS) group, as counts: §4.2's
+/// baseline never asks *which* routes cross a group.
+#[derive(Default)]
+struct GroupCount {
+    /// Distinct stable routes crossing the group.
+    routes: usize,
+    /// Far-end AS → stable crossings. One per crossing: a route listing
+    /// the group twice counts once in `routes` and twice here.
+    fars: FxHashMap<AsnId, usize>,
+}
+
+/// One group's deviations within the open bin.
+#[derive(Default)]
+struct GroupBin {
+    /// Deviated stable routes of the group.
+    routes: FxHashSet<RouteId>,
+    /// Far-end ASes of the deviated crossings.
+    fars: FxHashSet<AsnId>,
 }
 
 /// The monitoring module: route tables, stable index, promotion queue,
@@ -185,24 +200,32 @@ pub struct Monitor {
     current: Vec<Option<CurrentRoute>>,
     baseline: Vec<Option<Arc<[DenseCrossing]>>>,
     baseline_len: usize,
-    /// Group → stable routes crossing it.
-    pop_index: FxHashMap<GroupKey, FxHashSet<RouteId>>,
+    /// Group → its stable path counts.
+    pop_index: FxHashMap<GroupKey, GroupCount>,
     /// PoP → near-end ASes with a live group (secondary index over
     /// `pop_index` for per-PoP queries).
     pop_groups: FxHashMap<PopId, FxHashSet<AsnId>>,
-    promotions: BinaryHeap<Reverse<(Timestamp, RouteId)>>,
-    deviations: FxHashMap<GroupKey, FxHashSet<RouteId>>,
-    deviation_fars: FxHashMap<GroupKey, FxHashSet<AsnId>>,
+    /// Stability deadlines `(due, route)` in push order, which is also
+    /// `due` order: one behind the tail (its timestamp ran backwards) goes
+    /// to `stragglers` instead.
+    promotions: VecDeque<(Timestamp, RouteId)>,
+    stragglers: BinaryHeap<Reverse<(Timestamp, RouteId)>>,
+    /// Per route, the deadline of its one live queue entry: a flapping
+    /// route re-arms it on pop, so the route table bounds the queue.
+    /// Non-zero keeps it 8 bytes a route; a deadline of 0 is due at once
+    /// and goes untracked.
+    queued: Vec<Option<NonZeroU64>>,
+    deviations: FxHashMap<GroupKey, GroupBin>,
     /// High-water coverage per PoP: every near/far AS ever seen in a
     /// *stable* crossing. Determines which PoPs are trackable (the paper's
     /// ≥3 near-end + ≥3 far-end rule).
     coverage: FxHashMap<PopId, (FxHashSet<AsnId>, FxHashSet<AsnId>)>,
-    /// Per-PoP count of crossings on *currently announced* routes — the
-    /// forecast detector's presence series. Maintained unconditionally
-    /// (a presence watch may be registered after routes were announced,
-    /// and must still sample the full count); pure extra state that never
-    /// feeds the deviation path.
-    presence: FxHashMap<PopId, u64>,
+    /// Count of crossings on *currently announced* routes, indexed by
+    /// [`PopId`] — the forecast detector's presence series. Maintained
+    /// unconditionally (a presence watch may be registered after routes
+    /// were announced, and must still sample the full count); pure extra
+    /// state that never feeds the deviation path.
+    presence: Vec<u64>,
     bin_start: Option<Timestamp>,
     watches: FxHashMap<PopId, Vec<(Timestamp, f64)>>,
     presence_watch: Vec<PopId>,
@@ -218,11 +241,12 @@ impl Monitor {
             baseline_len: 0,
             pop_index: FxHashMap::default(),
             pop_groups: FxHashMap::default(),
-            promotions: BinaryHeap::new(),
+            promotions: VecDeque::new(),
+            stragglers: BinaryHeap::new(),
+            queued: Vec::new(),
             deviations: FxHashMap::default(),
-            deviation_fars: FxHashMap::default(),
             coverage: FxHashMap::default(),
-            presence: FxHashMap::default(),
+            presence: Vec::new(),
             bin_start: None,
             watches: FxHashMap::default(),
             presence_watch: Vec::new(),
@@ -262,6 +286,7 @@ impl Monitor {
                 }
                 if slot >= self.current.len() {
                     self.current.resize_with(slot + 1, || None);
+                    self.queued.resize(slot + 1, None);
                 }
                 match &self.current[slot] {
                     Some(cur) if cur.crossings[..] == crossings[..] => {
@@ -274,14 +299,18 @@ impl Monitor {
                             }
                         }
                         for c in crossings.iter() {
-                            *self.presence.entry(c.pop).or_insert(0) += 1;
+                            let pop = c.pop.0 as usize;
+                            if pop >= self.presence.len() {
+                                self.presence.resize(pop + 1, 0);
+                            }
+                            self.presence[pop] += 1;
                         }
                         self.current[slot] =
                             Some(CurrentRoute { crossings: Arc::clone(crossings), since: t });
                         // A stability deadline past the end of the `u64`
                         // clock can never arrive; don't enqueue it.
                         if let Some(due) = t.checked_add(self.config.stable_secs) {
-                            self.promotions.push(Reverse((due, *route)));
+                            self.schedule(due, *route);
                         }
                     }
                 }
@@ -289,36 +318,45 @@ impl Monitor {
         }
     }
 
+    /// Queues `route` for promotion at `due`, unless its live entry is
+    /// already due by then (that one re-arms itself when it pops). An
+    /// entry it supersedes stays queued and is dropped when popped.
+    fn schedule(&mut self, due: Timestamp, route: RouteId) {
+        let queued = &mut self.queued[route.0 as usize];
+        if queued.is_some_and(|q| q.get() <= due) {
+            return;
+        }
+        *queued = NonZeroU64::new(due);
+        if self.promotions.back().is_none_or(|&(tail, _)| tail <= due) {
+            self.promotions.push_back((due, route));
+        } else {
+            self.stragglers.push(Reverse((due, route)));
+        }
+    }
+
+    /// Pops a queued deadline that is due by `now` — stragglers too, so
+    /// they never wait behind a FIFO head that is not.
+    fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, RouteId)> {
+        if self.promotions.front().is_some_and(|&(due, _)| due <= now) {
+            return self.promotions.pop_front();
+        }
+        let top = self.stragglers.peek_mut()?;
+        let Reverse((due, _)) = *top;
+        (due <= now).then(|| PeekMut::pop(top).0)
+    }
+
     #[inline]
     fn mark_deviation(&mut self, c: &DenseCrossing, route: RouteId) {
-        let key = c.group();
-        self.deviations.entry(key).or_default().insert(route);
-        self.deviation_fars.entry(key).or_default().insert(c.far);
+        let bin = self.deviations.entry(c.group()).or_default();
+        bin.routes.insert(route);
+        bin.fars.insert(c.far);
     }
 
     #[inline]
     fn dec_presence(&mut self, pop: PopId) {
-        if let Some(n) = self.presence.get_mut(&pop) {
+        if let Some(n) = self.presence.get_mut(pop.0 as usize) {
             *n = n.saturating_sub(1);
         }
-    }
-
-    /// This bin's per-group deviation statistics (pre-threshold,
-    /// pre-pruning). Order is unspecified.
-    fn bin_groups(&self) -> Vec<GroupStat> {
-        self.deviations
-            .iter()
-            .map(|(key, routes)| GroupStat {
-                key: *key,
-                deviated: routes.iter().copied().collect(),
-                stable_total: self.pop_index.get(key).map(FxHashSet::len).unwrap_or(0),
-                fars: self
-                    .deviation_fars
-                    .get(key)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default(),
-            })
-            .collect()
     }
 
     /// Number of this bin's deviated stable routes crossing `pop`.
@@ -326,7 +364,7 @@ impl Monitor {
         self.deviations
             .iter()
             .filter(|(key, _)| unpack_group(**key).0 == pop)
-            .map(|(_, routes)| routes.len())
+            .map(|(_, bin)| bin.routes.len())
             .sum()
     }
 
@@ -335,50 +373,58 @@ impl Monitor {
     /// stable by `now`.
     fn finish_bin(&mut self, now: Timestamp) {
         let changed: Vec<RouteId> =
-            self.deviations.values().flat_map(|s| s.iter().copied()).collect();
+            self.deviations.values().flat_map(|b| b.routes.iter().copied()).collect();
         for route in changed {
             self.remove_from_baseline(route);
         }
         self.deviations.clear();
-        self.deviation_fars.clear();
         self.run_promotions(now);
     }
 
     /// Promotes routes whose crossings have been unchanged for the
     /// stability window as of `now`.
     fn run_promotions(&mut self, now: Timestamp) {
-        while let Some(Reverse((due, route))) = self.promotions.peek().copied() {
-            if due > now {
-                break;
-            }
-            self.promotions.pop();
+        while let Some((due, route)) = self.pop_due(now) {
             let slot = route.0 as usize;
+            if self.queued[slot] != NonZeroU64::new(due) {
+                continue; // superseded by an earlier deadline
+            }
+            self.queued[slot] = None;
             let Some(Some(cur)) = self.current.get(slot) else { continue };
             // Checked: a route (re-)announced near the top of the clock
             // has an unreachable stability deadline, never a wrapped one.
-            if cur.since.checked_add(self.config.stable_secs).is_none_or(|d| d > now) {
-                continue; // changed again since scheduling
+            let due = cur.since.checked_add(self.config.stable_secs);
+            if due.is_none_or(|d| d > now) {
+                if let Some(due) = due {
+                    self.schedule(due, route); // changed again since: re-arm
+                }
+                continue;
             }
             if cur.crossings.is_empty() {
                 continue; // nothing locatable to monitor
             }
             let crossings = Arc::clone(&cur.crossings);
-            if self
-                .baseline
-                .get(slot)
-                .and_then(Option::as_ref)
-                .map(|b| Arc::ptr_eq(b, &crossings) || b[..] == crossings[..])
-                .unwrap_or(false)
-            {
+            let same = |b: &Arc<[_]>| Arc::ptr_eq(b, &crossings) || b[..] == crossings[..];
+            if self.baseline.get(slot).and_then(Option::as_ref).is_some_and(same) {
                 continue;
             }
             self.remove_from_baseline(route);
-            for c in crossings.iter() {
-                self.pop_index.entry(c.group()).or_default().insert(route);
-                self.pop_groups.entry(c.pop).or_default().insert(c.near);
-                let cov = self.coverage.entry(c.pop).or_default();
-                cov.0.insert(c.near);
-                cov.1.insert(c.far);
+            for (i, c) in crossings.iter().enumerate() {
+                let group = self.pop_index.entry(c.group()).or_default();
+                // `pop_groups` and `coverage` only hear of a group, or a
+                // far end within one, going 0 → 1.
+                if first_in_group(&crossings, i) {
+                    group.routes += 1;
+                    if group.routes == 1 {
+                        self.pop_groups.entry(c.pop).or_default().insert(c.near);
+                        self.coverage.entry(c.pop).or_default().0.insert(c.near);
+                    }
+                }
+                let far = group.fars.entry(c.far).or_insert(0);
+                *far += 1;
+                if *far == 1 {
+                    self.coverage.entry(c.pop).or_default().1.insert(c.far);
+                }
             }
             if slot >= self.baseline.len() {
                 self.baseline.resize_with(slot + 1, || None);
@@ -394,36 +440,41 @@ impl Monitor {
         let Some(opt) = self.baseline.get_mut(route.0 as usize) else { return };
         let Some(base) = opt.take() else { return };
         self.baseline_len -= 1;
-        for c in base.iter() {
+        for (i, c) in base.iter().enumerate() {
             let key = c.group();
-            if let Some(set) = self.pop_index.get_mut(&key) {
-                set.remove(&route);
-                if set.is_empty() {
-                    self.pop_index.remove(&key);
-                    if let Some(nears) = self.pop_groups.get_mut(&c.pop) {
-                        nears.remove(&c.near);
-                        if nears.is_empty() {
-                            self.pop_groups.remove(&c.pop);
-                        }
+            let Some(group) = self.pop_index.get_mut(&key) else { continue };
+            if first_in_group(&base, i) {
+                group.routes -= 1;
+            }
+            if let Entry::Occupied(mut far) = group.fars.entry(c.far) {
+                *far.get_mut() -= 1;
+                if *far.get() == 0 {
+                    far.remove();
+                }
+            }
+            // Every route in a group holds a far end there, so `fars`
+            // empties exactly when the last route's last crossing leaves.
+            if group.fars.is_empty() {
+                self.pop_index.remove(&key);
+                if let Some(nears) = self.pop_groups.get_mut(&c.pop) {
+                    nears.remove(&c.near);
+                    if nears.is_empty() {
+                        self.pop_groups.remove(&c.pop);
                     }
                 }
             }
         }
     }
 
+    /// The live groups of `pop`: near-end AS and stable path counts.
+    fn groups_at(&self, pop: PopId) -> impl Iterator<Item = (AsnId, &GroupCount)> + '_ {
+        let nears = self.pop_groups.get(&pop).into_iter().flatten();
+        nears.filter_map(move |&near| Some((near, self.pop_index.get(&pack_group(pop, near))?)))
+    }
+
     /// Number of stable routes currently indexed at `pop`.
     pub fn stable_count(&self, pop: PopId) -> usize {
-        self.pop_groups
-            .get(&pop)
-            .map(|nears| {
-                nears
-                    .iter()
-                    .map(|&near| {
-                        self.pop_index.get(&pack_group(pop, near)).map(FxHashSet::len).unwrap_or(0)
-                    })
-                    .sum()
-            })
-            .unwrap_or(0)
+        self.groups_at(pop).map(|(_, group)| group.routes).sum()
     }
 
     /// Total stable routes.
@@ -443,33 +494,15 @@ impl Monitor {
     /// Far-end ASes (with stable path counts) of the baseline routes
     /// crossing `pop`, grouped by the near-end AS of the crossing.
     fn stable_fars(&self, pop: PopId) -> PopFars {
-        let Some(nears) = self.pop_groups.get(&pop) else { return Vec::new() };
-        let mut out = Vec::with_capacity(nears.len());
-        for &near in nears {
-            let Some(routes) = self.pop_index.get(&pack_group(pop, near)) else { continue };
-            let mut by_far: FxHashMap<AsnId, usize> = FxHashMap::default();
-            for &route in routes {
-                if let Some(Some(base)) = self.baseline.get(route.0 as usize) {
-                    for c in base.iter().filter(|c| c.pop == pop && c.near == near) {
-                        *by_far.entry(c.far).or_insert(0) += 1;
-                    }
-                }
-            }
-            out.push((near, by_far.into_iter().collect()));
-        }
-        out
+        self.groups_at(pop)
+            .map(|(near, group)| (near, group.fars.iter().map(|(&far, &n)| (far, n)).collect()))
+            .collect()
     }
 
     /// Near-end ASes (with stable path counts) of the baseline routes
     /// crossing `pop`.
     fn stable_nears(&self, pop: PopId) -> PopNears {
-        let Some(nears) = self.pop_groups.get(&pop) else { return Vec::new() };
-        nears
-            .iter()
-            .map(|&near| {
-                (near, self.pop_index.get(&pack_group(pop, near)).map(FxHashSet::len).unwrap_or(0))
-            })
-            .collect()
+        self.groups_at(pop).map(|(near, group)| (near, group.routes)).collect()
     }
 
     /// High-water observability of a PoP: distinct near-end and far-end
@@ -563,7 +596,7 @@ impl Monitor {
         outcome.watch_presence = self
             .presence_watch
             .iter()
-            .map(|&pop| (pop, self.presence.get(&pop).copied().unwrap_or(0)))
+            .map(|&pop| (pop, self.presence.get(pop.0 as usize).copied().unwrap_or(0)))
             .collect();
 
         self.finish_bin(bin_start + self.config.bin_secs);
@@ -574,19 +607,20 @@ impl Monitor {
     /// and snapshots the denominators of the signaled PoPs (pre-pruning).
     fn finalize_bin(&self, bin_start: Timestamp) -> DenseBinOutcome {
         let mut outcome = DenseBinOutcome { bin_start, ..Default::default() };
-        for g in self.bin_groups() {
-            if !group_signals(&self.config, &g) {
+        for (&key, bin) in &self.deviations {
+            let stable_total = self.pop_index.get(&key).map_or(0, |g| g.routes);
+            let fraction = bin.routes.len() as f64 / stable_total as f64;
+            if stable_total < self.config.min_stable_paths || fraction <= self.config.t_fail {
                 continue;
             }
-            let fraction = g.deviated.len() as f64 / g.stable_total as f64;
-            let (pop, near) = unpack_group(g.key);
+            let (pop, near) = unpack_group(key);
             outcome.signals.push(DenseOutageSignal {
                 pop,
                 near,
                 bin_start,
-                deviated: g.deviated,
-                stable_total: g.stable_total,
-                far_ases: g.fars,
+                deviated: bin.routes.iter().copied().collect(),
+                stable_total,
+                far_ases: bin.fars.iter().copied().collect(),
                 fraction,
             });
         }
@@ -601,10 +635,10 @@ impl Monitor {
     }
 }
 
-/// Whether a group's deviations cross the signal thresholds.
-fn group_signals(config: &KeplerConfig, g: &GroupStat) -> bool {
-    g.stable_total >= config.min_stable_paths
-        && g.deviated.len() as f64 / g.stable_total as f64 > config.t_fail
+/// Whether `crossings[i]` is the route's first crossing of its group (a
+/// route counts once per group however often it lists it).
+fn first_in_group(crossings: &[DenseCrossing], i: usize) -> bool {
+    crossings[..i].iter().all(|c| c.group() != crossings[i].group())
 }
 
 pub(crate) fn pop_order(p: &LocationTag) -> (u8, u32) {
@@ -889,6 +923,89 @@ mod tests {
         update(&mut m, &mut interner, t0 + 4, 0, vec![fac(1, 50, 60)], vec![]);
         let outcomes = m.advance_to(t0 + 120);
         assert_eq!(outcomes.last().unwrap().watch_presence, vec![(pop, 1)]);
+    }
+
+    /// Deadlines pushed out of order — an event whose timestamp ran
+    /// backwards — go to the straggler heap, are promoted in the bin their
+    /// own deadline falls in (not the FIFO head's), and a backwards change
+    /// of an already queued route pulls its deadline forward.
+    #[test]
+    fn out_of_order_deadlines_never_wait_behind_the_fifo_head() {
+        let mut interner = Interner::new();
+        let mut m = Monitor::new(cfg());
+        let t0 = 1_000_000u64;
+        update(&mut m, &mut interner, t0 + 6_000, 0, vec![fac(1, 50, 60)], vec![]);
+        update(&mut m, &mut interner, t0 + 6_000, 1, vec![fac(1, 50, 61)], vec![]);
+        // Time runs backwards: a new route, and route 1 changing again.
+        update(&mut m, &mut interner, t0, 2, vec![fac(1, 50, 62)], vec![]);
+        update(&mut m, &mut interner, t0 + 60, 1, vec![fac(2, 50, 61)], vec![]);
+        assert_eq!((m.promotions.len(), m.stragglers.len()), (2, 2));
+        // Only the stragglers are due: the FIFO head is 100 bins away.
+        m.advance_to(t0 + 2 * DAY + 120);
+        assert_eq!(m.baseline_size(), 2);
+        assert_eq!(m.stable_count(pop_of(&mut interner, 1)), 1);
+        assert_eq!(m.stable_count(pop_of(&mut interner, 2)), 1);
+        assert_eq!((m.promotions.len(), m.stragglers.len()), (2, 0));
+        // The in-order deadline arrives with its own bin; route 1's
+        // superseded entry pops with it and changes nothing.
+        m.advance_to(t0 + 6_000 + 2 * DAY - 1);
+        assert_eq!(m.baseline_size(), 2);
+        m.advance_to(t0 + 6_000 + 2 * DAY + 60);
+        assert_eq!(m.baseline_size(), 3);
+        assert_eq!(m.stable_count(pop_of(&mut interner, 1)), 2);
+        assert_eq!((m.promotions.len(), m.stragglers.len()), (0, 0));
+    }
+
+    /// A route listing one (PoP, near-end) twice is one stable path of the
+    /// group and one path to each far end, and takes the group with it.
+    #[test]
+    fn route_crossing_a_group_twice_counts_once() {
+        let mut interner = Interner::new();
+        let mut m = Monitor::new(KeplerConfig { min_stable_paths: 1, ..KeplerConfig::default() });
+        let t0 = 1_000_000u64;
+        update(&mut m, &mut interner, t0, 0, vec![fac(1, 50, 60), fac(1, 50, 61)], vec![]);
+        let t1 = t0 + 2 * DAY + 300;
+        m.advance_to(t1);
+        let pop = pop_of(&mut interner, 1);
+        assert_eq!((m.baseline_size(), m.stable_count(pop)), (1, 1));
+        assert_eq!(m.pop_coverage(pop), (1, 2));
+        withdraw(&mut m, &mut interner, t1 + 5, 0);
+        let outcomes: Vec<BinOutcome> =
+            m.advance_to(t1 + 120).iter().map(|o| o.resolve(&interner)).collect();
+        let signaled: Vec<&BinOutcome> =
+            outcomes.iter().filter(|o| !o.signals.is_empty()).collect();
+        assert_eq!(signaled.len(), 1);
+        let tag = LocationTag::Facility(FacilityId(1));
+        assert_eq!(signaled[0].signals[0].stable_total, 1);
+        assert_eq!(signaled[0].stable_nears[&tag], BTreeMap::from([(Asn(50), 1)]));
+        assert_eq!(
+            signaled[0].stable_fars[&tag][&Asn(50)],
+            BTreeMap::from([(Asn(60), 1), (Asn(61), 1)])
+        );
+        // Pruned at bin close: the group is gone, not left at zero.
+        assert_eq!((m.baseline_size(), m.stable_count(pop)), (0, 0));
+        assert!(m.stable_nears(pop).is_empty() && m.pop_index.is_empty());
+    }
+
+    /// A flapping route holds one queue entry, not one per flap, and is
+    /// promoted in the bin its last change's deadline falls in.
+    #[test]
+    fn flapping_route_holds_one_queue_entry() {
+        let mut interner = Interner::new();
+        let mut m = Monitor::new(cfg());
+        let t0 = 1_000_000u64;
+        for i in 0..10_000u64 {
+            update(&mut m, &mut interner, t0 + i, 0, vec![fac(1 + (i % 2) as u32, 50, 60)], vec![]);
+        }
+        assert_eq!(m.promotions.len() + m.stragglers.len(), 1);
+        let last = t0 + 9_999;
+        // The entry pops at the first flap's deadline and re-arms.
+        m.advance_to(last + 2 * DAY - 60);
+        assert_eq!(m.promotions.len() + m.stragglers.len(), 1);
+        assert_eq!(m.baseline_size(), 0);
+        m.advance_to(last + 2 * DAY + 60);
+        assert_eq!(m.promotions.len() + m.stragglers.len(), 0);
+        assert_eq!(m.stable_count(pop_of(&mut interner, 2)), 1);
     }
 
     fn synthetic_update(route: u32) -> DenseRouteEvent {
