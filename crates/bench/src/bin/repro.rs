@@ -138,6 +138,17 @@ fn fuzz_replay(verdict: kepler::fuzz_harness::FuzzVerdict) -> ! {
         verdict.counts.fused_corroborations,
         verdict.counts.aux_suppressed
     );
+    println!(
+        "settlement counters: evidence_reused={} probe_confirmed={} probe_refuted={} \
+         probe_inconclusive={} degraded_passive={} deferred_revalidated={} dataplane_rejected={}",
+        verdict.counts.evidence_reused,
+        verdict.counts.probe_confirmed,
+        verdict.counts.probe_refuted,
+        verdict.counts.probe_inconclusive,
+        verdict.counts.degraded_passive,
+        verdict.counts.deferred_revalidated,
+        verdict.counts.dataplane_rejected
+    );
     println!("detection power:");
     print!("{}", kepler::fuzz_harness::PowerReport::from_verdicts([&verdict]).render());
     if verdict.ok() {

@@ -4,8 +4,8 @@ use crate::signal::{SignalKind, SourceContribution};
 use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId, Timestamp};
 use kepler_docmine::LocationTag;
-use kepler_probe::HopEvidence;
-use kepler_topology::{CityId, FacilityId, IxpId};
+use kepler_probe::{Epicenter, HopEvidence};
+use kepler_topology::{CityId, ColocationMap, FacilityId, IxpId};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -38,6 +38,47 @@ impl OutageScope {
             LocationTag::Facility(f) => OutageScope::Facility(f),
             LocationTag::Ixp(x) => OutageScope::Ixp(x),
             LocationTag::City(c) => OutageScope::City(c),
+        }
+    }
+
+    /// The monitoring tag of this scope (inverse of [`Self::from_tag`]).
+    pub(crate) fn tag(self) -> LocationTag {
+        match self {
+            OutageScope::Facility(f) => LocationTag::Facility(f),
+            OutageScope::Ixp(x) => LocationTag::Ixp(x),
+            OutageScope::City(c) => LocationTag::City(c),
+        }
+    }
+
+    /// The probe plane's name for this scope.
+    pub(crate) fn epicenter(self) -> Epicenter {
+        match self {
+            OutageScope::Facility(f) => Epicenter::Facility(f),
+            OutageScope::Ixp(x) => Epicenter::Ixp(x),
+            OutageScope::City(c) => Epicenter::City(c),
+        }
+    }
+
+    /// The buildings this scope spans: itself, an exchange's fabric
+    /// sites, or every facility of a city.
+    pub(crate) fn facilities(self, colo: &ColocationMap) -> Vec<FacilityId> {
+        match self {
+            OutageScope::Facility(f) => vec![f],
+            OutageScope::Ixp(x) => colo.facilities_of_ixp(x).iter().copied().collect(),
+            OutageScope::City(c) => colo.facilities_in_city(c),
+        }
+    }
+
+    /// The member ASes colocated at this scope.
+    pub(crate) fn members(self, colo: &ColocationMap) -> BTreeSet<Asn> {
+        match self {
+            OutageScope::Facility(f) => colo.members_of_facility(f).clone(),
+            OutageScope::Ixp(x) => colo.members_of_ixp(x).clone(),
+            OutageScope::City(c) => colo
+                .facilities_in_city(c)
+                .into_iter()
+                .flat_map(|f| colo.members_of_facility(f).iter().copied())
+                .collect(),
         }
     }
 }

@@ -16,10 +16,12 @@
 //!    facility↔IXP resolution escalation, city abstraction). Members
 //!    flagged remote at an exchange by the latency heuristic
 //!    ([`remote`]) never vote for that metro's buildings.
-//! 4. [`dataplane`] — optionally confirm incidents and their durations
-//!    against traceroute measurements, eliminating false positives
-//!    (low-confidence localizations additionally go to the `kepler-probe`
-//!    engine for facility-level disambiguation).
+//! 4. [`validate`] — the one validation stage (§4.4): low-confidence
+//!    localizations are settled by targeted `kepler-probe` campaigns
+//!    (or evidence an open incident already carries), and the baseline
+//!    re-probe discards incidents the data plane contradicts. Every
+//!    outcome is a value with a reason; the run's counters are their
+//!    tally.
 //! 5. [`tracker`] — the incident lifecycle (`Open` → `Recovering` →
 //!    `Closed`): oscillation merging (<12 h), control-plane restoration
 //!    (>50% of paths return), probe-driven restoration (backoff
@@ -57,7 +59,6 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod dataplane;
 pub mod events;
 pub mod input;
 pub mod intern;
@@ -68,6 +69,7 @@ pub mod remote;
 pub mod signal;
 pub mod system;
 pub mod tracker;
+pub mod validate;
 
 pub use config::KeplerConfig;
 pub use events::{

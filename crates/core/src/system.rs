@@ -1,20 +1,38 @@
 //! The Kepler system: all modules wired per the paper's Figure 6.
+//!
+//! Records flow `input` → `monitor`; everything else happens once per
+//! closed bin, in [`Kepler`]'s `handle_bin`, as a pipeline of stages:
+//!
+//! 1. **resolve** — the dense bin outcome returns to display space;
+//! 2. **revalidate_deferred** — suspicions parked during a probe-backend
+//!    brownout get their campaign once the backend is back online;
+//! 3. **investigate** — classify the bin's signals, localize PoP-level
+//!    groups ([`crate::investigate`]);
+//! 4. **settle_pending** — low-confidence localizations are settled from
+//!    accumulated evidence or a targeted campaign ([`crate::validate`]);
+//! 5. **confirm** — the §4.4 baseline re-probe discards what the data
+//!    plane contradicts;
+//! 6. **record** — survivors enter the incident lifecycle
+//!    ([`crate::tracker`]);
+//! 7. **fuse_signals** — auxiliary detectors corroborate or open
+//!    ([`crate::signal`]);
+//! 8. **restore** — probe-driven, then control-plane restoration checks.
+//!
+//! Each stage hands the next one values; the reasons behind a settlement
+//! are [`crate::validate`]'s `Why`, and [`ClassCounts`] is their tally.
 
 use crate::config::KeplerConfig;
-use crate::dataplane::{confirm, DataPlaneProbe};
-use crate::events::{OutageReport, OutageScope, SignalClass, ValidationStatus};
+use crate::events::{OutageReport, OutageScope};
 use crate::input::InputModule;
 use crate::intern::{DenseRouteEvent, Interner};
 use crate::investigate::{Investigator, LocalizedIncident, PendingIncident};
 use crate::monitor::{DenseBinOutcome, Monitor};
 use crate::signal::{BinView, SignalKind, SignalSource, SourceContribution, SourceSignal};
 use crate::tracker::{IncidentMeta, Tracker};
-use kepler_bgp::Asn;
+use crate::validate::{self, settle, DataPlaneProbe, Settlement, Why};
 use kepler_bgpstream::{BgpRecord, GapTracker, Timestamp};
 use kepler_docmine::{CommunityDictionary, LocationTag};
-use kepler_probe::{
-    BackendHealth, FacilityVerdict, HopEvidence, ProbeRequest, Prober, RestorationProber,
-};
+use kepler_probe::{BackendHealth, ProbeReport, ProbeRequest, Prober, RestorationProber};
 use kepler_topology::{ColocationMap, FacilityId, OrgMap};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -337,6 +355,12 @@ impl Kepler {
         }
     }
 
+    /// The single call into the targeted-probe engine; `None` without a
+    /// prober attached.
+    fn campaign(&mut self, request: &ProbeRequest, now: Timestamp) -> Option<ProbeReport> {
+        Some(self.prober.as_mut()?.validate(request, now))
+    }
+
     /// Re-validates pendings parked during a backend brownout. Runs only
     /// while the prober reports [`BackendHealth::Online`]; a confirmed
     /// verdict upgrades the passively-settled incident via the tracker's
@@ -345,37 +369,74 @@ impl Kepler {
     /// silently — the passive incident already on record must not be
     /// erased by a late, post-hoc campaign.
     fn revalidate_deferred(&mut self, now: Timestamp) {
-        if self.deferred.is_empty() {
+        if self.deferred.is_empty()
+            || self.prober.as_ref().map(|p| p.health()) != Some(BackendHealth::Online)
+        {
             return;
         }
-        let Some(mut prober) = self.prober.take() else { return };
-        if prober.health() == BackendHealth::Online {
-            for mut d in std::mem::take(&mut self.deferred) {
-                let report = prober.validate(&d.pending.request(), now);
-                if report.degraded {
-                    // Browned out again mid-drain: requeue, boundedly.
+        for mut d in std::mem::take(&mut self.deferred) {
+            let report = self.campaign(&d.pending.request(), now);
+            let s = settle(d.pending.fallback, d.pending.booked_unresolved, report);
+            self.counts.tally_revalidated(s.why, s.rescued);
+            match (s.why, s.scope) {
+                // Browned out again mid-drain: requeue, boundedly.
+                (Why::Degraded, _) => {
                     d.attempts += 1;
                     if d.attempts < DEFER_ATTEMPTS {
                         self.deferred.push(d);
                     }
-                    continue;
                 }
-                if let Some(fac) = report.resolved() {
-                    self.counts.deferred_revalidated += 1;
-                    let inc = d.pending.to_incident(OutageScope::Facility(fac));
-                    let meta = IncidentMeta {
-                        validation: ValidationStatus::Confirmed,
-                        evidence: report.evidence,
-                        completeness: report.completeness,
-                        ..IncidentMeta::default()
-                    };
-                    self.tracker.record(&[inc], &[meta], &mut self.interner);
+                (Why::Confirmed, Some(scope)) => {
+                    let inc = d.pending.to_incident(scope);
+                    self.tracker.record(&[inc], &[s.meta], &mut self.interner);
                 }
+                _ => {}
             }
         }
-        self.prober = Some(prober);
     }
 
+    /// Settles the bin's low-confidence localizations (paper §4.4
+    /// targeted campaigns). An open incident whose epicenter is among a
+    /// group's candidates may already carry a probe-confirmed verdict
+    /// fresh enough to reuse; otherwise a campaign decides, and without a
+    /// prober each group collapses to its passive fallback.
+    fn settle_pending(
+        &mut self,
+        pending: &[PendingIncident],
+        now: Timestamp,
+    ) -> Vec<(LocalizedIncident, IncidentMeta)> {
+        let mut settled = Vec::new();
+        for p in pending {
+            let candidates: Vec<FacilityId> = p.candidates.iter().map(|c| c.facility).collect();
+            let s = match self.tracker.accumulated_confirmation(&candidates, now) {
+                Some((fac, evidence)) => Settlement::reused(fac, evidence, p.booked_unresolved),
+                None => settle(p.fallback, p.booked_unresolved, self.campaign(&p.request(), now)),
+            };
+            self.counts.tally(s.why, s.rescued);
+            // Degrade gracefully: the passive fallback is recorded now,
+            // the pending is parked for re-validation once the platform
+            // recovers.
+            if s.why == Why::Degraded && self.deferred.len() < DEFER_CAP {
+                self.deferred.push(DeferredPending { pending: p.clone(), attempts: 0 });
+            }
+            if let Some(scope) = s.scope {
+                settled.push((p.to_incident(scope), s.meta));
+            }
+        }
+        settled
+    }
+
+    /// Closes incidents whose epicenter is forwarding again. Probe-driven
+    /// restoration first: a data-plane close stamps the earlier end time
+    /// before the control-plane check can.
+    fn restore(&mut self, bin_end: Timestamp) {
+        if let Some(rp) = self.restoration.as_mut() {
+            self.counts.probe_closed += self.tracker.probe_restorations(bin_end, rp.as_mut());
+        }
+        self.tracker.check_restorations(bin_end, &self.monitor);
+    }
+
+    /// One closed bin through the stages of the module doc.
     fn handle_bin(&mut self, outcome: DenseBinOutcome) {
         // Presence counts leave dense space here: `resolve` below does not
         // carry them (pre-fusion callers never see the field), so the
@@ -388,150 +449,28 @@ impl Kepler {
         // Resolution back to display space happens here, once per closed
         // bin — the per-event path upstream is entirely dense.
         let outcome = outcome.resolve(&self.interner);
+        let now = outcome.bin_start;
+        let bin_end = now.saturating_add(self.config.bin_secs);
         self.bins_closed += 1;
-        self.last_bin_end = outcome.bin_start.saturating_add(self.config.bin_secs);
-        self.revalidate_deferred(outcome.bin_start);
+        self.last_bin_end = bin_end;
+        self.revalidate_deferred(now);
         let investigation = self.investigator.investigate(&outcome);
-        for (_, class) in &investigation.dismissed {
-            match class {
-                SignalClass::LinkLevel => self.counts.link_level += 1,
-                SignalClass::AsLevel => self.counts.as_level += 1,
-                SignalClass::OperatorLevel => self.counts.operator_level += 1,
-                SignalClass::PopLevel => {}
-            }
-        }
-        self.counts.unresolved += investigation.unresolved.len();
-        // Low-confidence localizations: targeted probes disambiguate the
-        // candidate facilities (paper §4.4 targeted campaigns). Without a
-        // prober, each pending group collapses to its passive fallback.
-        let mut settled: Vec<(LocalizedIncident, IncidentMeta)> = Vec::new();
-        for pending in &investigation.pending {
-            // Cross-bin evidence accumulation: an open incident whose
-            // epicenter is among this group's candidates may already carry
-            // a probe-confirmed verdict fresh enough to reuse — no new
-            // campaign, the accumulated hop evidence travels along.
-            let candidates: Vec<FacilityId> =
-                pending.candidates.iter().map(|c| c.facility).collect();
-            if let Some((fac, evidence)) =
-                self.tracker.accumulated_confirmation(&candidates, outcome.bin_start)
-            {
-                self.counts.evidence_reused += 1;
-                self.counts.unresolved =
-                    self.counts.unresolved.saturating_sub(pending.booked_unresolved);
-                settled.push((
-                    pending.to_incident(OutageScope::Facility(fac)),
-                    IncidentMeta {
-                        validation: ValidationStatus::Confirmed,
-                        evidence,
-                        reused: true,
-                        ..IncidentMeta::default()
-                    },
-                ));
-                continue;
-            }
-            let (scope, validation, evidence, completeness) = match self.prober.as_mut() {
-                None => match pending.fallback {
-                    Some(scope) => (scope, ValidationStatus::Unvalidated, Vec::new(), 1.0),
-                    None => continue,
-                },
-                Some(prober) => {
-                    let report = prober.validate(&pending.request(), outcome.bin_start);
-                    if report.degraded {
-                        // The measurement backend browned out below its
-                        // completeness quorum: the campaign's verdicts are
-                        // not trustworthy. Degrade gracefully — settle on
-                        // the passive fallback now, park the pending for
-                        // re-validation once the platform recovers.
-                        self.counts.degraded_passive += 1;
-                        if self.deferred.len() < DEFER_CAP {
-                            self.deferred
-                                .push(DeferredPending { pending: pending.clone(), attempts: 0 });
-                        }
-                        match pending.fallback {
-                            Some(scope) => (
-                                scope,
-                                ValidationStatus::Unvalidated,
-                                Vec::new(),
-                                report.completeness,
-                            ),
-                            None => continue,
-                        }
-                    } else if let Some(fac) = report.resolved() {
-                        self.counts.probe_confirmed += 1;
-                        // Clusters that were booked unresolved have been
-                        // rescued by the probes; the pending carries the
-                        // exact number of bookings it absorbed.
-                        self.counts.unresolved =
-                            self.counts.unresolved.saturating_sub(pending.booked_unresolved);
-                        (
-                            OutageScope::Facility(fac),
-                            ValidationStatus::Confirmed,
-                            report.evidence,
-                            report.completeness,
-                        )
-                    } else {
-                        let fallback_refuted = matches!(
-                            pending.fallback,
-                            Some(OutageScope::Facility(g))
-                                if report.verdict_for(g) == Some(FacilityVerdict::Refuted)
-                        );
-                        if report.all_refuted() || fallback_refuted {
-                            // Every suspect building is demonstrably
-                            // forwarding: the suspicion was a false
-                            // positive.
-                            self.counts.probe_refuted += 1;
-                            continue;
-                        }
-                        self.counts.probe_inconclusive += 1;
-                        match pending.fallback {
-                            Some(scope) => (
-                                scope,
-                                ValidationStatus::Inconclusive,
-                                report.evidence,
-                                report.completeness,
-                            ),
-                            None => continue,
-                        }
-                    }
-                }
-            };
-            settled.push((
-                pending.to_incident(scope),
-                IncidentMeta { validation, evidence, completeness, ..IncidentMeta::default() },
-            ));
-        }
-        // Data-plane confirmation: incidents contradicted by traceroutes
-        // are discarded as false positives (paper §4.4).
-        let mut kept = Vec::new();
-        let mut meta = Vec::new();
+        self.counts.tally_investigation(&investigation);
+        let settled = self.settle_pending(&investigation.pending, now);
         let confident =
             investigation.incidents.into_iter().map(|inc| (inc, IncidentMeta::default()));
-        for (inc, mut m) in confident.chain(settled) {
-            let verdict = self
-                .dataplane
-                .as_ref()
-                .and_then(|dp| dp.probe(&inc.scope, outcome.bin_start))
-                .map(|r| confirm(r, self.config.t_fail));
-            if verdict == Some(false) {
-                self.counts.dataplane_rejected += 1;
-                continue;
-            }
-            self.counts.pop_level += 1;
-            m.dataplane = verdict;
-            kept.push(inc);
-            meta.push(m);
-        }
+        let (kept, meta) = validate::confirm(
+            self.dataplane.as_deref(),
+            self.config.t_fail,
+            now,
+            confident.chain(settled),
+            &mut self.counts,
+        );
         self.tracker.record(&kept, &meta, &mut self.interner);
         // Auxiliary detectors run after the deviation pipeline recorded,
         // so their signals corroborate this bin's incidents directly.
-        self.fuse_signals(&presence, outcome.bin_start);
-        let bin_end = outcome.bin_start.saturating_add(self.config.bin_secs);
-        // Probe-driven restoration first: a data-plane close stamps the
-        // earlier end time before the control-plane check can.
-        if let Some(rp) = self.restoration.as_mut() {
-            self.counts.probe_closed += self.tracker.probe_restorations(bin_end, rp.as_mut());
-        }
-        self.tracker.check_restorations(bin_end, &self.monitor);
+        self.fuse_signals(&presence, now);
+        self.restore(bin_end);
     }
 
     /// Polls every attached signal source for the closed bin and fuses
@@ -590,26 +529,13 @@ impl Kepler {
                 .map(|(_, s)| s.weight)
                 .max()
                 .unwrap_or(0);
-            let mut validation = ValidationStatus::Unvalidated;
-            let mut evidence: Vec<HopEvidence> = Vec::new();
-            let mut completeness = 1.0;
-            let open = if kinds.len() >= 2 || delay_weight >= self.config.delay_min_anomalous_pairs
-            {
-                true
-            } else if kinds.contains(&SignalKind::Forecast) {
-                match self.probe_forecast_suspicion(scope, bin_start) {
-                    Some((e, c)) => {
-                        validation = ValidationStatus::Confirmed;
-                        evidence = e;
-                        completeness = c;
-                        true
-                    }
-                    None => false,
-                }
+            let quorum = kinds.len() >= 2 || delay_weight >= self.config.delay_min_anomalous_pairs;
+            let confirmation = if !quorum && kinds.contains(&SignalKind::Forecast) {
+                self.probe_forecast_suspicion(scope, bin_start)
             } else {
-                false
+                None
             };
-            if !open {
+            if !quorum && confirmation.is_none() {
                 self.counts.aux_suppressed += signals.len();
                 continue;
             }
@@ -629,17 +555,11 @@ impl Kepler {
                 scope,
                 bin_start,
                 affected_near: BTreeSet::new(),
-                affected_far: self.scope_members(scope),
+                affected_far: scope.members(self.investigator.colo()),
                 affected_keys: Vec::new(),
                 watch: Vec::new(),
             };
-            let meta = IncidentMeta {
-                validation,
-                evidence,
-                completeness,
-                sources,
-                ..IncidentMeta::default()
-            };
+            let meta = IncidentMeta { sources, ..confirmation.unwrap_or_default() };
             self.counts.fused_opens += 1;
             self.tracker.record(&[inc], &[meta], &mut self.interner);
         }
@@ -647,65 +567,33 @@ impl Kepler {
 
     /// Runs a synthetic validation campaign for a forecast-only
     /// suspicion: the scope's own facilities are the candidates and its
-    /// colocated members the targets. Returns the confirming evidence,
+    /// colocated members the targets. Returns the confirming metadata,
     /// or `None` when the suspicion stays suppressed — no prober
     /// attached, campaign degraded, refuted, or inconclusive.
     fn probe_forecast_suspicion(
         &mut self,
         scope: OutageScope,
         bin_start: Timestamp,
-    ) -> Option<(Vec<HopEvidence>, f64)> {
-        self.prober.as_ref()?;
+    ) -> Option<IncidentMeta> {
         let colo = self.investigator.colo();
-        let (pop, candidates): (LocationTag, Vec<FacilityId>) = match scope {
-            OutageScope::Facility(f) => (LocationTag::Facility(f), vec![f]),
-            OutageScope::Ixp(x) => {
-                (LocationTag::Ixp(x), colo.facilities_of_ixp(x).iter().copied().collect())
-            }
-            OutageScope::City(c) => (LocationTag::City(c), colo.facilities_in_city(c)),
-        };
+        let candidates = scope.facilities(colo);
         if candidates.is_empty() {
             return None;
         }
         let request = ProbeRequest {
-            pop,
+            pop: scope.tag(),
             bin_start,
             candidates,
-            affected_far: self.scope_members(scope).into_iter().collect(),
+            affected_far: scope.members(colo).into_iter().collect(),
             affected_near: Vec::new(),
         };
-        let prober = self.prober.as_mut().expect("checked above");
-        let report = prober.validate(&request, bin_start);
-        if report.degraded {
-            return None;
+        let s = settle(None, 0, self.campaign(&request, bin_start));
+        // A degraded campaign settles nothing here — there is no passive
+        // fallback to book under `degraded_passive`.
+        if s.why != Why::Degraded {
+            self.counts.tally(s.why, s.rescued);
         }
-        if report.resolved().is_some() {
-            self.counts.probe_confirmed += 1;
-            return Some((report.evidence, report.completeness));
-        }
-        if report.all_refuted() {
-            self.counts.probe_refuted += 1;
-        } else {
-            self.counts.probe_inconclusive += 1;
-        }
-        None
-    }
-
-    /// The colocated member ASes of a scope — the affected-far display
-    /// set for incidents opened without a deviation group.
-    fn scope_members(&self, scope: OutageScope) -> BTreeSet<Asn> {
-        let colo = self.investigator.colo();
-        match scope {
-            OutageScope::Facility(f) => colo.members_of_facility(f).clone(),
-            OutageScope::Ixp(x) => colo.members_of_ixp(x).clone(),
-            OutageScope::City(c) => {
-                let mut members = BTreeSet::new();
-                for f in colo.facilities_in_city(c) {
-                    members.extend(colo.members_of_facility(f).iter().copied());
-                }
-                members
-            }
-        }
+        (s.why == Why::Confirmed).then_some(s.meta)
     }
 
     /// Feeds a whole stream, then finishes.
@@ -738,11 +626,12 @@ impl Kepler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataplane::{FixedProbe, ProbeResult};
     use crate::events::OutageScope;
+    use crate::validate::tests::FixedProbe;
     use kepler_bgp::{AsPath, Asn, BgpUpdate, Community, PathAttributes, Prefix};
     use kepler_bgpstream::{CollectorId, PeerId, RecordPayload};
     use kepler_docmine::LocationTag;
+    use kepler_probe::ProbeResult;
     use kepler_topology::entities::Facility;
     use kepler_topology::{CityId, Continent, FacilityId, GeoPoint};
 
@@ -1252,6 +1141,108 @@ mod tests {
         // merge rules; the verdict upgrade sticks.
         assert_eq!(reports[0].validation, crate::events::ValidationStatus::Confirmed);
         assert!(!reports[0].probe_evidence.is_empty(), "late evidence attached");
+    }
+
+    #[test]
+    fn late_confirmation_gives_back_the_parked_unresolved_booking() {
+        // Far-ends 20..=28 sit in both twin buildings but only 20..=25
+        // detour: neither building clears the co-location margin, so the
+        // group is passively unresolvable — booked `unresolved`, pending
+        // without a fallback. Its first campaign is degraded, so it is
+        // parked with nothing on record.
+        let run = |degraded_campaigns: usize| {
+            let mut inputs = twin_inputs();
+            for a in 26..=28u32 {
+                inputs.colo.add_fac_member(FacilityId(1), Asn(a));
+                inputs.colo.add_fac_member(FacilityId(2), Asn(a));
+            }
+            let mut records: Vec<BgpRecord> =
+                (0..9u8).map(|i| announce(T0, 10 + (i % 3) as u32, 20 + i as u32, i)).collect();
+            let t_fail = T0 + 2 * DAY + 3600;
+            records.extend(outage_records(t_fail));
+            // Keepalives on a never-deviating prefix drive later bin closes.
+            records.extend((1..10u64).map(|k| announce(t_fail + k * 300, 12, 28, 8)));
+            let mut kepler = Kepler::new(inputs).with_prober(Box::new(BrownoutProber {
+                degraded_remaining: std::cell::Cell::new(degraded_campaigns),
+            }));
+            for r in records {
+                kepler.process_record_owned(r);
+            }
+            (kepler.class_counts(), kepler.finish())
+        };
+        // The backend never heals: the booking stands, nothing is reported.
+        let (counts, reports) = run(usize::MAX);
+        assert_eq!((counts.degraded_passive, counts.unresolved), (1, 1), "{counts:?}");
+        assert!(reports.is_empty(), "{reports:?}");
+        // It heals after that one campaign: re-validation confirms
+        // facility 2, and the booking is given back exactly as a
+        // first-round confirmation gives it back.
+        let (counts, reports) = run(1);
+        assert_eq!((counts.degraded_passive, counts.deferred_revalidated), (1, 1), "{counts:?}");
+        assert_eq!(counts.unresolved, 0, "probes localized it after all: {counts:?}");
+        assert_eq!(counts.probe_confirmed, 0, "an upgrade, not a fresh campaign: {counts:?}");
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert_eq!(reports[0].scope, OutageScope::Facility(FacilityId(2)));
+        assert_eq!(reports[0].validation, crate::events::ValidationStatus::Confirmed);
+    }
+
+    /// Passes every report of the inner prober on, keeping a copy.
+    struct TapProber<P> {
+        inner: P,
+        seen: std::rc::Rc<std::cell::RefCell<Vec<ProbeReport>>>,
+    }
+
+    impl<P: Prober> Prober for TapProber<P> {
+        fn validate(&mut self, request: &ProbeRequest, now: Timestamp) -> ProbeReport {
+            let report = self.inner.validate(request, now);
+            self.seen.borrow_mut().push(report.clone());
+            report
+        }
+
+        fn health(&self) -> BackendHealth {
+            self.inner.health()
+        }
+    }
+
+    #[test]
+    fn class_counts_are_the_fold_of_tally_over_the_whys_emitted() {
+        // The twin stream raises pendings whose passive fallback is
+        // facility 1 with no `unresolved` booking (pinned by the tests
+        // above), so the `Why` of every campaign is recomputable from the
+        // report the prober handed over — and the run's settlement
+        // counters must be exactly the tally of those.
+        fn tapped(inner: impl Prober + 'static) -> Vec<Why> {
+            let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let tap = TapProber { inner, seen: seen.clone() };
+            let mut kepler = Kepler::new(twin_inputs()).with_prober(Box::new(tap));
+            for r in twin_records() {
+                kepler.process_record_owned(r);
+            }
+            kepler.finalize();
+            let counts = kepler.class_counts();
+            // Classification is not a settlement: carried over as is.
+            let mut folded = ClassCounts {
+                link_level: counts.link_level,
+                as_level: counts.as_level,
+                operator_level: counts.operator_level,
+                pop_level: counts.pop_level,
+                ..ClassCounts::default()
+            };
+            let mut whys = Vec::new();
+            for report in seen.borrow().iter().cloned() {
+                let s = settle(Some(OutageScope::Facility(FacilityId(1))), 0, Some(report));
+                folded.tally(s.why, s.rescued);
+                whys.push(s.why);
+            }
+            assert_eq!(counts, folded, "{whys:?}");
+            whys
+        }
+        let scripted = |confirm, inconclusive| ScriptedProber { confirm, inconclusive };
+        let brownout = BrownoutProber { degraded_remaining: std::cell::Cell::new(usize::MAX) };
+        assert_eq!(tapped(scripted(Some(2), false)), [Why::Confirmed]);
+        assert_eq!(tapped(scripted(None, false)), [Why::Refuted]);
+        assert_eq!(tapped(scripted(None, true)), [Why::Inconclusive]);
+        assert_eq!(tapped(brownout), [Why::Degraded]);
     }
 
     /// Restoration prober scripted on wall clock: still down before

@@ -35,7 +35,7 @@ use crate::signal::{SignalKind, SourceContribution};
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
-use kepler_probe::{Backoff, Epicenter, HopEvidence, RestorationProber, RestorationVerdict};
+use kepler_probe::{Backoff, HopEvidence, RestorationProber, RestorationVerdict};
 use kepler_topology::{CityId, ColocationMap, FacilityId};
 use std::collections::HashMap;
 
@@ -618,12 +618,8 @@ impl Tracker {
         let mut closed = 0usize;
         for scope in due {
             let on = &mut self.ongoing.get_mut(&scope).expect("present").inc;
-            let epicenter = match scope {
-                OutageScope::Facility(f) => Epicenter::Facility(f),
-                OutageScope::Ixp(x) => Epicenter::Ixp(x),
-                OutageScope::City(c) => Epicenter::City(c),
-            };
-            let verdict = prober.check(epicenter, &on.affected_far, on.started, now).verdict;
+            let verdict =
+                prober.check(scope.epicenter(), &on.affected_far, on.started, now).verdict;
             match (verdict, on.probe_restored_at) {
                 (RestorationVerdict::Restored, Some(first)) => {
                     // Second consecutive confirmation: the outage ended
@@ -823,7 +819,7 @@ mod tests {
     use kepler_bgp::Prefix;
     use kepler_bgpstream::{CollectorId, PeerId};
     use kepler_docmine::LocationTag;
-    use kepler_probe::{PostState, RestorationReport};
+    use kepler_probe::{Epicenter, PostState, RestorationReport};
     use kepler_topology::FacilityId;
 
     fn key(i: u8) -> RouteKey {

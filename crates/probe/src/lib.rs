@@ -25,7 +25,8 @@
 //! * [`trace`] — interface-level trace modeling shared with the simulator
 //!   (`kepler-netsim` re-exports these types): hop ownership, crossing
 //!   queries, loop detection, and the §4.4 baseline re-probe arithmetic
-//!   ([`ProbeResult`] / [`confirm`]) that `kepler-core` re-exports.
+//!   ([`ProbeResult`] / [`confirm`]) that `kepler-core`'s validation
+//!   stage applies.
 //! * [`analysis`] — the path-analysis module: diffs pre/post-event hop
 //!   sequences against the colocation map and emits a
 //!   [`FacilityVerdict`] with per-hop evidence.

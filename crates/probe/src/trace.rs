@@ -1,11 +1,10 @@
 //! Interface-level trace modeling shared by the simulator and the
 //! detector.
 //!
-//! These types are the single owner of the data-plane vocabulary that was
-//! previously split between `kepler-core::dataplane` and
-//! `kepler-netsim::dataplane`: interface ownership and hop records live
-//! here, both crates re-export them, and the §4.4 baseline re-probe
-//! arithmetic ([`ProbeResult`] / [`confirm`]) sits next to them.
+//! These types are the single owner of the data-plane vocabulary:
+//! interface ownership and hop records live here (`kepler-netsim`
+//! re-exports them), and the §4.4 baseline re-probe arithmetic
+//! ([`ProbeResult`] / [`confirm`]) sits next to them.
 
 use kepler_bgp::Asn;
 use kepler_topology::{FacilityId, IxpId};

@@ -4,9 +4,10 @@
 //! detector must stay substrate-agnostic), so the adapters that wire a
 //! simulated world into the detection pipeline live here:
 //!
-//! * [`SimProbe`] — implements the detector's [`DataPlaneProbe`] trait on
-//!   top of the simulated traceroute plane, including the baseline-path
-//!   selection the paper's §4.4 describes;
+//! * [`SimProbe`] — implements the detector's [`DataPlaneProbe`] trait
+//!   (the baseline re-probe of `kepler_core::validate`) on top of the
+//!   simulated traceroute plane, including the baseline-path selection
+//!   the paper's §4.4 describes;
 //! * [`SimTraceBackend`] — implements `kepler-probe`'s [`TraceBackend`]
 //!   over the same plane, so the targeted-probe engine can disambiguate
 //!   colocated facilities ([`prober_for`] / [`detector_with_prober`]);
@@ -17,10 +18,10 @@
 //!   including the paper's trackability rule.
 
 use kepler_bgp::fx::FxHashMap;
-use kepler_core::dataplane::{DataPlaneProbe, ProbeResult};
 use kepler_core::events::OutageScope;
 use kepler_core::metrics::TruthOutage;
 use kepler_core::signal::{CanaryPair, DelayDetector, ForecastDetector};
+use kepler_core::validate::DataPlaneProbe;
 use kepler_core::{Kepler, KeplerConfig, KeplerInputs};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_netsim::dataplane::{
@@ -31,8 +32,8 @@ use kepler_netsim::scenario::Scenario;
 use kepler_netsim::world::World;
 use kepler_netsim::{FaultConfig, FaultyBackend};
 use kepler_probe::{
-    ProbeEngine, ProbeEngineConfig, RecordingBackend, SyncAdapter, Trace, TraceBackend,
-    VantagePoint, VantageRegistry,
+    ProbeEngine, ProbeEngineConfig, ProbeResult, RecordingBackend, SyncAdapter, Trace,
+    TraceBackend, VantagePoint, VantageRegistry,
 };
 use kepler_topology::{AsType, FacilityId};
 use std::cell::RefCell;
