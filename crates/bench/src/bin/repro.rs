@@ -169,6 +169,9 @@ fn fuzz_replay(verdict: kepler::fuzz_harness::FuzzVerdict) -> ! {
 /// Where `serve` writes and `query`/`stats` read when `--store` is absent.
 const DEFAULT_STORE: &str = "target/kepler-serve";
 
+/// Where `serve` leaves its run counters for `stats`, under the store.
+const LAST_RUN: &str = "last-run.txt";
+
 /// Runs the detector as a daemon over the AMS-IX case-study stream:
 /// durable store under `--store`, alert fan-out to stderr and
 /// `<store>/alerts.log`, final report summary. A second invocation over
@@ -220,13 +223,21 @@ fn serve_cmd(args: &[String]) -> ! {
     }
     match daemon.finish() {
         Ok((reports, summary)) => {
-            println!(
-                "serve: {} events, {} commits, {} transitions; {} finalized incident(s)",
+            let run = format!(
+                "{} events, {} commits ({} idle), {} transitions, {} compaction(s) ({} deferred over an empty WAL)",
                 summary.events,
                 summary.commits,
+                summary.idle_commits,
                 summary.transitions,
-                reports.len()
+                summary.compactions,
+                summary.compactions_deferred
             );
+            println!("serve: {run}; {} finalized incident(s)", reports.len());
+            // The counters live in the daemon, not the store: left beside
+            // it for `repro stats`.
+            if let Err(e) = std::fs::write(store.join(LAST_RUN), format!("{run}\n")) {
+                eprintln!("serve: cannot write {LAST_RUN}: {e}");
+            }
             for r in &reports {
                 println!("  {r}");
             }
@@ -345,6 +356,9 @@ fn stats_cmd(args: &[String]) -> ! {
         "recovery: snapshot={} (seq {}), {} WAL frame(s) applied, {} skipped, {} damaged tail byte(s)",
         rec.had_snapshot, rec.snapshot_seq, rec.frames_applied, rec.frames_skipped, rec.dropped_bytes
     );
+    if let Ok(run) = std::fs::read_to_string(store.join(LAST_RUN)) {
+        println!("last run: {}", run.trim_end());
+    }
     println!("as of bin {last_bin}: {} scope(s) on record", view.len());
     println!(
         "  open {}  recovering {}  closed {}",

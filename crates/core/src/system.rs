@@ -297,6 +297,14 @@ impl Kepler {
         self.tracker.export()
     }
 
+    /// Moves whenever [`export_incidents`](Self::export_incidents) would
+    /// return something new ([`crate::tracker::Tracker::revision`]): a
+    /// shell that committed the export of one revision skips the export
+    /// while the revision stands still.
+    pub fn incident_revision(&self) -> u64 {
+        self.tracker.revision()
+    }
+
     /// Replaces the tracker's lifecycle state with an exported image,
     /// re-interning its display keys into this run's interner. Used by
     /// the serve daemon on restart: snapshot+WAL recovery reconstructs

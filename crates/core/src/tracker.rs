@@ -163,8 +163,8 @@ pub struct Incident {
     /// First check of the current restored streak — the close anchor
     /// once the streak reaches `close_after_consecutive`.
     pub restored_first: Option<Timestamp>,
-    /// Per-source detection contributions (tag-sorted; see
-    /// [`merge_sources`]).
+    /// Per-source detection contributions: one entry per signal kind
+    /// (peak confidence, earliest first-fire bin), sorted by wire tag.
     pub sources: Vec<SourceContribution>,
 }
 
@@ -266,6 +266,7 @@ pub struct Tracker {
     /// far, last bin seen, first bin of the streak). Only populated when
     /// `open_after_consecutive > 1`.
     warming: HashMap<OutageScope, (usize, Timestamp, Timestamp)>,
+    revision: u64,
 }
 
 impl Tracker {
@@ -401,6 +402,7 @@ impl Tracker {
         interner: &mut Interner,
     ) {
         for (inc, meta) in incidents.iter().zip(meta.iter()) {
+            self.revision += 1;
             let base = match self.merge_target(&self.ongoing, inc.scope) {
                 Some(key) => {
                     let mut on = self.ongoing.remove(&key).expect("target present");
@@ -570,6 +572,7 @@ impl Tracker {
             Some(key) => {
                 let on = self.ongoing.get_mut(&key).expect("target present");
                 merge_sources(&mut on.inc.sources, &[contrib]);
+                self.revision += 1;
                 true
             }
             None => false,
@@ -617,6 +620,7 @@ impl Tracker {
         due.sort(); // deterministic probe order
         let mut closed = 0usize;
         for scope in due {
+            self.revision += 1;
             let on = &mut self.ongoing.get_mut(&scope).expect("present").inc;
             let verdict =
                 prober.check(scope.epicenter(), &on.affected_far, on.started, now).verdict;
@@ -667,11 +671,16 @@ impl Tracker {
             let on = &mut on.inc;
             if !restored {
                 // A non-restored check breaks the closing streak: the
-                // watch list dipped back below `restore_fraction`.
-                on.restored_streak = 0;
-                on.restored_first = None;
+                // watch list dipped back below `restore_fraction`. (A dark
+                // epicenter has none to break: nothing changes.)
+                if on.restored_streak > 0 || on.restored_first.is_some() {
+                    on.restored_streak = 0;
+                    on.restored_first = None;
+                    self.revision += 1;
+                }
                 continue;
             }
+            self.revision += 1;
             // Closing hysteresis: the watch list must stay restored for
             // `close_after_consecutive` checks before the close fires
             // (threshold 1 = close immediately, the paper's behavior). A
@@ -713,6 +722,7 @@ impl Tracker {
         for s in expired {
             let (report, _) = self.cooling.remove(&s).expect("present");
             self.finish_report(report);
+            self.revision += 1;
         }
     }
 
@@ -734,6 +744,7 @@ impl Tracker {
     /// cooled ones become final. Leaves the tracker empty but usable for
     /// post-run inspection.
     pub fn finish(&mut self) -> Vec<OutageReport> {
+        self.revision += 1;
         let cooled: Vec<OutageReport> =
             self.cooling.drain().map(|(_, (report, _))| report).collect();
         for report in cooled {
@@ -750,6 +761,12 @@ impl Tracker {
     /// Number of currently ongoing outages.
     pub fn ongoing_count(&self) -> usize {
         self.ongoing.len()
+    }
+
+    /// Bumped by every `&mut` path where it changes what
+    /// [`export`](Self::export) returns: equal revisions, equal exports.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Exports the tracker's full lifecycle state. Entries are sorted by
@@ -773,6 +790,7 @@ impl Tracker {
     /// are not part of the image — configure the tracker first). The
     /// round trip `export → import → export` is exact.
     pub fn import(&mut self, state: &TrackerState, interner: &mut Interner) {
+        self.revision += 1;
         self.ongoing = state
             .ongoing
             .iter()
@@ -1614,6 +1632,74 @@ mod tests {
                 assert_eq!((reports[1].scope, reports[1].oscillations), (fac2, 1));
                 assert_eq!(reports[1].state, IncidentState::Open);
             }
+        }
+    }
+
+    #[test]
+    fn revision_moves_iff_the_export_changes() {
+        enum Op {
+            Record(Vec<LocalizedIncident>),
+            Corroborate(u32),
+            Probe(Timestamp),
+            /// `check_restorations` at a time, over the watched keys the
+            /// monitor sees back.
+            Check(Timestamp, &'static [u8]),
+            Finish,
+            Import,
+        }
+        let config = KeplerConfig::default().with_hysteresis(1, 2);
+        let first = config.restore_probe_initial_secs;
+        let window = config.merge_window_secs;
+        // One incident's life, every mutating entry point on the way:
+        // (what happens, the call, whether exported state changes).
+        let table = [
+            ("a bin without incidents", Op::Record(vec![]), false),
+            ("an incident opens", Op::Record(vec![incident(1000, &[0, 1])]), true),
+            ("corroboration finds no incident", Op::Corroborate(9), false),
+            ("corroboration lands", Op::Corroborate(1), true),
+            ("no re-probe is due", Op::Probe(1000 + first - 1), false),
+            ("a due re-probe moves the schedule", Op::Probe(1000 + first), true),
+            ("a dark epicenter has no streak to break", Op::Check(2000, &[]), false),
+            ("a restored check starts the streak", Op::Check(2060, &[0, 1]), true),
+            ("a dip breaks it", Op::Check(2120, &[]), true),
+            ("dark again", Op::Check(2180, &[]), false),
+            ("restored once", Op::Check(2240, &[0, 1]), true),
+            ("restored twice: the incident closes", Op::Check(2300, &[0, 1]), true),
+            ("cooling inside the merge window", Op::Check(2360, &[0, 1]), false),
+            ("the merge window expires", Op::Check(2240 + window, &[0, 1]), true),
+            ("the run finishes", Op::Finish, true),
+            ("an image is imported", Op::Import, true),
+        ];
+        let mut interner = Interner::new();
+        let mut t = Tracker::new(config);
+        let mut prober = ScriptedRestoration::new(vec![]); // always StillDown
+        let mut image = TrackerState::default();
+        for (what, op, changes) in table {
+            let (revision, before) = (t.revision(), t.export());
+            match op {
+                Op::Record(incidents) => {
+                    let meta = vec![IncidentMeta::default(); incidents.len()];
+                    t.record(&incidents, &meta, &mut interner);
+                    image = t.export();
+                }
+                Op::Corroborate(fac) => {
+                    let contrib = SourceContribution {
+                        kind: SignalKind::Forecast,
+                        confidence: 0.5,
+                        first_bin: 1000,
+                    };
+                    let hit = t.corroborate(OutageScope::Facility(FacilityId(fac)), contrib);
+                    assert_eq!(hit, changes, "{what}");
+                }
+                Op::Probe(now) => drop(t.probe_restorations(now, &mut prober)),
+                Op::Check(now, back) => {
+                    t.check_restorations(now, &monitor_with(&mut interner, back))
+                }
+                Op::Finish => assert_eq!(t.finish().len(), 1, "{what}"),
+                Op::Import => t.import(&image, &mut interner),
+            }
+            assert_eq!(t.export() != before, changes, "{what}: the table's own claim");
+            assert_eq!(t.revision() != revision, changes, "{what}");
         }
     }
 

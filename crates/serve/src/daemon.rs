@@ -56,8 +56,14 @@ pub struct RunSummary {
     pub events: u64,
     /// Bin batches committed to the store.
     pub commits: u64,
+    /// Of those, batches that changed no incident: the O(1) path.
+    pub idle_commits: u64,
     /// Lifecycle transitions observed.
     pub transitions: u64,
+    /// Snapshots the store wrote.
+    pub compactions: u64,
+    /// Compaction cadences that found no WAL frame to fold in.
+    pub compactions_deferred: u64,
 }
 
 /// A live detector wrapped with durability, alerting, and a query view.
@@ -71,6 +77,8 @@ pub struct Daemon {
     /// restarts at zero, so committed sequences are `seq_base +
     /// bins_closed` to stay monotone across restarts.
     seq_base: u64,
+    /// [`Kepler::incident_revision`] of the state the store holds.
+    committed_revision: u64,
     queue_depth: usize,
     summary: RunSummary,
 }
@@ -92,6 +100,7 @@ impl Daemon {
         )));
         let seq_base = store.seq();
         Ok(Daemon {
+            committed_revision: detector.incident_revision(),
             detector,
             store,
             router: AlertRouter::new(),
@@ -121,7 +130,8 @@ impl Daemon {
 
     /// Counters so far.
     pub fn summary(&self) -> RunSummary {
-        self.summary
+        let (compactions, compactions_deferred) = self.store.compactions();
+        RunSummary { compactions, compactions_deferred, ..self.summary }
     }
 
     /// The wrapped detector.
@@ -137,16 +147,31 @@ impl Daemon {
     }
 
     /// Commits any bins the detector closed since the last commit: one
-    /// WAL frame (fsynced) per batch, alert dispatch, view publish.
+    /// WAL frame (fsynced) per batch, alert dispatch, view publish. With
+    /// the incident revision where the last commit found it there is no
+    /// delta, no transition and the same scope map: only the stamps move.
     fn commit_closed_bins(&mut self) -> io::Result<()> {
         let seq = self.seq_base + self.detector.bins_closed();
         if seq <= self.store.seq() {
             return Ok(());
         }
         let bin_end = self.detector.last_bin_end();
-        let state = self.detector.export_incidents();
-        let transitions = self.store.commit_bin(seq, bin_end, &state)?;
-        self.publish(bin_end, seq, &transitions);
+        let revision = self.detector.incident_revision();
+        if revision == self.committed_revision {
+            debug_assert!(self.detector.export_incidents() == *self.store.state(), "stale gate");
+            self.store.advance(seq, bin_end)?;
+            // The same scope map (a pointer copy) under this bin's stamps.
+            let mut view = StatusView::clone(&self.view.load());
+            (view.as_of, view.seq) = (bin_end, seq);
+            self.view.store(view);
+            self.router.flush(bin_end);
+            self.summary.idle_commits += 1;
+        } else {
+            let state = self.detector.export_incidents();
+            let transitions = self.store.commit_bin(seq, bin_end, &state)?;
+            self.committed_revision = revision;
+            self.publish(bin_end, seq, &transitions);
+        }
         self.summary.commits += 1;
         Ok(())
     }
@@ -203,7 +228,7 @@ impl Daemon {
         let transitions = self.store.close_run(seq, bin_end, &reports)?;
         self.publish(bin_end, seq, &transitions);
         self.router.drain();
-        Ok((reports, self.summary))
+        Ok((reports, self.summary()))
     }
 }
 

@@ -1,9 +1,11 @@
 //! The O(1) query surface: an immutable status view swapped atomically
 //! behind readers.
 //!
-//! The daemon rebuilds a [`StatusView`] once per committed bin and
-//! publishes it through a [`ViewCell`] — an ArcSwap-shaped cell (a
-//! `RwLock` held only long enough to clone an `Arc`). Readers call
+//! The daemon publishes a [`StatusView`] once per committed bin through
+//! a [`ViewCell`] — an ArcSwap-shaped cell (a `RwLock` held only long
+//! enough to clone an `Arc`). The scope map is rebuilt only by a bin
+//! that changed incident state; a bin that changed nothing republishes
+//! the same map under its own `as_of`/`seq`. Readers call
 //! [`ViewCell::load`] and get an immutable snapshot: no lock is held
 //! while they read, a million concurrent status queries never contend
 //! with ingest, and a query observes one consistent bin, never a
@@ -75,7 +77,8 @@ pub struct StatusView {
     pub as_of: Timestamp,
     /// Commit sequence this view reflects.
     pub seq: u64,
-    scopes: HashMap<OutageScope, ScopeStatus>,
+    /// Shared, so a clone under new stamps is a pointer copy.
+    scopes: Arc<HashMap<OutageScope, ScopeStatus>>,
 }
 
 impl StatusView {
@@ -91,7 +94,7 @@ impl StatusView {
             .map(|(_, r, _)| ScopeStatus::of_report(r, IncidentState::Recovering));
         let ongoing = state.ongoing.iter().map(ScopeStatus::of_incident);
         let scopes = finished.chain(cooling).chain(ongoing).map(|s| (s.scope, s)).collect();
-        StatusView { as_of, seq, scopes }
+        StatusView { as_of, seq, scopes: Arc::new(scopes) }
     }
 
     /// The status of `scope` — a single hash lookup.

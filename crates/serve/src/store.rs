@@ -12,10 +12,10 @@
 //!   record is a **delta**: upserts/removes per lifecycle map plus the
 //!   reports finalized that bin, stamped with the monotone bin sequence.
 //! * `snapshot.bin` — the full state at a sequence point, written
-//!   atomically (tmp + rename) every `snapshot_every` bins; the WAL is
-//!   then restarted. A crash between rename and restart is harmless:
-//!   replay skips WAL records whose sequence the snapshot already
-//!   covers.
+//!   atomically (tmp + rename) every `snapshot_every` bins over which
+//!   the WAL gained a frame to fold in; the WAL is then restarted.
+//!   A crash between rename and restart is harmless: replay skips WAL
+//!   records whose sequence the snapshot already covers.
 //!
 //! Recovery loads the snapshot (if any) and replays intact WAL frames
 //! over it. Because deltas are pure functions of the exported state and
@@ -279,11 +279,13 @@ struct RunClosed {
 }
 wire_struct!(RunClosed { seq, bin_end, finished });
 
-/// One WAL record: the tag byte, then the body.
-fn record(tag: u8, body: &impl Wire) -> Vec<u8> {
-    let mut out = vec![tag];
-    body.enc(&mut out);
-    out
+/// One WAL record — the tag byte, then the body — as the writer of a
+/// frame's payload ([`WalWriter::append`]).
+fn record<'a>(tag: u8, body: &'a impl Wire) -> impl FnOnce(&mut Vec<u8>) + 'a {
+    move |out| {
+        out.push(tag);
+        body.enc(out);
+    }
 }
 
 /// Lifecycle transitions between two states, in scope order.
@@ -350,6 +352,10 @@ pub struct IncidentStore {
     last_bin: Timestamp,
     snapshot_every: u64,
     bins_since_snapshot: u64,
+    /// Frames in `wal.log`: what a compaction would fold in.
+    wal_frames: u64,
+    compactions: u64,
+    compactions_deferred: u64,
 }
 
 impl IncidentStore {
@@ -368,6 +374,9 @@ impl IncidentStore {
             last_bin,
             snapshot_every,
             bins_since_snapshot: 0,
+            wal_frames: (recovery.frames_applied + recovery.frames_skipped) as u64,
+            compactions: 0,
+            compactions_deferred: 0,
         };
         Ok((store, recovery))
     }
@@ -446,6 +455,12 @@ impl IncidentStore {
         &self.dir
     }
 
+    /// Snapshots written since the store was opened, and cadences that
+    /// came due over a WAL without a frame to fold in (no rewrite).
+    pub fn compactions(&self) -> (u64, u64) {
+        (self.compactions, self.compactions_deferred)
+    }
+
     /// Commits one closed-bin batch: appends the delta between the
     /// committed state and `new_state` to the WAL, fsyncs, compacts on
     /// cadence, and returns the lifecycle transitions for alert fan-out.
@@ -463,20 +478,34 @@ impl IncidentStore {
         let delta = BinDelta::diff(&self.state, new_state, seq, bin_end);
         let out = transitions(&self.state, new_state, bin_end);
         if !delta.is_empty() {
-            self.wal.append(&record(REC_BIN_COMMIT, &delta))?;
+            self.wal.append(record(REC_BIN_COMMIT, &delta))?;
             // fsync on bin close: the frame is durable before the bin is
             // acknowledged upstream.
             self.wal.sync()?;
+            self.wal_frames += 1;
             delta.apply(&mut self.state);
             debug_assert_eq!(&self.state, new_state, "delta application must reconstruct");
         }
+        self.advance(seq, bin_end)?;
+        Ok(out)
+    }
+
+    /// Commits a closed-bin batch that left the state as committed (the
+    /// tail of every [`commit_bin`](Self::commit_bin)). A cadence that comes
+    /// due compacts — or, over a WAL without a frame, rewrites nothing.
+    pub fn advance(&mut self, seq: u64, bin_end: Timestamp) -> io::Result<()> {
+        assert!(seq > self.seq, "bin sequence must be monotone ({} <= {})", seq, self.seq);
         self.seq = seq;
         self.last_bin = bin_end;
         self.bins_since_snapshot += 1;
-        if self.snapshot_every > 0 && self.bins_since_snapshot >= self.snapshot_every {
+        let due = self.snapshot_every > 0 && self.bins_since_snapshot >= self.snapshot_every;
+        if due && self.wal_frames > 0 {
             self.compact()?;
+        } else if due {
+            self.bins_since_snapshot = 0;
+            self.compactions_deferred += 1;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Closes the run: records the final report set (everything the
@@ -489,7 +518,7 @@ impl IncidentStore {
         finished: &[OutageReport],
     ) -> io::Result<Vec<Transition>> {
         let closed = RunClosed { seq: seq.max(self.seq + 1), bin_end, finished: finished.to_vec() };
-        self.wal.append(&record(REC_RUN_CLOSED, &closed))?;
+        self.wal.append(record(REC_RUN_CLOSED, &closed))?;
         self.wal.sync()?;
         let final_state = TrackerState { finished: closed.finished, ..TrackerState::default() };
         let out = transitions(&self.state, &final_state, bin_end);
@@ -520,6 +549,8 @@ impl IncidentStore {
         std::fs::remove_file(&wal_path)?;
         self.wal = WalWriter::open(&wal_path)?;
         self.bins_since_snapshot = 0;
+        self.wal_frames = 0;
+        self.compactions += 1;
         Ok(())
     }
 }
@@ -668,6 +699,50 @@ mod tests {
     }
 
     #[test]
+    fn compaction_waits_for_a_wal_frame() {
+        let dir = tmpdir("idle-compact");
+        let (mut store, _) = IncidentStore::open(&dir, 4).unwrap();
+        let files = || {
+            let (state, ..) = IncidentStore::recover_state(&dir).unwrap();
+            let snapshot = std::fs::read(dir.join("snapshot.bin")).unwrap();
+            (state, snapshot, std::fs::metadata(dir.join("wal.log")).unwrap().len())
+        };
+        // Four framed bins: the cadence comes due over a full WAL.
+        let mut s = TrackerState { ongoing: vec![ongoing(1, 100)], ..TrackerState::default() };
+        for seq in 1..=4 {
+            s.ongoing[0].next_probe += 60;
+            store.commit_bin(seq, 300 * seq, &s).unwrap();
+        }
+        let (state, snapshot, wal_len) = files();
+        assert_eq!(store.compactions(), (1, 0));
+        assert_eq!((state, wal_len), (s.clone(), 8));
+        // Ten idle bins, by either road: the cadence comes due twice,
+        // nothing is rewritten.
+        for seq in 5..=14 {
+            if seq % 2 == 0 {
+                assert!(store.commit_bin(seq, 300 * seq, &s).unwrap().is_empty());
+            } else {
+                store.advance(seq, 300 * seq).unwrap();
+            }
+            assert_eq!(files(), (s.clone(), snapshot.clone(), 8), "idle bin {seq}");
+        }
+        assert_eq!(store.compactions(), (1, 2));
+        assert_eq!((store.seq(), store.last_bin()), (14, 4200));
+        // A frame after the quiet stretch waits in the WAL for the next
+        // cadence boundary (bin 16, where an always-compacting store
+        // would rewrite too), then compacts with it.
+        s.ongoing[0].next_probe += 60;
+        store.commit_bin(15, 4500, &s).unwrap();
+        let (state, unchanged, wal_len) = files();
+        assert_eq!((state, unchanged, wal_len > 8), (s.clone(), snapshot, true));
+        store.advance(16, 4800).unwrap();
+        let (state, after, wal_len) = files();
+        assert_eq!(store.compactions(), (2, 2));
+        assert_eq!((state, wal_len), (s.clone(), 8));
+        assert_eq!(decode_snapshot(&after).unwrap(), (s, 16, 4800));
+    }
+
+    #[test]
     fn lifecycle_transitions_are_detected() {
         let dir = tmpdir("transitions");
         let (mut store, _) = IncidentStore::open(&dir, 0).unwrap();
@@ -740,12 +815,19 @@ mod tests {
         }
     }
 
+    /// The bytes `record` puts in a frame.
+    fn payload(tag: u8, body: &impl Wire) -> Vec<u8> {
+        let mut out = Vec::new();
+        record(tag, body)(&mut out);
+        out
+    }
+
     #[test]
     fn trailing_bytes_in_a_wal_record_are_corruption() {
         let (before, sample) = (state_before_sample(), codec::tests::sample_state());
         let delta = BinDelta::diff(&before, &sample, 2, 600);
         let closed = RunClosed { seq: 2, bin_end: 600, finished: sample.finished.clone() };
-        for payload in [record(REC_BIN_COMMIT, &delta), record(REC_RUN_CLOSED, &closed)] {
+        for payload in [payload(REC_BIN_COMMIT, &delta), payload(REC_RUN_CLOSED, &closed)] {
             let dir = tmpdir("trailing");
             let (mut store, _) = IncidentStore::open(&dir, 0).unwrap();
             store.commit_bin(1, 300, &before).unwrap();
@@ -754,7 +836,7 @@ mod tests {
             let mut padded = payload.clone();
             padded.push(0);
             let mut wal = WalWriter::open(&dir.join("wal.log")).unwrap();
-            wal.append(&padded).unwrap();
+            wal.append(|frame| frame.extend_from_slice(&padded)).unwrap();
             drop(wal);
             let err = IncidentStore::recover_state(&dir).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -763,12 +845,12 @@ mod tests {
             // The same record without the extra byte replays.
             let _ = std::fs::remove_file(dir.join("wal.log"));
             let mut wal = WalWriter::open(&dir.join("wal.log")).unwrap();
-            wal.append(&record(
+            wal.append(record(
                 REC_BIN_COMMIT,
                 &BinDelta::diff(&Default::default(), &before, 1, 300),
             ))
             .unwrap();
-            wal.append(&payload).unwrap();
+            wal.append(|frame| frame.extend_from_slice(&payload)).unwrap();
             drop(wal);
             let (state, last_bin, rec) = IncidentStore::recover_state(&dir).unwrap();
             assert_eq!((last_bin, rec.frames_applied), (600, 2));

@@ -63,16 +63,19 @@ impl WalWriter {
         Ok(WalWriter { file })
     }
 
-    /// Appends one frame. The frame is durable only after
-    /// [`sync`](Self::sync) returns.
-    pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
+    /// Appends one frame; `fill` writes its payload straight behind the
+    /// `len | crc` header, so the frame is built once, in one buffer. It
+    /// is durable only after [`sync`](Self::sync) returns.
+    pub fn append(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+        let mut frame = vec![0; 8];
+        fill(&mut frame);
+        let payload = &frame[8..];
         let len = u32::try_from(payload.len()).map_err(|_| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large")
         })?;
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let crc = crc32(payload);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
         // One write per frame: a crash mid-call tears at most this frame.
         self.file.write_all(&frame)
     }
@@ -131,6 +134,10 @@ pub fn read_frames(path: &Path) -> std::io::Result<WalScan> {
 mod tests {
     use super::*;
 
+    fn put(w: &mut WalWriter, payload: &[u8]) {
+        w.append(|frame| frame.extend_from_slice(payload)).unwrap();
+    }
+
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("kepler-wal-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -144,7 +151,7 @@ mod tests {
         let path = dir.join("wal.log");
         let mut w = WalWriter::open(&path).unwrap();
         for i in 0..10u8 {
-            w.append(&vec![i; (i as usize + 1) * 3]).unwrap();
+            put(&mut w, &vec![i; (i as usize + 1) * 3]);
         }
         w.sync().unwrap();
         let scan = read_frames(&path).unwrap();
@@ -153,7 +160,7 @@ mod tests {
         assert_eq!(scan.frames[4], vec![4u8; 15]);
         // Reopening appends after existing frames.
         let mut w = WalWriter::open(&path).unwrap();
-        w.append(b"tail").unwrap();
+        put(&mut w, b"tail");
         w.sync().unwrap();
         let scan = read_frames(&path).unwrap();
         assert_eq!(scan.frames.len(), 11);
@@ -165,8 +172,8 @@ mod tests {
         let dir = tmpdir("truncated");
         let path = dir.join("wal.log");
         let mut w = WalWriter::open(&path).unwrap();
-        w.append(b"frame-one").unwrap();
-        w.append(b"frame-two-longer").unwrap();
+        put(&mut w, b"frame-one");
+        put(&mut w, b"frame-two-longer");
         w.sync().unwrap();
         drop(w);
         // Chop mid-way into the last frame's payload.
@@ -183,8 +190,8 @@ mod tests {
         let dir = tmpdir("torn");
         let path = dir.join("wal.log");
         let mut w = WalWriter::open(&path).unwrap();
-        w.append(b"frame-one").unwrap();
-        w.append(b"frame-two").unwrap();
+        put(&mut w, b"frame-one");
+        put(&mut w, b"frame-two");
         w.sync().unwrap();
         drop(w);
         // Flip a byte inside the last frame's payload: length holds, CRC
@@ -204,7 +211,7 @@ mod tests {
         let dir = tmpdir("version");
         let path = dir.join("wal.log");
         let mut w = WalWriter::open(&path).unwrap();
-        w.append(b"frame").unwrap();
+        put(&mut w, b"frame");
         w.sync().unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();

@@ -96,8 +96,8 @@ fn main() {
     let (reports, summary) = daemon.finish().expect("finish");
 
     println!(
-        "\nrun: {} events, {} commits, {} transitions",
-        summary.events, summary.commits, summary.transitions
+        "\nrun: {} events, {} commits ({} idle), {} transitions",
+        summary.events, summary.commits, summary.idle_commits, summary.transitions
     );
     for r in &reports {
         println!("  {r}");

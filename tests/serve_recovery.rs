@@ -12,13 +12,19 @@
 mod common;
 
 use common::{run_passive, twin_study, SLACK_SECS, TWIN_SEEDS};
-use kepler::core::events::{IncidentState, OutageScope};
-use kepler::core::{KeplerConfig, TrackerState};
-use kepler::glue::detector_for;
+use kepler::bgpstream::BgpRecord;
+use kepler::core::events::{IncidentState, OutageReport, OutageScope};
+use kepler::core::{Kepler, KeplerConfig, TrackerState};
+use kepler::glue::{detector_for, detector_with_lifecycle};
+use kepler::netsim::fuzz;
 use kepler::serve::store::{decode_snapshot, encode_snapshot};
 use kepler::serve::wal::read_frames;
-use kepler::serve::{Daemon, DaemonConfig, IncidentStore};
+use kepler::serve::{
+    Alert, AlertRouter, CallbackSink, Channel, Daemon, DaemonConfig, IncidentStore, ScopeStatus,
+    StatusView, TokenBucket, Transition, ViewCell,
+};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kepler-serve-rec-{name}-{}", std::process::id()));
@@ -366,4 +372,184 @@ fn golden_store_v1_decodes_and_reencodes_byte_identically() {
     assert!(store.close_run(closed.0, closed.1, &closed.2.finished).is_err());
     assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), wal);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What one commit leaves behind: both store files and the published
+/// view's `(as_of, seq, all())`.
+type CommitTrace = (Vec<u8>, Option<Vec<u8>>, (u64, u64, Vec<ScopeStatus>));
+
+fn commit_trace(dir: &Path, view: &StatusView) -> CommitTrace {
+    (
+        std::fs::read(dir.join("wal.log")).unwrap(),
+        std::fs::read(dir.join("snapshot.bin")).ok(),
+        (view.as_of, view.seq, view.all().into_iter().cloned().collect()),
+    )
+}
+
+/// A capturing alert channel slow enough (burst 2, one token a minute)
+/// that flap storms park alerts for a later bin's `flush` to deliver.
+fn capture_channel() -> (Channel, Arc<Mutex<Vec<Alert>>>) {
+    let captured = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&captured);
+    let sink = CallbackSink(move |a: &Alert| log.lock().unwrap().push(a.clone()));
+    (Channel::new("capture", Box::new(sink), TokenBucket::new(2, 60)), captured)
+}
+
+/// One run's commit-by-commit trace, per-commit record index and idle
+/// flag, alert sequence and final reports.
+struct TracedRun {
+    commits: Vec<CommitTrace>,
+    /// Index of the record whose ingest made each commit.
+    at_record: Vec<usize>,
+    /// Whether each commit took the daemon's O(1) path.
+    idle: Vec<bool>,
+    /// The committed state after each commit.
+    states: Vec<TrackerState>,
+    alerts: Vec<Alert>,
+    reports: Vec<OutageReport>,
+}
+
+/// A cadence short enough that compactions come due over empty WALs.
+const GATE_CADENCE: u64 = 8;
+
+fn gate_daemon(detector: Kepler, dir: &Path) -> Daemon {
+    let mut config = DaemonConfig::new(dir.to_path_buf());
+    config.snapshot_every_bins = GATE_CADENCE;
+    Daemon::new(detector, &config).unwrap()
+}
+
+/// The stream through [`Daemon`].
+fn run_daemon(detector: Kepler, records: &[BgpRecord], dir: &Path) -> TracedRun {
+    let mut daemon = gate_daemon(detector, dir);
+    let (channel, captured) = capture_channel();
+    daemon.add_channel(channel);
+    let view = daemon.view();
+    let (mut commits, mut at_record, mut idle, mut states) = (vec![], vec![], vec![], vec![]);
+    let mut seen = daemon.summary();
+    for (i, rec) in records.iter().cloned().enumerate() {
+        daemon.ingest(rec).unwrap();
+        let now = daemon.summary();
+        if now.commits > seen.commits {
+            commits.push(commit_trace(dir, &view.load()));
+            at_record.push(i);
+            idle.push(now.idle_commits > seen.idle_commits);
+            states.push(daemon.detector().export_incidents());
+            seen = now;
+        }
+    }
+    let (reports, summary) = daemon.finish().unwrap();
+    commits.push(commit_trace(dir, &view.load()));
+    assert_eq!(summary.commits as usize, idle.len());
+    assert_eq!(summary.idle_commits as usize, idle.iter().filter(|&&i| i).count());
+    let alerts = captured.lock().unwrap().clone();
+    TracedRun { commits, at_record, idle, states, alerts, reports }
+}
+
+/// The same stream through the ungated commit sequence — every closed
+/// bin batch does `export_incidents` → `commit_bin` → `from_state`, the
+/// way `benchmark/src/layers.rs::commit_pass` spells it out.
+fn run_ungated(mut detector: Kepler, records: &[BgpRecord], dir: &Path) -> TracedRun {
+    let (mut store, _) = IncidentStore::open(dir, GATE_CADENCE).unwrap();
+    let cell = ViewCell::default();
+    let mut router = AlertRouter::new();
+    let (channel, captured) = capture_channel();
+    router.add_channel(channel);
+    let (mut commits, mut at_record, mut states) = (vec![], vec![], vec![]);
+    let mut publish = |store: &IncidentStore, transitions: &[Transition], bin_end, seq| {
+        router.dispatch(transitions, bin_end);
+        router.flush(bin_end);
+        cell.store(StatusView::from_state(store.state(), bin_end, seq));
+        commits.push(commit_trace(dir, &cell.load()));
+    };
+    let mut seq = 0;
+    for (i, rec) in records.iter().cloned().enumerate() {
+        detector.process_record_owned(rec);
+        if detector.bins_closed() == seq {
+            continue;
+        }
+        seq = detector.bins_closed();
+        let bin_end = detector.last_bin_end();
+        let state = detector.export_incidents();
+        let transitions = store.commit_bin(seq, bin_end, &state).unwrap();
+        publish(&store, &transitions, bin_end, seq);
+        at_record.push(i);
+        states.push(state);
+    }
+    let reports = detector.finalize();
+    let (seq, bin_end) = (detector.bins_closed() + 1, detector.last_bin_end());
+    let transitions = store.close_run(seq, bin_end, &reports).unwrap();
+    publish(&store, &transitions, bin_end, seq);
+    router.drain();
+    let alerts = captured.lock().unwrap().clone();
+    TracedRun { commits, at_record, idle: Vec::new(), states, alerts, reports }
+}
+
+#[test]
+fn revision_gate_commits_exactly_what_the_ungated_sequence_does() {
+    for seed in [13, 10, 32] {
+        let fw = fuzz::flapping(seed);
+        let config =
+            KeplerConfig::default().with_hysteresis(fw.script.open_after, fw.script.close_after);
+        let detector = || detector_with_lifecycle(&fw.scenario, config.clone());
+        let records = fw.scenario.records();
+        let (gated_dir, ungated_dir) =
+            (tmpdir(&format!("gated-{seed}")), tmpdir(&format!("ungated-{seed}")));
+        let gated = run_daemon(detector(), &records, &gated_dir);
+        let ungated = run_ungated(detector(), &records, &ungated_dir);
+
+        assert_eq!(gated.commits.len(), ungated.commits.len(), "seed {seed}: commit count");
+        assert_eq!(gated.at_record, ungated.at_record, "seed {seed}: commit points");
+        for (i, (g, u)) in gated.commits.iter().zip(&ungated.commits).enumerate() {
+            assert!(g == u, "seed {seed}: commit {i} differs on disk or in the published view");
+        }
+        assert_eq!(gated.alerts, ungated.alerts, "seed {seed}: alert sequence");
+        assert_eq!(gated.reports, ungated.reports, "seed {seed}: final reports");
+        assert!(!gated.alerts.is_empty(), "seed {seed}: the flap raised no alert");
+        // The gate is exact on this stream, not merely safe: a commit is
+        // idle iff the export it would have made equals the last one.
+        let mut last = TrackerState::default();
+        let mut live_idle = 0;
+        for (i, state) in gated.states.iter().enumerate() {
+            assert_eq!(gated.idle[i], *state == last, "seed {seed}: commit {i} idleness");
+            live_idle += (gated.idle[i] && !state.ongoing.is_empty()) as usize;
+            last = state.clone();
+        }
+        assert!(live_idle > 0, "seed {seed}: no idle bin under an open incident");
+
+        // Restart mid-stream, at a commit with an incident open and dark
+        // whose next commit was idle: the restarted daemon starts from
+        // the imported revision, so that next commit is idle again.
+        let k = (0..gated.idle.len() - 1)
+            .find(|&k| {
+                let open = &gated.states[k].ongoing;
+                gated.idle[k + 1]
+                    && !open.is_empty()
+                    && open.iter().all(|o| o.live_state() == IncidentState::Open)
+            })
+            .unwrap_or_else(|| panic!("seed {seed}: no dark commit followed by an idle one"));
+        let dir = tmpdir(&format!("gate-restart-{seed}"));
+        let mut killed = gate_daemon(detector(), &dir);
+        for rec in &records[..=gated.at_record[k]] {
+            killed.ingest(rec.clone()).unwrap();
+        }
+        assert_eq!(killed.summary().commits as usize, k + 1);
+        drop(killed);
+        let mut restarted = gate_daemon(detector(), &dir);
+        assert_eq!(restarted.detector().export_incidents(), gated.states[k]);
+        let before = restarted.view().load();
+        for rec in &records[gated.at_record[k] + 1..] {
+            restarted.ingest(rec.clone()).unwrap();
+            if restarted.summary().commits > 0 {
+                break;
+            }
+        }
+        let summary = restarted.summary();
+        assert_eq!((summary.commits, summary.idle_commits), (1, 1), "seed {seed}: after restart");
+        let after = restarted.view().load();
+        assert!(after.seq > before.seq && after.as_of > before.as_of);
+        assert_eq!(after.all(), before.all(), "seed {seed}: an idle bin republishes the same map");
+        for dir in [gated_dir, ungated_dir, dir] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
