@@ -30,8 +30,8 @@ use crate::fx::FxHashMap;
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
-use kepler_probe::telemetry::{DelaySite, SharedRttLedger};
-use kepler_probe::TraceBackend;
+use kepler_probe::telemetry::{lock_ledger, DelaySite, SharedRttLedger};
+use kepler_probe::{Trace, TraceBackend};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -273,6 +273,8 @@ pub struct DelayDetector<B = NoCanary> {
     threshold_ms: f64,
     canary: Option<(B, Vec<CanaryPair>, Timestamp)>,
     canary_baselined: bool,
+    /// The one trace buffer the canary round refills per pair.
+    scratch: Trace,
     /// Lifetime signals raised (observability).
     alarms: usize,
 }
@@ -281,7 +283,7 @@ pub struct DelayDetector<B = NoCanary> {
 pub enum NoCanary {}
 
 impl TraceBackend for NoCanary {
-    fn trace(&self, _v: Asn, _t: Asn, _at: Timestamp) -> kepler_probe::Trace {
+    fn trace(&self, _v: Asn, _t: Asn, _at: Timestamp) -> Trace {
         match *self {}
     }
 }
@@ -296,6 +298,7 @@ impl DelayDetector<NoCanary> {
             threshold_ms: config.delay_threshold_ms,
             canary: None,
             canary_baselined: false,
+            scratch: Trace::default(),
             alarms: 0,
         }
     }
@@ -318,6 +321,7 @@ impl<B: TraceBackend> DelayDetector<B> {
             threshold_ms: config.delay_threshold_ms,
             canary: Some((backend, pairs, baseline_t)),
             canary_baselined: false,
+            scratch: Trace::default(),
             alarms: 0,
         }
     }
@@ -337,23 +341,19 @@ impl<B: TraceBackend> SignalSource for DelayDetector<B> {
         let bin_end = view.bin_start + view.bin_secs;
         // One lock per poll: the canary round and the drain are one
         // critical section (campaigns never run concurrently with a poll).
-        let mut ledger = self.ledger.lock().expect("rtt ledger poisoned");
+        let mut ledger = lock_ledger(&self.ledger);
         if let Some((backend, pairs, baseline_t)) = &self.canary {
+            let scratch = &mut self.scratch;
             if !self.canary_baselined {
                 for p in pairs {
-                    ledger.observe_baseline(
-                        p.vantage,
-                        &backend.trace(p.vantage, p.target, *baseline_t),
-                    );
+                    backend.trace_into(p.vantage, p.target, *baseline_t, scratch);
+                    ledger.observe_baseline(p.vantage, scratch);
                 }
                 self.canary_baselined = true;
             }
             for p in pairs {
-                ledger.observe_current(
-                    p.vantage,
-                    bin_end,
-                    &backend.trace(p.vantage, p.target, bin_end),
-                );
+                backend.trace_into(p.vantage, p.target, bin_end, scratch);
+                ledger.observe_current(p.vantage, bin_end, scratch);
             }
         }
         let anomalies = ledger.drain_anomalies();
@@ -387,7 +387,7 @@ impl<B: TraceBackend> SignalSource for DelayDetector<B> {
 mod tests {
     use super::*;
     use kepler_probe::telemetry::shared_ledger;
-    use kepler_probe::{IfaceOwner, Trace, TraceHop};
+    use kepler_probe::{IfaceOwner, TraceHop};
     use kepler_topology::FacilityId;
     use std::net::{IpAddr, Ipv4Addr};
 
@@ -531,6 +531,8 @@ mod tests {
         surge_from: Timestamp,
     }
 
+    // `trace` only, on purpose: the canary test below runs the round
+    // through the *defaulted* `TraceBackend::trace_into`.
     impl TraceBackend for SurgingBackend {
         fn trace(&self, _v: Asn, target: Asn, t: Timestamp) -> Trace {
             let extra = if t >= self.surge_from { 50.0 } else { 0.0 };

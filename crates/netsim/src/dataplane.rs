@@ -498,11 +498,26 @@ impl<'w> DataplaneSim<'w> {
         pair: ProbePair,
         t: u64,
     ) -> TraceroutePath {
+        let mut hops = Vec::new();
+        let reached = self.traceroute_into(cache, pair, t, &mut hops);
+        TraceroutePath { pair, time: t, hops, reached }
+    }
+
+    /// [`traceroute_with`](Self::traceroute_with) into a caller-held hop
+    /// buffer (cleared first), returning whether the destination answered:
+    /// a panel re-traced every bin allocates nothing once it has grown.
+    pub fn traceroute_into(
+        &self,
+        cache: &mut TreeCache,
+        pair: ProbePair,
+        t: u64,
+        hops: &mut Vec<TraceHop>,
+    ) -> bool {
         let skeleton = match cache.windows.get(&pair) {
             Some(w) if w.from <= t && t <= w.last => w.skeleton,
             _ => self.resolve(cache, pair, t),
         };
-        self.replay(&cache.skeletons[skeleton as usize], pair, t)
+        self.replay(&cache.skeletons[skeleton as usize], t, hops)
     }
 
     /// Finds (or builds) the skeleton `pair` traces over at `t` and
@@ -576,21 +591,21 @@ impl<'w> DataplaneSim<'w> {
         id
     }
 
-    /// Plays a skeleton at instant `t`: the TTL budget, configured extra
-    /// latency, surges, per-bin jitter and hop loss — in exactly the
-    /// floating-point order of the straight-line reference.
-    fn replay(&self, skeleton: &Skeleton, pair: ProbePair, t: u64) -> TraceroutePath {
+    /// Plays a skeleton at instant `t` into `hops` (true = destination
+    /// answered): the TTL budget, configured extra latency, surges, jitter
+    /// and hop loss — in the reference's exact floating-point order.
+    fn replay(&self, skeleton: &Skeleton, t: u64, hops: &mut Vec<TraceHop>) -> bool {
+        hops.clear();
         let Some(skeleton) = skeleton else {
-            return TraceroutePath { pair, time: t, hops: Vec::new(), reached: false };
+            return false;
         };
-        let mut hops = Vec::with_capacity(skeleton.len());
+        // Exact, so an owned path still costs one right-sized allocation.
+        hops.reserve_exact(skeleton.len());
         let mut rtt = 0.5; // first-hop base
-        let mut reached = true;
         for (i, hop) in skeleton.iter().enumerate() {
             let ttl = i + 1;
             if ttl > self.config.max_ttl {
-                reached = false;
-                break;
+                return false;
             }
             rtt += hop.base_ms + self.config.extra_hop_latency_ms;
             // A congested facility's queueing delay lands on the segment
@@ -609,7 +624,7 @@ impl<'w> DataplaneSim<'w> {
             }
             hops.push(TraceHop { addr: hop.addr, owner: hop.owner, rtt_ms: rtt });
         }
-        TraceroutePath { pair, time: t, hops, reached }
+        true
     }
 
     /// A single reachability/latency probe: end-to-end RTT when the
@@ -1277,10 +1292,24 @@ mod tests {
 
             let mut cache = TreeCache::new();
             (cache.tree_cap, cache.skeleton_cap) = caps;
+            // `traceroute_into` rides along on its own cache with ONE hop
+            // buffer shared across pairs and instants, dirty from the
+            // start: whatever the previous trace left must never show.
+            let mut into_cache = TreeCache::new();
+            (into_cache.tree_cap, into_cache.skeleton_cap) = caps;
+            let stale = TraceHop {
+                addr: IpAddr::V4(Ipv4Addr::new(203, 0, 113, 7)),
+                owner: IfaceOwner::IxpLan { asn: Asn(64_999), ixp: IxpId(u32::MAX) },
+                rtt_ms: f64::NAN,
+            };
+            let mut buf = vec![stale; 40];
             for &(pair, t) in &queries {
                 let want = sim.traceroute_reference(pair, t);
                 let got = sim.traceroute_with(&mut cache, pair, t);
                 assert_identical(&got, &want, &format!("pair {pair:?} t {t} timeline {timeline:?}"));
+                let reached = sim.traceroute_into(&mut into_cache, pair, t, &mut buf);
+                let into = TraceroutePath { pair, time: t, hops: buf.clone(), reached };
+                assert_identical(&into, &want, &format!("into: pair {pair:?} t {t} timeline {timeline:?}"));
                 // The window left behind covers `t` and holds one active
                 // set from end to end.
                 let window = cache.windows[&pair];
@@ -1301,6 +1330,61 @@ mod tests {
                 prop_assert_eq!(sim.failed_at(t, pair), want);
             }
         }
+    }
+
+    #[test]
+    fn one_dirty_buffer_carries_nothing_across_traces() {
+        // reached → unreachable → reached on one pair, another pair in
+        // between, then a TTL-truncated trace — all through one buffer.
+        let w = shared_world();
+        let quiet = DataplaneSim::probe_only(w, &[], 9);
+        let pairs = quiet.default_pairs(12);
+        // A full outage of some building on a measured path that cuts the
+        // pair off entirely (no detour survives).
+        let (pair, fac) = pairs
+            .iter()
+            .flat_map(|&p| {
+                let hops = quiet.traceroute(p, T0).hops;
+                hops.into_iter().filter_map(move |h| match h.owner {
+                    IfaceOwner::FacilityPort { facility, .. } => Some((p, facility)),
+                    IfaceOwner::IxpLan { .. } => None,
+                })
+            })
+            .find(|&(p, facility)| {
+                let kind = EventKind::FacilityOutage { facility, affected_fraction: 1.0 };
+                let tl = [ScheduledEvent { start: T0, duration: 600, kind }];
+                !DataplaneSim::probe_only(w, &tl, 9).traceroute_reference(p, T0 + 1).reached
+            })
+            .expect("some measured pair has a building it cannot route around");
+        let other = *pairs.iter().find(|&&p| p != pair).unwrap();
+        let timeline = [ScheduledEvent {
+            start: T0,
+            duration: 600,
+            kind: EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
+        }];
+        let sim = DataplaneSim::probe_only(w, &timeline, 9);
+        let mut cache = TreeCache::new();
+        let mut buf = Vec::new();
+        let mut seen = Vec::new();
+        let after = T0 + 600 + MAX_TAIL_SECS;
+        for (p, t) in
+            [(pair, T0 - 60), (pair, T0 + 1), (other, T0 + 1), (pair, T0 + 2), (pair, after)]
+        {
+            let want = sim.traceroute_reference(p, t);
+            let reached = sim.traceroute_into(&mut cache, p, t, &mut buf);
+            let got = TraceroutePath { pair: p, time: t, hops: buf.clone(), reached };
+            assert_identical(&got, &want, &format!("pair {p:?} t {t}"));
+            seen.push((reached, buf.len()));
+        }
+        assert!(seen[0].0 && seen[0].1 > 0, "{seen:?}");
+        assert_eq!((seen[1], seen[3]), ((false, 0), (false, 0)), "no stale hop, no stale verdict");
+        assert!(seen[4].0 && seen[4].1 > 0, "{seen:?}");
+        // A TTL budget of one: the first hop answers, the trace does not.
+        let strangled = DataplaneSim::probe_only(w, &timeline, 9)
+            .with_config(DataplaneConfig { max_ttl: 1, ..DataplaneConfig::default() });
+        let reached = strangled.traceroute_into(&mut TreeCache::new(), pair, after, &mut buf);
+        assert!(!reached && buf.len() == 1 && seen[4].1 > 1, "{seen:?} then {buf:?}");
+        assert_eq!(buf, strangled.traceroute_reference(pair, after).hops);
     }
 
     #[test]

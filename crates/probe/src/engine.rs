@@ -33,7 +33,7 @@ use crate::restoration::{Epicenter, RestorationProber, RestorationReport, Restor
 use crate::schedule::{
     Campaign, CampaignKind, CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit,
 };
-use crate::telemetry::SharedRttLedger;
+use crate::telemetry::{lock_ledger, SharedRttLedger};
 use crate::trace::{IfaceOwner, Trace};
 use crate::vantage::VantageRegistry;
 use kepler_bgp::Asn;
@@ -138,6 +138,12 @@ impl ProbeReport {
 pub trait TraceBackend {
     /// Measures (or looks up) `vantage → target` at `t`.
     fn trace(&self, vantage: Asn, target: Asn, t: Timestamp) -> Trace;
+
+    /// [`trace`](Self::trace) into a caller-held [`Trace`] (overwritten
+    /// whole): a panel re-traced every bin reuses one hop buffer.
+    fn trace_into(&self, vantage: Asn, target: Asn, t: Timestamp, out: &mut Trace) {
+        *out = self.trace(vantage, target, t);
+    }
 }
 
 /// The validation interface the detector consumes. `kepler-core` calls
@@ -507,7 +513,7 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
         match (pre.trace, post.trace) {
             (Some(pre), Some(post)) => {
                 if let Some(ledger) = &self.telemetry {
-                    let mut ledger = ledger.lock().expect("telemetry ledger poisoned");
+                    let mut ledger = lock_ledger(ledger);
                     ledger.observe_baseline(vantage, &pre);
                     ledger.observe_current(vantage, now, &post);
                 }

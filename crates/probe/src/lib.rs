@@ -34,7 +34,8 @@
 //!   [`Prober`] trait the detector consumes; measurement
 //!   backends (the netsim data plane today, a RIPE-Atlas-shaped client in
 //!   a deployment) plug in through
-//!   [`TraceBackend`] / [`AsyncTraceBackend`].
+//!   [`TraceBackend`] / [`AsyncTraceBackend`]; a panel re-traced every
+//!   bin reuses one [`Trace`] through [`TraceBackend::trace_into`].
 //! * [`lifecycle`] — the async-shaped measurement lifecycle
 //!   (`submit → poll → collect`): per-attempt deadlines, retries on
 //!   exponential backoff with deterministic seeded jitter, campaign

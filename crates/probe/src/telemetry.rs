@@ -17,13 +17,17 @@
 //! The ledger is deliberately dumb: it records anomalies and lets the
 //! detector side (`kepler-core`'s delay signal source) decide how many
 //! distinct anomalous pairs constitute evidence.
+//!
+//! `observe_*` borrow the trace and keep nothing of it: a panel re-traced
+//! every bin feeds one scratch [`Trace`] filled by
+//! [`TraceBackend::trace_into`](crate::engine::TraceBackend::trace_into).
 
 use crate::trace::{IfaceOwner, Trace};
+use kepler_bgp::fx::FxHashMap;
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_topology::{FacilityId, IxpId};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The infrastructure a delay anomaly is attributed to: the owner of the
 /// hop whose RTT step exceeded its shared baseline.
@@ -78,8 +82,9 @@ pub struct RttAnomaly {
 #[derive(Debug)]
 pub struct RttLedger {
     threshold_ms: f64,
-    /// Min-filtered baseline step per measurement key.
-    baselines: BTreeMap<PairKey, f64>,
+    /// Min-filtered baseline step per measurement key. Hashed: looked up
+    /// per hop, never iterated, so no output depends on its order.
+    baselines: FxHashMap<PairKey, f64>,
     anomalies: Vec<RttAnomaly>,
     baseline_obs: usize,
     current_obs: usize,
@@ -90,7 +95,7 @@ impl RttLedger {
     pub fn new(threshold_ms: f64) -> Self {
         RttLedger {
             threshold_ms,
-            baselines: BTreeMap::new(),
+            baselines: FxHashMap::default(),
             anomalies: Vec::new(),
             baseline_obs: 0,
             current_obs: 0,
@@ -169,6 +174,13 @@ pub type SharedRttLedger = Arc<Mutex<RttLedger>>;
 /// A fresh shared ledger.
 pub fn shared_ledger(threshold_ms: f64) -> SharedRttLedger {
     Arc::new(Mutex::new(RttLedger::new(threshold_ms)))
+}
+
+/// Locks a shared ledger, through poisoning: `observe_*` only lowers a
+/// min-filtered baseline or appends to a `Vec`, so the ledger is valid
+/// after any partial update.
+pub fn lock_ledger(ledger: &SharedRttLedger) -> MutexGuard<'_, RttLedger> {
+    ledger.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -262,5 +274,105 @@ mod tests {
         let anomalies = ledger.drain_anomalies();
         assert_eq!(anomalies.len(), 1);
         assert_eq!(anomalies[0].site, DelaySite::Ixp(IxpId(4)));
+    }
+
+    // ---- the hashed ledger against an ordered reference model ----
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The ledger as it was before the baselines were hashed, written
+    /// straight-line: an ordered map, steps materialised per trace.
+    #[derive(Default)]
+    struct ModelLedger {
+        baselines: BTreeMap<PairKey, f64>,
+        anomalies: Vec<RttAnomaly>,
+        obs: (usize, usize),
+    }
+
+    impl ModelLedger {
+        fn steps(vantage: Asn, trace: &Trace) -> Vec<(PairKey, f64, IfaceOwner)> {
+            let mut out = Vec::new();
+            let (mut prev_key, mut prev_rtt) = (PAIR_START, 0.0f64);
+            for hop in &trace.hops {
+                let entered = owner_key(hop.owner);
+                let step = (hop.rtt_ms - prev_rtt).max(0.0);
+                out.push(((vantage.0, prev_key, entered), step, hop.owner));
+                (prev_key, prev_rtt) = (entered, hop.rtt_ms);
+            }
+            out
+        }
+
+        fn observe_baseline(&mut self, vantage: Asn, trace: &Trace) {
+            self.obs.0 += 1;
+            for (key, step, _) in Self::steps(vantage, trace) {
+                let b = self.baselines.entry(key).or_insert(step);
+                *b = b.min(step);
+            }
+        }
+
+        fn observe_current(&mut self, threshold: f64, vantage: Asn, t: Timestamp, trace: &Trace) {
+            self.obs.1 += 1;
+            for (key, step, owner) in Self::steps(vantage, trace) {
+                let Some(base) = self.baselines.get(&key) else { continue };
+                if step - base > threshold {
+                    let (site, excess_ms) = (owner_site(owner), step - base);
+                    self.anomalies.push(RttAnomaly { t, site, excess_ms, key });
+                }
+            }
+        }
+    }
+
+    /// (owner pick, cumulative RTT) per hop: six owners over three
+    /// buildings and an exchange, so segments are shared across traces
+    /// and vantages; RTTs are free to dip (clamped steps).
+    fn arb_trace() -> impl Strategy<Value = Trace> {
+        prop::collection::vec((0u8..6, 0.0f64..120.0), 0..5).prop_map(|hops| Trace {
+            hops: hops
+                .into_iter()
+                .map(|(pick, rtt)| match pick {
+                    5 => hop(5, IfaceOwner::IxpLan { asn: Asn(30), ixp: IxpId(4) }, rtt),
+                    _ => fac_hop(pick, 7 + (pick as u32) % 3, rtt),
+                })
+                .collect(),
+            reached: true,
+        })
+    }
+
+    proptest! {
+        /// Fed the same baseline/current traces, the hashed ledger and
+        /// the ordered model drain the same anomalies — values, bits and
+        /// order — and count the same pairs and observations.
+        #[test]
+        fn hashed_ledger_matches_the_ordered_model(
+            ops in prop::collection::vec((0u8..5, 0u32..3, arb_trace()), 1..60),
+        ) {
+            let mut ledger = RttLedger::new(10.0);
+            let mut model = ModelLedger::default();
+            let bits = |a: &[RttAnomaly]| a.iter().map(|a| a.excess_ms.to_bits()).collect::<Vec<_>>();
+            for (i, (op, vantage, trace)) in ops.iter().enumerate() {
+                let (vantage, t) = (Asn(900 + vantage), 60 * i as u64);
+                match op {
+                    0 | 1 => {
+                        ledger.observe_baseline(vantage, trace);
+                        model.observe_baseline(vantage, trace);
+                    }
+                    2 | 3 => {
+                        ledger.observe_current(vantage, t, trace);
+                        model.observe_current(10.0, vantage, t, trace);
+                    }
+                    _ => {
+                        let (got, want) = (ledger.drain_anomalies(), std::mem::take(&mut model.anomalies));
+                        prop_assert_eq!(bits(&got), bits(&want));
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(ledger.baseline_pairs(), model.baselines.len());
+                prop_assert_eq!(ledger.observations(), model.obs);
+            }
+            let (got, want) = (ledger.drain_anomalies(), model.anomalies);
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -360,12 +360,21 @@ pub struct IncidentStore {
 
 impl IncidentStore {
     /// Opens (or creates) the store under `dir`, recovering state from
-    /// snapshot + WAL. `snapshot_every` is the compaction cadence in
-    /// committed bins (0 = compact only on [`close_run`](Self::close_run)).
+    /// snapshot + WAL and cutting the WAL to its intact prefix
+    /// (`dropped_bytes` reports the cut). `snapshot_every` is the compaction
+    /// cadence in committed bins (0 = compact only on [`close_run`](Self::close_run)).
     pub fn open(dir: &Path, snapshot_every: u64) -> io::Result<(IncidentStore, RecoveryReport)> {
         std::fs::create_dir_all(dir)?;
         let (state, seq, last_bin, recovery) = Self::load(dir)?;
-        let wal = WalWriter::open(&dir.join("wal.log"))?;
+        let wal_path = dir.join("wal.log");
+        if recovery.dropped_bytes > 0 {
+            // Cut the damaged tail: a frame appended behind bytes
+            // `read_frames` stops at is lost to the next recovery.
+            let file = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
+            file.set_len(file.metadata()?.len() - recovery.dropped_bytes)?;
+            file.sync_all()?;
+        }
+        let wal = WalWriter::open(&wal_path)?;
         let store = IncidentStore {
             dir: dir.to_path_buf(),
             wal,
@@ -382,7 +391,7 @@ impl IncidentStore {
     }
 
     /// Recovers the store's state read-only — the query/stats CLI path
-    /// (no WAL handle, no writes).
+    /// (no WAL handle, no writes: a damaged tail is reported, not cut).
     pub fn recover_state(dir: &Path) -> io::Result<(TrackerState, Timestamp, RecoveryReport)> {
         let (state, _, last_bin, recovery) = Self::load(dir)?;
         Ok((state, last_bin, recovery))

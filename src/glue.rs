@@ -172,16 +172,29 @@ impl SimTraceBackend {
 
 impl TraceBackend for SimTraceBackend {
     fn trace(&self, vantage: kepler_bgp::Asn, target: kepler_bgp::Asn, t: u64) -> Trace {
+        let mut out = Trace::default();
+        self.trace_into(vantage, target, t, &mut out);
+        out
+    }
+
+    fn trace_into(
+        &self,
+        vantage: kepler_bgp::Asn,
+        target: kepler_bgp::Asn,
+        t: u64,
+        out: &mut Trace,
+    ) {
         let pair = *self
             .pairs
             .borrow_mut()
             .entry((vantage, target))
             .or_insert_with(|| self.sim.pair_between(vantage, target));
         let Some(pair) = pair else {
-            return Trace::unreachable();
+            *out = Trace::unreachable();
+            return;
         };
-        let tr = self.sim.traceroute_with(&mut self.cache.borrow_mut(), pair, t);
-        Trace { hops: tr.hops, reached: tr.reached }
+        let cache = &mut self.cache.borrow_mut();
+        out.reached = self.sim.traceroute_into(cache, pair, t, &mut out.hops);
     }
 }
 
@@ -432,10 +445,18 @@ pub fn detector_with_fusion(
 ) -> Kepler {
     let quiet_t = scenario.start + 600;
     let trackable = trackable_facilities(scenario, &config);
-    let ledger = kepler_probe::telemetry::shared_ledger(config.delay_threshold_ms);
     let world = shared_world(scenario);
-    let prober = prober_on(Arc::clone(&world), scenario, ProbeEngineConfig::default())
-        .with_telemetry(ledger.clone());
+    let mut prober = prober_on(Arc::clone(&world), scenario, ProbeEngineConfig::default());
+    // The ledger, its tap on the prober and its only reader are built
+    // together: without the delay source nothing would ever drain it.
+    let mut delay = None;
+    if opts.delay {
+        let ledger = kepler_probe::telemetry::shared_ledger(config.delay_threshold_ms);
+        prober = prober.with_telemetry(ledger.clone());
+        let panel = canary_panel(scenario, &trackable, opts.canaries_per_facility, quiet_t);
+        let backend = backend_on(world, scenario);
+        delay = Some(DelayDetector::with_canary(&config, ledger, backend, panel, quiet_t));
+    }
     let mut kepler = detector_for(scenario, config.clone()).with_prober(Box::new(prober));
     if opts.forecast || opts.delay {
         // Presence watches keep the monitor closing every dense bin even
@@ -449,12 +470,8 @@ pub fn detector_with_fusion(
     if opts.forecast {
         kepler = kepler.with_signal_source(Box::new(ForecastDetector::new(&config)));
     }
-    if opts.delay {
-        let panel = canary_panel(scenario, &trackable, opts.canaries_per_facility, quiet_t);
-        let backend = backend_on(world, scenario);
-        kepler = kepler.with_signal_source(Box::new(DelayDetector::with_canary(
-            &config, ledger, backend, panel, quiet_t,
-        )));
+    if let Some(delay) = delay {
+        kepler = kepler.with_signal_source(Box::new(delay));
     }
     kepler
 }
@@ -684,4 +701,68 @@ pub fn truth_outages(scenario: &Scenario, config: &KeplerConfig) -> Vec<TruthOut
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kepler_netsim::events::EventKind;
+    use kepler_netsim::scenario::amsix::{AmsIxScenario, OUTAGE_DURATION, OUTAGE_START};
+    use kepler_netsim::world::WorldConfig;
+
+    #[test]
+    fn trace_into_is_trace_across_an_outage_window() {
+        let scenario = AmsIxScenario::new(7).with_config(WorldConfig::tiny(7)).build().scenario;
+        let config = KeplerConfig::default();
+        let facilities = trackable_facilities(&scenario, &config);
+        let panel = canary_panel(&scenario, &facilities, 4, scenario.start + 600);
+        assert!(panel.len() >= 4, "{panel:?}");
+        // Take down a building the quiet panel crosses, so the sweep sees
+        // more than one failure state (and restoration tails).
+        let quiet = backend_on(shared_world(&scenario), &scenario);
+        let dark = facilities
+            .iter()
+            .copied()
+            .find(|&f| {
+                panel
+                    .iter()
+                    .any(|p| quiet.trace(p.vantage, p.target, OUTAGE_START).crosses_facility(f))
+            })
+            .expect("the panel crosses a trackable facility");
+        let timeline = [ScheduledEvent {
+            start: OUTAGE_START,
+            duration: OUTAGE_DURATION,
+            kind: EventKind::FacilityOutage { facility: dark, affected_fraction: 1.0 },
+        }];
+        let world = shared_world(&scenario);
+        let owned = SimTraceBackend::new(Arc::clone(&world), &timeline, 5);
+        let reused = SimTraceBackend::new(world, &timeline, 5);
+        // One buffer for the whole sweep, dirty from the first trace on.
+        let mut out = Trace::default();
+        let mut moved = 0usize;
+        let end = OUTAGE_START + OUTAGE_DURATION;
+        for t in [OUTAGE_START - 60, OUTAGE_START, OUTAGE_START + 300, end, end + 900, end + 86_000]
+        {
+            for p in &panel {
+                reused.trace_into(p.vantage, p.target, t, &mut out);
+                let want = owned.trace(p.vantage, p.target, t);
+                assert_eq!(out, want, "{p:?} at {t}");
+                let bits =
+                    |tr: &Trace| tr.hops.iter().map(|h| h.rtt_ms.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want), "{p:?} at {t}: RTT bits");
+                let quiet = owned.trace(p.vantage, p.target, OUTAGE_START - 60);
+                let owners = |tr: &Trace| tr.hops.iter().map(|h| h.owner).collect::<Vec<_>>();
+                moved += (owners(&out) != owners(&quiet)) as usize;
+            }
+        }
+        assert!(moved > 0, "the outage re-routed no canary: the sweep saw one failure state");
+        // An unmeasurable pair right after a reachable one: neither the
+        // hops nor the verdict of the previous trace may survive.
+        let p = panel[0];
+        reused.trace_into(p.vantage, p.target, OUTAGE_START - 60, &mut out);
+        assert!(out.reached && !out.hops.is_empty(), "{out:?}");
+        reused.trace_into(kepler_bgp::Asn(4_000_000_000), p.target, OUTAGE_START - 60, &mut out);
+        assert_eq!(out, Trace::unreachable());
+        assert_eq!(owned.trace(kepler_bgp::Asn(4_000_000_000), p.target, 0), Trace::unreachable());
+    }
 }

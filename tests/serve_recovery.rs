@@ -242,6 +242,41 @@ fn truncated_wal_tail_rolls_back_to_previous_commit() {
 }
 
 #[test]
+fn commits_after_a_torn_tail_restart_survive_the_next_restart() {
+    let (dir, trail) = store_trail(7, "torn-append");
+    let k = last_framed_commit(&trail);
+    let wal = dir.join("wal.log");
+    let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+    f.set_len(trail[k].0 - 3).unwrap();
+    drop(f);
+    // The read-only path reports the damage and leaves the file alone.
+    let torn = std::fs::read(&wal).unwrap();
+    let (_, _, rec) = IncidentStore::recover_state(&dir).unwrap();
+    assert!(rec.dropped_bytes > 0, "{rec:?}");
+    assert_eq!(std::fs::read(&wal).unwrap(), torn, "recover_state must not write");
+
+    // A restarted writer cuts the tail, reports what it cut…
+    let (mut store, opened) = IncidentStore::open(&dir, 0).unwrap();
+    assert_eq!(opened.dropped_bytes, rec.dropped_bytes);
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), trail[k - 1].0, "intact prefix only");
+    assert_eq!(state_bytes(store.state()), state_bytes(&trail[k - 1].1));
+    // …and two state-changing commits later the log replays to the
+    // live state: nothing sits behind bytes the scan stops at.
+    let (_, other) = trail.iter().find(|(_, s)| *s != trail[k].1 && *s != trail[k - 1].1).unwrap();
+    let seq = store.seq();
+    store.commit_bin(seq + 1, store.last_bin() + 60, other).unwrap();
+    store.commit_bin(seq + 2, store.last_bin() + 60, &trail[k].1).unwrap();
+    assert!(std::fs::metadata(&wal).unwrap().len() > trail[k].0, "both commits wrote a frame");
+    assert_ne!(state_bytes(store.state()), state_bytes(&trail[k - 1].1));
+    let live = state_bytes(store.state());
+    drop(store);
+    let (state, _, rec) = IncidentStore::recover_state(&dir).unwrap();
+    assert_eq!(state_bytes(&state), live, "commits after the restart were lost");
+    assert_eq!(rec.dropped_bytes, 0, "{rec:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn torn_frame_crc_rolls_back_to_previous_commit() {
     let (dir, trail) = store_trail(7, "torn");
     let k = last_framed_commit(&trail);
