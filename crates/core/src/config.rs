@@ -13,9 +13,6 @@ pub struct KeplerConfig {
     /// How long a route must stay unchanged to enter the stable baseline:
     /// **2 days** (1 day admits transients, 5+ days starves coverage).
     pub stable_secs: u64,
-    /// Baseline refresh cadence; stable paths are also re-derived every
-    /// 2 days to pick up new paths and community values.
-    pub refresh_secs: u64,
     /// More than this many distinct ASes must be affected before a signal
     /// is investigated at all (link-level events are below it): **3**.
     pub min_affected_ases: usize,
@@ -110,7 +107,6 @@ impl Default for KeplerConfig {
             t_fail: 0.10,
             bin_secs: 60,
             stable_secs: 2 * 86_400,
-            refresh_secs: 2 * 86_400,
             min_affected_ases: 3,
             min_disjoint_orgs: 3,
             colo_margin: 0.95,
@@ -142,14 +138,6 @@ impl KeplerConfig {
     /// sweep).
     pub fn with_t_fail(mut self, t: f64) -> Self {
         self.t_fail = t;
-        self
-    }
-
-    /// Shrinks the stability requirement — used by tests and scenarios
-    /// whose warm-up period is shorter than two days.
-    pub fn with_stable_secs(mut self, secs: u64) -> Self {
-        self.stable_secs = secs;
-        self.refresh_secs = secs;
         self
     }
 
@@ -203,10 +191,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = KeplerConfig::default().with_t_fail(0.02).with_stable_secs(100);
+        let c = KeplerConfig::default().with_t_fail(0.02);
         assert!((c.t_fail - 0.02).abs() < 1e-9);
-        assert_eq!(c.stable_secs, 100);
-        assert_eq!(c.refresh_secs, 100);
         let c = KeplerConfig::default().with_hysteresis(3, 2);
         assert_eq!(c.open_after_consecutive, 3);
         assert_eq!(c.close_after_consecutive, 2);

@@ -191,18 +191,6 @@ impl InputModule {
         }
     }
 
-    /// Processes one element straight into dense-id space — the input-time
-    /// interning boundary: everything downstream of this call works on
-    /// [`DenseRouteEvent`]s, and fat keys are only resolved back at report
-    /// time.
-    pub fn process_dense(
-        &mut self,
-        elem: &BgpElem,
-        interner: &mut Interner,
-    ) -> Option<DenseRouteEvent> {
-        self.process(elem).map(|ev| interner.intern_event(&ev))
-    }
-
     /// Decodes one whole record into owned [`DenseRouteEvent`]s, without
     /// the per-prefix [`BgpElem`] explosion (no `Arc<PathAttributes>`
     /// clone, no per-element `Vec`s): the path is sanitized and its
@@ -210,10 +198,10 @@ impl InputModule {
     /// shares one cached `Arc` per distinct crossing set (see
     /// [`Interner::intern_crossings`]). Statistics (both [`InputStats`]
     /// and [`SanitizeStats`]) are accounted per element, byte-identical
-    /// to calling [`process_dense`](Self::process_dense) on every
-    /// exploded element, and `emit` receives events in the exact order
-    /// [`BgpRecord::explode`] would have produced them. State records
-    /// yield nothing (they are the
+    /// to calling [`process`](Self::process) on every exploded element
+    /// and interning the result, and `emit` receives events in the exact
+    /// order [`BgpRecord::explode`] would have produced them. State
+    /// records yield nothing (they are the
     /// [`GapTracker`](kepler_bgpstream::GapTracker)'s business).
     ///
     /// This is the decode stage of [`Kepler`](crate::system::Kepler).

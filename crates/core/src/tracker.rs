@@ -37,7 +37,7 @@ use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
 use kepler_probe::{Backoff, HopEvidence, RestorationProber, RestorationVerdict};
 use kepler_topology::{CityId, ColocationMap, FacilityId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Validation metadata recorded alongside one localized incident: the
 /// passive data-plane confirmation (paper §4.4 baseline re-probe) and the
@@ -249,14 +249,17 @@ struct Ongoing {
     watch: Vec<(RouteId, PopId, AsnId)>,
 }
 
-/// Tracks ongoing and closed outages.
+/// Tracks ongoing and closed outages. The lifecycle tables are ordered
+/// by scope, so every walk over them — merge targets, probe order, the
+/// order expiring incidents finish in, exports — is the same in every
+/// process; the geography maps are lookup-only.
 #[derive(Debug, Default)]
 pub struct Tracker {
     config: KeplerConfig,
-    ongoing: HashMap<OutageScope, Ongoing>,
+    ongoing: BTreeMap<OutageScope, Ongoing>,
     /// Closed segments waiting for possible oscillation-reopen: scope →
     /// (closed report, end time).
-    cooling: HashMap<OutageScope, (OutageReport, u64 /* accumulated duration */)>,
+    cooling: BTreeMap<OutageScope, (OutageReport, u64 /* accumulated duration */)>,
     finished: Vec<OutageReport>,
     /// Facility → city, for cross-scope incident reconciliation.
     fac_city: HashMap<u32, CityId>,
@@ -265,7 +268,7 @@ pub struct Tracker {
     /// Opening hysteresis state: scope → (consecutive signal bins so
     /// far, last bin seen, first bin of the streak). Only populated when
     /// `open_after_consecutive > 1`.
-    warming: HashMap<OutageScope, (usize, Timestamp, Timestamp)>,
+    warming: BTreeMap<OutageScope, (usize, Timestamp, Timestamp)>,
     revision: u64,
 }
 
@@ -307,10 +310,11 @@ impl Tracker {
     }
 
     /// The key in `map` an incident at `scope` merges into: the exact
-    /// scope first, then any related scope (same city).
+    /// scope first, then the smallest related scope (same city). Scopes
+    /// order Facility < Ixp < City, so the sharpest one wins.
     fn merge_target<V>(
         &self,
-        map: &HashMap<OutageScope, V>,
+        map: &BTreeMap<OutageScope, V>,
         scope: OutageScope,
     ) -> Option<OutageScope> {
         if map.contains_key(&scope) {
@@ -611,13 +615,12 @@ impl Tracker {
         prober: &mut dyn RestorationProber,
     ) -> usize {
         let backoff = self.backoff();
-        let mut due: Vec<OutageScope> = self
+        let due: Vec<OutageScope> = self
             .ongoing
             .iter()
             .filter(|(_, on)| now >= on.inc.next_probe)
             .map(|(s, _)| *s)
             .collect();
-        due.sort(); // deterministic probe order
         let mut closed = 0usize;
         for scope in due {
             self.revision += 1;
@@ -708,7 +711,8 @@ impl Tracker {
                 .min(anchor);
             self.close(scope, end);
         }
-        // Promote cooled incidents older than the merge window to final.
+        // Promote cooled incidents older than the merge window to final,
+        // in scope order.
         let expired: Vec<OutageScope> = self
             .cooling
             .iter()
@@ -727,8 +731,9 @@ impl Tracker {
     }
 
     /// Lifecycle states of the incidents the tracker is still holding
-    /// (sorted by scope): `Open`/`Recovering` for ongoing ones,
-    /// `Recovering` for restored incidents inside the oscillation window.
+    /// (sorted by scope; the sort merges the two ordered tables):
+    /// `Open`/`Recovering` for ongoing ones, `Recovering` for restored
+    /// incidents inside the oscillation window.
     pub fn live_states(&self) -> Vec<(OutageScope, IncidentState)> {
         let mut out: Vec<(OutageScope, IncidentState)> = self
             .ongoing
@@ -745,12 +750,10 @@ impl Tracker {
     /// post-run inspection.
     pub fn finish(&mut self) -> Vec<OutageReport> {
         self.revision += 1;
-        let cooled: Vec<OutageReport> =
-            self.cooling.drain().map(|(_, (report, _))| report).collect();
-        for report in cooled {
+        for (report, _) in std::mem::take(&mut self.cooling).into_values() {
             self.finish_report(report);
         }
-        for (_, on) in self.ongoing.drain() {
+        for on in std::mem::take(&mut self.ongoing).into_values() {
             let state = on.inc.live_state();
             self.finished.push(on.inc.into_report(None, state));
         }
@@ -769,19 +772,15 @@ impl Tracker {
         self.revision
     }
 
-    /// Exports the tracker's full lifecycle state. Entries are sorted by
-    /// scope, so two trackers holding the same incidents export
-    /// byte-identical state regardless of hash-map iteration order — the
-    /// property the serve layer's WAL/snapshot recovery tests rely on.
+    /// Exports the tracker's full lifecycle state. The tables are ordered
+    /// maps, so entries come out sorted by scope and two trackers holding
+    /// the same incidents export byte-identical state — the property the
+    /// serve layer's WAL/snapshot recovery tests rely on.
     pub fn export(&self) -> TrackerState {
-        let mut ongoing: Vec<Incident> = self.ongoing.values().map(|on| on.inc.clone()).collect();
-        ongoing.sort_by_key(|e| e.scope);
-        let mut cooling: Vec<(OutageScope, OutageReport, u64)> =
-            self.cooling.iter().map(|(s, (r, acc))| (*s, r.clone(), *acc)).collect();
-        cooling.sort_by_key(|(s, ..)| *s);
-        let mut warming: Vec<(OutageScope, usize, Timestamp, Timestamp)> =
+        let ongoing = self.ongoing.values().map(|on| on.inc.clone()).collect();
+        let cooling = self.cooling.iter().map(|(s, (r, acc))| (*s, r.clone(), *acc)).collect();
+        let warming =
             self.warming.iter().map(|(s, &(n, last, first))| (*s, n, last, first)).collect();
-        warming.sort_by_key(|(s, ..)| *s);
         TrackerState { ongoing, cooling, warming, finished: self.finished.clone() }
     }
 
@@ -1538,69 +1537,68 @@ mod tests {
 
     #[test]
     fn two_facilities_of_one_city_abstract_to_the_city_and_absorb_its_entry() {
-        let (fac1, fac2) =
-            (OutageScope::Facility(FacilityId(1)), OutageScope::Facility(FacilityId(2)));
         let city = OutageScope::City(CityId(0));
         let first = KeplerConfig::default().restore_probe_initial_secs;
-        // With a facility entry and its city's entry both open, a signal
-        // at a second facility of that city relates to both, and which
-        // one `record` merges into follows the hash map's iteration
-        // order (random per tracker). Both outcomes are pinned; the
-        // absorbing one must show up within a few fresh trackers.
-        let mut absorbed = false;
-        for _ in 0..64 {
-            let mut interner = Interner::new();
-            let mut t = Tracker::new(KeplerConfig::default());
-            // Before geography is loaded the two scopes are unrelated. The
-            // city entry oscillates once and reopens probe-confirmed.
-            t.record(&[scoped(city, 400, &[4, 5])], &[IncidentMeta::default()], &mut interner);
-            t.check_restorations(500, &monitor_with(&mut interner, &[4, 5]));
-            t.record(
-                &[scoped(city, 600, &[4])],
-                &[confirmed_meta(vec![
-                    HopEvidence { post: PostState::Unreachable, ..hop_evidence(900, 20) },
-                    hop_evidence(901, 21),
-                ])],
-                &mut interner,
-            );
-            t.record(
-                &[incident(1000, &[0, 1])],
-                &[IncidentMeta {
-                    evidence: vec![hop_evidence(900, 20)],
-                    ..IncidentMeta::default()
-                }],
-                &mut interner,
-            );
-            assert_eq!(t.ongoing_count(), 2);
-            t.set_geography(&geography(&[(0, 9), (1, 0), (2, 0)]));
-            t.record(&[scoped(fac2, 2000, &[2])], &[IncidentMeta::default()], &mut interner);
-            let state = t.export();
-            let scopes: Vec<OutageScope> = state.ongoing.iter().map(|o| o.scope).collect();
-            if scopes == [fac1, fac2] {
-                // Merged into the city entry, which sharpened to fac2.
-                assert_eq!(state.ongoing[1].started, 400);
-                continue;
-            }
-            // Merged into fac1: fac1 + fac2 abstract to the city, whose
-            // separate entry is the same incident.
-            assert_eq!(scopes, [city]);
-            let on = &state.ongoing[0];
-            assert_eq!((on.started, on.segment_start, on.prior_duration), (400, 600, 100));
-            assert_eq!(on.oscillations, 2, "max of the two entries");
-            assert_eq!(on.next_probe, 600 + first, "earliest re-probe wins");
-            // A reopened segment counts only its own paths: {0, 1, 2} + {4}.
-            assert_eq!((on.affected_keys.len(), on.watch.len()), (4, 4));
-            assert_eq!(
-                on.validation,
-                ValidationStatus::Confirmed,
-                "unvalidated adopts the other's"
-            );
-            assert_eq!((on.confidence, on.confidence_at), (1.0, 600), "higher decayed confidence");
-            assert_eq!(on.evidence, [hop_evidence(900, 20), hop_evidence(901, 21)], "or_insert");
-            absorbed = true;
-            break;
-        }
-        assert!(absorbed, "64 hash seeds never picked the facility entry");
+        let mut interner = Interner::new();
+        let mut t = Tracker::new(KeplerConfig::default());
+        // Before geography is loaded the two scopes are unrelated. The
+        // city entry oscillates once and reopens probe-confirmed.
+        t.record(&[scoped(city, 400, &[4, 5])], &[IncidentMeta::default()], &mut interner);
+        t.check_restorations(500, &monitor_with(&mut interner, &[4, 5]));
+        t.record(
+            &[scoped(city, 600, &[4])],
+            &[confirmed_meta(vec![
+                HopEvidence { post: PostState::Unreachable, ..hop_evidence(900, 20) },
+                hop_evidence(901, 21),
+            ])],
+            &mut interner,
+        );
+        t.record(
+            &[incident(1000, &[0, 1])],
+            &[IncidentMeta { evidence: vec![hop_evidence(900, 20)], ..IncidentMeta::default() }],
+            &mut interner,
+        );
+        assert_eq!(t.ongoing_count(), 2);
+        t.set_geography(&geography(&[(0, 9), (1, 0), (2, 0)]));
+        // A signal at a second facility of the city relates to both
+        // entries; the smallest related scope, the facility entry, takes
+        // it. Facility 1 + facility 2 abstract to the city, whose separate
+        // entry is the same incident.
+        t.record(
+            &[scoped(OutageScope::Facility(FacilityId(2)), 2000, &[2])],
+            &[IncidentMeta::default()],
+            &mut interner,
+        );
+        let state = t.export();
+        let scopes: Vec<OutageScope> = state.ongoing.iter().map(|o| o.scope).collect();
+        assert_eq!(scopes, [city]);
+        let on = &state.ongoing[0];
+        assert_eq!((on.started, on.segment_start, on.prior_duration), (400, 600, 100));
+        assert_eq!(on.oscillations, 2, "max of the two entries");
+        assert_eq!(on.next_probe, 600 + first, "earliest re-probe wins");
+        // A reopened segment counts only its own paths: {0, 1, 2} + {4}.
+        assert_eq!((on.affected_keys.len(), on.watch.len()), (4, 4));
+        assert_eq!(on.validation, ValidationStatus::Confirmed, "unvalidated adopts the other's");
+        assert_eq!((on.confidence, on.confidence_at), (1.0, 600), "higher decayed confidence");
+        assert_eq!(on.evidence, [hop_evidence(900, 20), hop_evidence(901, 21)], "or_insert");
+    }
+
+    #[test]
+    fn cooled_incidents_expiring_in_one_bin_finish_in_scope_order() {
+        let w = KeplerConfig::default().merge_window_secs;
+        let mut interner = Interner::new();
+        let mut t = Tracker::new(KeplerConfig::default());
+        let scopes = [9, 3, 6].map(|f| OutageScope::Facility(FacilityId(f)));
+        let incidents = scopes.map(|s| scoped(s, 1000, &[0, 1]));
+        t.record(
+            &incidents,
+            &[IncidentMeta::default(), IncidentMeta::default(), IncidentMeta::default()],
+            &mut interner,
+        );
+        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000 + w, &monitor_with(&mut interner, &[0, 1]));
+        let finished: Vec<OutageScope> = t.export().finished.iter().map(|r| r.scope).collect();
+        assert_eq!(finished, [3, 6, 9].map(|f| OutageScope::Facility(FacilityId(f))));
     }
 
     #[test]

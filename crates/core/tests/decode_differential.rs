@@ -1,5 +1,5 @@
 //! Differential property tests for the three decode roads: the
-//! per-element reference (explode → [`InputModule::process_dense`]),
+//! per-element reference (explode → [`InputModule::process`], interned),
 //! the record road the product runs
 //! ([`InputModule::process_record_events`]) and the zero-copy wire road
 //! (MRT archive → [`FrameView`] → `UpdateView` →
@@ -240,7 +240,7 @@ fn finish_run(
 }
 
 /// The reference road: gap tracking → explode → per-element
-/// [`InputModule::process_dense`].
+/// [`InputModule::process`] → [`Interner::intern_event`].
 fn run_materializing(records: &[BgpRecord]) -> DecodeRun {
     let mut input = input_module();
     let mut gap = GapTracker::new(QUARANTINE);
@@ -254,7 +254,7 @@ fn run_materializing(records: &[BgpRecord]) -> DecodeRun {
             continue;
         }
         for elem in rec.explode() {
-            if let Some(ev) = input.process_dense(&elem, &mut interner) {
+            if let Some(ev) = input.process(&elem).map(|e| interner.intern_event(&e)) {
                 events.push((elem.time, ev));
             }
         }

@@ -30,9 +30,7 @@ use crate::analysis::{FacilityVerdict, HopEvidence, MeasuredPair, PathAnalyzer};
 use crate::health::{BackendHealth, HealthConfig, HealthTracker};
 use crate::lifecycle::{drive, AsyncTraceBackend, LifecycleConfig, SyncAdapter};
 use crate::restoration::{Epicenter, RestorationProber, RestorationReport, RestorationVerdict};
-use crate::schedule::{
-    Campaign, CampaignKind, CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit,
-};
+use crate::schedule::{CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit};
 use crate::telemetry::{lock_ledger, SharedRttLedger};
 use crate::trace::{IfaceOwner, Trace};
 use crate::vantage::VantageRegistry;
@@ -439,8 +437,8 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
 
     /// Plans the admission-trimmed traceroute campaign against one
     /// epicenter: token bucket first (per-epicenter fairness), credit
-    /// ledger second (platform-wide spend). Returns the campaign and how
-    /// many tasks admission dropped.
+    /// ledger second (platform-wide spend). Returns the admitted tasks and
+    /// how many admission dropped.
     fn plan_epicenter_campaign(
         &mut self,
         epicenter: Epicenter,
@@ -471,26 +469,6 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
         self.stats.credit_denied += (bucket_grant - grant) as usize;
         tasks.truncate(grant as usize);
         (tasks, (want - grant) as usize)
-    }
-
-    /// Plans the (admission-trimmed) traceroute campaign against one
-    /// candidate facility.
-    fn plan_campaign(
-        &mut self,
-        request: &ProbeRequest,
-        candidate: FacilityId,
-        now: Timestamp,
-        vantage_cap: usize,
-    ) -> (Campaign, usize) {
-        let (tasks, dropped) = self.plan_epicenter_campaign(
-            Epicenter::Facility(candidate),
-            &request.affected_far,
-            (candidate.0 as u64) << 32 ^ request.bin_start,
-            now,
-            vantage_cap,
-        );
-        let campaign = Campaign { kind: CampaignKind::Traceroute, facility: candidate, tasks };
-        (campaign, dropped)
     }
 
     /// Drives the pre/post measurement pair for one task through the
@@ -539,11 +517,17 @@ impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
         let mut planned = 0usize;
         let mut completed = 0usize;
         for &candidate in request.candidates.iter().take(cand_cap) {
-            let (campaign, dropped) = self.plan_campaign(request, candidate, now, vantage_cap);
+            let (tasks, dropped) = self.plan_epicenter_campaign(
+                Epicenter::Facility(candidate),
+                &request.affected_far,
+                (candidate.0 as u64) << 32 ^ request.bin_start,
+                now,
+                vantage_cap,
+            );
             report.rate_limited += dropped;
-            planned += campaign.tasks.len();
-            let mut pairs = Vec::with_capacity(campaign.tasks.len());
-            for task in campaign.tasks {
+            planned += tasks.len();
+            let mut pairs = Vec::with_capacity(tasks.len());
+            for task in tasks {
                 if let Some(pair) = self.measure_pair(task, pre_t, now, &mut report) {
                     pairs.push(pair);
                 }

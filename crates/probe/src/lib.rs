@@ -122,9 +122,7 @@ pub use lifecycle::{
 pub use restoration::{
     Backoff, Epicenter, RestorationProber, RestorationReport, RestorationVerdict,
 };
-pub use schedule::{
-    Campaign, CampaignKind, CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit,
-};
+pub use schedule::{CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit};
 pub use telemetry::{shared_ledger, DelaySite, RttAnomaly, RttLedger, SharedRttLedger};
 pub use trace::{confirm, splitmix64, IfaceOwner, ProbeResult, Trace, TraceHop};
 pub use vantage::{VantageId, VantagePoint, VantageRegistry};

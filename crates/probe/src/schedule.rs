@@ -168,15 +168,6 @@ impl CreditLedger {
     }
 }
 
-/// What a single probe measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignKind {
-    /// Full hop-by-hop path capture.
-    Traceroute,
-    /// Reachability/latency only.
-    Ping,
-}
-
 /// One probe task: measure `vantage → target`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeTask {
@@ -185,17 +176,6 @@ pub struct ProbeTask {
     /// Destination AS (one of the affected far-ends at the suspect
     /// facility).
     pub target: Asn,
-}
-
-/// A scheduled measurement campaign against one candidate facility.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Campaign {
-    /// What each task measures.
-    pub kind: CampaignKind,
-    /// The facility under suspicion.
-    pub facility: FacilityId,
-    /// The admitted tasks (already rate-limit-trimmed).
-    pub tasks: Vec<ProbeTask>,
 }
 
 #[cfg(test)]

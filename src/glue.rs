@@ -246,19 +246,10 @@ fn prober_on(
     )
 }
 
-/// Like [`prober_for`] but with the netsim fault-injection layer wrapped
-/// around the backend: probes drop, arrive past their deadline, come back
-/// truncated or duplicated, vantages churn, and scripted brownout windows
-/// reject submissions wholesale — all deterministic in the fault seed.
-pub fn faulty_prober_for(
-    scenario: &Scenario,
-    config: ProbeEngineConfig,
-    fault: FaultConfig,
-) -> ProbeEngine<FaultyBackend<SimTraceBackend>> {
-    faulty_prober_on(shared_world(scenario), scenario, config, fault)
-}
-
-/// [`faulty_prober_for`] over an already-shared world.
+/// [`prober_on`] with the netsim fault-injection layer wrapped around the
+/// backend: probes drop, arrive past their deadline, come back truncated
+/// or duplicated, vantages churn, and scripted brownout windows reject
+/// submissions wholesale — all deterministic in the fault seed.
 fn faulty_prober_on(
     world: Arc<World>,
     scenario: &Scenario,
@@ -551,11 +542,9 @@ pub fn survey_trackable_facilities(
     let mut interner = Interner::new();
     let mut monitor = Monitor::new(config);
     for rec in &output.records {
-        for elem in rec.explode() {
-            if let Some(ev) = input.process_dense(&elem, &mut interner) {
-                monitor.observe(elem.time, &ev);
-            }
-        }
+        input.process_record_events(rec, &mut interner, |ev| {
+            monitor.observe(rec.time, &ev);
+        });
     }
     monitor.advance_to(start + stable + 3600);
     let mut ranked: Vec<(kepler_topology::FacilityId, usize, usize)> = world

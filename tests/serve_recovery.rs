@@ -23,6 +23,8 @@ use kepler::serve::{
     Alert, AlertRouter, CallbackSink, Channel, Daemon, DaemonConfig, IncidentStore, ScopeStatus,
     StatusView, TokenBucket, Transition, ViewCell,
 };
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -586,5 +588,87 @@ fn revision_gate_commits_exactly_what_the_ungated_sequence_does() {
         for dir in [gated_dir, ungated_dir, dir] {
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// Names the store directory a re-executed child of
+/// [`replay_is_byte_identical_across_processes`] writes into.
+const REPLAY_DIR_ENV: &str = "KEPLER_REPLAY_DIR";
+
+/// A same-metro cascade whose second building's signal joins the first
+/// building's incident, which then abstracts to the city.
+const CASCADE_SEED: u64 = 0;
+
+/// How many times a live or cooling incident left both tables without
+/// finishing between two commits: another scope's entry absorbed it.
+fn cross_scope_merges(states: &[TrackerState]) -> usize {
+    let held = |s: &TrackerState| -> BTreeSet<OutageScope> {
+        s.ongoing.iter().map(|o| o.scope).chain(s.cooling.iter().map(|c| c.0)).collect()
+    };
+    states
+        .windows(2)
+        .map(|w| {
+            let after = held(&w[1]);
+            let finished: BTreeSet<OutageScope> =
+                w[1].finished[w[0].finished.len()..].iter().map(|r| r.scope).collect();
+            held(&w[0]).iter().filter(|s| !after.contains(s) && !finished.contains(s)).count()
+        })
+        .sum()
+}
+
+/// The child's half: one cascade replay through [`Daemon`] into `dir`,
+/// leaving the store files, the alert lines and a digest of every
+/// commit's on-disk bytes and published view.
+fn replay_child(dir: &Path) {
+    let fw = fuzz::cascade(CASCADE_SEED);
+    let config =
+        KeplerConfig::default().with_hysteresis(fw.script.open_after, fw.script.close_after);
+    let run =
+        run_daemon(detector_with_lifecycle(&fw.scenario, config), &fw.scenario.records(), dir);
+    assert!(cross_scope_merges(&run.states) > 0, "the cascade never merged across scopes");
+    let alerts: String = run.alerts.iter().map(|a| format!("{a}\n")).collect();
+    std::fs::write(dir.join("alerts.txt"), alerts).unwrap();
+    // `DefaultHasher::new` has fixed keys: the digest is the same in
+    // every process running this binary.
+    let trail: String = run
+        .commits
+        .iter()
+        .map(|(wal, snapshot, view)| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            (wal, snapshot, format!("{view:?}")).hash(&mut h);
+            format!("{:016x}\n", h.finish())
+        })
+        .collect();
+    std::fs::write(dir.join("commits.txt"), trail).unwrap();
+}
+
+/// ARCHITECTURE.md "The serve layer": replaying the same stream yields the same
+/// store bytes and the same alert sequence — in two processes, whose
+/// std hash seeds differ, not only twice in one.
+#[test]
+fn replay_is_byte_identical_across_processes() {
+    if let Ok(dir) = std::env::var(REPLAY_DIR_ENV) {
+        return replay_child(Path::new(&dir));
+    }
+    let dirs = [tmpdir("replay-a"), tmpdir("replay-b")];
+    for dir in &dirs {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "replay_is_byte_identical_across_processes", "--nocapture"])
+            .env(REPLAY_DIR_ENV, dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "child failed:\n{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    for file in ["wal.log", "snapshot.bin", "alerts.txt", "commits.txt"] {
+        let [a, b] = dirs.each_ref().map(|d| std::fs::read(d.join(file)).unwrap());
+        assert!(a == b, "{file} differs between the two processes");
+    }
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
