@@ -359,13 +359,7 @@ impl InputModule {
                         }
                     }
                 }
-            } else if let Some(ixp) = self.dictionary.route_servers().find_map(|(rs, ixp)| {
-                if rs == c.asn16() {
-                    Some(ixp)
-                } else {
-                    None
-                }
-            }) {
+            } else if let Some(ixp) = self.dictionary.route_server(c.asn16()) {
                 // Route-server community: find the adjacent member pair.
                 let members = self.colo.members_of_ixp(ixp);
                 for w in hops.windows(2) {

@@ -80,8 +80,8 @@ pub use investigate::{FacilityCandidate, Localization, PendingIncident};
 pub use kepler_bgp::fx;
 pub use remote::RemotenessMap;
 pub use signal::{
-    BinView, CanaryPair, DelayDetector, ForecastDetector, SignalKind, SignalSource,
-    SourceContribution, SourceSignal,
+    BinView, DelayDetector, ForecastDetector, SignalKind, SignalSource, SourceContribution,
+    SourceSignal,
 };
 pub use system::{Kepler, KeplerInputs};
 pub use tracker::{Incident, TrackerState};

@@ -31,7 +31,7 @@ use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
 use kepler_probe::telemetry::{lock_ledger, DelaySite, SharedRttLedger};
-use kepler_probe::{Trace, TraceBackend};
+use kepler_probe::{CanaryPair, Trace, TraceBackend};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -243,16 +243,6 @@ impl SignalSource for ForecastDetector {
     }
 }
 
-/// A fixed canary measurement: one (vantage, target) pair traced every
-/// bin, feeding the ledger even when no validation campaign is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CanaryPair {
-    /// Vantage AS.
-    pub vantage: Asn,
-    /// Destination AS.
-    pub target: Asn,
-}
-
 /// Distinct anomalous measurement keys and summed excess RTT per site.
 type SiteAnomalies = BTreeMap<DelaySite, (std::collections::BTreeSet<(u32, u64, u64)>, f64)>;
 
@@ -306,8 +296,8 @@ impl DelayDetector<NoCanary> {
 
 impl<B: TraceBackend> DelayDetector<B> {
     /// A detector that additionally traces a fixed canary panel each bin
-    /// through `backend`, baselining the panel once at `baseline_t` (a
-    /// known-quiet instant, e.g. stream start).
+    /// (one [`TraceBackend::trace_panel`] call), baselining the panel
+    /// once at `baseline_t` (a known-quiet instant, e.g. stream start).
     pub fn with_canary(
         config: &KeplerConfig,
         ledger: SharedRttLedger,
@@ -342,19 +332,17 @@ impl<B: TraceBackend> SignalSource for DelayDetector<B> {
         // One lock per poll: the canary round and the drain are one
         // critical section (campaigns never run concurrently with a poll).
         let mut ledger = lock_ledger(&self.ledger);
-        if let Some((backend, pairs, baseline_t)) = &self.canary {
+        if let Some((backend, panel, baseline_t)) = &self.canary {
             let scratch = &mut self.scratch;
             if !self.canary_baselined {
-                for p in pairs {
-                    backend.trace_into(p.vantage, p.target, *baseline_t, scratch);
-                    ledger.observe_baseline(p.vantage, scratch);
-                }
+                backend.trace_panel(panel, *baseline_t, scratch, &mut |p, trace| {
+                    ledger.observe_baseline(p.vantage, trace)
+                });
                 self.canary_baselined = true;
             }
-            for p in pairs {
-                backend.trace_into(p.vantage, p.target, bin_end, scratch);
-                ledger.observe_current(p.vantage, bin_end, scratch);
-            }
+            backend.trace_panel(panel, bin_end, scratch, &mut |p, trace| {
+                ledger.observe_current(p.vantage, bin_end, trace)
+            });
         }
         let anomalies = ledger.drain_anomalies();
         drop(ledger);
@@ -532,7 +520,7 @@ mod tests {
     }
 
     // `trace` only, on purpose: the canary test below runs the round
-    // through the *defaulted* `TraceBackend::trace_into`.
+    // through the *defaulted* `TraceBackend::trace_panel` / `trace_into`.
     impl TraceBackend for SurgingBackend {
         fn trace(&self, _v: Asn, target: Asn, t: Timestamp) -> Trace {
             let extra = if t >= self.surge_from { 50.0 } else { 0.0 };

@@ -5,6 +5,7 @@ use crate::extract::{extract_communities, strip_communities};
 use crate::ner::{Entity, EntityRecognizer};
 use crate::pos::{classify, Voice};
 use crate::scheme::{CommunityScheme, SchemeTarget};
+use kepler_bgp::fx::FxHashMap;
 use kepler_bgp::{Asn, Community};
 use kepler_topology::{CityGazetteer, CityId, ColocationMap, FacilityId, IxpId};
 use std::collections::{BTreeSet, HashMap};
@@ -57,7 +58,9 @@ pub struct DictionaryStats {
 #[derive(Debug, Clone, Default)]
 pub struct CommunityDictionary {
     entries: HashMap<Community, LocationTag>,
-    route_servers: HashMap<u16, IxpId>,
+    /// Route-server ASN → IXP; looked up per community on the decode
+    /// path, never iterated into an output.
+    route_servers: FxHashMap<u16, IxpId>,
 }
 
 impl CommunityDictionary {
@@ -97,9 +100,8 @@ impl CommunityDictionary {
     /// unknown value from a registered route-server ASN still reveals the
     /// IXP that redistributed the route.
     pub fn locate(&self, community: Community) -> Option<LocationTag> {
-        self.lookup(community).or_else(|| {
-            self.route_servers.get(&community.asn16()).map(|&ixp| LocationTag::Ixp(ixp))
-        })
+        self.lookup(community)
+            .or_else(|| self.route_server(community.asn16()).map(LocationTag::Ixp))
     }
 
     /// Whether the dictionary covers any community of `asn16`.
@@ -122,9 +124,9 @@ impl CommunityDictionary {
         self.entries.is_empty()
     }
 
-    /// Registered route servers.
-    pub fn route_servers(&self) -> impl Iterator<Item = (u16, IxpId)> + '_ {
-        self.route_servers.iter().map(|(&a, &x)| (a, x))
+    /// The IXP whose route server is `asn16`, if one is registered.
+    pub fn route_server(&self, asn16: u16) -> Option<IxpId> {
+        self.route_servers.get(&asn16).copied()
     }
 
     /// Headline statistics (countries derived through the gazetteer).
@@ -435,6 +437,8 @@ mod tests {
         dict.add_route_servers_from(&map);
         assert_eq!(dict.locate(Community::new(8714, 12345)), Some(LocationTag::Ixp(IxpId(0))));
         assert_eq!(dict.lookup(Community::new(8714, 12345)), None, "not an explicit entry");
+        assert_eq!(dict.route_server(8714), Some(IxpId(0)));
+        assert_eq!(dict.route_server(8715), None);
         assert!(dict.covers_asn(8714));
         let _ = g;
     }

@@ -19,10 +19,9 @@
 
 use crate::events::{EventKind, ScheduledEvent};
 use crate::routing::policy::FailedSet;
-use crate::routing::propagate::{compute_tree, RouteTree};
+use crate::routing::propagate::compute_tree;
 use crate::routing::tag::{route_visits, PopVisit};
 use crate::world::{AsIdx, PrefixIdx, World};
-use kepler_bgp::fx::FxHashMap;
 use kepler_bgp::Asn;
 use kepler_probe::splitmix64 as splitmix;
 use kepler_topology::{FacilityId, GeoPoint, IxpId};
@@ -102,238 +101,17 @@ impl Default for DataplaneConfig {
     }
 }
 
-/// Longest restoration tail plus one: every per-(pair, event) tail drawn
-/// by [`restoration_tail`] is strictly below this many seconds.
-const MAX_TAIL_SECS: u64 = 10_800;
+mod cache;
+mod epoch;
 
-/// How long after `event` is repaired `pair` keeps its detour: the data
-/// plane converges faster than BGP but not instantly (85% < 1 h, Figure
-/// 10b), deterministically per (pair, event).
-fn restoration_tail(seed: u64, event: usize, pair: ProbePair) -> u64 {
-    let h = splitmix(seed ^ (event as u64) << 40 ^ (pair.src.0 as u64) << 20 ^ pair.dst.0 as u64);
-    let frac = (h % 1000) as f64 / 1000.0;
-    if frac < 0.85 {
-        (frac / 0.85 * 3600.0) as u64
-    } else {
-        3600 + (((frac - 0.85) / 0.15) * 7200.0) as u64
-    }
-}
-
-/// Whether an event can change routes. Flaps touch no routes; surges
-/// touch none either (they are pure-latency events read off the timeline
-/// per hop), so neither may perturb an active set — the cache key.
-fn affects_routes(kind: &EventKind) -> bool {
-    !matches!(kind, EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. })
-}
-
-/// One route-affecting event that may be active somewhere in an epoch.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    /// Timeline index.
-    event: u32,
-    /// `None`: the event runs through the whole epoch, active for every
-    /// pair. `Some(end)`: it ended at `end`, less than [`MAX_TAIL_SECS`]
-    /// before the epoch began — active for the pairs whose restoration
-    /// tail has not run out yet.
-    ended: Option<u64>,
-}
-
-/// The **route-epoch index**: the route-affecting events' `start`, `end`
-/// and `end + MAX_TAIL_SECS` instants, sorted, cut the clock into epochs
-/// inside which the set of events that *can* be active is fixed. Built
-/// once per simulator; a query is a binary search plus a per-pair tail
-/// check on the few events that ended within the last three hours.
-#[derive(Debug, Default)]
-struct EpochIndex {
-    /// Sorted distinct edges; epoch `k` spans `edges[k] ..= edges[k + 1] - 1`
-    /// (the last one runs to the top of the clock). Nothing is active
-    /// before `edges[0]`.
-    edges: Vec<u64>,
-    /// Epoch `k`'s candidates are `candidates[spans[k]..spans[k + 1]]`,
-    /// in timeline order.
-    spans: Vec<usize>,
-    candidates: Vec<Candidate>,
-}
-
-impl EpochIndex {
-    fn build(timeline: &[ScheduledEvent]) -> Self {
-        let routed = || timeline.iter().enumerate().filter(|(_, ev)| affects_routes(&ev.kind));
-        let mut edges: Vec<u64> = routed()
-            .flat_map(|(_, ev)| [ev.start, ev.end(), ev.end().saturating_add(MAX_TAIL_SECS)])
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        // Every event boundary is an edge, so an event's standing at an
-        // epoch's first instant is its standing throughout the epoch.
-        let mut spans = vec![0];
-        let mut candidates = Vec::new();
-        for &edge in &edges {
-            for (i, ev) in routed() {
-                if ev.start <= edge && edge < ev.end().saturating_add(MAX_TAIL_SECS) {
-                    let ended = (ev.end() <= edge).then(|| ev.end());
-                    candidates.push(Candidate { event: i as u32, ended });
-                }
-            }
-            spans.push(candidates.len());
-        }
-        EpochIndex { edges, spans, candidates }
-    }
-
-    /// Writes the indices of the events `pair` experiences at `t` into
-    /// `active` (ascending) and returns the inclusive `[from, last]`
-    /// window around `t` on which that set is constant for `pair`: the
-    /// epoch, narrowed by the pair's own restoration-tail cut-offs, which
-    /// the same scan computes.
-    fn active_at(&self, seed: u64, t: u64, pair: ProbePair, active: &mut Vec<u32>) -> (u64, u64) {
-        active.clear();
-        let k = self.edges.partition_point(|&e| e <= t);
-        let mut last = self.edges.get(k).map_or(u64::MAX, |&e| e - 1);
-        let Some(epoch) = k.checked_sub(1) else { return (0, last) };
-        let mut from = self.edges[epoch];
-        for c in &self.candidates[self.spans[epoch]..self.spans[epoch + 1]] {
-            let Some(end) = c.ended else {
-                active.push(c.event);
-                continue;
-            };
-            let cutoff = end.saturating_add(restoration_tail(seed, c.event as usize, pair));
-            if t < cutoff {
-                active.push(c.event);
-                last = last.min(cutoff - 1);
-            } else {
-                from = from.max(cutoff);
-            }
-        }
-        (from, last)
-    }
-}
-
-/// One responding interface of a path skeleton.
-#[derive(Debug, Clone, Copy)]
-struct SkeletonHop {
-    owner: IfaceOwner,
-    addr: IpAddr,
-    /// Propagation plus router delay of the segment entering this hop:
-    /// `km · 0.01 · 2.0 + 0.3` — everything in the RTT step that depends
-    /// on neither the instant nor the [`DataplaneConfig`].
-    base_ms: f64,
-}
-
-/// The time-independent part of one pair's traceroute under one active
-/// event set: the responding hops in TTL order, or `None` when the
-/// destination has no surviving policy path.
-type Skeleton = Option<Vec<SkeletonHop>>;
-
-/// The window on which a pair's last trace resolved to a skeleton.
-#[derive(Debug, Clone, Copy)]
-struct Window {
-    from: u64,
-    last: u64,
-    skeleton: u32,
-}
-
-/// Shared cache for **batched traceroute simulation**: routing trees,
-/// path skeletons and per-pair epoch windows.
-///
-/// Computing a route means building the per-origin routing tree
-/// ([`compute_tree`]) — by far the dominant cost of a simulated
-/// traceroute — and walking it into interface hops. Neither depends on
-/// the instant: the tree is a function of `(origin, active event set)`,
-/// the hop sequence with its propagation delays (the *skeleton*) of
-/// `(pair, active event set)`. Within a campaign (many vantages × few
-/// targets, one failure state) the same tree is shared across pairs;
-/// across the bins of a panel (same pairs, advancing `t`) the same
-/// skeleton is replayed with only the per-instant terms — jitter, surge,
-/// loss, TTL budget, configured extra latency — recomputed. In front of
-/// both sits one *window* per pair: the `[from, last]` range of instants
-/// on which the pair's last skeleton stays valid, so re-tracing a pair at
-/// an advancing `t` is a range check.
-///
-/// Caching is exact, not approximate: the keys capture everything the
-/// cached values read besides the immutable world, timeline and seed, so
-/// cached and uncached traces are bit-identical (differentially tested
-/// against the straight-line reference below). A skeleton never depends
-/// on `t` or on a [`DataplaneConfig`] field. A cache belongs to one
-/// simulator: its keys are that simulator's timeline indices.
-///
-/// Memory is bounded: when a miss would push the tree count past
-/// `TREE_CACHE_CAP` or the skeleton count past `SKELETON_CACHE_CAP`,
-/// everything is evicted wholesale.
-#[derive(Debug)]
-pub struct TreeCache {
-    tree_cap: usize,
-    skeleton_cap: usize,
-    /// Interned active-event sets; a set's id keys everything below.
-    set_ids: HashMap<Vec<u32>, u32>,
-    /// Failure state per interned set, by id.
-    failed: Vec<FailedSet>,
-    trees: FxHashMap<(u32, u32), RouteTree>,
-    skeleton_ids: FxHashMap<(ProbePair, u32), u32>,
-    skeletons: Vec<Skeleton>,
-    windows: FxHashMap<ProbePair, Window>,
-    /// Recycled active-set buffer.
-    scratch: Vec<u32>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Retained trees before the cache evicts wholesale (bounds memory on
-/// multi-year replays; a campaign needs far fewer distinct trees).
-const TREE_CACHE_CAP: usize = 4096;
-
-/// Retained skeletons before the cache evicts wholesale. A skeleton is a
-/// few hundred bytes against a tree's tens of kilobytes, and there is one
-/// per (pair, failure state) rather than per (origin, failure state).
-const SKELETON_CACHE_CAP: usize = 8 * TREE_CACHE_CAP;
-
-impl Default for TreeCache {
-    fn default() -> Self {
-        TreeCache {
-            tree_cap: TREE_CACHE_CAP,
-            skeleton_cap: SKELETON_CACHE_CAP,
-            set_ids: HashMap::new(),
-            failed: Vec::new(),
-            trees: FxHashMap::default(),
-            skeleton_ids: FxHashMap::default(),
-            skeletons: Vec::new(),
-            windows: FxHashMap::default(),
-            scratch: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-impl TreeCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        TreeCache::default()
-    }
-
-    /// Routing-tree (hits, misses) since construction — the speedup audit
-    /// trail. Trees are only consulted when a skeleton has to be built.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of distinct routing trees currently retained.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Whether the cache holds no trees.
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.set_ids.clear();
-        self.failed.clear();
-        self.trees.clear();
-        self.skeleton_ids.clear();
-        self.skeletons.clear();
-        self.windows.clear();
-    }
-}
+pub use cache::{PairWindow, TreeCache};
+use cache::{Skeleton, SkeletonHop};
+use epoch::EpochIndex;
+#[cfg(test)]
+use {
+    cache::{SKELETON_CACHE_CAP, TREE_CACHE_CAP},
+    epoch::{affects_routes, restoration_tail, MAX_TAIL_SECS},
+};
 
 /// A world or timeline a simulator either borrows (scoped simulators) or
 /// shares (resident ones that outlive the scope that built them).
@@ -505,7 +283,9 @@ impl<'w> DataplaneSim<'w> {
 
     /// [`traceroute_with`](Self::traceroute_with) into a caller-held hop
     /// buffer (cleared first), returning whether the destination answered:
-    /// a panel re-traced every bin allocates nothing once it has grown.
+    /// a pair re-traced every bin allocates nothing once it has grown. The
+    /// pair's window comes from the cache's own per-pair map; this is
+    /// [`traceroute_windowed`](Self::traceroute_windowed) fed from there.
     pub fn traceroute_into(
         &self,
         cache: &mut TreeCache,
@@ -513,24 +293,49 @@ impl<'w> DataplaneSim<'w> {
         t: u64,
         hops: &mut Vec<TraceHop>,
     ) -> bool {
-        let skeleton = match cache.windows.get(&pair) {
-            Some(w) if w.from <= t && t <= w.last => w.skeleton,
-            _ => self.resolve(cache, pair, t),
-        };
-        self.replay(&cache.skeletons[skeleton as usize], t, hops)
+        let held = cache.windows.get(&pair).copied();
+        let mut window = held.unwrap_or_else(|| PairWindow::new(pair));
+        let reached = self.traceroute_windowed(cache, &mut window, t, hops);
+        // A window that still covers `t` comes back unchanged; only a
+        // re-resolved one is written back.
+        if held != Some(window) {
+            cache.windows.insert(pair, window);
+        }
+        reached
     }
 
-    /// Finds (or builds) the skeleton `pair` traces over at `t` and
-    /// remembers the window it holds on.
-    fn resolve(&self, cache: &mut TreeCache, pair: ProbePair, t: u64) -> u32 {
+    /// Traces `window`'s pair at `t` into `hops` (cleared first) and
+    /// returns whether the destination answered. While `window` covers
+    /// `t` in `cache` this is a range check plus the replay; otherwise the
+    /// window is resolved afresh first. The form for a caller that keeps
+    /// one [`PairWindow`] per pair of a fixed panel: no per-pair lookup.
+    /// Bit-identical to [`traceroute`](Self::traceroute).
+    pub fn traceroute_windowed(
+        &self,
+        cache: &mut TreeCache,
+        window: &mut PairWindow,
+        t: u64,
+        hops: &mut Vec<TraceHop>,
+    ) -> bool {
+        if !window.covers(t, cache) {
+            *window = self.resolve(cache, window.pair, t);
+        }
+        self.replay(cache.hops(window.skeleton), t, hops)
+    }
+
+    /// Finds (or builds) the skeleton `pair` traces over at `t`, with the
+    /// window it holds on.
+    fn resolve(&self, cache: &mut TreeCache, pair: ProbePair, t: u64) -> PairWindow {
         let mut active = std::mem::take(&mut cache.scratch);
         let (from, last) = self.epochs.active_at(self.seed, t, pair, &mut active);
         let known = cache.set_ids.get(active.as_slice()).copied();
-        let cached = known.and_then(|set| cache.skeleton_ids.get(&(pair, set)).copied());
-        let skeleton = cached.unwrap_or_else(|| self.build_skeleton(cache, pair, known, &active));
+        let skeleton = match known.and_then(|set| cache.skeletons.get(&(pair, set)).copied()) {
+            Some(skeleton) => skeleton,
+            None => self.build_skeleton(cache, pair, known, &active),
+        };
         cache.scratch = active;
-        cache.windows.insert(pair, Window { from, last, skeleton });
-        skeleton
+        // Read after the build: a build that evicted moved the generation.
+        PairWindow { pair, from, last, generation: cache.generation, skeleton }
     }
 
     /// Walks `pair`'s route under the `active` event set into a skeleton
@@ -541,7 +346,7 @@ impl<'w> DataplaneSim<'w> {
         pair: ProbePair,
         mut known: Option<u32>,
         active: &[u32],
-    ) -> u32 {
+    ) -> Skeleton {
         let world: &World = &self.world;
         let origin = world.origin_of(pair.dst);
         // Evict wholesale only when a *new* entry would overflow a cap — a
@@ -570,31 +375,25 @@ impl<'w> DataplaneSim<'w> {
                 e.insert(compute_tree(world, failed, origin))
             }
         };
-        let hops = route_visits(world, failed, tree, pair.src).map(|visits| {
+        let skeleton = route_visits(world, failed, tree, pair.src).map(|visits| {
             let src_city = world.ases[pair.src.0 as usize].info.home_city;
             let mut here: GeoPoint = world.gazetteer.cities()[src_city.0 as usize].point;
-            let mut hops = Vec::with_capacity(visits.len());
-            for v in &visits {
-                let Some((owner, addr, point)) = responding_iface(world, v, here) else {
-                    continue;
-                };
+            cache.push_hops(visits.iter().filter_map(|v| {
+                let (owner, addr, point) = responding_iface(world, v, here)?;
                 // ~1 ms RTT per 100 km of great-circle fiber, plus router delay.
                 let base_ms = here.distance_km(&point) * 0.01 * 2.0 + 0.3;
-                hops.push(SkeletonHop { owner, addr, base_ms });
                 here = point;
-            }
-            hops
+                Some(SkeletonHop { owner, addr, base_ms })
+            }))
         });
-        let id = cache.skeletons.len() as u32;
-        cache.skeletons.push(hops);
-        cache.skeleton_ids.insert((pair, set), id);
-        id
+        cache.skeletons.insert((pair, set), skeleton);
+        skeleton
     }
 
     /// Plays a skeleton at instant `t` into `hops` (true = destination
     /// answered): the TTL budget, configured extra latency, surges, jitter
     /// and hop loss — in the reference's exact floating-point order.
-    fn replay(&self, skeleton: &Skeleton, t: u64, hops: &mut Vec<TraceHop>) -> bool {
+    fn replay(&self, skeleton: Option<&[SkeletonHop]>, t: u64, hops: &mut Vec<TraceHop>) -> bool {
         hops.clear();
         let Some(skeleton) = skeleton else {
             return false;
@@ -1250,7 +1049,8 @@ mod tests {
         /// early must not cover the next) and again in non-monotone order
         /// with random instants mixed in, panel-style advancing sweeps,
         /// loss, a strangling TTL budget, and caches so small they evict
-        /// mid-sequence. ≥ 150 whole-path comparisons per case.
+        /// mid-sequence — through the cache's own windows and through
+        /// caller-held ones. ≥ 150 whole-path comparisons per case.
         #[test]
         fn incremental_path_matches_the_reference(
             specs in arb_timeline(),
@@ -1290,19 +1090,22 @@ mod tests {
                 queries.extend(pairs.iter().map(|&p| (p, T0 - 500 + step * 2_111)));
             }
 
-            let mut cache = TreeCache::new();
-            (cache.tree_cap, cache.skeleton_cap) = caps;
+            let mut cache = TreeCache::with_caps(caps.0, caps.1);
             // `traceroute_into` rides along on its own cache with ONE hop
             // buffer shared across pairs and instants, dirty from the
             // start: whatever the previous trace left must never show.
-            let mut into_cache = TreeCache::new();
-            (into_cache.tree_cap, into_cache.skeleton_cap) = caps;
+            // Caller-held windows (one per pair, as a panel keeps them)
+            // trace through the same cache into a second dirty buffer, so
+            // each form's evictions must invalidate the other's windows.
+            let mut into_cache = TreeCache::with_caps(caps.0, caps.1);
+            let mut held: Vec<PairWindow> = pairs.iter().map(|&p| PairWindow::new(p)).collect();
             let stale = TraceHop {
                 addr: IpAddr::V4(Ipv4Addr::new(203, 0, 113, 7)),
                 owner: IfaceOwner::IxpLan { asn: Asn(64_999), ixp: IxpId(u32::MAX) },
                 rtt_ms: f64::NAN,
             };
             let mut buf = vec![stale; 40];
+            let mut held_buf = vec![stale; 40];
             for &(pair, t) in &queries {
                 let want = sim.traceroute_reference(pair, t);
                 let got = sim.traceroute_with(&mut cache, pair, t);
@@ -1310,6 +1113,11 @@ mod tests {
                 let reached = sim.traceroute_into(&mut into_cache, pair, t, &mut buf);
                 let into = TraceroutePath { pair, time: t, hops: buf.clone(), reached };
                 assert_identical(&into, &want, &format!("into: pair {pair:?} t {t} timeline {timeline:?}"));
+                let window = held.iter_mut().find(|w| w.pair == pair).expect("a panel pair");
+                let reached = sim.traceroute_windowed(&mut into_cache, window, t, &mut held_buf);
+                let windowed = TraceroutePath { pair, time: t, hops: held_buf.clone(), reached };
+                assert_identical(&windowed, &want, &format!("held: pair {pair:?} t {t} timeline {timeline:?}"));
+                prop_assert!(window.covers(t, &into_cache));
                 // The window left behind covers `t` and holds one active
                 // set from end to end.
                 let window = cache.windows[&pair];
@@ -1323,6 +1131,7 @@ mod tests {
             prop_assert!(queries.len() >= 150, "{} comparisons", queries.len());
             if caps.1 <= 3 {
                 prop_assert!(cache.skeletons.len() < pairs.len(), "tiny caps must have evicted");
+                prop_assert!(into_cache.evictions() > 0, "held windows must have outlived an eviction");
             }
             // The public failure-state accessor rides the same index.
             for &(pair, t) in queries.iter().step_by(7) {

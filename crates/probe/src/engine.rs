@@ -138,10 +138,41 @@ pub trait TraceBackend {
     fn trace(&self, vantage: Asn, target: Asn, t: Timestamp) -> Trace;
 
     /// [`trace`](Self::trace) into a caller-held [`Trace`] (overwritten
-    /// whole): a panel re-traced every bin reuses one hop buffer.
+    /// whole): a pair re-traced every bin reuses one hop buffer.
     fn trace_into(&self, vantage: Asn, target: Asn, t: Timestamp, out: &mut Trace) {
         *out = self.trace(vantage, target, t);
     }
+
+    /// Traces every pair of a fixed panel at `t`, in panel order, into
+    /// the one `scratch` buffer, handing each result to `visit` before
+    /// the next pair overwrites it. Each trace equals
+    /// [`trace_into`](Self::trace_into) of the same pair, which is what
+    /// the default does. A backend may override it to resolve the panel
+    /// once and keep per-pair state across calls with the same panel;
+    /// `visit` must not call back into the backend.
+    fn trace_panel(
+        &self,
+        panel: &[CanaryPair],
+        t: Timestamp,
+        scratch: &mut Trace,
+        visit: &mut dyn FnMut(&CanaryPair, &Trace),
+    ) {
+        for pair in panel {
+            self.trace_into(pair.vantage, pair.target, t, scratch);
+            visit(pair, scratch);
+        }
+    }
+}
+
+/// A fixed canary measurement: one (vantage, target) pair traced every
+/// bin through [`TraceBackend::trace_panel`], feeding delay telemetry
+/// even when no validation campaign is running.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CanaryPair {
+    /// Vantage AS.
+    pub vantage: Asn,
+    /// Destination AS.
+    pub target: Asn,
 }
 
 /// The validation interface the detector consumes. `kepler-core` calls

@@ -34,8 +34,9 @@
 //!   [`Prober`] trait the detector consumes; measurement
 //!   backends (the netsim data plane today, a RIPE-Atlas-shaped client in
 //!   a deployment) plug in through
-//!   [`TraceBackend`] / [`AsyncTraceBackend`]; a panel re-traced every
-//!   bin reuses one [`Trace`] through [`TraceBackend::trace_into`].
+//!   [`TraceBackend`] / [`AsyncTraceBackend`]; a canary panel re-traced
+//!   every bin is one [`TraceBackend::trace_panel`] call into one reused
+//!   [`Trace`].
 //! * [`lifecycle`] — the async-shaped measurement lifecycle
 //!   (`submit → poll → collect`): per-attempt deadlines, retries on
 //!   exponential backoff with deterministic seeded jitter, campaign
@@ -111,7 +112,8 @@ pub mod vantage;
 
 pub use analysis::{FacilityVerdict, HopDiff, HopEvidence, MeasuredPair, PathAnalyzer, PostState};
 pub use engine::{
-    ProbeEngine, ProbeEngineConfig, ProbeReport, ProbeRequest, ProbeStats, Prober, TraceBackend,
+    CanaryPair, ProbeEngine, ProbeEngineConfig, ProbeReport, ProbeRequest, ProbeStats, Prober,
+    TraceBackend,
 };
 pub use fixture::{CampaignTranscript, RecordedOutcome, RecordingBackend, ReplayBackend};
 pub use health::{BackendHealth, HealthConfig, HealthTracker};

@@ -58,6 +58,13 @@ impl Trace {
         Trace { hops: Vec::new(), reached: false }
     }
 
+    /// Empties this trace to [`unreachable`](Self::unreachable) in place,
+    /// keeping the hop buffer's capacity.
+    pub fn clear(&mut self) {
+        self.hops.clear();
+        self.reached = false;
+    }
+
     /// End-to-end RTT (last hop), if reached.
     pub fn rtt_ms(&self) -> Option<f64> {
         if self.reached {

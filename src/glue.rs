@@ -20,19 +20,19 @@
 use kepler_bgp::fx::FxHashMap;
 use kepler_core::events::OutageScope;
 use kepler_core::metrics::TruthOutage;
-use kepler_core::signal::{CanaryPair, DelayDetector, ForecastDetector};
+use kepler_core::signal::{DelayDetector, ForecastDetector};
 use kepler_core::validate::DataPlaneProbe;
 use kepler_core::{Kepler, KeplerConfig, KeplerInputs};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_netsim::dataplane::{
-    DataplaneConfig, DataplaneSim, ProbePair, TraceroutePath, TreeCache,
+    DataplaneConfig, DataplaneSim, PairWindow, ProbePair, TraceroutePath, TreeCache,
 };
 use kepler_netsim::events::{Epicenter, ScheduledEvent};
 use kepler_netsim::scenario::Scenario;
 use kepler_netsim::world::World;
 use kepler_netsim::{FaultConfig, FaultyBackend};
 use kepler_probe::{
-    ProbeEngine, ProbeEngineConfig, ProbeResult, RecordingBackend, SyncAdapter, Trace,
+    CanaryPair, ProbeEngine, ProbeEngineConfig, ProbeResult, RecordingBackend, SyncAdapter, Trace,
     TraceBackend, VantagePoint, VantageRegistry,
 };
 use kepler_topology::{AsType, FacilityId};
@@ -142,14 +142,25 @@ impl DataPlaneProbe for SimProbe {
 /// route-epoch index) and one [`TreeCache`] at construction and keeps
 /// both for its lifetime, so a campaign computes each routing tree once,
 /// and a pair re-traced bin after bin replays its cached path skeleton
-/// with only the per-instant terms recomputed. Traces are bit-identical
-/// to rebuilding everything per call (the simulator's differential suite
-/// pins that); there is no way to turn the caches off.
+/// with only the per-instant terms recomputed. A canary panel is
+/// resolved to probe pairs once and keeps one [`PairWindow`] per pair, so
+/// re-tracing it is a range check and a replay per pair. Traces are
+/// bit-identical to rebuilding everything per call (the simulator's
+/// differential suite pins that); there is no way to turn the caches off.
 pub struct SimTraceBackend {
     sim: DataplaneSim<'static>,
     cache: RefCell<TreeCache>,
     /// (vantage ASN, target ASN) → probe pair; `None` = unmeasurable.
     pairs: RefCell<FxHashMap<(kepler_bgp::Asn, kepler_bgp::Asn), Option<ProbePair>>>,
+    panel: RefCell<ResolvedPanel>,
+}
+
+/// The canary panel last handed to [`SimTraceBackend::trace_panel`] and
+/// one window per pair of it (`None` = unmeasurable).
+#[derive(Default)]
+struct ResolvedPanel {
+    pairs: Vec<CanaryPair>,
+    windows: Vec<Option<PairWindow>>,
 }
 
 impl SimTraceBackend {
@@ -159,6 +170,7 @@ impl SimTraceBackend {
             sim: DataplaneSim::resident(world, timeline.into(), seed),
             cache: RefCell::new(TreeCache::new()),
             pairs: RefCell::new(FxHashMap::default()),
+            panel: RefCell::default(),
         }
     }
 
@@ -190,11 +202,39 @@ impl TraceBackend for SimTraceBackend {
             .entry((vantage, target))
             .or_insert_with(|| self.sim.pair_between(vantage, target));
         let Some(pair) = pair else {
-            *out = Trace::unreachable();
+            out.clear();
             return;
         };
         let cache = &mut self.cache.borrow_mut();
         out.reached = self.sim.traceroute_into(cache, pair, t, &mut out.hops);
+    }
+
+    fn trace_panel(
+        &self,
+        panel: &[CanaryPair],
+        t: u64,
+        scratch: &mut Trace,
+        visit: &mut dyn FnMut(&CanaryPair, &Trace),
+    ) {
+        let resolved = &mut *self.panel.borrow_mut();
+        if resolved.pairs != panel {
+            resolved.pairs = panel.to_vec();
+            resolved.windows = panel
+                .iter()
+                .map(|p| self.sim.pair_between(p.vantage, p.target).map(PairWindow::new))
+                .collect();
+        }
+        let cache = &mut self.cache.borrow_mut();
+        for (p, window) in panel.iter().zip(&mut resolved.windows) {
+            match window {
+                Some(window) => {
+                    scratch.reached =
+                        self.sim.traceroute_windowed(cache, window, t, &mut scratch.hops)
+                }
+                None => scratch.clear(),
+            }
+            visit(p, scratch);
+        }
     }
 }
 
@@ -699,15 +739,15 @@ mod tests {
     use kepler_netsim::scenario::amsix::{AmsIxScenario, OUTAGE_DURATION, OUTAGE_START};
     use kepler_netsim::world::WorldConfig;
 
-    #[test]
-    fn trace_into_is_trace_across_an_outage_window() {
+    /// The AMS-IX study's canary panel (tiny world) and a timeline that
+    /// takes down a building the quiet panel crosses, so a sweep sees
+    /// more than one failure state (and restoration tails).
+    fn panel_under_outage() -> (Arc<World>, Vec<CanaryPair>, [ScheduledEvent; 1]) {
         let scenario = AmsIxScenario::new(7).with_config(WorldConfig::tiny(7)).build().scenario;
         let config = KeplerConfig::default();
         let facilities = trackable_facilities(&scenario, &config);
         let panel = canary_panel(&scenario, &facilities, 4, scenario.start + 600);
         assert!(panel.len() >= 4, "{panel:?}");
-        // Take down a building the quiet panel crosses, so the sweep sees
-        // more than one failure state (and restoration tails).
         let quiet = backend_on(shared_world(&scenario), &scenario);
         let dark = facilities
             .iter()
@@ -723,7 +763,19 @@ mod tests {
             duration: OUTAGE_DURATION,
             kind: EventKind::FacilityOutage { facility: dark, affected_fraction: 1.0 },
         }];
-        let world = shared_world(&scenario);
+        (shared_world(&scenario), panel, timeline)
+    }
+
+    /// Whole-trace equality, `f64` bits included.
+    fn assert_same_trace(got: &Trace, want: &Trace, what: &str) {
+        assert_eq!(got, want, "{what}");
+        let bits = |tr: &Trace| tr.hops.iter().map(|h| h.rtt_ms.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: RTT bits");
+    }
+
+    #[test]
+    fn trace_into_is_trace_across_an_outage_window() {
+        let (world, panel, timeline) = panel_under_outage();
         let owned = SimTraceBackend::new(Arc::clone(&world), &timeline, 5);
         let reused = SimTraceBackend::new(world, &timeline, 5);
         // One buffer for the whole sweep, dirty from the first trace on.
@@ -734,11 +786,11 @@ mod tests {
         {
             for p in &panel {
                 reused.trace_into(p.vantage, p.target, t, &mut out);
-                let want = owned.trace(p.vantage, p.target, t);
-                assert_eq!(out, want, "{p:?} at {t}");
-                let bits =
-                    |tr: &Trace| tr.hops.iter().map(|h| h.rtt_ms.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&out), bits(&want), "{p:?} at {t}: RTT bits");
+                assert_same_trace(
+                    &out,
+                    &owned.trace(p.vantage, p.target, t),
+                    &format!("{p:?} at {t}"),
+                );
                 let quiet = owned.trace(p.vantage, p.target, OUTAGE_START - 60);
                 let owners = |tr: &Trace| tr.hops.iter().map(|h| h.owner).collect::<Vec<_>>();
                 moved += (owners(&out) != owners(&quiet)) as usize;
@@ -746,12 +798,49 @@ mod tests {
         }
         assert!(moved > 0, "the outage re-routed no canary: the sweep saw one failure state");
         // An unmeasurable pair right after a reachable one: neither the
-        // hops nor the verdict of the previous trace may survive.
+        // hops nor the verdict of the previous trace may survive, but the
+        // hop buffer does.
         let p = panel[0];
         reused.trace_into(p.vantage, p.target, OUTAGE_START - 60, &mut out);
         assert!(out.reached && !out.hops.is_empty(), "{out:?}");
+        let capacity = out.hops.capacity();
         reused.trace_into(kepler_bgp::Asn(4_000_000_000), p.target, OUTAGE_START - 60, &mut out);
         assert_eq!(out, Trace::unreachable());
+        assert_eq!(out.hops.capacity(), capacity, "an unmeasurable pair dropped the hop buffer");
         assert_eq!(owned.trace(kepler_bgp::Asn(4_000_000_000), p.target, 0), Trace::unreachable());
+    }
+
+    #[test]
+    fn trace_panel_is_trace_into_at_every_bin_across_the_outage() {
+        let (world, panel, timeline) = panel_under_outage();
+        let reference = SimTraceBackend::new(Arc::clone(&world), &timeline, 5);
+        // A second panel the sweep switches to now and then: reordered,
+        // with an unmeasurable pair in it, so the batched backend has to
+        // notice the slice changed and re-resolve.
+        let mut other: Vec<CanaryPair> = panel.iter().rev().copied().collect();
+        other.insert(1, CanaryPair { vantage: kepler_bgp::Asn(4_000_000_000), ..panel[0] });
+        let end = OUTAGE_START + OUTAGE_DURATION;
+        // Default caps, then caps small enough that the skeletons of the
+        // outage and of the ragged restoration tails evict everything
+        // between rounds: the panel's held windows must notice.
+        let small = TreeCache::with_caps(4_096, panel.len() + 1);
+        for (cache, evicts) in [(TreeCache::new(), false), (small, true)] {
+            let batched = SimTraceBackend::new(Arc::clone(&world), &timeline, 5);
+            *batched.cache.borrow_mut() = cache;
+            let (mut scratch, mut want) = (Trace::default(), Trace::default());
+            for t in (OUTAGE_START - 600..=end + 4 * 3_600).step_by(60) {
+                let round = if (t / 60) % 40 == 0 { &other } else { &panel };
+                let mut seen = 0;
+                batched.trace_panel(round, t, &mut scratch, &mut |p, got| {
+                    assert_eq!(*p, round[seen]);
+                    reference.trace_into(p.vantage, p.target, t, &mut want);
+                    assert_same_trace(got, &want, &format!("{p:?} at {t}"));
+                    seen += 1;
+                });
+                assert_eq!(seen, round.len());
+            }
+            let evictions = batched.cache.borrow().evictions();
+            assert_eq!(evictions >= 2, evicts, "{evictions} wholesale evictions");
+        }
     }
 }

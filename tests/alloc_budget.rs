@@ -1,11 +1,11 @@
 //! The fused stack's allocation budget per quiet closed bin.
 //!
-//! The canary round re-traces its whole panel at every bin close; it
-//! fills one reused trace buffer (`TraceBackend::trace_into`) and looks
-//! the hops up in a hashed ledger, so a bin in which nothing happens
-//! allocates a handful of per-bin buffers and nothing per trace. This
-//! test makes that a number: a counting global allocator around 1,000
-//! silent bins of the AMS-IX study's fused detector.
+//! The canary round re-traces its whole panel at every bin close; one
+//! `TraceBackend::trace_panel` call fills one reused trace buffer and
+//! the hops are looked up in a hashed ledger, so a bin in which nothing
+//! happens allocates a handful of per-bin buffers and nothing per trace.
+//! This test makes that a number: a counting global allocator around
+//! 1,000 silent bins of the AMS-IX study's fused detector.
 //!
 //! This file holds the only `unsafe` in the tree — the `GlobalAlloc`
 //! impl a counting allocator cannot be written without. It is a test
