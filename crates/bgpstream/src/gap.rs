@@ -8,18 +8,27 @@
 
 use crate::collector::{CollectorId, PeerId};
 use crate::record::{BgpRecord, RecordPayload, Timestamp};
-use std::collections::HashMap;
+use kepler_bgp::fx::FxHashMap;
 
 /// Per-(collector, peer) session health derived from state messages.
 #[derive(Debug, Clone, Default)]
 pub struct GapTracker {
-    /// `true` while the session is down; absent means assumed-healthy.
-    down: HashMap<(CollectorId, PeerId), bool>,
-    /// Time until which a freshly-recovered feed is still quarantined.
-    quarantine_until: HashMap<(CollectorId, PeerId), Timestamp>,
+    /// Sessions a state message has been seen for; absent means
+    /// assumed-healthy. One probe per record on the decode path.
+    sessions: FxHashMap<(CollectorId, PeerId), SessionHealth>,
     /// How long after session re-establishment a feed stays quarantined
     /// (routes are re-announced in bulk and look like churn).
     pub quarantine_secs: u64,
+}
+
+/// One session's health.
+#[derive(Debug, Clone, Copy, Default)]
+struct SessionHealth {
+    /// Whether the session is down.
+    down: bool,
+    /// Time until which a freshly-recovered feed is still quarantined
+    /// (0 before the first recovery).
+    quarantine_until: Timestamp,
 }
 
 impl GapTracker {
@@ -34,10 +43,10 @@ impl GapTracker {
         if let RecordPayload::State(change) = &rec.payload {
             let key = (rec.collector, rec.peer);
             if change.is_session_loss() {
-                self.down.insert(key, true);
+                self.sessions.entry(key).or_default().down = true;
             } else if change.is_session_up() {
-                self.down.insert(key, false);
-                self.quarantine_until.insert(key, rec.time + self.quarantine_secs);
+                let quarantine_until = rec.time + self.quarantine_secs;
+                self.sessions.insert(key, SessionHealth { down: false, quarantine_until });
             }
         }
     }
@@ -45,19 +54,12 @@ impl GapTracker {
     /// Whether elements from this (collector, peer) at time `t` should be
     /// trusted for outage analysis.
     pub fn is_usable(&self, collector: CollectorId, peer: PeerId, t: Timestamp) -> bool {
-        let key = (collector, peer);
-        if self.down.get(&key).copied().unwrap_or(false) {
-            return false;
-        }
-        match self.quarantine_until.get(&key) {
-            Some(&until) => t >= until,
-            None => true,
-        }
+        self.sessions.get(&(collector, peer)).is_none_or(|h| !h.down && t >= h.quarantine_until)
     }
 
     /// Number of sessions currently known to be down.
     pub fn down_count(&self) -> usize {
-        self.down.values().filter(|&&d| d).count()
+        self.sessions.values().filter(|h| h.down).count()
     }
 }
 

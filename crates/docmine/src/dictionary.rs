@@ -57,7 +57,9 @@ pub struct DictionaryStats {
 /// route-server redistribution communities.
 #[derive(Debug, Clone, Default)]
 pub struct CommunityDictionary {
-    entries: HashMap<Community, LocationTag>,
+    /// Community → location; probed per community on the decode path.
+    /// Every consumer of [`entries`](Self::entries) is an order-free fold.
+    entries: FxHashMap<Community, LocationTag>,
     /// Route-server ASN → IXP; looked up per community on the decode
     /// path, never iterated into an output.
     route_servers: FxHashMap<u16, IxpId>,
@@ -109,7 +111,7 @@ impl CommunityDictionary {
         self.entries.keys().any(|c| c.asn16() == asn16) || self.route_servers.contains_key(&asn16)
     }
 
-    /// Iterates all explicit entries.
+    /// Iterates all explicit entries, in no particular order.
     pub fn entries(&self) -> impl Iterator<Item = DictEntry> + '_ {
         self.entries.iter().map(|(&community, &tag)| DictEntry { community, tag })
     }

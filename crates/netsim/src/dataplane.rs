@@ -359,12 +359,14 @@ impl<'w> DataplaneSim<'w> {
             known = None;
         }
         let set = known.unwrap_or_else(|| {
-            let id = cache.failed.len() as u32;
-            cache.failed.push(self.failed_from(active));
+            let id = cache.states.len() as u32;
+            let failed = self.failed_from(active);
+            let usable = failed.usable_adjacencies(world);
+            cache.states.push((failed, usable));
             cache.set_ids.insert(active.to_vec(), id);
             id
         });
-        let failed = &cache.failed[set as usize];
+        let (failed, usable) = &cache.states[set as usize];
         let tree = match cache.trees.entry((origin.0, set)) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 cache.hits += 1;
@@ -372,7 +374,7 @@ impl<'w> DataplaneSim<'w> {
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 cache.misses += 1;
-                e.insert(compute_tree(world, failed, origin))
+                e.insert(compute_tree(world, usable, origin))
             }
         };
         let skeleton = route_visits(world, failed, tree, pair.src).map(|visits| {
@@ -636,7 +638,8 @@ impl DataplaneSim<'_> {
         use crate::routing::tag::snapshot_route;
         let world: &World = &self.world;
         let failed = self.failed_from(&self.active_events_reference(t, pair));
-        let tree = compute_tree(world, &failed, world.origin_of(pair.dst));
+        let usable = failed.usable_adjacencies(world);
+        let tree = compute_tree(world, &usable, world.origin_of(pair.dst));
         let is_v6 = world.prefix(pair.dst).is_ipv6();
         let Some(snap) = snapshot_route(world, &failed, &tree, pair.src, is_v6) else {
             return TraceroutePath { pair, time: t, hops: Vec::new(), reached: false };

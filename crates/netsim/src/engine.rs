@@ -25,6 +25,7 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// One collector peer: a real AS feeding one or more collectors.
 #[derive(Debug, Clone)]
@@ -150,9 +151,12 @@ pub struct Simulation<'w> {
     usage: HashMap<ElementKey, HashSet<u32>>,
     generations: HashMap<(u32, u32), u64>,
     records: Vec<BgpRecord>,
-    /// Tree cache, valid for the current failure epoch only.
-    epoch: u64,
-    tree_cache: HashMap<u32, (u64, RouteTree)>,
+    /// `failed`'s usable-adjacency table, built on first use in each
+    /// failure epoch (every applied event starts one).
+    usable: Option<Vec<bool>>,
+    /// Routing trees of the current failure epoch, by origin AS: the
+    /// prefixes of one origin share a tree.
+    trees: HashMap<u32, Arc<RouteTree>>,
 }
 
 impl<'w> Simulation<'w> {
@@ -170,19 +174,26 @@ impl<'w> Simulation<'w> {
             usage: HashMap::new(),
             generations: HashMap::new(),
             records: Vec::new(),
-            epoch: 0,
-            tree_cache: HashMap::new(),
+            usable: None,
+            trees: HashMap::new(),
         };
         sim.emit_initial_table();
         sim
     }
 
     fn emit_initial_table(&mut self) {
+        // An origin's prefixes are adjacent: one tree at a time serves them
+        // all without holding every origin's tree at once.
+        let usable = self.failed.usable_adjacencies(self.world);
+        let mut held: Option<RouteTree> = None;
         for p in 0..self.world.prefixes.len() {
             let pidx = PrefixIdx(p as u32);
             let origin = self.world.origin_of(pidx);
             let is_v6 = self.world.prefix(pidx).is_ipv6();
-            let tree = compute_tree(self.world, &self.failed, origin);
+            let tree = match held.take() {
+                Some(tree) if tree.origin == origin => tree,
+                _ => compute_tree(self.world, &usable, origin),
+            };
             for slot in 0..self.setup.peers.len() {
                 let vantage = self.setup.peers[slot].as_idx;
                 if let Some(snap) = snapshot_route(self.world, &self.failed, &tree, vantage, is_v6)
@@ -192,6 +203,7 @@ impl<'w> Simulation<'w> {
                     self.visible.insert((slot as u32, p as u32), snap);
                 }
             }
+            held = Some(tree);
             self.refresh_prefix_elements(p as u32);
         }
     }
@@ -214,23 +226,21 @@ impl<'w> Simulation<'w> {
         }
     }
 
-    fn tree_for(&mut self, prefix: u32) -> RouteTree {
-        if let Some((epoch, tree)) = self.tree_cache.get(&prefix) {
-            if *epoch == self.epoch {
-                return tree.clone();
-            }
-        }
+    fn tree_for(&mut self, prefix: u32) -> Arc<RouteTree> {
         let origin = self.world.origin_of(PrefixIdx(prefix));
-        let tree = compute_tree(self.world, &self.failed, origin);
-        if self.tree_cache.len() > 4096 {
-            self.tree_cache.clear();
-        }
-        self.tree_cache.insert(prefix, (self.epoch, tree.clone()));
-        tree
+        let (world, failed) = (self.world, &self.failed);
+        let usable = self.usable.get_or_insert_with(|| failed.usable_adjacencies(world));
+        let tree = self
+            .trees
+            .entry(origin.0)
+            .or_insert_with(|| Arc::new(compute_tree(world, usable, origin)));
+        Arc::clone(tree)
     }
 
+    /// Starts a new failure epoch: the table and every tree are stale.
     fn bump_epoch(&mut self) {
-        self.epoch += 1;
+        self.usable = None;
+        self.trees.clear();
     }
 
     fn peer_id(&self, slot: u32) -> PeerId {

@@ -68,6 +68,14 @@ impl FailedSet {
     pub fn adjacency_up(&self, world: &World, adj_idx: AdjIdx) -> bool {
         self.active_instance(world, adj_idx).is_some()
     }
+
+    /// [`adjacency_up`](Self::adjacency_up) for every adjacency, indexed
+    /// by `AdjIdx`: the table
+    /// [`compute_tree`](super::propagate::compute_tree) routes over. Build
+    /// it once per failure state and share it across that state's trees.
+    pub fn usable_adjacencies(&self, world: &World) -> Vec<bool> {
+        (0..world.adjacencies.len()).map(|i| self.adjacency_up(world, AdjIdx(i as u32))).collect()
+    }
 }
 
 #[cfg(test)]

@@ -190,10 +190,11 @@ mod tests {
     fn snapshots_have_consistent_shapes() {
         let w = world();
         let failed = FailedSet::default();
+        let usable = failed.usable_adjacencies(&w);
         let mut any_tagged = false;
         for pi in 0..w.prefixes.len().min(30) {
             let origin = w.origin_of(PrefixIdx(pi as u32));
-            let tree = compute_tree(&w, &failed, origin);
+            let tree = compute_tree(&w, &usable, origin);
             for v in 0..w.ases.len() {
                 let Some(snap) = snapshot_route(&w, &failed, &tree, AsIdx(v as u32), false) else {
                     continue;
@@ -223,6 +224,7 @@ mod tests {
     fn v6_tagging_is_sparser_than_v4() {
         let w = World::generate(WorldConfig::small(61));
         let failed = FailedSet::default();
+        let usable = failed.usable_adjacencies(&w);
         let mut v4_tagged = 0usize;
         let mut v4_total = 0usize;
         let mut v6_tagged = 0usize;
@@ -231,7 +233,7 @@ mod tests {
             let pidx = PrefixIdx(pi as u32);
             let is_v6 = w.prefix(pidx).is_ipv6();
             let origin = w.origin_of(pidx);
-            let tree = compute_tree(&w, &failed, origin);
+            let tree = compute_tree(&w, &usable, origin);
             // Sample a handful of vantages.
             for v in (0..w.ases.len()).step_by(37) {
                 if let Some(snap) = snapshot_route(&w, &failed, &tree, AsIdx(v as u32), is_v6) {

@@ -54,12 +54,13 @@ proptest! {
         let w = World::generate(WorldConfig::tiny(seed));
         let clean = FailedSet::default();
         let origin = AsIdx((seed % w.ases.len() as u64) as u32);
-        let base = compute_tree(&w, &clean, origin);
+        let healthy = clean.usable_adjacencies(&w);
+        let base = compute_tree(&w, &healthy, origin);
         let facs = w.colo.facilities();
         let fac = facs[fac_pick % facs.len()].id;
         let mut failed = FailedSet::default();
         failed.facilities.insert(fac);
-        let broken = compute_tree(&w, &failed, origin);
+        let broken = compute_tree(&w, &failed.usable_adjacencies(&w), origin);
         prop_assert!(broken.routed_count() <= base.routed_count());
         // Any AS routed under failure is also routed when healthy.
         for v in 0..w.ases.len() {
@@ -67,7 +68,7 @@ proptest! {
                 prop_assert!(base.routes[v].is_some(), "failure created reachability at {v}");
             }
         }
-        let again = compute_tree(&w, &clean, origin);
+        let again = compute_tree(&w, &healthy, origin);
         for v in 0..w.ases.len() {
             prop_assert_eq!(again.routes[v], base.routes[v]);
         }
@@ -82,7 +83,7 @@ proptest! {
     fn tree_parents_use_live_adjacencies(seed in 0u64..5_000) {
         let w = World::generate(WorldConfig::tiny(seed));
         let clean = FailedSet::default();
-        let tree = compute_tree(&w, &clean, AsIdx(0));
+        let tree = compute_tree(&w, &clean.usable_adjacencies(&w), AsIdx(0));
         for v in 0..w.ases.len() {
             if let Some(info) = tree.routes[v] {
                 if let Some((parent, adj_idx)) = info.parent {

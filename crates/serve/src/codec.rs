@@ -421,26 +421,58 @@ wire_struct!(TrackerState { ongoing, cooling, warming, finished });
 
 // --- CRC-32 ---------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`.
-/// Table-driven, computed once at first use.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`,
+/// sliced by 8: each 8-byte word costs eight table lookups instead of
+/// eight dependent bytewise steps; the tail goes bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        table
-    });
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][b]` is what byte
+/// `b` contributes once `k` more zero bytes have been folded in after it.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]
@@ -607,11 +639,44 @@ pub(crate) mod tests {
         assert!(BTreeSet::<Asn>::from_bytes(&set(&[5, 5])).is_err());
     }
 
+    /// The bytewise loop slicing-by-8 replaced: the reference it is
+    /// tested against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        // IEEE CRC-32 check values, through both loops.
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        }
+    }
+
+    #[test]
+    fn sliced_crc32_is_the_bytewise_loop() {
+        // Every length 0..=1 024 at every alignment 0..8: each split of
+        // whole words and a 0..8-byte tail.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..1_032)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=1_024 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "offset {offset}, len {len}");
+            }
+        }
     }
 }
