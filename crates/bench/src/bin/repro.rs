@@ -17,6 +17,7 @@ use kepler::core::metrics::{evaluate, Evaluation, TruthOutage};
 use kepler::core::system::ClassCounts;
 use kepler::core::KeplerConfig;
 use kepler::docmine::LocationTag;
+use kepler::fuzz_harness::{check_seed, check_seed_fused, check_world, check_world_fused};
 use kepler::glue::{detector_for, truth_outages_observed};
 use kepler::netsim::dataplane::DataplaneSim;
 use kepler::netsim::scenario::amsix::{AmsIxScenario, AmsIxStudy, OUTAGE_DURATION, OUTAGE_START};
@@ -449,22 +450,16 @@ fn main() {
         }
     }
     if let Some(seed) = fuzz_seed {
-        fuzz_replay(if fused {
-            kepler::fuzz_harness::check_seed_fused(seed)
-        } else {
-            kepler::fuzz_harness::check_seed(seed)
-        });
+        fuzz_replay(if fused { check_seed_fused(seed) } else { check_seed(seed) });
     }
     if let Some(path) = fuzz_script {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| usage_error(&format!("cannot read {path}: {e}")));
         let script = kepler::netsim::fuzz::ScenarioScript::parse(&text)
             .unwrap_or_else(|e| usage_error(&format!("cannot parse {path}: {e}")));
-        fuzz_replay(if fused {
-            kepler::fuzz_harness::check_world_fused(&script.build())
-        } else {
-            kepler::fuzz_harness::check_script(&script)
-        });
+        let fw =
+            script.build().unwrap_or_else(|e| usage_error(&format!("cannot build {path}: {e}")));
+        fuzz_replay(if fused { check_world_fused(&fw) } else { check_world(&fw) });
     }
     if wanted.is_empty() {
         usage_error("no experiment named");

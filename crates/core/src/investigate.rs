@@ -30,6 +30,52 @@ use kepler_probe::ProbeRequest;
 use kepler_topology::{CityId, ColocationMap, FacilityId, IxpId, OrgMap};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// What a signal group says was hit — the evidence a localized or
+/// pending incident hands to validation and the tracker.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Affected {
+    /// Near-end ASes affected.
+    pub near: BTreeSet<Asn>,
+    /// Far-end ASes affected.
+    pub far: BTreeSet<Asn>,
+    /// Deviated stable routes (sorted, unique).
+    pub keys: Vec<RouteKey>,
+    /// The monitored crossings to watch for restoration:
+    /// (route, PoP tag, near-end AS), in signal order.
+    pub watch: Vec<(RouteKey, LocationTag, Asn)>,
+}
+
+impl Affected {
+    /// The evidence of one PoP's signal group.
+    pub(crate) fn of(signals: &[&OutageSignal]) -> Affected {
+        let mut affected = Affected {
+            near: signals.iter().map(|s| s.near).collect(),
+            far: signals.iter().flat_map(|s| s.far_ases.iter().copied()).collect(),
+            ..Affected::default()
+        };
+        for s in signals {
+            for k in &s.deviated {
+                affected.keys.push(*k);
+                affected.watch.push((*k, s.pop, s.near));
+            }
+        }
+        affected.keys.sort();
+        affected.keys.dedup();
+        affected
+    }
+
+    /// Folds another group's evidence in: the AS sets and keys unite,
+    /// the watch list appends. The one merge of investigator evidence.
+    pub(crate) fn absorb(&mut self, other: Affected) {
+        self.near.extend(other.near);
+        self.far.extend(other.far);
+        self.keys.extend(other.keys);
+        self.keys.sort();
+        self.keys.dedup();
+        self.watch.extend(other.watch);
+    }
+}
+
 /// A localized PoP-level incident.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalizedIncident {
@@ -37,15 +83,8 @@ pub struct LocalizedIncident {
     pub scope: OutageScope,
     /// Bin where it was raised.
     pub bin_start: Timestamp,
-    /// Near-end ASes affected.
-    pub affected_near: BTreeSet<Asn>,
-    /// Far-end ASes affected.
-    pub affected_far: BTreeSet<Asn>,
-    /// Deviated stable routes.
-    pub affected_keys: Vec<RouteKey>,
-    /// The monitored crossings to watch for restoration:
-    /// (route, PoP tag, near-end AS).
-    pub watch: Vec<(RouteKey, LocationTag, Asn)>,
+    /// What was hit.
+    pub affected: Affected,
 }
 
 /// A facility suspected from passive evidence alone: the affected
@@ -67,13 +106,35 @@ pub struct FacilityCandidate {
 pub struct Localization {
     /// The passive verdict, if any.
     pub scope: Option<OutageScope>,
-    /// Facility suspects, best passive score first.
+    /// Facility suspects, best passive score first, each named once.
     pub suspects: Vec<FacilityCandidate>,
+}
+
+impl Localization {
+    /// A verdict confident enough to skip probing.
+    fn confident(scope: OutageScope) -> Localization {
+        Localization { scope: Some(scope), suspects: Vec::new() }
+    }
+
+    /// A verdict (or none) with suspects for probes to decide between,
+    /// sorted best-first. A building can qualify through several
+    /// collection paths — e.g. an IXP's fabric loop *and* the far-end
+    /// facility scan — so duplicates are dropped: a duplicated candidate
+    /// would be probed twice and defeat the unique-confirmation rule.
+    fn suspected(scope: Option<OutageScope>, mut suspects: Vec<FacilityCandidate>) -> Localization {
+        sort_candidates(&mut suspects);
+        let mut seen: BTreeSet<FacilityId> = BTreeSet::new();
+        suspects.retain(|c| seen.insert(c.facility));
+        Localization { scope, suspects }
+    }
+
     /// Whether the verdict is below confidence and targeted probes should
     /// disambiguate: no verdict but live suspects, a coarse city verdict
     /// over concrete building suspects, or several buildings tied at the
-    /// coverage margin.
-    pub needs_probe: bool,
+    /// coverage margin — exactly when there are suspects.
+    pub fn needs_probe(&self) -> bool {
+        !self.suspects.is_empty()
+    }
 }
 
 /// A PoP-level group whose localization needs active-measurement help
@@ -90,14 +151,8 @@ pub struct PendingIncident {
     /// attached or probing is inconclusive (`None`: the group was
     /// passively unresolvable).
     pub fallback: Option<OutageScope>,
-    /// Near-end ASes affected.
-    pub affected_near: BTreeSet<Asn>,
-    /// Far-end ASes affected.
-    pub affected_far: BTreeSet<Asn>,
-    /// Deviated stable routes.
-    pub affected_keys: Vec<RouteKey>,
-    /// The monitored crossings to watch for restoration.
-    pub watch: Vec<(RouteKey, LocationTag, Asn)>,
+    /// What was hit.
+    pub affected: Affected,
     /// How many cluster-level `unresolved` bookings this pending carries
     /// (summed across merges): when probes resolve it, the system
     /// reconciles the `unresolved` counter by exactly this amount.
@@ -111,22 +166,15 @@ impl PendingIncident {
             pop: self.pop,
             bin_start: self.bin_start,
             candidates: self.candidates.iter().map(|c| c.facility).collect(),
-            affected_far: self.affected_far.iter().copied().collect(),
-            affected_near: self.affected_near.iter().copied().collect(),
+            affected_far: self.affected.far.iter().copied().collect(),
+            affected_near: self.affected.near.iter().copied().collect(),
         }
     }
 
     /// Materializes the incident once a scope has been settled (by a
     /// probe verdict or by falling back to the passive scope).
     pub fn to_incident(&self, scope: OutageScope) -> LocalizedIncident {
-        LocalizedIncident {
-            scope,
-            bin_start: self.bin_start,
-            affected_near: self.affected_near.clone(),
-            affected_far: self.affected_far.clone(),
-            affected_keys: self.affected_keys.clone(),
-            watch: self.watch.clone(),
-        }
+        LocalizedIncident { scope, bin_start: self.bin_start, affected: self.affected.clone() }
     }
 }
 
@@ -171,6 +219,11 @@ impl Coverage {
         } else {
             self.covered as f64 / self.denom as f64
         }
+    }
+
+    /// `facility` as a suspect scored by this coverage.
+    fn candidate(&self, facility: FacilityId) -> FacilityCandidate {
+        FacilityCandidate { facility, coverage: self.fraction(), containment: self.containment }
     }
 }
 
@@ -256,10 +309,7 @@ impl Investigator {
             let mut found_any = false;
             let pending_start = result.pending.len();
             for pop in pops {
-                let signals = &groups[pop];
-                let affected_near: BTreeSet<Asn> = signals.iter().map(|s| s.near).collect();
-                let affected_far: BTreeSet<Asn> =
-                    signals.iter().flat_map(|s| s.far_ases.iter().copied()).collect();
+                let affected = Affected::of(&groups[pop]);
                 // Denominators scoped to the *affected* near-end ASes: the
                 // 95% co-location rule asks whether the signaling ASes lost
                 // all of their co-located links — near-ends whose ports
@@ -267,7 +317,7 @@ impl Investigator {
                 // dilute the check.
                 let mut stable_fars: BTreeMap<Asn, usize> = BTreeMap::new();
                 if let Some(by_near) = outcome.stable_fars.get(pop) {
-                    for near in &affected_near {
+                    for near in &affected.near {
                         if let Some(fars) = by_near.get(near) {
                             for (far, n) in fars {
                                 *stable_fars.entry(*far).or_insert(0) += n;
@@ -275,18 +325,8 @@ impl Investigator {
                         }
                     }
                 }
-                let loc = self.localize_detailed(*pop, &affected_far, &stable_fars);
-                let mut keys: Vec<RouteKey> = Vec::new();
-                let mut watch = Vec::new();
-                for s in signals {
-                    for k in &s.deviated {
-                        keys.push(*k);
-                        watch.push((*k, s.pop, s.near));
-                    }
-                }
-                keys.sort();
-                keys.dedup();
-                if loc.needs_probe {
+                let loc = self.localize(*pop, &affected.far, &stable_fars);
+                if loc.needs_probe() {
                     // Low confidence: hand the group to the probing stage
                     // instead of committing to a passive guess. A group
                     // with a fallback scope still counts as found — it
@@ -297,10 +337,7 @@ impl Investigator {
                         bin_start: outcome.bin_start,
                         candidates: loc.suspects,
                         fallback: loc.scope,
-                        affected_near,
-                        affected_far,
-                        affected_keys: keys,
-                        watch,
+                        affected,
                         booked_unresolved: 0,
                     });
                     continue;
@@ -309,14 +346,7 @@ impl Investigator {
                     continue;
                 };
                 found_any = true;
-                incidents.push(LocalizedIncident {
-                    scope,
-                    bin_start: outcome.bin_start,
-                    affected_near,
-                    affected_far,
-                    affected_keys: keys,
-                    watch,
-                });
+                incidents.push(LocalizedIncident { scope, bin_start: outcome.bin_start, affected });
             }
             if !found_any {
                 result.unresolved.push(pops[0]);
@@ -395,33 +425,16 @@ impl Investigator {
         Coverage { covered, denom, containment }
     }
 
-    /// Localizes a PoP-level signal to its epicenter (passive verdict
-    /// only; see [`Investigator::localize_detailed`] for the confidence
-    /// signal the probing stage consumes).
+    /// Localizes a PoP-level signal, reporting the passive scope and
+    /// every facility suspect with its passive scores; suspects mean the
+    /// verdict needs active-measurement disambiguation.
     pub fn localize(
-        &self,
-        pop: LocationTag,
-        affected_far: &BTreeSet<Asn>,
-        stable_fars: &BTreeMap<Asn, usize>,
-    ) -> Option<OutageScope> {
-        self.localize_detailed(pop, affected_far, stable_fars).scope
-    }
-
-    /// Localizes a PoP-level signal, reporting the passive scope, every
-    /// facility suspect with its passive scores, and whether the verdict
-    /// needs active-measurement disambiguation.
-    pub fn localize_detailed(
         &self,
         pop: LocationTag,
         affected_far: &BTreeSet<Asn>,
         stable_fars: &BTreeMap<Asn, usize>,
     ) -> Localization {
         let margin = self.config.colo_margin;
-        let confident = |scope: OutageScope| Localization {
-            scope: Some(scope),
-            suspects: Vec::new(),
-            needs_probe: false,
-        };
         match pop {
             LocationTag::Facility(f) => {
                 let mut suspects: Vec<FacilityCandidate> = Vec::new();
@@ -429,44 +442,25 @@ impl Investigator {
                 let members = self.colo.members_of_facility(f);
                 let cov = self.coverage(affected_far, stable_fars, members);
                 if cov.denom >= 1 && cov.fraction() >= margin {
-                    return confident(OutageScope::Facility(f));
+                    return Localization::confident(OutageScope::Facility(f));
                 }
                 if cov.denom >= 1 && cov.containment >= margin {
                     // The near-end building contains the affected set but
                     // its surviving members dilute the coverage: a suspect.
-                    suspects.push(FacilityCandidate {
-                        facility: f,
-                        coverage: cov.fraction(),
-                        containment: cov.containment,
-                    });
+                    suspects.push(cov.candidate(f));
                 }
                 // 2. Far-end facilities.
                 let far =
                     self.far_candidates(affected_far, stable_fars, Some(f), self.pop_city(&pop));
-                let passing: Vec<FacilityCandidate> =
-                    far.iter().filter(|c| c.coverage >= margin).copied().collect();
-                match passing.len() {
-                    1 => return confident(OutageScope::Facility(passing[0].facility)),
-                    n if n >= 2 => {
-                        // Several buildings clear the margin: a tie only
-                        // the data plane can break (fallback: the best
-                        // passive score, the historical behavior).
-                        return Localization {
-                            scope: Some(OutageScope::Facility(passing[0].facility)),
-                            suspects: passing,
-                            needs_probe: true,
-                        };
-                    }
-                    _ => {}
+                if let Some(verdict) = self.far_verdict(&far) {
+                    return verdict;
                 }
                 // 3. IXP escalation.
                 if let Some(scope) = self.best_common_ixp(affected_far, stable_fars) {
-                    return confident(scope);
+                    return Localization::confident(scope);
                 }
                 suspects.extend(far);
-                let suspects = finalize_suspects(suspects);
-                let needs_probe = !suspects.is_empty();
-                Localization { scope: None, suspects, needs_probe }
+                Localization::suspected(None, suspects)
             }
             LocationTag::Ixp(x) => {
                 // Resolution increase: a single fabric facility whose
@@ -484,41 +478,25 @@ impl Investigator {
                                 best = Some((f, score));
                             }
                         } else {
-                            suspects.push(FacilityCandidate {
-                                facility: f,
-                                coverage: cov.fraction(),
-                                containment: cov.containment,
-                            });
+                            suspects.push(cov.candidate(f));
                         }
                     }
                 }
                 if let Some((f, _)) = best {
-                    return confident(OutageScope::Facility(f));
+                    return Localization::confident(OutageScope::Facility(f));
                 }
                 // Whole-exchange test.
                 let members = self.colo.members_of_ixp(x);
                 let cov = self.coverage(affected_far, stable_fars, members);
                 if cov.denom >= 1 && cov.fraction() >= margin {
-                    return confident(OutageScope::Ixp(x));
+                    return Localization::confident(OutageScope::Ixp(x));
                 }
                 let far = self.far_candidates(affected_far, stable_fars, None, self.pop_city(&pop));
-                let passing: Vec<FacilityCandidate> =
-                    far.iter().filter(|c| c.coverage >= margin).copied().collect();
-                match passing.len() {
-                    1 => return confident(OutageScope::Facility(passing[0].facility)),
-                    n if n >= 2 => {
-                        return Localization {
-                            scope: Some(OutageScope::Facility(passing[0].facility)),
-                            suspects: passing,
-                            needs_probe: true,
-                        };
-                    }
-                    _ => {}
+                if let Some(verdict) = self.far_verdict(&far) {
+                    return verdict;
                 }
                 suspects.extend(far);
-                let suspects = finalize_suspects(suspects);
-                let needs_probe = !suspects.is_empty();
-                Localization { scope: None, suspects, needs_probe }
+                Localization::suspected(None, suspects)
             }
             LocationTag::City(c) => {
                 // Sharpen to a facility in the city, then an IXP, else stay
@@ -546,11 +524,7 @@ impl Investigator {
                 for f in &city_facilities {
                     let members = self.colo.members_of_facility(*f);
                     let cov = self.coverage(affected_far, stable_fars, members);
-                    let candidate = FacilityCandidate {
-                        facility: *f,
-                        coverage: cov.fraction(),
-                        containment: cov.containment,
-                    };
+                    let candidate = cov.candidate(*f);
                     if cov.denom >= 2 && cov.fraction() >= margin {
                         let covered: BTreeSet<Asn> = stable_fars
                             .keys()
@@ -571,35 +545,28 @@ impl Investigator {
                         suspects.push(candidate);
                     }
                 }
-                match fac_cands.len() {
-                    1 => return confident(OutageScope::Facility(fac_cands[0].0.facility)),
-                    n if n >= 2 => {
-                        // Several buildings clear the margin. If each is
-                        // backed by its *own* wiped-out tenants, several
-                        // buildings really failed together: a metro
-                        // event. But when the covered evidence sets are
-                        // (near-)identical, the candidates are colocation
-                        // twins — one piece of evidence counted twice —
-                        // and only the data plane can name the building.
-                        let indistinguishable = fac_cands.iter().enumerate().all(|(i, (_, a))| {
-                            fac_cands.iter().skip(i + 1).all(|(_, b)| {
-                                let inter = a.intersection(b).count();
-                                inter as f64 >= margin * a.len().min(b.len()) as f64
-                            })
-                        });
-                        if indistinguishable {
-                            let mut twins: Vec<FacilityCandidate> =
-                                fac_cands.into_iter().map(|(cand, _)| cand).collect();
-                            sort_candidates(&mut twins);
-                            return Localization {
-                                scope: Some(OutageScope::City(c)),
-                                suspects: twins,
-                                needs_probe: true,
-                            };
-                        }
-                        return confident(OutageScope::City(c)); // several buildings down: metro event
+                if let [(only, _)] = fac_cands.as_slice() {
+                    return Localization::confident(OutageScope::Facility(only.facility));
+                }
+                if fac_cands.len() >= 2 {
+                    // Several buildings clear the margin. If each is
+                    // backed by its *own* wiped-out tenants, several
+                    // buildings really failed together: a metro event.
+                    // But when the covered evidence sets are
+                    // (near-)identical, the candidates are colocation
+                    // twins — one piece of evidence counted twice — and
+                    // only the data plane can name the building.
+                    let indistinguishable = fac_cands.iter().enumerate().all(|(i, (_, a))| {
+                        fac_cands.iter().skip(i + 1).all(|(_, b)| {
+                            let inter = a.intersection(b).count();
+                            inter as f64 >= margin * a.len().min(b.len()) as f64
+                        })
+                    });
+                    if !indistinguishable {
+                        return Localization::confident(OutageScope::City(c));
                     }
-                    _ => {}
+                    let twins = fac_cands.into_iter().map(|(cand, _)| cand).collect();
+                    return Localization::suspected(Some(OutageScope::City(c)), twins);
                 }
                 let mut ixp_cands: Vec<IxpId> = Vec::new();
                 for x in self.colo.ixps_in_city(c) {
@@ -610,11 +577,9 @@ impl Investigator {
                     }
                 }
                 if let [only] = ixp_cands.as_slice() {
-                    return confident(OutageScope::Ixp(*only));
+                    return Localization::confident(OutageScope::Ixp(*only));
                 }
-                sort_candidates(&mut suspects);
-                let needs_probe = !suspects.is_empty();
-                Localization { scope: Some(OutageScope::City(c)), suspects, needs_probe }
+                Localization::suspected(Some(OutageScope::City(c)), suspects)
             }
         }
     }
@@ -650,15 +615,27 @@ impl Investigator {
             let members = self.colo.members_of_facility(g);
             let cov = self.coverage(affected_far, stable_fars, members);
             if cov.denom >= 2 && cov.containment >= margin {
-                out.push(FacilityCandidate {
-                    facility: g,
-                    coverage: cov.fraction(),
-                    containment: cov.containment,
-                });
+                out.push(cov.candidate(g));
             }
         }
         sort_candidates(&mut out);
         out
+    }
+
+    /// The far-end facility verdict, if any building clears the coverage
+    /// margin: one is confident; several are a tie only the data plane
+    /// can break (fallback: the best passive score, the historical
+    /// behavior).
+    fn far_verdict(&self, far: &[FacilityCandidate]) -> Option<Localization> {
+        let margin = self.config.colo_margin;
+        let passing: Vec<FacilityCandidate> =
+            far.iter().filter(|c| c.coverage >= margin).copied().collect();
+        let best = OutageScope::Facility(passing.first()?.facility);
+        Some(if passing.len() == 1 {
+            Localization::confident(best)
+        } else {
+            Localization::suspected(Some(best), passing)
+        })
     }
 
     /// Best common IXP of the affected far-end ASes.
@@ -697,31 +674,18 @@ impl Investigator {
                 None => {
                     by_scope.insert(inc.scope, inc);
                 }
-                Some(existing) => {
-                    existing.affected_near.extend(inc.affected_near.iter().copied());
-                    existing.affected_far.extend(inc.affected_far.iter().copied());
-                    existing.affected_keys.extend(inc.affected_keys.iter().copied());
-                    existing.affected_keys.sort();
-                    existing.affected_keys.dedup();
-                    existing.watch.extend(inc.watch.iter().cloned());
-                }
+                Some(existing) => existing.affected.absorb(inc.affected),
             }
         }
         // 2. City abstraction: ≥2 distinct physical scopes in one city
         // (including a city-level verdict corroborating a sharper one).
         let mut by_city: BTreeMap<CityId, Vec<OutageScope>> = BTreeMap::new();
         for scope in by_scope.keys() {
-            let city = match scope {
-                OutageScope::Facility(f) => self.colo.facility(*f).map(|f| f.city),
-                OutageScope::Ixp(x) => self.colo.ixp(*x).map(|x| x.city),
-                OutageScope::City(c) => Some(*c),
-            };
-            if let Some(c) = city {
+            if let Some(c) = self.pop_city(&scope.tag()) {
                 by_city.entry(c).or_default().push(*scope);
             }
         }
         let mut out: Vec<LocalizedIncident> = Vec::new();
-        let mut absorbed: BTreeSet<OutageScope> = BTreeSet::new();
         for (city, scopes) in by_city {
             if scopes.len() < 2 {
                 continue;
@@ -735,33 +699,17 @@ impl Investigator {
                 [only] => *only,
                 _ => OutageScope::City(city),
             };
-            let mut merged: Option<LocalizedIncident> = None;
-            for s in &scopes {
-                let inc = by_scope.get(s).expect("scope present").clone();
-                absorbed.insert(*s);
-                match &mut merged {
-                    None => {
-                        let mut m = inc;
-                        m.scope = target;
-                        merged = Some(m);
-                    }
-                    Some(m) => {
-                        m.affected_near.extend(inc.affected_near);
-                        m.affected_far.extend(inc.affected_far);
-                        m.affected_keys.extend(inc.affected_keys);
-                        m.affected_keys.sort();
-                        m.affected_keys.dedup();
-                        m.watch.extend(inc.watch);
-                    }
-                }
+            // `by_city` was read off `by_scope`'s keys, and each scope
+            // sits in one city: every scope is still there, once.
+            let mut members = scopes.iter().map(|s| by_scope.remove(s).expect("scope present"));
+            let first = members.next().expect("at least two scopes");
+            let mut merged = LocalizedIncident { scope: target, ..first };
+            for inc in members {
+                merged.affected.absorb(inc.affected);
             }
-            out.push(merged.expect("at least one scope"));
+            out.push(merged);
         }
-        for (scope, inc) in by_scope {
-            if !absorbed.contains(&scope) {
-                out.push(inc);
-            }
-        }
+        out.extend(by_scope.into_values());
         out.sort_by_key(|i| i.scope);
         out
     }
@@ -779,17 +727,6 @@ fn sort_candidates(candidates: &mut [FacilityCandidate]) {
     });
 }
 
-/// Sorts suspects best-first and drops duplicate facilities (a building
-/// can qualify through several collection paths — e.g. an IXP's fabric
-/// loop *and* the far-end facility scan — and a duplicated candidate
-/// would be probed twice and defeat the unique-confirmation rule).
-fn finalize_suspects(mut suspects: Vec<FacilityCandidate>) -> Vec<FacilityCandidate> {
-    sort_candidates(&mut suspects);
-    let mut seen: BTreeSet<FacilityId> = BTreeSet::new();
-    suspects.retain(|c| seen.insert(c.facility));
-    suspects
-}
-
 /// Merges pending localizations that name the same candidate set: one
 /// physical incident surfaces through several tags at once (the city
 /// tag, each bystander building's tag), and probing it once is enough.
@@ -804,16 +741,9 @@ fn merge_pending(pending: Vec<PendingIncident>) -> Vec<PendingIncident> {
                 by_cands.insert(key, p);
             }
             Some(existing) => {
-                existing.affected_near.extend(p.affected_near);
-                existing.affected_far.extend(p.affected_far);
-                existing.affected_keys.extend(p.affected_keys);
-                existing.affected_keys.sort();
-                existing.affected_keys.dedup();
-                existing.watch.extend(p.watch);
+                existing.affected.absorb(p.affected);
                 existing.booked_unresolved += p.booked_unresolved;
-                if existing.fallback.is_none() {
-                    existing.fallback = p.fallback;
-                }
+                existing.fallback = existing.fallback.or(p.fallback);
             }
         }
     }
@@ -951,7 +881,8 @@ mod tests {
         let inv = build();
         // All far-end members of facility 0 are affected.
         let affected: BTreeSet<Asn> = (201..=205).chain(301..=305).map(Asn).collect();
-        let scope = inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_all());
+        let scope =
+            inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_all()).scope;
         assert_eq!(scope, Some(OutageScope::Facility(FacilityId(0))));
     }
 
@@ -961,7 +892,8 @@ mod tests {
         // Only the fars at facility 1 are affected: epicenter must be
         // facility 1, not the near-end facility 0 (the London case).
         let affected: BTreeSet<Asn> = (201..=205).map(Asn).collect();
-        let scope = inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_all());
+        let scope =
+            inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_all()).scope;
         assert_eq!(scope, Some(OutageScope::Facility(FacilityId(1))));
     }
 
@@ -972,7 +904,7 @@ mod tests {
         // Facility 0 hosts the fabric and all those fars are members of
         // facility 0 too, so the facility test fires first — which is the
         // desired "outage is the building, not the IXP" resolution.
-        let scope = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable_all());
+        let scope = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable_all()).scope;
         assert_eq!(scope, Some(OutageScope::Facility(FacilityId(0))));
     }
 
@@ -1003,11 +935,11 @@ mod tests {
         let inv = Investigator::new(KeplerConfig::default(), colo, OrgMap::new());
         let affected: BTreeSet<Asn> = (1..=8).map(Asn).collect();
         let stable: BTreeMap<Asn, usize> = (1..=8).map(|a| (Asn(a), 1)).collect();
-        let scope = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable);
+        let scope = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable).scope;
         assert_eq!(scope, Some(OutageScope::Ixp(IxpId(0))));
         // Only facility 0's members affected -> the building, not the IXP.
         let affected0: BTreeSet<Asn> = (1..=4).map(Asn).collect();
-        let scope0 = inv.localize(LocationTag::Ixp(IxpId(0)), &affected0, &stable);
+        let scope0 = inv.localize(LocationTag::Ixp(IxpId(0)), &affected0, &stable).scope;
         assert_eq!(scope0, Some(OutageScope::Facility(FacilityId(0))));
     }
 
@@ -1016,11 +948,11 @@ mod tests {
         let inv = build();
         // All members of facility 1 affected: city tag sharpens to it.
         let affected: BTreeSet<Asn> = (201..=205).map(Asn).collect();
-        let scope = inv.localize(LocationTag::City(CityId(0)), &affected, &stable_all());
+        let scope = inv.localize(LocationTag::City(CityId(0)), &affected, &stable_all()).scope;
         assert_eq!(scope, Some(OutageScope::Facility(FacilityId(1))));
         // Mixed affected set that matches nothing cleanly stays city-wide.
         let mixed: BTreeSet<Asn> = [201u32, 301, 999].iter().map(|&a| Asn(a)).collect();
-        let scope2 = inv.localize(LocationTag::City(CityId(0)), &mixed, &stable_all());
+        let scope2 = inv.localize(LocationTag::City(CityId(0)), &mixed, &stable_all()).scope;
         assert_eq!(scope2, Some(OutageScope::City(CityId(0))));
     }
 
@@ -1049,18 +981,17 @@ mod tests {
         let inv = build_twins();
         let affected: BTreeSet<Asn> = (201..=205).map(Asn).collect();
         // Through the bystander facility tag: no verdict, two suspects.
-        let loc =
-            inv.localize_detailed(LocationTag::Facility(FacilityId(0)), &affected, &stable_twins());
+        let loc = inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_twins());
         assert_eq!(loc.scope, None);
-        assert!(loc.needs_probe);
+        assert!(loc.needs_probe());
         let named: Vec<FacilityId> = loc.suspects.iter().map(|c| c.facility).collect();
         assert_eq!(named, vec![FacilityId(1), FacilityId(2)]);
         assert!((loc.suspects[0].containment - 1.0).abs() < 1e-9);
         assert!(loc.suspects[0].coverage < 0.95, "live twin ports dilute coverage");
         // Through the city tag: coarse city verdict over the same suspects.
-        let loc = inv.localize_detailed(LocationTag::City(CityId(0)), &affected, &stable_twins());
+        let loc = inv.localize(LocationTag::City(CityId(0)), &affected, &stable_twins());
         assert_eq!(loc.scope, Some(OutageScope::City(CityId(0))));
-        assert!(loc.needs_probe);
+        assert!(loc.needs_probe());
         assert_eq!(loc.suspects.len(), 2);
     }
 
@@ -1069,16 +1000,10 @@ mod tests {
         let inv = build_twins();
         // Both buildings fully wiped: two candidates clear the margin.
         let affected: BTreeSet<Asn> = (201..=210).map(Asn).collect();
-        let loc =
-            inv.localize_detailed(LocationTag::Facility(FacilityId(0)), &affected, &stable_twins());
+        let loc = inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_twins());
         assert_eq!(loc.scope, Some(OutageScope::Facility(FacilityId(1))), "historical best");
-        assert!(loc.needs_probe, "a tie is not confidence");
+        assert!(loc.needs_probe(), "a tie is not confidence");
         assert_eq!(loc.suspects.len(), 2);
-        // The wrapper keeps the historical passive behavior.
-        assert_eq!(
-            inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_twins()),
-            Some(OutageScope::Facility(FacilityId(1)))
-        );
     }
 
     #[test]
@@ -1108,9 +1033,9 @@ mod tests {
         let inv = Investigator::new(KeplerConfig::default(), colo, OrgMap::new());
         let affected: BTreeSet<Asn> = (201..=205).map(Asn).collect();
         let stable: BTreeMap<Asn, usize> = (201..=210).map(|a| (Asn(a), 2)).collect();
-        let loc = inv.localize_detailed(LocationTag::Ixp(IxpId(0)), &affected, &stable);
+        let loc = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable);
         assert_eq!(loc.scope, None);
-        assert!(loc.needs_probe);
+        assert!(loc.needs_probe());
         let named: Vec<FacilityId> = loc.suspects.iter().map(|c| c.facility).collect();
         let unique: BTreeSet<FacilityId> = named.iter().copied().collect();
         assert_eq!(named.len(), unique.len(), "duplicate suspects: {named:?}");
@@ -1137,14 +1062,70 @@ mod tests {
         let p = &result.pending[0];
         assert_eq!(p.fallback, Some(OutageScope::City(CityId(0))));
         assert_eq!(p.candidates.len(), 2);
-        assert_eq!(p.affected_near.len(), 3);
+        assert_eq!(p.affected.near.len(), 3);
         let req = p.request();
         assert_eq!(req.candidates, vec![FacilityId(1), FacilityId(2)]);
         assert_eq!(req.affected_far.len(), 5);
         // Materializing with a settled scope carries everything over.
         let inc = p.to_incident(OutageScope::Facility(FacilityId(1)));
         assert_eq!(inc.scope, OutageScope::Facility(FacilityId(1)));
-        assert_eq!(inc.affected_near, p.affected_near);
+        assert_eq!(inc.affected.near, p.affected.near);
+    }
+
+    fn key(i: u8) -> RouteKey {
+        RouteKey {
+            collector: kepler_bgpstream::CollectorId(0),
+            peer: kepler_bgpstream::PeerId { asn: Asn(1), addr: "10.0.0.1".parse().unwrap() },
+            prefix: kepler_bgp::Prefix::v4(20, i, 0, 0, 16),
+        }
+    }
+
+    /// A localized incident whose watch list names `keys` in the order
+    /// given, each crossing `scope`'s tag at the first near-end AS.
+    fn localized(scope: OutageScope, near: &[u32], far: &[u32], keys: &[u8]) -> LocalizedIncident {
+        let watch = keys.iter().map(|&k| (key(k), scope.tag(), Asn(near[0]))).collect();
+        let affected = Affected {
+            near: near.iter().map(|&a| Asn(a)).collect(),
+            far: far.iter().map(|&a| Asn(a)).collect(),
+            keys: keys.iter().map(|&k| key(k)).collect(),
+            watch,
+        };
+        LocalizedIncident { scope, bin_start: 600, affected }
+    }
+
+    #[test]
+    fn same_city_verdicts_merge_into_one_incident_with_the_union_of_evidence() {
+        let inv = build();
+        let (f0, f1) = (OutageScope::Facility(FacilityId(0)), OutageScope::Facility(FacilityId(1)));
+        let city = OutageScope::City(CityId(0));
+        // Two buildings of city 0 in one bin abstract to the city; the
+        // building of city 1 stays its own incident.
+        let a = localized(f0, &[1, 2], &[201, 202], &[3, 1]);
+        let b = localized(f1, &[3, 2], &[203, 202], &[2, 3]);
+        let other = localized(OutageScope::Facility(FacilityId(2)), &[9], &[301], &[7]);
+        let merged = inv.merge_incidents(vec![b.clone(), other.clone(), a.clone()]);
+        let scopes: Vec<OutageScope> = merged.iter().map(|i| i.scope).collect();
+        assert_eq!(scopes, vec![other.scope, city]);
+        let m = &merged[1];
+        assert_eq!(m.bin_start, 600);
+        assert_eq!(m.affected.near, [1, 2, 3].map(Asn).into());
+        assert_eq!(m.affected.far, [201, 202, 203].map(Asn).into());
+        assert_eq!(m.affected.keys, vec![key(1), key(2), key(3)], "sorted, the shared key once");
+        let in_order: Vec<_> = a.affected.watch.iter().chain(&b.affected.watch).copied().collect();
+        assert_eq!(m.affected.watch, in_order, "every crossing, in signal order");
+        assert_eq!(merged[0], other);
+        // A city-tag verdict beside exactly one building merely
+        // corroborates it: the building keeps the union.
+        let c = localized(city, &[4], &[204], &[4, 1]);
+        let merged = inv.merge_incidents(vec![c.clone(), b.clone()]);
+        assert_eq!(merged.len(), 1, "{merged:?}");
+        let m = &merged[0];
+        assert_eq!(m.scope, f1);
+        assert_eq!(m.affected.near, [2, 3, 4].map(Asn).into());
+        assert_eq!(m.affected.far, [202, 203, 204].map(Asn).into());
+        assert_eq!(m.affected.keys, vec![key(1), key(2), key(3), key(4)]);
+        let in_order: Vec<_> = b.affected.watch.iter().chain(&c.affected.watch).copied().collect();
+        assert_eq!(m.affected.watch, in_order);
     }
 
     #[test]

@@ -46,6 +46,14 @@ impl TruthOutage {
     fn end(&self) -> Timestamp {
         self.start + self.duration
     }
+
+    /// Whether a report at `scope` names this outage: its epicenter, an
+    /// alias, or — the city abstraction — its city.
+    pub fn named_by(&self, scope: &OutageScope) -> bool {
+        *scope == self.scope
+            || self.aliases.contains(scope)
+            || matches!(scope, OutageScope::City(c) if self.city == Some(*c))
+    }
 }
 
 /// One detection ↔ truth match.
@@ -96,14 +104,6 @@ impl Evaluation {
     }
 }
 
-fn scope_matches(report: &OutageScope, truth: &TruthOutage) -> bool {
-    if *report == truth.scope || truth.aliases.contains(report) {
-        return true;
-    }
-    // City-level localization of an incident in that city is correct.
-    matches!(report, OutageScope::City(c) if truth.city == Some(*c))
-}
-
 fn time_matches(report: &OutageReport, truth: &TruthOutage, slack: u64) -> bool {
     let r_start = report.start.saturating_sub(slack);
     let r_end = report.end.unwrap_or(u64::MAX).saturating_add(slack);
@@ -120,8 +120,7 @@ pub fn evaluate(reports: &[OutageReport], truth: &[TruthOutage], slack: u64) -> 
         // Find the best unused matching truth record.
         let mut matched: Option<usize> = None;
         for (ti, t) in truth.iter().enumerate() {
-            if truth_used[ti] || !scope_matches(&report.scope, t) || !time_matches(report, t, slack)
-            {
+            if truth_used[ti] || !t.named_by(&report.scope) || !time_matches(report, t, slack) {
                 continue;
             }
             matched = Some(ti);

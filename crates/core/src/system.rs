@@ -25,16 +25,16 @@ use crate::config::KeplerConfig;
 use crate::events::{OutageReport, OutageScope};
 use crate::input::InputModule;
 use crate::intern::{DenseRouteEvent, Interner};
-use crate::investigate::{Investigator, LocalizedIncident, PendingIncident};
+use crate::investigate::{Affected, Investigator, LocalizedIncident, PendingIncident};
 use crate::monitor::{DenseBinOutcome, Monitor};
 use crate::signal::{BinView, SignalKind, SignalSource, SourceContribution, SourceSignal};
-use crate::tracker::{IncidentMeta, Tracker};
+use crate::tracker::{merge_sources, IncidentMeta, Tracker};
 use crate::validate::{self, settle, DataPlaneProbe, Settlement, Why};
 use kepler_bgpstream::{BgpRecord, GapTracker, Timestamp};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_probe::{BackendHealth, ProbeReport, ProbeRequest, Prober, RestorationProber};
 use kepler_topology::{ColocationMap, FacilityId, OrgMap};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Everything Kepler needs to start.
 pub struct KeplerInputs {
@@ -518,55 +518,42 @@ impl Kepler {
         if raised.is_empty() {
             return;
         }
-        let mut standalone: BTreeMap<OutageScope, Vec<(SignalKind, SourceSignal)>> =
+        // Per scope: the contributions no live incident absorbed, and the
+        // peak weight of its delay signals.
+        let mut standalone: BTreeMap<OutageScope, (Vec<SourceContribution>, usize)> =
             BTreeMap::new();
         for (kind, sig) in raised {
             let contrib =
                 SourceContribution { kind, confidence: sig.confidence, first_bin: bin_start };
             if self.tracker.corroborate(sig.scope, contrib) {
                 self.counts.fused_corroborations += 1;
-            } else {
-                standalone.entry(sig.scope).or_default().push((kind, sig));
+                continue;
+            }
+            let (contribs, delay_weight) = standalone.entry(sig.scope).or_default();
+            contribs.push(contrib);
+            if kind == SignalKind::Delay {
+                *delay_weight = (*delay_weight).max(sig.weight);
             }
         }
-        for (scope, signals) in standalone {
-            let kinds: BTreeSet<SignalKind> = signals.iter().map(|(k, _)| *k).collect();
-            let delay_weight = signals
-                .iter()
-                .filter(|(k, _)| *k == SignalKind::Delay)
-                .map(|(_, s)| s.weight)
-                .max()
-                .unwrap_or(0);
-            let quorum = kinds.len() >= 2 || delay_weight >= self.config.delay_min_anomalous_pairs;
-            let confirmation = if !quorum && kinds.contains(&SignalKind::Forecast) {
+        for (scope, (contribs, delay_weight)) in standalone {
+            // One entry per kind: the quorum counts independent kinds.
+            let mut sources: Vec<SourceContribution> = Vec::new();
+            merge_sources(&mut sources, &contribs);
+            let quorum =
+                sources.len() >= 2 || delay_weight >= self.config.delay_min_anomalous_pairs;
+            let forecast = sources.iter().any(|s| s.kind == SignalKind::Forecast);
+            let confirmation = if !quorum && forecast {
                 self.probe_forecast_suspicion(scope, bin_start)
             } else {
                 None
             };
             if !quorum && confirmation.is_none() {
-                self.counts.aux_suppressed += signals.len();
+                self.counts.aux_suppressed += contribs.len();
                 continue;
             }
-            let mut sources: Vec<SourceContribution> = Vec::new();
-            for (kind, sig) in &signals {
-                match sources.iter_mut().find(|s| s.kind == *kind) {
-                    Some(s) => s.confidence = s.confidence.max(sig.confidence),
-                    None => sources.push(SourceContribution {
-                        kind: *kind,
-                        confidence: sig.confidence,
-                        first_bin: bin_start,
-                    }),
-                }
-            }
-            sources.sort_by_key(|s| s.kind.tag());
-            let inc = LocalizedIncident {
-                scope,
-                bin_start,
-                affected_near: BTreeSet::new(),
-                affected_far: scope.members(self.investigator.colo()),
-                affected_keys: Vec::new(),
-                watch: Vec::new(),
-            };
+            let far = scope.members(self.investigator.colo());
+            let affected = Affected { far, ..Affected::default() };
+            let inc = LocalizedIncident { scope, bin_start, affected };
             let meta = IncidentMeta { sources, ..confirmation.unwrap_or_default() };
             self.counts.fused_opens += 1;
             self.tracker.record(&[inc], &[meta], &mut self.interner);

@@ -83,7 +83,7 @@ impl Default for IncidentMeta {
 /// Merges per-source contributions: per kind, the peak confidence and
 /// earliest first-fire bin win; the result stays sorted by wire tag so
 /// exports are deterministic.
-fn merge_sources(acc: &mut Vec<SourceContribution>, add: &[SourceContribution]) {
+pub(crate) fn merge_sources(acc: &mut Vec<SourceContribution>, add: &[SourceContribution]) {
     for c in add {
         match acc.iter_mut().find(|s| s.kind == c.kind) {
             Some(s) => {
@@ -498,14 +498,14 @@ impl Tracker {
         meta: &IncidentMeta,
         interner: &mut Interner,
     ) {
-        on.watch.extend(inc.watch.iter().map(|(k, pop, near)| {
+        on.watch.extend(inc.affected.watch.iter().map(|(k, pop, near)| {
             (interner.route_id(k), interner.pop_id(*pop), interner.asn_id(*near))
         }));
         let on = &mut on.inc;
-        union(&mut on.affected_near, inc.affected_near.iter().copied());
-        union(&mut on.affected_far, inc.affected_far.iter().copied());
-        union(&mut on.affected_keys, inc.affected_keys.iter().copied());
-        on.watch.extend(inc.watch.iter().copied());
+        union(&mut on.affected_near, inc.affected.near.iter().copied());
+        union(&mut on.affected_far, inc.affected.far.iter().copied());
+        union(&mut on.affected_keys, inc.affected.keys.iter().copied());
+        on.watch.extend(inc.affected.watch.iter().copied());
         if on.dataplane_confirmed.is_none() {
             on.dataplane_confirmed = meta.dataplane;
         }
@@ -833,6 +833,7 @@ pub struct TrackerState {
 mod tests {
     use super::*;
     use crate::input::{PopCrossing, RouteEvent};
+    use crate::investigate::Affected;
     use kepler_bgp::Prefix;
     use kepler_bgpstream::{CollectorId, PeerId};
     use kepler_docmine::LocationTag;
@@ -851,13 +852,15 @@ mod tests {
         LocalizedIncident {
             scope: OutageScope::Facility(FacilityId(1)),
             bin_start: t,
-            affected_near: [Asn(5)].into(),
-            affected_far: [Asn(6)].into(),
-            affected_keys: keys.iter().map(|&i| key(i)).collect(),
-            watch: keys
-                .iter()
-                .map(|&i| (key(i), LocationTag::Facility(FacilityId(1)), Asn(5)))
-                .collect(),
+            affected: Affected {
+                near: [Asn(5)].into(),
+                far: [Asn(6)].into(),
+                keys: keys.iter().map(|&i| key(i)).collect(),
+                watch: keys
+                    .iter()
+                    .map(|&i| (key(i), LocationTag::Facility(FacilityId(1)), Asn(5)))
+                    .collect(),
+            },
         }
     }
 
@@ -1329,10 +1332,12 @@ mod tests {
         let inc = LocalizedIncident {
             scope: OutageScope::Ixp(IxpId(3)),
             bin_start: 1000,
-            affected_near: [Asn(5)].into(),
-            affected_far: [Asn(6)].into(),
-            affected_keys: vec![key(0)],
-            watch: vec![(key(0), LocationTag::Ixp(IxpId(3)), Asn(5))],
+            affected: Affected {
+                near: [Asn(5)].into(),
+                far: [Asn(6)].into(),
+                keys: vec![key(0)],
+                watch: vec![(key(0), LocationTag::Ixp(IxpId(3)), Asn(5))],
+            },
         };
         t.record(&[inc], &[IncidentMeta::default()], &mut interner);
         let mut prober = ScriptedRestoration::new(vec![RestorationVerdict::Restored; 8]);

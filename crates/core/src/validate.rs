@@ -198,7 +198,6 @@ pub(crate) mod tests {
     use super::*;
     use kepler_bgp::Asn;
     use kepler_probe::PostState;
-    use std::collections::BTreeSet;
 
     /// A baseline backend with one fixed answer for every scope.
     #[derive(Debug, Clone, Copy)]
@@ -320,10 +319,7 @@ pub(crate) mod tests {
         let inc = LocalizedIncident {
             scope: OutageScope::Facility(FacilityId(fac)),
             bin_start: 0,
-            affected_near: BTreeSet::new(),
-            affected_far: BTreeSet::new(),
-            affected_keys: Vec::new(),
-            watch: Vec::new(),
+            affected: Default::default(),
         };
         (inc, IncidentMeta::default())
     }

@@ -38,6 +38,7 @@ use kepler_topology::{CityId, FacilityId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+use std::str::FromStr;
 
 /// Header line of the serialized script format.
 const HEADER: &str = "kepler-fuzz-script v1";
@@ -488,24 +489,25 @@ impl ScenarioScript {
 
     /// Regenerates the world and runs the failure plan through the
     /// engine. Deterministic: the same script always builds the same
-    /// stream.
-    pub fn build(&self) -> FuzzWorld {
+    /// stream. A script staging a facility its world does not have (a
+    /// hand-edited one, say) is an error, found before simulating.
+    pub fn build(&self) -> Result<FuzzWorld, String> {
         let world = World::generate(self.world.clone());
+        let mut cities = Vec::new();
+        for f in self.script.epicenters() {
+            cities.push(world.colo.facility(f).ok_or(format!("no facility {}", f.0))?.city);
+        }
+        let city = *cities.first().ok_or("the script stages no facility")?;
         let timeline = self.script.events();
         let start = DAY_ONE;
         let end = self.sim_end();
         let setup = CollectorSetup::default_for(&world, self.collectors, self.max_peers, self.seed);
         let output = Simulation::new(&world, setup, start, self.seed).run(&timeline, end);
-        let city = world
-            .colo
-            .facility(self.script.epicenters()[0])
-            .map(|f| f.city)
-            .expect("script epicenter must exist in its own world");
-        FuzzWorld {
+        Ok(FuzzWorld {
             script: self.clone(),
             scenario: Scenario { world, output, timeline, start, end, seed: self.seed },
             city,
-        }
+        })
     }
 
     /// Serializes the script as line-oriented `key = value` text.
@@ -614,13 +616,13 @@ impl ScenarioScript {
                 line.split_once('=').ok_or_else(|| format!("not a `key = value` line: {line}"))?;
             map.insert(k.trim(), v.trim());
         }
-        fn field<T: std::str::FromStr>(map: &BTreeMap<&str, &str>, key: &str) -> Result<T, String> {
+        fn field<T: FromStr>(map: &BTreeMap<&str, &str>, key: &str) -> Result<T, String> {
             map.get(key)
                 .ok_or_else(|| format!("missing key `{key}`"))?
                 .parse()
                 .map_err(|_| format!("bad value for `{key}`"))
         }
-        fn list(map: &BTreeMap<&str, &str>, key: &str) -> Result<Vec<u64>, String> {
+        fn list<T: FromStr>(map: &BTreeMap<&str, &str>, key: &str) -> Result<Vec<T>, String> {
             map.get(key)
                 .ok_or_else(|| format!("missing key `{key}`"))?
                 .split(',')
@@ -634,13 +636,9 @@ impl ScenarioScript {
         world.n_content = field(&map, "world.n_content")?;
         world.n_eyeball = field(&map, "world.n_eyeball")?;
         world.n_stub = field(&map, "world.n_stub")?;
-        let facs = list(&map, "world.facilities_per_continent")?;
-        if facs.len() != 5 {
-            return Err("world.facilities_per_continent needs 5 entries".into());
-        }
-        for (slot, v) in world.facilities_per_continent.iter_mut().zip(&facs) {
-            *slot = *v as usize;
-        }
+        let facs: Vec<usize> = list(&map, "world.facilities_per_continent")?;
+        world.facilities_per_continent =
+            facs.try_into().map_err(|_| "world.facilities_per_continent needs 5 entries")?;
         world.n_ixps = field(&map, "world.n_ixps")?;
         world.max_ixp_facilities = field(&map, "world.max_ixp_facilities")?;
         world.ixp_peers_per_member = field(&map, "world.ixp_peers_per_member")?;
@@ -649,9 +647,7 @@ impl ScenarioScript {
         world.documentation_rate = field(&map, "world.documentation_rate")?;
         world.v6_tagging_rate = field(&map, "world.v6_tagging_rate")?;
 
-        let fac = |m: &BTreeMap<&str, &str>| -> Result<FacilityId, String> {
-            Ok(FacilityId(field(m, "facility")?))
-        };
+        let fac = |m: &BTreeMap<&str, &str>| field(m, "facility").map(FacilityId);
         let script = match *map.get("kind").ok_or("missing key `kind`")? {
             "single" => FailureScript::Single {
                 facility: fac(&map)?,
@@ -677,24 +673,21 @@ impl ScenarioScript {
                 cycles: field(&map, "cycles")?,
             },
             "cascade" => FailureScript::Cascade {
-                facilities: list(&map, "facilities")?
-                    .into_iter()
-                    .map(|f| FacilityId(f as u32))
-                    .collect(),
+                facilities: list(&map, "facilities")?.into_iter().map(FacilityId).collect(),
                 start: field(&map, "start")?,
                 stagger_secs: field(&map, "stagger_secs")?,
                 duration: field(&map, "duration")?,
             },
             "slow-drain" => FailureScript::SlowDrain {
                 facility: fac(&map)?,
-                members: list(&map, "members")?.into_iter().map(|a| Asn(a as u32)).collect(),
+                members: list(&map, "members")?.into_iter().map(Asn).collect(),
                 start: field(&map, "start")?,
                 stagger_secs: field(&map, "stagger_secs")?,
                 hold_secs: field(&map, "hold_secs")?,
             },
             "seasonal" => FailureScript::Seasonal {
                 facility: fac(&map)?,
-                members: list(&map, "members")?.into_iter().map(|a| Asn(a as u32)).collect(),
+                members: list(&map, "members")?.into_iter().map(Asn).collect(),
                 start: field(&map, "start")?,
                 dip_secs: field(&map, "dip_secs")?,
                 days: field(&map, "days")?,
@@ -839,36 +832,43 @@ fn stage_for(world: &World, kind: FailureKind, rng: &mut StdRng) -> Vec<Facility
     }
 }
 
+/// Generates and builds the world for a fuzzer seed, of `kind` or a
+/// random archetype. `stage_for` stages only facilities of the
+/// generated world, so the build cannot fail.
+pub fn generated(seed: u64, kind: Option<FailureKind>) -> FuzzWorld {
+    ScenarioScript::generate_kind(seed, kind).build().expect("staged in its own world")
+}
+
 /// Builds a world staged for remote-peering mislocalization.
 pub fn remote_peering(seed: u64) -> FuzzWorld {
-    ScenarioScript::generate_kind(seed, Some(FailureKind::Remote)).build()
+    generated(seed, Some(FailureKind::Remote))
 }
 
 /// Builds a world with a flapping facility.
 pub fn flapping(seed: u64) -> FuzzWorld {
-    ScenarioScript::generate_kind(seed, Some(FailureKind::Flapping)).build()
+    generated(seed, Some(FailureKind::Flapping))
 }
 
 /// Builds a world with a correlated same-metro cascade.
 pub fn cascade(seed: u64) -> FuzzWorld {
-    ScenarioScript::generate_kind(seed, Some(FailureKind::Cascade)).build()
+    generated(seed, Some(FailureKind::Cascade))
 }
 
 /// Builds a world whose best-instrumented facility drains member by
 /// member, below the deviation test's localization quorum.
 pub fn slow_drain(seed: u64) -> FuzzWorld {
-    ScenarioScript::generate_kind(seed, Some(FailureKind::SlowDrain)).build()
+    generated(seed, Some(FailureKind::SlowDrain))
 }
 
 /// Builds a world with a pure daily maintenance pattern and no outage
 /// (forecast negative control).
 pub fn pure_seasonal(seed: u64) -> FuzzWorld {
-    ScenarioScript::generate_kind(seed, Some(FailureKind::Seasonal)).build()
+    generated(seed, Some(FailureKind::Seasonal))
 }
 
 /// Builds a world with a routing-invisible congestion brownout.
 pub fn delay_surge(seed: u64) -> FuzzWorld {
-    ScenarioScript::generate_kind(seed, Some(FailureKind::DelaySurge)).build()
+    generated(seed, Some(FailureKind::DelaySurge))
 }
 
 #[cfg(test)]
@@ -919,6 +919,26 @@ mod tests {
         // Comment lines (artifact annotations) are ignored.
         let annotated = format!("{good}# violation: something\n  # indented note\n");
         assert!(ScenarioScript::parse(&annotated).is_ok());
+        // List ids past `u32` are errors, not wrapped (4294967302 would
+        // read as 6 and no longer re-render to the input).
+        for (kind, key) in
+            [(FailureKind::Cascade, "facilities"), (FailureKind::SlowDrain, "members")]
+        {
+            let text = ScenarioScript::generate_kind(3, Some(kind)).render();
+            let line = text.lines().find(|l| l.starts_with(key)).expect("rendered list");
+            let wrapped = text.replace(line, &format!("{key} = 4294967302"));
+            assert!(ScenarioScript::parse(&wrapped).is_err(), "{kind:?} parsed: {wrapped}");
+        }
+    }
+
+    #[test]
+    fn scripts_staging_a_facility_their_world_lacks_do_not_build() {
+        let mut script = ScenarioScript::generate_kind(3, Some(FailureKind::Single));
+        let FailureScript::Single { ref mut facility, .. } = script.script else {
+            panic!("forced kind");
+        };
+        *facility = FacilityId(4_000_000);
+        assert_eq!(script.build().err().as_deref(), Some("no facility 4000000"));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use kepler_core::metrics::TruthOutage;
 use kepler_core::system::ClassCounts;
 use kepler_core::{Kepler, KeplerConfig, RemotenessMap};
 use kepler_netsim::dataplane::{DataplaneSim, TreeCache};
-use kepler_netsim::fuzz::{FailureKind, FailureScript, FuzzWorld, ScenarioScript};
+use kepler_netsim::fuzz::{generated, FailureKind, FailureScript, FuzzWorld, ScenarioScript};
 use kepler_netsim::scenario::Scenario;
 use kepler_topology::AsType;
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,7 +80,7 @@ impl FuzzVerdict {
     /// Whether at least one report named a ground-truth outage (used by
     /// the smoke suite to prove the sweep is not vacuous).
     pub fn detected(&self) -> bool {
-        self.reports.iter().any(|r| self.truth.iter().any(|t| names_truth(r, t)))
+        self.reports.iter().any(|r| self.truth.iter().any(|t| t.named_by(&r.scope)))
     }
 }
 
@@ -116,19 +116,19 @@ pub fn remoteness_for(scenario: &Scenario, quiet_t: u64) -> RemotenessMap {
 
 /// Generates, builds and checks the world for a fuzzer seed.
 pub fn check_seed(seed: u64) -> FuzzVerdict {
-    check_script(&ScenarioScript::generate(seed))
+    check_world(&generated(seed, None))
 }
 
-/// Builds and checks the world a script describes (the replay path for
-/// `repro --fuzz-seed` and hand-authored regression scripts).
-pub fn check_script(script: &ScenarioScript) -> FuzzVerdict {
-    check_world(&script.build())
+/// Builds and checks the world a script describes (hand-authored
+/// regression scripts); a script that does not build is an error.
+pub fn check_script(script: &ScenarioScript) -> Result<FuzzVerdict, String> {
+    script.build().map(|fw| check_world(&fw))
 }
 
 /// [`check_seed`] with the fused multi-signal detector (forecast +
 /// delay sources on top of the deviation pipeline).
 pub fn check_seed_fused(seed: u64) -> FuzzVerdict {
-    check_world_fused(&ScenarioScript::generate(seed).build())
+    check_world_fused(&generated(seed, None))
 }
 
 /// Runs an already-built fuzz world through the detector and checks the
@@ -194,17 +194,10 @@ fn run_checked(
     FuzzVerdict { script: script.clone(), reports, truth, violations, counts }
 }
 
-/// Whether a report names this truth outage: scope, alias or city.
-fn names_truth(report: &OutageReport, truth: &TruthOutage) -> bool {
-    report.scope == truth.scope
-        || truth.aliases.contains(&report.scope)
-        || matches!(report.scope, OutageScope::City(c) if truth.city == Some(c))
-}
-
 /// Whether a report names this truth outage (scope, alias or city) and
 /// starts inside its window (± [`SLACK_SECS`]).
 fn matches_truth(report: &OutageReport, truth: &TruthOutage) -> bool {
-    names_truth(report, truth)
+    truth.named_by(&report.scope)
         && report.start + SLACK_SECS >= truth.start
         && report.start <= truth.start + truth.duration + SLACK_SECS
 }
@@ -257,7 +250,7 @@ fn check_invariants(
         }
         _ => false,
     };
-    let names = |r: &OutageReport, t: &TruthOutage| names_truth(r, t) || partial_fabric(r, t);
+    let names = |r: &OutageReport, t: &TruthOutage| t.named_by(&r.scope) || partial_fabric(r, t);
 
     let mut unmatched = 0usize;
     for report in reports {
@@ -431,7 +424,7 @@ impl PowerReport {
             .reports
             .iter()
             .filter(|r| {
-                verdict.truth.iter().any(|t| names_truth(r, t))
+                verdict.truth.iter().any(|t| t.named_by(&r.scope))
                     && r.start + SLACK_SECS >= onset
                     && r.start <= end + SLACK_SECS
             })

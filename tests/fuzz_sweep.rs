@@ -186,7 +186,7 @@ fn known_bad_script_trips_the_invariant_checker() {
     };
     script.open_after = 1;
     script.close_after = 1; // the bad part: no closing hysteresis
-    let verdict = check_script(&script);
+    let verdict = check_script(&script).expect("a generated world");
     assert!(
         !verdict.ok(),
         "the known-bad flapping script should trip the checker; reports: {:?}",
@@ -201,7 +201,7 @@ fn known_bad_script_trips_the_invariant_checker() {
     // (outlasting the up phase) rides the flap as a single incident.
     let mut fixed = script.clone();
     fixed.close_after = 15 + 8;
-    let verdict = check_script(&fixed);
+    let verdict = check_script(&fixed).expect("a generated world");
     assert!(verdict.ok(), "hysteresis should fix the flap: {:?}", verdict.violations);
 }
 
@@ -224,7 +224,7 @@ fn flap_duty_cycle_straddling_the_bin_width_stays_one_incident() {
     };
     script.open_after = 1;
     script.close_after = 2;
-    let verdict = check_script(&script);
+    let verdict = check_script(&script).expect("a generated world");
     if !verdict.ok() {
         report_failure(&[verdict]);
     }
