@@ -18,8 +18,8 @@
 //!    ([`remote`]) never vote for that metro's buildings.
 //! 4. [`validate`] — the one validation stage (§4.4): low-confidence
 //!    localizations are settled by targeted `kepler-probe` campaigns
-//!    (or evidence an open incident already carries), and the baseline
-//!    re-probe discards incidents the data plane contradicts. Every
+//!    (or evidence an open incident already carries), and the prober's
+//!    baseline re-probe discards incidents the data plane contradicts. Every
 //!    outcome is a value with a reason; the run's counters are their
 //!    tally.
 //! 5. [`tracker`] — the incident lifecycle (`Open` → `Recovering` →

@@ -31,7 +31,7 @@ use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
 use kepler_probe::telemetry::{lock_ledger, DelaySite, SharedRttLedger};
-use kepler_probe::{CanaryPair, Trace, TraceBackend};
+use kepler_probe::{ProbeTask, Trace, TraceBackend};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -261,7 +261,7 @@ pub struct DelayDetector<B = NoCanary> {
     ledger: SharedRttLedger,
     min_pairs: usize,
     threshold_ms: f64,
-    canary: Option<(B, Vec<CanaryPair>, Timestamp)>,
+    canary: Option<(B, Vec<ProbeTask>, Timestamp)>,
     canary_baselined: bool,
     /// The one trace buffer the canary round refills per pair.
     scratch: Trace,
@@ -302,7 +302,7 @@ impl<B: TraceBackend> DelayDetector<B> {
         config: &KeplerConfig,
         ledger: SharedRttLedger,
         backend: B,
-        pairs: Vec<CanaryPair>,
+        pairs: Vec<ProbeTask>,
         baseline_t: Timestamp,
     ) -> Self {
         DelayDetector {
@@ -533,9 +533,9 @@ mod tests {
         let cfg = cfg();
         let ledger = shared_ledger(cfg.delay_threshold_ms);
         let pairs = vec![
-            CanaryPair { vantage: Asn(900), target: Asn(20) },
-            CanaryPair { vantage: Asn(901), target: Asn(21) },
-            CanaryPair { vantage: Asn(902), target: Asn(22) },
+            ProbeTask { vantage: Asn(900), target: Asn(20) },
+            ProbeTask { vantage: Asn(901), target: Asn(21) },
+            ProbeTask { vantage: Asn(902), target: Asn(22) },
         ];
         let mut det = DelayDetector::with_canary(
             &cfg,

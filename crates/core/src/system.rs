@@ -29,7 +29,7 @@ use crate::investigate::{Affected, Investigator, LocalizedIncident, PendingIncid
 use crate::monitor::{DenseBinOutcome, Monitor};
 use crate::signal::{BinView, SignalKind, SignalSource, SourceContribution, SourceSignal};
 use crate::tracker::{merge_sources, IncidentMeta, Tracker};
-use crate::validate::{self, settle, DataPlaneProbe, Settlement, Why};
+use crate::validate::{self, settle, Settlement, Why};
 use kepler_bgpstream::{BgpRecord, GapTracker, Timestamp};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_probe::{BackendHealth, ProbeReport, ProbeRequest, Prober, RestorationProber};
@@ -122,7 +122,6 @@ pub struct Kepler {
     monitor: Monitor,
     investigator: Investigator,
     tracker: Tracker,
-    dataplane: Option<Box<dyn DataPlaneProbe>>,
     prober: Option<Box<dyn Prober>>,
     restoration: Option<Box<dyn RestorationProber>>,
     signal_sources: Vec<Box<dyn SignalSource>>,
@@ -150,7 +149,6 @@ impl Kepler {
             monitor: Monitor::new(config.clone()),
             investigator: Investigator::new(config.clone(), inputs.colo, inputs.orgs),
             tracker,
-            dataplane: None,
             prober: None,
             restoration: None,
             signal_sources: Vec::new(),
@@ -164,17 +162,13 @@ impl Kepler {
         }
     }
 
-    /// Attaches a data-plane measurement backend for incident confirmation.
-    pub fn with_dataplane(mut self, probe: Box<dyn DataPlaneProbe>) -> Self {
-        self.dataplane = Some(probe);
-        self
-    }
-
     /// Attaches an active-measurement prober (`kepler-probe` engine or a
     /// deployment equivalent). Localizations the investigator flags as
-    /// low-confidence are handed to it for facility-level disambiguation;
-    /// confident localizations never touch it, so attaching a prober
-    /// cannot change outcomes for events it does not probe.
+    /// low-confidence are handed to it for facility-level disambiguation,
+    /// and every kept incident to its §4.4 baseline re-probe
+    /// ([`Prober::baseline`]). A prober without a baseline corpus answers
+    /// that re-probe with `None`, so it cannot change outcomes for events
+    /// it does not probe.
     ///
     /// ```
     /// use kepler_core::{Kepler, KeplerConfig, KeplerInputs};
@@ -184,7 +178,7 @@ impl Kepler {
     /// use kepler_topology::{ColocationMap, OrgMap};
     ///
     /// /// The contract made executable: a stream without ambiguous
-    /// /// localizations never consults the prober at all.
+    /// /// localizations never asks the prober for a campaign.
     /// struct NeverConsulted;
     /// impl Prober for NeverConsulted {
     ///     fn validate(&mut self, r: &ProbeRequest, _: Timestamp) -> ProbeReport {
@@ -468,7 +462,7 @@ impl Kepler {
         let confident =
             investigation.incidents.into_iter().map(|inc| (inc, IncidentMeta::default()));
         let (kept, meta) = validate::confirm(
-            self.dataplane.as_deref(),
+            self.prober.as_deref_mut(),
             self.config.t_fail,
             now,
             confident.chain(settled),
@@ -784,11 +778,10 @@ mod tests {
         let t_fail = T0 + 2 * DAY + 3600;
         records.extend(outage_records(t_fail));
         records.push(announce(t_fail + 13 * 3600, 10, 20, 0));
-        let kepler =
-            Kepler::new(inputs()).with_dataplane(Box::new(FixedProbe(Some(ProbeResult {
-                still_crossing: 10,
-                baseline: 10,
-            }))));
+        let kepler = Kepler::new(inputs()).with_prober(Box::new(FixedProbe(Some(ProbeResult {
+            still_crossing: 10,
+            baseline: 10,
+        }))));
         let reports = kepler.run(records);
         assert!(reports.is_empty(), "dataplane contradiction discards: {reports:?}");
     }
@@ -799,11 +792,10 @@ mod tests {
         let t_fail = T0 + 2 * DAY + 3600;
         records.extend(outage_records(t_fail));
         records.push(announce(t_fail + 13 * 3600, 10, 20, 0));
-        let kepler =
-            Kepler::new(inputs()).with_dataplane(Box::new(FixedProbe(Some(ProbeResult {
-                still_crossing: 0,
-                baseline: 10,
-            }))));
+        let kepler = Kepler::new(inputs()).with_prober(Box::new(FixedProbe(Some(ProbeResult {
+            still_crossing: 0,
+            baseline: 10,
+        }))));
         let reports = kepler.run(records);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].dataplane_confirmed, Some(true));
@@ -973,7 +965,8 @@ mod tests {
     #[test]
     fn prober_never_touches_confident_localizations() {
         // The original unambiguous fixture: localization is confident, so
-        // the prober must not be consulted and outcomes are bit-identical.
+        // the prober runs no campaign, and without a baseline corpus its
+        // re-probe has no evidence: outcomes are bit-identical.
         let mut records = base_records();
         let t_fail = T0 + 2 * DAY + 3600;
         records.extend(outage_records(t_fail));
@@ -981,7 +974,7 @@ mod tests {
         records.extend(restore_records(t_restore));
         records.push(announce(t_restore + 13 * 3600, 10, 20, 0));
         let plain = Kepler::new(inputs()).run(records.clone());
-        /// A prober that fails the test if it is ever consulted.
+        /// A prober that fails the test if it is ever asked for a campaign.
         struct Tripwire;
         impl kepler_probe::Prober for Tripwire {
             fn validate(

@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, HashMap};
 /// targeted-probe verdict with its hop-level evidence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidentMeta {
-    /// Baseline data-plane confirmation, when a backend was attached.
+    /// Baseline data-plane confirmation, when `Prober::baseline` had evidence.
     pub dataplane: Option<bool>,
     /// Targeted-probe verdict for the incident's epicenter.
     pub validation: ValidationStatus,

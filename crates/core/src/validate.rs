@@ -8,10 +8,11 @@
 //!   [`ProbeReport`] is interpreted — confirmed, refuted, inconclusive,
 //!   degraded, or never probed — and the outcome is a `Settlement`
 //!   whose `Why` says which.
-//! * **Baseline re-probe.** Paths known to cross the suspected PoP are
-//!   re-traced through a [`DataPlaneProbe`]; `confirm` discards an
-//!   incident that more than `T_fail` of them still cross (a false
-//!   positive) and stamps the verdict on the ones it keeps.
+//! * **Baseline re-probe.** Quiet-time paths known to cross the
+//!   suspected PoP are re-traced by the same prober
+//!   ([`Prober::baseline`]); `confirm` discards an incident that more
+//!   than `T_fail` of them still cross (a false positive) and stamps the
+//!   verdict on the ones it keeps.
 //!
 //! Every reason is a value, and the run's counters are the tally of
 //! those values: `ClassCounts::tally*` below are the only writers of the
@@ -23,18 +24,8 @@ use crate::investigate::{BinInvestigation, LocalizedIncident};
 use crate::system::ClassCounts;
 use crate::tracker::IncidentMeta;
 use kepler_bgpstream::Timestamp;
-use kepler_probe::{FacilityVerdict, HopEvidence, ProbeReport, ProbeResult};
+use kepler_probe::{FacilityVerdict, HopEvidence, ProbeReport, Prober};
 use kepler_topology::FacilityId;
-
-/// A baseline data-plane measurement backend. The machinery lives outside
-/// this crate (the simulator provides one; a deployment would wrap
-/// Atlas/LG APIs).
-pub trait DataPlaneProbe {
-    /// Probes the baseline paths of `scope` at time `t`. `None` means no
-    /// baseline coverage for this PoP (validation is then inconclusive and
-    /// the control-plane inference stands).
-    fn probe(&self, scope: &OutageScope, t: Timestamp) -> Option<ProbeResult>;
-}
 
 /// Why a suspicion was settled the way it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,10 +113,10 @@ pub(crate) fn settle(
 
 /// The baseline re-probe filter: incidents the data plane contradicts
 /// are discarded as false positives, the rest are kept with the verdict
-/// stamped on their metadata (`None` without a backend or without
-/// baseline coverage of the scope).
+/// stamped on their metadata (`None` without a prober, or without
+/// baseline paths through the scope that re-probed).
 pub(crate) fn confirm(
-    dataplane: Option<&dyn DataPlaneProbe>,
+    mut prober: Option<&mut (dyn Prober + '_)>,
     t_fail: f64,
     now: Timestamp,
     incidents: impl Iterator<Item = (LocalizedIncident, IncidentMeta)>,
@@ -133,8 +124,9 @@ pub(crate) fn confirm(
 ) -> (Vec<LocalizedIncident>, Vec<IncidentMeta>) {
     let (mut kept, mut metas) = (Vec::new(), Vec::new());
     for (inc, mut meta) in incidents {
-        meta.dataplane = dataplane
-            .and_then(|dp| dp.probe(&inc.scope, now))
+        meta.dataplane = (prober.as_deref_mut())
+            .and_then(|p| p.baseline(inc.scope.epicenter(), now))
+            .filter(|r| r.baseline > 0)
             .map(|r| kepler_probe::confirm(r, t_fail));
         if meta.dataplane == Some(false) {
             counts.tally(Why::BaselineContradicted, 0);
@@ -197,14 +189,19 @@ impl ClassCounts {
 pub(crate) mod tests {
     use super::*;
     use kepler_bgp::Asn;
-    use kepler_probe::PostState;
+    use kepler_probe::{Epicenter, PostState, ProbeRequest, ProbeResult};
 
-    /// A baseline backend with one fixed answer for every scope.
+    /// A prober whose baseline re-probe has one fixed answer for every
+    /// scope; its campaigns decide nothing.
     #[derive(Debug, Clone, Copy)]
     pub(crate) struct FixedProbe(pub Option<ProbeResult>);
 
-    impl DataPlaneProbe for FixedProbe {
-        fn probe(&self, _scope: &OutageScope, _t: Timestamp) -> Option<ProbeResult> {
+    impl Prober for FixedProbe {
+        fn validate(&mut self, _request: &ProbeRequest, _now: Timestamp) -> ProbeReport {
+            ProbeReport::default()
+        }
+
+        fn baseline(&mut self, _epicenter: Epicenter, _now: Timestamp) -> Option<ProbeResult> {
             self.0
         }
     }
@@ -326,11 +323,11 @@ pub(crate) mod tests {
 
     #[test]
     fn baseline_filter_discards_contradictions_and_stamps_the_rest() {
-        let run = |probe: Option<FixedProbe>| {
+        let run = |mut probe: Option<FixedProbe>| {
             let mut counts = ClassCounts::default();
-            let dp = probe.as_ref().map(|p| p as &dyn DataPlaneProbe);
+            let prober = probe.as_mut().map(|p| p as &mut dyn Prober);
             let (kept, metas) =
-                confirm(dp, 0.10, 0, [incident(1), incident(2)].into_iter(), &mut counts);
+                confirm(prober, 0.10, 0, [incident(1), incident(2)].into_iter(), &mut counts);
             assert_eq!(kept.len(), metas.len());
             (kept.len(), metas.first().map(|m| m.dataplane), counts)
         };
@@ -350,5 +347,9 @@ pub(crate) mod tests {
             run(Some(crossing(10))),
             (0, None, ClassCounts { dataplane_rejected: 2, ..zero })
         );
+        // A re-probe of zero baseline paths is no evidence, not a
+        // contradiction (`crossing_fraction` reads it as 1.0).
+        let empty = FixedProbe(Some(ProbeResult { still_crossing: 0, baseline: 0 }));
+        assert_eq!(run(Some(empty)), (2, Some(None), ClassCounts { pop_level: 2, ..zero }));
     }
 }

@@ -456,19 +456,7 @@ impl<'w> DataplaneSim<'w> {
     /// whole campaign.
     pub fn campaign(&self, pairs: &[ProbePair], t: u64) -> Vec<TraceroutePath> {
         let mut cache = TreeCache::new();
-        self.campaign_with(&mut cache, pairs, t)
-    }
-
-    /// Like [`campaign`](Self::campaign) with a caller-held [`TreeCache`],
-    /// so trees also survive *across* campaigns (consecutive bins usually
-    /// share the failure state).
-    pub fn campaign_with(
-        &self,
-        cache: &mut TreeCache,
-        pairs: &[ProbePair],
-        t: u64,
-    ) -> Vec<TraceroutePath> {
-        pairs.iter().map(|&p| self.traceroute_with(cache, p, t)).collect()
+        pairs.iter().map(|&p| self.traceroute_with(&mut cache, p, t)).collect()
     }
 
     /// A default probe set: sources in edge (eyeball/stub) ASes — where
@@ -809,7 +797,8 @@ mod tests {
         for t in [T0, T0 + 1200, T0 + 1000 + 600 + 1800, T0 + 1000 + 600 + 11_000] {
             let uncached: Vec<TraceroutePath> =
                 pairs.iter().map(|&p| dp.traceroute(p, t)).collect();
-            let cached = dp.campaign_with(&mut cache, &pairs, t);
+            let cached: Vec<TraceroutePath> =
+                pairs.iter().map(|&p| dp.traceroute_with(&mut cache, p, t)).collect();
             assert_eq!(uncached, cached, "cache must not change results at t={t}");
         }
         let (hits, misses) = cache.stats();

@@ -25,6 +25,10 @@
 //! backend [`HealthTracker`], and while the backend is OFFLINE the engine
 //! shrinks to a canary campaign so recovery stays detectable without
 //! hammering a dead platform.
+//!
+//! The engine also holds §4.4's quiet-time baseline corpus
+//! ([`ProbeEngine::with_baseline_corpus`]) and answers the baseline
+//! re-probe from it ([`Prober::baseline`]) through the same backend.
 
 use crate::analysis::{FacilityVerdict, HopEvidence, MeasuredPair, PathAnalyzer};
 use crate::health::{BackendHealth, HealthConfig, HealthTracker};
@@ -32,7 +36,7 @@ use crate::lifecycle::{drive, AsyncTraceBackend, LifecycleConfig, SyncAdapter};
 use crate::restoration::{Epicenter, RestorationProber, RestorationReport, RestorationVerdict};
 use crate::schedule::{CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit};
 use crate::telemetry::{lock_ledger, SharedRttLedger};
-use crate::trace::{IfaceOwner, Trace};
+use crate::trace::{IfaceOwner, ProbeResult, Trace};
 use crate::vantage::VantageRegistry;
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
@@ -152,27 +156,16 @@ pub trait TraceBackend {
     /// `visit` must not call back into the backend.
     fn trace_panel(
         &self,
-        panel: &[CanaryPair],
+        panel: &[ProbeTask],
         t: Timestamp,
         scratch: &mut Trace,
-        visit: &mut dyn FnMut(&CanaryPair, &Trace),
+        visit: &mut dyn FnMut(&ProbeTask, &Trace),
     ) {
         for pair in panel {
             self.trace_into(pair.vantage, pair.target, t, scratch);
             visit(pair, scratch);
         }
     }
-}
-
-/// A fixed canary measurement: one (vantage, target) pair traced every
-/// bin through [`TraceBackend::trace_panel`], feeding delay telemetry
-/// even when no validation campaign is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CanaryPair {
-    /// Vantage AS.
-    pub vantage: Asn,
-    /// Destination AS.
-    pub target: Asn,
 }
 
 /// The validation interface the detector consumes. `kepler-core` calls
@@ -185,6 +178,14 @@ pub trait Prober {
     /// Probers without health tracking report permanently ONLINE.
     fn health(&self) -> BackendHealth {
         BackendHealth::Online
+    }
+
+    /// The §4.4 baseline re-probe: re-traces at `now` the quiet-time
+    /// paths known to cross `epicenter`. `None` (the default) means no
+    /// baseline evidence, and so does a result with `baseline == 0`:
+    /// the control-plane inference then stands.
+    fn baseline(&mut self, _epicenter: Epicenter, _now: Timestamp) -> Option<ProbeResult> {
+        None
     }
 }
 
@@ -351,6 +352,9 @@ pub struct ProbeEngine<B> {
     config: ProbeEngineConfig,
     stats: ProbeStats,
     telemetry: Option<SharedRttLedger>,
+    /// The quiet-time baseline corpus: each pair whose quiet trace
+    /// reached its target, with that trace, in insertion order.
+    corpus: Vec<(ProbeTask, Trace)>,
 }
 
 impl<B: TraceBackend> ProbeEngine<SyncAdapter<B>> {
@@ -386,7 +390,25 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
             config,
             stats: ProbeStats::default(),
             telemetry: None,
+            corpus: Vec::new(),
         }
+    }
+
+    /// Measures the baseline corpus that [`Prober::baseline`] re-probes
+    /// (the paper's "stable subpaths from archived weekly dumps"): each
+    /// pair is driven once through this engine's backend at `quiet_t`,
+    /// which must predate every event, and the traces that reached
+    /// their target are kept. Like every baseline lookup, corpus traces
+    /// and their re-probes bypass admission, health and the telemetry tap.
+    pub fn with_baseline_corpus(mut self, pairs: &[ProbeTask], quiet_t: Timestamp) -> Self {
+        let cfg = self.config.lifecycle;
+        for &task in pairs {
+            let quiet = drive(&mut self.backend, task.vantage, task.target, quiet_t, quiet_t, &cfg);
+            if let Some(trace) = quiet.trace.filter(|t| t.reached) {
+                self.corpus.push((task, trace));
+            }
+        }
+        self
     }
 
     /// Attaches a shared RTT ledger: from now on every completed
@@ -592,6 +614,26 @@ impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
     fn health(&self) -> BackendHealth {
         self.health.state()
     }
+
+    /// Re-traces the corpus pairs whose quiet trace crosses `epicenter`.
+    /// A re-probe that does not complete counts toward neither number;
+    /// `None` when none completes or no corpus trace crosses.
+    fn baseline(&mut self, epicenter: Epicenter, now: Timestamp) -> Option<ProbeResult> {
+        let crossing: Vec<ProbeTask> = (self.corpus.iter())
+            .filter(|(_, quiet)| self.crosses_epicenter(quiet, epicenter))
+            .map(|&(task, _)| task)
+            .collect();
+        let cfg = self.config.lifecycle;
+        let mut result = ProbeResult { still_crossing: 0, baseline: 0 };
+        for task in crossing {
+            let live = drive(&mut self.backend, task.vantage, task.target, now, now, &cfg);
+            let Some(live) = live.trace else { continue };
+            result.baseline += 1;
+            result.still_crossing +=
+                (live.reached && self.crosses_epicenter(&live, epicenter)) as usize;
+        }
+        (result.baseline > 0).then_some(result)
+    }
 }
 
 impl<B: AsyncTraceBackend> RestorationProber for ProbeEngine<B> {
@@ -705,6 +747,11 @@ mod tests {
     }
 
     fn colo_with(facs: &[(u32, &[u32])]) -> ColocationMap {
+        colo_in(facs, |_| 0)
+    }
+
+    /// [`colo_with`] with facility `f` in city `city_of(f)`.
+    fn colo_in(facs: &[(u32, &[u32])], city_of: fn(u32) -> u32) -> ColocationMap {
         let mut colo = ColocationMap::new();
         // Facility ids must be dense: register every id up to the max.
         let max = facs.iter().map(|(f, _)| *f).max().unwrap_or(0).max(99);
@@ -715,7 +762,7 @@ mod tests {
                 address: String::new(),
                 postcode: format!("P{f}"),
                 country: "GB".into(),
-                city: CityId(0),
+                city: CityId(city_of(f)),
                 continent: Continent::Europe,
                 point: GeoPoint::new(51.5, 0.0),
                 operator: "Op".into(),
@@ -1101,6 +1148,92 @@ mod tests {
         assert_eq!(cur, report.probes_sent, "one live trace per completed pair");
         // Scripted RTTs are flat: telemetry on a healthy world is silent.
         assert!(l.drain_anomalies().is_empty());
+    }
+
+    fn tasks(targets: &[u32]) -> Vec<ProbeTask> {
+        targets
+            .iter()
+            .zip(900..)
+            .map(|(&t, v)| ProbeTask { vantage: Asn(v), target: Asn(t) })
+            .collect()
+    }
+
+    fn crossing(still_crossing: usize, baseline: usize) -> Option<ProbeResult> {
+        Some(ProbeResult { still_crossing, baseline })
+    }
+
+    #[test]
+    fn corpus_re_probes_quiet_paths_through_the_epicenter() {
+        // Facility 1 (targets 20..22) dark during [9_500, 20_000); every
+        // path crosses transit facility 99, healthy ones their target's.
+        let backend =
+            ScriptedBackend { dark: FacilityId(1), down_from: 9_500, down_to: 20_000, fac_of };
+        let pairs = tasks(&[20, 21, 22, 30, 31]);
+        let engine = |quiet_t| {
+            let b = ScriptedBackend { ..backend };
+            ProbeEngine::new(b, registry(), colo_with(&[]), ProbeEngineConfig::default())
+                .with_baseline_corpus(&pairs, quiet_t)
+        };
+        let mut quiet = engine(1_000);
+        let fac = |f| Epicenter::Facility(FacilityId(f));
+        // During the outage 20 and 22 detour and 21 is unreachable: all
+        // three complete, none crosses. After the repair all three do.
+        assert_eq!(quiet.baseline(fac(1), 12_000), crossing(0, 3));
+        assert_eq!(quiet.baseline(fac(1), 30_000), crossing(3, 3));
+        assert_eq!(quiet.baseline(fac(2), 12_000), crossing(2, 2));
+        assert_eq!(quiet.baseline(fac(7), 12_000), None, "no corpus trace crosses it");
+        // Re-probes bypass admission, health and the campaign counters.
+        assert_eq!(quiet.stats(), ProbeStats::default());
+        // A corpus measured mid-outage keeps only the four reached traces
+        // (21 is dropped), and none of them crossed the dark building.
+        let mut dark = engine(12_000);
+        assert_eq!(dark.baseline(fac(99), 30_000), crossing(4, 4));
+        assert_eq!(dark.baseline(fac(1), 30_000), None);
+        let mut bare = ProbeEngine::new(backend, registry(), colo_with(&[]), Default::default());
+        assert_eq!(bare.baseline(fac(99), 30_000), None, "no corpus, no evidence");
+    }
+
+    #[test]
+    fn corpus_city_epicenter_counts_every_facility_of_the_city() {
+        // Target 10·k sits in facility k; facilities 1 and 2 are city 0,
+        // facility 3 city 1, transit facility 99 city 2.
+        let fac_of = |a: Asn| FacilityId(a.0 / 10);
+        let city_of = |f| match f {
+            1 | 2 => 0,
+            3 => 1,
+            _ => 2,
+        };
+        let backend =
+            ScriptedBackend { dark: FacilityId(1), down_from: 9_500, down_to: 20_000, fac_of };
+        let mut engine =
+            ProbeEngine::new(backend, registry(), colo_in(&[], city_of), Default::default())
+                .with_baseline_corpus(&tasks(&[10, 20, 30]), 1_000);
+        let city = |c| Epicenter::City(CityId(c));
+        assert_eq!(engine.baseline(city(0), 5_000), crossing(2, 2));
+        assert_eq!(engine.baseline(city(1), 5_000), crossing(1, 1));
+        assert_eq!(engine.baseline(city(2), 5_000), crossing(3, 3));
+        assert_eq!(engine.baseline(city(7), 5_000), None);
+        // Target 10 detours around dark facility 1 and leaves city 0.
+        assert_eq!(engine.baseline(city(0), 12_000), crossing(1, 2));
+    }
+
+    #[test]
+    fn corpus_failed_re_probes_count_toward_neither_number() {
+        // Live re-probes toward 31 never answer; the quiet corpus (at
+        // t = 1_000) completed for every pair.
+        let mut backend = lossy(|m| m.target == Asn(31) && m.at > 1_000, |_| false);
+        backend.inner.down_to = 20_000;
+        let mut engine =
+            ProbeEngine::with_async(backend, registry(), colo_with(&[]), Default::default())
+                .with_baseline_corpus(&tasks(&[30, 31, 32]), 1_000);
+        let fac2 = Epicenter::Facility(FacilityId(2));
+        assert_eq!(engine.baseline(fac2, 12_000), crossing(2, 2));
+        // Every live re-probe lost: no evidence at all.
+        let backend = lossy(|m| m.at > 1_000, |_| false);
+        let mut engine =
+            ProbeEngine::with_async(backend, registry(), colo_with(&[]), Default::default())
+                .with_baseline_corpus(&tasks(&[30, 31, 32]), 1_000);
+        assert_eq!(engine.baseline(fac2, 12_000), None);
     }
 
     #[test]

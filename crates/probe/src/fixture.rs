@@ -27,6 +27,8 @@ use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_topology::{FacilityId, IxpId};
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Transcript key: the full identity of one measurement attempt.
 type Key = (u32, u32, Timestamp, u32);
@@ -116,66 +118,62 @@ impl CampaignTranscript {
         out
     }
 
-    /// Parses the text format back. Errors carry the offending line.
+    /// Parses the text format back. Errors name the field and carry the line.
     pub fn parse(s: &str) -> Result<Self, String> {
         let mut lines = s.lines();
         match lines.next() {
             Some(h) if h.trim() == HEADER => {}
             other => return Err(format!("bad transcript header: {other:?}")),
         }
-        let mut transcript = CampaignTranscript::default();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            let tag = fields.next().unwrap_or_default();
-            let mut num = |name: &str| -> Result<u64, String> {
-                fields
-                    .next()
-                    .ok_or_else(|| format!("missing {name}: {line}"))?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| format!("bad {name} ({e}): {line}"))
-            };
-            let key =
-                (num("vantage")? as u32, num("target")? as u32, num("at")?, num("attempt")? as u32);
-            let outcome = match tag {
-                "r" => RecordedOutcome::Rejected,
-                "f" => RecordedOutcome::Failed,
-                "t" => {
-                    let reached = num("reached")? != 0;
-                    let mut hops = Vec::new();
-                    for hop in fields {
-                        let parts: Vec<&str> = hop.split('/').collect();
-                        if parts.len() != 5 {
-                            return Err(format!("bad hop {hop:?}: {line}"));
-                        }
-                        let asn: u32 =
-                            parts[1].parse().map_err(|e| format!("bad hop asn ({e}): {line}"))?;
-                        let id: u32 =
-                            parts[2].parse().map_err(|e| format!("bad hop id ({e}): {line}"))?;
-                        let owner = match parts[0] {
-                            "fac" => {
-                                IfaceOwner::FacilityPort { asn: Asn(asn), facility: FacilityId(id) }
-                            }
-                            "ixp" => IfaceOwner::IxpLan { asn: Asn(asn), ixp: IxpId(id) },
-                            k => return Err(format!("bad hop kind {k:?}: {line}")),
-                        };
-                        let addr =
-                            parts[3].parse().map_err(|e| format!("bad hop addr ({e}): {line}"))?;
-                        let bits = u64::from_str_radix(parts[4], 16)
-                            .map_err(|e| format!("bad hop rtt ({e}): {line}"))?;
-                        hops.push(TraceHop { addr, owner, rtt_ms: f64::from_bits(bits) });
-                    }
-                    RecordedOutcome::Done(Trace { hops, reached })
-                }
-                other => return Err(format!("bad record tag {other:?}: {line}")),
-            };
-            transcript.entries.insert(key, outcome);
-        }
-        Ok(transcript)
+        let entries = (lines.map(str::trim).filter(|l| !l.is_empty()))
+            .map(|line| parse_line(line).map_err(|e| format!("{e}: {line}")))
+            .collect::<Result<_, _>>()?;
+        Ok(CampaignTranscript { entries })
     }
+}
+
+/// Parses one field as its own type (an absent one as `""`): a value out
+/// of range is an error naming the field, never a wrapped value.
+fn field<T: FromStr<Err: Display>>(text: Option<&str>, name: &str) -> Result<T, String> {
+    text.unwrap_or_default().parse().map_err(|e| format!("bad {name} ({e})"))
+}
+
+/// One transcript line: its measurement key and recorded outcome.
+fn parse_line(line: &str) -> Result<(Key, RecordedOutcome), String> {
+    let mut fields = line.split_whitespace();
+    let tag = fields.next().unwrap_or_default();
+    let (vantage, target) = (field(fields.next(), "vantage")?, field(fields.next(), "target")?);
+    let key = (vantage, target, field(fields.next(), "at")?, field(fields.next(), "attempt")?);
+    let outcome = match tag {
+        "r" => RecordedOutcome::Rejected,
+        "f" => RecordedOutcome::Failed,
+        "t" => {
+            let reached: u8 = field(fields.next(), "reached")?;
+            if reached > 1 {
+                return Err(format!("bad reached ({reached} is neither 0 nor 1)"));
+            }
+            let mut hops = Vec::new();
+            for hop in fields {
+                let parts: Vec<&str> = hop.split('/').collect();
+                let [kind, asn, id, addr, rtt] = parts[..] else {
+                    return Err(format!("bad hop {hop:?}"));
+                };
+                let (asn, id) = (Asn(field(Some(asn), "hop asn")?), field(Some(id), "hop id")?);
+                let owner = match kind {
+                    "fac" => IfaceOwner::FacilityPort { asn, facility: FacilityId(id) },
+                    "ixp" => IfaceOwner::IxpLan { asn, ixp: IxpId(id) },
+                    k => return Err(format!("bad hop kind {k:?}")),
+                };
+                let addr = field(Some(addr), "hop addr")?;
+                let bits =
+                    u64::from_str_radix(rtt, 16).map_err(|e| format!("bad hop rtt ({e})"))?;
+                hops.push(TraceHop { addr, owner, rtt_ms: f64::from_bits(bits) });
+            }
+            RecordedOutcome::Done(Trace { hops, reached: reached == 1 })
+        }
+        other => return Err(format!("bad record tag {other:?}")),
+    };
+    Ok((key, outcome))
 }
 
 /// Wraps a backend and journals every terminal attempt outcome.
@@ -301,6 +299,19 @@ mod tests {
             "kepler-campaign-transcript v1\nt 1 2 3 0 1 zz/1/2/8.8.8.8/0"
         )
         .is_err());
+        // Identity fields out of `u32` range and a `reached` flag other
+        // than 0/1 are errors naming the field, never wrapped values: two
+        // wrapped lines could collide on one key.
+        let err = |line: &str| {
+            CampaignTranscript::parse(&format!("kepler-campaign-transcript v1\n{line}"))
+                .expect_err(line)
+        };
+        assert!(err("r 4294967296 2 3 4").starts_with("bad vantage"));
+        let attempt = err("t 1 2 3 4294967297 7");
+        assert!(attempt.starts_with("bad attempt"), "{attempt}");
+        assert!(err("t 1 2 3 4 7").starts_with("bad reached"));
+        assert!(err("t 1 2 3 4 256").starts_with("bad reached"));
+        assert!(err("t 1 2 3 4 1 fac/1/2/8.8.8.8/0/9").starts_with("bad hop"));
     }
 
     #[test]

@@ -26,17 +26,17 @@
 //!   (`kepler-netsim` re-exports these types): hop ownership, crossing
 //!   queries, loop detection, and the §4.4 baseline re-probe arithmetic
 //!   ([`ProbeResult`] / [`confirm`]) that `kepler-core`'s validation
-//!   stage applies.
+//!   stage applies to [`Prober::baseline`]'s answer.
 //! * [`analysis`] — the path-analysis module: diffs pre/post-event hop
 //!   sequences against the colocation map and emits a
 //!   [`FacilityVerdict`] with per-hop evidence.
 //! * [`engine`] — the probe engine gluing it together behind the
-//!   [`Prober`] trait the detector consumes; measurement
-//!   backends (the netsim data plane today, a RIPE-Atlas-shaped client in
-//!   a deployment) plug in through
-//!   [`TraceBackend`] / [`AsyncTraceBackend`]; a canary panel re-traced
-//!   every bin is one [`TraceBackend::trace_panel`] call into one reused
-//!   [`Trace`].
+//!   [`Prober`] trait the detector consumes; measurement backends (the
+//!   netsim data plane today, a RIPE-Atlas-shaped client in a deployment)
+//!   plug in through [`TraceBackend`] / [`AsyncTraceBackend`]; a canary
+//!   panel re-traced every bin is one [`TraceBackend::trace_panel`] call
+//!   into one reused [`Trace`], and the quiet-time baseline corpus is
+//!   measured and re-probed through the same backend.
 //! * [`lifecycle`] — the async-shaped measurement lifecycle
 //!   (`submit → poll → collect`): per-attempt deadlines, retries on
 //!   exponential backoff with deterministic seeded jitter, campaign
@@ -112,8 +112,7 @@ pub mod vantage;
 
 pub use analysis::{FacilityVerdict, HopDiff, HopEvidence, MeasuredPair, PathAnalyzer, PostState};
 pub use engine::{
-    CanaryPair, ProbeEngine, ProbeEngineConfig, ProbeReport, ProbeRequest, ProbeStats, Prober,
-    TraceBackend,
+    ProbeEngine, ProbeEngineConfig, ProbeReport, ProbeRequest, ProbeStats, Prober, TraceBackend,
 };
 pub use fixture::{CampaignTranscript, RecordedOutcome, RecordingBackend, ReplayBackend};
 pub use health::{BackendHealth, HealthConfig, HealthTracker};

@@ -168,13 +168,13 @@ impl CreditLedger {
     }
 }
 
-/// One probe task: measure `vantage → target`.
+/// One probe task: measure `vantage → target` — a campaign pair, a
+/// canary traced every bin, or a baseline corpus pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeTask {
     /// Probe host AS.
     pub vantage: Asn,
-    /// Destination AS (one of the affected far-ends at the suspect
-    /// facility).
+    /// Destination AS.
     pub target: Asn,
 }
 

@@ -31,7 +31,7 @@
 //! `repro --fuzz-seed <N>`.
 
 use crate::glue::{
-    detector_with_dataplane, detector_with_fusion, prober_for, truth_outages, FusionOptions,
+    baseline_pairs, detector_for, detector_with_fusion, prober_for, truth_outages, FusionOptions,
 };
 use kepler_core::events::{OutageReport, OutageScope, ValidationStatus};
 use kepler_core::metrics::TruthOutage;
@@ -136,13 +136,13 @@ pub fn check_seed_fused(seed: u64) -> FuzzVerdict {
 pub fn check_world(fw: &FuzzWorld) -> FuzzVerdict {
     let script = &fw.script;
     let config = KeplerConfig::default().with_hysteresis(script.open_after, script.close_after);
-    // The full passive pipeline plus both validation layers: §4.4
-    // data-plane confirmation and the targeted-probe engine. Passive
-    // localization alone has known false positives — the invariants
-    // hold the *validated* layer to zero tolerance.
-    let detector = detector_with_dataplane(&fw.scenario, config.clone(), 300).with_prober(
-        Box::new(prober_for(&fw.scenario, kepler_probe::ProbeEngineConfig::default())),
-    );
+    // The passive pipeline plus both validation layers of one prober
+    // (targeted campaigns, the §4.4 re-probe of its quiet-time corpus):
+    // the invariants hold the *validated* layer to zero tolerance.
+    let s = &fw.scenario;
+    let prober =
+        prober_for(s, Default::default()).with_baseline_corpus(&baseline_pairs(s), s.start + 600);
+    let detector = detector_for(s, config.clone()).with_prober(Box::new(prober));
     run_checked(fw, detector, &config, false)
 }
 

@@ -4,13 +4,11 @@
 //! detector must stay substrate-agnostic), so the adapters that wire a
 //! simulated world into the detection pipeline live here:
 //!
-//! * [`SimProbe`] — implements the detector's [`DataPlaneProbe`] trait
-//!   (the baseline re-probe of `kepler_core::validate`) on top of the
-//!   simulated traceroute plane, including the baseline-path selection
-//!   the paper's §4.4 describes;
 //! * [`SimTraceBackend`] — implements `kepler-probe`'s [`TraceBackend`]
-//!   over the same plane, so the targeted-probe engine can disambiguate
-//!   colocated facilities ([`prober_for`] / [`detector_with_prober`]);
+//!   over the simulated traceroute plane, so the targeted-probe engine
+//!   can disambiguate colocated facilities ([`prober_for`] /
+//!   [`detector_with_prober`]) and re-probe the §4.4 baseline corpus
+//!   ([`baseline_pairs`], [`ProbeEngine::with_baseline_corpus`]);
 //! * [`detector_for`] — builds a ready-to-run [`Kepler`] instance from a
 //!   scenario (mined dictionary + merged colocation map + org map);
 //! * [`truth_outages`] — converts simulator ground truth into the
@@ -21,116 +19,20 @@ use kepler_bgp::fx::FxHashMap;
 use kepler_core::events::OutageScope;
 use kepler_core::metrics::TruthOutage;
 use kepler_core::signal::{DelayDetector, ForecastDetector};
-use kepler_core::validate::DataPlaneProbe;
 use kepler_core::{Kepler, KeplerConfig, KeplerInputs};
 use kepler_docmine::{CommunityDictionary, LocationTag};
-use kepler_netsim::dataplane::{
-    DataplaneConfig, DataplaneSim, PairWindow, ProbePair, TraceroutePath, TreeCache,
-};
+use kepler_netsim::dataplane::{DataplaneConfig, DataplaneSim, PairWindow, ProbePair, TreeCache};
 use kepler_netsim::events::{Epicenter, ScheduledEvent};
 use kepler_netsim::scenario::Scenario;
 use kepler_netsim::world::World;
 use kepler_netsim::{FaultConfig, FaultyBackend};
 use kepler_probe::{
-    CanaryPair, ProbeEngine, ProbeEngineConfig, ProbeResult, RecordingBackend, SyncAdapter, Trace,
-    TraceBackend, VantagePoint, VantageRegistry,
+    ProbeEngine, ProbeEngineConfig, ProbeTask, RecordingBackend, SyncAdapter, Trace, TraceBackend,
+    VantagePoint, VantageRegistry,
 };
 use kepler_topology::{AsType, FacilityId};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A data-plane backend over the simulated traceroute plane.
-///
-/// At construction it measures a probe set during the quiet warm-up and
-/// indexes which pairs' baseline paths cross which facility/IXP — exactly
-/// the "stable subpaths from archived weekly dumps" selection of §4.4.
-/// Probing a scope re-traces only those pairs.
-pub struct SimProbe {
-    sim: DataplaneSim<'static>,
-    /// Trees, path skeletons and epoch windows, kept across re-probes:
-    /// consecutive probes of a scope mostly see one failure state.
-    cache: RefCell<TreeCache>,
-    baseline: HashMap<OutageScope, Vec<ProbePair>>,
-}
-
-impl SimProbe {
-    /// Builds the probe backend. `quiet_t` must lie in the warm-up period
-    /// (before the first event); `n_pairs` bounds the probe set.
-    pub fn new(
-        world: Arc<World>,
-        timeline: &[ScheduledEvent],
-        seed: u64,
-        quiet_t: u64,
-        n_pairs: usize,
-    ) -> Self {
-        let sim = DataplaneSim::resident(world, timeline.into(), seed);
-        let mut cache = TreeCache::new();
-        let mut baseline: HashMap<OutageScope, Vec<ProbePair>> = HashMap::new();
-        let pairs = sim.default_pairs(n_pairs);
-        for tr in sim.campaign_with(&mut cache, &pairs, quiet_t) {
-            if !tr.reached {
-                continue;
-            }
-            for scope in scopes_of(sim.world(), &tr) {
-                baseline.entry(scope).or_default().push(tr.pair);
-            }
-        }
-        SimProbe { sim, cache: RefCell::new(cache), baseline }
-    }
-}
-
-/// All outage scopes a traceroute path traverses (facilities, IXPs, and
-/// their cities).
-fn scopes_of(world: &World, tr: &TraceroutePath) -> Vec<OutageScope> {
-    use kepler_netsim::dataplane::IfaceOwner;
-    let mut out = Vec::new();
-    for h in &tr.hops {
-        match h.owner {
-            IfaceOwner::FacilityPort { facility, .. } => {
-                out.push(OutageScope::Facility(facility));
-                if let Some(f) = world.colo.facility(facility) {
-                    out.push(OutageScope::City(f.city));
-                }
-            }
-            IfaceOwner::IxpLan { ixp, .. } => {
-                out.push(OutageScope::Ixp(ixp));
-                if let Some(x) = world.colo.ixp(ixp) {
-                    out.push(OutageScope::City(x.city));
-                }
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
-fn crosses(world: &World, tr: &TraceroutePath, scope: &OutageScope) -> bool {
-    match scope {
-        OutageScope::Facility(f) => tr.crosses_facility(*f),
-        OutageScope::Ixp(x) => tr.crosses_ixp(*x),
-        OutageScope::City(c) => scopes_of(world, tr).contains(&OutageScope::City(*c)),
-    }
-}
-
-impl DataPlaneProbe for SimProbe {
-    fn probe(&self, scope: &OutageScope, t: u64) -> Option<ProbeResult> {
-        let pairs = self.baseline.get(scope)?;
-        if pairs.is_empty() {
-            return None;
-        }
-        let mut cache = self.cache.borrow_mut();
-        let still = pairs
-            .iter()
-            .filter(|&&p| {
-                let tr = self.sim.traceroute_with(&mut cache, p, t);
-                tr.reached && crosses(self.sim.world(), &tr, scope)
-            })
-            .count();
-        Some(ProbeResult { still_crossing: still, baseline: pairs.len() })
-    }
-}
 
 /// A targeted-probe measurement backend over the simulated data plane:
 /// `kepler-probe`'s [`TraceBackend`] expressed in (vantage AS, target AS)
@@ -159,7 +61,7 @@ pub struct SimTraceBackend {
 /// one window per pair of it (`None` = unmeasurable).
 #[derive(Default)]
 struct ResolvedPanel {
-    pairs: Vec<CanaryPair>,
+    pairs: Vec<ProbeTask>,
     windows: Vec<Option<PairWindow>>,
 }
 
@@ -211,10 +113,10 @@ impl TraceBackend for SimTraceBackend {
 
     fn trace_panel(
         &self,
-        panel: &[CanaryPair],
+        panel: &[ProbeTask],
         t: u64,
         scratch: &mut Trace,
-        visit: &mut dyn FnMut(&CanaryPair, &Trace),
+        visit: &mut dyn FnMut(&ProbeTask, &Trace),
     ) {
         let resolved = &mut *self.panel.borrow_mut();
         if resolved.pairs != panel {
@@ -258,6 +160,22 @@ pub fn prober_for(
     config: ProbeEngineConfig,
 ) -> ProbeEngine<SyncAdapter<SimTraceBackend>> {
     prober_on(shared_world(scenario), scenario, config)
+}
+
+/// Pairs in a scenario's §4.4 baseline corpus.
+const BASELINE_PAIRS: usize = 300;
+
+/// The pairs of a scenario's §4.4 baseline corpus: the simulator's
+/// unbiased default probe set (edge sources toward content prefixes,
+/// sampled at `scenario.seed`), each as (source AS, origin AS of the
+/// sampled prefix). Two prefixes of one origin stay two pairs.
+pub fn baseline_pairs(scenario: &Scenario) -> Vec<ProbeTask> {
+    let world = &scenario.world;
+    let sim = DataplaneSim::probe_only(world, &scenario.timeline, scenario.seed);
+    let asn = |idx: kepler_netsim::world::AsIdx| world.ases[idx.0 as usize].asn;
+    (sim.default_pairs(BASELINE_PAIRS).into_iter())
+        .map(|p| ProbeTask { vantage: asn(p.src), target: asn(world.origin_of(p.dst)) })
+        .collect()
 }
 
 /// One shareable copy of the scenario's world: a detector's backends all
@@ -420,7 +338,7 @@ pub fn canary_panel(
     facilities: &[FacilityId],
     per_facility: usize,
     quiet_t: u64,
-) -> Vec<CanaryPair> {
+) -> Vec<ProbeTask> {
     let world = &scenario.world;
     let dp = DataplaneSim::probe_only(world, &scenario.timeline, scenario.seed ^ 0x9B0E);
     let mut cache = TreeCache::new();
@@ -447,7 +365,7 @@ pub fn canary_panel(
                 let Some(pair) = dp.pair_between(vantage, target) else { continue };
                 let tr = dp.traceroute_with(&mut cache, pair, quiet_t);
                 if tr.reached && tr.crosses_facility(f) && seen.insert((vantage, target)) {
-                    panel.push(CanaryPair { vantage, target });
+                    panel.push(ProbeTask { vantage, target });
                     kept += 1;
                     if kept >= per_facility {
                         break 'member;
@@ -516,22 +434,6 @@ pub fn detector_for(scenario: &Scenario, config: KeplerConfig) -> Kepler {
         colo: scenario.detector_colo(),
         orgs: scenario.world.orgs.clone(),
     })
-}
-
-/// Like [`detector_for`] but with the simulated data plane attached.
-pub fn detector_with_dataplane(
-    scenario: &Scenario,
-    config: KeplerConfig,
-    n_pairs: usize,
-) -> Kepler {
-    let probe = SimProbe::new(
-        Arc::new(scenario.world.clone()),
-        &scenario.timeline,
-        scenario.seed,
-        scenario.start + 600,
-        n_pairs,
-    );
-    detector_for(scenario, config).with_dataplane(Box::new(probe))
 }
 
 /// Whether a facility/IXP is *trackable* under the paper's rule: at least
@@ -742,7 +644,7 @@ mod tests {
     /// The AMS-IX study's canary panel (tiny world) and a timeline that
     /// takes down a building the quiet panel crosses, so a sweep sees
     /// more than one failure state (and restoration tails).
-    fn panel_under_outage() -> (Arc<World>, Vec<CanaryPair>, [ScheduledEvent; 1]) {
+    fn panel_under_outage() -> (Arc<World>, Vec<ProbeTask>, [ScheduledEvent; 1]) {
         let scenario = AmsIxScenario::new(7).with_config(WorldConfig::tiny(7)).build().scenario;
         let config = KeplerConfig::default();
         let facilities = trackable_facilities(&scenario, &config);
@@ -817,8 +719,8 @@ mod tests {
         // A second panel the sweep switches to now and then: reordered,
         // with an unmeasurable pair in it, so the batched backend has to
         // notice the slice changed and re-resolve.
-        let mut other: Vec<CanaryPair> = panel.iter().rev().copied().collect();
-        other.insert(1, CanaryPair { vantage: kepler_bgp::Asn(4_000_000_000), ..panel[0] });
+        let mut other: Vec<ProbeTask> = panel.iter().rev().copied().collect();
+        other.insert(1, ProbeTask { vantage: kepler_bgp::Asn(4_000_000_000), ..panel[0] });
         let end = OUTAGE_START + OUTAGE_DURATION;
         // Default caps, then caps small enough that the skeletons of the
         // outage and of the ragged restoration tails evict everything
@@ -842,5 +744,84 @@ mod tests {
             let evictions = batched.cache.borrow().evictions();
             assert_eq!(evictions >= 2, evicts, "{evictions} wholesale evictions");
         }
+    }
+
+    /// The §4.4 re-probe the engine answers from its corpus, against a
+    /// straight-line reference over the prober's own simulator and pairs:
+    /// trace every corpus pair once at the quiet instant, index each
+    /// reached trace under every facility, IXP and city it crosses
+    /// (cities from `world.colo`), and answer a scope by re-tracing its
+    /// pairs. Worlds with several events are where restoration tails
+    /// overlap later events.
+    #[test]
+    fn engine_baseline_is_the_straight_line_reference() {
+        use kepler_netsim::dataplane::IfaceOwner;
+        use kepler_netsim::fuzz::{generated, FailureKind};
+        use kepler_probe::{Epicenter, ProbeResult, Prober};
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut samples = 0usize;
+        for (seed, kind) in
+            [(1, FailureKind::Single), (2, FailureKind::Cascade), (3, FailureKind::Flapping)]
+        {
+            let s = &generated(seed, Some(kind)).scenario;
+            let (world, quiet_t, pairs) = (&s.world, s.start + 600, baseline_pairs(s));
+            let mut engine =
+                prober_for(s, ProbeEngineConfig::default()).with_baseline_corpus(&pairs, quiet_t);
+            let dp = DataplaneSim::probe_only(world, &s.timeline, s.seed ^ 0x9B0E);
+            let mut cache = TreeCache::new();
+            let scopes = |hops: &[kepler_netsim::dataplane::TraceHop]| {
+                let mut out = BTreeSet::new();
+                for h in hops {
+                    let (scope, city) = match h.owner {
+                        IfaceOwner::FacilityPort { facility, .. } => (
+                            OutageScope::Facility(facility),
+                            world.colo.facility(facility).map(|f| f.city),
+                        ),
+                        IfaceOwner::IxpLan { ixp, .. } => {
+                            (OutageScope::Ixp(ixp), world.colo.ixp(ixp).map(|x| x.city))
+                        }
+                    };
+                    out.insert(scope);
+                    out.extend(city.map(OutageScope::City));
+                }
+                out
+            };
+            let mut index: BTreeMap<OutageScope, Vec<ProbePair>> = BTreeMap::new();
+            for task in &pairs {
+                let Some(pair) = dp.pair_between(task.vantage, task.target) else { continue };
+                let quiet = dp.traceroute_with(&mut cache, pair, quiet_t);
+                if quiet.reached {
+                    for scope in scopes(&quiet.hops) {
+                        index.entry(scope).or_default().push(pair);
+                    }
+                }
+            }
+            assert!(index.len() >= 10, "seed {seed}: {} scopes", index.len());
+            let mut instants = vec![quiet_t];
+            for ev in &s.timeline {
+                instants.push(ev.start + ev.duration / 2);
+                instants.extend([0, 300, 1_800, 3_600, 7_200, 10_000].map(|d| ev.end() + d));
+            }
+            for t in instants {
+                for (scope, scope_pairs) in &index {
+                    let still = (scope_pairs.iter())
+                        .filter(|&&p| {
+                            let tr = dp.traceroute_with(&mut cache, p, t);
+                            tr.reached && scopes(&tr.hops).contains(scope)
+                        })
+                        .count();
+                    let want = ProbeResult { still_crossing: still, baseline: scope_pairs.len() };
+                    let epicenter = match *scope {
+                        OutageScope::Facility(f) => Epicenter::Facility(f),
+                        OutageScope::Ixp(x) => Epicenter::Ixp(x),
+                        OutageScope::City(c) => Epicenter::City(c),
+                    };
+                    let got = engine.baseline(epicenter, t);
+                    assert_eq!(got, Some(want), "seed {seed}, {scope:?} at {t}");
+                    samples += 1;
+                }
+            }
+        }
+        assert!(samples >= 1_000, "{samples} samples");
     }
 }
