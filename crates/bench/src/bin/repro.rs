@@ -9,8 +9,8 @@
 //! ```
 //!
 //! Absolute numbers depend on the synthetic world's scale; the *shapes*
-//! (who wins, by what factor, where crossovers fall) are the reproduction
-//! target. `EXPERIMENTS.md` records paper-vs-measured for every artifact.
+//! (who wins, by what factor, where crossovers fall) are the target, as
+//! the printed `(paper: …)` lines state; ROADMAP item 5 adds the checked ledger.
 
 use kepler::core::events::{OutageReport, OutageScope};
 use kepler::core::metrics::{evaluate, Evaluation, TruthOutage};

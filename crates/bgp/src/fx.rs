@@ -1,15 +1,14 @@
 //! A multiply-xor hasher for small integer keys (the Firefox/rustc "Fx"
 //! construction), used on the monitor hot path and by the data-plane
-//! simulator's caches.
-//!
-//! The detector's inner maps are keyed by dense `u32`/`u64` identifiers
-//! (`kepler_core::intern`), the simulator's by world indices and set ids
-//! it hands out itself; SipHash's per-call setup cost dominates lookups
-//! at that key size, while this hasher folds a word in two multiplies. It
-//! is *not* DoS-resistant and must only be used for keys derived from
-//! interned ids, never for attacker-controlled strings. It lives in the
-//! base crate so the detector and the simulator (which must not depend
-//! on each other) share one copy; `kepler_core::fx` re-exports it.
+//! simulator's caches, whose keys are dense ids and world indices. It
+//! folds a word in two multiplies where SipHash's setup dominates, and
+//! `finish` rotates the state left by 26 (as rustc-hash 2 does): hashbrown
+//! buckets by the low bits, and a product's low bits see only the key's,
+//! so a packed `hi << 32 | lo` key would otherwise bucket by `lo` alone.
+//! It is *not* DoS-resistant: use it only for keys derived from interned
+//! ids, never for attacker-controlled strings. It lives in the base crate
+//! so the detector and the simulator (which must not depend on each
+//! other) share one copy; `kepler_core::fx` re-exports it.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -74,7 +73,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -92,6 +91,22 @@ mod tests {
         }
         // Roughly uniform: no bucket more than 2x the mean.
         assert!(buckets.iter().all(|&b| b < 1250), "{buckets:?}");
+    }
+
+    /// A packed `hi << 32 | lo` word — the monitor's `(pop, near)` group
+    /// key — must reach different buckets for different `hi`: the low
+    /// bits of `k × SEED` alone see only `lo`.
+    #[test]
+    fn packed_words_bucket_by_their_high_half() {
+        let lo = 0x2a_u64;
+        let buckets: FxHashSet<u64> = (0..1024u64)
+            .map(|hi| {
+                let mut h = FxHasher::default();
+                h.write_u64(hi << 32 | lo);
+                h.finish() & 1023
+            })
+            .collect();
+        assert!(buckets.len() >= 512, "{} distinct buckets of 1024", buckets.len());
     }
 
     #[test]

@@ -229,7 +229,7 @@ fn finish_run(
     let baseline = monitor.baseline_size();
     DecodeRun {
         events,
-        route_keys: interner.route_keys_since(0).to_vec(),
+        route_keys: interner.route_keys_since(0).collect(),
         pop_tags: interner.pop_tags_since(0).to_vec(),
         asns: interner.asns_since(0).to_vec(),
         stats: input.stats().clone(),
