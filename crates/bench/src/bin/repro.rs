@@ -17,9 +17,9 @@ use kepler::core::metrics::{evaluate, Evaluation, TruthOutage};
 use kepler::core::system::ClassCounts;
 use kepler::core::KeplerConfig;
 use kepler::docmine::LocationTag;
-use kepler::fuzz_harness::{check_seed, check_seed_fused, check_world, check_world_fused};
-use kepler::glue::{detector_for, truth_outages_observed};
-use kepler::netsim::dataplane::DataplaneSim;
+use kepler::fuzz_harness::check;
+use kepler::glue::{detector_for, truth_outages_observed, FusionOptions, Stack};
+use kepler::netsim::dataplane::{default_pairs, DataplaneSim};
 use kepler::netsim::scenario::amsix::{AmsIxScenario, AmsIxStudy, OUTAGE_DURATION, OUTAGE_START};
 use kepler::netsim::scenario::five_year::{build as build_five_year, FiveYearConfig, STUDY_START};
 use kepler::netsim::scenario::london::{LondonScenario, LondonStudy};
@@ -98,7 +98,7 @@ impl Cache {
 }
 
 /// Replays one fuzzer world — from its seed or from a serialized
-/// `target/fuzz-artifacts/seed-<N>.script` — prints the script, the
+/// `target/fuzz-artifacts/seed-<N>-<kind>.script` — prints the script, the
 /// ground truth, every detector report and every invariant violation,
 /// and exits non-zero when any invariant failed. This is the
 /// one-command local reproduction for a CI scenario-fuzz failure.
@@ -381,7 +381,7 @@ fn stats_cmd(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-const USAGE: &str = "usage: repro [--seed N] [--compact] [--fuzz-seed N] [--fuzz-script PATH] <exp>...\n       repro serve [--store DIR] [--seed N] [--compact]\n       repro query <facility:N|ixp:N|city:N|N> [--store DIR]\n       repro stats [--store DIR] [--dump PATH]\n  exps: fig1 fig3 fig5 fig7a fig7b fig7c tab1 fig8a fig8b fig8c fig9a fig9b fig9c fig10a fig10b fig10c fig10d val dict all\n  --fuzz-seed N: replay generated fuzz world N through the invariant checker (exit 1 on violation)\n  --fuzz-script PATH: replay a serialized fuzz artifact (target/fuzz-artifacts/seed-N.script)\n  --fused: replay fuzz worlds with the multi-signal detector (forecast + delay fusion)\n  serve: run the detector as a daemon over the AMS-IX scenario with a durable store and alert log\n  query: read a scope's status from a serve store (exit 0=up, 2=down, 3=recovering, 1=error)\n  stats: summarize a serve store; --dump writes a serialized snapshot";
+const USAGE: &str = "usage: repro [--seed N] [--compact] [--fused] [--fuzz-seed N] [--fuzz-script PATH] <exp>...\n       repro serve [--store DIR] [--seed N] [--compact]\n       repro query <facility:N|ixp:N|city:N|N> [--store DIR]\n       repro stats [--store DIR] [--dump PATH]\n  exps: fig1 fig3 fig5 fig7a fig7b fig7c tab1 fig8a fig8b fig8c fig9a fig9b fig9c fig10a fig10b fig10c fig10d val dict all\n  --fuzz-seed N: replay generated fuzz world N through the invariant checker (exit 1 on violation)\n  --fuzz-script PATH: replay a serialized fuzz artifact (target/fuzz-artifacts/seed-N-KIND.script)\n  --fused: replay fuzz worlds with the multi-signal detector (forecast + delay fusion)\n  serve: run the detector as a daemon over the AMS-IX scenario with a durable store and alert log\n  query: read a scope's status from a serve store (exit 0=up, 2=down, 3=recovering, 1=error)\n  stats: summarize a serve store; --dump writes a serialized snapshot";
 
 /// One figure/table reproduction.
 type Experiment = fn(&Ctx, &mut Cache);
@@ -449,8 +449,9 @@ fn main() {
             other => wanted.push(other.to_string()),
         }
     }
+    let stack = if fused { Stack::Fused(FusionOptions::default()) } else { Stack::Validated };
     if let Some(seed) = fuzz_seed {
-        fuzz_replay(if fused { check_seed_fused(seed) } else { check_seed(seed) });
+        fuzz_replay(check(&kepler::netsim::fuzz::generated(seed, None), &stack));
     }
     if let Some(path) = fuzz_script {
         let text = std::fs::read_to_string(&path)
@@ -459,7 +460,7 @@ fn main() {
             .unwrap_or_else(|e| usage_error(&format!("cannot parse {path}: {e}")));
         let fw =
             script.build().unwrap_or_else(|e| usage_error(&format!("cannot build {path}: {e}")));
-        fuzz_replay(if fused { check_world_fused(&fw) } else { check_world(&fw) });
+        fuzz_replay(check(&fw, &stack));
     }
     if wanted.is_empty() {
         usage_error("no experiment named");
@@ -1112,7 +1113,7 @@ fn fig10b(ctx: &Ctx, cache: &mut Cache) {
     let study = cache.amsix(ctx);
     let scenario = &study.scenario;
     let dp = DataplaneSim::new(&scenario.world, &scenario.timeline, scenario.seed);
-    let pairs = dp.default_pairs(300);
+    let pairs = default_pairs(&scenario.world, scenario.seed, 300);
     let base = dp.campaign(&pairs, OUTAGE_START - 1800);
     let crossing_pairs: Vec<_> =
         base.iter().filter(|p| p.crosses_ixp(study.amsix)).map(|p| p.pair).collect();
@@ -1147,7 +1148,7 @@ fn fig10c(ctx: &Ctx, cache: &mut Cache) {
     let study = cache.amsix(ctx);
     let scenario = &study.scenario;
     let dp = DataplaneSim::new(&scenario.world, &scenario.timeline, scenario.seed);
-    let pairs = dp.default_pairs(300);
+    let pairs = default_pairs(&scenario.world, scenario.seed, 300);
     let base = dp.campaign(&pairs, OUTAGE_START - 1800);
     let amsix_pairs: Vec<_> =
         base.iter().filter(|p| p.crosses_ixp(study.amsix)).map(|p| p.pair).collect();

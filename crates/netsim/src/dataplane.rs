@@ -8,9 +8,9 @@
 //!
 //! Fidelity notes:
 //! * interface addresses are synthesized deterministically per (AS,
-//!   facility) port and per IXP peering LAN, and the reverse mapping is
-//!   exposed through [`DataplaneSim::locate`] — the traIXroute-style
-//!   IP-to-infrastructure resolution of [50, 76];
+//!   facility) port and per IXP peering LAN, and every hop carries the
+//!   infrastructure it belongs to ([`TraceHop::owner`]) — the
+//!   traIXroute-style IP-to-infrastructure resolution of [50, 76];
 //! * RTTs are great-circle propagation over the traversed facilities plus
 //!   per-hop jitter;
 //! * after an outage is repaired the data plane converges *faster* than
@@ -25,7 +25,6 @@ use crate::world::{AsIdx, PrefixIdx, World};
 use kepler_bgp::Asn;
 use kepler_probe::splitmix64 as splitmix;
 use kepler_topology::{FacilityId, GeoPoint, IxpId};
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
@@ -145,7 +144,6 @@ pub struct DataplaneSim<'w> {
     timeline: Held<'w, [ScheduledEvent]>,
     seed: u64,
     config: DataplaneConfig,
-    iface_map: HashMap<IpAddr, IfaceOwner>,
     epochs: EpochIndex,
     /// The timeline's latency surges, in timeline order.
     surges: Vec<Surge>,
@@ -163,25 +161,15 @@ impl<'w> DataplaneSim<'w> {
                 _ => None,
             })
             .collect();
-        DataplaneSim {
-            world,
-            timeline,
-            seed,
-            config: DataplaneConfig::default(),
-            iface_map: HashMap::new(),
-            epochs,
-            surges,
-        }
+        DataplaneSim { world, timeline, seed, config: DataplaneConfig::default(), epochs, surges }
     }
 
-    /// A lean simulator without the pre-registered interface map — enough
-    /// for probing (`traceroute`/`campaign`); `locate` only resolves
-    /// addresses seen in this instance's own traces.
-    pub fn probe_only(world: &'w World, timeline: &'w [ScheduledEvent], seed: u64) -> Self {
+    /// Builds the simulator for a timeline, borrowing world and timeline.
+    pub fn new(world: &'w World, timeline: &'w [ScheduledEvent], seed: u64) -> Self {
         Self::build(Held::Borrowed(world), Held::Borrowed(timeline), seed)
     }
 
-    /// [`probe_only`](Self::probe_only) over a shared world and timeline:
+    /// [`new`](Self::new) over a shared world and timeline:
     /// the simulator a long-lived backend keeps for its whole life.
     pub fn resident(
         world: Arc<World>,
@@ -197,32 +185,9 @@ impl<'w> DataplaneSim<'w> {
         self
     }
 
-    /// Builds the simulator (and its interface map) for a timeline.
-    pub fn new(world: &'w World, timeline: &'w [ScheduledEvent], seed: u64) -> Self {
-        let mut sim = Self::probe_only(world, timeline, seed);
-        // Pre-register every (AS, facility) port and IXP LAN address so
-        // `locate` works without having traced first.
-        for node in &world.ases {
-            for &f in &node.facilities {
-                let addr = facility_port_addr(node.asn, f);
-                sim.iface_map.insert(addr, IfaceOwner::FacilityPort { asn: node.asn, facility: f });
-            }
-            for &x in node.local_ixps.iter().chain(node.remote_ixps.iter()) {
-                let addr = ixp_lan_addr(node.asn, x);
-                sim.iface_map.insert(addr, IfaceOwner::IxpLan { asn: node.asn, ixp: x });
-            }
-        }
-        sim
-    }
-
     /// The world this simulator measures.
     pub fn world(&self) -> &World {
         &self.world
-    }
-
-    /// Resolves an interface to its infrastructure (the traIXroute role).
-    pub fn locate(&self, addr: IpAddr) -> Option<IfaceOwner> {
-        self.iface_map.get(&addr).copied()
     }
 
     /// Materializes the failure set of an active-event index set.
@@ -458,46 +423,42 @@ impl<'w> DataplaneSim<'w> {
         let mut cache = TreeCache::new();
         pairs.iter().map(|&p| self.traceroute_with(&mut cache, p, t)).collect()
     }
+}
 
-    /// A default probe set: sources in edge (eyeball/stub) ASes — where
-    /// Atlas probes actually live — toward content prefixes.
-    pub fn default_pairs(&self, n: usize) -> Vec<ProbePair> {
-        use kepler_topology::AsType;
-        let sources: Vec<AsIdx> = self
-            .world
-            .ases
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| matches!(a.info.as_type, AsType::Eyeball | AsType::Stub))
-            .map(|(i, _)| AsIdx(i as u32))
-            .collect();
-        let targets: Vec<PrefixIdx> = self
-            .world
-            .prefixes
-            .iter()
-            .enumerate()
-            .filter(|(_, (p, o))| {
-                p.is_ipv4()
-                    && matches!(
-                        self.world.ases[o.0 as usize].info.as_type,
-                        AsType::Content | AsType::Tier2
-                    )
-            })
-            .map(|(i, _)| PrefixIdx(i as u32))
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        for k in 0..n {
-            if sources.is_empty() || targets.is_empty() {
-                break;
-            }
-            let s = sources[(splitmix(self.seed ^ (k as u64) << 1) as usize) % sources.len()];
-            let d = targets[(splitmix(self.seed ^ (k as u64) << 1 | 1) as usize) % targets.len()];
-            out.push(ProbePair { src: s, dst: d });
+/// A default probe set of (up to) `n` pairs sampled at `seed`: sources
+/// in edge (eyeball/stub) ASes — where Atlas probes actually live — toward
+/// content prefixes. Pure sampling over the world; nothing is traced.
+pub fn default_pairs(world: &World, seed: u64, n: usize) -> Vec<ProbePair> {
+    use kepler_topology::AsType;
+    let sources: Vec<AsIdx> = world
+        .ases
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| matches!(a.info.as_type, AsType::Eyeball | AsType::Stub))
+        .map(|(i, _)| AsIdx(i as u32))
+        .collect();
+    let targets: Vec<PrefixIdx> = world
+        .prefixes
+        .iter()
+        .enumerate()
+        .filter(|(_, (p, o))| {
+            p.is_ipv4()
+                && matches!(world.ases[o.0 as usize].info.as_type, AsType::Content | AsType::Tier2)
+        })
+        .map(|(i, _)| PrefixIdx(i as u32))
+        .collect();
+    let mut out = Vec::with_capacity(n);
+    for k in 0..n {
+        if sources.is_empty() || targets.is_empty() {
+            break;
         }
-        out.sort_by_key(|p| (p.src.0, p.dst.0));
-        out.dedup();
-        out
+        let s = sources[(splitmix(seed ^ (k as u64) << 1) as usize) % sources.len()];
+        let d = targets[(splitmix(seed ^ (k as u64) << 1 | 1) as usize) % targets.len()];
+        out.push(ProbePair { src: s, dst: d });
     }
+    out.sort_by_key(|p| (p.src.0, p.dst.0));
+    out.dedup();
+    out
 }
 
 /// Deterministic facility-port address (11.0.0.0/8 experiment space).
@@ -689,7 +650,7 @@ mod tests {
     fn traceroutes_resolve_and_accumulate_rtt() {
         let w = World::generate(WorldConfig::tiny(91));
         let dp = DataplaneSim::new(&w, &[], 1);
-        let pairs = dp.default_pairs(20);
+        let pairs = default_pairs(&w, 1, 20);
         assert!(!pairs.is_empty());
         let mut reached = 0;
         for tr in dp.campaign(&pairs, T0) {
@@ -701,7 +662,6 @@ mod tests {
             for h in &tr.hops {
                 assert!(h.rtt_ms >= last, "RTT must be monotone");
                 last = h.rtt_ms;
-                assert_eq!(dp.locate(h.addr), Some(h.owner), "interface map agrees");
             }
         }
         assert!(reached > pairs.len() / 2, "most probes reach");
@@ -724,7 +684,7 @@ mod tests {
         };
         let timeline = [ev];
         let dp = DataplaneSim::new(&w, &timeline, 2);
-        let pairs = dp.default_pairs(60);
+        let pairs = default_pairs(&w, 2, 60);
         let before = dp.campaign(&pairs, T0);
         let during = dp.campaign(&pairs, T0 + 1200);
         let long_after = dp.campaign(&pairs, T0 + 1000 + 600 + 11_000);
@@ -768,7 +728,7 @@ mod tests {
     fn determinism() {
         let w = World::generate(WorldConfig::tiny(97));
         let dp = DataplaneSim::new(&w, &[], 9);
-        let pairs = dp.default_pairs(10);
+        let pairs = default_pairs(&w, 9, 10);
         assert_eq!(dp.campaign(&pairs, T0), dp.campaign(&pairs, T0));
     }
 
@@ -792,7 +752,7 @@ mod tests {
         };
         let timeline = [ev];
         let dp = DataplaneSim::new(&w, &timeline, 2);
-        let pairs = dp.default_pairs(60);
+        let pairs = default_pairs(&w, 2, 60);
         let mut cache = TreeCache::new();
         for t in [T0, T0 + 1200, T0 + 1000 + 600 + 1800, T0 + 1000 + 600 + 11_000] {
             let uncached: Vec<TraceroutePath> =
@@ -814,8 +774,8 @@ mod tests {
     fn hop_loss_thins_traces_without_breaking_reachability() {
         let w = World::generate(WorldConfig::tiny(91));
         let clean = DataplaneSim::new(&w, &[], 5);
-        let pairs = clean.default_pairs(40);
-        let lossy = DataplaneSim::probe_only(&w, &[], 5)
+        let pairs = default_pairs(&w, 5, 40);
+        let lossy = DataplaneSim::new(&w, &[], 5)
             .with_config(DataplaneConfig { hop_loss: 0.5, ..DataplaneConfig::default() });
         let full: usize = clean.campaign(&pairs, T0).iter().map(|p| p.hops.len()).sum();
         let lossy_paths = lossy.campaign(&pairs, T0);
@@ -830,19 +790,19 @@ mod tests {
     #[test]
     fn latency_config_and_ttl_budget_apply() {
         let w = World::generate(WorldConfig::tiny(91));
-        let pairs = DataplaneSim::new(&w, &[], 5).default_pairs(20);
-        let slow = DataplaneSim::probe_only(&w, &[], 5).with_config(DataplaneConfig {
+        let pairs = default_pairs(&w, 5, 20);
+        let slow = DataplaneSim::new(&w, &[], 5).with_config(DataplaneConfig {
             extra_hop_latency_ms: 50.0,
             ..DataplaneConfig::default()
         });
-        let fast = DataplaneSim::probe_only(&w, &[], 5);
+        let fast = DataplaneSim::new(&w, &[], 5);
         for (s, f) in slow.campaign(&pairs, T0).iter().zip(fast.campaign(&pairs, T0).iter()) {
             if let (Some(rs), Some(rf)) = (s.rtt_ms(), f.rtt_ms()) {
                 assert!(rs > rf, "extra latency accumulates");
             }
         }
         // A 1-hop TTL budget truncates multi-hop paths unreached.
-        let strangled = DataplaneSim::probe_only(&w, &[], 5)
+        let strangled = DataplaneSim::new(&w, &[], 5)
             .with_config(DataplaneConfig { max_ttl: 1, ..DataplaneConfig::default() });
         let reached = strangled.campaign(&pairs, T0).iter().filter(|p| p.reached).count();
         let baseline = fast.campaign(&pairs, T0).iter().filter(|p| p.reached).count();
@@ -866,7 +826,7 @@ mod tests {
         };
         let timeline = [ev];
         let dp = DataplaneSim::new(&w, &timeline, 4);
-        let pairs = dp.default_pairs(60);
+        let pairs = default_pairs(&w, 4, 60);
         let before = dp.campaign(&pairs, T0 + 900);
         // Jitter differs by at most jitter_ms per hop between instants,
         // far below the 80 ms surge the assertions key on.
@@ -898,7 +858,7 @@ mod tests {
     #[test]
     fn ping_and_pair_between_answer_by_asn() {
         let w = World::generate(WorldConfig::tiny(93));
-        let dp = DataplaneSim::probe_only(&w, &[], 7);
+        let dp = DataplaneSim::new(&w, &[], 7);
         let src = w.ases.iter().find(|a| w.v4_prefix_of(w.asn_to_idx[&a.asn]).is_some()).unwrap();
         let dst =
             w.ases.iter().rev().find(|a| w.v4_prefix_of(w.asn_to_idx[&a.asn]).is_some()).unwrap();
@@ -942,7 +902,7 @@ mod tests {
 
     fn crossed_by(w: &World, seed: u64, pairs: &[ProbePair]) -> Crossed {
         let mut crossed = Crossed::default();
-        for tr in DataplaneSim::probe_only(w, &[], seed).campaign(pairs, T0) {
+        for tr in DataplaneSim::new(w, &[], seed).campaign(pairs, T0) {
             for hop in tr.hops {
                 match hop.owner {
                     IfaceOwner::FacilityPort { asn, facility } => {
@@ -1053,13 +1013,12 @@ mod tests {
             shuffle in any::<u64>(),
         ) {
             let w = shared_world();
-            let pairs: Vec<ProbePair> =
-                DataplaneSim::probe_only(w, &[], seed).default_pairs(12).into_iter().take(5).collect();
+            let pairs: Vec<ProbePair> = default_pairs(w, seed, 12).into_iter().take(5).collect();
             prop_assert!(pairs.len() >= 3);
             let crossed = crossed_by(w, seed, &pairs);
             let timeline: Vec<ScheduledEvent> =
                 specs.iter().map(|&s| event_from(w, &crossed, s)).collect();
-            let sim = DataplaneSim::probe_only(w, &timeline, seed).with_config(CONFIGS[config]);
+            let sim = DataplaneSim::new(w, &timeline, seed).with_config(CONFIGS[config]);
 
             let mut queries: Vec<(ProbePair, u64)> = Vec::new();
             for &p in &pairs {
@@ -1138,8 +1097,8 @@ mod tests {
         // reached → unreachable → reached on one pair, another pair in
         // between, then a TTL-truncated trace — all through one buffer.
         let w = shared_world();
-        let quiet = DataplaneSim::probe_only(w, &[], 9);
-        let pairs = quiet.default_pairs(12);
+        let quiet = DataplaneSim::new(w, &[], 9);
+        let pairs = default_pairs(w, 9, 12);
         // A full outage of some building on a measured path that cuts the
         // pair off entirely (no detour survives).
         let (pair, fac) = pairs
@@ -1154,7 +1113,7 @@ mod tests {
             .find(|&(p, facility)| {
                 let kind = EventKind::FacilityOutage { facility, affected_fraction: 1.0 };
                 let tl = [ScheduledEvent { start: T0, duration: 600, kind }];
-                !DataplaneSim::probe_only(w, &tl, 9).traceroute_reference(p, T0 + 1).reached
+                !DataplaneSim::new(w, &tl, 9).traceroute_reference(p, T0 + 1).reached
             })
             .expect("some measured pair has a building it cannot route around");
         let other = *pairs.iter().find(|&&p| p != pair).unwrap();
@@ -1163,7 +1122,7 @@ mod tests {
             duration: 600,
             kind: EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
         }];
-        let sim = DataplaneSim::probe_only(w, &timeline, 9);
+        let sim = DataplaneSim::new(w, &timeline, 9);
         let mut cache = TreeCache::new();
         let mut buf = Vec::new();
         let mut seen = Vec::new();
@@ -1181,7 +1140,7 @@ mod tests {
         assert_eq!((seen[1], seen[3]), ((false, 0), (false, 0)), "no stale hop, no stale verdict");
         assert!(seen[4].0 && seen[4].1 > 0, "{seen:?}");
         // A TTL budget of one: the first hop answers, the trace does not.
-        let strangled = DataplaneSim::probe_only(w, &timeline, 9)
+        let strangled = DataplaneSim::new(w, &timeline, 9)
             .with_config(DataplaneConfig { max_ttl: 1, ..DataplaneConfig::default() });
         let reached = strangled.traceroute_into(&mut TreeCache::new(), pair, after, &mut buf);
         assert!(!reached && buf.len() == 1 && seen[4].1 > 1, "{seen:?} then {buf:?}");
@@ -1208,10 +1167,10 @@ mod tests {
                 kind: EventKind::IxpOutage { ixp: w.colo.ixps()[0].id, affected_fraction: 0.5 },
             },
         ];
-        let sim = DataplaneSim::probe_only(w, &timeline, 77);
+        let sim = DataplaneSim::new(w, &timeline, 77);
         let mut active = Vec::new();
         let mut widest = 0;
-        for pair in sim.default_pairs(6) {
+        for pair in default_pairs(w, 77, 6) {
             for t in (T0..T0 + 16_000).step_by(97).chain([0, u64::MAX]) {
                 let (from, last) = sim.epochs.active_at(sim.seed, t, pair, &mut active);
                 assert!(from <= t && t <= last);
@@ -1250,7 +1209,7 @@ mod tests {
         ];
         assert_eq!(timeline[0].end(), u64::MAX);
         let sim = DataplaneSim::new(w, &timeline, 5);
-        let pair = sim.default_pairs(4)[0];
+        let pair = default_pairs(w, 5, 4)[0];
         assert!(sim.failed_at(T0 - 1, pair).is_empty(), "nothing has started yet");
         let mut cache = TreeCache::new();
         for t in [T0, T0 + (1 << 40), u64::MAX - 5_001, u64::MAX - 4_000, u64::MAX - 1, u64::MAX] {

@@ -200,6 +200,7 @@ impl TwinFacilityScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataplane::default_pairs;
 
     #[test]
     fn twins_share_membership_and_tags_are_coarse() {
@@ -241,7 +242,7 @@ mod tests {
         // colocation records cannot: paths stop crossing the dark
         // building but keep crossing the healthy twin.
         let dp = study.scenario.dataplane();
-        let pairs = dp.default_pairs(200);
+        let pairs = default_pairs(&study.scenario.world, study.scenario.seed ^ 0xDA7A, 200);
         let during = study.outage_start + 600;
         let crossing =
             |fac, t: u64| dp.campaign(&pairs, t).iter().filter(|p| p.crosses_facility(fac)).count();

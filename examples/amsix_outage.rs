@@ -9,7 +9,7 @@
 use kepler::core::KeplerConfig;
 use kepler::docmine::LocationTag;
 use kepler::glue::detector_for;
-use kepler::netsim::dataplane::DataplaneSim;
+use kepler::netsim::dataplane::{default_pairs, DataplaneSim};
 use kepler::netsim::scenario::amsix::{AmsIxScenario, OUTAGE_DURATION, OUTAGE_START};
 use kepler::netsim::traffic::TrafficSim;
 use kepler::netsim::world::WorldConfig;
@@ -68,7 +68,7 @@ fn main() {
 
     // Data plane: traceroute view (Fig 10b) and RTT impact (Fig 10c).
     let dp = DataplaneSim::new(world, &scenario.timeline, seed);
-    let pairs = dp.default_pairs(200);
+    let pairs = default_pairs(world, seed, 200);
     let crossing = |t: u64| {
         let paths = dp.campaign(&pairs, t);
         paths.iter().filter(|p| p.crosses_ixp(study.amsix)).count()

@@ -9,10 +9,10 @@
 //! ```
 
 use kepler::core::KeplerConfig;
-use kepler::glue::{detector_with_faulty_prober, recording_prober_for, vantage_registry_for};
+use kepler::glue::{detector, prober, sim_backend, Stack};
 use kepler::netsim::scenario::twin::TwinFacilityScenario;
-use kepler::netsim::FaultConfig;
-use kepler::probe::{ProbeEngine, ProbeEngineConfig, ProbeRequest, Prober, ReplayBackend};
+use kepler::netsim::{FaultConfig, FaultyBackend};
+use kepler::probe::{ProbeRequest, Prober, RecordingBackend, ReplayBackend};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,7 +41,7 @@ fn main() {
         study.outage_start.saturating_sub(600),
         study.outage_start + 3_600,
     );
-    let mut detector = detector_with_faulty_prober(scenario, KeplerConfig::default(), fault);
+    let mut detector = detector(scenario, KeplerConfig::default(), &Stack::Faulty(fault));
     for rec in scenario.records() {
         detector.process_record_owned(rec);
     }
@@ -75,8 +75,8 @@ fn main() {
             .collect(),
         affected_near: Vec::new(),
     };
-    let mut recorder =
-        recording_prober_for(scenario, ProbeEngineConfig::default(), FaultConfig::chaos(seed));
+    let faulty = FaultyBackend::new(sim_backend(scenario), FaultConfig::chaos(seed));
+    let mut recorder = prober(scenario, RecordingBackend::new(faulty));
     let live = recorder.validate(&request, request.bin_start);
     let text = recorder.backend().transcript.serialize();
     println!(
@@ -94,12 +94,7 @@ fn main() {
         println!("transcript written to {path}");
     }
     let parsed = kepler::probe::CampaignTranscript::parse(&text).expect("transcript round-trips");
-    let mut replayer = ProbeEngine::with_async(
-        ReplayBackend::new(parsed),
-        vantage_registry_for(&scenario.world),
-        scenario.detector_colo(),
-        ProbeEngineConfig::default(),
-    );
+    let mut replayer = prober(scenario, ReplayBackend::new(parsed));
     let replayed = replayer.validate(&request, request.bin_start);
     assert_eq!(live, replayed, "replay diverged from the recorded campaign");
     println!("replayed from transcript alone: bit-identical to the live campaign");

@@ -17,7 +17,7 @@
 
 use kepler::core::events::{IncidentState, OutageScope};
 use kepler::core::KeplerConfig;
-use kepler::glue::{detector_for, detector_with_lifecycle};
+use kepler::glue::{detector, Stack};
 use kepler::netsim::scenario::twin::TwinFacilityScenario;
 
 fn main() {
@@ -38,12 +38,12 @@ fn main() {
     };
 
     println!("\nlifecycle run (validation + restoration probes):");
-    let mut detector = detector_with_lifecycle(scenario, KeplerConfig::default());
+    let mut lifecycle = detector(scenario, KeplerConfig::default(), &Stack::Lifecycle);
     let mut transitions: Vec<(u64, IncidentState)> = Vec::new();
     for r in scenario.records() {
         let t = r.time;
-        detector.process_record_owned(r);
-        for (scope, state) in detector.incident_states() {
+        lifecycle.process_record_owned(r);
+        for (scope, state) in lifecycle.incident_states() {
             if names_down(scope) && transitions.last().map(|(_, s)| *s != state).unwrap_or(true) {
                 transitions.push((t, state));
             }
@@ -52,8 +52,8 @@ fn main() {
     for (t, state) in &transitions {
         println!("  t{:+7}s (rel. repair) -> {state}", *t as i64 - repair as i64);
     }
-    let reports = detector.finalize();
-    let counts = detector.class_counts(); // includes trailing-flush closes
+    let reports = lifecycle.finalize();
+    let counts = lifecycle.class_counts(); // includes trailing-flush closes
     for r in &reports {
         println!("  {r}");
     }
@@ -63,7 +63,8 @@ fn main() {
     );
 
     println!("\npassive-only run (BGP restoration alone):");
-    let passive = detector_for(scenario, KeplerConfig::default()).run(scenario.records());
+    let passive =
+        detector(scenario, KeplerConfig::default(), &Stack::Passive).run(scenario.records());
     for r in &passive {
         println!("  {r}");
     }

@@ -17,7 +17,7 @@
 
 use kepler::core::events::{OutageScope, ValidationStatus};
 use kepler::core::KeplerConfig;
-use kepler::glue::{detector_for, detector_with_prober};
+use kepler::glue::{detector, Stack};
 use kepler::netsim::scenario::twin::TwinFacilityScenario;
 
 fn main() {
@@ -35,7 +35,8 @@ fn main() {
     println!("  stays up:          {}", name(study.twin));
 
     println!("\npassive-only run:");
-    let passive = detector_for(scenario, KeplerConfig::default()).run(scenario.records());
+    let passive =
+        detector(scenario, KeplerConfig::default(), &Stack::Passive).run(scenario.records());
     for r in &passive {
         println!("  {r}");
     }
@@ -48,7 +49,8 @@ fn main() {
     );
 
     println!("\nwith targeted probes (with_prober):");
-    let probed = detector_with_prober(scenario, KeplerConfig::default()).run(scenario.records());
+    let probed =
+        detector(scenario, KeplerConfig::default(), &Stack::Probed).run(scenario.records());
     for r in &probed {
         println!("  {r}");
         for e in r.probe_evidence.iter().take(6) {

@@ -19,7 +19,7 @@
 
 use kepler::core::events::{IncidentState, OutageScope};
 use kepler::core::KeplerConfig;
-use kepler::glue::detector_with_lifecycle;
+use kepler::glue::{detector, Stack};
 use kepler::netsim::fuzz;
 use kepler::serve::store::TransitionKind;
 use kepler::serve::{Alert, CallbackSink, Channel, Daemon, DaemonConfig, FileSink, TokenBucket};
@@ -47,9 +47,11 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("kepler-serve-demo-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut daemon =
-        Daemon::new(detector_with_lifecycle(&fw.scenario, config), &DaemonConfig::new(dir.clone()))
-            .expect("store open");
+    let mut daemon = Daemon::new(
+        detector(&fw.scenario, config, &Stack::Lifecycle),
+        &DaemonConfig::new(dir.clone()),
+    )
+    .expect("store open");
 
     // Channel 1: capture every alert (generous bucket) for the ordering
     // assertions below.

@@ -2,9 +2,10 @@
 //! detector and checks the safety invariants.
 //!
 //! [`kepler_netsim::fuzz`] only *generates* — netsim cannot see the
-//! detector. This module closes the loop: it builds a detector for a
-//! [`FuzzWorld`] with the hysteresis knobs the script prescribes,
-//! attaches a remoteness map measured from a quiet-time campaign for
+//! detector. This module closes the loop: [`check`] builds the detector
+//! [`Stack`] it is given for a [`FuzzWorld`] with the hysteresis knobs
+//! the script prescribes, attaches a remoteness map measured through the
+//! scenario's trace backend ([`glue::remoteness_for`]) for
 //! remote-peering worlds, feeds the stream, and checks every report
 //! against ground truth:
 //!
@@ -27,20 +28,15 @@
 //! outage too small for the vantage points to see, and silence is a
 //! valid outcome. (The fixed-seed smoke suite separately asserts the
 //! sweep is not vacuous.) On violation, [`write_artifact`] serializes
-//! the seed + script so the exact world replays locally with
-//! `repro --fuzz-seed <N>`.
+//! the script so the exact world replays locally on the same stack with
+//! the command [`FuzzVerdict::replay_command`] prints.
 
-use crate::glue::{
-    baseline_pairs, detector_for, detector_with_fusion, prober_for, truth_outages, FusionOptions,
-};
+use crate::glue::{self, detector, sim_backend, truth_outages, FusionOptions, Stack};
 use kepler_core::events::{OutageReport, OutageScope, ValidationStatus};
 use kepler_core::metrics::TruthOutage;
 use kepler_core::system::ClassCounts;
-use kepler_core::{Kepler, KeplerConfig, RemotenessMap};
-use kepler_netsim::dataplane::{DataplaneSim, TreeCache};
-use kepler_netsim::fuzz::{generated, FailureKind, FailureScript, FuzzWorld, ScenarioScript};
-use kepler_netsim::scenario::Scenario;
-use kepler_topology::AsType;
+use kepler_core::KeplerConfig;
+use kepler_netsim::fuzz::{FailureKind, FailureScript, FuzzWorld, ScenarioScript};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -60,6 +56,8 @@ pub const MAX_UNVALIDATED_STRAYS: usize = 4;
 pub struct FuzzVerdict {
     /// The script the world was built from.
     pub script: ScenarioScript,
+    /// The detector stack the world was checked with.
+    pub stack: Stack,
     /// Detector reports.
     pub reports: Vec<OutageReport>,
     /// Ground-truth outages.
@@ -82,116 +80,51 @@ impl FuzzVerdict {
     pub fn detected(&self) -> bool {
         self.reports.iter().any(|r| self.truth.iter().any(|t| t.named_by(&r.scope)))
     }
-}
 
-/// Measures a remoteness map the way a deployment would: a quiet-time
-/// traceroute campaign from a handful of edge vantages towards every
-/// exchange member, folded into per-(IXP, member) minimum LAN-entry
-/// steps ([`RemotenessMap::observe_trace`]).
-pub fn remoteness_for(scenario: &Scenario, quiet_t: u64) -> RemotenessMap {
-    let world = &scenario.world;
-    let dp = DataplaneSim::probe_only(world, &scenario.timeline, scenario.seed ^ 0x5EE5);
-    let mut cache = TreeCache::new();
-    let mut map = RemotenessMap::new();
-    let vantages: Vec<kepler_bgp::Asn> = world
-        .ases
-        .iter()
-        .filter(|n| matches!(n.info.as_type, AsType::Eyeball | AsType::Stub))
-        .map(|n| n.asn)
-        .take(4)
-        .collect();
-    let mut targets: BTreeSet<kepler_bgp::Asn> = BTreeSet::new();
-    for ixp in world.colo.ixps() {
-        targets.extend(world.colo.members_of_ixp(ixp.id).iter().copied());
+    /// The `repro` command that rebuilds this world from its artifact
+    /// (the script [`write_artifact`] wrote to `artifact`) and checks it on
+    /// the same stack. `repro` builds [`Stack::Validated`] and, with
+    /// `--fused`, the default [`Stack::Fused`]; for any other stack this
+    /// says it cannot replay it rather than name a command that would
+    /// check a different one.
+    pub fn replay_command(&self, artifact: &Path) -> String {
+        let fused = match &self.stack {
+            Stack::Validated => "",
+            Stack::Fused(opts) if *opts == FusionOptions::default() => "--fused ",
+            other => return format!("repro cannot rebuild the {other:?} stack; no replay command"),
+        };
+        format!(
+            "cargo run --release -p kepler-bench --bin repro -- {fused}--fuzz-script {}",
+            artifact.display()
+        )
     }
-    for &target in &targets {
-        for &vantage in &vantages {
-            let Some(pair) = dp.pair_between(vantage, target) else { continue };
-            let tr = dp.traceroute_with(&mut cache, pair, quiet_t);
-            map.observe_trace(&tr.hops);
-        }
-    }
-    map
 }
 
-/// Generates, builds and checks the world for a fuzzer seed.
-pub fn check_seed(seed: u64) -> FuzzVerdict {
-    check_world(&generated(seed, None))
-}
-
-/// Builds and checks the world a script describes (hand-authored
-/// regression scripts); a script that does not build is an error.
-pub fn check_script(script: &ScenarioScript) -> Result<FuzzVerdict, String> {
-    script.build().map(|fw| check_world(&fw))
-}
-
-/// [`check_seed`] with the fused multi-signal detector (forecast +
-/// delay sources on top of the deviation pipeline).
-pub fn check_seed_fused(seed: u64) -> FuzzVerdict {
-    check_world_fused(&generated(seed, None))
-}
-
-/// Runs an already-built fuzz world through the detector and checks the
-/// invariants.
-pub fn check_world(fw: &FuzzWorld) -> FuzzVerdict {
-    let script = &fw.script;
+/// Runs a fuzz world through the detector `stack` names and checks the
+/// invariants. The fused stack drains the bin clock to the scenario end:
+/// a pure data-plane failure (delay surge) leaves no control-plane
+/// records, so without the explicit advance its canary panel would never
+/// be polled through the quiet window. Every other stack keeps the
+/// record-driven clock.
+pub fn check(fw: &FuzzWorld, stack: &Stack) -> FuzzVerdict {
+    let (script, s) = (&fw.script, &fw.scenario);
     let config = KeplerConfig::default().with_hysteresis(script.open_after, script.close_after);
-    // The passive pipeline plus both validation layers of one prober
-    // (targeted campaigns, the §4.4 re-probe of its quiet-time corpus):
-    // the invariants hold the *validated* layer to zero tolerance.
-    let s = &fw.scenario;
-    let prober =
-        prober_for(s, Default::default()).with_baseline_corpus(&baseline_pairs(s), s.start + 600);
-    let detector = detector_for(s, config.clone()).with_prober(Box::new(prober));
-    run_checked(fw, detector, &config, false)
-}
-
-/// [`check_world`] with the fused multi-signal detector: the deviation
-/// pipeline plus the seasonal-forecast and differential-RTT sources
-/// ([`detector_with_fusion`]). The safety invariants are the same — the
-/// auxiliary signals must not manufacture validated bystanders.
-pub fn check_world_fused(fw: &FuzzWorld) -> FuzzVerdict {
-    check_world_with(fw, FusionOptions::default())
-}
-
-/// [`check_world_fused`] with explicit fusion options — the ablation
-/// sweeps rank signal combinations (deviation-only, +forecast, +delay,
-/// all) through this.
-pub fn check_world_with(fw: &FuzzWorld, opts: FusionOptions) -> FuzzVerdict {
-    let script = &fw.script;
-    let config = KeplerConfig::default().with_hysteresis(script.open_after, script.close_after);
-    let detector = detector_with_fusion(&fw.scenario, config.clone(), opts);
-    // The fused run drains the bin clock to the scenario end: a pure
-    // data-plane failure (delay surge) leaves no control-plane records,
-    // so without the explicit advance the canary panel would never be
-    // polled through the quiet window. The deviation-only path keeps
-    // the record-driven clock, bit-identical to the pre-fusion harness.
-    run_checked(fw, detector, &config, true)
-}
-
-/// Streams the world through a configured detector, captures the
-/// classification counters, and checks the invariants.
-fn run_checked(
-    fw: &FuzzWorld,
-    mut detector: Kepler,
-    config: &KeplerConfig,
-    drain_to_end: bool,
-) -> FuzzVerdict {
-    let script = &fw.script;
+    let mut detector = detector(s, config.clone(), stack);
     if script.script.kind() == FailureKind::Remote {
-        detector = detector.with_remoteness(remoteness_for(&fw.scenario, fw.scenario.start + 600));
+        let remoteness = glue::remoteness_for(&sim_backend(s), &s.world, s.start + 600);
+        detector = detector.with_remoteness(remoteness);
     }
-    for rec in fw.scenario.records() {
+    for rec in s.records() {
         detector.process_record_owned(rec);
     }
-    if drain_to_end {
-        detector.advance_clock(fw.scenario.end);
+    if matches!(stack, Stack::Fused(_)) {
+        detector.advance_clock(s.end);
     }
     let reports = detector.finalize();
     let counts = detector.class_counts();
-    let truth = truth_outages(&fw.scenario, config);
+    let truth = truth_outages(s, &config);
     let violations = check_invariants(fw, &reports, &truth);
-    FuzzVerdict { script: script.clone(), reports, truth, violations, counts }
+    FuzzVerdict { script: script.clone(), stack: stack.clone(), reports, truth, violations, counts }
 }
 
 /// Whether a report names this truth outage (scope, alias or city) and
@@ -489,22 +422,21 @@ impl PowerReport {
     }
 }
 
-/// Serializes a failing world under `dir` as `seed-<N>.script`: the
-/// replayable script text, plus the violations and the one-command
-/// repro as `#` comments (the parser ignores them). Returns the path.
+/// Serializes a failing world under `dir` as `seed-<N>-<kind>.script`
+/// (the fusion families share seeds with each other and with the
+/// seed→kind pool): the replayable script text, plus the violations and
+/// the replay command as `#` comments (the parser ignores them). Returns
+/// the path.
 pub fn write_artifact(dir: &Path, verdict: &FuzzVerdict) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("seed-{}.script", verdict.script.seed));
-    let mut text = verdict.script.render();
+    let script = &verdict.script;
+    let path = dir.join(format!("seed-{}-{}.script", script.seed, script.script.kind().name()));
+    let mut text = script.render();
     text.push_str("#\n# invariant violations:\n");
     for v in &verdict.violations {
         text.push_str(&format!("#   {v}\n"));
     }
-    text.push_str(&format!(
-        "#\n# reproduce locally:\n#   cargo run --release -p kepler-bench --bin repro -- \
-         --fuzz-seed {}\n",
-        verdict.script.seed
-    ));
+    text.push_str(&format!("#\n# reproduce locally:\n#   {}\n", verdict.replay_command(&path)));
     std::fs::write(&path, text)?;
     Ok(path)
 }

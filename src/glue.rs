@@ -4,34 +4,36 @@
 //! detector must stay substrate-agnostic), so the adapters that wire a
 //! simulated world into the detection pipeline live here:
 //!
-//! * [`SimTraceBackend`] — implements `kepler-probe`'s [`TraceBackend`]
-//!   over the simulated traceroute plane, so the targeted-probe engine
-//!   can disambiguate colocated facilities ([`prober_for`] /
-//!   [`detector_with_prober`]) and re-probe the §4.4 baseline corpus
-//!   ([`baseline_pairs`], [`ProbeEngine::with_baseline_corpus`]);
-//! * [`detector_for`] — builds a ready-to-run [`Kepler`] instance from a
-//!   scenario (mined dictionary + merged colocation map + org map);
+//! * [`SimTraceBackend`] — `kepler-probe`'s [`TraceBackend`] over the
+//!   simulated traceroute plane ([`sim_backend`], one seed per scenario).
+//!   Every trace goes through one: targeted campaigns ([`prober`]), the
+//!   §4.4 re-probe of [`baseline_pairs`], and the quiet-time selections
+//!   [`canary_panel_on`] and [`remoteness_for`];
+//! * [`detector`] — builds the [`Stack`] it is given, from the passive
+//!   pipeline ([`detector_for`]) up to the fused multi-signal stack;
 //! * [`truth_outages`] — converts simulator ground truth into the
 //!   detector-agnostic [`TruthOutage`] records used for evaluation,
 //!   including the paper's trackability rule.
 
 use kepler_bgp::fx::FxHashMap;
+use kepler_bgp::Asn;
 use kepler_core::events::OutageScope;
 use kepler_core::metrics::TruthOutage;
 use kepler_core::signal::{DelayDetector, ForecastDetector};
-use kepler_core::{Kepler, KeplerConfig, KeplerInputs};
+use kepler_core::{Kepler, KeplerConfig, KeplerInputs, RemotenessMap};
 use kepler_docmine::{CommunityDictionary, LocationTag};
-use kepler_netsim::dataplane::{DataplaneConfig, DataplaneSim, PairWindow, ProbePair, TreeCache};
+use kepler_netsim::dataplane::{default_pairs, DataplaneSim, PairWindow, ProbePair, TreeCache};
 use kepler_netsim::events::{Epicenter, ScheduledEvent};
 use kepler_netsim::scenario::Scenario;
-use kepler_netsim::world::World;
+use kepler_netsim::world::{AsNode, World};
 use kepler_netsim::{FaultConfig, FaultyBackend};
 use kepler_probe::{
-    ProbeEngine, ProbeEngineConfig, ProbeTask, RecordingBackend, SyncAdapter, Trace, TraceBackend,
+    AsyncTraceBackend, ProbeEngine, ProbeEngineConfig, ProbeTask, SyncAdapter, Trace, TraceBackend,
     VantagePoint, VantageRegistry,
 };
 use kepler_topology::{AsType, FacilityId};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A targeted-probe measurement backend over the simulated data plane:
@@ -53,7 +55,7 @@ pub struct SimTraceBackend {
     sim: DataplaneSim<'static>,
     cache: RefCell<TreeCache>,
     /// (vantage ASN, target ASN) → probe pair; `None` = unmeasurable.
-    pairs: RefCell<FxHashMap<(kepler_bgp::Asn, kepler_bgp::Asn), Option<ProbePair>>>,
+    pairs: RefCell<FxHashMap<(Asn, Asn), Option<ProbePair>>>,
     panel: RefCell<ResolvedPanel>,
 }
 
@@ -75,29 +77,16 @@ impl SimTraceBackend {
             panel: RefCell::default(),
         }
     }
-
-    /// Overrides the measurement-fidelity configuration (loss, latency,
-    /// TTL budget).
-    pub fn with_config(mut self, config: DataplaneConfig) -> Self {
-        self.sim = self.sim.with_config(config);
-        self
-    }
 }
 
 impl TraceBackend for SimTraceBackend {
-    fn trace(&self, vantage: kepler_bgp::Asn, target: kepler_bgp::Asn, t: u64) -> Trace {
+    fn trace(&self, vantage: Asn, target: Asn, t: u64) -> Trace {
         let mut out = Trace::default();
         self.trace_into(vantage, target, t, &mut out);
         out
     }
 
-    fn trace_into(
-        &self,
-        vantage: kepler_bgp::Asn,
-        target: kepler_bgp::Asn,
-        t: u64,
-        out: &mut Trace,
-    ) {
+    fn trace_into(&self, vantage: Asn, target: Asn, t: u64, out: &mut Trace) {
         let pair = *self
             .pairs
             .borrow_mut()
@@ -140,26 +129,43 @@ impl TraceBackend for SimTraceBackend {
     }
 }
 
+/// Edge (eyeball/stub) networks, where Atlas probes actually sit.
+fn edge_ases(world: &World) -> impl Iterator<Item = &AsNode> {
+    world.ases.iter().filter(|n| matches!(n.info.as_type, AsType::Eyeball | AsType::Stub))
+}
+
 /// The vantage-point registry a scenario world offers: probe hosts live
-/// in edge (eyeball/stub) networks, where Atlas probes actually sit.
+/// in edge networks.
 pub fn vantage_registry_for(world: &World) -> VantageRegistry {
     let mut registry = VantageRegistry::new();
-    for node in &world.ases {
-        if matches!(node.info.as_type, AsType::Eyeball | AsType::Stub) {
-            registry.register(VantagePoint { asn: node.asn, home_city: Some(node.info.home_city) });
-        }
+    for node in edge_ases(world) {
+        registry.register(VantagePoint { asn: node.asn, home_city: Some(node.info.home_city) });
     }
     registry
 }
 
-/// Builds a targeted-probe engine for a scenario: simulated backend,
-/// edge-network vantage registry, and the detector's (merged-snapshot)
-/// colocation map.
-pub fn prober_for(
-    scenario: &Scenario,
-    config: ProbeEngineConfig,
-) -> ProbeEngine<SyncAdapter<SimTraceBackend>> {
-    prober_on(shared_world(scenario), scenario, config)
+/// [`sim_backend`] over an already-shared copy of the world.
+fn backend_on(world: Arc<World>, scenario: &Scenario) -> SimTraceBackend {
+    SimTraceBackend::new(world, &scenario.timeline, scenario.seed ^ 0x9B0E)
+}
+
+/// The simulated trace backend every measurement of a scenario goes
+/// through, at the scenario's one backend seed.
+pub fn sim_backend(scenario: &Scenario) -> SimTraceBackend {
+    backend_on(Arc::new(scenario.world.clone()), scenario)
+}
+
+/// A targeted-probe engine for a scenario over `backend` (wrap a
+/// synchronous one in [`SyncAdapter`]): edge-network vantage registry,
+/// the detector's (merged-snapshot) colocation map and the default
+/// engine configuration.
+pub fn prober<B: AsyncTraceBackend>(scenario: &Scenario, backend: B) -> ProbeEngine<B> {
+    ProbeEngine::with_async(
+        backend,
+        vantage_registry_for(&scenario.world),
+        scenario.detector_colo(),
+        ProbeEngineConfig::default(),
+    )
 }
 
 /// Pairs in a scenario's §4.4 baseline corpus.
@@ -171,124 +177,88 @@ const BASELINE_PAIRS: usize = 300;
 /// sampled prefix). Two prefixes of one origin stay two pairs.
 pub fn baseline_pairs(scenario: &Scenario) -> Vec<ProbeTask> {
     let world = &scenario.world;
-    let sim = DataplaneSim::probe_only(world, &scenario.timeline, scenario.seed);
     let asn = |idx: kepler_netsim::world::AsIdx| world.ases[idx.0 as usize].asn;
-    (sim.default_pairs(BASELINE_PAIRS).into_iter())
+    (default_pairs(world, scenario.seed, BASELINE_PAIRS).into_iter())
         .map(|p| ProbeTask { vantage: asn(p.src), target: asn(world.origin_of(p.dst)) })
         .collect()
 }
 
-/// One shareable copy of the scenario's world: a detector's backends all
-/// measure the same (immutable) world, so each detector clones it once.
-fn shared_world(scenario: &Scenario) -> Arc<World> {
-    Arc::new(scenario.world.clone())
+/// A canary panel whose quiet-time baseline paths verifiably transit the
+/// given facilities, traced through `backend`: edge-network vantages
+/// traced toward facility members (sorted), keeping the first crossing
+/// vantage per member and up to `per_facility` pairs per building. The
+/// panel keeps delay telemetry flowing even when no validation campaign
+/// happens to be running.
+pub fn canary_panel_on(
+    backend: &impl TraceBackend,
+    world: &World,
+    facilities: &[FacilityId],
+    per_facility: usize,
+    quiet_t: u64,
+) -> Vec<ProbeTask> {
+    let vantages: Vec<Asn> = edge_ases(world).map(|n| n.asn).take(6).collect();
+    let mut panel = Vec::new();
+    let mut seen: BTreeSet<(Asn, Asn)> = BTreeSet::new();
+    let mut tr = Trace::default();
+    for &f in facilities {
+        let mut kept = 0usize;
+        let mut members: Vec<Asn> = world.colo.members_of_facility(f).iter().copied().collect();
+        members.sort();
+        'member: for target in members {
+            for &vantage in &vantages {
+                if vantage == target {
+                    continue;
+                }
+                backend.trace_into(vantage, target, quiet_t, &mut tr);
+                if tr.reached && tr.crosses_facility(f) && seen.insert((vantage, target)) {
+                    panel.push(ProbeTask { vantage, target });
+                    kept += 1;
+                    if kept >= per_facility {
+                        break 'member;
+                    }
+                    // Diversify targets: one pair per member building port.
+                    break;
+                }
+            }
+        }
+    }
+    panel
 }
 
-/// The simulated trace backend every scenario prober measures through.
-fn backend_on(world: Arc<World>, scenario: &Scenario) -> SimTraceBackend {
-    SimTraceBackend::new(world, &scenario.timeline, scenario.seed ^ 0x9B0E)
-}
-
-/// [`prober_for`] over an already-shared world.
-fn prober_on(
-    world: Arc<World>,
-    scenario: &Scenario,
-    config: ProbeEngineConfig,
-) -> ProbeEngine<SyncAdapter<SimTraceBackend>> {
-    let backend = backend_on(world, scenario);
-    ProbeEngine::new(
-        backend,
-        vantage_registry_for(&scenario.world),
-        scenario.detector_colo(),
-        config,
-    )
-}
-
-/// [`prober_on`] with the netsim fault-injection layer wrapped around the
-/// backend: probes drop, arrive past their deadline, come back truncated
-/// or duplicated, vantages churn, and scripted brownout windows reject
-/// submissions wholesale — all deterministic in the fault seed.
-fn faulty_prober_on(
-    world: Arc<World>,
-    scenario: &Scenario,
-    config: ProbeEngineConfig,
-    fault: FaultConfig,
-) -> ProbeEngine<FaultyBackend<SimTraceBackend>> {
-    let backend = FaultyBackend::new(backend_on(world, scenario), fault);
-    ProbeEngine::with_async(
-        backend,
-        vantage_registry_for(&scenario.world),
-        scenario.detector_colo(),
-        config,
-    )
-}
-
-/// A probe engine whose faulty backend journals every attempt outcome
-/// into a [`kepler_probe::CampaignTranscript`] (reachable through
-/// [`ProbeEngine::backend`]) for bit-identical offline replay.
-pub fn recording_prober_for(
-    scenario: &Scenario,
-    config: ProbeEngineConfig,
-    fault: FaultConfig,
-) -> ProbeEngine<RecordingBackend<FaultyBackend<SimTraceBackend>>> {
-    let backend = RecordingBackend::new(FaultyBackend::new(
-        backend_on(shared_world(scenario), scenario),
-        fault,
-    ));
-    ProbeEngine::with_async(
-        backend,
-        vantage_registry_for(&scenario.world),
-        scenario.detector_colo(),
-        config,
-    )
-}
-
-/// Like [`detector_for`] but with the targeted-probe engine attached, so
-/// ambiguous localizations are disambiguated by active measurement.
-pub fn detector_with_prober(scenario: &Scenario, config: KeplerConfig) -> Kepler {
-    let prober = prober_for(scenario, ProbeEngineConfig::default());
-    detector_for(scenario, config).with_prober(Box::new(prober))
-}
-
-/// The full incident lifecycle: [`detector_with_prober`] plus a
-/// restoration prober over the same simulated data plane, so confirmed
-/// epicenters are re-probed on a backoff schedule and incidents close on
-/// data-plane recovery instead of waiting out BGP reconvergence.
+/// [`canary_panel_on`] through a fresh [`sim_backend`].
 ///
-/// The two engines share the backend type (and therefore the batched
-/// routing-tree cache each holds) but draw from *separate* token buckets
-/// — mirroring a deployment where validation and restoration campaigns
-/// run under distinct measurement-platform credits.
-pub fn detector_with_lifecycle(scenario: &Scenario, config: KeplerConfig) -> Kepler {
-    let world = shared_world(scenario);
-    let prober = prober_on(Arc::clone(&world), scenario, ProbeEngineConfig::default());
-    let restoration = prober_on(world, scenario, ProbeEngineConfig::default());
-    detector_for(scenario, config)
-        .with_prober(Box::new(prober))
-        .with_restoration_prober(Box::new(restoration))
-}
-
-/// [`detector_with_lifecycle`] under fault injection: both the validation
-/// and the restoration engine measure through a [`FaultyBackend`], so the
-/// whole detector can be exercised against probe loss, deadline blowouts
-/// and scripted brownouts. With losses past the completeness quorum the
-/// system degrades to passive verdicts (`ClassCounts::degraded_passive`)
-/// instead of blocking — the chaos suite asserts exactly that.
-pub fn detector_with_faulty_prober(
+/// Kept for `benchmark/` until ROADMAP item 4 moves it onto [`Stack`].
+pub fn canary_panel(
     scenario: &Scenario,
-    config: KeplerConfig,
-    fault: FaultConfig,
-) -> Kepler {
-    let world = shared_world(scenario);
-    let engine = ProbeEngineConfig::default();
-    let prober = faulty_prober_on(Arc::clone(&world), scenario, engine, fault.clone());
-    let restoration = faulty_prober_on(world, scenario, engine, fault);
-    detector_for(scenario, config)
-        .with_prober(Box::new(prober))
-        .with_restoration_prober(Box::new(restoration))
+    facilities: &[FacilityId],
+    per_facility: usize,
+    quiet_t: u64,
+) -> Vec<ProbeTask> {
+    canary_panel_on(&sim_backend(scenario), &scenario.world, facilities, per_facility, quiet_t)
 }
 
-/// Which fused auxiliary signal sources [`detector_with_fusion`] attaches.
+/// Measures a remoteness map the way a deployment would: a quiet-time
+/// traceroute campaign through `backend` from a handful of edge vantages
+/// towards every exchange member, folded into per-(IXP, member) minimum
+/// LAN-entry steps ([`RemotenessMap::observe_trace`]).
+pub fn remoteness_for(backend: &impl TraceBackend, world: &World, quiet_t: u64) -> RemotenessMap {
+    let vantages: Vec<Asn> = edge_ases(world).map(|n| n.asn).take(4).collect();
+    let mut targets: BTreeSet<Asn> = BTreeSet::new();
+    for ixp in world.colo.ixps() {
+        targets.extend(world.colo.members_of_ixp(ixp.id).iter().copied());
+    }
+    let mut map = RemotenessMap::new();
+    let mut tr = Trace::default();
+    for &target in &targets {
+        for &vantage in &vantages {
+            backend.trace_into(vantage, target, quiet_t, &mut tr);
+            map.observe_trace(&tr.hops);
+        }
+    }
+    map
+}
+
+/// Which fused auxiliary signal sources [`Stack::Fused`] attaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionOptions {
     /// Attach the seasonal-forecast presence detector and register a
@@ -305,6 +275,117 @@ impl Default for FusionOptions {
     fn default() -> Self {
         FusionOptions { forecast: true, delay: true, canaries_per_facility: 4 }
     }
+}
+
+/// Every detector stack the repository builds, one variant per stack some
+/// caller runs. Each probe engine and the delay detector measure through
+/// their own [`sim_backend`] over one shared copy of the world.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Stack {
+    /// The passive pipeline alone ([`detector_for`]).
+    Passive,
+    /// Passive plus a targeted-probe engine that disambiguates ambiguous
+    /// localizations by active measurement.
+    Probed,
+    /// [`Stack::Probed`] whose engine also re-probes the §4.4 corpus of
+    /// [`baseline_pairs`]: the fuzz harness's deviation-only stack.
+    Validated,
+    /// [`Stack::Probed`] plus a restoration engine (its own token bucket):
+    /// incidents close on data-plane recovery, not BGP reconvergence.
+    Lifecycle,
+    /// [`Stack::Lifecycle`] with both engines behind a [`FaultyBackend`]
+    /// (loss, deadline blowouts, truncation, churn, brownouts). Past the
+    /// completeness quorum verdicts degrade to passive instead of blocking.
+    Faulty(FaultConfig),
+    /// [`Stack::Probed`] plus a seasonal-forecast detector over presence
+    /// watches of every trackable facility, and a differential-RTT delay
+    /// detector fed by the engine's telemetry and a canary panel selected
+    /// through its own backend; engine and canaries share one RTT ledger.
+    Fused(FusionOptions),
+}
+
+/// Builds the detector `stack` names for a scenario.
+pub fn detector(scenario: &Scenario, config: KeplerConfig, stack: &Stack) -> Kepler {
+    // One copy of the world for all of the stack's backends, made on first use.
+    let shared = OnceCell::new();
+    let world = || Arc::clone(shared.get_or_init(|| Arc::new(scenario.world.clone())));
+    let backend = || backend_on(world(), scenario);
+    let engine = || prober(scenario, SyncAdapter(backend()));
+    let passive = detector_for(scenario, config.clone());
+    match stack {
+        Stack::Passive => passive,
+        Stack::Probed => passive.with_prober(Box::new(engine())),
+        Stack::Validated => passive.with_prober(Box::new(
+            engine().with_baseline_corpus(&baseline_pairs(scenario), scenario.start + 600),
+        )),
+        Stack::Lifecycle => {
+            passive.with_prober(Box::new(engine())).with_restoration_prober(Box::new(engine()))
+        }
+        Stack::Faulty(fault) => {
+            let faulty = || prober(scenario, FaultyBackend::new(backend(), fault.clone()));
+            passive.with_prober(Box::new(faulty())).with_restoration_prober(Box::new(faulty()))
+        }
+        Stack::Fused(opts) => {
+            let quiet_t = scenario.start + 600;
+            let trackable = trackable_facilities(scenario, &config);
+            let mut engine = engine();
+            // The ledger, its tap on the engine and its only reader are
+            // built together: without the delay source nothing would ever
+            // drain it.
+            let mut delay = None;
+            if opts.delay {
+                let ledger = kepler_probe::telemetry::shared_ledger(config.delay_threshold_ms);
+                engine = engine.with_telemetry(ledger.clone());
+                let backend = backend();
+                let (world, per) = (&scenario.world, opts.canaries_per_facility);
+                let panel = canary_panel_on(&backend, world, &trackable, per, quiet_t);
+                delay = Some(DelayDetector::with_canary(&config, ledger, backend, panel, quiet_t));
+            }
+            let mut kepler = passive.with_prober(Box::new(engine));
+            if opts.forecast || opts.delay {
+                // Presence watches keep the monitor closing every dense bin
+                // even through record silence — the signal sources are
+                // polled once per closed bin, so a watch-less monitor would
+                // starve them on quiet streams (a pure data-plane surge
+                // produces no records).
+                for &f in &trackable {
+                    kepler.watch_presence(LocationTag::Facility(f));
+                }
+            }
+            if opts.forecast {
+                kepler = kepler.with_signal_source(Box::new(ForecastDetector::new(&config)));
+            }
+            if let Some(delay) = delay {
+                kepler = kepler.with_signal_source(Box::new(delay));
+            }
+            kepler
+        }
+    }
+}
+
+/// [`detector`] for [`Stack::Probed`].
+///
+/// Kept for `benchmark/` until ROADMAP item 4 moves it onto [`Stack`].
+pub fn detector_with_prober(scenario: &Scenario, config: KeplerConfig) -> Kepler {
+    detector(scenario, config, &Stack::Probed)
+}
+
+/// [`detector`] for [`Stack::Lifecycle`].
+///
+/// Kept for `benchmark/` until ROADMAP item 4 moves it onto [`Stack`].
+pub fn detector_with_lifecycle(scenario: &Scenario, config: KeplerConfig) -> Kepler {
+    detector(scenario, config, &Stack::Lifecycle)
+}
+
+/// [`detector`] for [`Stack::Fused`].
+///
+/// Kept for `benchmark/` until ROADMAP item 4 moves it onto [`Stack`].
+pub fn detector_with_fusion(
+    scenario: &Scenario,
+    config: KeplerConfig,
+    opts: FusionOptions,
+) -> Kepler {
+    detector(scenario, config, &Stack::Fused(opts))
 }
 
 /// Facilities the detector can track in this scenario, under the paper's
@@ -326,103 +407,6 @@ pub fn trackable_facilities(scenario: &Scenario, config: &KeplerConfig) -> Vec<F
         })
         .map(|f| f.id)
         .collect()
-}
-
-/// A canary panel whose quiet-time baseline paths verifiably transit the
-/// given facilities: edge-network vantages traced toward facility
-/// members, keeping up to `per_facility` crossing pairs per building.
-/// The panel keeps delay telemetry flowing even when no validation
-/// campaign happens to be running.
-pub fn canary_panel(
-    scenario: &Scenario,
-    facilities: &[FacilityId],
-    per_facility: usize,
-    quiet_t: u64,
-) -> Vec<ProbeTask> {
-    let world = &scenario.world;
-    let dp = DataplaneSim::probe_only(world, &scenario.timeline, scenario.seed ^ 0x9B0E);
-    let mut cache = TreeCache::new();
-    let vantages: Vec<kepler_bgp::Asn> = world
-        .ases
-        .iter()
-        .filter(|n| matches!(n.info.as_type, AsType::Eyeball | AsType::Stub))
-        .map(|n| n.asn)
-        .take(6)
-        .collect();
-    let mut panel = Vec::new();
-    let mut seen: std::collections::BTreeSet<(kepler_bgp::Asn, kepler_bgp::Asn)> =
-        std::collections::BTreeSet::new();
-    for &f in facilities {
-        let mut kept = 0usize;
-        let mut members: Vec<kepler_bgp::Asn> =
-            world.colo.members_of_facility(f).iter().copied().collect();
-        members.sort();
-        'member: for target in members {
-            for &vantage in &vantages {
-                if vantage == target {
-                    continue;
-                }
-                let Some(pair) = dp.pair_between(vantage, target) else { continue };
-                let tr = dp.traceroute_with(&mut cache, pair, quiet_t);
-                if tr.reached && tr.crosses_facility(f) && seen.insert((vantage, target)) {
-                    panel.push(ProbeTask { vantage, target });
-                    kept += 1;
-                    if kept >= per_facility {
-                        break 'member;
-                    }
-                    // Diversify targets: one pair per member building port.
-                    break;
-                }
-            }
-        }
-    }
-    panel
-}
-
-/// [`detector_with_prober`] plus the fused auxiliary signal sources of
-/// the multi-signal pipeline: a seasonal-forecast detector over
-/// per-facility presence counts (with presence watches registered for
-/// every trackable facility) and a differential-RTT delay detector fed
-/// by both the probe engine's passive telemetry tap and a canary panel
-/// over the simulated data plane. Both probers and the canary backend
-/// share one RTT ledger, so validation campaigns and canaries corroborate
-/// the same per-(vantage, hop-pair) baselines.
-pub fn detector_with_fusion(
-    scenario: &Scenario,
-    config: KeplerConfig,
-    opts: FusionOptions,
-) -> Kepler {
-    let quiet_t = scenario.start + 600;
-    let trackable = trackable_facilities(scenario, &config);
-    let world = shared_world(scenario);
-    let mut prober = prober_on(Arc::clone(&world), scenario, ProbeEngineConfig::default());
-    // The ledger, its tap on the prober and its only reader are built
-    // together: without the delay source nothing would ever drain it.
-    let mut delay = None;
-    if opts.delay {
-        let ledger = kepler_probe::telemetry::shared_ledger(config.delay_threshold_ms);
-        prober = prober.with_telemetry(ledger.clone());
-        let panel = canary_panel(scenario, &trackable, opts.canaries_per_facility, quiet_t);
-        let backend = backend_on(world, scenario);
-        delay = Some(DelayDetector::with_canary(&config, ledger, backend, panel, quiet_t));
-    }
-    let mut kepler = detector_for(scenario, config.clone()).with_prober(Box::new(prober));
-    if opts.forecast || opts.delay {
-        // Presence watches keep the monitor closing every dense bin even
-        // through record silence — the signal sources are polled once
-        // per closed bin, so a watch-less monitor would starve them on
-        // quiet streams (a pure data-plane surge produces no records).
-        for &f in &trackable {
-            kepler.watch_presence(LocationTag::Facility(f));
-        }
-    }
-    if opts.forecast {
-        kepler = kepler.with_signal_source(Box::new(ForecastDetector::new(&config)));
-    }
-    if let Some(delay) = delay {
-        kepler = kepler.with_signal_source(Box::new(delay));
-    }
-    kepler
 }
 
 /// Builds a detector for a scenario: mined dictionary, merged colocation
@@ -650,7 +634,7 @@ mod tests {
         let facilities = trackable_facilities(&scenario, &config);
         let panel = canary_panel(&scenario, &facilities, 4, scenario.start + 600);
         assert!(panel.len() >= 4, "{panel:?}");
-        let quiet = backend_on(shared_world(&scenario), &scenario);
+        let quiet = sim_backend(&scenario);
         let dark = facilities
             .iter()
             .copied()
@@ -665,7 +649,49 @@ mod tests {
             duration: OUTAGE_DURATION,
             kind: EventKind::FacilityOutage { facility: dark, affected_fraction: 1.0 },
         }];
-        (shared_world(&scenario), panel, timeline)
+        (Arc::new(scenario.world.clone()), panel, timeline)
+    }
+
+    /// The canary panel, pinned as `(len, FNV-64 of {:?})`: the AMS-IX
+    /// tiny world of [`panel_under_outage`] and the three fusion families
+    /// at seeds 1–3. The panel feeds the fused stack's delay detector, so
+    /// a moved panel moves every fused report.
+    #[test]
+    fn canary_panel_is_pinned() {
+        use kepler_netsim::fuzz::{delay_surge, pure_seasonal, slow_drain};
+        let fnv64 = |bytes: &[u8]| {
+            (bytes.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        let amsix = AmsIxScenario::new(7).with_config(WorldConfig::tiny(7)).build().scenario;
+        let mut scenarios = vec![("amsix-7".to_string(), amsix)];
+        for seed in 1..=3 {
+            scenarios.push((format!("slow_drain-{seed}"), slow_drain(seed).scenario));
+            scenarios.push((format!("delay_surge-{seed}"), delay_surge(seed).scenario));
+            scenarios.push((format!("seasonal-{seed}"), pure_seasonal(seed).scenario));
+        }
+        let got: Vec<String> = scenarios
+            .iter()
+            .map(|(name, s)| {
+                let facilities = trackable_facilities(s, &KeplerConfig::default());
+                let panel = canary_panel(s, &facilities, 4, s.start + 600);
+                format!("{name} {} {:016x}", panel.len(), fnv64(format!("{panel:?}").as_bytes()))
+            })
+            .collect();
+        let want = [
+            "amsix-7 15 c147bd2f72be4112",
+            "slow_drain-1 44 8ca3159112e098cb",
+            "delay_surge-1 44 8ca3159112e098cb",
+            "seasonal-1 44 8ca3159112e098cb",
+            "slow_drain-2 43 123df995ba724c38",
+            "delay_surge-2 43 123df995ba724c38",
+            "seasonal-2 43 123df995ba724c38",
+            "slow_drain-3 38 f0981778957c9201",
+            "delay_surge-3 38 f0981778957c9201",
+            "seasonal-3 38 f0981778957c9201",
+        ];
+        assert_eq!(got, want);
     }
 
     /// Whole-trace equality, `f64` bits included.
@@ -766,8 +792,8 @@ mod tests {
             let s = &generated(seed, Some(kind)).scenario;
             let (world, quiet_t, pairs) = (&s.world, s.start + 600, baseline_pairs(s));
             let mut engine =
-                prober_for(s, ProbeEngineConfig::default()).with_baseline_corpus(&pairs, quiet_t);
-            let dp = DataplaneSim::probe_only(world, &s.timeline, s.seed ^ 0x9B0E);
+                prober(s, SyncAdapter(sim_backend(s))).with_baseline_corpus(&pairs, quiet_t);
+            let dp = DataplaneSim::new(world, &s.timeline, s.seed ^ 0x9B0E);
             let mut cache = TreeCache::new();
             let scopes = |hops: &[kepler_netsim::dataplane::TraceHop]| {
                 let mut out = BTreeSet::new();

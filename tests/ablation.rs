@@ -134,8 +134,8 @@ fn amsix_outage_start_constant_is_2015_05_13() {
 /// running all sources together.
 #[test]
 fn ablate_signal_combinations_rank_by_detection_power() {
-    use kepler::fuzz_harness::{check_world_with, PowerReport};
-    use kepler::glue::FusionOptions;
+    use kepler::fuzz_harness::{check, PowerReport};
+    use kepler::glue::{FusionOptions, Stack};
     use kepler::netsim::fuzz::{delay_surge, slow_drain, FuzzWorld};
 
     let combos: [(&str, FusionOptions); 4] = [
@@ -158,7 +158,8 @@ fn ablate_signal_combinations_rank_by_detection_power() {
     for (family, build) in families {
         let worlds: Vec<FuzzWorld> = seeds.iter().map(|&s| build(s)).collect();
         for (combo, opts) in &combos {
-            let verdicts: Vec<_> = worlds.iter().map(|fw| check_world_with(fw, *opts)).collect();
+            let verdicts: Vec<_> =
+                worlds.iter().map(|fw| check(fw, &Stack::Fused(*opts))).collect();
             for v in &verdicts {
                 assert!(v.ok(), "{family}/{combo}: safety violations {:?}", v.violations);
             }

@@ -13,7 +13,7 @@
 //! of work; every product crate keeps `#![forbid(unsafe_code)]`.
 
 use kepler::core::KeplerConfig;
-use kepler::glue::{detector_with_fusion, FusionOptions};
+use kepler::glue::{detector, FusionOptions, Stack};
 use kepler::netsim::scenario::amsix::AmsIxScenario;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +60,7 @@ fn a_quiet_fused_bin_stays_inside_its_allocation_budget() {
     let scenario = AmsIxScenario::new(41).build().scenario;
     let config = KeplerConfig::default();
     let bin_secs = config.bin_secs;
-    let mut kepler = detector_with_fusion(&scenario, config, FusionOptions::default());
+    let mut kepler = detector(&scenario, config, &Stack::Fused(FusionOptions::default()));
     // Warm through the whole stream: baselines learnt, the outage
     // detected and settled, every scratch buffer grown to its size.
     for rec in scenario.records() {

@@ -32,9 +32,9 @@ use common::{
     TWIN_SEEDS,
 };
 use kepler::core::KeplerConfig;
-use kepler::glue::{detector_with_faulty_prober, recording_prober_for, vantage_registry_for};
-use kepler::netsim::FaultConfig;
-use kepler::probe::{ProbeEngine, ProbeEngineConfig, ProbeRequest, Prober, ReplayBackend};
+use kepler::glue::{detector, prober, sim_backend, Stack};
+use kepler::netsim::{FaultConfig, FaultyBackend};
+use kepler::probe::{ProbeRequest, Prober, RecordingBackend, ReplayBackend};
 
 #[test]
 fn chaos_sweep_holds_safety_invariants_under_fault_injection() {
@@ -47,7 +47,7 @@ fn chaos_sweep_holds_safety_invariants_under_fault_injection() {
         // outage until an hour in, when the detector needs probes most.
         let fault = FaultConfig::chaos(seed)
             .with_brownout(study.outage_start.saturating_sub(600), study.outage_start + 3_600);
-        let mut detector = detector_with_faulty_prober(scenario, KeplerConfig::default(), fault);
+        let mut detector = detector(scenario, KeplerConfig::default(), &Stack::Faulty(fault));
         for rec in scenario.records() {
             detector.process_record_owned(rec);
         }
@@ -101,19 +101,15 @@ fn recorded_campaign_replays_bit_identically() {
     // Record: a live campaign through the faulty backend, every attempt
     // outcome journaled.
     let fault = FaultConfig::chaos(5);
-    let mut recorder = recording_prober_for(scenario, ProbeEngineConfig::default(), fault);
+    let mut recorder =
+        prober(scenario, RecordingBackend::new(FaultyBackend::new(sim_backend(scenario), fault)));
     let live = recorder.validate(&request, request.bin_start);
     assert!(!live.verdicts.is_empty(), "fixture campaign judged nothing: {live:?}");
     // Render the transcript, parse it back, and replay with *no*
     // backend behind it — zero network (or simulator) access.
     let text = recorder.backend().transcript.serialize();
     let parsed = kepler::probe::CampaignTranscript::parse(&text).expect("transcript round-trips");
-    let mut replayer = ProbeEngine::with_async(
-        ReplayBackend::new(parsed),
-        vantage_registry_for(&scenario.world),
-        scenario.detector_colo(),
-        ProbeEngineConfig::default(),
-    );
+    let mut replayer = prober(scenario, ReplayBackend::new(parsed));
     let replayed = replayer.validate(&request, request.bin_start);
     // Bit-identical: verdicts, evidence, completeness, and the retry /
     // timeout counters the lifecycle accumulated along the way.

@@ -24,8 +24,8 @@ mod common;
 use common::SLACK_SECS;
 use kepler::core::events::OutageScope;
 use kepler::core::KeplerConfig;
-use kepler::fuzz_harness::{check_world, check_world_fused, FuzzVerdict, PowerReport};
-use kepler::glue::{detector_with_fusion, detector_with_prober, FusionOptions};
+use kepler::fuzz_harness::{check, FuzzVerdict, PowerReport};
+use kepler::glue::{detector, FusionOptions, Stack};
 use kepler::netsim::fuzz::{delay_surge, pure_seasonal, slow_drain, FuzzWorld};
 
 /// Fusion-sweep seeds (8 per family, as the roadmap's detection-power
@@ -48,8 +48,8 @@ fn slow_drains_invisible_to_deviation_are_caught_by_forecast_fusion() {
     let mut fused_rescues = 0usize;
     for &seed in &SEEDS {
         let fw = slow_drain(seed);
-        let deviation = check_world(&fw);
-        let fused = check_world_fused(&fw);
+        let deviation = check(&fw, &Stack::Validated);
+        let fused = check(&fw, &Stack::Fused(FusionOptions::default()));
         assert_safe("slow-drain (deviation)", seed, &deviation);
         assert_safe("slow-drain (fused)", seed, &fused);
         let dev_caught = caught(&deviation);
@@ -90,7 +90,7 @@ fn delay_surges_are_caught_by_the_rtt_detector_alone() {
     let mut rescued = 0usize;
     for &seed in &SEEDS {
         let fw = delay_surge(seed);
-        let deviation = check_world(&fw);
+        let deviation = check(&fw, &Stack::Validated);
         // A latency surge never touches routing: the deviation pipeline
         // has literally nothing to see.
         assert!(
@@ -98,7 +98,7 @@ fn delay_surges_are_caught_by_the_rtt_detector_alone() {
             "seed {seed}: a pure data-plane surge produced control-plane reports: {:?}",
             deviation.reports
         );
-        let fused = check_world_fused(&fw);
+        let fused = check(&fw, &Stack::Fused(FusionOptions::default()));
         assert_safe("delay-surge (fused)", seed, &fused);
         if caught(&fused) {
             rescued += 1;
@@ -120,7 +120,7 @@ fn delay_surges_are_caught_by_the_rtt_detector_alone() {
 fn pure_seasonality_raises_no_forecast_alarms() {
     for &seed in &SEEDS {
         let fw = pure_seasonal(seed);
-        let fused = check_world_fused(&fw);
+        let fused = check(&fw, &Stack::Fused(FusionOptions::default()));
         assert_eq!(
             fused.counts.forecast_signals, 0,
             "seed {seed}: the seasonal-naive forecast alarmed on a pure daily pattern: {:?}",
@@ -153,11 +153,15 @@ fn disabled_fusion_is_bit_identical_to_the_deviation_pipeline() {
         let config =
             KeplerConfig::default().with_hysteresis(fw.script.open_after, fw.script.close_after);
         let baseline =
-            detector_with_prober(&fw.scenario, config.clone()).run(fw.scenario.records());
-        let disabled = detector_with_fusion(
+            detector(&fw.scenario, config.clone(), &Stack::Probed).run(fw.scenario.records());
+        let disabled = detector(
             &fw.scenario,
             config,
-            FusionOptions { forecast: false, delay: false, canaries_per_facility: 0 },
+            &Stack::Fused(FusionOptions {
+                forecast: false,
+                delay: false,
+                canaries_per_facility: 0,
+            }),
         )
         .run(fw.scenario.records());
         assert_eq!(
@@ -171,8 +175,8 @@ fn disabled_fusion_is_bit_identical_to_the_deviation_pipeline() {
 /// report stream, and the power report surfaces it per archetype.
 #[test]
 fn power_report_attributes_first_detector_per_archetype() {
-    let drain = check_world_fused(&slow_drain(1));
-    let surge = check_world_fused(&delay_surge(1));
+    let drain = check(&slow_drain(1), &Stack::Fused(FusionOptions::default()));
+    let surge = check(&delay_surge(1), &Stack::Fused(FusionOptions::default()));
     let report = PowerReport::from_verdicts([&drain, &surge]);
     let rendered = report.render();
     assert!(

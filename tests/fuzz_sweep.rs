@@ -11,8 +11,8 @@
 //!   every run (`FUZZ_SEED_BASE` derived from the workflow run number,
 //!   `FUZZ_SEED_COUNT` ≥ 200); locally it defaults to a short sweep.
 //!   Every failing world is serialized to `target/fuzz-artifacts/` so
-//!   the exact scenario replays with
-//!   `cargo run --release -p kepler-bench --bin repro -- --fuzz-seed <N>`;
+//!   the exact scenario replays on the same stack with the command the
+//!   failure prints ([`FuzzVerdict::replay_command`]);
 //! * a **negative test**: a hand-authored known-bad script (a flapping
 //!   facility run *without* closing hysteresis) must trip the invariant
 //!   checker — proving the checker can actually fail;
@@ -22,8 +22,9 @@
 
 mod common;
 
-use kepler::fuzz_harness::{check_script, check_seed, write_artifact, FuzzVerdict, PowerReport};
-use kepler::netsim::fuzz::{delay_surge, pure_seasonal, slow_drain};
+use kepler::fuzz_harness::{check, write_artifact, FuzzVerdict, PowerReport};
+use kepler::glue::{FusionOptions, Stack};
+use kepler::netsim::fuzz::{delay_surge, generated, pure_seasonal, slow_drain};
 use kepler::netsim::fuzz::{FailureKind, FailureScript, ScenarioScript};
 use std::path::PathBuf;
 
@@ -46,13 +47,12 @@ fn report_failure(failed: &[FuzzVerdict]) {
     for verdict in failed {
         let path = write_artifact(&dir, verdict).expect("write fuzz artifact");
         lines.push(format!(
-            "seed {} ({:?}): {}\n  artifact: {}\n  replay:   cargo run --release -p kepler-bench \
-             --bin repro -- --fuzz-seed {}",
+            "seed {} ({:?}): {}\n  artifact: {}\n  replay:   {}",
             verdict.script.seed,
             verdict.script.script.kind(),
             verdict.violations.join("; "),
             path.display(),
-            verdict.script.seed,
+            verdict.replay_command(&path),
         ));
     }
     panic!("{} fuzz world(s) violated detector invariants:\n{}", failed.len(), lines.join("\n"));
@@ -63,7 +63,7 @@ fn fixed_seed_smoke_worlds_hold_invariants() {
     let mut failed = Vec::new();
     let mut detected = 0usize;
     for &seed in &SMOKE_SEEDS {
-        let verdict = check_seed(seed);
+        let verdict = check(&generated(seed, None), &Stack::Validated);
         detected += usize::from(verdict.detected());
         if !verdict.ok() {
             failed.push(verdict);
@@ -94,7 +94,7 @@ fn fused_archetype_smoke_has_detection_power() {
     let mut failed = Vec::new();
     for &seed in &seeds {
         for fw in [slow_drain(seed), delay_surge(seed), pure_seasonal(seed)] {
-            let verdict = kepler::fuzz_harness::check_world_fused(&fw);
+            let verdict = check(&fw, &Stack::Fused(FusionOptions::default()));
             if !verdict.ok() {
                 failed.push(verdict);
             } else {
@@ -155,7 +155,7 @@ fn seeded_sweep_holds_invariants() {
         std::env::var("FUZZ_SEED_COUNT").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
     let mut failed = Vec::new();
     for seed in base..base + count {
-        let verdict = check_seed(seed);
+        let verdict = check(&generated(seed, None), &Stack::Validated);
         if !verdict.ok() {
             eprintln!("seed {seed}: VIOLATIONS: {:?}", verdict.violations);
             failed.push(verdict);
@@ -186,7 +186,7 @@ fn known_bad_script_trips_the_invariant_checker() {
     };
     script.open_after = 1;
     script.close_after = 1; // the bad part: no closing hysteresis
-    let verdict = check_script(&script).expect("a generated world");
+    let verdict = check(&script.build().expect("a generated world"), &Stack::Validated);
     assert!(
         !verdict.ok(),
         "the known-bad flapping script should trip the checker; reports: {:?}",
@@ -201,7 +201,7 @@ fn known_bad_script_trips_the_invariant_checker() {
     // (outlasting the up phase) rides the flap as a single incident.
     let mut fixed = script.clone();
     fixed.close_after = 15 + 8;
-    let verdict = check_script(&fixed).expect("a generated world");
+    let verdict = check(&fixed.build().expect("a generated world"), &Stack::Validated);
     assert!(verdict.ok(), "hysteresis should fix the flap: {:?}", verdict.violations);
 }
 
@@ -224,7 +224,7 @@ fn flap_duty_cycle_straddling_the_bin_width_stays_one_incident() {
     };
     script.open_after = 1;
     script.close_after = 2;
-    let verdict = check_script(&script).expect("a generated world");
+    let verdict = check(&script.build().expect("a generated world"), &Stack::Validated);
     if !verdict.ok() {
         report_failure(&[verdict]);
     }
@@ -234,11 +234,51 @@ fn flap_duty_cycle_straddling_the_bin_width_stays_one_incident() {
 /// annotations) parses back to the identical script.
 #[test]
 fn artifacts_replay_the_exact_scenario() {
-    let verdict = check_seed(SMOKE_SEEDS[0]);
+    let verdict = check(&generated(SMOKE_SEEDS[0], None), &Stack::Validated);
     let dir = artifacts_dir().join("selftest");
     let path = write_artifact(&dir, &verdict).expect("write artifact");
     let text = std::fs::read_to_string(&path).expect("read artifact back");
     let parsed = ScenarioScript::parse(&text).expect("artifact text parses");
     assert_eq!(parsed, verdict.script, "artifact must round-trip the script");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failing world's printed replay command rebuilds *that* world on
+/// *that* stack: a fused slow-drain world (a family the seed→kind pool
+/// never yields) replays from its artifact with `--fused --fuzz-script`,
+/// and re-checking what the command names gives the same reports.
+#[test]
+fn replay_command_rebuilds_the_checked_world_on_its_stack() {
+    let verdict = check(&slow_drain(1), &Stack::Fused(FusionOptions::default()));
+    let dir = artifacts_dir().join("replay-selftest");
+    let path = write_artifact(&dir, &verdict).expect("write artifact");
+    let text = std::fs::read_to_string(&path).expect("read artifact back");
+    let command = text
+        .lines()
+        .skip_while(|l| !l.starts_with("# reproduce locally:"))
+        .nth(1)
+        .expect("the artifact carries a replay command");
+    assert_eq!(command.trim_start_matches('#').trim(), verdict.replay_command(&path));
+    let args: Vec<&str> = command.split_whitespace().skip_while(|&a| a != "--").skip(1).collect();
+    let script_arg = args.iter().position(|&a| a == "--fuzz-script").expect("--fuzz-script");
+    let replayed_path = args[script_arg + 1];
+    let stack = if args.contains(&"--fused") {
+        Stack::Fused(FusionOptions::default())
+    } else {
+        Stack::Validated
+    };
+    let script = ScenarioScript::parse(&std::fs::read_to_string(replayed_path).expect("artifact"))
+        .expect("artifact text parses");
+    let replayed = check(&script.build().expect("the artifact builds"), &stack);
+    assert_eq!(replayed.stack, verdict.stack);
+    assert_eq!(replayed.reports, verdict.reports, "the replay checked a different world");
+    assert_eq!(replayed.counts, verdict.counts);
+    // A stack `repro` cannot rebuild gets no command that would check
+    // another one.
+    let ablated = FuzzVerdict {
+        stack: Stack::Fused(FusionOptions { forecast: false, ..FusionOptions::default() }),
+        ..verdict
+    };
+    assert!(!ablated.replay_command(&path).contains("--fuzz-script"));
     std::fs::remove_dir_all(&dir).ok();
 }

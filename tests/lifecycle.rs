@@ -29,7 +29,7 @@ mod common;
 use common::{assert_twin_never_blamed, names_down, run_passive, twin_study, TWIN_SEEDS};
 use kepler::core::events::{IncidentState, OutageReport};
 use kepler::core::{Kepler, KeplerConfig};
-use kepler::glue::detector_with_lifecycle;
+use kepler::glue::{detector, Stack};
 use kepler::netsim::scenario::twin::TwinStudy;
 
 struct LifecycleRun {
@@ -102,11 +102,12 @@ fn lifecycle_properties_across_seeds() {
         let study = twin_study(seed);
         let passive = run_passive(&study.scenario, KeplerConfig::default());
         let lifecycle =
-            drive(&study, detector_with_lifecycle(&study.scenario, KeplerConfig::default()));
+            drive(&study, detector(&study.scenario, KeplerConfig::default(), &Stack::Lifecycle));
         // BGP restoration disabled outright (the watch fraction can never
         // exceed 1.0): only restoration probes can close incidents here.
         let probe_only_config = KeplerConfig { restore_fraction: 2.0, ..KeplerConfig::default() };
-        let probe_only = drive(&study, detector_with_lifecycle(&study.scenario, probe_only_config));
+        let probe_only =
+            drive(&study, detector(&study.scenario, probe_only_config, &Stack::Lifecycle));
 
         // --- Safety: every seed, both lifecycle runs. ---
         assert_safety(seed, "default", &study, &lifecycle);

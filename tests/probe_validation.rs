@@ -26,7 +26,7 @@ use common::{
 };
 use kepler::core::events::{OutageReport, OutageScope, ValidationStatus};
 use kepler::core::KeplerConfig;
-use kepler::glue::detector_with_prober;
+use kepler::glue::{detector, Stack};
 use kepler::netsim::scenario::twin::TwinStudy;
 
 fn run(seed: u64) -> (TwinStudy, Vec<OutageReport>, Vec<OutageReport>) {
@@ -34,7 +34,7 @@ fn run(seed: u64) -> (TwinStudy, Vec<OutageReport>, Vec<OutageReport>) {
     let passive = run_passive(&study.scenario, KeplerConfig::default());
     let probed = {
         let scenario = &study.scenario;
-        detector_with_prober(scenario, KeplerConfig::default()).run(scenario.records())
+        detector(scenario, KeplerConfig::default(), &Stack::Probed).run(scenario.records())
     };
     (study, passive, probed)
 }

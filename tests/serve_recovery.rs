@@ -15,7 +15,7 @@ use common::{run_passive, twin_study, SLACK_SECS, TWIN_SEEDS};
 use kepler::bgpstream::BgpRecord;
 use kepler::core::events::{IncidentState, OutageReport, OutageScope};
 use kepler::core::{Kepler, KeplerConfig, TrackerState};
-use kepler::glue::{detector_for, detector_with_lifecycle};
+use kepler::glue::{detector, detector_for, Stack};
 use kepler::netsim::fuzz;
 use kepler::serve::store::{decode_snapshot, encode_snapshot};
 use kepler::serve::wal::read_frames;
@@ -527,7 +527,7 @@ fn revision_gate_commits_exactly_what_the_ungated_sequence_does() {
         let fw = fuzz::flapping(seed);
         let config =
             KeplerConfig::default().with_hysteresis(fw.script.open_after, fw.script.close_after);
-        let detector = || detector_with_lifecycle(&fw.scenario, config.clone());
+        let detector = || detector(&fw.scenario, config.clone(), &Stack::Lifecycle);
         let records = fw.scenario.records();
         let (gated_dir, ungated_dir) =
             (tmpdir(&format!("gated-{seed}")), tmpdir(&format!("ungated-{seed}")));
@@ -624,7 +624,7 @@ fn replay_child(dir: &Path) {
     let config =
         KeplerConfig::default().with_hysteresis(fw.script.open_after, fw.script.close_after);
     let run =
-        run_daemon(detector_with_lifecycle(&fw.scenario, config), &fw.scenario.records(), dir);
+        run_daemon(detector(&fw.scenario, config, &Stack::Lifecycle), &fw.scenario.records(), dir);
     assert!(cross_scope_merges(&run.states) > 0, "the cascade never merged across scopes");
     let alerts: String = run.alerts.iter().map(|a| format!("{a}\n")).collect();
     std::fs::write(dir.join("alerts.txt"), alerts).unwrap();

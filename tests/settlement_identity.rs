@@ -5,9 +5,9 @@
 //!
 //! One fixture line per run: label, the detector's `ClassCounts`
 //! (`{:?}`), the report count, and the FNV-64 of `format!("{reports:?}")`.
-//! The pinned set is the fuzz path (`check_seed` over the smoke seeds +
-//! 1000..1200 — §4.4 baseline re-probe and targeted campaigns both
-//! attached), the fused path (`check_world_fused` over the three fusion
+//! The pinned set is the fuzz path (`check` on `Stack::Validated` over
+//! the smoke seeds + 1000..1200 — §4.4 baseline re-probe and targeted
+//! campaigns both attached), the fused path (`Stack::Fused` over the three fusion
 //! world families, seeds 1–3), and the twin-study detectors the chaos
 //! and lifecycle suites build (faulty prober under a brownout; lifecycle
 //! stack, default and probe-only-close). A refactor of the stage that moves
@@ -25,9 +25,9 @@ use common::{twin_study, TWIN_SEEDS};
 use kepler::core::events::OutageReport;
 use kepler::core::system::ClassCounts;
 use kepler::core::{Kepler, KeplerConfig};
-use kepler::fuzz_harness::{check_seed, check_world_fused, FuzzVerdict};
-use kepler::glue::{detector_with_faulty_prober, detector_with_lifecycle};
-use kepler::netsim::fuzz::{delay_surge, pure_seasonal, slow_drain};
+use kepler::fuzz_harness::{check, FuzzVerdict};
+use kepler::glue::{detector, FusionOptions, Stack};
+use kepler::netsim::fuzz::{delay_surge, generated, pure_seasonal, slow_drain, FuzzWorld};
 use kepler::netsim::scenario::twin::TwinStudy;
 use kepler::netsim::FaultConfig;
 use std::collections::BTreeMap;
@@ -65,13 +65,14 @@ impl Run {
 
     fn execute(self) -> (ClassCounts, Vec<OutageReport>) {
         let fuzz = |v: FuzzVerdict| (v.counts, v.reports);
+        let fused = |fw: FuzzWorld| fuzz(check(&fw, &Stack::Fused(FusionOptions::default())));
         let lifecycle =
-            |study: &TwinStudy, config| detector_with_lifecycle(&study.scenario, config);
+            |study: &TwinStudy, config| detector(&study.scenario, config, &Stack::Lifecycle);
         match self {
-            Run::Fuzz(s) => fuzz(check_seed(s)),
-            Run::SlowDrain(s) => fuzz(check_world_fused(&slow_drain(s))),
-            Run::DelaySurge(s) => fuzz(check_world_fused(&delay_surge(s))),
-            Run::Seasonal(s) => fuzz(check_world_fused(&pure_seasonal(s))),
+            Run::Fuzz(s) => fuzz(check(&generated(s, None), &Stack::Validated)),
+            Run::SlowDrain(s) => fused(slow_drain(s)),
+            Run::DelaySurge(s) => fused(delay_surge(s)),
+            Run::Seasonal(s) => fused(pure_seasonal(s)),
             // The chaos suite's backend: 30% loss, deadline blowouts, and
             // a brownout across the onset.
             Run::Chaos(s) => twin(s, |study| {
@@ -79,7 +80,7 @@ impl Run {
                     study.outage_start.saturating_sub(600),
                     study.outage_start + 3_600,
                 );
-                detector_with_faulty_prober(&study.scenario, KeplerConfig::default(), fault)
+                detector(&study.scenario, KeplerConfig::default(), &Stack::Faulty(fault))
             }),
             Run::Lifecycle(s) => twin(s, |study| lifecycle(study, KeplerConfig::default())),
             Run::ProbeOnlyClose(s) => twin(s, |study| {
