@@ -2,7 +2,8 @@
 //! collector-peer state changes, both in their AS4 variants.
 
 use super::error::MrtError;
-use super::wire::{decode_bgp_update, encode_bgp_update, Cursor};
+use super::view::{decode_peer_header, MessageView};
+use super::wire::{encode_bgp_update, Cursor};
 use crate::message::{BgpUpdate, PeerState, StateChange};
 use crate::Asn;
 use std::net::IpAddr;
@@ -72,29 +73,6 @@ fn encode_peer_header(
     Ok(())
 }
 
-struct PeerHeader {
-    peer_as: Asn,
-    local_as: Asn,
-    interface_index: u16,
-    peer_ip: IpAddr,
-    local_ip: IpAddr,
-}
-
-fn decode_peer_header(cur: &mut Cursor<'_>) -> Result<PeerHeader, MrtError> {
-    let peer_as = Asn(cur.u32("BGP4MP peer AS")?);
-    let local_as = Asn(cur.u32("BGP4MP local AS")?);
-    let interface_index = cur.u16("BGP4MP interface index")?;
-    let afi = cur.u16("BGP4MP AFI")?;
-    let v6 = match afi {
-        1 => false,
-        2 => true,
-        _ => return Err(MrtError::BadValue { context: "BGP4MP AFI" }),
-    };
-    let peer_ip = cur.ip(v6, "BGP4MP peer IP")?;
-    let local_ip = cur.ip(v6, "BGP4MP local IP")?;
-    Ok(PeerHeader { peer_as, local_as, interface_index, peer_ip, local_ip })
-}
-
 impl Bgp4mpMessage {
     /// Serializes the record body (everything after the MRT header).
     pub fn encode_body(&self) -> Result<Vec<u8>, MrtError> {
@@ -111,18 +89,17 @@ impl Bgp4mpMessage {
         Ok(out)
     }
 
-    /// Parses a record body.
+    /// Parses a record body: [`MessageView::parse`] folded into owned
+    /// values.
     pub fn decode_body(raw: &[u8]) -> Result<Self, MrtError> {
-        let mut cur = Cursor::new(raw);
-        let h = decode_peer_header(&mut cur)?;
-        let update = decode_bgp_update(&mut cur)?;
+        let m = MessageView::parse(raw)?;
         Ok(Bgp4mpMessage {
-            peer_as: h.peer_as,
-            local_as: h.local_as,
-            interface_index: h.interface_index,
-            peer_ip: h.peer_ip,
-            local_ip: h.local_ip,
-            update,
+            peer_as: m.peer_as,
+            local_as: m.local_as,
+            interface_index: m.interface_index,
+            peer_ip: m.peer_ip,
+            local_ip: m.local_ip,
+            update: m.update.materialize(),
         })
     }
 }
@@ -146,19 +123,14 @@ impl Bgp4mpStateChange {
 
     /// Parses a record body.
     pub fn decode_body(raw: &[u8]) -> Result<Self, MrtError> {
-        let mut cur = Cursor::new(raw);
-        let h = decode_peer_header(&mut cur)?;
-        let old = PeerState::from_code(cur.u16("state-change old state")?)
-            .ok_or(MrtError::BadValue { context: "old peer state" })?;
-        let new = PeerState::from_code(cur.u16("state-change new state")?)
-            .ok_or(MrtError::BadValue { context: "new peer state" })?;
-        Ok(Bgp4mpStateChange {
-            peer_as: h.peer_as,
-            local_as: h.local_as,
-            interface_index: h.interface_index,
-            peer_ip: h.peer_ip,
-            local_ip: h.local_ip,
-            change: StateChange { old, new },
+        decode_peer_header(raw, |peer_as, local_as, interface_index, peer_ip, local_ip, rest| {
+            let mut cur = Cursor::new(rest);
+            let old = PeerState::from_code(cur.u16("state-change old state")?)
+                .ok_or(MrtError::BadValue { context: "old peer state" })?;
+            let new = PeerState::from_code(cur.u16("state-change new state")?)
+                .ok_or(MrtError::BadValue { context: "new peer state" })?;
+            let change = StateChange { old, new };
+            Ok(Bgp4mpStateChange { peer_as, local_as, interface_index, peer_ip, local_ip, change })
         })
     }
 }

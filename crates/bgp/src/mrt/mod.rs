@@ -10,6 +10,9 @@
 //! * `TABLE_DUMP_V2` / `PEER_INDEX_TABLE` + `RIB_IPV4_UNICAST` +
 //!   `RIB_IPV6_UNICAST` — periodic RIB snapshots.
 //!
+//! There is one parser, the zero-copy [`FrameView`] / [`UpdateView`];
+//! [`MrtReader`]'s records are folds over it ([`FrameView::record`]).
+//!
 //! Records round-trip byte-exactly (`encode` ∘ `decode` = id), which the
 //! property tests in this module verify; this is what lets `kepler-netsim`
 //! produce archives that standard MRT tooling can read.

@@ -1,16 +1,18 @@
-//! Streaming MRT reader over any `io::Read`.
+//! Streaming MRT reader over any `io::Read`: frames cut by the one
+//! header parse, each body folded into an owned [`MrtRecord`].
 
 use super::bgp4mp::{Bgp4mpMessage, Bgp4mpStateChange};
 use super::error::MrtError;
 use super::tabledump::{PeerIndexTable, RibPrefixEntries};
+use super::view::{FrameView, HEADER_LEN};
 use super::{MrtBody, MrtRecord};
 use std::io::Read;
 
 /// Iterator of [`MrtRecord`]s decoded from a byte stream.
 ///
-/// Unsupported record types yield an [`MrtError::UnsupportedRecord`] item
-/// and the reader continues with the next record, mirroring how real MRT
-/// tooling skips unknown types in mixed archives.
+/// A record whose body does not decode (an unsupported type, as in mixed
+/// archives, or a malformed body) yields its error and the reader goes on:
+/// the body was read whole. Only a failed header or body read ends it.
 pub struct MrtReader<R: Read> {
     inner: R,
     /// The current record's body, reused across records. It grows with
@@ -24,6 +26,22 @@ impl<R: Read> MrtReader<R> {
     /// Wraps a byte stream.
     pub fn new(inner: R) -> Self {
         MrtReader { inner, body: Vec::new(), done: false }
+    }
+
+    /// Reads the next frame, borrowing its body from the reader:
+    /// `Ok(None)` at a clean end of stream. An error here (I/O, a torn
+    /// header or body) is terminal: every later call returns `Ok(None)`.
+    pub fn next_frame(&mut self) -> Result<Option<FrameView<'_>>, MrtError> {
+        if self.done {
+            return Ok(None);
+        }
+        match self.read_frame() {
+            Ok(Some(frame)) => Ok(Some(FrameView { body: &self.body, ..frame })),
+            end => {
+                self.done = true;
+                end
+            }
+        }
     }
 
     fn read_exact_or_eof(&mut self, buf: &mut [u8]) -> Result<bool, MrtError> {
@@ -44,21 +62,29 @@ impl<R: Read> MrtReader<R> {
         Ok(true)
     }
 
-    fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        let mut header = [0u8; 12];
+    /// Reads one header, and its body into `self.body`.
+    fn read_frame(&mut self) -> Result<Option<FrameView<'static>>, MrtError> {
+        let mut header = [0u8; HEADER_LEN];
         if !self.read_exact_or_eof(&mut header)? {
             return Ok(None);
         }
-        let timestamp = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
-        let mrt_type = u16::from_be_bytes([header[4], header[5]]);
-        let subtype = u16::from_be_bytes([header[6], header[7]]);
-        let length = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
+        let (frame, length) = FrameView::header(&header);
         self.body.clear();
-        let read = (&mut self.inner).take(u64::from(length)).read_to_end(&mut self.body)?;
-        if read < length as usize {
+        let read = (&mut self.inner).take(length as u64).read_to_end(&mut self.body)?;
+        if read < length {
             return Err(MrtError::UnexpectedEof { context: "MRT record body" });
         }
-        let body = &self.body[..];
+        Ok(Some(frame))
+    }
+}
+
+impl FrameView<'_> {
+    /// Decodes the frame into an owned [`MrtRecord`]: the view parse of
+    /// its body folded into owned values. Unsupported (type, subtype)
+    /// pairs are [`MrtError::UnsupportedRecord`].
+    #[inline]
+    pub fn record(&self) -> Result<MrtRecord, MrtError> {
+        let (mrt_type, subtype, body) = (self.mrt_type, self.subtype, self.body);
         let body = match (mrt_type, subtype) {
             (super::MRT_TYPE_BGP4MP, super::BGP4MP_MESSAGE_AS4) => {
                 MrtBody::Message(Bgp4mpMessage::decode_body(body)?)
@@ -77,7 +103,7 @@ impl<R: Read> MrtReader<R> {
             }
             _ => return Err(MrtError::UnsupportedRecord { mrt_type, subtype }),
         };
-        Ok(Some(MrtRecord { timestamp, body }))
+        Ok(MrtRecord { timestamp: self.timestamp, body })
     }
 }
 
@@ -85,22 +111,7 @@ impl<R: Read> Iterator for MrtReader<R> {
     type Item = Result<MrtRecord, MrtError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.next_record() {
-            Ok(Some(rec)) => Some(Ok(rec)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e @ MrtError::UnsupportedRecord { .. }) => Some(Err(e)),
-            Err(e) => {
-                // Framing is lost on hard decode errors: stop after reporting.
-                self.done = true;
-                Some(Err(e))
-            }
-        }
+        self.next_frame().transpose().map(|frame| frame?.record())
     }
 }
 

@@ -4,9 +4,8 @@
 //! waiting two days of updates when it starts on archived data.
 
 use super::error::MrtError;
-use super::wire::{
-    decode_attrs, decode_nlri_prefix, encode_attrs, encode_nlri_prefix, AttrMode, Cursor,
-};
+use super::view::AttrsView;
+use super::wire::{decode_nlri_prefix, encode_attrs, encode_nlri_prefix, AttrMode, Cursor};
 use crate::attrs::PathAttributes;
 use crate::prefix::Prefix;
 use crate::Asn;
@@ -142,7 +141,8 @@ impl RibPrefixEntries {
     }
 
     /// Parses a record body; `v6` selects the address family (from the MRT
-    /// subtype).
+    /// subtype). Each entry's attributes go through the one attribute
+    /// walk in its TABLE_DUMP_V2 mode.
     pub fn decode_body(raw: &[u8], v6: bool) -> Result<Self, MrtError> {
         let mut cur = Cursor::new(raw);
         let sequence = cur.u32("RIB sequence")?;
@@ -154,8 +154,8 @@ impl RibPrefixEntries {
             let originated_time = cur.u32("RIB originated time")?;
             let alen = cur.u16("RIB attribute length")? as usize;
             let araw = cur.take(alen, "RIB attributes")?;
-            let decoded = decode_attrs(araw, AttrMode::TableDumpV2)?;
-            entries.push(RibEntry { peer_index, originated_time, attrs: decoded.attrs });
+            let attrs = AttrsView::parse(araw, araw, AttrMode::TableDumpV2)?.to_attrs();
+            entries.push(RibEntry { peer_index, originated_time, attrs });
         }
         Ok(RibPrefixEntries { sequence, prefix, entries })
     }

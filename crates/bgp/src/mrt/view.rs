@@ -1,45 +1,26 @@
-//! Zero-copy views over MRT / BGP-4 wire data.
+//! The one MRT / BGP-4 parser: zero-copy views over the wire bytes.
 //!
-//! The materializing decoder ([`decode_bgp_update`](super::wire)) allocates
-//! per record: AS-path segment `Vec`s, community `Vec`s, prefix `Vec`s, all
-//! just to be flattened again by the dense ingest layer. The view types
-//! here borrow the attribute / AS-path / community byte regions straight
-//! from the input buffer and decode lazily into caller-owned scratch
-//! (extending the [`AsPath::hops_into`](crate::aspath::AsPath::hops_into) idiom down to the wire), so the
-//! per-record cost is one bounds-checked TLV walk with zero heap traffic.
-//!
-//! Equivalence contract, checked by `tests/mrt_corpus.rs` and by the
-//! `decode_differential` suite in `kepler-core`:
-//!
-//! * [`UpdateView::parse`] accepts a message only if the materializing
-//!   decoder accepts it. The view is strictly no more permissive — it
-//!   additionally rejects duplicate tracked attributes, which the
-//!   materializing decoder resolves last-wins, so every accepted message
-//!   has unambiguous attribute regions.
-//! * On any accepted message, [`UpdateView::materialize`] equals the
-//!   materializing decoder's output exactly, and the lazy iterators yield
-//!   the same prefixes / hops / communities in the same order.
+//! Every layer is parsed here once: the MRT frame header, the BGP4MP peer
+//! header, the UPDATE framing, the path-attribute TLV walk (`AttrsView`,
+//! BGP4MP and TABLE_DUMP_V2 modes), AS_PATH segments and NLRI prefixes.
+//! Parsing validates everything, so the lazy iterators are infallible, and
+//! the owned types are folds over the views ([`UpdateView::materialize`]
+//! reads the recorded attribute bodies without a second TLV walk).
+//! `tests/mrt_corpus.rs` fuzzes this parser against the decoder it
+//! replaced, in both directions.
 
 use super::error::MrtError;
-use super::wire::{decode_bgp_update, Cursor};
-use crate::attrs::Origin;
-use crate::community::Community;
+use super::wire::*;
+use crate::aspath::{AsPath, AsPathSegment};
+use crate::attrs::{Origin, PathAttributes};
+use crate::community::{Community, ExtendedCommunity, LargeCommunity};
 use crate::message::BgpUpdate;
 use crate::prefix::Prefix;
 use crate::Asn;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-const ATTR_ORIGIN: u8 = 1;
-const ATTR_AS_PATH: u8 = 2;
-const ATTR_NEXT_HOP: u8 = 3;
-const ATTR_MED: u8 = 4;
-const ATTR_LOCAL_PREF: u8 = 5;
-const ATTR_COMMUNITY: u8 = 8;
-const ATTR_MP_REACH: u8 = 14;
-const ATTR_MP_UNREACH: u8 = 15;
-const ATTR_EXTENDED_COMMUNITIES: u8 = 16;
-const ATTR_LARGE_COMMUNITY: u8 = 32;
-const FLAG_EXTENDED_LEN: u8 = 0x10;
+/// Length of the MRT common header (RFC 6396 §2).
+pub(crate) const HEADER_LEN: usize = 12;
 
 /// One MRT frame header plus its borrowed body bytes.
 #[derive(Debug, Clone, Copy)]
@@ -55,21 +36,37 @@ pub struct FrameView<'a> {
 }
 
 impl<'a> FrameView<'a> {
+    /// Decodes the MRT common header, shared with
+    /// [`MrtReader`](super::MrtReader): the frame with an empty body, and
+    /// the body length the header declares.
+    #[inline]
+    pub(crate) fn header(h: &[u8; HEADER_LEN]) -> (FrameView<'a>, usize) {
+        let frame = FrameView {
+            timestamp: be_u32(&h[0..4]),
+            mrt_type: u16::from_be_bytes([h[4], h[5]]),
+            subtype: u16::from_be_bytes([h[6], h[7]]),
+            body: &[],
+        };
+        (frame, be_u32(&h[8..12]) as usize)
+    }
+
     /// Parses one frame from the start of `buf`. Returns `Ok(None)` on a
     /// clean EOF (empty buffer), otherwise the frame plus the total number
     /// of bytes it occupies (header + body), so callers can walk a
     /// concatenated archive without copying.
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Option<(FrameView<'a>, usize)>, MrtError> {
         if buf.is_empty() {
             return Ok(None);
         }
-        let mut cur = Cursor::new(buf);
-        let timestamp = cur.u32("MRT timestamp")?;
-        let mrt_type = cur.u16("MRT type")?;
-        let subtype = cur.u16("MRT subtype")?;
-        let length = cur.u32("MRT record length")? as usize;
-        let body = cur.take(length, "MRT record body")?;
-        Ok(Some((FrameView { timestamp, mrt_type, subtype, body }, 12 + length)))
+        let Some((header, rest)) = buf.split_first_chunk() else {
+            return Err(MrtError::UnexpectedEof { context: "MRT header" });
+        };
+        let (frame, length) = FrameView::header(header);
+        let Some(body) = rest.get(..length) else {
+            return Err(MrtError::UnexpectedEof { context: "MRT record body" });
+        };
+        Ok(Some((FrameView { body, ..frame }, HEADER_LEN + length)))
     }
 
     /// Parses the body as a `BGP4MP_MESSAGE_AS4` update. Returns
@@ -104,20 +101,236 @@ pub struct MessageView<'a> {
 impl<'a> MessageView<'a> {
     /// Parses a BGP4MP message body (everything after the MRT header).
     pub fn parse(body: &'a [u8]) -> Result<Self, MrtError> {
-        let mut cur = Cursor::new(body);
-        let peer_as = Asn(cur.u32("BGP4MP peer AS")?);
-        let local_as = Asn(cur.u32("BGP4MP local AS")?);
-        let interface_index = cur.u16("BGP4MP interface index")?;
-        let afi = cur.u16("BGP4MP AFI")?;
-        let v6 = match afi {
-            1 => false,
-            2 => true,
-            _ => return Err(MrtError::BadValue { context: "BGP4MP AFI" }),
-        };
-        let peer_ip = cur.ip(v6, "BGP4MP peer IP")?;
-        let local_ip = cur.ip(v6, "BGP4MP local IP")?;
-        let update = UpdateView::parse(cur.take(cur.remaining(), "BGP4MP message")?)?;
-        Ok(MessageView { peer_as, local_as, interface_index, peer_ip, local_ip, update })
+        decode_peer_header(body, |peer_as, local_as, interface_index, peer_ip, local_ip, rest| {
+            let update = UpdateView::parse(rest)?;
+            Ok(MessageView { peer_as, local_as, interface_index, peer_ip, local_ip, update })
+        })
+    }
+}
+
+/// The one BGP4MP peer-header parse (AS4 variant), shared by messages
+/// and state changes: `then` gets the peer and local ASN, the interface
+/// index, the peer and local address and the bytes after the header.
+/// Handing the fields on, not returning them, spares a copy per record.
+#[inline(always)]
+pub(crate) fn decode_peer_header<'a, T>(
+    body: &'a [u8],
+    then: impl FnOnce(Asn, Asn, u16, IpAddr, IpAddr, &'a [u8]) -> Result<T, MrtError>,
+) -> Result<T, MrtError> {
+    let mut cur = Cursor::new(body);
+    let peer_as = Asn(cur.u32("BGP4MP peer AS")?);
+    let local_as = Asn(cur.u32("BGP4MP local AS")?);
+    let interface_index = cur.u16("BGP4MP interface index")?;
+    let v6 = match cur.u16("BGP4MP AFI")? {
+        1 => false,
+        2 => true,
+        _ => return Err(MrtError::BadValue { context: "BGP4MP AFI" }),
+    };
+    let peer_ip = cur.ip(v6, "BGP4MP peer IP")?;
+    let local_ip = cur.ip(v6, "BGP4MP local IP")?;
+    then(peer_as, local_as, interface_index, peer_ip, local_ip, cur.rest())
+}
+
+/// Where a region lies in a view's base buffer, a BGP message body or an
+/// attribute block (both under 64 KiB).
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    at: u16,
+    len: u16,
+}
+
+fn span_of(base: &[u8], sub: &[u8]) -> Span {
+    Span { at: (sub.as_ptr() as usize - base.as_ptr() as usize) as u16, len: sub.len() as u16 }
+}
+
+/// A validated NLRI region of one address family.
+#[derive(Debug, Clone, Copy, Default)]
+struct Nlri {
+    span: Span,
+    v6: bool,
+}
+
+/// Validates an NLRI region.
+fn validate_nlri(raw: &[u8], v6: bool) -> Result<(), MrtError> {
+    let mut cur = Cursor::new(raw);
+    while cur.remaining() > 0 {
+        nlri_bytes(&mut cur, v6)?;
+    }
+    Ok(())
+}
+
+/// A validated run of big-endian `u32`s (ASNs, communities), decoded.
+fn be_u32s<T>(raw: &[u8], f: impl Fn(u32) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(raw.len() / 4);
+    out.extend(raw.chunks_exact(4).map(|c| f(be_u32(c))));
+    out
+}
+
+/// Reads an MP attribute's AFI and SAFI: whether it is IPv6 unicast, or
+/// a typed reject for anything but IPv4 or IPv6 unicast.
+fn unicast_family(cur: &mut Cursor<'_>) -> Result<bool, MrtError> {
+    match (cur.u16("MP AFI")?, cur.u8("MP SAFI")?) {
+        (1, 1) => Ok(false),
+        (2, 1) => Ok(true),
+        _ => Err(MrtError::BadValue { context: "MP AFI/SAFI (unicast only)" }),
+    }
+}
+
+/// One path-attribute block, walked once and validated: the span of each
+/// modelled attribute's body (its first occurrence) and of the MP NLRI.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AttrsView<'a> {
+    base: &'a [u8],
+    origin: Span,
+    as_path: Span,
+    next_hop: Span,
+    med: Span,
+    local_pref: Span,
+    atomic_aggregate: bool,
+    communities: Span,
+    extended_communities: Span,
+    large_communities: Span,
+    mp_next_hop: Span,
+    mp_announced: Nlri,
+    mp_withdrawn: Nlri,
+}
+
+impl<'a> AttrsView<'a> {
+    /// The one attribute TLV walk over `block`, a region of `base`.
+    pub(crate) fn parse(base: &'a [u8], block: &'a [u8], mode: AttrMode) -> Result<Self, MrtError> {
+        let mut a = AttrsView { base, ..AttrsView::default() };
+        a.walk(block, mode)?;
+        Ok(a)
+    }
+
+    /// [`parse`](Self::parse) in place, skipping unknown attributes.
+    #[inline]
+    fn walk(&mut self, block: &'a [u8], mode: AttrMode) -> Result<(), MrtError> {
+        let (base, a) = (self.base, self);
+        let bad = |context| MrtError::BadValue { context };
+        let span = |sub: &[u8]| span_of(base, sub);
+        let nlri = |raw: &[u8], v6| validate_nlri(raw, v6).map(|()| Nlri { span: span(raw), v6 });
+        let mut seen = 0u64;
+        let mut cur = Cursor::new(block);
+        while cur.remaining() > 0 {
+            let flags = cur.u8("attribute flags")?;
+            let attr_type = cur.u8("attribute type")?;
+            let len = if flags & FLAG_EXTENDED_LEN != 0 {
+                cur.u16("attribute extended length")? as usize
+            } else {
+                cur.u8("attribute length")? as usize
+            };
+            let body = cur.take(len, "attribute body")?;
+            // Every modelled type is below 64; unknown ones are skipped anyway.
+            let bit = 1u64.checked_shl(attr_type.into()).unwrap_or(0);
+            if seen & bit != 0 {
+                if attr_type == ATTR_MP_REACH || attr_type == ATTR_MP_UNREACH {
+                    return Err(bad("repeated MP_REACH/MP_UNREACH"));
+                }
+                continue;
+            }
+            seen |= bit;
+            match attr_type {
+                ATTR_ORIGIN => match body.first().and_then(|&c| Origin::from_code(c)) {
+                    Some(_) => a.origin = span(body),
+                    None => return Err(bad("ORIGIN")),
+                },
+                ATTR_AS_PATH => {
+                    Segments(Cursor::new(body)).try_for_each(|s| s.map(drop))?;
+                    a.as_path = span(body);
+                }
+                ATTR_NEXT_HOP if body.len() != 4 => return Err(bad("NEXT_HOP length")),
+                ATTR_NEXT_HOP => a.next_hop = span(body),
+                ATTR_MED if body.len() != 4 => return Err(bad("MED length")),
+                ATTR_MED => a.med = span(body),
+                ATTR_LOCAL_PREF if body.len() != 4 => return Err(bad("LOCAL_PREF length")),
+                ATTR_LOCAL_PREF => a.local_pref = span(body),
+                ATTR_ATOMIC_AGGREGATE => a.atomic_aggregate = true,
+                ATTR_COMMUNITY if body.len() % 4 != 0 => return Err(bad("COMMUNITY length")),
+                ATTR_COMMUNITY => a.communities = span(body),
+                ATTR_EXTENDED_COMMUNITIES if body.len() % 8 != 0 => {
+                    return Err(bad("EXTENDED_COMMUNITIES length"));
+                }
+                ATTR_EXTENDED_COMMUNITIES => a.extended_communities = span(body),
+                ATTR_LARGE_COMMUNITY if body.len() % 12 != 0 => {
+                    return Err(bad("LARGE_COMMUNITY length"));
+                }
+                ATTR_LARGE_COMMUNITY => a.large_communities = span(body),
+                ATTR_MP_REACH => {
+                    // TABLE_DUMP_V2 abbreviates MP_REACH to its next hop.
+                    let mut mp = Cursor::new(body);
+                    let v6 = match mode {
+                        AttrMode::Bgp4mp => Some(unicast_family(&mut mp)?),
+                        AttrMode::TableDumpV2 => None,
+                    };
+                    let nhlen = mp.u8("MP_REACH next-hop length")? as usize;
+                    let nh = mp.take(nhlen, "MP_REACH next hop")?;
+                    a.mp_next_hop = nh.get(..16).map(span).unwrap_or_default();
+                    if let Some(v6) = v6 {
+                        mp.u8("MP_REACH reserved")?;
+                        a.mp_announced = nlri(mp.rest(), v6)?;
+                    }
+                }
+                ATTR_MP_UNREACH => {
+                    let mut mp = Cursor::new(body);
+                    let v6 = unicast_family(&mut mp)?;
+                    a.mp_withdrawn = nlri(mp.rest(), v6)?;
+                }
+                _ => {} // unknown attribute: skip (body already consumed)
+            }
+        }
+        Ok(())
+    }
+
+    /// The bytes of a validated span.
+    #[inline]
+    fn get(&self, span: Span) -> &'a [u8] {
+        let at = usize::from(span.at);
+        self.base.get(at..at + usize::from(span.len)).unwrap_or_default()
+    }
+
+    #[inline]
+    fn prefixes(&self, nlri: Nlri) -> PrefixIter<'a> {
+        PrefixIter { cur: Cursor::new(self.get(nlri.span)), v6: nlri.v6 }
+    }
+
+    /// A fixed 4-byte attribute (NEXT_HOP, MED, LOCAL_PREF), if present.
+    fn fixed(&self, span: Span) -> Option<u32> {
+        (span.len == 4).then(|| be_u32(self.get(span)))
+    }
+
+    /// The owned attribute bundle: NEXT_HOP, else the MP_REACH next hop;
+    /// absent ORIGIN and next hop default to IGP and 0.0.0.0.
+    #[inline]
+    pub(crate) fn to_attrs(self) -> PathAttributes {
+        let mp_next_hop = self.get(self.mp_next_hop).first_chunk::<16>().copied();
+        PathAttributes {
+            origin: self
+                .get(self.origin)
+                .first()
+                .and_then(|&c| Origin::from_code(c))
+                .unwrap_or(Origin::Igp),
+            as_path: AsPathView { raw: self.get(self.as_path) }.to_path(),
+            next_hop: match (self.fixed(self.next_hop), mp_next_hop) {
+                (Some(nh), _) => Ipv4Addr::from(nh).into(),
+                (None, Some(nh)) => Ipv6Addr::from(nh).into(),
+                (None, None) => Ipv4Addr::UNSPECIFIED.into(),
+            },
+            med: self.fixed(self.med),
+            local_pref: self.fixed(self.local_pref),
+            atomic_aggregate: self.atomic_aggregate,
+            communities: be_u32s(self.get(self.communities), Community),
+            extended_communities: self
+                .get(self.extended_communities)
+                .chunks_exact(8)
+                .map(|c| ExtendedCommunity(c.try_into().unwrap_or_default()))
+                .collect(),
+            large_communities: self
+                .get(self.large_communities)
+                .chunks_exact(12)
+                .map(|c| LargeCommunity::new(be_u32(&c[0..4]), be_u32(&c[4..8]), be_u32(&c[8..])))
+                .collect(),
+        }
     }
 }
 
@@ -125,210 +338,109 @@ impl<'a> MessageView<'a> {
 /// borrowed from the input buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateView<'a> {
-    msg: &'a [u8],
-    withdrawn: &'a [u8],
-    nlri: &'a [u8],
-    as_path: &'a [u8],
-    communities: &'a [u8],
-    mp_announced: &'a [u8],
-    mp_announced_v6: bool,
-    mp_withdrawn: &'a [u8],
-    mp_withdrawn_v6: bool,
-}
-
-fn validate_nlri(raw: &[u8], v6: bool) -> Result<(), MrtError> {
-    let mut cur = Cursor::new(raw);
-    let max: u8 = if v6 { 128 } else { 32 };
-    while cur.remaining() > 0 {
-        let len = cur.u8("NLRI prefix length")?;
-        if len > max {
-            return Err(MrtError::BadValue { context: "NLRI prefix length" });
-        }
-        cur.take((len as usize).div_ceil(8), "NLRI prefix bytes")?;
-    }
-    Ok(())
-}
-
-fn validate_as_path(raw: &[u8]) -> Result<(), MrtError> {
-    let mut cur = Cursor::new(raw);
-    while cur.remaining() > 0 {
-        let code = cur.u8("AS_PATH segment type")?;
-        if code != 1 && code != 2 {
-            return Err(MrtError::BadValue { context: "AS_PATH segment type" });
-        }
-        let count = cur.u8("AS_PATH segment count")? as usize;
-        cur.take(count * 4, "AS_PATH asn")?;
-    }
-    Ok(())
+    withdrawn: Span,
+    nlri: Span,
+    /// Spans here and in `attrs` are offsets into the message body.
+    attrs: AttrsView<'a>,
 }
 
 impl<'a> UpdateView<'a> {
     /// Parses and fully validates an UPDATE message (marker + header +
-    /// body), borrowing every region instead of materializing. All the
-    /// framing and per-attribute checks of the materializing decoder run
-    /// here, so the lazy iterators below are infallible.
+    /// body), so the iterators below and [`materialize`](Self::materialize)
+    /// are infallible. A repeated MP_REACH_NLRI or MP_UNREACH_NLRI is a
+    /// `BadValue`; any other repeated attribute keeps its first occurrence
+    /// (RFC 7606 §3(g)). MP NLRI must be IPv4 or IPv6 unicast.
+    #[inline]
     pub fn parse(msg: &'a [u8]) -> Result<Self, MrtError> {
         let mut cur = Cursor::new(msg);
-        let marker = cur.take(16, "BGP marker")?;
-        if marker.iter().any(|&b| b != 0xFF) {
+        if cur.take(16, "BGP marker")?.iter().any(|&b| b != 0xFF) {
             return Err(MrtError::BadMarker);
         }
         let total = cur.u16("BGP message length")? as usize;
         if total < 19 {
             return Err(MrtError::BadValue { context: "BGP message length" });
         }
-        let msg_type = cur.u8("BGP message type")?;
-        if msg_type != 2 {
+        if cur.u8("BGP message type")? != 2 {
             return Err(MrtError::BadValue { context: "BGP message type (expected UPDATE)" });
         }
         let body = cur.take(total - 19, "BGP message body")?;
         let mut bc = Cursor::new(body);
-
         let wlen = bc.u16("withdrawn routes length")? as usize;
         let withdrawn = bc.take(wlen, "withdrawn routes")?;
         validate_nlri(withdrawn, false)?;
-
         let alen = bc.u16("path attributes length")? as usize;
-        let attrs_raw = bc.take(alen, "path attributes")?;
-        let nlri = bc.take(bc.remaining(), "announced routes")?;
-        validate_nlri(nlri, false)?;
-
-        let mut view = UpdateView {
-            msg: &msg[..19 + (total - 19)],
-            withdrawn,
-            nlri,
-            as_path: &[],
-            communities: &[],
-            mp_announced: &[],
-            mp_announced_v6: false,
-            mp_withdrawn: &[],
-            mp_withdrawn_v6: false,
+        // Filled in place: returning it through a `Result` costs a copy.
+        let mut update = UpdateView {
+            withdrawn: span_of(body, withdrawn),
+            nlri: Span::default(),
+            attrs: AttrsView { base: body, ..AttrsView::default() },
         };
-        let mut seen = [false; 4]; // AS_PATH, COMMUNITY, MP_REACH, MP_UNREACH
-
-        let mut ac = Cursor::new(attrs_raw);
-        while ac.remaining() > 0 {
-            let flags = ac.u8("attribute flags")?;
-            let attr_type = ac.u8("attribute type")?;
-            let len = if flags & FLAG_EXTENDED_LEN != 0 {
-                ac.u16("attribute extended length")? as usize
-            } else {
-                ac.u8("attribute length")? as usize
-            };
-            let body = ac.take(len, "attribute body")?;
-            let dup = |seen: &mut bool| {
-                if std::mem::replace(seen, true) {
-                    Err(MrtError::BadValue { context: "duplicate attribute" })
-                } else {
-                    Ok(())
-                }
-            };
-            match attr_type {
-                ATTR_ORIGIN => {
-                    let code = *body.first().ok_or(MrtError::BadValue { context: "ORIGIN" })?;
-                    Origin::from_code(code).ok_or(MrtError::BadValue { context: "ORIGIN code" })?;
-                }
-                ATTR_AS_PATH => {
-                    dup(&mut seen[0])?;
-                    validate_as_path(body)?;
-                    view.as_path = body;
-                }
-                ATTR_NEXT_HOP if body.len() != 4 => {
-                    return Err(MrtError::BadValue { context: "NEXT_HOP length" });
-                }
-                ATTR_MED if body.len() != 4 => {
-                    return Err(MrtError::BadValue { context: "MED length" });
-                }
-                ATTR_LOCAL_PREF if body.len() != 4 => {
-                    return Err(MrtError::BadValue { context: "LOCAL_PREF length" });
-                }
-                ATTR_COMMUNITY => {
-                    dup(&mut seen[1])?;
-                    if body.len() % 4 != 0 {
-                        return Err(MrtError::BadValue { context: "COMMUNITY length" });
-                    }
-                    view.communities = body;
-                }
-                ATTR_MP_REACH => {
-                    dup(&mut seen[2])?;
-                    let mut mp = Cursor::new(body);
-                    let afi = mp.u16("MP_REACH AFI")?;
-                    let _safi = mp.u8("MP_REACH SAFI")?;
-                    let nhlen = mp.u8("MP_REACH next-hop length")? as usize;
-                    mp.take(nhlen, "MP_REACH next hop")?;
-                    mp.u8("MP_REACH reserved")?;
-                    let region = mp.take(mp.remaining(), "MP_REACH NLRI")?;
-                    view.mp_announced_v6 = afi == 2;
-                    validate_nlri(region, view.mp_announced_v6)?;
-                    view.mp_announced = region;
-                }
-                ATTR_MP_UNREACH => {
-                    dup(&mut seen[3])?;
-                    let mut mp = Cursor::new(body);
-                    let afi = mp.u16("MP_UNREACH AFI")?;
-                    let _safi = mp.u8("MP_UNREACH SAFI")?;
-                    let region = mp.take(mp.remaining(), "MP_UNREACH NLRI")?;
-                    view.mp_withdrawn_v6 = afi == 2;
-                    validate_nlri(region, view.mp_withdrawn_v6)?;
-                    view.mp_withdrawn = region;
-                }
-                ATTR_EXTENDED_COMMUNITIES if body.len() % 8 != 0 => {
-                    return Err(MrtError::BadValue { context: "EXTENDED_COMMUNITIES length" });
-                }
-                ATTR_LARGE_COMMUNITY if body.len() % 12 != 0 => {
-                    return Err(MrtError::BadValue { context: "LARGE_COMMUNITY length" });
-                }
-                _ => {} // unknown attribute: skip (body already consumed)
-            }
-        }
-        Ok(view)
+        update.attrs.walk(bc.take(alen, "path attributes")?, AttrMode::Bgp4mp)?;
+        let nlri = bc.rest();
+        validate_nlri(nlri, false)?;
+        update.nlri = span_of(body, nlri);
+        Ok(update)
     }
 
     /// Withdrawn IPv4 prefixes, in wire order.
+    #[inline]
     pub fn withdrawn_v4(&self) -> PrefixIter<'a> {
-        PrefixIter { cur: Cursor::new(self.withdrawn), v6: false }
+        self.attrs.prefixes(Nlri { span: self.withdrawn, v6: false })
     }
 
-    /// Withdrawn MP prefixes (usually IPv6), in wire order. The
-    /// materializing decoder appends these after the IPv4 withdrawals.
+    /// Withdrawn MP prefixes (usually IPv6), in wire order.
+    #[inline]
     pub fn mp_withdrawn(&self) -> PrefixIter<'a> {
-        PrefixIter { cur: Cursor::new(self.mp_withdrawn), v6: self.mp_withdrawn_v6 }
+        self.attrs.prefixes(self.attrs.mp_withdrawn)
     }
 
     /// Announced IPv4 prefixes (the trailing NLRI), in wire order.
+    #[inline]
     pub fn announced_v4(&self) -> PrefixIter<'a> {
-        PrefixIter { cur: Cursor::new(self.nlri), v6: false }
+        self.attrs.prefixes(Nlri { span: self.nlri, v6: false })
     }
 
-    /// Announced MP prefixes (usually IPv6), in wire order. The
-    /// materializing decoder appends these after the IPv4 NLRI.
+    /// Announced MP prefixes (usually IPv6), in wire order.
+    #[inline]
     pub fn mp_announced(&self) -> PrefixIter<'a> {
-        PrefixIter { cur: Cursor::new(self.mp_announced), v6: self.mp_announced_v6 }
+        self.attrs.prefixes(self.attrs.mp_announced)
     }
 
-    /// Whether the message announces any prefix (either family). Mirrors
-    /// the materializing decoder's `announced.is_empty()` normalization:
-    /// a message with no announcements carries no meaningful attributes.
+    /// Whether the message announces any prefix (either family); without
+    /// one, [`materialize`](Self::materialize) leaves `attrs` `None`.
+    #[inline]
     pub fn has_announcements(&self) -> bool {
-        !self.nlri.is_empty() || !self.mp_announced.is_empty()
+        self.nlri.len != 0 || self.attrs.mp_announced.span.len != 0
     }
 
     /// Borrowed AS_PATH attribute body (empty when the attribute is
     /// absent, which decodes to the empty path either way).
+    #[inline]
     pub fn as_path(&self) -> AsPathView<'a> {
-        AsPathView { raw: self.as_path }
+        AsPathView { raw: self.attrs.get(self.attrs.as_path) }
     }
 
     /// Borrowed COMMUNITY attribute body (empty when absent).
+    #[inline]
     pub fn communities(&self) -> CommunitiesView<'a> {
-        CommunitiesView { raw: self.communities }
+        CommunitiesView { raw: self.attrs.get(self.attrs.communities) }
     }
 
-    /// Decodes the full message through the materializing decoder —
-    /// byte-identical to never having used the view at all. This is the
-    /// bridge the differential tests pivot on.
-    pub fn materialize(&self) -> Result<BgpUpdate, MrtError> {
-        decode_bgp_update(&mut Cursor::new(self.msg))
+    /// The owned [`BgpUpdate`], folded from the view's iterators and
+    /// recorded attribute bodies: IPv4 prefixes first, then MP ones.
+    pub fn materialize(&self) -> BgpUpdate {
+        let both = |v4: PrefixIter<'a>, mp: PrefixIter<'a>| {
+            let mut out = Vec::new();
+            out.extend(v4);
+            out.extend(mp);
+            out
+        };
+        let announced = both(self.announced_v4(), self.mp_announced());
+        BgpUpdate {
+            withdrawn: both(self.withdrawn_v4(), self.mp_withdrawn()),
+            attrs: (!announced.is_empty()).then(|| self.attrs.to_attrs()),
+            announced,
+        }
     }
 }
 
@@ -342,25 +454,33 @@ pub struct PrefixIter<'a> {
 impl Iterator for PrefixIter<'_> {
     type Item = Prefix;
 
+    #[inline]
     fn next(&mut self) -> Option<Prefix> {
-        if self.cur.remaining() == 0 {
-            return None;
-        }
-        // The region was validated at parse time; any failure here would
-        // be a bug in `validate_nlri`, so we stop rather than panic.
-        let len = self.cur.u8("NLRI prefix length").ok()?;
-        let nbytes = (len as usize).div_ceil(8);
-        let raw = self.cur.take(nbytes, "NLRI prefix bytes").ok()?;
-        let addr = if self.v6 {
-            let mut a = [0u8; 16];
-            a.get_mut(..nbytes)?.copy_from_slice(raw);
-            IpAddr::V6(Ipv6Addr::from(a))
-        } else {
-            let mut a = [0u8; 4];
-            a.get_mut(..nbytes)?.copy_from_slice(raw);
-            IpAddr::V4(Ipv4Addr::from(a))
-        };
-        Prefix::new(addr, len).ok()
+        // The region was validated at parse time; a failure here would be
+        // a parser bug, so stop rather than panic.
+        (self.cur.remaining() > 0).then(|| decode_nlri_prefix(&mut self.cur, self.v6).ok())?
+    }
+}
+
+/// The one AS_PATH segment walk: `(is_set, asn bytes)` per segment, in
+/// wire order. Confederation segments are a typed reject.
+struct Segments<'a>(Cursor<'a>);
+
+impl<'a> Iterator for Segments<'a> {
+    type Item = Result<(bool, &'a [u8]), MrtError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let cur = &mut self.0;
+        (cur.remaining() > 0).then(|| {
+            let code = cur.u8("AS_PATH segment type")?;
+            let count = cur.u8("AS_PATH segment count")? as usize;
+            let asns = cur.take(count * 4, "AS_PATH asn")?;
+            match code {
+                1 | 2 => Ok((code == 1, asns)),
+                _ => Err(MrtError::BadValue { context: "AS_PATH segment type" }),
+            }
+        })
     }
 }
 
@@ -370,12 +490,36 @@ pub struct AsPathView<'a> {
     raw: &'a [u8],
 }
 
-impl AsPathView<'_> {
+impl<'a> AsPathView<'a> {
+    /// The validated segments (the parse already rejected bad ones).
+    fn segments(&self) -> impl Iterator<Item = (bool, &'a [u8])> {
+        Segments(Cursor::new(self.raw)).map_while(Result::ok)
+    }
+
     /// Flat iterator over every ASN in segment order — the same sequence
     /// [`AsPath::asns`](crate::aspath::AsPath::asns) yields after materialization (255-split segment
     /// merging preserves flat order).
-    pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        AsnIter { cur: Cursor::new(self.raw), left: 0 }
+    #[inline]
+    pub fn asns(&self) -> impl Iterator<Item = Asn> + 'a {
+        self.segments().flat_map(|(_, asns)| asns.chunks_exact(4).map(|c| Asn(be_u32(c))))
+    }
+
+    /// The owned path. Adjacent sequences the encoder split at the
+    /// 255-ASN segment limit merge back into one.
+    fn to_path(self) -> AsPath {
+        let mut out: Vec<AsPathSegment> = Vec::new();
+        for (set, raw) in self.segments() {
+            match out.last_mut() {
+                Some(AsPathSegment::Sequence(prev))
+                    if !set && !prev.is_empty() && prev.len() % 255 == 0 =>
+                {
+                    prev.extend(be_u32s(raw, Asn));
+                }
+                _ if set => out.push(AsPathSegment::Set(be_u32s(raw, Asn))),
+                _ => out.push(AsPathSegment::Sequence(be_u32s(raw, Asn))),
+            }
+        }
+        AsPath::from_segments(out)
     }
 
     /// Whether the path carries no ASNs at all, matching
@@ -402,27 +546,6 @@ impl AsPathView<'_> {
     }
 }
 
-struct AsnIter<'a> {
-    cur: Cursor<'a>,
-    left: usize,
-}
-
-impl Iterator for AsnIter<'_> {
-    type Item = Asn;
-
-    fn next(&mut self) -> Option<Asn> {
-        while self.left == 0 {
-            if self.cur.remaining() == 0 {
-                return None;
-            }
-            let _code = self.cur.u8("AS_PATH segment type").ok()?;
-            self.left = self.cur.u8("AS_PATH segment count").ok()? as usize;
-        }
-        self.left -= 1;
-        self.cur.u32("AS_PATH asn").ok().map(Asn)
-    }
-}
-
 /// A borrowed COMMUNITY attribute body.
 #[derive(Debug, Clone, Copy)]
 pub struct CommunitiesView<'a> {
@@ -432,7 +555,7 @@ pub struct CommunitiesView<'a> {
 impl CommunitiesView<'_> {
     /// The communities in wire order.
     pub fn iter(&self) -> impl Iterator<Item = Community> + '_ {
-        self.raw.chunks_exact(4).map(|c| Community(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
+        self.raw.chunks_exact(4).map(|c| Community(be_u32(c)))
     }
 
     /// Whether the list is empty (or the attribute absent).
@@ -446,8 +569,6 @@ mod tests {
     use super::super::writer::MrtWriter;
     use super::super::{Bgp4mpMessage, MrtBody, MrtRecord};
     use super::*;
-    use crate::aspath::AsPath;
-    use crate::attrs::PathAttributes;
 
     fn frame_bytes(update: BgpUpdate) -> Vec<u8> {
         let rec = MrtRecord {
@@ -467,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_materializing_decoder() {
+    fn view_iterators_match_the_materialized_update() {
         let update = BgpUpdate {
             withdrawn: vec![Prefix::v4(100, 0, 0, 0, 8), "2600:1::/32".parse().unwrap()],
             attrs: Some(PathAttributes::with_path_and_communities(
@@ -481,7 +602,7 @@ mod tests {
         assert_eq!(used, buf.len());
         let msg = frame.message().unwrap().unwrap();
         assert_eq!(msg.peer_as, Asn(13030));
-        assert_eq!(msg.update.materialize().unwrap(), update);
+        assert_eq!(msg.update.materialize(), update);
 
         let withdrawn: Vec<Prefix> =
             msg.update.withdrawn_v4().chain(msg.update.mp_withdrawn()).collect();

@@ -1,15 +1,14 @@
-//! BGP-4 wire encoding shared by BGP4MP message bodies and TABLE_DUMP_V2
-//! RIB entries: NLRI prefix encoding, the path-attribute TLV soup, and the
-//! UPDATE message framing (RFC 4271 §4.3, RFC 4760 for IPv6 NLRI).
+//! BGP-4 wire primitives shared by the encoders and the one parser
+//! (`view`): the bounds-checked [`Cursor`], attribute codes, NLRI prefixes,
+//! and the attribute and UPDATE encoders (RFC 4271 §4.3, RFC 4760).
 
 use super::error::MrtError;
 use crate::aspath::{AsPath, AsPathSegment};
-use crate::attrs::{Origin, PathAttributes};
-use crate::community::{Community, ExtendedCommunity, LargeCommunity};
+use crate::attrs::PathAttributes;
 use crate::message::BgpUpdate;
 use crate::prefix::Prefix;
 use crate::Asn;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv6Addr};
 
 /// Attribute-encoding context: BGP4MP carries full MP_REACH_NLRI, while
 /// TABLE_DUMP_V2 RIB entries use the abbreviated form (next hop only,
@@ -20,21 +19,26 @@ pub(crate) enum AttrMode {
     TableDumpV2,
 }
 
-const ATTR_ORIGIN: u8 = 1;
-const ATTR_AS_PATH: u8 = 2;
-const ATTR_NEXT_HOP: u8 = 3;
-const ATTR_MED: u8 = 4;
-const ATTR_LOCAL_PREF: u8 = 5;
-const ATTR_ATOMIC_AGGREGATE: u8 = 6;
-const ATTR_COMMUNITY: u8 = 8;
-const ATTR_MP_REACH: u8 = 14;
-const ATTR_MP_UNREACH: u8 = 15;
-const ATTR_EXTENDED_COMMUNITIES: u8 = 16;
-const ATTR_LARGE_COMMUNITY: u8 = 32;
+pub(crate) const ATTR_ORIGIN: u8 = 1;
+pub(crate) const ATTR_AS_PATH: u8 = 2;
+pub(crate) const ATTR_NEXT_HOP: u8 = 3;
+pub(crate) const ATTR_MED: u8 = 4;
+pub(crate) const ATTR_LOCAL_PREF: u8 = 5;
+pub(crate) const ATTR_ATOMIC_AGGREGATE: u8 = 6;
+pub(crate) const ATTR_COMMUNITY: u8 = 8;
+pub(crate) const ATTR_MP_REACH: u8 = 14;
+pub(crate) const ATTR_MP_UNREACH: u8 = 15;
+pub(crate) const ATTR_EXTENDED_COMMUNITIES: u8 = 16;
+pub(crate) const ATTR_LARGE_COMMUNITY: u8 = 32;
 
 const FLAG_OPTIONAL: u8 = 0x80;
 const FLAG_TRANSITIVE: u8 = 0x40;
-const FLAG_EXTENDED_LEN: u8 = 0x10;
+pub(crate) const FLAG_EXTENDED_LEN: u8 = 0x10;
+
+/// A big-endian `u32` from the first four bytes of `b`.
+pub(crate) fn be_u32(b: &[u8]) -> u32 {
+    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
 
 /// Bounds-checked big-endian cursor over a byte slice.
 #[derive(Debug, Clone)]
@@ -61,6 +65,13 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// Everything not yet consumed.
+    pub(crate) fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+
     pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, MrtError> {
         Ok(self.take(1, context)?[0])
     }
@@ -71,20 +82,12 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32, MrtError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(be_u32(self.take(4, context)?))
     }
 
     pub(crate) fn ip(&mut self, v6: bool, context: &'static str) -> Result<IpAddr, MrtError> {
-        if v6 {
-            let b = self.take(16, context)?;
-            let mut a = [0u8; 16];
-            a.copy_from_slice(b);
-            Ok(IpAddr::V6(Ipv6Addr::from(a)))
-        } else {
-            let b = self.take(4, context)?;
-            Ok(IpAddr::V4(Ipv4Addr::new(b[0], b[1], b[2], b[3])))
-        }
+        let b = self.take(if v6 { 16 } else { 4 }, context)?;
+        Ok(<[u8; 16]>::try_from(b).map_or_else(|_| [b[0], b[1], b[2], b[3]].into(), IpAddr::from))
     }
 }
 
@@ -98,24 +101,27 @@ pub(crate) fn encode_nlri_prefix(prefix: &Prefix, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one NLRI prefix of the given family.
-pub(crate) fn decode_nlri_prefix(cur: &mut Cursor<'_>, v6: bool) -> Result<Prefix, MrtError> {
+/// Reads one NLRI prefix's length, checked against the family, and its
+/// address bytes: the parser's NLRI validation.
+#[inline]
+pub(crate) fn nlri_bytes<'a>(cur: &mut Cursor<'a>, v6: bool) -> Result<(u8, &'a [u8]), MrtError> {
     let len = cur.u8("NLRI prefix length")?;
-    let max: u8 = if v6 { 128 } else { 32 };
-    if len > max {
+    if len > if v6 { 128 } else { 32 } {
         return Err(MrtError::BadValue { context: "NLRI prefix length" });
     }
-    let nbytes = (len as usize).div_ceil(8);
-    let raw = cur.take(nbytes, "NLRI prefix bytes")?;
-    let addr = if v6 {
-        let mut a = [0u8; 16];
-        a[..nbytes].copy_from_slice(raw);
-        IpAddr::V6(Ipv6Addr::from(a))
-    } else {
-        let mut a = [0u8; 4];
-        a[..nbytes].copy_from_slice(raw);
-        IpAddr::V4(Ipv4Addr::from(a))
-    };
+    Ok((len, cur.take(usize::from(len).div_ceil(8), "NLRI prefix bytes")?))
+}
+
+/// Decodes one NLRI prefix of the given family: the one NLRI decode,
+/// behind the parser's prefix iterators.
+#[inline]
+pub(crate) fn decode_nlri_prefix(cur: &mut Cursor<'_>, v6: bool) -> Result<Prefix, MrtError> {
+    let (len, raw) = nlri_bytes(cur, v6)?;
+    let mut a = [0u8; 16];
+    for (d, s) in a.iter_mut().zip(raw) {
+        *d = *s;
+    }
+    let addr: IpAddr = if v6 { a.into() } else { [a[0], a[1], a[2], a[3]].into() };
     Prefix::new(addr, len).map_err(|_| MrtError::BadValue { context: "NLRI prefix" })
 }
 
@@ -149,34 +155,6 @@ fn encode_as_path(path: &AsPath) -> Vec<u8> {
         }
     }
     body
-}
-
-fn decode_as_path(raw: &[u8]) -> Result<AsPath, MrtError> {
-    let mut cur = Cursor::new(raw);
-    let mut segments = Vec::new();
-    while cur.remaining() > 0 {
-        let code = cur.u8("AS_PATH segment type")?;
-        let count = cur.u8("AS_PATH segment count")? as usize;
-        let mut asns = Vec::with_capacity(count);
-        for _ in 0..count {
-            asns.push(Asn(cur.u32("AS_PATH asn")?));
-        }
-        let seg = match code {
-            1 => AsPathSegment::Set(asns),
-            2 => AsPathSegment::Sequence(asns),
-            _ => return Err(MrtError::BadValue { context: "AS_PATH segment type" }),
-        };
-        // Merge adjacent sequences that we split for the 255 limit.
-        match (segments.last_mut(), &seg) {
-            (Some(AsPathSegment::Sequence(prev)), AsPathSegment::Sequence(new))
-                if !prev.is_empty() && prev.len() % 255 == 0 =>
-            {
-                prev.extend_from_slice(new);
-            }
-            _ => segments.push(seg),
-        }
-    }
-    Ok(AsPath::from_segments(segments))
 }
 
 /// Encodes the attribute block. `v6_announced`/`v6_withdrawn` go into
@@ -266,144 +244,6 @@ pub(crate) fn encode_attrs(
     out
 }
 
-/// Result of decoding an attribute block.
-pub(crate) struct DecodedAttrs {
-    pub attrs: PathAttributes,
-    pub v6_announced: Vec<Prefix>,
-    pub v6_withdrawn: Vec<Prefix>,
-}
-
-/// Decodes an attribute block; unknown attribute types are skipped.
-pub(crate) fn decode_attrs(raw: &[u8], mode: AttrMode) -> Result<DecodedAttrs, MrtError> {
-    let mut cur = Cursor::new(raw);
-    let mut attrs = PathAttributes::default();
-    let mut v6_announced = Vec::new();
-    let mut v6_withdrawn = Vec::new();
-    let mut saw_next_hop = false;
-    let mut mp_next_hop: Option<IpAddr> = None;
-
-    while cur.remaining() > 0 {
-        let flags = cur.u8("attribute flags")?;
-        let attr_type = cur.u8("attribute type")?;
-        let len = if flags & FLAG_EXTENDED_LEN != 0 {
-            cur.u16("attribute extended length")? as usize
-        } else {
-            cur.u8("attribute length")? as usize
-        };
-        let body = cur.take(len, "attribute body")?;
-        match attr_type {
-            ATTR_ORIGIN => {
-                let code = *body.first().ok_or(MrtError::BadValue { context: "ORIGIN" })?;
-                attrs.origin =
-                    Origin::from_code(code).ok_or(MrtError::BadValue { context: "ORIGIN code" })?;
-            }
-            ATTR_AS_PATH => attrs.as_path = decode_as_path(body)?,
-            ATTR_NEXT_HOP => {
-                if body.len() != 4 {
-                    return Err(MrtError::BadValue { context: "NEXT_HOP length" });
-                }
-                attrs.next_hop = IpAddr::V4(Ipv4Addr::new(body[0], body[1], body[2], body[3]));
-                saw_next_hop = true;
-            }
-            ATTR_MED => {
-                if body.len() != 4 {
-                    return Err(MrtError::BadValue { context: "MED length" });
-                }
-                attrs.med = Some(u32::from_be_bytes([body[0], body[1], body[2], body[3]]));
-            }
-            ATTR_LOCAL_PREF => {
-                if body.len() != 4 {
-                    return Err(MrtError::BadValue { context: "LOCAL_PREF length" });
-                }
-                attrs.local_pref = Some(u32::from_be_bytes([body[0], body[1], body[2], body[3]]));
-            }
-            ATTR_ATOMIC_AGGREGATE => attrs.atomic_aggregate = true,
-            ATTR_COMMUNITY => {
-                if body.len() % 4 != 0 {
-                    return Err(MrtError::BadValue { context: "COMMUNITY length" });
-                }
-                attrs.communities = body
-                    .chunks_exact(4)
-                    .map(|c| Community(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
-                    .collect();
-            }
-            ATTR_MP_REACH => match mode {
-                AttrMode::Bgp4mp => {
-                    let mut mp = Cursor::new(body);
-                    let afi = mp.u16("MP_REACH AFI")?;
-                    let _safi = mp.u8("MP_REACH SAFI")?;
-                    let nhlen = mp.u8("MP_REACH next-hop length")? as usize;
-                    let nh_raw = mp.take(nhlen, "MP_REACH next hop")?;
-                    if nhlen >= 16 {
-                        let mut a = [0u8; 16];
-                        a.copy_from_slice(&nh_raw[..16]);
-                        mp_next_hop = Some(IpAddr::V6(Ipv6Addr::from(a)));
-                    }
-                    mp.u8("MP_REACH reserved")?;
-                    let v6 = afi == 2;
-                    while mp.remaining() > 0 {
-                        v6_announced.push(decode_nlri_prefix(&mut mp, v6)?);
-                    }
-                }
-                AttrMode::TableDumpV2 => {
-                    let mut mp = Cursor::new(body);
-                    let nhlen = mp.u8("TDV2 MP_REACH next-hop length")? as usize;
-                    let nh_raw = mp.take(nhlen, "TDV2 MP_REACH next hop")?;
-                    if nhlen >= 16 {
-                        let mut a = [0u8; 16];
-                        a.copy_from_slice(&nh_raw[..16]);
-                        mp_next_hop = Some(IpAddr::V6(Ipv6Addr::from(a)));
-                    }
-                }
-            },
-            ATTR_MP_UNREACH => {
-                let mut mp = Cursor::new(body);
-                let afi = mp.u16("MP_UNREACH AFI")?;
-                let _safi = mp.u8("MP_UNREACH SAFI")?;
-                let v6 = afi == 2;
-                while mp.remaining() > 0 {
-                    v6_withdrawn.push(decode_nlri_prefix(&mut mp, v6)?);
-                }
-            }
-            ATTR_EXTENDED_COMMUNITIES => {
-                if body.len() % 8 != 0 {
-                    return Err(MrtError::BadValue { context: "EXTENDED_COMMUNITIES length" });
-                }
-                attrs.extended_communities = body
-                    .chunks_exact(8)
-                    .map(|c| {
-                        let mut a = [0u8; 8];
-                        a.copy_from_slice(c);
-                        ExtendedCommunity(a)
-                    })
-                    .collect();
-            }
-            ATTR_LARGE_COMMUNITY => {
-                if body.len() % 12 != 0 {
-                    return Err(MrtError::BadValue { context: "LARGE_COMMUNITY length" });
-                }
-                attrs.large_communities = body
-                    .chunks_exact(12)
-                    .map(|c| {
-                        LargeCommunity::new(
-                            u32::from_be_bytes([c[0], c[1], c[2], c[3]]),
-                            u32::from_be_bytes([c[4], c[5], c[6], c[7]]),
-                            u32::from_be_bytes([c[8], c[9], c[10], c[11]]),
-                        )
-                    })
-                    .collect();
-            }
-            _ => {} // unknown attribute: skip (we already consumed the body)
-        }
-    }
-    if !saw_next_hop {
-        if let Some(nh) = mp_next_hop {
-            attrs.next_hop = nh;
-        }
-    }
-    Ok(DecodedAttrs { attrs, v6_announced, v6_withdrawn })
-}
-
 /// Encodes a full BGP UPDATE message (marker + header + body).
 pub(crate) fn encode_bgp_update(update: &BgpUpdate) -> Vec<u8> {
     let (w4, w6): (Vec<&Prefix>, Vec<&Prefix>) = update.withdrawn.iter().partition(|p| p.is_ipv4());
@@ -458,52 +298,11 @@ pub(crate) fn encode_bgp_update(update: &BgpUpdate) -> Vec<u8> {
     out
 }
 
-/// Decodes a full BGP UPDATE message (marker + header + body).
-pub(crate) fn decode_bgp_update(cur: &mut Cursor<'_>) -> Result<BgpUpdate, MrtError> {
-    let marker = cur.take(16, "BGP marker")?;
-    if marker.iter().any(|&b| b != 0xFF) {
-        return Err(MrtError::BadMarker);
-    }
-    let total = cur.u16("BGP message length")? as usize;
-    if total < 19 {
-        return Err(MrtError::BadValue { context: "BGP message length" });
-    }
-    let msg_type = cur.u8("BGP message type")?;
-    if msg_type != 2 {
-        return Err(MrtError::BadValue { context: "BGP message type (expected UPDATE)" });
-    }
-    let body = cur.take(total - 19, "BGP message body")?;
-    let mut bc = Cursor::new(body);
-
-    let wlen = bc.u16("withdrawn routes length")? as usize;
-    let wraw = bc.take(wlen, "withdrawn routes")?;
-    let mut wcur = Cursor::new(wraw);
-    let mut withdrawn = Vec::new();
-    while wcur.remaining() > 0 {
-        withdrawn.push(decode_nlri_prefix(&mut wcur, false)?);
-    }
-
-    let alen = bc.u16("path attributes length")? as usize;
-    let araw = bc.take(alen, "path attributes")?;
-    let decoded = decode_attrs(araw, AttrMode::Bgp4mp)?;
-
-    let mut announced = Vec::new();
-    while bc.remaining() > 0 {
-        announced.push(decode_nlri_prefix(&mut bc, false)?);
-    }
-    announced.extend(decoded.v6_announced);
-    withdrawn.extend(decoded.v6_withdrawn);
-
-    // A message with no announcements carries no meaningful attribute
-    // bundle (withdraw-only); normalize so round-trips compare equal.
-    let attrs = if announced.is_empty() { None } else { Some(decoded.attrs) };
-    Ok(BgpUpdate { withdrawn, attrs, announced })
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::view::{AttrsView, UpdateView};
     use super::*;
-    use crate::aspath::AsPath;
+    use crate::community::Community;
 
     #[test]
     fn nlri_prefix_roundtrip_various_lengths() {
@@ -524,12 +323,18 @@ mod tests {
         assert!(decode_nlri_prefix(&mut cur, false).is_err());
     }
 
+    fn roundtrip_attrs(attrs: &PathAttributes, mode: AttrMode) -> PathAttributes {
+        let raw = encode_attrs(attrs, &[], &[], mode);
+        AttrsView::parse(&raw, &raw, mode).unwrap().to_attrs()
+    }
+
     #[test]
     fn long_as_path_splits_and_merges() {
-        let path = AsPath::from_sequence((1..=600u32).collect::<Vec<_>>());
-        let body = encode_as_path(&path);
-        let decoded = decode_as_path(&body).unwrap();
-        assert_eq!(decoded, path);
+        let attrs = PathAttributes {
+            as_path: AsPath::from_sequence((1..=600u32).collect::<Vec<_>>()),
+            ..Default::default()
+        };
+        assert_eq!(roundtrip_attrs(&attrs, AttrMode::Bgp4mp), attrs);
     }
 
     #[test]
@@ -544,18 +349,14 @@ mod tests {
             announced: vec![Prefix::v4(184, 84, 242, 0, 24), "2600:2::/32".parse().unwrap()],
         };
         let bytes = encode_bgp_update(&upd);
-        let mut cur = Cursor::new(&bytes);
-        let back = decode_bgp_update(&mut cur).unwrap();
-        assert_eq!(back, upd);
-        assert_eq!(cur.remaining(), 0);
+        assert_eq!(UpdateView::parse(&bytes).unwrap().materialize(), upd);
     }
 
     #[test]
     fn withdraw_only_v6() {
         let upd = BgpUpdate::withdraw(vec!["2600:9::/32".parse().unwrap()]);
         let bytes = encode_bgp_update(&upd);
-        let mut cur = Cursor::new(&bytes);
-        assert_eq!(decode_bgp_update(&mut cur).unwrap(), upd);
+        assert_eq!(UpdateView::parse(&bytes).unwrap().materialize(), upd);
     }
 
     #[test]
@@ -563,8 +364,7 @@ mod tests {
         let upd = BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 0, 0, 16)]);
         let mut bytes = encode_bgp_update(&upd);
         bytes[3] = 0;
-        let mut cur = Cursor::new(&bytes);
-        assert!(matches!(decode_bgp_update(&mut cur), Err(MrtError::BadMarker)));
+        assert!(matches!(UpdateView::parse(&bytes), Err(MrtError::BadMarker)));
     }
 
     #[test]
@@ -574,8 +374,8 @@ mod tests {
         let mut raw = encode_attrs(&attrs, &[], &[], AttrMode::Bgp4mp);
         // Append an unknown optional-transitive attribute type 99.
         raw.extend_from_slice(&[FLAG_OPTIONAL | FLAG_TRANSITIVE, 99, 2, 0xAB, 0xCD]);
-        let decoded = decode_attrs(&raw, AttrMode::Bgp4mp).unwrap();
-        assert_eq!(decoded.attrs.as_path, attrs.as_path);
+        let decoded = AttrsView::parse(&raw, &raw, AttrMode::Bgp4mp).unwrap().to_attrs();
+        assert_eq!(decoded, attrs);
     }
 
     #[test]
@@ -585,8 +385,6 @@ mod tests {
             as_path: AsPath::from_sequence([3356, 20940]),
             ..Default::default()
         };
-        let raw = encode_attrs(&attrs, &[], &[], AttrMode::TableDumpV2);
-        let decoded = decode_attrs(&raw, AttrMode::TableDumpV2).unwrap();
-        assert_eq!(decoded.attrs.next_hop, attrs.next_hop);
+        assert_eq!(roundtrip_attrs(&attrs, AttrMode::TableDumpV2), attrs);
     }
 }

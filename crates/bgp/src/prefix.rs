@@ -38,6 +38,7 @@ impl std::error::Error for PrefixError {}
 
 impl Prefix {
     /// Builds a canonical prefix, zeroing host bits.
+    #[inline]
     pub fn new(addr: IpAddr, len: u8) -> Result<Self, PrefixError> {
         let max = match addr {
             IpAddr::V4(_) => 32,

@@ -1,15 +1,21 @@
 //! Golden-corpus decoder tests: hand-built MRT frames with byte-exact
 //! expected parses, malformed frames that must error without panicking,
-//! and a deterministic mutation-fuzz loop over the corpus asserting the
-//! zero-copy view's equivalence contract — whenever [`UpdateView`]
-//! accepts a message, the materializing decoder accepts it too and both
-//! agree on every decoded field.
+//! and deterministic mutation-fuzz loops over BGP4MP and TABLE_DUMP_V2
+//! corpora asserting the parser's two-sided contract against the
+//! [`reference`] decoder — the reference accepts a frame exactly when
+//! [`MrtReader`] does, both decode it to equal values, and [`MrtReader`]
+//! and [`FrameView::message`] accept the same BGP4MP message frames.
+
+mod reference;
 
 use kepler_bgp::mrt::{
-    Bgp4mpMessage, FrameView, MrtBody, MrtError, MrtReader, MrtRecord, MrtWriter,
-    BGP4MP_MESSAGE_AS4, MRT_TYPE_BGP4MP,
+    Bgp4mpMessage, FrameView, MrtBody, MrtError, MrtReader, MrtRecord, MrtWriter, PeerEntry,
+    PeerIndexTable, RibEntry, RibPrefixEntries, BGP4MP_MESSAGE_AS4, MRT_TYPE_BGP4MP,
 };
-use kepler_bgp::{AsPath, Asn, BgpUpdate, Community, PathAttributes, Prefix};
+use kepler_bgp::{
+    AsPath, Asn, BgpUpdate, Community, ExtendedCommunity, LargeCommunity, Origin, PathAttributes,
+    Prefix,
+};
 
 const FLAG_TRANSITIVE: u8 = 0x40;
 const FLAG_OPTIONAL: u8 = 0x80;
@@ -100,7 +106,7 @@ fn assert_golden(frame: &[u8], expected: &BgpUpdate) {
     let (view, used) = FrameView::parse(frame).expect("frame parses").expect("non-empty");
     assert_eq!(used, frame.len(), "frame length accounts for every byte");
     let msg = view.message().expect("message parses").expect("is a message frame");
-    assert_eq!(msg.update.materialize().expect("materialize"), *expected);
+    assert_eq!(msg.update.materialize(), *expected);
     let withdrawn: Vec<Prefix> =
         msg.update.withdrawn_v4().chain(msg.update.mp_withdrawn()).collect();
     assert_eq!(withdrawn, expected.withdrawn);
@@ -124,7 +130,7 @@ fn assert_golden(frame: &[u8], expected: &BgpUpdate) {
     assert_eq!(&m.update, expected);
 }
 
-/// Both decode paths must reject the frame with a clean error (no panic).
+/// Both front doors must reject the frame with a clean error (no panic).
 fn assert_rejected(frame: &[u8]) {
     let viewed = FrameView::parse(frame).and_then(|f| match f {
         Some((frame, _)) => frame.message(),
@@ -135,10 +141,7 @@ fn assert_rejected(frame: &[u8]) {
         "zero-copy path must reject or skip, got {viewed:?}"
     );
     let first = MrtReader::new(frame).next();
-    assert!(
-        matches!(first, Some(Err(_)) | None),
-        "materializing reader must reject, got {first:?}"
-    );
+    assert!(matches!(first, Some(Err(_)) | None), "reader must reject, got {first:?}");
 }
 
 // ------------------------------------------------------------ golden frames
@@ -260,21 +263,135 @@ fn max_length_community_list() {
     assert_golden(&frame, &expected);
 }
 
-/// The one place the paths intentionally differ: the materializing decoder
-/// resolves duplicate attributes last-wins, while the view rejects them so
-/// every accepted message has unambiguous borrowed regions. The contract
-/// is one-sided (view Ok ⇒ decode Ok), never the converse.
+/// Both front doors reject the frame with a typed `BadValue`.
+fn assert_bad_value(frame: &[u8]) {
+    let (view, _) = FrameView::parse(frame).unwrap().unwrap();
+    let viewed = view.message();
+    assert!(matches!(viewed, Err(MrtError::BadValue { .. })), "view: {viewed:?}");
+    let read = MrtReader::new(frame).next();
+    assert!(matches!(read, Some(Err(MrtError::BadValue { .. }))), "reader: {read:?}");
+}
+
+/// Decodes a message frame through both front doors, asserting they agree.
+fn decode_both(frame: &[u8]) -> BgpUpdate {
+    let (view, _) = FrameView::parse(frame).unwrap().unwrap();
+    let update = view.message().unwrap().unwrap().update.materialize();
+    let records: Vec<MrtRecord> = MrtReader::new(frame).map(|r| r.unwrap()).collect();
+    let MrtBody::Message(m) = &records[0].body else { panic!("expected message") };
+    assert_eq!(m.update, update, "reader and view agree");
+    update
+}
+
+/// RFC 7606 §3(g): a repeated MP_REACH_NLRI or MP_UNREACH_NLRI is a typed
+/// error; any other repeated attribute keeps its first occurrence and
+/// later ones are skipped unvalidated — through `MrtReader` and
+/// `FrameView` alike.
 #[test]
-fn duplicate_attribute_is_view_rejected_but_decode_last_wins() {
+fn duplicate_attributes_follow_rfc_7606() {
+    // AS_PATH: the first occurrence wins.
     let mut attrs = as_path_attr(&[3356, 13030]);
     attrs.extend_from_slice(&as_path_attr(&[3356, 20_940]));
     let frame = update_frame(&[], &attrs, &[16, 20, 1]);
+    let path = decode_both(&frame).attrs.unwrap().as_path;
+    assert_eq!(path, AsPath::from_sequence([3356, 13030]), "first attribute wins");
     let (view, _) = FrameView::parse(&frame).unwrap().unwrap();
-    assert!(matches!(view.message(), Err(MrtError::BadValue { .. })));
-    let records: Vec<MrtRecord> = MrtReader::new(&frame[..]).map(|r| r.unwrap()).collect();
-    let MrtBody::Message(m) = &records[0].body else { panic!("expected message") };
-    let attrs = m.update.attrs.as_ref().unwrap();
-    assert_eq!(attrs.as_path, AsPath::from_sequence([3356, 20_940]), "last attribute wins");
+    let asns: Vec<Asn> = view.message().unwrap().unwrap().update.as_path().asns().collect();
+    assert_eq!(asns, [Asn(3356), Asn(13030)]);
+
+    // A malformed repeat (COMMUNITY of length 3) is skipped, not validated.
+    let mut attrs = as_path_attr(&[3356]);
+    attrs.extend_from_slice(&attr(FLAG_OPTIONAL | FLAG_TRANSITIVE, 8, &[0, 1, 0, 2]));
+    attrs.extend_from_slice(&attr(FLAG_OPTIONAL | FLAG_TRANSITIVE, 8, &[9, 9, 9]));
+    let update = decode_both(&update_frame(&[], &attrs, &[16, 20, 1]));
+    assert_eq!(update.attrs.unwrap().communities, [Community::new(1, 2)]);
+
+    // Repeated MP regions are malformed, however well-formed each is.
+    let reach = attr(FLAG_OPTIONAL, 14, &mp_reach_body(2, 1, &[32, 0x26, 0, 0, 2]));
+    let unreach = attr(FLAG_OPTIONAL, 15, &mp_unreach_body(2, 1, &[32, 0x26, 0, 0, 1]));
+    for mp in [&reach, &unreach] {
+        let mut attrs = as_path_attr(&[3356]);
+        attrs.extend_from_slice(mp);
+        decode_both(&update_frame(&[], &attrs, &[]));
+        attrs.extend_from_slice(mp);
+        assert_bad_value(&update_frame(&[], &attrs, &[]));
+    }
+}
+
+/// Every modelled attribute with a malformed body is a typed reject in
+/// both front doors and in the reference: bad ORIGIN, and a wrong length
+/// for each fixed-size or list attribute.
+#[test]
+fn malformed_attribute_bodies_are_rejected() {
+    let cases: [(u8, &[u8]); 8] = [
+        (1, &[]),
+        (1, &[3]),
+        (3, &[10, 0, 0]),
+        (4, &[0, 0, 0, 0, 7]),
+        (5, &[0, 100]),
+        (8, &[0, 1, 0]),
+        (16, &[0; 7]),
+        (32, &[0; 11]),
+    ];
+    for (attr_type, body) in cases {
+        let mut attrs = as_path_attr(&[3356]);
+        attrs.extend_from_slice(&attr(FLAG_OPTIONAL | FLAG_TRANSITIVE, attr_type, body));
+        let frame = update_frame(&[], &attrs, &[16, 20, 1]);
+        assert_bad_value(&frame);
+        assert!(matches!(reference::decode_frame(&frame), Some(Err(_))), "type {attr_type}");
+    }
+}
+
+/// An MP_REACH_NLRI body: AFI, SAFI, a 16-byte next hop, reserved, NLRI.
+fn mp_reach_body(afi: u16, safi: u8, nlri: &[u8]) -> Vec<u8> {
+    let mut body = afi.to_be_bytes().to_vec();
+    body.push(safi);
+    body.push(16);
+    body.extend_from_slice(&[0x20, 0x01, 0x07, 0xf8].repeat(4));
+    body.push(0);
+    body.extend_from_slice(nlri);
+    body
+}
+
+/// An MP_UNREACH_NLRI body: AFI, SAFI, withdrawn NLRI.
+fn mp_unreach_body(afi: u16, safi: u8, nlri: &[u8]) -> Vec<u8> {
+    let mut body = afi.to_be_bytes().to_vec();
+    body.push(safi);
+    body.extend_from_slice(nlri);
+    body
+}
+
+/// MP NLRI of any family but IPv4 or IPv6 unicast is a typed reject, not
+/// IPv4 unicast routes: AFI 3 (NSAP) and SAFI 2 (multicast), in MP_REACH and in MP_UNREACH.
+#[test]
+fn non_unicast_mp_nlri_is_rejected() {
+    let nlri = [16, 20, 1];
+    for (afi, safi) in [(3u16, 1u8), (1, 2)] {
+        let mut attrs = as_path_attr(&[3356]);
+        attrs.extend_from_slice(&attr(FLAG_OPTIONAL, 14, &mp_reach_body(afi, safi, &nlri)));
+        assert_bad_value(&update_frame(&[], &attrs, &[]));
+        let unreach = attr(FLAG_OPTIONAL, 15, &mp_unreach_body(afi, safi, &nlri));
+        assert_bad_value(&update_frame(&[], &unreach, &[]));
+    }
+    // IPv4 unicast in MP_REACH stays a route.
+    let mut attrs = as_path_attr(&[3356]);
+    attrs.extend_from_slice(&attr(FLAG_OPTIONAL, 14, &mp_reach_body(1, 1, &nlri)));
+    let update = decode_both(&update_frame(&[], &attrs, &[]));
+    assert_eq!(update.announced, [Prefix::v4(20, 1, 0, 0, 16)]);
+}
+
+/// A body that does not decode costs its own record, not the rest of the
+/// archive: the reader yields its error and goes on to the next frame.
+#[test]
+fn body_error_skips_one_record() {
+    let good = update_frame(&[], &as_path_attr(&[3356, 13030]), &[16, 20, 1]);
+    let mut confed = vec![3u8, 1];
+    confed.extend_from_slice(&65_100u32.to_be_bytes());
+    let bad = update_frame(&[], &attr(FLAG_TRANSITIVE, 2, &confed), &[16, 20, 1]);
+    let archive = [good.clone(), bad, good].concat();
+    let items: Vec<_> = MrtReader::new(&archive[..]).collect();
+    assert_eq!(items.len(), 3);
+    assert!(items[0].is_ok() && items[2].is_ok());
+    assert!(matches!(items[1], Err(MrtError::BadValue { .. })));
 }
 
 // ------------------------------------------------------------- mutation fuzz
@@ -298,17 +415,9 @@ impl Rng {
     }
 }
 
-/// The corpus the fuzz loop mutates: every golden frame above plus a
-/// writer-produced frame with both address families and every attribute
-/// the encoder can emit.
-fn fuzz_corpus() -> Vec<Vec<u8>> {
-    let mut rich_attrs = PathAttributes::with_path_and_communities(
-        AsPath::from_sequence([3356, 3356, 13030, 20_940]),
-        vec![Community::new(13030, 51_904), Community::new(3356, 2001)],
-    );
-    rich_attrs.med = Some(7);
-    rich_attrs.local_pref = Some(120);
-    let rich = MrtRecord {
+/// A writer-produced `BGP4MP_MESSAGE_AS4` frame around `update`.
+fn written(update: BgpUpdate) -> Vec<u8> {
+    let rec = MrtRecord {
         timestamp: 1_400_000_000,
         body: MrtBody::Message(Bgp4mpMessage {
             peer_as: Asn(13030),
@@ -316,15 +425,43 @@ fn fuzz_corpus() -> Vec<Vec<u8>> {
             interface_index: 0,
             peer_ip: "192.0.2.1".parse().unwrap(),
             local_ip: "192.0.2.2".parse().unwrap(),
-            update: BgpUpdate {
-                withdrawn: vec![Prefix::v4(100, 0, 0, 0, 8), "2600:1::/32".parse().unwrap()],
-                attrs: Some(rich_attrs),
-                announced: vec![Prefix::v4(184, 84, 242, 0, 24), "2600:2::/32".parse().unwrap()],
-            },
+            update,
         }),
     };
-    let mut rich_bytes = Vec::new();
-    MrtWriter::new(&mut rich_bytes).write_record(&rich).unwrap();
+    let mut buf = Vec::new();
+    MrtWriter::new(&mut buf).write_record(&rec).unwrap();
+    buf
+}
+
+/// The corpus the fuzz loop mutates: every golden frame above plus two
+/// writer-produced frames, one with both address families and one with
+/// every other attribute the encoder can emit and an AS path split at
+/// the 255-ASN segment limit.
+fn fuzz_corpus() -> Vec<Vec<u8>> {
+    let mut rich_attrs = PathAttributes::with_path_and_communities(
+        AsPath::from_sequence([3356, 3356, 13030, 20_940]),
+        vec![Community::new(13030, 51_904), Community::new(3356, 2001)],
+    );
+    rich_attrs.med = Some(7);
+    rich_attrs.local_pref = Some(120);
+    let rich = written(BgpUpdate {
+        withdrawn: vec![Prefix::v4(100, 0, 0, 0, 8), "2600:1::/32".parse().unwrap()],
+        attrs: Some(rich_attrs),
+        announced: vec![Prefix::v4(184, 84, 242, 0, 24), "2600:2::/32".parse().unwrap()],
+    });
+    let long = written(BgpUpdate {
+        withdrawn: vec![],
+        attrs: Some(PathAttributes {
+            origin: Origin::Incomplete,
+            as_path: AsPath::from_sequence(64_512..64_812),
+            next_hop: "2001:7f8::1".parse().unwrap(),
+            atomic_aggregate: true,
+            extended_communities: vec![ExtendedCommunity([0, 2, 0x32, 0xE6, 0, 0, 0, 9])],
+            large_communities: vec![LargeCommunity::new(13030, 7, 9)],
+            ..Default::default()
+        }),
+        announced: vec!["2a02:2e0::/32".parse().unwrap()],
+    });
 
     let mut zero_path_attrs = attr(FLAG_TRANSITIVE, 1, &[0]);
     zero_path_attrs.extend_from_slice(&attr(FLAG_TRANSITIVE, 2, &[]));
@@ -334,60 +471,142 @@ fn fuzz_corpus() -> Vec<Vec<u8>> {
     asn4_attrs.extend_from_slice(&attr(FLAG_TRANSITIVE, 3, &[10, 0, 0, 1]));
 
     vec![
-        rich_bytes,
+        rich,
+        long,
         update_frame(&[], &zero_path_attrs, &[16, 20, 7]),
         update_frame(&[16, 20, 3], &[], &[]),
         update_frame(&[], &asn4_attrs, &[16, 20, 9, 8, 10, 24, 20, 11, 0]),
     ]
 }
 
-/// When the zero-copy view accepts a mutated message, the materializing
-/// decoder must accept it too and every lazily decoded field must match
-/// the materialized record. Rejections on either side are fine; panics
-/// and divergence are not.
-fn check_equivalence(buf: &[u8]) {
-    // The materializing reader must never panic, whatever the bytes.
-    for rec in MrtReader::new(buf) {
-        if rec.is_err() {
-            break;
-        }
-    }
-    let Ok(Some((frame, _))) = FrameView::parse(buf) else { return };
-    let Ok(Some(msg)) = frame.message() else { return };
-    // View accepted ⇒ materializing decode must succeed and agree.
-    let update = msg.update.materialize().expect("view Ok implies materializing decode Ok");
-    let withdrawn: Vec<Prefix> =
-        msg.update.withdrawn_v4().chain(msg.update.mp_withdrawn()).collect();
-    assert_eq!(withdrawn, update.withdrawn, "withdrawn prefixes diverged");
-    let announced: Vec<Prefix> =
-        msg.update.announced_v4().chain(msg.update.mp_announced()).collect();
-    assert_eq!(announced, update.announced, "announced prefixes diverged");
-    assert_eq!(msg.update.has_announcements(), !update.announced.is_empty());
-    // Attributes only matter on announcing messages (the materializing
-    // decoder normalizes them to `None` otherwise).
-    if let Some(attrs) = &update.attrs {
-        let view_asns: Vec<Asn> = msg.update.as_path().asns().collect();
-        assert_eq!(view_asns, attrs.as_path.asns().collect::<Vec<_>>(), "AS path diverged");
-        let mut hops = Vec::new();
-        msg.update.as_path().hops_into(&mut hops);
-        assert_eq!(hops, attrs.as_path.hops(), "collapsed hops diverged");
-        assert_eq!(msg.update.as_path().is_empty(), attrs.as_path.is_empty());
-        assert_eq!(
-            msg.update.as_path().has_special_purpose_asn(),
-            attrs.as_path.has_special_purpose_asn()
-        );
-        let comms: Vec<Community> = msg.update.communities().iter().collect();
-        assert_eq!(comms, attrs.communities, "communities diverged");
-    }
+/// A TABLE_DUMP_V2 snapshot: the peer index table plus one IPv4 and one
+/// IPv6 RIB record, whose entries carry every attribute `encode_attrs`
+/// emits (the IPv6 next hop as the abbreviated MP_REACH).
+fn table_dump_corpus() -> Vec<Vec<u8>> {
+    let attrs = |next_hop: &str| PathAttributes {
+        origin: Origin::Egp,
+        as_path: AsPath::from_sequence([6939, 6939, 3320, 396_982]),
+        next_hop: next_hop.parse().unwrap(),
+        med: Some(50),
+        local_pref: Some(100),
+        atomic_aggregate: true,
+        communities: vec![Community::new(6939, 1000), Community::new(3320, 2003)],
+        extended_communities: vec![ExtendedCommunity([0, 2, 0x1B, 0x1B, 0, 0, 0, 7])],
+        large_communities: vec![LargeCommunity::new(396_982, 1, 2)],
+    };
+    let peers = PeerIndexTable {
+        collector_id: 0x0A00_0001,
+        view_name: "rrc00".into(),
+        peers: vec![
+            PeerEntry { bgp_id: 1, addr: "192.0.2.1".parse().unwrap(), asn: Asn(6939) },
+            PeerEntry { bgp_id: 2, addr: "2001:7f8::2".parse().unwrap(), asn: Asn(396_982) },
+        ],
+    };
+    let rib = |sequence, prefix: &str, next_hop| RibPrefixEntries {
+        sequence,
+        prefix: prefix.parse().unwrap(),
+        entries: vec![
+            RibEntry { peer_index: 0, originated_time: 1_431_500_000, attrs: attrs(next_hop) },
+            RibEntry {
+                peer_index: 1,
+                originated_time: 1_431_500_100,
+                attrs: PathAttributes::with_path_and_communities(
+                    AsPath::from_sequence([396_982]),
+                    vec![],
+                ),
+            },
+        ],
+    };
+    [
+        MrtBody::PeerIndexTable(peers),
+        MrtBody::RibEntries(rib(0, "184.84.242.0/24", "192.0.2.1")),
+        MrtBody::RibEntries(rib(1, "2a02:2e0::/32", "2001:7f8::2")),
+    ]
+    .into_iter()
+    .map(|body| {
+        let mut buf = Vec::new();
+        MrtWriter::new(&mut buf)
+            .write_record(&MrtRecord { timestamp: 1_431_500_000, body })
+            .unwrap();
+        buf
+    })
+    .collect()
 }
 
-#[test]
-fn mutated_corpus_never_panics_and_view_implies_decode() {
-    let corpus = fuzz_corpus();
-    let mut rng = Rng(0x6B65_706C_6572_2E31);
+/// Checks one (possibly mutated) buffer and returns whether the reader
+/// accepted its first record. Nothing may panic, and:
+///
+/// * the reference accepts the first frame exactly when [`MrtReader`]
+///   does, and both decode it to equal values;
+/// * on a BGP4MP message frame, [`FrameView::message`] accepts exactly
+///   when [`MrtReader`] does, and the view's lazy iterators yield the
+///   decoded record's prefixes, AS path and communities;
+/// * an accepted TABLE_DUMP_V2 record re-encodes and decodes to itself.
+fn check_equivalence(buf: &[u8]) -> bool {
+    // The reader goes past body errors to the end of the buffer.
+    let parsed: Vec<Result<MrtRecord, MrtError>> = MrtReader::new(buf).collect();
+    let first = parsed.first();
+    if let Some(reference) = reference::decode_frame(buf) {
+        match (&reference, first) {
+            (Ok(r), Some(Ok(p))) => assert_eq!(r, p, "reference and parser decode differently"),
+            (Err(_), Some(Err(_))) => {}
+            _ => panic!("reference {reference:?}, parser {first:?}"),
+        }
+    }
+    match FrameView::parse(buf).map(|f| f.map(|(frame, _)| frame.message())) {
+        Err(_) => assert!(matches!(first, Some(Err(_))), "torn frame, reader {first:?}"),
+        Ok(None) => assert!(first.is_none()),
+        Ok(Some(Err(e))) => assert!(matches!(first, Some(Err(_))), "view {e:?}, reader {first:?}"),
+        Ok(Some(Ok(None))) => {}
+        Ok(Some(Ok(Some(msg)))) => {
+            let Some(Ok(MrtRecord { body: MrtBody::Message(m), .. })) = first else {
+                panic!("view accepted, reader {first:?}")
+            };
+            let (view, update) = (msg.update, &m.update);
+            assert_eq!(view.materialize(), *update);
+            let withdrawn: Vec<Prefix> = view.withdrawn_v4().chain(view.mp_withdrawn()).collect();
+            assert_eq!(withdrawn, update.withdrawn, "withdrawn prefixes diverged");
+            let announced: Vec<Prefix> = view.announced_v4().chain(view.mp_announced()).collect();
+            assert_eq!(announced, update.announced, "announced prefixes diverged");
+            assert_eq!(view.has_announcements(), !update.announced.is_empty());
+            // Attributes only exist on announcing messages.
+            if let Some(attrs) = &update.attrs {
+                let view_asns: Vec<Asn> = view.as_path().asns().collect();
+                assert_eq!(view_asns, attrs.as_path.asns().collect::<Vec<_>>(), "AS path");
+                let mut hops = Vec::new();
+                view.as_path().hops_into(&mut hops);
+                assert_eq!(hops, attrs.as_path.hops(), "collapsed hops diverged");
+                assert_eq!(view.as_path().is_empty(), attrs.as_path.is_empty());
+                assert_eq!(
+                    view.as_path().has_special_purpose_asn(),
+                    attrs.as_path.has_special_purpose_asn()
+                );
+                let comms: Vec<Community> = view.communities().iter().collect();
+                assert_eq!(comms, attrs.communities, "communities diverged");
+            }
+        }
+    }
+    if let Some(Ok(
+        rec @ MrtRecord { body: MrtBody::PeerIndexTable(_) | MrtBody::RibEntries(_), .. },
+    )) = first
+    {
+        let mut again = Vec::new();
+        MrtWriter::new(&mut again).write_record(rec).unwrap();
+        let back: Vec<MrtRecord> = MrtReader::new(&again[..]).map(|r| r.unwrap()).collect();
+        assert_eq!(back, std::slice::from_ref(rec), "re-encoded record decodes to itself");
+    }
+    matches!(first, Some(Ok(_)))
+}
+
+/// Applies `per_frame` seeded mutations to every frame of `corpus`,
+/// checking each (and each unmutated frame) with [`check_equivalence`].
+/// Returns how many mutated frames the reader accepted.
+fn fuzz(corpus: &[Vec<u8>], seed: u64, per_frame: usize) -> u32 {
+    let mut rng = Rng(seed);
     let mut accepted = 0u32;
-    for frame in &corpus {
-        for _ in 0..1500 {
+    for frame in corpus {
+        assert!(check_equivalence(frame), "the unmutated frame decodes");
+        for _ in 0..per_frame {
             let mut buf = frame.clone();
             match rng.below(4) {
                 // Flip 1–4 bits anywhere in the frame.
@@ -409,17 +628,22 @@ fn mutated_corpus_never_panics_and_view_implies_decode() {
                 }
                 _ => unreachable!(),
             }
-            check_equivalence(&buf);
-            if FrameView::parse(&buf).is_ok_and(|f| {
-                f.is_some_and(|(frame, _)| frame.message().is_ok_and(|m| m.is_some()))
-            }) {
-                accepted += 1;
-            }
+            accepted += u32::from(check_equivalence(&buf));
         }
-        // The unmutated frame itself must satisfy the contract too.
-        check_equivalence(frame);
     }
+    accepted
+}
+
+#[test]
+fn mutated_corpus_matches_the_reference_both_ways() {
+    let accepted = fuzz(&fuzz_corpus(), 0x6B65_706C_6572_2E31, 1500);
     // Sanity: the mutation space is not rejecting everything (which would
-    // make the equivalence half of the contract vacuous).
+    // make the agreement on decoded values vacuous).
+    assert!(accepted > 100, "only {accepted} mutated frames were accepted");
+}
+
+#[test]
+fn mutated_table_dump_matches_the_reference_both_ways() {
+    let accepted = fuzz(&table_dump_corpus(), 0x7464_7632_2E72_6962, 1500);
     assert!(accepted > 100, "only {accepted} mutated frames were accepted");
 }

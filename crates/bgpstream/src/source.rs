@@ -57,40 +57,55 @@ impl RecordSource for MemorySource {
 /// A source decoding records from an MRT byte stream on the fly.
 ///
 /// Unsupported MRT record types and RIB snapshot records are skipped (the
-/// broker handles RIB dumps separately); hard decode errors terminate the
-/// stream and are reported through [`MrtSource::take_error`].
+/// broker handles RIB dumps separately). A record whose body does not
+/// decode is skipped and counted in [`MrtSource::skipped`]; the stream
+/// goes on with the next record. Only a failure to read the stream (I/O,
+/// a torn header or body) ends it, reported through
+/// [`MrtSource::take_error`].
 pub struct MrtSource<R: Read> {
     reader: MrtReader<R>,
     collector: CollectorId,
     buffered: Option<BgpRecord>,
     error: Option<MrtError>,
+    skipped: u64,
 }
 
 impl<R: Read> MrtSource<R> {
     /// Wraps an MRT byte stream, attributing records to `collector`.
     pub fn new(reader: R, collector: CollectorId) -> Self {
-        MrtSource { reader: MrtReader::new(reader), collector, buffered: None, error: None }
+        MrtSource {
+            reader: MrtReader::new(reader),
+            collector,
+            buffered: None,
+            error: None,
+            skipped: 0,
+        }
     }
 
-    /// Returns (and clears) the terminal decode error, if any.
+    /// Returns (and clears) the terminal read error, if any.
     pub fn take_error(&mut self) -> Option<MrtError> {
         self.error.take()
     }
 
+    /// Records skipped so far because their body did not decode.
+    pub fn skipped(&self) -> u64 {
+        self.skipped
+    }
+
     fn fill(&mut self) {
         while self.buffered.is_none() {
-            match self.reader.next() {
-                None => return,
-                Some(Ok(rec)) => {
-                    if let Some(r) = BgpRecord::from_mrt(rec, self.collector) {
-                        self.buffered = Some(r);
-                    }
-                }
-                Some(Err(MrtError::UnsupportedRecord { .. })) => continue,
-                Some(Err(e)) => {
+            let record = match self.reader.next_frame() {
+                Ok(None) => return,
+                Ok(Some(frame)) => frame.record(),
+                Err(e) => {
                     self.error = Some(e);
                     return;
                 }
+            };
+            match record {
+                Ok(rec) => self.buffered = BgpRecord::from_mrt(rec, self.collector),
+                Err(MrtError::UnsupportedRecord { .. }) => {}
+                Err(_) => self.skipped += 1,
             }
         }
     }
@@ -153,6 +168,30 @@ mod tests {
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[2].time, 30);
         assert_eq!(recs[0].collector, CollectorId(7));
+        assert!(s.take_error().is_none());
+    }
+
+    #[test]
+    fn undecodable_record_is_skipped_and_counted() {
+        let mut buf = Vec::new();
+        let mut w = MrtWriter::new(&mut buf);
+        w.write_record(&rec(10).to_mrt(Asn(6447), "192.0.2.254".parse().unwrap())).unwrap();
+        let mut bad = Vec::new();
+        MrtWriter::new(&mut bad)
+            .write_record(&rec(20).to_mrt(Asn(6447), "192.0.2.254".parse().unwrap()))
+            .unwrap();
+        // Turn the AS_PATH attribute's (flags 0x40, type 2, length 6)
+        // AS_SEQUENCE into an AS_CONFED_SEQUENCE, a typed reject.
+        let at = bad.windows(4).position(|w| w == [0x40, 2, 6, 2]).unwrap();
+        bad[at + 3] = 3;
+        buf.extend_from_slice(&bad);
+        let mut w = MrtWriter::new(&mut buf);
+        w.write_record(&rec(30).to_mrt(Asn(6447), "192.0.2.254".parse().unwrap())).unwrap();
+
+        let mut s = MrtSource::new(&buf[..], CollectorId(7));
+        let times: Vec<u64> = std::iter::from_fn(|| s.next_record()).map(|r| r.time).collect();
+        assert_eq!(times, vec![10, 30]);
+        assert_eq!(s.skipped(), 1);
         assert!(s.take_error().is_none());
     }
 }

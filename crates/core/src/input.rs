@@ -298,16 +298,14 @@ impl InputModule {
         let Some((path, communities, announced)) = announcement else { return };
         let mut hops = std::mem::take(&mut self.arena.hops);
         let path_verdict = path.assess(&self.sanitizer, &mut hops);
+        let mut cross = std::mem::take(&mut self.arena.cross);
+        cross.clear();
+        if path_verdict.is_ok() {
+            self.map_communities_into(communities, &hops, &mut cross);
+        }
+        let located = !cross.is_empty();
         let mut dense = std::mem::take(&mut self.arena.dense);
         dense.clear();
-        let mut located = false;
-        if path_verdict.is_ok() {
-            let mut cross = std::mem::take(&mut self.arena.cross);
-            self.map_communities_into(communities, &hops, &mut cross);
-            located = !cross.is_empty();
-            dense.extend(cross.iter().map(|c| interner.crossing(c)));
-            self.arena.cross = cross;
-        }
         for p in announced {
             self.stats.elems += 1;
             let v = path_verdict.and_then(|()| self.sanitizer.assess_prefix(&p));
@@ -321,10 +319,17 @@ impl InputModule {
             } else {
                 self.stats.unlocated += 1;
             }
+            // Crossings are interned with the first prefix that survives,
+            // as the per-element road does: a record whose every prefix
+            // is rejected mints no pop or ASN ids.
+            if dense.len() < cross.len() {
+                dense.extend(cross.iter().map(|c| interner.crossing(c)));
+            }
             let route = interner.route_id_in(sess, p);
             emit(interner, DenseElem::Update { route, crossings: &dense });
         }
         self.arena.hops = hops;
+        self.arena.cross = cross;
         self.arena.dense = dense;
     }
 

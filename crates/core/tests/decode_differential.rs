@@ -347,8 +347,11 @@ fn assert_runs_identical(a: &DecodeRun, b: &DecodeRun, what: &str) {
     assert_eq!(a.baseline, b.baseline, "{what}: baseline size diverged");
 }
 
+// 24 cases by default; `PROPTEST_CASES` overrides it (CI runs 2000).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|n| n.parse().ok()).unwrap_or(24)
+    ))]
 
     /// All three decode paths — materializing explode, record-dense, and
     /// zero-copy MRT — produce bit-identical dense events, interner
