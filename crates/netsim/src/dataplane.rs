@@ -109,7 +109,7 @@ use epoch::EpochIndex;
 #[cfg(test)]
 use {
     cache::{SKELETON_CACHE_CAP, TREE_CACHE_CAP},
-    epoch::{affects_routes, restoration_tail, MAX_TAIL_SECS},
+    epoch::{restoration_tail, MAX_TAIL_SECS},
 };
 
 /// A world or timeline a simulator either borrows (scoped simulators) or
@@ -192,11 +192,7 @@ impl<'w> DataplaneSim<'w> {
 
     /// Materializes the failure set of an active-event index set.
     fn failed_from(&self, active: &[u32]) -> FailedSet {
-        let mut failed = FailedSet::default();
-        for &i in active {
-            apply_to(&mut failed, &self.world, i as usize, &self.timeline[i as usize].kind);
-        }
-        failed
+        FailedSet::of_events(&self.world, &self.timeline, active)
     }
 
     /// The failure state the *data plane* experiences at `t` for `pair`:
@@ -393,18 +389,6 @@ impl<'w> DataplaneSim<'w> {
         true
     }
 
-    /// A single reachability/latency probe: end-to-end RTT when the
-    /// destination answers at `t`, `None` otherwise.
-    pub fn ping(&self, pair: ProbePair, t: u64) -> Option<f64> {
-        let tr = self.traceroute(pair, t);
-        if tr.reached {
-            // A ping answers even when every intermediate hop was lossy.
-            Some(tr.hops.last().map(|h| h.rtt_ms).unwrap_or(0.5))
-        } else {
-            None
-        }
-    }
-
     /// Resolves a (vantage AS, target AS) pair to a measurable probe
     /// pair: the target's first originated IPv4 prefix. `None` when
     /// either AS is unknown or the target originates no IPv4 space.
@@ -517,52 +501,6 @@ fn addr_hash(a: IpAddr) -> u64 {
     }
 }
 
-/// Applies an event to a failure set (shared with the engine's semantics).
-fn apply_to(failed: &mut FailedSet, world: &World, id: usize, kind: &EventKind) {
-    use crate::events::partial_ports;
-    match kind {
-        EventKind::FacilityOutage { facility, affected_fraction }
-        | EventKind::FiberCut { facility, affected_fraction } => {
-            if *affected_fraction >= 1.0 {
-                failed.facilities.insert(*facility);
-            } else {
-                let members: Vec<Asn> =
-                    world.colo.members_of_facility(*facility).iter().copied().collect();
-                for asn in partial_ports(world, &members, *affected_fraction, id as u64) {
-                    failed.facility_ports.insert((*facility, asn));
-                }
-            }
-        }
-        EventKind::IxpOutage { ixp, affected_fraction } => {
-            if *affected_fraction >= 1.0 {
-                failed.ixps.insert(*ixp);
-            } else {
-                let members: Vec<Asn> = world.colo.members_of_ixp(*ixp).iter().copied().collect();
-                for asn in partial_ports(world, &members, *affected_fraction, id as u64) {
-                    failed.ixp_ports.insert((*ixp, asn));
-                }
-            }
-        }
-        EventKind::Depeering { a, b } => {
-            if let (Some(&ia), Some(&ib)) = (world.asn_to_idx.get(a), world.asn_to_idx.get(b)) {
-                let k = if ia.0 <= ib.0 { (ia, ib) } else { (ib, ia) };
-                if let Some(&adj) = world.adj_of.get(&k) {
-                    failed.dead_adjacencies.insert(adj);
-                }
-            }
-        }
-        EventKind::IxpMemberLeave { asn, ixp } => {
-            failed.dead_memberships.insert((*ixp, *asn));
-        }
-        EventKind::OperatorWithdraw { asns, facility } => {
-            for asn in asns {
-                failed.facility_ports.insert((*facility, *asn));
-            }
-        }
-        EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. } => {}
-    }
-}
-
 /// The straight-line reference the incremental path is differentially
 /// tested against: the pre-index, pre-skeleton body of
 /// [`DataplaneSim::traceroute_with`], rebuilding everything from the
@@ -572,7 +510,7 @@ impl DataplaneSim<'_> {
     fn active_events_reference(&self, t: u64, pair: ProbePair) -> Vec<u32> {
         let mut active = Vec::new();
         for (i, ev) in self.timeline.iter().enumerate() {
-            if !affects_routes(&ev.kind) {
+            if !ev.kind.affects_routes() {
                 continue;
             }
             let extra = restoration_tail(self.seed, i, pair);
@@ -856,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn ping_and_pair_between_answer_by_asn() {
+    fn pair_between_answers_by_asn() {
         let w = World::generate(WorldConfig::tiny(93));
         let dp = DataplaneSim::new(&w, &[], 7);
         let src = w.ases.iter().find(|a| w.v4_prefix_of(w.asn_to_idx[&a.asn]).is_some()).unwrap();
@@ -864,8 +802,6 @@ mod tests {
             w.ases.iter().rev().find(|a| w.v4_prefix_of(w.asn_to_idx[&a.asn]).is_some()).unwrap();
         let pair = dp.pair_between(src.asn, dst.asn).expect("both originate v4");
         assert_eq!(pair.src, w.asn_to_idx[&src.asn]);
-        let tr = dp.traceroute(pair, T0);
-        assert_eq!(dp.ping(pair, T0).is_some(), tr.reached);
         assert_eq!(dp.pair_between(Asn(999_999), dst.asn), None, "unknown vantage");
     }
 

@@ -3,7 +3,7 @@
 //! answer holds.
 
 use super::ProbePair;
-use crate::events::{EventKind, ScheduledEvent};
+use crate::events::ScheduledEvent;
 use kepler_probe::splitmix64 as splitmix;
 
 /// Longest restoration tail plus one: every per-(pair, event) tail drawn
@@ -21,13 +21,6 @@ pub(super) fn restoration_tail(seed: u64, event: usize, pair: ProbePair) -> u64 
     } else {
         3600 + (((frac - 0.85) / 0.15) * 7200.0) as u64
     }
-}
-
-/// Whether an event can change routes. Flaps touch no routes; surges
-/// touch none either (they are pure-latency events read off the timeline
-/// per hop), so neither may perturb an active set — the cache key.
-pub(super) fn affects_routes(kind: &EventKind) -> bool {
-    !matches!(kind, EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. })
 }
 
 /// One route-affecting event that may be active somewhere in an epoch.
@@ -61,7 +54,9 @@ pub(super) struct EpochIndex {
 
 impl EpochIndex {
     pub(super) fn build(timeline: &[ScheduledEvent]) -> Self {
-        let routed = || timeline.iter().enumerate().filter(|(_, ev)| affects_routes(&ev.kind));
+        // Flaps and surges break nothing, so they never enter an active
+        // set (the cache key).
+        let routed = || timeline.iter().enumerate().filter(|(_, ev)| ev.kind.affects_routes());
         let mut edges: Vec<u64> = routed()
             .flat_map(|(_, ev)| [ev.start, ev.end(), ev.end().saturating_add(MAX_TAIL_SECS)])
             .collect();

@@ -11,8 +11,18 @@
 //!   (Figure 10a);
 //! * collector-peer session flaps produce state messages and bulk table
 //!   re-announcements that must *not* look like outages.
+//!
+//! What is broken is always [`FailedSet::of_events`] over the events in
+//! force, re-derived on every fail and restore, as the data plane does:
+//! when two events break one element, it stays broken until the last of
+//! them ends. A restore re-checks the prefixes its fail changed; when an
+//! event still in force breaks an element this one broke (a same-element
+//! [`FailedSet::overlaps`]), the restore also hands those prefixes to that
+//! event, so they are re-checked, and return, when it ends. Events that
+//! share only an element *key* (a whole building and a port in it) hand
+//! nothing over.
 
-use crate::events::{partial_ports, EventKind, GroundTruthEvent, ScheduledEvent};
+use crate::events::{EventKind, GroundTruthEvent, ScheduledEvent};
 use crate::routing::policy::FailedSet;
 use crate::routing::propagate::{compute_tree, RouteTree};
 use crate::routing::tag::{snapshot_route, RouteSnapshot};
@@ -23,7 +33,7 @@ use kepler_topology::{FacilityId, IxpId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -106,7 +116,7 @@ pub struct SimOutput {
     pub peers: Vec<(Asn, IpAddr)>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum ElementKey {
     Fac(FacilityId),
     Ixp(IxpId),
@@ -130,6 +140,17 @@ fn elements_of(snap: &RouteSnapshot) -> HashSet<ElementKey> {
     out
 }
 
+/// The elements an event's own failure touches: facilities, whole or
+/// through a dead port; IXPs, whole or through a dead port or membership;
+/// dead adjacencies.
+fn keys_of(own: &FailedSet) -> impl Iterator<Item = ElementKey> + '_ {
+    let facs = own.facilities.iter().copied().chain(own.facility_ports.iter().map(|&(f, _)| f));
+    let ixps = own.ixps.iter().copied();
+    let ixps = ixps.chain(own.ixp_ports.iter().chain(&own.dead_memberships).map(|&(x, _)| x));
+    let adjs = own.dead_adjacencies.iter().copied().map(ElementKey::Adj);
+    facs.map(ElementKey::Fac).chain(ixps.map(ElementKey::Ixp)).chain(adjs)
+}
+
 #[derive(Debug)]
 enum Action {
     Fail(usize),
@@ -143,6 +164,9 @@ pub struct Simulation<'w> {
     setup: CollectorSetup,
     start: u64,
     rng: StdRng,
+    /// Timeline indices of the route-affecting events in force, ascending.
+    active: Vec<u32>,
+    /// `FailedSet::of_events` over `active`.
     failed: FailedSet,
     /// What BGP currently shows per (peer slot, prefix).
     visible: HashMap<(u32, u32), RouteSnapshot>,
@@ -152,7 +176,7 @@ pub struct Simulation<'w> {
     generations: HashMap<(u32, u32), u64>,
     records: Vec<BgpRecord>,
     /// `failed`'s usable-adjacency table, built on first use in each
-    /// failure epoch (every applied event starts one).
+    /// failure epoch (every `set_active` starts one).
     usable: Option<Vec<bool>>,
     /// Routing trees of the current failure epoch, by origin AS: the
     /// prefixes of one origin share a tree.
@@ -168,6 +192,7 @@ impl<'w> Simulation<'w> {
             setup,
             start,
             rng: StdRng::seed_from_u64(seed ^ 0x51A1_0E17),
+            active: Vec::new(),
             failed: FailedSet::default(),
             visible: HashMap::new(),
             prefix_elements: vec![HashSet::new(); world.prefixes.len()],
@@ -281,124 +306,29 @@ impl<'w> Simulation<'w> {
         self.emit(slot, RecordPayload::Update(BgpUpdate::withdraw(vec![p])), time);
     }
 
-    fn apply_kind(&mut self, id: usize, kind: &EventKind, on: bool) {
-        match kind {
-            EventKind::FacilityOutage { facility, affected_fraction }
-            | EventKind::FiberCut { facility, affected_fraction } => {
-                if *affected_fraction >= 1.0 {
-                    if on {
-                        self.failed.facilities.insert(*facility);
-                    } else {
-                        self.failed.facilities.remove(facility);
-                    }
-                } else {
-                    let members: Vec<Asn> =
-                        self.world.colo.members_of_facility(*facility).iter().copied().collect();
-                    for asn in partial_ports(self.world, &members, *affected_fraction, id as u64) {
-                        if on {
-                            self.failed.facility_ports.insert((*facility, asn));
-                        } else {
-                            self.failed.facility_ports.remove(&(*facility, asn));
-                        }
-                    }
-                }
+    /// Puts event `id` in or out of force and re-derives what is broken.
+    fn set_active(&mut self, timeline: &[ScheduledEvent], id: usize, on: bool) {
+        match (self.active.binary_search(&(id as u32)), on) {
+            (Err(at), true) => self.active.insert(at, id as u32),
+            (Ok(at), false) => {
+                self.active.remove(at);
             }
-            EventKind::IxpOutage { ixp, affected_fraction } => {
-                if *affected_fraction >= 1.0 {
-                    if on {
-                        self.failed.ixps.insert(*ixp);
-                    } else {
-                        self.failed.ixps.remove(ixp);
-                    }
-                } else {
-                    let members: Vec<Asn> =
-                        self.world.colo.members_of_ixp(*ixp).iter().copied().collect();
-                    for asn in partial_ports(self.world, &members, *affected_fraction, id as u64) {
-                        if on {
-                            self.failed.ixp_ports.insert((*ixp, asn));
-                        } else {
-                            self.failed.ixp_ports.remove(&(*ixp, asn));
-                        }
-                    }
-                }
-            }
-            EventKind::Depeering { a, b } => {
-                let (Some(&ia), Some(&ib)) =
-                    (self.world.asn_to_idx.get(a), self.world.asn_to_idx.get(b))
-                else {
-                    return;
-                };
-                let k = if ia.0 <= ib.0 { (ia, ib) } else { (ib, ia) };
-                if let Some(&adj) = self.world.adj_of.get(&k) {
-                    if on {
-                        self.failed.dead_adjacencies.insert(adj);
-                    } else {
-                        self.failed.dead_adjacencies.remove(&adj);
-                    }
-                }
-            }
-            EventKind::IxpMemberLeave { asn, ixp } => {
-                if on {
-                    self.failed.dead_memberships.insert((*ixp, *asn));
-                } else {
-                    self.failed.dead_memberships.remove(&(*ixp, *asn));
-                }
-            }
-            EventKind::OperatorWithdraw { asns, facility } => {
-                for asn in asns {
-                    if on {
-                        self.failed.facility_ports.insert((*facility, *asn));
-                    } else {
-                        self.failed.facility_ports.remove(&(*facility, *asn));
-                    }
-                }
-            }
-            EventKind::CollectorFlap { .. } => {}
-            // Pure data-plane event: routing state is untouched, the
-            // dataplane backend reads the surge off the timeline.
-            EventKind::LatencySurge { .. } => {}
+            _ => {}
         }
+        self.failed = FailedSet::of_events(self.world, timeline, &self.active);
         self.bump_epoch();
     }
 
-    fn keys_of(&self, kind: &EventKind) -> Vec<ElementKey> {
-        match kind {
-            EventKind::FacilityOutage { facility, .. }
-            | EventKind::FiberCut { facility, .. }
-            | EventKind::OperatorWithdraw { facility, .. } => vec![ElementKey::Fac(*facility)],
-            EventKind::IxpOutage { ixp, .. } | EventKind::IxpMemberLeave { ixp, .. } => {
-                vec![ElementKey::Ixp(*ixp)]
-            }
-            EventKind::Depeering { a, b } => {
-                let (Some(&ia), Some(&ib)) =
-                    (self.world.asn_to_idx.get(a), self.world.asn_to_idx.get(b))
-                else {
-                    return vec![];
-                };
-                let k = if ia.0 <= ib.0 { (ia, ib) } else { (ib, ia) };
-                self.world.adj_of.get(&k).map(|&adj| vec![ElementKey::Adj(adj)]).unwrap_or_default()
-            }
-            EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. } => vec![],
-        }
-    }
-
-    fn affected_prefixes(&self, keys: &[ElementKey]) -> HashSet<u32> {
-        let mut out = HashSet::new();
-        for k in keys {
-            if let Some(s) = self.usage.get(k) {
-                out.extend(s.iter().copied());
-            }
-        }
-        out
+    /// The prefixes some peer's visible route crosses an element of `own` on.
+    fn affected_prefixes(&self, own: &FailedSet) -> BTreeSet<u32> {
+        keys_of(own).filter_map(|k| self.usage.get(&k)).flatten().copied().collect()
     }
 
     /// Recomputes truth for `prefixes` and emits the differences at `time`
     /// (+ jitter). Returns the set actually changed.
-    fn reconverge(&mut self, prefixes: &HashSet<u32>, time: u64) -> HashSet<u32> {
-        let mut changed = HashSet::new();
-        let mut sorted: Vec<u32> = prefixes.iter().copied().collect();
-        sorted.sort_unstable();
-        for prefix in sorted {
+    fn reconverge(&mut self, prefixes: &BTreeSet<u32>, time: u64) -> BTreeSet<u32> {
+        let mut changed = BTreeSet::new();
+        for &prefix in prefixes {
             let tree = self.tree_for(prefix);
             let is_v6 = self.world.prefix(PrefixIdx(prefix)).is_ipv6();
             for slot in 0..self.setup.peers.len() as u32 {
@@ -448,7 +378,8 @@ impl<'w> Simulation<'w> {
                 push(&mut actions, &mut heap, ev.end(), Action::Restore(i));
             }
         }
-        let mut event_scope: HashMap<usize, HashSet<u32>> = HashMap::new();
+        // What each event's fail changed, re-checked at its restore.
+        let mut event_scope: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); timeline.len()];
         let mut ground_truth: Vec<GroundTruthEvent> = Vec::new();
 
         while let Some(Reverse((t, aidx))) = heap.pop() {
@@ -457,32 +388,25 @@ impl<'w> Simulation<'w> {
             match action {
                 Action::Fail(i) => {
                     let ev = &timeline[i];
+                    let own = FailedSet::of_events(self.world, timeline, &[i as u32]);
                     if let EventKind::CollectorFlap { peer_slot } = ev.kind {
                         if peer_slot < self.setup.peers.len() {
-                            self.emit(
-                                peer_slot as u32,
-                                RecordPayload::State(StateChange {
-                                    old: PeerState::Established,
-                                    new: PeerState::Idle,
-                                }),
-                                t,
-                            );
+                            let down =
+                                StateChange { old: PeerState::Established, new: PeerState::Idle };
+                            self.emit(peer_slot as u32, RecordPayload::State(down), t);
                         }
-                        ground_truth.push(GroundTruthEvent {
-                            id: i,
-                            start: ev.start,
-                            duration: ev.duration.min(end.saturating_sub(ev.start)),
-                            kind: ev.kind.clone(),
-                            affected_members: 0,
-                        });
-                        continue;
+                    } else if ev.kind.affects_routes() {
+                        self.set_active(timeline, i, true);
+                        let affected = self.affected_prefixes(&own);
+                        event_scope[i] = self.reconverge(&affected, t);
                     }
-                    self.apply_kind(i, &ev.kind, true);
-                    let keys = self.keys_of(&ev.kind);
-                    let affected = self.affected_prefixes(&keys);
-                    let changed = self.reconverge(&affected, t);
-                    event_scope.insert(i, changed);
-                    let affected_members = self.count_affected_members(i, &ev.kind);
+                    let affected_members = match ev.kind {
+                        // Nothing fails, yet every member's RTT surges.
+                        EventKind::LatencySurge { facility, .. } => {
+                            self.world.colo.members_of_facility(facility).len()
+                        }
+                        _ => own.members_down(self.world),
+                    };
                     ground_truth.push(GroundTruthEvent {
                         id: i,
                         start: ev.start,
@@ -496,36 +420,36 @@ impl<'w> Simulation<'w> {
                     if let EventKind::CollectorFlap { peer_slot } = ev.kind {
                         if peer_slot < self.setup.peers.len() {
                             let slot = peer_slot as u32;
-                            self.emit(
-                                slot,
-                                RecordPayload::State(StateChange {
-                                    old: PeerState::Idle,
-                                    new: PeerState::Established,
-                                }),
-                                t,
-                            );
+                            let up =
+                                StateChange { old: PeerState::Idle, new: PeerState::Established };
+                            self.emit(slot, RecordPayload::State(up), t);
                             // Bulk table re-announcement after session
-                            // re-establishment.
-                            let mine: Vec<(u32, RouteSnapshot)> = self
-                                .visible
-                                .iter()
-                                .filter(|((s, _), _)| *s == slot)
-                                .map(|((_, p), snap)| (*p, snap.clone()))
-                                .collect();
-                            for (p, snap) in mine {
-                                let tt = t + self.rng.gen_range(1..120);
-                                self.emit_announce(slot, p, &snap, tt);
+                            // re-establishment, in prefix order.
+                            for p in 0..self.world.prefixes.len() as u32 {
+                                if let Some(snap) = self.visible.get(&(slot, p)).cloned() {
+                                    let tt = t + self.rng.gen_range(1..120);
+                                    self.emit_announce(slot, p, &snap, tt);
+                                }
                             }
                         }
                         continue;
                     }
-                    self.apply_kind(i, &ev.kind, false);
-                    let mut affected = event_scope.remove(&i).unwrap_or_default();
-                    affected.extend(self.affected_prefixes(&self.keys_of(&ev.kind)));
+                    if !ev.kind.affects_routes() {
+                        continue;
+                    }
+                    self.set_active(timeline, i, false);
+                    let own = FailedSet::of_events(self.world, timeline, &[i as u32]);
+                    let mut affected = std::mem::take(&mut event_scope[i]);
+                    // Scope handover: an element another event still breaks
+                    // keeps these detours until that event ends.
+                    for &j in &self.active {
+                        if FailedSet::of_events(self.world, timeline, &[j]).overlaps(&own) {
+                            event_scope[j as usize].extend(&affected);
+                        }
+                    }
+                    affected.extend(self.affected_prefixes(&own));
                     // Schedule slow returns instead of instant reconvergence.
-                    let mut sorted: Vec<u32> = affected.into_iter().collect();
-                    sorted.sort_unstable();
-                    for prefix in sorted {
+                    for prefix in affected {
                         let tree = self.tree_for(prefix);
                         let is_v6 = self.world.prefix(PrefixIdx(prefix)).is_ipv6();
                         for slot in 0..self.setup.peers.len() as u32 {
@@ -599,29 +523,6 @@ impl<'w> Simulation<'w> {
         let secs = -(1.0 - u).ln() * 700.0;
         (secs as u64).clamp(60, 4 * 3600)
     }
-
-    fn count_affected_members(&self, id: usize, kind: &EventKind) -> usize {
-        match kind {
-            EventKind::FacilityOutage { facility, affected_fraction }
-            | EventKind::FiberCut { facility, affected_fraction } => {
-                let members: Vec<Asn> =
-                    self.world.colo.members_of_facility(*facility).iter().copied().collect();
-                partial_ports(self.world, &members, *affected_fraction, id as u64).len()
-            }
-            EventKind::IxpOutage { ixp, affected_fraction } => {
-                let members: Vec<Asn> =
-                    self.world.colo.members_of_ixp(*ixp).iter().copied().collect();
-                partial_ports(self.world, &members, *affected_fraction, id as u64).len()
-            }
-            EventKind::Depeering { .. } => 2,
-            EventKind::IxpMemberLeave { .. } => 1,
-            EventKind::OperatorWithdraw { asns, .. } => asns.len(),
-            EventKind::CollectorFlap { .. } => 0,
-            EventKind::LatencySurge { facility, .. } => {
-                self.world.colo.members_of_facility(*facility).len()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -685,15 +586,26 @@ mod tests {
         assert!(out.ground_truth[0].affected_members > 0);
     }
 
+    /// Two simulations of one timeline in one process emit the same
+    /// records. The collector flap's bulk re-announcement draws one jitter
+    /// per route, so it must walk the routes in prefix order, not in the
+    /// order of a hashed table (whose seed differs between two tables).
     #[test]
     fn runs_are_deterministic() {
         let w = World::generate(WorldConfig::tiny(85));
         let fac = busiest_facility(&w);
-        let timeline = vec![ScheduledEvent {
-            start: T0 + 200_000,
-            duration: 900,
-            kind: EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
-        }];
+        let timeline = vec![
+            ScheduledEvent {
+                start: T0 + 200_000,
+                duration: 900,
+                kind: EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
+            },
+            ScheduledEvent {
+                start: T0 + 250_000,
+                duration: 600,
+                kind: EventKind::CollectorFlap { peer_slot: 1 },
+            },
+        ];
         let out1 = Simulation::new(&w, setup(&w), T0, 3).run(&timeline, T0 + 300_000);
         let out2 = Simulation::new(&w, setup(&w), T0, 3).run(&timeline, T0 + 300_000);
         assert_eq!(out1.records.len(), out2.records.len());
@@ -727,13 +639,32 @@ mod tests {
         assert!(reann > 0, "bulk re-announcement after session up");
     }
 
+    fn p2p_link(w: &World) -> (Asn, Asn) {
+        let adj =
+            w.adjacencies.iter().find(|a| a.rel == crate::world::Rel::P2P).expect("peering exists");
+        (w.ases[adj.a.0 as usize].asn, w.ases[adj.b.0 as usize].asn)
+    }
+
+    /// Announcements in `window` whose AS path crosses the `a`–`b` link.
+    fn crossing(out: &SimOutput, window: std::ops::Range<u64>, (a, b): (Asn, Asn)) -> usize {
+        let crosses = |hops: &[Asn]| hops.windows(2).any(|h| h == [a, b] || h == [b, a]);
+        out.records
+            .iter()
+            .filter(|r| window.contains(&r.time))
+            .filter(|r| match &r.payload {
+                RecordPayload::Update(u) => {
+                    u.attrs.as_ref().is_some_and(|x| crosses(&x.as_path.hops()))
+                }
+                _ => false,
+            })
+            .count()
+    }
+
     #[test]
     fn depeering_only_touches_prefixes_that_crossed_the_link() {
         let w = World::generate(WorldConfig::tiny(89));
         // Pick a P2P adjacency to tear down.
-        let adj =
-            w.adjacencies.iter().find(|a| a.rel == crate::world::Rel::P2P).expect("peering exists");
-        let (a, b) = (w.ases[adj.a.0 as usize].asn, w.ases[adj.b.0 as usize].asn);
+        let (a, b) = p2p_link(&w);
         let out_link = Simulation::new(&w, setup(&w), T0, 6).run(
             &[ScheduledEvent {
                 start: T0 + 200_000,
@@ -744,23 +675,9 @@ mod tests {
         );
         // Every post-event announcement must avoid the torn-down link while
         // it is dead (no path may contain ...a b... or ...b a...).
-        let window = (T0 + 200_000)..(T0 + 201_800);
-        for r in out_link.records.iter().filter(|r| window.contains(&r.time)) {
-            if let RecordPayload::Update(u) = &r.payload {
-                if let Some(attrs) = &u.attrs {
-                    let hops = attrs.as_path.hops();
-                    for w2 in hops.windows(2) {
-                        assert!(
-                            !((w2[0] == a && w2[1] == b) || (w2[0] == b && w2[1] == a)),
-                            "dead link {a}-{b} reappeared in {}",
-                            attrs.as_path
-                        );
-                    }
-                }
-            }
-        }
+        assert_eq!(crossing(&out_link, (T0 + 200_000)..(T0 + 201_800), (a, b)), 0);
         // The affected prefix set must be a strict subset of all prefixes.
-        let touched: std::collections::HashSet<_> = out_link
+        let touched: BTreeSet<_> = out_link
             .records
             .iter()
             .filter(|r| r.time >= T0 + 200_000)
@@ -770,5 +687,90 @@ mod tests {
             })
             .collect();
         assert!(touched.len() < w.prefixes.len(), "link event must be localized");
+    }
+
+    /// Two de-peerings of one link, the second starting before the first
+    /// ends: the link stays dead until the last one ends (the union of the
+    /// events in force), and the first one's detours, handed to the
+    /// second at its restore, return once the second ends.
+    #[test]
+    fn overlapping_depeerings_keep_the_link_dead_until_the_last_ends() {
+        let w = World::generate(WorldConfig::tiny(89));
+        let link = p2p_link(&w);
+        let (a, b) = link;
+        let depeering = |start, duration| ScheduledEvent {
+            start,
+            duration,
+            kind: EventKind::Depeering { a, b },
+        };
+        let timeline = [depeering(T0 + 200_000, 1800), depeering(T0 + 201_000, 9000)];
+        let (first_end, second_end) = (timeline[0].end(), timeline[1].end());
+        let out = Simulation::new(&w, setup(&w), T0, 6).run(&timeline, T0 + 260_000);
+        assert_eq!(crossing(&out, first_end..second_end, link), 0, "the link is still dead");
+        assert!(crossing(&out, second_end..T0 + 260_000, link) > 0, "detours return");
+    }
+
+    /// Every `EventKind` variant's ground-truth member count and element
+    /// keys on one tiny world, read off the event's own failure set.
+    /// Pinned against the per-variant matches this replaced, with two
+    /// known drifts: a de-peering of two ASes that never interconnect
+    /// now counts 0 members (the matches counted 2), and a hand-written
+    /// withdraw listing a member twice counts it once (the matches
+    /// counted 2).
+    #[test]
+    fn member_counts_and_element_keys_are_pinned() {
+        use ElementKey::{Adj, Fac, Ixp};
+        let w = World::generate(WorldConfig::tiny(91));
+        let fac = busiest_facility(&w);
+        let ixp =
+            w.colo.ixps().iter().max_by_key(|x| w.colo.members_of_ixp(x.id).len()).unwrap().id;
+        let fac_members: Vec<Asn> = w.colo.members_of_facility(fac).iter().copied().collect();
+        let ixp_members: Vec<Asn> = w.colo.members_of_ixp(ixp).iter().copied().collect();
+        assert_eq!((fac_members.len(), ixp_members.len()), (15, 15));
+        let (a, b) = p2p_link(&w);
+        let adj = w.adjacency_between(a, b).unwrap();
+        let stranger = w
+            .ases
+            .iter()
+            .map(|n| n.asn)
+            .find(|&c| c != a && w.adjacency_between(a, c).is_none())
+            .unwrap();
+        let kinds = [
+            EventKind::FacilityOutage { facility: fac, affected_fraction: 1.0 },
+            EventKind::FacilityOutage { facility: fac, affected_fraction: 0.3 },
+            EventKind::FiberCut { facility: fac, affected_fraction: 0.8 },
+            EventKind::IxpOutage { ixp, affected_fraction: 1.0 },
+            EventKind::IxpOutage { ixp, affected_fraction: 0.5 },
+            EventKind::Depeering { a, b },
+            EventKind::Depeering { a, b: stranger },
+            EventKind::IxpMemberLeave { asn: ixp_members[0], ixp },
+            EventKind::OperatorWithdraw { asns: fac_members[..2].to_vec(), facility: fac },
+            EventKind::OperatorWithdraw { asns: vec![fac_members[0]; 2], facility: fac },
+            EventKind::CollectorFlap { peer_slot: 0 },
+            EventKind::LatencySurge { facility: fac, extra_ms: 30.0 },
+        ];
+        let timeline: Vec<ScheduledEvent> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, kind)| ScheduledEvent {
+                start: T0 + 10_000 * (i as u64 + 1),
+                duration: 600,
+                kind: kind.clone(),
+            })
+            .collect();
+        let out = Simulation::new(&w, setup(&w), T0, 1).run(&timeline, T0 + 200_000);
+        let members: Vec<usize> = out.ground_truth.iter().map(|g| g.affected_members).collect();
+        //                     full partial fiber full partial link stranger leave withdraw twice flap surge
+        assert_eq!(members, [15, 5, 12, 15, 8, 2, 0, 1, 2, 1, 0, 15]);
+        let keys: Vec<BTreeSet<ElementKey>> = (0..timeline.len() as u32)
+            .map(|i| keys_of(&FailedSet::of_events(&w, &timeline, &[i])).collect())
+            .collect();
+        let (f, x, link) =
+            (BTreeSet::from([Fac(fac)]), BTreeSet::from([Ixp(ixp)]), BTreeSet::from([Adj(adj)]));
+        let none = BTreeSet::new();
+        assert_eq!(
+            keys,
+            [&f, &f, &f, &x, &x, &link, &none, &x, &f, &f, &none, &none].map(Clone::clone)
+        );
     }
 }

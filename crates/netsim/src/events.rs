@@ -6,6 +6,7 @@ use kepler_topology::{FacilityId, IxpId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// What happens in an event.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +83,14 @@ impl EventKind {
         matches!(self, EventKind::FacilityOutage { .. } | EventKind::IxpOutage { .. })
     }
 
+    /// Whether the event can change routes. Flaps touch no routes; surges
+    /// touch none either (pure-latency events, read off the timeline per
+    /// hop), so neither breaks anything in
+    /// [`FailedSet::of_events`](crate::routing::FailedSet::of_events).
+    pub fn affects_routes(&self) -> bool {
+        !matches!(self, EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. })
+    }
+
     /// The facility/IXP epicenter, if the event has one.
     pub fn epicenter(&self) -> Option<Epicenter> {
         match self {
@@ -142,17 +151,16 @@ pub struct GroundTruthEvent {
 
 /// Resolves the member ports a partial event takes down, deterministically
 /// from the event identity.
-pub fn partial_ports(world: &World, members: &[Asn], fraction: f64, salt: u64) -> Vec<Asn> {
+pub fn partial_ports(world: &World, members: &BTreeSet<Asn>, fraction: f64, salt: u64) -> Vec<Asn> {
+    let mut ports: Vec<Asn> = members.iter().copied().collect();
     if fraction >= 1.0 {
-        return members.to_vec();
+        return ports;
     }
-    let k = ((members.len() as f64) * fraction).ceil() as usize;
-    let mut sorted: Vec<Asn> = members.to_vec();
-    sorted.sort();
+    let k = ((ports.len() as f64) * fraction).ceil() as usize;
     let mut rng = StdRng::seed_from_u64(salt ^ world.config.seed);
-    sorted.shuffle(&mut rng);
-    sorted.truncate(k.min(members.len()));
-    sorted
+    ports.shuffle(&mut rng);
+    ports.truncate(k);
+    ports
 }
 
 #[cfg(test)]
@@ -176,7 +184,7 @@ mod tests {
     #[test]
     fn partial_ports_deterministic_and_sized() {
         let w = World::generate(WorldConfig::tiny(71));
-        let members: Vec<Asn> = (1..=10).map(Asn).collect();
+        let members: BTreeSet<Asn> = (1..=10).map(Asn).collect();
         let a = partial_ports(&w, &members, 0.5, 99);
         let b = partial_ports(&w, &members, 0.5, 99);
         assert_eq!(a, b);

@@ -1,5 +1,6 @@
 //! Failure state and physical instance selection.
 
+use crate::events::{partial_ports, EventKind, ScheduledEvent};
 use crate::world::{AdjIdx, AdjInstance, Adjacency, World};
 use kepler_bgp::Asn;
 use kepler_topology::{FacilityId, IxpId};
@@ -23,6 +24,75 @@ pub struct FailedSet {
 }
 
 impl FailedSet {
+    /// What the events in force break: the union, over the timeline
+    /// indices in `active`, of each event's own failure. This is the one
+    /// model of an event, and both simulator planes read it: the BGP
+    /// engine over the events between their fail and restore, the data
+    /// plane over the events a probe pair still experiences. A partial
+    /// outage's dead ports are drawn from its timeline index. Flaps and
+    /// latency surges break nothing.
+    pub fn of_events(world: &World, timeline: &[ScheduledEvent], active: &[u32]) -> FailedSet {
+        let mut failed = FailedSet::default();
+        for &i in active {
+            let ports = |members, fraction| partial_ports(world, members, fraction, i as u64);
+            match &timeline[i as usize].kind {
+                EventKind::FacilityOutage { facility, affected_fraction }
+                | EventKind::FiberCut { facility, affected_fraction } => {
+                    if *affected_fraction >= 1.0 {
+                        failed.facilities.insert(*facility);
+                    } else {
+                        let dead =
+                            ports(world.colo.members_of_facility(*facility), *affected_fraction);
+                        failed.facility_ports.extend(dead.into_iter().map(|asn| (*facility, asn)));
+                    }
+                }
+                EventKind::IxpOutage { ixp, affected_fraction } => {
+                    if *affected_fraction >= 1.0 {
+                        failed.ixps.insert(*ixp);
+                    } else {
+                        let dead = ports(world.colo.members_of_ixp(*ixp), *affected_fraction);
+                        failed.ixp_ports.extend(dead.into_iter().map(|asn| (*ixp, asn)));
+                    }
+                }
+                EventKind::Depeering { a, b } => {
+                    failed.dead_adjacencies.extend(world.adjacency_between(*a, *b));
+                }
+                EventKind::IxpMemberLeave { asn, ixp } => {
+                    failed.dead_memberships.insert((*ixp, *asn));
+                }
+                EventKind::OperatorWithdraw { asns, facility } => {
+                    failed.facility_ports.extend(asns.iter().map(|&asn| (*facility, asn)));
+                }
+                EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. } => {}
+            }
+        }
+        failed
+    }
+
+    /// Whether `self` and `other` break a common element: the same
+    /// facility, fabric, port, membership or adjacency. A whole facility
+    /// and a dead port in it do not overlap.
+    pub fn overlaps(&self, other: &FailedSet) -> bool {
+        !self.facilities.is_disjoint(&other.facilities)
+            || !self.facility_ports.is_disjoint(&other.facility_ports)
+            || !self.ixps.is_disjoint(&other.ixps)
+            || !self.ixp_ports.is_disjoint(&other.ixp_ports)
+            || !self.dead_adjacencies.is_disjoint(&other.dead_adjacencies)
+            || !self.dead_memberships.is_disjoint(&other.dead_memberships)
+    }
+
+    /// Member ports taken down: every member of a whole facility or
+    /// fabric, one per dead port or membership, two per dead adjacency.
+    pub fn members_down(&self, world: &World) -> usize {
+        let colo = &world.colo;
+        self.facilities.iter().map(|&f| colo.members_of_facility(f).len()).sum::<usize>()
+            + self.ixps.iter().map(|&x| colo.members_of_ixp(x).len()).sum::<usize>()
+            + self.facility_ports.len()
+            + self.ixp_ports.len()
+            + self.dead_memberships.len()
+            + 2 * self.dead_adjacencies.len()
+    }
+
     /// Whether nothing is failed.
     pub fn is_empty(&self) -> bool {
         self.facilities.is_empty()

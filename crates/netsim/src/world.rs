@@ -245,6 +245,12 @@ impl World {
         self.asn_to_idx.get(&asn).map(|&i| &self.ases[i.0 as usize])
     }
 
+    /// The adjacency between two ASes, if they interconnect.
+    pub fn adjacency_between(&self, a: Asn, b: Asn) -> Option<AdjIdx> {
+        let (ia, ib) = (*self.asn_to_idx.get(&a)?, *self.asn_to_idx.get(&b)?);
+        self.adj_of.get(&(ia.min(ib), ia.max(ib))).copied()
+    }
+
     /// The merged colocation map a detector would build from the published
     /// snapshots (ids align with ground truth by construction).
     pub fn detector_colomap(&self) -> ColocationMap {
