@@ -773,4 +773,43 @@ mod tests {
             [&f, &f, &f, &x, &x, &link, &none, &x, &f, &f, &none, &none].map(Clone::clone)
         );
     }
+
+    /// Record count and FNV-1a-64 of a stream: each record's time and
+    /// collector, then its MRT encoding.
+    fn fingerprint(records: &[BgpRecord]) -> (usize, u64) {
+        let local = IpAddr::from([0, 0, 0, 0]);
+        let (mut fnv, mut buf) = (0xCBF2_9CE4_8422_2325u64, Vec::new());
+        for r in records {
+            buf.clear();
+            buf.extend_from_slice(&r.time.to_le_bytes());
+            buf.extend_from_slice(&r.collector.0.to_le_bytes());
+            let mrt = r.to_mrt(Asn(0), local);
+            kepler_bgp::mrt::MrtWriter::new(&mut buf).write_record(&mrt).unwrap();
+            for &b in &buf {
+                fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        (records.len(), fnv)
+    }
+
+    /// The compact five-year study and the AMS-IX study emit exactly the
+    /// streams they emitted before the engine kept a counted element index.
+    #[test]
+    fn study_streams_are_pinned() {
+        use crate::scenario::{amsix::AmsIxScenario, five_year};
+        let compact = five_year::build(five_year::FiveYearConfig::compact(7));
+        assert_eq!(fingerprint(&compact.output.records), (5_788, 0x7cf7_30c8_d543_2f9a));
+        let amsix = AmsIxScenario::new(41).build();
+        assert_eq!(fingerprint(&amsix.scenario.output.records), (49_225, 0x7e07_406c_41ab_5187));
+    }
+
+    /// The standard five-year study behind `repro fig1`: seconds in a
+    /// release build, so CI runs it with `--ignored`.
+    #[test]
+    #[ignore]
+    fn full_study_stream_is_pinned() {
+        use crate::scenario::five_year;
+        let study = five_year::build(five_year::FiveYearConfig::standard(7));
+        assert_eq!(fingerprint(&study.output.records), (384_674, 0x62c0_5153_f2b2_22bb));
+    }
 }
