@@ -27,13 +27,13 @@ use crate::routing::policy::FailedSet;
 use crate::routing::propagate::{compute_tree, RouteTree};
 use crate::routing::tag::{snapshot_route, RouteSnapshot};
 use crate::world::{AsIdx, PrefixIdx, World};
-use kepler_bgp::{AsPath, Asn, BgpUpdate, PathAttributes, PeerState, StateChange};
+use kepler_bgp::{fx::FxHashMap, AsPath, Asn, BgpUpdate, PathAttributes, PeerState, StateChange};
 use kepler_bgpstream::{BgpRecord, CollectorId, PeerId, RecordPayload};
 use kepler_topology::{FacilityId, IxpId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -116,28 +116,36 @@ pub struct SimOutput {
     pub peers: Vec<(Asn, IpAddr)>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum ElementKey {
     Fac(FacilityId),
     Ixp(IxpId),
     Adj(crate::world::AdjIdx),
 }
 
-fn elements_of(snap: &RouteSnapshot) -> HashSet<ElementKey> {
-    let mut out = HashSet::new();
-    for v in &snap.visits {
-        if let Some(f) = v.near_fac {
-            out.insert(ElementKey::Fac(f));
+impl ElementKey {
+    /// Dense id: facilities, then IXPs, then adjacencies.
+    fn id(self, world: &World) -> usize {
+        let (facilities, ixps) = (world.colo.facilities().len(), world.colo.ixps().len());
+        match self {
+            ElementKey::Fac(f) => f.0 as usize,
+            ElementKey::Ixp(x) => facilities + x.0 as usize,
+            ElementKey::Adj(a) => facilities + ixps + a.0 as usize,
         }
-        if let Some(f) = v.far_fac {
-            out.insert(ElementKey::Fac(f));
-        }
-        if let Some(x) = v.ixp {
-            out.insert(ElementKey::Ixp(x));
-        }
-        out.insert(ElementKey::Adj(v.adj));
     }
-    out
+}
+
+/// Writes the ids of the elements `snap` crosses into `out`, sorted and
+/// deduplicated.
+fn elements_of(world: &World, snap: &RouteSnapshot, out: &mut Vec<usize>) {
+    out.clear();
+    for v in &snap.visits {
+        let facs = v.near_fac.into_iter().chain(v.far_fac).map(ElementKey::Fac);
+        let keys = facs.chain(v.ixp.map(ElementKey::Ixp)).chain([ElementKey::Adj(v.adj)]);
+        out.extend(keys.map(|k| k.id(world)));
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// The elements an event's own failure touches: facilities, whole or
@@ -168,12 +176,15 @@ pub struct Simulation<'w> {
     active: Vec<u32>,
     /// `FailedSet::of_events` over `active`.
     failed: FailedSet,
-    /// What BGP currently shows per (peer slot, prefix).
-    visible: HashMap<(u32, u32), RouteSnapshot>,
-    /// Per-prefix union of elements across peers' visible routes.
-    prefix_elements: Vec<HashSet<ElementKey>>,
-    usage: HashMap<ElementKey, HashSet<u32>>,
-    generations: HashMap<(u32, u32), u64>,
+    /// What BGP currently shows, by route slot `peer * prefixes + prefix`.
+    visible: Vec<Option<RouteSnapshot>>,
+    /// Route changes per slot; a scheduled return for an older one is void.
+    generations: Vec<u64>,
+    /// By element id: prefix → how many peers' visible routes cross it.
+    /// A prefix leaves its element's map when its count reaches 0.
+    index: Vec<FxHashMap<u32, u32>>,
+    /// `elements_of`'s output, reused across route changes.
+    scratch: Vec<usize>,
     records: Vec<BgpRecord>,
     /// `failed`'s usable-adjacency table, built on first use in each
     /// failure epoch (every `set_active` starts one).
@@ -187,6 +198,8 @@ impl<'w> Simulation<'w> {
     /// Prepares a simulation (computes the initial full table and emits it
     /// as the first records at `start`).
     pub fn new(world: &'w World, setup: CollectorSetup, start: u64, seed: u64) -> Self {
+        let slots = setup.peers.len() * world.prefixes.len();
+        let elements = world.colo.facilities().len() + world.colo.ixps().len();
         let mut sim = Simulation {
             world,
             setup,
@@ -194,10 +207,10 @@ impl<'w> Simulation<'w> {
             rng: StdRng::seed_from_u64(seed ^ 0x51A1_0E17),
             active: Vec::new(),
             failed: FailedSet::default(),
-            visible: HashMap::new(),
-            prefix_elements: vec![HashSet::new(); world.prefixes.len()],
-            usage: HashMap::new(),
-            generations: HashMap::new(),
+            visible: vec![None; slots],
+            generations: vec![0; slots],
+            index: vec![FxHashMap::default(); elements + world.adjacencies.len()],
+            scratch: Vec::new(),
             records: Vec::new(),
             usable: None,
             trees: HashMap::new(),
@@ -212,42 +225,62 @@ impl<'w> Simulation<'w> {
         let usable = self.failed.usable_adjacencies(self.world);
         let mut held: Option<RouteTree> = None;
         for p in 0..self.world.prefixes.len() {
-            let pidx = PrefixIdx(p as u32);
-            let origin = self.world.origin_of(pidx);
-            let is_v6 = self.world.prefix(pidx).is_ipv6();
+            let origin = self.world.origin_of(PrefixIdx(p as u32));
             let tree = match held.take() {
                 Some(tree) if tree.origin == origin => tree,
                 _ => compute_tree(self.world, &usable, origin),
             };
-            for slot in 0..self.setup.peers.len() {
-                let vantage = self.setup.peers[slot].as_idx;
-                if let Some(snap) = snapshot_route(self.world, &self.failed, &tree, vantage, is_v6)
-                {
+            for slot in 0..self.setup.peers.len() as u32 {
+                if let Some(snap) = self.truth(&tree, slot, p as u32) {
                     let t = self.start + self.rng.gen_range(0..120);
-                    self.emit_announce(slot as u32, p as u32, &snap, t);
-                    self.visible.insert((slot as u32, p as u32), snap);
+                    self.set_visible(slot, p as u32, Some(snap), t);
                 }
             }
             held = Some(tree);
-            self.refresh_prefix_elements(p as u32);
         }
     }
 
-    fn refresh_prefix_elements(&mut self, prefix: u32) {
-        let mut new_set = HashSet::new();
-        for slot in 0..self.setup.peers.len() {
-            if let Some(snap) = self.visible.get(&(slot as u32, prefix)) {
-                new_set.extend(elements_of(snap));
+    fn slot(&self, peer: u32, prefix: u32) -> usize {
+        peer as usize * self.world.prefixes.len() + prefix as usize
+    }
+
+    fn visible(&self, peer: u32, prefix: u32) -> Option<&RouteSnapshot> {
+        self.visible[self.slot(peer, prefix)].as_ref()
+    }
+
+    /// The route `peer` should see for `prefix`, over `prefix`'s `tree`
+    /// under the failures in force.
+    fn truth(&self, tree: &RouteTree, peer: u32, prefix: u32) -> Option<RouteSnapshot> {
+        let is_v6 = self.world.prefix(PrefixIdx(prefix)).is_ipv6();
+        let vantage = self.setup.peers[peer as usize].as_idx;
+        snapshot_route(self.world, &self.failed, tree, vantage, is_v6)
+    }
+
+    /// Every route change goes through here: emits `route`, or its
+    /// withdrawal, at `time`, makes it visible, and moves the counts of the
+    /// elements the old and the new route cross for `prefix`.
+    fn set_visible(&mut self, peer: u32, prefix: u32, route: Option<RouteSnapshot>, time: u64) {
+        let update = match &route {
+            Some(snap) => self.announcement(peer, prefix, snap),
+            None => BgpUpdate::withdraw(vec![self.world.prefix(PrefixIdx(prefix))]),
+        };
+        self.emit(peer, RecordPayload::Update(update), time);
+        self.count(route.as_ref(), prefix, true);
+        let at = self.slot(peer, prefix);
+        let old = std::mem::replace(&mut self.visible[at], route);
+        self.count(old.as_ref(), prefix, false);
+    }
+
+    /// Counts `route`'s elements for `prefix` one up or one down.
+    fn count(&mut self, route: Option<&RouteSnapshot>, prefix: u32, up: bool) {
+        let Some(route) = route else { return };
+        elements_of(self.world, route, &mut self.scratch);
+        for &e in &self.scratch {
+            let n = self.index[e].entry(prefix).or_insert(0);
+            *n = if up { *n + 1 } else { *n - 1 };
+            if *n == 0 {
+                self.index[e].remove(&prefix);
             }
-        }
-        let old = std::mem::replace(&mut self.prefix_elements[prefix as usize], new_set.clone());
-        for k in old.difference(&new_set) {
-            if let Some(s) = self.usage.get_mut(k) {
-                s.remove(&prefix);
-            }
-        }
-        for k in &new_set {
-            self.usage.entry(*k).or_default().insert(prefix);
         }
     }
 
@@ -275,7 +308,7 @@ impl<'w> Simulation<'w> {
 
     fn emit(&mut self, slot: u32, payload: RecordPayload, time: u64) {
         let peer = self.peer_id(slot);
-        for &collector in &self.setup.peers[slot as usize].collectors.clone() {
+        for &collector in &self.setup.peers[slot as usize].collectors {
             self.records.push(BgpRecord { time, collector, peer, payload: payload.clone() });
         }
     }
@@ -295,15 +328,9 @@ impl<'w> Simulation<'w> {
         }
     }
 
-    fn emit_announce(&mut self, slot: u32, prefix: u32, snap: &RouteSnapshot, time: u64) {
+    fn announcement(&self, slot: u32, prefix: u32, snap: &RouteSnapshot) -> BgpUpdate {
         let p = self.world.prefix(PrefixIdx(prefix));
-        let attrs = self.attrs_for(slot, snap, p.is_ipv6());
-        self.emit(slot, RecordPayload::Update(BgpUpdate::announce(vec![p], attrs)), time);
-    }
-
-    fn emit_withdraw(&mut self, slot: u32, prefix: u32, time: u64) {
-        let p = self.world.prefix(PrefixIdx(prefix));
-        self.emit(slot, RecordPayload::Update(BgpUpdate::withdraw(vec![p])), time);
+        BgpUpdate::announce(vec![p], self.attrs_for(slot, snap, p.is_ipv6()))
     }
 
     /// Puts event `id` in or out of force and re-derives what is broken.
@@ -321,7 +348,7 @@ impl<'w> Simulation<'w> {
 
     /// The prefixes some peer's visible route crosses an element of `own` on.
     fn affected_prefixes(&self, own: &FailedSet) -> BTreeSet<u32> {
-        keys_of(own).filter_map(|k| self.usage.get(&k)).flatten().copied().collect()
+        keys_of(own).flat_map(|k| self.index[k.id(self.world)].keys()).copied().collect()
     }
 
     /// Recomputes truth for `prefixes` and emits the differences at `time`
@@ -330,29 +357,17 @@ impl<'w> Simulation<'w> {
         let mut changed = BTreeSet::new();
         for &prefix in prefixes {
             let tree = self.tree_for(prefix);
-            let is_v6 = self.world.prefix(PrefixIdx(prefix)).is_ipv6();
             for slot in 0..self.setup.peers.len() as u32 {
-                let vantage = self.setup.peers[slot as usize].as_idx;
-                let truth = snapshot_route(self.world, &self.failed, &tree, vantage, is_v6);
-                let current = self.visible.get(&(slot, prefix));
-                if truth.as_ref() == current {
+                let truth = self.truth(&tree, slot, prefix);
+                if truth.as_ref() == self.visible(slot, prefix) {
                     continue;
                 }
                 changed.insert(prefix);
                 let t = time + self.rng.gen_range(5..90);
-                *self.generations.entry((slot, prefix)).or_insert(0) += 1;
-                match truth {
-                    Some(snap) => {
-                        self.emit_announce(slot, prefix, &snap, t);
-                        self.visible.insert((slot, prefix), snap);
-                    }
-                    None => {
-                        self.emit_withdraw(slot, prefix, t);
-                        self.visible.remove(&(slot, prefix));
-                    }
-                }
+                let at = self.slot(slot, prefix);
+                self.generations[at] += 1;
+                self.set_visible(slot, prefix, truth, t);
             }
-            self.refresh_prefix_elements(prefix);
         }
         changed
     }
@@ -378,11 +393,15 @@ impl<'w> Simulation<'w> {
                 push(&mut actions, &mut heap, ev.end(), Action::Restore(i));
             }
         }
-        // What each event's fail changed, re-checked at its restore.
+        // What each event's fail changed, re-checked at its restore, and
+        // what the event itself breaks, from its fail to its restore.
         let mut event_scope: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); timeline.len()];
+        let mut event_own: Vec<Option<FailedSet>> = vec![None; timeline.len()];
         let mut ground_truth: Vec<GroundTruthEvent> = Vec::new();
 
         while let Some(Reverse((t, aidx))) = heap.pop() {
+            #[cfg(test)]
+            self.assert_index_is_rebuilt();
             // Actions may enqueue Returns; take them by index.
             let action = std::mem::replace(&mut actions[aidx as usize], Action::Fail(usize::MAX));
             match action {
@@ -414,6 +433,7 @@ impl<'w> Simulation<'w> {
                         kind: ev.kind.clone(),
                         affected_members,
                     });
+                    event_own[i] = ev.kind.affects_routes().then_some(own);
                 }
                 Action::Restore(i) => {
                     let ev = &timeline[i];
@@ -426,24 +446,22 @@ impl<'w> Simulation<'w> {
                             // Bulk table re-announcement after session
                             // re-establishment, in prefix order.
                             for p in 0..self.world.prefixes.len() as u32 {
-                                if let Some(snap) = self.visible.get(&(slot, p)).cloned() {
+                                let route = self.visible(slot, p);
+                                if let Some(update) = route.map(|r| self.announcement(slot, p, r)) {
                                     let tt = t + self.rng.gen_range(1..120);
-                                    self.emit_announce(slot, p, &snap, tt);
+                                    self.emit(slot, RecordPayload::Update(update), tt);
                                 }
                             }
                         }
                         continue;
                     }
-                    if !ev.kind.affects_routes() {
-                        continue;
-                    }
+                    let Some(own) = event_own[i].take() else { continue };
                     self.set_active(timeline, i, false);
-                    let own = FailedSet::of_events(self.world, timeline, &[i as u32]);
                     let mut affected = std::mem::take(&mut event_scope[i]);
                     // Scope handover: an element another event still breaks
                     // keeps these detours until that event ends.
                     for &j in &self.active {
-                        if FailedSet::of_events(self.world, timeline, &[j]).overlaps(&own) {
+                        if event_own[j as usize].as_ref().is_some_and(|o| o.overlaps(&own)) {
                             event_scope[j as usize].extend(&affected);
                         }
                     }
@@ -451,12 +469,9 @@ impl<'w> Simulation<'w> {
                     // Schedule slow returns instead of instant reconvergence.
                     for prefix in affected {
                         let tree = self.tree_for(prefix);
-                        let is_v6 = self.world.prefix(PrefixIdx(prefix)).is_ipv6();
                         for slot in 0..self.setup.peers.len() as u32 {
-                            let vantage = self.setup.peers[slot as usize].as_idx;
-                            let truth =
-                                snapshot_route(self.world, &self.failed, &tree, vantage, is_v6);
-                            if truth.as_ref() == self.visible.get(&(slot, prefix)) {
+                            let truth = self.truth(&tree, slot, prefix);
+                            if truth.as_ref() == self.visible(slot, prefix) {
                                 continue;
                             }
                             // ~5% of paths never return (BGP stickiness /
@@ -465,7 +480,7 @@ impl<'w> Simulation<'w> {
                                 continue;
                             }
                             let delay = self.return_delay();
-                            let generation = *self.generations.entry((slot, prefix)).or_insert(0);
+                            let generation = self.generations[self.slot(slot, prefix)];
                             let idx = actions.len() as u64;
                             actions.push(Action::Return { peer: slot, prefix, generation });
                             heap.push(Reverse((t + delay, idx)));
@@ -473,45 +488,29 @@ impl<'w> Simulation<'w> {
                     }
                 }
                 Action::Return { peer, prefix, generation } => {
-                    let cur_gen = *self.generations.entry((peer, prefix)).or_insert(0);
-                    if cur_gen != generation {
+                    if self.generations[self.slot(peer, prefix)] != generation {
                         continue; // superseded by a newer event
                     }
                     let tree = self.tree_for(prefix);
-                    let is_v6 = self.world.prefix(PrefixIdx(prefix)).is_ipv6();
-                    let vantage = self.setup.peers[peer as usize].as_idx;
-                    let truth = snapshot_route(self.world, &self.failed, &tree, vantage, is_v6);
-                    if truth.as_ref() == self.visible.get(&(peer, prefix)) {
-                        continue;
+                    let truth = self.truth(&tree, peer, prefix);
+                    if truth.as_ref() != self.visible(peer, prefix) {
+                        self.set_visible(peer, prefix, truth, t);
                     }
-                    match truth {
-                        Some(snap) => {
-                            self.emit_announce(peer, prefix, &snap, t);
-                            self.visible.insert((peer, prefix), snap);
-                        }
-                        None => {
-                            self.emit_withdraw(peer, prefix, t);
-                            self.visible.remove(&(peer, prefix));
-                        }
-                    }
-                    self.refresh_prefix_elements(prefix);
                 }
             }
         }
+        #[cfg(test)]
+        self.assert_index_is_rebuilt();
 
         let mut records = std::mem::take(&mut self.records);
         records.sort_by_key(|r| r.time);
         ground_truth.sort_by_key(|g| (g.start, g.id));
+        let peers = (0..self.setup.peers.len() as u32).map(|slot| self.peer_id(slot));
         SimOutput {
             records,
             ground_truth,
             collector_names: self.setup.names.clone(),
-            peers: self
-                .setup
-                .peers
-                .iter()
-                .map(|p| (self.world.ases[p.as_idx.0 as usize].asn, p.addr))
-                .collect(),
+            peers: peers.map(|p| (p.asn, p.addr)).collect(),
         }
     }
 
@@ -522,6 +521,45 @@ impl<'w> Simulation<'w> {
         let u: f64 = self.rng.gen_range(0.0..1.0);
         let secs = -(1.0 - u).ln() * 700.0;
         (secs as u64).clamp(60, 4 * 3600)
+    }
+}
+
+/// Test builds check the counted element index against a rebuild from
+/// scratch after every action of a run on a table this small.
+#[cfg(test)]
+const AUDITED_SLOTS: usize = 4_096;
+
+#[cfg(test)]
+impl Simulation<'_> {
+    /// The element index rebuilt from scratch over `visible`: how many
+    /// peers' visible routes cross each element, at `element * prefixes +
+    /// prefix`.
+    fn index_from_scratch(&self) -> Vec<u32> {
+        let prefixes = self.world.prefixes.len();
+        let (mut counts, mut elements) = (vec![0; self.index.len() * prefixes], Vec::new());
+        for (at, route) in self.visible.iter().enumerate() {
+            let Some(route) = route else { continue };
+            elements_of(self.world, route, &mut elements);
+            for &e in &elements {
+                counts[e * prefixes + at % prefixes] += 1;
+            }
+        }
+        counts
+    }
+
+    fn assert_index_is_rebuilt(&self) {
+        if self.visible.len() > AUDITED_SLOTS {
+            return;
+        }
+        let (prefixes, mut rebuilt) = (self.world.prefixes.len(), self.index_from_scratch());
+        for (e, counts) in self.index.iter().enumerate() {
+            for (&p, &n) in counts {
+                let at = e * prefixes + p as usize;
+                assert!(n > 0 && rebuilt[at] == n, "element {e}, prefix {p}: counted {n}");
+                rebuilt[at] = 0;
+            }
+        }
+        assert!(rebuilt.iter().all(|&n| n == 0), "the counted element index misses a crossing");
     }
 }
 
@@ -772,6 +810,58 @@ mod tests {
             keys,
             [&f, &f, &f, &x, &x, &link, &none, &x, &f, &f, &none, &none].map(Clone::clone)
         );
+    }
+
+    /// Generated timelines on tiny worlds: whole and partial facility and
+    /// IXP outages, member leaves and de-peerings drawn so that they
+    /// overlap and repeat elements, plus a collector flap. `run` checks the
+    /// counted element index against its rebuild after every action.
+    #[test]
+    fn counted_index_matches_its_rebuild_on_generated_timelines() {
+        for seed in 0..3u64 {
+            let w = World::generate(WorldConfig::tiny(100 + seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let colo = &w.colo;
+            let facs: Vec<FacilityId> = colo
+                .facilities()
+                .iter()
+                .map(|f| f.id)
+                .filter(|&f| colo.members_of_facility(f).len() >= 2)
+                .collect();
+            let ixps: Vec<IxpId> = colo.ixps().iter().map(|x| x.id).collect();
+            let asn = |i: AsIdx| w.ases[i.0 as usize].asn;
+            let links: Vec<(Asn, Asn)> =
+                w.adjacencies.iter().map(|a| (asn(a.a), asn(a.b))).collect();
+            let mut timeline = vec![ScheduledEvent {
+                start: T0 + 20_000,
+                duration: 3_000,
+                kind: EventKind::CollectorFlap { peer_slot: 0 },
+            }];
+            for _ in 0..12 {
+                let affected_fraction = [1.0, 0.5][rng.gen_range(0..2)];
+                let (facility, ixp) = (facs[rng.gen_range(0..3)], ixps[rng.gen_range(0..2)]);
+                let kind = match rng.gen_range(0..4) {
+                    0 => EventKind::FacilityOutage { facility, affected_fraction },
+                    1 => EventKind::IxpOutage { ixp, affected_fraction },
+                    2 => {
+                        let members = colo.members_of_ixp(ixp);
+                        let asn = *members.iter().nth(rng.gen_range(0..members.len())).unwrap();
+                        EventKind::IxpMemberLeave { asn, ixp }
+                    }
+                    _ => {
+                        let (a, b) = links[rng.gen_range(0..links.len().min(20))];
+                        EventKind::Depeering { a, b }
+                    }
+                };
+                timeline.push(ScheduledEvent {
+                    start: T0 + 10_000 + rng.gen_range(0..20_000),
+                    duration: rng.gen_range(600..15_000),
+                    kind,
+                });
+            }
+            let out = Simulation::new(&w, setup(&w), T0, seed).run(&timeline, T0 + 100_000);
+            assert!(out.records.iter().any(|r| r.time > T0 + 10_000), "the timeline moves routes");
+        }
     }
 
     /// Record count and FNV-1a-64 of a stream: each record's time and
