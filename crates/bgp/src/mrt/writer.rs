@@ -42,3 +42,60 @@ impl<W: Write> MrtWriter<W> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aspath::AsPath;
+    use crate::attrs::PathAttributes;
+    use crate::community::Community;
+    use crate::message::BgpUpdate;
+    use crate::mrt::{Bgp4mpMessage, MrtReader};
+    use crate::prefix::Prefix;
+    use crate::Asn;
+
+    fn message(update: BgpUpdate) -> MrtRecord {
+        MrtRecord {
+            timestamp: 1_431_500_000,
+            body: MrtBody::Message(Bgp4mpMessage {
+                peer_as: Asn(20940),
+                local_as: Asn(6447),
+                interface_index: 0,
+                peer_ip: "192.0.2.1".parse().unwrap(),
+                local_ip: "192.0.2.254".parse().unwrap(),
+                update,
+            }),
+        }
+    }
+
+    /// `n` distinct /24s behind a one-hop path: a 43 + 4n-byte UPDATE.
+    fn announcement(n: u32) -> BgpUpdate {
+        let nlri = (0..n).map(|i| Prefix::v4(10, (i >> 8) as u8, i as u8, 0, 24)).collect();
+        let attrs = PathAttributes::with_path_and_communities(AsPath::from_sequence([1]), vec![]);
+        BgpUpdate::announce(nlri, attrs)
+    }
+
+    /// The UPDATE's length fields are 16 bits wide: a message of 65,535
+    /// bytes round-trips, one prefix more is refused, as is an attribute
+    /// longer than 65,535 bytes, and a refused record writes nothing.
+    #[test]
+    fn updates_past_the_u16_lengths_are_refused_whole() {
+        let fits = message(announcement(16_373));
+        let mut buf = Vec::new();
+        MrtWriter::new(&mut buf).write_record(&fits).unwrap();
+        assert_eq!(buf.len(), 12 + 20 + 65_535, "MRT header, peer header, UPDATE");
+        let back: Vec<_> = MrtReader::new(&buf[..]).map(Result::unwrap).collect();
+        assert_eq!(back, vec![fits]);
+
+        let communities = (0..20_000).map(|i| Community::new(64_500, i as u16)).collect();
+        let attrs =
+            PathAttributes::with_path_and_communities(AsPath::from_sequence([1]), communities);
+        let tagged = BgpUpdate::announce(vec![Prefix::v4(10, 0, 0, 0, 24)], attrs);
+        for update in [announcement(16_374), announcement(20_000), tagged] {
+            let mut buf = Vec::new();
+            let err = MrtWriter::new(&mut buf).write_record(&message(update)).unwrap_err();
+            assert!(matches!(err, MrtError::BadValue { .. }), "{err}");
+            assert!(buf.is_empty(), "{} bytes written", buf.len());
+        }
+    }
+}
