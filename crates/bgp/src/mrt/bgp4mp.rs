@@ -74,19 +74,17 @@ fn encode_peer_header(
 }
 
 impl Bgp4mpMessage {
-    /// Serializes the record body (everything after the MRT header).
-    pub fn encode_body(&self) -> Result<Vec<u8>, MrtError> {
-        let mut out = Vec::new();
+    /// Appends the record body (everything after the MRT header).
+    pub(crate) fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         encode_peer_header(
-            &mut out,
+            out,
             self.peer_as,
             self.local_as,
             self.interface_index,
             self.peer_ip,
             self.local_ip,
         )?;
-        out.extend_from_slice(&encode_bgp_update(&self.update));
-        Ok(out)
+        encode_bgp_update(out, &self.update)
     }
 
     /// Parses a record body: [`MessageView::parse`] folded into owned
@@ -105,11 +103,10 @@ impl Bgp4mpMessage {
 }
 
 impl Bgp4mpStateChange {
-    /// Serializes the record body.
-    pub fn encode_body(&self) -> Result<Vec<u8>, MrtError> {
-        let mut out = Vec::new();
+    /// Appends the record body.
+    pub(crate) fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         encode_peer_header(
-            &mut out,
+            out,
             self.peer_as,
             self.local_as,
             self.interface_index,
@@ -118,7 +115,7 @@ impl Bgp4mpStateChange {
         )?;
         out.extend_from_slice(&self.change.old.code().to_be_bytes());
         out.extend_from_slice(&self.change.new.code().to_be_bytes());
-        Ok(out)
+        Ok(())
     }
 
     /// Parses a record body.
@@ -151,7 +148,7 @@ mod tests {
             local_ip: "::1".parse().unwrap(),
             update: BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 0, 0, 16)]),
         };
-        assert!(msg.encode_body().is_err());
+        assert!(msg.encode_body(&mut Vec::new()).is_err());
     }
 
     #[test]
@@ -170,7 +167,8 @@ mod tests {
                 ),
             ),
         };
-        let body = msg.encode_body().unwrap();
+        let mut body = Vec::new();
+        msg.encode_body(&mut body).unwrap();
         assert_eq!(Bgp4mpMessage::decode_body(&body).unwrap(), msg);
     }
 
@@ -184,7 +182,8 @@ mod tests {
             local_ip: "192.0.2.2".parse().unwrap(),
             change: StateChange { old: PeerState::Established, new: PeerState::Idle },
         };
-        let body = sc.encode_body().unwrap();
+        let mut body = Vec::new();
+        sc.encode_body(&mut body).unwrap();
         assert_eq!(Bgp4mpStateChange::decode_body(&body).unwrap(), sc);
     }
 }

@@ -5,7 +5,9 @@
 
 use super::error::MrtError;
 use super::view::AttrsView;
-use super::wire::{decode_nlri_prefix, encode_attrs, encode_nlri_prefix, AttrMode, Cursor};
+use super::wire::{
+    decode_nlri_prefix, encode_attrs, encode_nlri_prefix, with_len, AttrMode, Cursor,
+};
 use crate::attrs::PathAttributes;
 use crate::prefix::Prefix;
 use crate::Asn;
@@ -58,16 +60,13 @@ pub struct RibPrefixEntries {
 }
 
 impl PeerIndexTable {
-    /// Serializes the record body.
-    pub fn encode_body(&self) -> Result<Vec<u8>, MrtError> {
-        let mut out = Vec::new();
+    /// Appends the record body.
+    pub(crate) fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         out.extend_from_slice(&self.collector_id.to_be_bytes());
-        let name = self.view_name.as_bytes();
-        if name.len() > u16::MAX as usize {
-            return Err(MrtError::BadValue { context: "view name length" });
-        }
-        out.extend_from_slice(&(name.len() as u16).to_be_bytes());
-        out.extend_from_slice(name);
+        with_len(out, "view name length", |out| {
+            out.extend_from_slice(self.view_name.as_bytes());
+            Ok(())
+        })?;
         out.extend_from_slice(&(self.peers.len() as u16).to_be_bytes());
         for p in &self.peers {
             // peer type: bit 0 = IPv6 address, bit 1 = 4-byte ASN (always).
@@ -83,7 +82,7 @@ impl PeerIndexTable {
             }
             out.extend_from_slice(&p.asn.0.to_be_bytes());
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Parses a record body.
@@ -121,23 +120,19 @@ impl RibPrefixEntries {
         }
     }
 
-    /// Serializes the record body.
-    pub fn encode_body(&self) -> Result<Vec<u8>, MrtError> {
-        let mut out = Vec::new();
+    /// Appends the record body.
+    pub(crate) fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), MrtError> {
         out.extend_from_slice(&self.sequence.to_be_bytes());
-        encode_nlri_prefix(&self.prefix, &mut out);
+        encode_nlri_prefix(&self.prefix, out);
         out.extend_from_slice(&(self.entries.len() as u16).to_be_bytes());
         for e in &self.entries {
             out.extend_from_slice(&e.peer_index.to_be_bytes());
             out.extend_from_slice(&e.originated_time.to_be_bytes());
-            let attrs = encode_attrs(&e.attrs, &[], &[], AttrMode::TableDumpV2);
-            if attrs.len() > u16::MAX as usize {
-                return Err(MrtError::BadValue { context: "RIB entry attribute length" });
-            }
-            out.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
-            out.extend_from_slice(&attrs);
+            with_len(out, "RIB entry attribute length", |out| {
+                encode_attrs(out, &e.attrs, &[], &[], AttrMode::TableDumpV2)
+            })?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Parses a record body; `v6` selects the address family (from the MRT
@@ -177,7 +172,8 @@ mod tests {
                 PeerEntry { bgp_id: 2, addr: "2001:7f8::2".parse().unwrap(), asn: Asn(20940) },
             ],
         };
-        let body = t.encode_body().unwrap();
+        let mut body = Vec::new();
+        t.encode_body(&mut body).unwrap();
         assert_eq!(PeerIndexTable::decode_body(&body).unwrap(), t);
     }
 
@@ -196,7 +192,8 @@ mod tests {
             }],
         };
         assert_eq!(r.subtype(), super::super::TDV2_RIB_IPV4_UNICAST);
-        let body = r.encode_body().unwrap();
+        let mut body = Vec::new();
+        r.encode_body(&mut body).unwrap();
         assert_eq!(RibPrefixEntries::decode_body(&body, false).unwrap(), r);
     }
 
@@ -216,7 +213,8 @@ mod tests {
             }],
         };
         assert_eq!(r.subtype(), super::super::TDV2_RIB_IPV6_UNICAST);
-        let body = r.encode_body().unwrap();
+        let mut body = Vec::new();
+        r.encode_body(&mut body).unwrap();
         assert_eq!(RibPrefixEntries::decode_body(&body, true).unwrap(), r);
     }
 
@@ -224,7 +222,8 @@ mod tests {
     fn empty_rib_entries_allowed() {
         let r =
             RibPrefixEntries { sequence: 0, prefix: Prefix::v4(10, 0, 0, 0, 8), entries: vec![] };
-        let body = r.encode_body().unwrap();
+        let mut body = Vec::new();
+        r.encode_body(&mut body).unwrap();
         assert_eq!(RibPrefixEntries::decode_body(&body, false).unwrap(), r);
     }
 }

@@ -125,21 +125,51 @@ pub(crate) fn decode_nlri_prefix(cur: &mut Cursor<'_>, v6: bool) -> Result<Prefi
     Prefix::new(addr, len).map_err(|_| MrtError::BadValue { context: "NLRI prefix" })
 }
 
-fn push_attr(out: &mut Vec<u8>, flags: u8, attr_type: u8, body: &[u8]) {
-    if body.len() > 255 {
-        out.push(flags | FLAG_EXTENDED_LEN);
-        out.push(attr_type);
-        out.extend_from_slice(&(body.len() as u16).to_be_bytes());
-    } else {
-        out.push(flags);
-        out.push(attr_type);
-        out.push(body.len() as u8);
-    }
-    out.extend_from_slice(body);
+/// Writes `out.len() - from` big-endian into the two bytes at `out[at..]`:
+/// the one place a 16-bit length is written once what it counts is, and
+/// where a length the field cannot hold is refused.
+fn patch_len(out: &mut [u8], at: usize, from: usize, field: &'static str) -> Result<(), MrtError> {
+    let len = u16::try_from(out.len() - from).map_err(|_| MrtError::BadValue { context: field })?;
+    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+    Ok(())
 }
 
-fn encode_as_path(path: &AsPath) -> Vec<u8> {
-    let mut body = Vec::new();
+/// Appends a 16-bit length, then what `body` appends, which it counts.
+pub(crate) fn with_len(
+    out: &mut Vec<u8>,
+    context: &'static str,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), MrtError>,
+) -> Result<(), MrtError> {
+    let at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    body(out)?;
+    patch_len(out, at, at + 2, context)
+}
+
+/// Appends one path attribute: its flags and type, then what `body`
+/// appends, behind a one-byte length, or two bytes (extended length) past
+/// 255.
+fn push_attr(
+    out: &mut Vec<u8>,
+    flags: u8,
+    attr_type: u8,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), MrtError> {
+    let at = out.len();
+    out.extend_from_slice(&[flags, attr_type, 0]);
+    body(out);
+    match u8::try_from(out.len() - at - 3) {
+        Ok(len) => out[at + 2] = len,
+        Err(_) => {
+            out[at] |= FLAG_EXTENDED_LEN;
+            out.insert(at + 3, 0);
+            patch_len(out, at + 2, at + 4, "path attribute length")?;
+        }
+    }
+    Ok(())
+}
+
+fn encode_as_path(path: &AsPath, out: &mut Vec<u8>) {
     for seg in path.segments() {
         let (code, asns): (u8, &[Asn]) = match seg {
             AsPathSegment::Set(v) => (1, v),
@@ -147,155 +177,116 @@ fn encode_as_path(path: &AsPath) -> Vec<u8> {
         };
         // RFC 4271 limits a segment to 255 ASNs; split longer ones.
         for chunk in asns.chunks(255) {
-            body.push(code);
-            body.push(chunk.len() as u8);
+            out.extend_from_slice(&[code, chunk.len() as u8]);
             for asn in chunk {
-                body.extend_from_slice(&asn.0.to_be_bytes());
+                out.extend_from_slice(&asn.0.to_be_bytes());
             }
         }
     }
-    body
 }
 
-/// Encodes the attribute block. `v6_announced`/`v6_withdrawn` go into
-/// MP_REACH / MP_UNREACH (BGP4MP mode only; TDV2 RIB entries never carry
-/// NLRI inside attributes).
+/// Appends the NLRI encoding of the prefixes of one family, in order.
+fn push_nlri(out: &mut Vec<u8>, prefixes: &[Prefix], v6: bool) {
+    for p in prefixes.iter().filter(|p| p.is_ipv6() == v6) {
+        encode_nlri_prefix(p, out);
+    }
+}
+
+/// Appends MP_UNREACH_NLRI for the IPv6 prefixes among `withdrawn`, if any.
+fn push_mp_unreach(out: &mut Vec<u8>, withdrawn: &[Prefix]) -> Result<(), MrtError> {
+    if !withdrawn.iter().any(Prefix::is_ipv6) {
+        return Ok(());
+    }
+    push_attr(out, FLAG_OPTIONAL, ATTR_MP_UNREACH, |out| {
+        out.extend_from_slice(&[0, 2, 1]); // AFI: IPv6, SAFI: unicast
+        push_nlri(out, withdrawn, true);
+    })
+}
+
+/// Appends the attribute block. In BGP4MP mode the IPv6 prefixes among
+/// `announced`/`withdrawn` go into MP_REACH / MP_UNREACH; TDV2 RIB entries
+/// never carry NLRI inside attributes.
 pub(crate) fn encode_attrs(
+    out: &mut Vec<u8>,
     attrs: &PathAttributes,
-    v6_announced: &[Prefix],
-    v6_withdrawn: &[Prefix],
+    announced: &[Prefix],
+    withdrawn: &[Prefix],
     mode: AttrMode,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    push_attr(&mut out, FLAG_TRANSITIVE, ATTR_ORIGIN, &[attrs.origin.code()]);
-    push_attr(&mut out, FLAG_TRANSITIVE, ATTR_AS_PATH, &encode_as_path(&attrs.as_path));
+) -> Result<(), MrtError> {
+    push_attr(out, FLAG_TRANSITIVE, ATTR_ORIGIN, |out| out.push(attrs.origin.code()))?;
+    push_attr(out, FLAG_TRANSITIVE, ATTR_AS_PATH, |out| encode_as_path(&attrs.as_path, out))?;
     if let IpAddr::V4(nh) = attrs.next_hop {
-        push_attr(&mut out, FLAG_TRANSITIVE, ATTR_NEXT_HOP, &nh.octets());
+        push_attr(out, FLAG_TRANSITIVE, ATTR_NEXT_HOP, |out| out.extend_from_slice(&nh.octets()))?;
     }
     if let Some(med) = attrs.med {
-        push_attr(&mut out, FLAG_OPTIONAL, ATTR_MED, &med.to_be_bytes());
+        push_attr(out, FLAG_OPTIONAL, ATTR_MED, |out| out.extend_from_slice(&med.to_be_bytes()))?;
     }
     if let Some(lp) = attrs.local_pref {
-        push_attr(&mut out, FLAG_TRANSITIVE, ATTR_LOCAL_PREF, &lp.to_be_bytes());
+        push_attr(out, FLAG_TRANSITIVE, ATTR_LOCAL_PREF, |out| out.extend(lp.to_be_bytes()))?;
     }
     if attrs.atomic_aggregate {
-        push_attr(&mut out, FLAG_TRANSITIVE, ATTR_ATOMIC_AGGREGATE, &[]);
+        push_attr(out, FLAG_TRANSITIVE, ATTR_ATOMIC_AGGREGATE, |_| {})?;
     }
     if !attrs.communities.is_empty() {
-        let mut body = Vec::with_capacity(attrs.communities.len() * 4);
-        for c in &attrs.communities {
-            body.extend_from_slice(&c.0.to_be_bytes());
-        }
-        push_attr(&mut out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_COMMUNITY, &body);
+        push_attr(out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_COMMUNITY, |out| {
+            out.extend(attrs.communities.iter().flat_map(|c| c.0.to_be_bytes()))
+        })?;
     }
+    let nh6 = if let IpAddr::V6(a) = attrs.next_hop { Some(a) } else { None };
     match mode {
         AttrMode::Bgp4mp => {
-            if !v6_announced.is_empty() {
-                let mut body = Vec::new();
-                body.extend_from_slice(&2u16.to_be_bytes()); // AFI: IPv6
-                body.push(1); // SAFI: unicast
-                let nh = match attrs.next_hop {
-                    IpAddr::V6(a) => a,
-                    IpAddr::V4(_) => Ipv6Addr::UNSPECIFIED,
-                };
-                body.push(16);
-                body.extend_from_slice(&nh.octets());
-                body.push(0); // reserved
-                for p in v6_announced {
-                    encode_nlri_prefix(p, &mut body);
-                }
-                push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_REACH, &body);
+            if announced.iter().any(Prefix::is_ipv6) {
+                push_attr(out, FLAG_OPTIONAL, ATTR_MP_REACH, |out| {
+                    out.extend_from_slice(&[0, 2, 1, 16]); // IPv6 unicast, 16-byte next hop
+                    out.extend_from_slice(&nh6.unwrap_or(Ipv6Addr::UNSPECIFIED).octets());
+                    out.push(0); // reserved
+                    push_nlri(out, announced, true);
+                })?;
             }
-            if !v6_withdrawn.is_empty() {
-                let mut body = Vec::new();
-                body.extend_from_slice(&2u16.to_be_bytes());
-                body.push(1);
-                for p in v6_withdrawn {
-                    encode_nlri_prefix(p, &mut body);
-                }
-                push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_UNREACH, &body);
-            }
+            push_mp_unreach(out, withdrawn)?;
         }
         AttrMode::TableDumpV2 => {
-            if let IpAddr::V6(nh) = attrs.next_hop {
-                let mut body = Vec::with_capacity(17);
-                body.push(16);
-                body.extend_from_slice(&nh.octets());
-                push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_REACH, &body);
+            if let Some(nh) = nh6 {
+                push_attr(out, FLAG_OPTIONAL, ATTR_MP_REACH, |out| {
+                    out.push(16);
+                    out.extend_from_slice(&nh.octets());
+                })?;
             }
         }
     }
     if !attrs.extended_communities.is_empty() {
-        let mut body = Vec::with_capacity(attrs.extended_communities.len() * 8);
-        for e in &attrs.extended_communities {
-            body.extend_from_slice(&e.0);
-        }
-        push_attr(&mut out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_EXTENDED_COMMUNITIES, &body);
+        push_attr(out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_EXTENDED_COMMUNITIES, |out| {
+            out.extend(attrs.extended_communities.iter().flat_map(|e| e.0))
+        })?;
     }
     if !attrs.large_communities.is_empty() {
-        let mut body = Vec::with_capacity(attrs.large_communities.len() * 12);
-        for l in &attrs.large_communities {
-            body.extend_from_slice(&l.global.to_be_bytes());
-            body.extend_from_slice(&l.local1.to_be_bytes());
-            body.extend_from_slice(&l.local2.to_be_bytes());
-        }
-        push_attr(&mut out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_LARGE_COMMUNITY, &body);
+        let large = attrs.large_communities.iter().flat_map(|l| [l.global, l.local1, l.local2]);
+        push_attr(out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_LARGE_COMMUNITY, |out| {
+            out.extend(large.flat_map(u32::to_be_bytes))
+        })?;
     }
-    out
+    Ok(())
 }
 
-/// Encodes a full BGP UPDATE message (marker + header + body).
-pub(crate) fn encode_bgp_update(update: &BgpUpdate) -> Vec<u8> {
-    let (w4, w6): (Vec<&Prefix>, Vec<&Prefix>) = update.withdrawn.iter().partition(|p| p.is_ipv4());
-    let (a4, a6): (Vec<&Prefix>, Vec<&Prefix>) = update.announced.iter().partition(|p| p.is_ipv4());
-
-    let mut withdrawn_bytes = Vec::new();
-    for p in &w4 {
-        encode_nlri_prefix(p, &mut withdrawn_bytes);
-    }
-
-    let attr_bytes = match &update.attrs {
-        Some(attrs) => {
-            let v6a: Vec<Prefix> = a6.iter().map(|p| **p).collect();
-            let v6w: Vec<Prefix> = w6.iter().map(|p| **p).collect();
-            encode_attrs(attrs, &v6a, &v6w, AttrMode::Bgp4mp)
-        }
-        None => {
-            if !w6.is_empty() {
-                // Withdraw-only IPv6 update: MP_UNREACH with no other attrs.
-                let v6w: Vec<Prefix> = w6.iter().map(|p| **p).collect();
-                let mut body = Vec::new();
-                body.extend_from_slice(&2u16.to_be_bytes());
-                body.push(1);
-                for p in &v6w {
-                    encode_nlri_prefix(p, &mut body);
-                }
-                let mut out = Vec::new();
-                push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_UNREACH, &body);
-                out
-            } else {
-                Vec::new()
-            }
-        }
-    };
-
-    let mut nlri = Vec::new();
-    for p in &a4 {
-        encode_nlri_prefix(p, &mut nlri);
-    }
-
-    let body_len = 2 + withdrawn_bytes.len() + 2 + attr_bytes.len() + nlri.len();
-    let total = 19 + body_len;
-    let mut out = Vec::with_capacity(total);
+/// Appends a full BGP UPDATE message (marker + header + body). A message
+/// or a field past its 16-bit length is refused.
+pub(crate) fn encode_bgp_update(out: &mut Vec<u8>, update: &BgpUpdate) -> Result<(), MrtError> {
+    let start = out.len();
     out.extend_from_slice(&[0xFF; 16]);
-    out.extend_from_slice(&(total as u16).to_be_bytes());
-    out.push(2); // message type: UPDATE
-    out.extend_from_slice(&(withdrawn_bytes.len() as u16).to_be_bytes());
-    out.extend_from_slice(&withdrawn_bytes);
-    out.extend_from_slice(&(attr_bytes.len() as u16).to_be_bytes());
-    out.extend_from_slice(&attr_bytes);
-    out.extend_from_slice(&nlri);
-    out
+    out.extend_from_slice(&[0, 0, 2]); // length, patched below; type: UPDATE
+    with_len(out, "withdrawn routes length", |out| {
+        push_nlri(out, &update.withdrawn, false);
+        Ok(())
+    })?;
+    with_len(out, "total path attribute length", |out| match &update.attrs {
+        Some(attrs) => {
+            encode_attrs(out, attrs, &update.announced, &update.withdrawn, AttrMode::Bgp4mp)
+        }
+        // Withdraw-only IPv6 update: MP_UNREACH with no other attrs.
+        None => push_mp_unreach(out, &update.withdrawn),
+    })?;
+    push_nlri(out, &update.announced, false);
+    patch_len(out, start + 16, start, "BGP UPDATE length")
 }
 
 #[cfg(test)]
@@ -323,8 +314,20 @@ mod tests {
         assert!(decode_nlri_prefix(&mut cur, false).is_err());
     }
 
+    fn attrs_bytes(attrs: &PathAttributes, mode: AttrMode) -> Vec<u8> {
+        let mut raw = Vec::new();
+        encode_attrs(&mut raw, attrs, &[], &[], mode).unwrap();
+        raw
+    }
+
+    fn update_bytes(update: &BgpUpdate) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_bgp_update(&mut bytes, update).unwrap();
+        bytes
+    }
+
     fn roundtrip_attrs(attrs: &PathAttributes, mode: AttrMode) -> PathAttributes {
-        let raw = encode_attrs(attrs, &[], &[], mode);
+        let raw = attrs_bytes(attrs, mode);
         AttrsView::parse(&raw, &raw, mode).unwrap().to_attrs()
     }
 
@@ -348,21 +351,21 @@ mod tests {
             attrs: Some(attrs),
             announced: vec![Prefix::v4(184, 84, 242, 0, 24), "2600:2::/32".parse().unwrap()],
         };
-        let bytes = encode_bgp_update(&upd);
+        let bytes = update_bytes(&upd);
         assert_eq!(UpdateView::parse(&bytes).unwrap().materialize(), upd);
     }
 
     #[test]
     fn withdraw_only_v6() {
         let upd = BgpUpdate::withdraw(vec!["2600:9::/32".parse().unwrap()]);
-        let bytes = encode_bgp_update(&upd);
+        let bytes = update_bytes(&upd);
         assert_eq!(UpdateView::parse(&bytes).unwrap().materialize(), upd);
     }
 
     #[test]
     fn bad_marker_detected() {
         let upd = BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 0, 0, 16)]);
-        let mut bytes = encode_bgp_update(&upd);
+        let mut bytes = update_bytes(&upd);
         bytes[3] = 0;
         assert!(matches!(UpdateView::parse(&bytes), Err(MrtError::BadMarker)));
     }
@@ -371,7 +374,7 @@ mod tests {
     fn unknown_attribute_is_skipped() {
         let attrs =
             PathAttributes::with_path_and_communities(AsPath::from_sequence([1, 2]), vec![]);
-        let mut raw = encode_attrs(&attrs, &[], &[], AttrMode::Bgp4mp);
+        let mut raw = attrs_bytes(&attrs, AttrMode::Bgp4mp);
         // Append an unknown optional-transitive attribute type 99.
         raw.extend_from_slice(&[FLAG_OPTIONAL | FLAG_TRANSITIVE, 99, 2, 0xAB, 0xCD]);
         let decoded = AttrsView::parse(&raw, &raw, AttrMode::Bgp4mp).unwrap().to_attrs();
@@ -386,5 +389,319 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(roundtrip_attrs(&attrs, AttrMode::TableDumpV2), attrs);
+    }
+
+    /// The `Vec`-building encoder the in-place one replaced, kept as the
+    /// reference it is differentially tested against. Do not optimise it.
+    mod reference {
+        use super::super::*;
+        use crate::mrt::RibPrefixEntries;
+
+        fn push_attr(out: &mut Vec<u8>, flags: u8, attr_type: u8, body: &[u8]) {
+            if body.len() > 255 {
+                out.push(flags | FLAG_EXTENDED_LEN);
+                out.push(attr_type);
+                out.extend_from_slice(&(body.len() as u16).to_be_bytes());
+            } else {
+                out.push(flags);
+                out.push(attr_type);
+                out.push(body.len() as u8);
+            }
+            out.extend_from_slice(body);
+        }
+
+        fn encode_as_path(path: &AsPath) -> Vec<u8> {
+            let mut body = Vec::new();
+            for seg in path.segments() {
+                let (code, asns): (u8, &[Asn]) = match seg {
+                    AsPathSegment::Set(v) => (1, v),
+                    AsPathSegment::Sequence(v) => (2, v),
+                };
+                for chunk in asns.chunks(255) {
+                    body.push(code);
+                    body.push(chunk.len() as u8);
+                    for asn in chunk {
+                        body.extend_from_slice(&asn.0.to_be_bytes());
+                    }
+                }
+            }
+            body
+        }
+
+        pub(super) fn encode_attrs(
+            attrs: &PathAttributes,
+            v6_announced: &[Prefix],
+            v6_withdrawn: &[Prefix],
+            mode: AttrMode,
+        ) -> Vec<u8> {
+            let mut out = Vec::new();
+            push_attr(&mut out, FLAG_TRANSITIVE, ATTR_ORIGIN, &[attrs.origin.code()]);
+            push_attr(&mut out, FLAG_TRANSITIVE, ATTR_AS_PATH, &encode_as_path(&attrs.as_path));
+            if let IpAddr::V4(nh) = attrs.next_hop {
+                push_attr(&mut out, FLAG_TRANSITIVE, ATTR_NEXT_HOP, &nh.octets());
+            }
+            if let Some(med) = attrs.med {
+                push_attr(&mut out, FLAG_OPTIONAL, ATTR_MED, &med.to_be_bytes());
+            }
+            if let Some(lp) = attrs.local_pref {
+                push_attr(&mut out, FLAG_TRANSITIVE, ATTR_LOCAL_PREF, &lp.to_be_bytes());
+            }
+            if attrs.atomic_aggregate {
+                push_attr(&mut out, FLAG_TRANSITIVE, ATTR_ATOMIC_AGGREGATE, &[]);
+            }
+            if !attrs.communities.is_empty() {
+                let mut body = Vec::with_capacity(attrs.communities.len() * 4);
+                for c in &attrs.communities {
+                    body.extend_from_slice(&c.0.to_be_bytes());
+                }
+                push_attr(&mut out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_COMMUNITY, &body);
+            }
+            match mode {
+                AttrMode::Bgp4mp => {
+                    if !v6_announced.is_empty() {
+                        let mut body = Vec::new();
+                        body.extend_from_slice(&2u16.to_be_bytes());
+                        body.push(1);
+                        let nh = match attrs.next_hop {
+                            IpAddr::V6(a) => a,
+                            IpAddr::V4(_) => Ipv6Addr::UNSPECIFIED,
+                        };
+                        body.push(16);
+                        body.extend_from_slice(&nh.octets());
+                        body.push(0);
+                        for p in v6_announced {
+                            encode_nlri_prefix(p, &mut body);
+                        }
+                        push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_REACH, &body);
+                    }
+                    if !v6_withdrawn.is_empty() {
+                        let mut body = Vec::new();
+                        body.extend_from_slice(&2u16.to_be_bytes());
+                        body.push(1);
+                        for p in v6_withdrawn {
+                            encode_nlri_prefix(p, &mut body);
+                        }
+                        push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_UNREACH, &body);
+                    }
+                }
+                AttrMode::TableDumpV2 => {
+                    if let IpAddr::V6(nh) = attrs.next_hop {
+                        let mut body = Vec::with_capacity(17);
+                        body.push(16);
+                        body.extend_from_slice(&nh.octets());
+                        push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_REACH, &body);
+                    }
+                }
+            }
+            if !attrs.extended_communities.is_empty() {
+                let mut body = Vec::with_capacity(attrs.extended_communities.len() * 8);
+                for e in &attrs.extended_communities {
+                    body.extend_from_slice(&e.0);
+                }
+                let flags = FLAG_OPTIONAL | FLAG_TRANSITIVE;
+                push_attr(&mut out, flags, ATTR_EXTENDED_COMMUNITIES, &body);
+            }
+            if !attrs.large_communities.is_empty() {
+                let mut body = Vec::with_capacity(attrs.large_communities.len() * 12);
+                for l in &attrs.large_communities {
+                    body.extend_from_slice(&l.global.to_be_bytes());
+                    body.extend_from_slice(&l.local1.to_be_bytes());
+                    body.extend_from_slice(&l.local2.to_be_bytes());
+                }
+                push_attr(&mut out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_LARGE_COMMUNITY, &body);
+            }
+            out
+        }
+
+        pub(super) fn encode_bgp_update_reference(update: &BgpUpdate) -> Vec<u8> {
+            let (w4, w6): (Vec<&Prefix>, Vec<&Prefix>) =
+                update.withdrawn.iter().partition(|p| p.is_ipv4());
+            let (a4, a6): (Vec<&Prefix>, Vec<&Prefix>) =
+                update.announced.iter().partition(|p| p.is_ipv4());
+
+            let mut withdrawn_bytes = Vec::new();
+            for p in &w4 {
+                encode_nlri_prefix(p, &mut withdrawn_bytes);
+            }
+
+            let attr_bytes = match &update.attrs {
+                Some(attrs) => {
+                    let v6a: Vec<Prefix> = a6.iter().map(|p| **p).collect();
+                    let v6w: Vec<Prefix> = w6.iter().map(|p| **p).collect();
+                    encode_attrs(attrs, &v6a, &v6w, AttrMode::Bgp4mp)
+                }
+                None => {
+                    if !w6.is_empty() {
+                        let v6w: Vec<Prefix> = w6.iter().map(|p| **p).collect();
+                        let mut body = Vec::new();
+                        body.extend_from_slice(&2u16.to_be_bytes());
+                        body.push(1);
+                        for p in &v6w {
+                            encode_nlri_prefix(p, &mut body);
+                        }
+                        let mut out = Vec::new();
+                        push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_UNREACH, &body);
+                        out
+                    } else {
+                        Vec::new()
+                    }
+                }
+            };
+
+            let mut nlri = Vec::new();
+            for p in &a4 {
+                encode_nlri_prefix(p, &mut nlri);
+            }
+
+            let body_len = 2 + withdrawn_bytes.len() + 2 + attr_bytes.len() + nlri.len();
+            let total = 19 + body_len;
+            let mut out = Vec::with_capacity(total);
+            out.extend_from_slice(&[0xFF; 16]);
+            out.extend_from_slice(&(total as u16).to_be_bytes());
+            out.push(2);
+            out.extend_from_slice(&(withdrawn_bytes.len() as u16).to_be_bytes());
+            out.extend_from_slice(&withdrawn_bytes);
+            out.extend_from_slice(&(attr_bytes.len() as u16).to_be_bytes());
+            out.extend_from_slice(&attr_bytes);
+            out.extend_from_slice(&nlri);
+            out
+        }
+
+        /// A TABLE_DUMP_V2 RIB body, as `RibPrefixEntries` encoded it
+        /// over the reference attribute encoder.
+        pub(super) fn encode_rib_reference(rib: &RibPrefixEntries) -> Vec<u8> {
+            let mut out = Vec::new();
+            out.extend_from_slice(&rib.sequence.to_be_bytes());
+            encode_nlri_prefix(&rib.prefix, &mut out);
+            out.extend_from_slice(&(rib.entries.len() as u16).to_be_bytes());
+            for e in &rib.entries {
+                out.extend_from_slice(&e.peer_index.to_be_bytes());
+                out.extend_from_slice(&e.originated_time.to_be_bytes());
+                let attrs = encode_attrs(&e.attrs, &[], &[], AttrMode::TableDumpV2);
+                out.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+                out.extend_from_slice(&attrs);
+            }
+            out
+        }
+    }
+
+    mod differential {
+        use super::super::*;
+        use super::reference::{encode_bgp_update_reference, encode_rib_reference};
+        use crate::aspath::AsPathSegment;
+        use crate::attrs::Origin;
+        use crate::community::{Community, ExtendedCommunity, LargeCommunity};
+        use crate::mrt::{RibEntry, RibPrefixEntries};
+        use proptest::prelude::*;
+
+        /// A prefix of either family, any length.
+        fn arb_prefix() -> impl Strategy<Value = Prefix> {
+            (any::<bool>(), any::<u128>(), any::<u8>()).prop_map(|(v6, bits, len)| {
+                let addr: IpAddr = if v6 {
+                    Ipv6Addr::from(bits).into()
+                } else {
+                    [bits as u8, (bits >> 8) as u8, (bits >> 16) as u8, (bits >> 24) as u8].into()
+                };
+                Prefix::new(addr, len % if v6 { 129 } else { 33 }).unwrap()
+            })
+        }
+
+        /// Attributes whose AS paths reach past 255 ASNs (split segments)
+        /// and whose AS path, community, extended- and large-community
+        /// bodies reach past 255 bytes (extended length), over either
+        /// next-hop family.
+        fn arb_attrs() -> impl Strategy<Value = PathAttributes> {
+            (
+                prop::sample::select(vec![Origin::Igp, Origin::Egp, Origin::Incomplete]),
+                prop::collection::vec(
+                    (any::<bool>(), prop::collection::vec(any::<u32>(), 0..600)),
+                    0..3,
+                ),
+                (any::<bool>(), any::<u128>()),
+                prop::option::of(any::<u32>()),
+                prop::option::of(any::<u32>()),
+                any::<bool>(),
+                prop::collection::vec(any::<u32>(), 0..100),
+                prop::collection::vec(any::<u64>(), 0..50),
+                prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..30),
+            )
+                .prop_map(
+                    |(origin, segments, (v6, nh), med, local_pref, atomic, comms, exts, larges)| {
+                        let segments = segments
+                            .into_iter()
+                            .map(|(set, asns)| {
+                                let asns = asns.into_iter().map(Asn).collect();
+                                if set {
+                                    AsPathSegment::Set(asns)
+                                } else {
+                                    AsPathSegment::Sequence(asns)
+                                }
+                            })
+                            .collect();
+                        PathAttributes {
+                            origin,
+                            as_path: AsPath::from_segments(segments),
+                            next_hop: if v6 {
+                                Ipv6Addr::from(nh).into()
+                            } else {
+                                IpAddr::from((nh as u32).to_be_bytes())
+                            },
+                            med,
+                            local_pref,
+                            atomic_aggregate: atomic,
+                            communities: comms.into_iter().map(Community).collect(),
+                            extended_communities: exts
+                                .into_iter()
+                                .map(|e| ExtendedCommunity(e.to_be_bytes()))
+                                .collect(),
+                            large_communities: larges
+                                .into_iter()
+                                .map(|(g, a, b)| LargeCommunity::new(g, a, b))
+                                .collect(),
+                        }
+                    },
+                )
+        }
+
+        /// Updates mixing both families in both directions, in any order:
+        /// some withdraw only (IPv6 ones through a lone MP_UNREACH), some
+        /// carry no attributes at all.
+        fn arb_update() -> impl Strategy<Value = BgpUpdate> {
+            (
+                prop::collection::vec(arb_prefix(), 0..40),
+                prop::option::of(arb_attrs()),
+                prop::collection::vec(arb_prefix(), 0..40),
+                any::<bool>(),
+            )
+                .prop_map(|(withdrawn, attrs, announced, withdraw_only)| {
+                    let announced = if withdraw_only { Vec::new() } else { announced };
+                    BgpUpdate { withdrawn, attrs, announced }
+                })
+        }
+
+        proptest! {
+            #[test]
+            fn update_encoding_matches_the_reference(update in arb_update()) {
+                let mut got = vec![0xAB];
+                encode_bgp_update(&mut got, &update).unwrap();
+                prop_assert_eq!(&got[1..], &encode_bgp_update_reference(&update)[..]);
+            }
+
+            #[test]
+            fn rib_encoding_matches_the_reference(
+                prefix in arb_prefix(),
+                sequence in any::<u32>(),
+                entries in prop::collection::vec((any::<u16>(), any::<u32>(), arb_attrs()), 0..4),
+            ) {
+                let entries = entries
+                    .into_iter()
+                    .map(|(peer_index, originated_time, attrs)| RibEntry { peer_index, originated_time, attrs })
+                    .collect();
+                let rib = RibPrefixEntries { sequence, prefix, entries };
+                let mut got = vec![0xAB];
+                rib.encode_body(&mut got).unwrap();
+                prop_assert_eq!(&got[1..], &encode_rib_reference(&rib)[..]);
+            }
+        }
     }
 }

@@ -1,44 +1,45 @@
 //! Streaming MRT writer over any `io::Write`.
 
 use super::error::MrtError;
-use super::{MrtBody, MrtRecord};
+use super::{MrtBody, MrtRecord, BGP4MP_MESSAGE_AS4, BGP4MP_STATE_CHANGE_AS4};
+use super::{MRT_TYPE_BGP4MP as BGP4MP, MRT_TYPE_TABLE_DUMP_V2 as TDV2, TDV2_PEER_INDEX_TABLE};
 use std::io::Write;
 
 /// Serializes [`MrtRecord`]s to a byte stream, one RFC 6396 record at a
 /// time. Flushing is left to the caller / the underlying writer.
 pub struct MrtWriter<W: Write> {
     inner: W,
+    /// The record under way, header and body, reused across records.
+    buf: Vec<u8>,
 }
 
 impl<W: Write> MrtWriter<W> {
     /// Wraps a byte sink.
     pub fn new(inner: W) -> Self {
-        MrtWriter { inner }
+        MrtWriter { inner, buf: Vec::new() }
     }
 
-    /// Serializes one record (header + body).
+    /// Serializes one record (header + body) with one write. A record that
+    /// does not encode writes nothing.
     pub fn write_record(&mut self, record: &MrtRecord) -> Result<(), MrtError> {
-        let (mrt_type, subtype, body) = match &record.body {
-            MrtBody::Message(m) => {
-                (super::MRT_TYPE_BGP4MP, super::BGP4MP_MESSAGE_AS4, m.encode_body()?)
-            }
-            MrtBody::StateChange(s) => {
-                (super::MRT_TYPE_BGP4MP, super::BGP4MP_STATE_CHANGE_AS4, s.encode_body()?)
-            }
-            MrtBody::PeerIndexTable(t) => {
-                (super::MRT_TYPE_TABLE_DUMP_V2, super::TDV2_PEER_INDEX_TABLE, t.encode_body()?)
-            }
-            MrtBody::RibEntries(r) => {
-                (super::MRT_TYPE_TABLE_DUMP_V2, r.subtype(), r.encode_body()?)
-            }
+        let out = &mut self.buf;
+        out.clear();
+        out.reserve(256); // a typical record in one allocation, even on a fresh writer
+        out.extend_from_slice(&record.timestamp.to_be_bytes());
+        out.extend_from_slice(&[0; 8]); // type, subtype and length, patched below
+        let (mrt_type, subtype, encoded) = match &record.body {
+            MrtBody::Message(m) => (BGP4MP, BGP4MP_MESSAGE_AS4, m.encode_body(out)),
+            MrtBody::StateChange(s) => (BGP4MP, BGP4MP_STATE_CHANGE_AS4, s.encode_body(out)),
+            MrtBody::PeerIndexTable(t) => (TDV2, TDV2_PEER_INDEX_TABLE, t.encode_body(out)),
+            MrtBody::RibEntries(r) => (TDV2, r.subtype(), r.encode_body(out)),
         };
-        let mut header = [0u8; 12];
-        header[0..4].copy_from_slice(&record.timestamp.to_be_bytes());
-        header[4..6].copy_from_slice(&mrt_type.to_be_bytes());
-        header[6..8].copy_from_slice(&subtype.to_be_bytes());
-        header[8..12].copy_from_slice(&(body.len() as u32).to_be_bytes());
-        self.inner.write_all(&header)?;
-        self.inner.write_all(&body)?;
+        encoded?;
+        let len = u32::try_from(out.len() - 12)
+            .map_err(|_| MrtError::BadValue { context: "MRT record length" })?;
+        out[4..6].copy_from_slice(&mrt_type.to_be_bytes());
+        out[6..8].copy_from_slice(&subtype.to_be_bytes());
+        out[8..12].copy_from_slice(&len.to_be_bytes());
+        self.inner.write_all(out)?;
         Ok(())
     }
 }
