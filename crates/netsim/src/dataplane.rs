@@ -20,7 +20,7 @@
 use crate::events::{EventKind, ScheduledEvent};
 use crate::routing::policy::FailedSet;
 use crate::routing::propagate::compute_tree;
-use crate::routing::tag::{route_visits, PopVisit};
+use crate::routing::tag::{route_hops, visits, PopVisit};
 use crate::world::{AsIdx, PrefixIdx, World};
 use kepler_bgp::Asn;
 use kepler_probe::splitmix64 as splitmix;
@@ -321,13 +321,11 @@ impl<'w> DataplaneSim<'w> {
         }
         let set = known.unwrap_or_else(|| {
             let id = cache.states.len() as u32;
-            let failed = self.failed_from(active);
-            let usable = failed.usable_adjacencies(world);
-            cache.states.push((failed, usable));
+            cache.states.push(self.failed_from(active).active_instances(world));
             cache.set_ids.insert(active.to_vec(), id);
             id
         });
-        let (failed, usable) = &cache.states[set as usize];
+        let instances = &cache.states[set as usize];
         let tree = match cache.trees.entry((origin.0, set)) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 cache.hits += 1;
@@ -335,10 +333,13 @@ impl<'w> DataplaneSim<'w> {
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 cache.misses += 1;
-                e.insert(compute_tree(world, usable, origin))
+                e.insert(compute_tree(world, instances, origin))
             }
         };
-        let skeleton = route_visits(world, failed, tree, pair.src).map(|visits| {
+        // Collected first: the walk borrows the cache the hops go into.
+        let route: Option<Vec<PopVisit>> = route_hops(tree, instances, pair.src)
+            .map(|hops| visits(world, pair.src, hops).collect());
+        let skeleton = route.map(|visits| {
             let src_city = world.ases[pair.src.0 as usize].info.home_city;
             let mut here: GeoPoint = world.gazetteer.cities()[src_city.0 as usize].point;
             cache.push_hops(visits.iter().filter_map(|v| {
@@ -522,13 +523,14 @@ impl DataplaneSim<'_> {
     }
 
     fn traceroute_reference(&self, pair: ProbePair, t: u64) -> TraceroutePath {
-        use crate::routing::tag::snapshot_route;
         let world: &World = &self.world;
         let failed = self.failed_from(&self.active_events_reference(t, pair));
-        let usable = failed.usable_adjacencies(world);
-        let tree = compute_tree(world, &usable, world.origin_of(pair.dst));
+        let instances = failed.active_instances(world);
+        let tree = compute_tree(world, &instances, world.origin_of(pair.dst));
         let is_v6 = world.prefix(pair.dst).is_ipv6();
-        let Some(snap) = snapshot_route(world, &failed, &tree, pair.src, is_v6) else {
+        let route = route_hops(&tree, &instances, pair.src);
+        let snap = route.map(|hops| crate::routing::snapshot_of(world, pair.src, hops, is_v6));
+        let Some(snap) = snap else {
             return TraceroutePath { pair, time: t, hops: Vec::new(), reached: false };
         };
         let mut hops = Vec::new();

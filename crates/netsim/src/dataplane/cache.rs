@@ -2,7 +2,6 @@
 //! skeletons in one hop arena, and the per-pair windows that replay them.
 
 use super::{IfaceOwner, ProbePair};
-use crate::routing::policy::FailedSet;
 use crate::routing::propagate::RouteTree;
 use kepler_bgp::fx::FxHashMap;
 use std::collections::HashMap;
@@ -69,7 +68,7 @@ impl PairWindow {
 ///
 /// Computing a route means building the per-origin routing tree
 /// ([`compute_tree`](crate::routing::propagate::compute_tree), ≈ 34 µs on
-/// the 528-AS AMS-IX world, over a usable-adjacency table that costs
+/// the 528-AS AMS-IX world, over an active-instance table that costs
 /// ≈ 100 µs once per interned set) and walking it into interface hops.
 /// Neither depends on the instant: the tree is a function
 /// of `(origin, active event set)`, the hop sequence with its propagation
@@ -99,9 +98,9 @@ pub struct TreeCache {
     pub(super) skeleton_cap: usize,
     /// Interned active-event sets; a set's id keys everything below.
     pub(super) set_ids: HashMap<Vec<u32>, u32>,
-    /// Failure state per interned set, by id, with the usable-adjacency
-    /// table every tree of that set is built over.
-    pub(super) states: Vec<(FailedSet, Vec<bool>)>,
+    /// The active-instance table of each interned set, by id: what every
+    /// tree and skeleton of that set is built over.
+    pub(super) states: Vec<Vec<Option<u32>>>,
     pub(super) trees: FxHashMap<(u32, u32), RouteTree>,
     /// Every retained skeleton, by (pair, interned set).
     pub(super) skeletons: FxHashMap<(ProbePair, u32), Skeleton>,

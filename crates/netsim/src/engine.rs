@@ -25,7 +25,7 @@
 use crate::events::{EventKind, GroundTruthEvent, ScheduledEvent};
 use crate::routing::policy::FailedSet;
 use crate::routing::propagate::{compute_tree, RouteTree};
-use crate::routing::tag::{snapshot_route, RouteSnapshot};
+use crate::routing::tag::{route_hops, snapshot_of, visits, Hop};
 use crate::world::{AsIdx, PrefixIdx, World};
 use kepler_bgp::{fx::FxHashMap, AsPath, Asn, BgpUpdate, PathAttributes, PeerState, StateChange};
 use kepler_bgpstream::{BgpRecord, CollectorId, PeerId, RecordPayload};
@@ -135,11 +135,11 @@ impl ElementKey {
     }
 }
 
-/// Writes the ids of the elements `snap` crosses into `out`, sorted and
-/// deduplicated.
-fn elements_of(world: &World, snap: &RouteSnapshot, out: &mut Vec<usize>) {
+/// Writes the ids of the elements the route `hops` from `vantage` crosses
+/// into `out`, sorted and deduplicated.
+fn elements_of(world: &World, vantage: AsIdx, hops: &[Hop], out: &mut Vec<usize>) {
     out.clear();
-    for v in &snap.visits {
+    for v in visits(world, vantage, hops.iter().copied()) {
         let facs = v.near_fac.into_iter().chain(v.far_fac).map(ElementKey::Fac);
         let keys = facs.chain(v.ixp.map(ElementKey::Ixp)).chain([ElementKey::Adj(v.adj)]);
         out.extend(keys.map(|k| k.id(world)));
@@ -176,8 +176,9 @@ pub struct Simulation<'w> {
     active: Vec<u32>,
     /// `FailedSet::of_events` over `active`.
     failed: FailedSet,
-    /// What BGP currently shows, by route slot `peer * prefixes + prefix`.
-    visible: Vec<Option<RouteSnapshot>>,
+    /// What BGP currently shows, by route slot `peer * prefixes + prefix`:
+    /// the route's hops, which fix what was announced.
+    visible: Vec<Option<Box<[Hop]>>>,
     /// Route changes per slot; a scheduled return for an older one is void.
     generations: Vec<u64>,
     /// By element id: prefix → how many peers' visible routes cross it.
@@ -186,9 +187,9 @@ pub struct Simulation<'w> {
     /// `elements_of`'s output, reused across route changes.
     scratch: Vec<usize>,
     records: Vec<BgpRecord>,
-    /// `failed`'s usable-adjacency table, built on first use in each
+    /// `failed`'s active-instance table, built on first use in each
     /// failure epoch (every `set_active` starts one).
-    usable: Option<Vec<bool>>,
+    instances: Option<Vec<Option<u32>>>,
     /// Routing trees of the current failure epoch, by origin AS: the
     /// prefixes of one origin share a tree.
     trees: HashMap<u32, Arc<RouteTree>>,
@@ -212,7 +213,7 @@ impl<'w> Simulation<'w> {
             index: vec![FxHashMap::default(); elements + world.adjacencies.len()],
             scratch: Vec::new(),
             records: Vec::new(),
-            usable: None,
+            instances: None,
             trees: HashMap::new(),
         };
         sim.emit_initial_table();
@@ -222,18 +223,18 @@ impl<'w> Simulation<'w> {
     fn emit_initial_table(&mut self) {
         // An origin's prefixes are adjacent: one tree at a time serves them
         // all without holding every origin's tree at once.
-        let usable = self.failed.usable_adjacencies(self.world);
+        self.instances = Some(self.failed.active_instances(self.world));
         let mut held: Option<RouteTree> = None;
         for p in 0..self.world.prefixes.len() {
             let origin = self.world.origin_of(PrefixIdx(p as u32));
             let tree = match held.take() {
                 Some(tree) if tree.origin == origin => tree,
-                _ => compute_tree(self.world, &usable, origin),
+                _ => compute_tree(self.world, self.instances(), origin),
             };
             for slot in 0..self.setup.peers.len() as u32 {
-                if let Some(snap) = self.truth(&tree, slot, p as u32) {
+                if let Some(hops) = self.truth(&tree, slot) {
                     let t = self.start + self.rng.gen_range(0..120);
-                    self.set_visible(slot, p as u32, Some(snap), t);
+                    self.set_visible(slot, p as u32, Some(hops), t);
                 }
             }
             held = Some(tree);
@@ -244,37 +245,68 @@ impl<'w> Simulation<'w> {
         peer as usize * self.world.prefixes.len() + prefix as usize
     }
 
-    fn visible(&self, peer: u32, prefix: u32) -> Option<&RouteSnapshot> {
-        self.visible[self.slot(peer, prefix)].as_ref()
+    fn vantage(&self, peer: u32) -> AsIdx {
+        self.setup.peers[peer as usize].as_idx
     }
 
-    /// The route `peer` should see for `prefix`, over `prefix`'s `tree`
-    /// under the failures in force.
-    fn truth(&self, tree: &RouteTree, peer: u32, prefix: u32) -> Option<RouteSnapshot> {
-        let is_v6 = self.world.prefix(PrefixIdx(prefix)).is_ipv6();
-        let vantage = self.setup.peers[peer as usize].as_idx;
-        snapshot_route(self.world, &self.failed, tree, vantage, is_v6)
+    /// The current failure epoch's active-instance table; `tree_for`
+    /// builds it.
+    fn instances(&self) -> &[Option<u32>] {
+        self.instances.as_deref().expect("the epoch's table is built with its first tree")
+    }
+
+    /// The route `peer` should see over a prefix's `tree` under the
+    /// failures in force, as hops.
+    fn truth(&self, tree: &RouteTree, peer: u32) -> Option<Box<[Hop]>> {
+        route_hops(tree, self.instances(), self.vantage(peer)).map(Iterator::collect)
+    }
+
+    /// Whether `peer`'s visible route for `prefix` is still the one `tree`
+    /// routes over: the same hops, walked in place, or the same
+    /// adjacencies over other instances that announce the same route (a
+    /// swap that moves no visit and no community). Visits name their
+    /// adjacencies, so other adjacencies always announce another route.
+    fn holds(&self, tree: &RouteTree, peer: u32, prefix: u32) -> bool {
+        let (world, vantage) = (self.world, self.vantage(peer));
+        let truth = || route_hops(tree, self.instances(), vantage);
+        let holds = match (truth(), self.visible[self.slot(peer, prefix)].as_deref()) {
+            (None, None) => true,
+            (Some(now), Some(was)) => {
+                let adjacencies = truth().into_iter().flatten().map(|(adj, _)| adj);
+                now.eq(was.iter().copied())
+                    || (adjacencies.eq(was.iter().map(|&(adj, _)| adj)) && {
+                        let is_v6 = self.world.prefix(PrefixIdx(prefix)).is_ipv6();
+                        let now = truth().map(|hops| snapshot_of(world, vantage, hops, is_v6));
+                        now == Some(snapshot_of(world, vantage, was.iter().copied(), is_v6))
+                    })
+            }
+            _ => false,
+        };
+        #[cfg(test)]
+        self.assert_recheck(tree, peer, prefix, holds);
+        holds
     }
 
     /// Every route change goes through here: emits `route`, or its
     /// withdrawal, at `time`, makes it visible, and moves the counts of the
     /// elements the old and the new route cross for `prefix`.
-    fn set_visible(&mut self, peer: u32, prefix: u32, route: Option<RouteSnapshot>, time: u64) {
+    fn set_visible(&mut self, peer: u32, prefix: u32, route: Option<Box<[Hop]>>, time: u64) {
         let update = match &route {
-            Some(snap) => self.announcement(peer, prefix, snap),
+            Some(hops) => self.announcement(peer, prefix, hops),
             None => BgpUpdate::withdraw(vec![self.world.prefix(PrefixIdx(prefix))]),
         };
         self.emit(peer, RecordPayload::Update(update), time);
-        self.count(route.as_ref(), prefix, true);
+        self.count(peer, route.as_deref(), prefix, true);
         let at = self.slot(peer, prefix);
         let old = std::mem::replace(&mut self.visible[at], route);
-        self.count(old.as_ref(), prefix, false);
+        self.count(peer, old.as_deref(), prefix, false);
     }
 
-    /// Counts `route`'s elements for `prefix` one up or one down.
-    fn count(&mut self, route: Option<&RouteSnapshot>, prefix: u32, up: bool) {
+    /// Counts the elements of `peer`'s `route` for `prefix` one up or one
+    /// down.
+    fn count(&mut self, peer: u32, route: Option<&[Hop]>, prefix: u32, up: bool) {
         let Some(route) = route else { return };
-        elements_of(self.world, route, &mut self.scratch);
+        elements_of(self.world, self.vantage(peer), route, &mut self.scratch);
         for &e in &self.scratch {
             let n = self.index[e].entry(prefix).or_insert(0);
             *n = if up { *n + 1 } else { *n - 1 };
@@ -287,17 +319,17 @@ impl<'w> Simulation<'w> {
     fn tree_for(&mut self, prefix: u32) -> Arc<RouteTree> {
         let origin = self.world.origin_of(PrefixIdx(prefix));
         let (world, failed) = (self.world, &self.failed);
-        let usable = self.usable.get_or_insert_with(|| failed.usable_adjacencies(world));
+        let instances = self.instances.get_or_insert_with(|| failed.active_instances(world));
         let tree = self
             .trees
             .entry(origin.0)
-            .or_insert_with(|| Arc::new(compute_tree(world, usable, origin)));
+            .or_insert_with(|| Arc::new(compute_tree(world, instances, origin)));
         Arc::clone(tree)
     }
 
     /// Starts a new failure epoch: the table and every tree are stale.
     fn bump_epoch(&mut self) {
-        self.usable = None;
+        self.instances = None;
         self.trees.clear();
     }
 
@@ -313,24 +345,23 @@ impl<'w> Simulation<'w> {
         }
     }
 
-    fn attrs_for(&self, slot: u32, snap: &RouteSnapshot, is_v6: bool) -> PathAttributes {
-        let next_hop: IpAddr = if is_v6 {
+    /// The announcement of the route `hops` for `prefix` to `slot`.
+    fn announcement(&self, slot: u32, prefix: u32, hops: &[Hop]) -> BgpUpdate {
+        let p = self.world.prefix(PrefixIdx(prefix));
+        let snap = snapshot_of(self.world, self.vantage(slot), hops.iter().copied(), p.is_ipv6());
+        let next_hop: IpAddr = if p.is_ipv6() {
             let bits: u128 = (0x2001_07f8u128 << 96) | (slot as u128);
             IpAddr::V6(std::net::Ipv6Addr::from(bits))
         } else {
             self.setup.peers[slot as usize].addr
         };
-        PathAttributes {
+        let attrs = PathAttributes {
             as_path: AsPath::from_sequence(snap.as_path.iter().map(|a| a.0)),
-            communities: snap.communities.clone(),
+            communities: snap.communities,
             next_hop,
             ..Default::default()
-        }
-    }
-
-    fn announcement(&self, slot: u32, prefix: u32, snap: &RouteSnapshot) -> BgpUpdate {
-        let p = self.world.prefix(PrefixIdx(prefix));
-        BgpUpdate::announce(vec![p], self.attrs_for(slot, snap, p.is_ipv6()))
+        };
+        BgpUpdate::announce(vec![p], attrs)
     }
 
     /// Puts event `id` in or out of force and re-derives what is broken.
@@ -358,14 +389,14 @@ impl<'w> Simulation<'w> {
         for &prefix in prefixes {
             let tree = self.tree_for(prefix);
             for slot in 0..self.setup.peers.len() as u32 {
-                let truth = self.truth(&tree, slot, prefix);
-                if truth.as_ref() == self.visible(slot, prefix) {
+                if self.holds(&tree, slot, prefix) {
                     continue;
                 }
                 changed.insert(prefix);
                 let t = time + self.rng.gen_range(5..90);
                 let at = self.slot(slot, prefix);
                 self.generations[at] += 1;
+                let truth = self.truth(&tree, slot);
                 self.set_visible(slot, prefix, truth, t);
             }
         }
@@ -446,7 +477,7 @@ impl<'w> Simulation<'w> {
                             // Bulk table re-announcement after session
                             // re-establishment, in prefix order.
                             for p in 0..self.world.prefixes.len() as u32 {
-                                let route = self.visible(slot, p);
+                                let route = self.visible[self.slot(slot, p)].as_deref();
                                 if let Some(update) = route.map(|r| self.announcement(slot, p, r)) {
                                     let tt = t + self.rng.gen_range(1..120);
                                     self.emit(slot, RecordPayload::Update(update), tt);
@@ -470,8 +501,7 @@ impl<'w> Simulation<'w> {
                     for prefix in affected {
                         let tree = self.tree_for(prefix);
                         for slot in 0..self.setup.peers.len() as u32 {
-                            let truth = self.truth(&tree, slot, prefix);
-                            if truth.as_ref() == self.visible(slot, prefix) {
+                            if self.holds(&tree, slot, prefix) {
                                 continue;
                             }
                             // ~5% of paths never return (BGP stickiness /
@@ -492,8 +522,8 @@ impl<'w> Simulation<'w> {
                         continue; // superseded by a newer event
                     }
                     let tree = self.tree_for(prefix);
-                    let truth = self.truth(&tree, peer, prefix);
-                    if truth.as_ref() != self.visible(peer, prefix) {
+                    if !self.holds(&tree, peer, prefix) {
+                        let truth = self.truth(&tree, peer);
                         self.set_visible(peer, prefix, truth, t);
                     }
                 }
@@ -525,7 +555,8 @@ impl<'w> Simulation<'w> {
 }
 
 /// Test builds check the counted element index against a rebuild from
-/// scratch after every action of a run on a table this small.
+/// scratch after every action, and every re-check's verdict against a
+/// comparison of whole snapshots, on a table this small.
 #[cfg(test)]
 const AUDITED_SLOTS: usize = 4_096;
 
@@ -539,7 +570,7 @@ impl Simulation<'_> {
         let (mut counts, mut elements) = (vec![0; self.index.len() * prefixes], Vec::new());
         for (at, route) in self.visible.iter().enumerate() {
             let Some(route) = route else { continue };
-            elements_of(self.world, route, &mut elements);
+            elements_of(self.world, self.vantage((at / prefixes) as u32), route, &mut elements);
             for &e in &elements {
                 counts[e * prefixes + at % prefixes] += 1;
             }
@@ -560,13 +591,38 @@ impl Simulation<'_> {
             }
         }
         assert!(rebuilt.iter().all(|&n| n == 0), "the counted element index misses a crossing");
+        if let Some(instances) = &self.instances {
+            assert!(
+                *instances == self.failed.active_instances(self.world),
+                "a stale instance table"
+            );
+        }
+    }
+
+    /// The re-check by hops against the full comparison: the snapshot
+    /// `tree` routes, against the snapshot of the visible route.
+    fn assert_recheck(&self, tree: &RouteTree, peer: u32, prefix: u32, holds: bool) {
+        if self.visible.len() > AUDITED_SLOTS {
+            return;
+        }
+        let (world, vantage) = (self.world, self.vantage(peer));
+        let is_v6 = world.prefix(PrefixIdx(prefix)).is_ipv6();
+        let truth = route_hops(tree, self.instances(), vantage);
+        let truth = truth.map(|hops| snapshot_of(world, vantage, hops, is_v6));
+        let visible = self.visible[self.slot(peer, prefix)].as_deref();
+        let visible = visible.map(|hops| snapshot_of(world, vantage, hops.iter().copied(), is_v6));
+        assert_eq!(
+            holds,
+            truth == visible,
+            "peer {peer}, prefix {prefix}: {truth:?} vs {visible:?}"
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::WorldConfig;
+    use crate::world::{AdjIdx, WorldConfig};
 
     const T0: u64 = 1_400_000_000;
 
@@ -812,10 +868,38 @@ mod tests {
         );
     }
 
+    /// Adjacencies some collector peer's healthy route crosses, and whose
+    /// preferred instance dies with one member's port at its facility
+    /// while another instance stays up: (adjacency, member, facility).
+    fn movable_adjacencies(w: &World, setup: &CollectorSetup) -> Vec<(AdjIdx, Asn, FacilityId)> {
+        let healthy = FailedSet::default().active_instances(w);
+        let mut used = BTreeSet::new();
+        for p in 0..w.prefixes.len() as u32 {
+            let tree = compute_tree(w, &healthy, w.origin_of(PrefixIdx(p)));
+            for peer in &setup.peers {
+                used.extend(route_hops(&tree, &healthy, peer.as_idx).into_iter().flatten());
+            }
+        }
+        let movable = used.into_iter().filter_map(|(adj_idx, inst)| {
+            let adj = &w.adjacencies[adj_idx.0 as usize];
+            let (asn, facility) =
+                (w.ases[adj.a.0 as usize].asn, adj.instances[inst as usize].a_side.facility?);
+            let mut port = FailedSet::default();
+            port.facility_ports.insert((facility, asn));
+            port.active_instance(w, adj_idx)
+                .is_some_and(|k| k != inst)
+                .then_some((adj_idx, asn, facility))
+        });
+        movable.collect()
+    }
+
     /// Generated timelines on tiny worlds: whole and partial facility and
     /// IXP outages, member leaves and de-peerings drawn so that they
-    /// overlap and repeat elements, plus a collector flap. `run` checks the
-    /// counted element index against its rebuild after every action.
+    /// overlap and repeat elements, plus a collector flap, and partial
+    /// facility outages (one port withdrawn, a fraction of the ports down)
+    /// that move routes' adjacencies to another instance. `run` checks the
+    /// counted element index against its rebuild after every action, and
+    /// every re-check's verdict against a comparison of whole snapshots.
     #[test]
     fn counted_index_matches_its_rebuild_on_generated_timelines() {
         for seed in 0..3u64 {
@@ -858,6 +942,20 @@ mod tests {
                     duration: rng.gen_range(600..15_000),
                     kind,
                 });
+            }
+            let movable = movable_adjacencies(&w, &setup(&w));
+            assert!(!movable.is_empty(), "world {seed}: no route can move instance");
+            for &(_, asn, facility) in movable.iter().take(4) {
+                for kind in [
+                    EventKind::OperatorWithdraw { asns: vec![asn], facility },
+                    EventKind::FacilityOutage { facility, affected_fraction: 0.5 },
+                ] {
+                    timeline.push(ScheduledEvent {
+                        start: T0 + 10_000 + rng.gen_range(0..20_000),
+                        duration: rng.gen_range(600..15_000),
+                        kind,
+                    });
+                }
             }
             let out = Simulation::new(&w, setup(&w), T0, seed).run(&timeline, T0 + 100_000);
             assert!(out.records.iter().any(|r| r.time > T0 + 10_000), "the timeline moves routes");

@@ -14,4 +14,4 @@ pub mod tag;
 
 pub use policy::FailedSet;
 pub use propagate::{compute_tree, PrefClass, RouteTree};
-pub use tag::{snapshot_route, PopVisit, RouteSnapshot};
+pub use tag::{route_hops, snapshot_of, Hop, PopVisit, RouteSnapshot};

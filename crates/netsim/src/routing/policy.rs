@@ -126,25 +126,25 @@ impl FailedSet {
     }
 
     /// The preferred usable instance of an adjacency, if any.
-    pub fn active_instance(&self, world: &World, adj_idx: AdjIdx) -> Option<usize> {
+    pub fn active_instance(&self, world: &World, adj_idx: AdjIdx) -> Option<u32> {
         if self.dead_adjacencies.contains(&adj_idx) {
             return None;
         }
         let adj = &world.adjacencies[adj_idx.0 as usize];
-        adj.instances.iter().position(|inst| self.instance_up(world, adj, inst))
+        let active = adj.instances.iter().position(|inst| self.instance_up(world, adj, inst));
+        active.map(|i| i as u32)
     }
 
-    /// Whether the adjacency has any usable instance.
-    pub fn adjacency_up(&self, world: &World, adj_idx: AdjIdx) -> bool {
-        self.active_instance(world, adj_idx).is_some()
-    }
-
-    /// [`adjacency_up`](Self::adjacency_up) for every adjacency, indexed
-    /// by `AdjIdx`: the table
-    /// [`compute_tree`](super::propagate::compute_tree) routes over. Build
-    /// it once per failure state and share it across that state's trees.
-    pub fn usable_adjacencies(&self, world: &World) -> Vec<bool> {
-        (0..world.adjacencies.len()).map(|i| self.adjacency_up(world, AdjIdx(i as u32))).collect()
+    /// [`active_instance`](Self::active_instance) of every adjacency,
+    /// indexed by `AdjIdx`: the table
+    /// [`compute_tree`](super::propagate::compute_tree) routes over (an
+    /// adjacency with an instance is usable) and a route's hops read their
+    /// instances from. Build it once per failure state and share it across
+    /// that state's trees.
+    pub fn active_instances(&self, world: &World) -> Vec<Option<u32>> {
+        (0..world.adjacencies.len())
+            .map(|i| self.active_instance(world, AdjIdx(i as u32)))
+            .collect()
     }
 }
 
@@ -163,7 +163,10 @@ mod tests {
         let f = FailedSet::default();
         assert!(f.is_empty());
         for (i, _) in w.adjacencies.iter().enumerate() {
-            assert!(f.adjacency_up(&w, AdjIdx(i as u32)), "adjacency {i} should be up");
+            assert!(
+                f.active_instance(&w, AdjIdx(i as u32)).is_some(),
+                "adjacency {i} should be up"
+            );
         }
     }
 
@@ -180,7 +183,7 @@ mod tests {
         let fac = adj.instances[0].a_side.facility.unwrap();
         let mut f = FailedSet::default();
         f.facilities.insert(fac);
-        assert!(!f.adjacency_up(&w, AdjIdx(idx as u32)));
+        assert!(f.active_instance(&w, AdjIdx(idx as u32)).is_none());
     }
 
     #[test]
@@ -194,7 +197,10 @@ mod tests {
             let fac = adj.instances[0].a_side.facility.unwrap();
             let mut f = FailedSet::default();
             f.facilities.insert(fac);
-            assert!(f.adjacency_up(&w, AdjIdx(idx as u32)), "fails over to instance 2");
+            assert!(
+                f.active_instance(&w, AdjIdx(idx as u32)).is_some(),
+                "fails over to instance 2"
+            );
             assert_ne!(f.active_instance(&w, AdjIdx(idx as u32)), Some(0));
         }
     }
@@ -213,7 +219,7 @@ mod tests {
             f.ixps.insert(ixp);
             let all_same = adj.instances.iter().all(|i| i.a_side.ixp == Some(ixp));
             if all_same {
-                assert!(!f.adjacency_up(&w, AdjIdx(idx as u32)));
+                assert!(f.active_instance(&w, AdjIdx(idx as u32)).is_none());
             }
         }
     }
@@ -223,7 +229,7 @@ mod tests {
         let w = world();
         let mut f = FailedSet::default();
         f.dead_adjacencies.insert(AdjIdx(0));
-        assert!(!f.adjacency_up(&w, AdjIdx(0)));
+        assert!(f.active_instance(&w, AdjIdx(0)).is_none());
     }
 
     #[test]
@@ -239,11 +245,11 @@ mod tests {
             let asn_a = w.ases[adj.a.0 as usize].asn;
             let mut f = FailedSet::default();
             f.dead_memberships.insert((ixp, asn_a));
-            assert!(!f.adjacency_up(&w, AdjIdx(idx as u32)));
+            assert!(f.active_instance(&w, AdjIdx(idx as u32)).is_none());
             // A partial port failure of an unrelated member does nothing.
             let mut g = FailedSet::default();
             g.ixp_ports.insert((ixp, Asn(4_000_000_000)));
-            assert!(g.adjacency_up(&w, AdjIdx(idx as u32)));
+            assert!(g.active_instance(&w, AdjIdx(idx as u32)).is_some());
         }
     }
 }

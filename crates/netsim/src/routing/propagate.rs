@@ -13,9 +13,9 @@
 //!    providers only further down.
 //!
 //! Selection inside a class is shortest AS path, then lowest neighbor ASN —
-//! fully deterministic. Only adjacencies the caller's usable-adjacency
-//! table admits participate (built once per failure state by
-//! [`FailedSet::usable_adjacencies`](super::policy::FailedSet::usable_adjacencies)),
+//! fully deterministic. Only adjacencies with an instance in the caller's
+//! active-instance table participate (built once per failure state by
+//! [`FailedSet::active_instances`](super::policy::FailedSet::active_instances)),
 //! which is how physical outages reshape control-plane paths.
 //!
 //! Phases 1 and 3 walk hop levels, not a priority queue: every offer at
@@ -60,27 +60,6 @@ pub struct RouteTree {
 }
 
 impl RouteTree {
-    /// The AS-level path from `vantage` to the origin, with the adjacency
-    /// used at each step; `None` if the vantage has no route.
-    pub fn path_from(&self, vantage: AsIdx) -> Option<Vec<(AsIdx, Option<AdjIdx>)>> {
-        self.routes[vantage.0 as usize]?;
-        let mut out = Vec::new();
-        let mut cur = vantage;
-        loop {
-            let info = self.routes[cur.0 as usize].expect("parent chain is routed");
-            match info.parent {
-                Some((next, adj)) => {
-                    out.push((cur, Some(adj)));
-                    cur = next;
-                }
-                None => {
-                    out.push((cur, None));
-                    return Some(out);
-                }
-            }
-        }
-    }
-
     /// Number of ASes holding a route.
     pub fn routed_count(&self) -> usize {
         self.routes.iter().filter(|r| r.is_some()).count()
@@ -88,14 +67,15 @@ impl RouteTree {
 }
 
 /// Computes the routing tree for the prefix originated by `origin`, over
-/// the adjacencies `usable` admits (one flag per `AdjIdx`).
-pub fn compute_tree(world: &World, usable: &[bool], origin: AsIdx) -> RouteTree {
+/// the adjacencies with an active instance in `instances` (one per
+/// `AdjIdx`).
+pub fn compute_tree(world: &World, instances: &[Option<u32>], origin: AsIdx) -> RouteTree {
     let mut routes: Vec<Option<RouteInfo>> = vec![None; world.ases.len()];
     routes[origin.0 as usize] = Some(RouteInfo { pref: PrefClass::Origin, hops: 0, parent: None });
 
     // Phase 1: customer routes climb from the origin to its providers.
     let customer = |adj: &Adjacency, u, v| adj.rel == Rel::C2P && adj.a == u && adj.b == v;
-    let mut seeds = grow(world, usable, &mut routes, &[origin], PrefClass::Customer, customer);
+    let mut seeds = grow(world, instances, &mut routes, &[origin], PrefClass::Customer, customer);
 
     // Phase 2: peer routes — one settlement-free hop off the origin or a
     // customer route, which is everything `seeds` holds so far.
@@ -105,7 +85,7 @@ pub fn compute_tree(world: &World, usable: &[bool], origin: AsIdx) -> RouteTree 
         for &(v, adj) in &world.ases[u.0 as usize].neighbors {
             let peer = RouteInfo { pref: PrefClass::Peer, hops, parent: Some((u, adj)) };
             if world.adjacencies[adj.0 as usize].rel == Rel::P2P
-                && usable[adj.0 as usize]
+                && instances[adj.0 as usize].is_some()
                 && offer(world, &mut routes, v, peer)
             {
                 seeds.push(v);
@@ -116,7 +96,7 @@ pub fn compute_tree(world: &World, usable: &[bool], origin: AsIdx) -> RouteTree 
     // Phase 3: provider routes descend customer cones from every routed AS.
     seeds.sort_unstable_by_key(|&u| hops_of(&routes, u));
     let provider = |adj: &Adjacency, u, v| adj.rel == Rel::C2P && adj.b == u && adj.a == v;
-    grow(world, usable, &mut routes, &seeds, PrefClass::Provider, provider);
+    grow(world, instances, &mut routes, &seeds, PrefClass::Provider, provider);
 
     RouteTree { origin, routes }
 }
@@ -131,7 +111,7 @@ fn hops_of(routes: &[Option<RouteInfo>], u: AsIdx) -> u16 {
 /// admits. Returns the seeds and every AS reached, in hop order.
 fn grow(
     world: &World,
-    usable: &[bool],
+    instances: &[Option<u32>],
     routes: &mut [Option<RouteInfo>],
     seeds: &[AsIdx],
     pref: PrefClass,
@@ -152,7 +132,7 @@ fn grow(
             let u = walked[i];
             for &(v, adj) in &world.ases[u.0 as usize].neighbors {
                 let route = RouteInfo { pref, hops: h + 1, parent: Some((u, adj)) };
-                if usable[adj.0 as usize]
+                if instances[adj.0 as usize].is_some()
                     && exports(&world.adjacencies[adj.0 as usize], u, v)
                     && offer(world, routes, v, route)
                 {
@@ -317,13 +297,36 @@ mod tests {
         RouteTree { origin, routes }
     }
 
+    impl RouteTree {
+        /// The AS-level path from `vantage` to the origin, with the adjacency
+        /// used at each step; `None` if the vantage has no route.
+        fn path_from(&self, vantage: AsIdx) -> Option<Vec<(AsIdx, Option<AdjIdx>)>> {
+            self.routes[vantage.0 as usize]?;
+            let mut out = Vec::new();
+            let mut cur = vantage;
+            loop {
+                let info = self.routes[cur.0 as usize].expect("parent chain is routed");
+                match info.parent {
+                    Some((next, adj)) => {
+                        out.push((cur, Some(adj)));
+                        cur = next;
+                    }
+                    None => {
+                        out.push((cur, None));
+                        return Some(out);
+                    }
+                }
+            }
+        }
+    }
+
     fn world() -> World {
         World::generate(WorldConfig::tiny(41))
     }
 
-    /// The tree under `failed`, through its usable-adjacency table.
+    /// The tree under `failed`, through its active-instance table.
     fn tree_under(w: &World, failed: &FailedSet, origin: AsIdx) -> RouteTree {
-        compute_tree(w, &failed.usable_adjacencies(w), origin)
+        compute_tree(w, &failed.active_instances(w), origin)
     }
 
     #[test]
@@ -471,16 +474,16 @@ mod tests {
                     0 => FailedSet::default(),
                     _ => failure_set(&w, &mut rng, &mut drawn),
                 };
-                let usable = failed.usable_adjacencies(&w);
-                assert_eq!(usable.len(), w.adjacencies.len());
-                for (i, &up) in usable.iter().enumerate() {
-                    let want = failed.active_instance(&w, AdjIdx(i as u32)).is_some();
-                    assert_eq!(up, want, "world {seed}, adjacency {i}, {failed:?}");
+                let instances = failed.active_instances(&w);
+                assert_eq!(instances.len(), w.adjacencies.len());
+                for (i, &active) in instances.iter().enumerate() {
+                    let want = failed.active_instance(&w, AdjIdx(i as u32));
+                    assert_eq!(active, want, "world {seed}, adjacency {i}, {failed:?}");
                 }
                 for (o, before) in healthy.iter().enumerate() {
                     let origin = AsIdx(o as u32);
                     let want = compute_tree_reference(&w, &failed, origin);
-                    let got = compute_tree(&w, &usable, origin);
+                    let got = compute_tree(&w, &instances, origin);
                     assert_eq!(got.routes, want.routes, "world {seed}, origin {o}, {failed:?}");
                     compared += 1;
                     moved += usize::from(want.routes != before.routes);

@@ -6,9 +6,8 @@
 //! route servers stamp their redistribution communities — so the BGP
 //! update that reaches a collector carries a trail of physical locations.
 
-use super::policy::FailedSet;
 use super::propagate::RouteTree;
-use crate::world::{AsIdx, PortLoc, World};
+use crate::world::{AdjIdx, AsIdx, PortLoc, World};
 use kepler_bgp::{Asn, Community};
 use kepler_docmine::scheme::SchemeTarget;
 use kepler_topology::{FacilityId, IxpId};
@@ -22,7 +21,7 @@ pub struct PopVisit {
     /// The far-end AS (closer to the origin).
     pub far: Asn,
     /// The adjacency crossed.
-    pub adj: crate::world::AdjIdx,
+    pub adj: AdjIdx,
     /// Facility of the near-end port.
     pub near_fac: Option<FacilityId>,
     /// Facility of the far-end port.
@@ -100,87 +99,104 @@ fn ingress_communities(
     }
 }
 
-/// The physical crossing of the link `node → far` over `adj_idx`, with
-/// the near-end port (what ingress tagging reads) and the route server
-/// that redistributed the route there, if any.
-fn crossing<'w>(
-    world: &'w World,
-    failed: &FailedSet,
-    node: AsIdx,
-    far: AsIdx,
-    adj_idx: crate::world::AdjIdx,
-) -> (PopVisit, &'w PortLoc, Option<Asn>) {
-    let adj = &world.adjacencies[adj_idx.0 as usize];
-    let inst_i =
-        failed.active_instance(world, adj_idx).expect("tree only uses available adjacencies");
-    let inst = &adj.instances[inst_i];
-    let (near_side, far_side) =
-        if adj.a == node { (&inst.a_side, &inst.b_side) } else { (&inst.b_side, &inst.a_side) };
-    let visit = PopVisit {
-        near: world.ases[node.0 as usize].asn,
-        far: world.ases[far.0 as usize].asn,
-        adj: adj_idx,
-        near_fac: near_side.facility,
-        far_fac: far_side.facility,
-        ixp: near_side.ixp.or(far_side.ixp),
-    };
-    (visit, near_side, inst.via_rs)
+/// One hop of a route, vantage side first: the adjacency crossed and the
+/// index of its active instance. A route is its hops: with the vantage
+/// and the prefix family they fix everything a collector sees of it.
+pub type Hop = (AdjIdx, u32);
+
+/// `vantage`'s route in `tree` as hops, toward the origin, with each
+/// adjacency's instance from `instances` (the active-instance table the
+/// tree was built over); `None` if the vantage has no route.
+pub fn route_hops<'a>(
+    tree: &'a RouteTree,
+    instances: &'a [Option<u32>],
+    vantage: AsIdx,
+) -> Option<impl Iterator<Item = Hop> + 'a> {
+    tree.routes[vantage.0 as usize]?;
+    let mut node = vantage;
+    Some(std::iter::from_fn(move || {
+        let (next, adj) = tree.routes[node.0 as usize].expect("parent chain is routed").parent?;
+        node = next;
+        Some((adj, instances[adj.0 as usize].expect("tree only uses available adjacencies")))
+    }))
 }
 
-/// Extracts the observable route at `vantage` from a routing tree, or
-/// `None` if the vantage has no route.
-pub fn snapshot_route(
-    world: &World,
-    failed: &FailedSet,
-    tree: &RouteTree,
+/// The crossings of the route `hops` from `vantage`: each with the AS
+/// that receives the route there, its port (what ingress tagging reads)
+/// and the route server that redistributed the route there, if any.
+fn crossings<'w>(
+    world: &'w World,
     vantage: AsIdx,
+    hops: impl IntoIterator<Item = Hop> + 'w,
+) -> impl Iterator<Item = (AsIdx, PopVisit, &'w PortLoc, Option<Asn>)> + 'w {
+    let mut node = vantage;
+    hops.into_iter().map(move |(adj_idx, inst)| {
+        let adj = &world.adjacencies[adj_idx.0 as usize];
+        let inst = &adj.instances[inst as usize];
+        let (far, near_side, far_side) = if adj.a == node {
+            (adj.b, &inst.a_side, &inst.b_side)
+        } else {
+            (adj.a, &inst.b_side, &inst.a_side)
+        };
+        let visit = PopVisit {
+            near: world.ases[node.0 as usize].asn,
+            far: world.ases[far.0 as usize].asn,
+            adj: adj_idx,
+            near_fac: near_side.facility,
+            far_fac: far_side.facility,
+            ixp: near_side.ixp.or(far_side.ixp),
+        };
+        (std::mem::replace(&mut node, far), visit, near_side, inst.via_rs)
+    })
+}
+
+/// The physical crossings of the route `hops` from `vantage`, vantage
+/// side first: [`snapshot_of`]'s `visits` without the AS path and
+/// communities a traceroute never reads.
+pub fn visits<'w>(
+    world: &'w World,
+    vantage: AsIdx,
+    hops: impl IntoIterator<Item = Hop> + 'w,
+) -> impl Iterator<Item = PopVisit> + 'w {
+    crossings(world, vantage, hops).map(|(_, visit, ..)| visit)
+}
+
+/// The route `hops` from `vantage` as a collector sees it.
+pub fn snapshot_of(
+    world: &World,
+    vantage: AsIdx,
+    hops: impl IntoIterator<Item = Hop>,
     is_v6: bool,
-) -> Option<RouteSnapshot> {
-    let chain = tree.path_from(vantage)?;
-    let mut as_path = Vec::with_capacity(chain.len());
-    let mut communities = Vec::new();
-    let mut visits = Vec::new();
-    for (i, (node, adj_opt)) in chain.iter().enumerate() {
-        as_path.push(world.ases[node.0 as usize].asn);
-        let Some(adj_idx) = adj_opt else { continue };
-        let (visit, near_side, via_rs) = crossing(world, failed, *node, chain[i + 1].0, *adj_idx);
-        ingress_communities(world, *node, near_side, is_v6, &mut communities);
-        if let Some(rs) = via_rs {
-            if let Ok(rs16) = u16::try_from(rs.0) {
-                communities.push(Community::new(rs16, 1));
-            }
-        }
+) -> RouteSnapshot {
+    let mut as_path = vec![world.ases[vantage.0 as usize].asn];
+    let (mut communities, mut visits) = (Vec::new(), Vec::new());
+    for (near, visit, near_side, via_rs) in crossings(world, vantage, hops) {
+        ingress_communities(world, near, near_side, is_v6, &mut communities);
+        let rs16 = via_rs.and_then(|rs| u16::try_from(rs.0).ok());
+        communities.extend(rs16.map(|rs16| Community::new(rs16, 1)));
+        as_path.push(visit.far);
         visits.push(visit);
     }
-    Some(RouteSnapshot { as_path, communities, visits })
-}
-
-/// The physical crossings of `vantage`'s route, vantage side first —
-/// [`snapshot_route`]'s `visits` without the AS path and communities a
-/// traceroute never reads. `None` if the vantage has no route.
-pub fn route_visits(
-    world: &World,
-    failed: &FailedSet,
-    tree: &RouteTree,
-    vantage: AsIdx,
-) -> Option<Vec<PopVisit>> {
-    let chain = tree.path_from(vantage)?;
-    Some(
-        chain
-            .windows(2)
-            .map(|link| {
-                let adj_idx = link[0].1.expect("only the origin has no parent adjacency");
-                crossing(world, failed, link[0].0, link[1].0, adj_idx).0
-            })
-            .collect(),
-    )
+    RouteSnapshot { as_path, communities, visits }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::policy::FailedSet;
     use crate::routing::propagate::compute_tree;
     use crate::world::{PrefixIdx, World, WorldConfig};
+
+    /// The observable route at `vantage` in a tree built over `instances`.
+    fn snapshot_route(
+        world: &World,
+        instances: &[Option<u32>],
+        tree: &RouteTree,
+        vantage: AsIdx,
+        is_v6: bool,
+    ) -> Option<RouteSnapshot> {
+        route_hops(tree, instances, vantage).map(|hops| snapshot_of(world, vantage, hops, is_v6))
+    }
 
     fn world() -> World {
         World::generate(WorldConfig::tiny(51))
@@ -189,14 +205,14 @@ mod tests {
     #[test]
     fn snapshots_have_consistent_shapes() {
         let w = world();
-        let failed = FailedSet::default();
-        let usable = failed.usable_adjacencies(&w);
+        let instances = FailedSet::default().active_instances(&w);
         let mut any_tagged = false;
         for pi in 0..w.prefixes.len().min(30) {
             let origin = w.origin_of(PrefixIdx(pi as u32));
-            let tree = compute_tree(&w, &usable, origin);
+            let tree = compute_tree(&w, &instances, origin);
             for v in 0..w.ases.len() {
-                let Some(snap) = snapshot_route(&w, &failed, &tree, AsIdx(v as u32), false) else {
+                let Some(snap) = snapshot_route(&w, &instances, &tree, AsIdx(v as u32), false)
+                else {
                     continue;
                 };
                 assert_eq!(snap.visits.len() + 1, snap.as_path.len());
@@ -223,8 +239,7 @@ mod tests {
     #[test]
     fn v6_tagging_is_sparser_than_v4() {
         let w = World::generate(WorldConfig::small(61));
-        let failed = FailedSet::default();
-        let usable = failed.usable_adjacencies(&w);
+        let instances = FailedSet::default().active_instances(&w);
         let mut v4_tagged = 0usize;
         let mut v4_total = 0usize;
         let mut v6_tagged = 0usize;
@@ -233,10 +248,10 @@ mod tests {
             let pidx = PrefixIdx(pi as u32);
             let is_v6 = w.prefix(pidx).is_ipv6();
             let origin = w.origin_of(pidx);
-            let tree = compute_tree(&w, &usable, origin);
+            let tree = compute_tree(&w, &instances, origin);
             // Sample a handful of vantages.
             for v in (0..w.ases.len()).step_by(37) {
-                if let Some(snap) = snapshot_route(&w, &failed, &tree, AsIdx(v as u32), is_v6) {
+                if let Some(snap) = snapshot_route(&w, &instances, &tree, AsIdx(v as u32), is_v6) {
                     if is_v6 {
                         v6_total += 1;
                         v6_tagged += usize::from(!snap.communities.is_empty());

@@ -54,13 +54,13 @@ proptest! {
         let w = World::generate(WorldConfig::tiny(seed));
         let clean = FailedSet::default();
         let origin = AsIdx((seed % w.ases.len() as u64) as u32);
-        let healthy = clean.usable_adjacencies(&w);
+        let healthy = clean.active_instances(&w);
         let base = compute_tree(&w, &healthy, origin);
         let facs = w.colo.facilities();
         let fac = facs[fac_pick % facs.len()].id;
         let mut failed = FailedSet::default();
         failed.facilities.insert(fac);
-        let broken = compute_tree(&w, &failed.usable_adjacencies(&w), origin);
+        let broken = compute_tree(&w, &failed.active_instances(&w), origin);
         prop_assert!(broken.routed_count() <= base.routed_count());
         // Any AS routed under failure is also routed when healthy.
         for v in 0..w.ases.len() {
@@ -83,7 +83,7 @@ proptest! {
     fn tree_parents_use_live_adjacencies(seed in 0u64..5_000) {
         let w = World::generate(WorldConfig::tiny(seed));
         let clean = FailedSet::default();
-        let tree = compute_tree(&w, &clean.usable_adjacencies(&w), AsIdx(0));
+        let tree = compute_tree(&w, &clean.active_instances(&w), AsIdx(0));
         for v in 0..w.ases.len() {
             if let Some(info) = tree.routes[v] {
                 if let Some((parent, adj_idx)) = info.parent {
@@ -92,7 +92,7 @@ proptest! {
                     prop_assert!(
                         (adj.a == me && adj.b == parent) || (adj.b == me && adj.a == parent)
                     );
-                    prop_assert!(clean.adjacency_up(&w, adj_idx));
+                    prop_assert!(clean.active_instance(&w, adj_idx).is_some());
                     prop_assert!(matches!(adj.rel, Rel::C2P | Rel::P2P));
                     // Hop counts decrease toward the origin.
                     let p_info = tree.routes[parent.0 as usize].expect("parent routed");
