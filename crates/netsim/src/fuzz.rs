@@ -932,6 +932,20 @@ mod tests {
     }
 
     #[test]
+    fn collector_counts_outside_one_to_65536_are_errors() {
+        // `CollectorId` is a `u16` and a peer slot picks its collector
+        // modulo the count: 0 would divide by zero, 65,537 would wrap.
+        let text = ScenarioScript::generate_kind(3, Some(FailureKind::Single)).render();
+        let line = text.lines().find(|l| l.starts_with("collectors")).expect("rendered count");
+        for (n, ok) in [(0, false), (65_537, false), (usize::MAX, false), (1, true), (65_536, true)]
+        {
+            let edited = text.replace(line, &format!("collectors = {n}"));
+            let built = ScenarioScript::parse(&edited).and_then(|s| s.build());
+            assert_eq!(built.is_ok(), ok, "collectors = {n}: {:?}", built.err());
+        }
+    }
+
+    #[test]
     fn scripts_staging_a_facility_their_world_lacks_do_not_build() {
         let mut script = ScenarioScript::generate_kind(3, Some(FailureKind::Single));
         let FailureScript::Single { ref mut facility, .. } = script.script else {
