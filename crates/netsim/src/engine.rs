@@ -712,6 +712,7 @@ mod tests {
     fn collector_flap_emits_state_and_readvertisement() {
         let w = World::generate(WorldConfig::tiny(87));
         let s = setup(&w);
+        let feeds = s.peers[0].collectors.len();
         let sim = Simulation::new(&w, s, T0, 4);
         let timeline = vec![ScheduledEvent {
             start: T0 + 200_000,
@@ -721,8 +722,7 @@ mod tests {
         let out = sim.run(&timeline, T0 + 300_000);
         let states: Vec<_> =
             out.records.iter().filter(|r| matches!(r.payload, RecordPayload::State(_))).collect();
-        assert_eq!(states.len(), states.len().max(2), "down + up states");
-        assert!(states.len() >= 2);
+        assert_eq!(states.len(), 2 * feeds, "one down and one up per collector slot 0 feeds");
         let reann = out
             .records
             .iter()

@@ -489,9 +489,8 @@ impl ScenarioScript {
 
     /// Regenerates the world and runs the failure plan through the
     /// engine. Deterministic: the same script always builds the same
-    /// stream. A script staging a facility its world does not have (a
-    /// hand-edited one, say), or with more collectors than a `u16`
-    /// `CollectorId` numbers or none, is an error, found before simulating.
+    /// stream. A script staging a facility its world lacks, or with a
+    /// collector count outside `1..=65_536`, is an error, found before simulating.
     pub fn build(&self) -> Result<FuzzWorld, String> {
         if !(1..=1 << 16).contains(&self.collectors) {
             return Err(format!("collectors = {} is outside 1..=65536", self.collectors));

@@ -1,14 +1,14 @@
 //! Per-prefix Gao-Rexford route propagation.
 //!
 //! For one origin, computes every AS's best route simultaneously as a
-//! routing tree (the standard three-phase algorithm):
+//! routing tree (the standard three-phase algorithm), each phase walking
+//! one run of the world's compiled [`Graph`]:
 //!
-//! 1. **Customer routes** climb provider chains from the origin — every AS
-//!    on the way prefers them above all else and re-exports them to
-//!    everyone.
-//! 2. **Peer routes** hop exactly one settlement-free edge from an AS with
-//!    a customer/origin route.
-//! 3. **Provider routes** descend customer cones from any routed AS —
+//! 1. **Customer routes** climb provider runs from the origin — every AS on
+//!    the way prefers them above all else and re-exports them to everyone.
+//! 2. **Peer routes** hop exactly one peer-run edge from an AS with a
+//!    customer/origin route.
+//! 3. **Provider routes** descend customer runs from any routed AS —
 //!    customers receive everything and re-export what they learned from
 //!    providers only further down.
 //!
@@ -24,7 +24,7 @@
 //! level — exactly what a Dijkstra heap over `(hops, parent ASN, node,
 //! parent, adjacency)` pops first (the `#[cfg(test)]` reference).
 
-use crate::world::{AdjIdx, Adjacency, AsIdx, Rel, World};
+use crate::world::{AdjIdx, Adjacency, AsIdx, AsNode, Rel, World};
 
 /// Route preference class, higher is better.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -66,28 +66,65 @@ impl RouteTree {
     }
 }
 
+/// The AS graph split by relationship, compiled once per world
+/// ([`World::graph`]): per AS, an offset row into one `(neighbor, adjacency)`
+/// table holding its customers, peers and providers ([`Graph::exports`]).
+#[derive(Debug, Clone)]
+pub struct Graph {
+    rows: Vec<[u32; 4]>,
+    edges: Vec<(AsIdx, AdjIdx)>,
+    /// ASN per `AsIdx`.
+    pub asn: Vec<u32>,
+}
+
+impl Graph {
+    /// Files each AS's neighbors under the run its relationship gives them.
+    pub fn new(ases: &[AsNode], adjacencies: &[Adjacency]) -> Graph {
+        let (mut rows, mut edges) = (Vec::with_capacity(ases.len()), Vec::new());
+        for (u, node) in ases.iter().enumerate() {
+            let exported = |&(_, adj): &(AsIdx, AdjIdx)| match adjacencies[adj.0 as usize] {
+                Adjacency { rel: Rel::P2P, .. } => PrefClass::Peer,
+                Adjacency { a, .. } if a.0 as usize == u => PrefClass::Customer,
+                _ => PrefClass::Provider,
+            };
+            let mut row = [edges.len() as u32; 4];
+            for pref in [PrefClass::Provider, PrefClass::Peer, PrefClass::Customer] {
+                edges.extend(node.neighbors.iter().filter(|e| exported(e) == pref));
+                row[pref as usize + 1] = edges.len() as u32;
+            }
+            rows.push(row);
+        }
+        Graph { rows, edges, asn: ases.iter().map(|a| a.asn.0).collect() }
+    }
+
+    /// The neighbors `u` exports a `pref` route to, in neighbor order: its
+    /// customers for a provider route, its peers for a peer route, its
+    /// providers for a customer route. `pref` is never [`PrefClass::Origin`].
+    pub fn exports(&self, u: AsIdx, pref: PrefClass) -> &[(AsIdx, AdjIdx)] {
+        let (row, k) = (self.rows[u.0 as usize], pref as usize);
+        &self.edges[row[k] as usize..row[k + 1] as usize]
+    }
+}
+
 /// Computes the routing tree for the prefix originated by `origin`, over
 /// the adjacencies with an active instance in `instances` (one per
 /// `AdjIdx`).
 pub fn compute_tree(world: &World, instances: &[Option<u32>], origin: AsIdx) -> RouteTree {
-    let mut routes: Vec<Option<RouteInfo>> = vec![None; world.ases.len()];
+    let graph = &world.graph;
+    let mut routes: Vec<Option<RouteInfo>> = vec![None; graph.asn.len()];
     routes[origin.0 as usize] = Some(RouteInfo { pref: PrefClass::Origin, hops: 0, parent: None });
 
     // Phase 1: customer routes climb from the origin to its providers.
-    let customer = |adj: &Adjacency, u, v| adj.rel == Rel::C2P && adj.a == u && adj.b == v;
-    let mut seeds = grow(world, instances, &mut routes, &[origin], PrefClass::Customer, customer);
+    let mut seeds = grow(graph, instances, &mut routes, &[origin], PrefClass::Customer);
 
     // Phase 2: peer routes — one settlement-free hop off the origin or a
     // customer route, which is everything `seeds` holds so far.
     for i in 0..seeds.len() {
         let u = seeds[i];
         let hops = hops_of(&routes, u) + 1;
-        for &(v, adj) in &world.ases[u.0 as usize].neighbors {
+        for &(v, adj) in graph.exports(u, PrefClass::Peer) {
             let peer = RouteInfo { pref: PrefClass::Peer, hops, parent: Some((u, adj)) };
-            if world.adjacencies[adj.0 as usize].rel == Rel::P2P
-                && instances[adj.0 as usize].is_some()
-                && offer(world, &mut routes, v, peer)
-            {
+            if instances[adj.0 as usize].is_some() && offer(graph, &mut routes, v, peer) {
                 seeds.push(v);
             }
         }
@@ -95,8 +132,7 @@ pub fn compute_tree(world: &World, instances: &[Option<u32>], origin: AsIdx) -> 
 
     // Phase 3: provider routes descend customer cones from every routed AS.
     seeds.sort_unstable_by_key(|&u| hops_of(&routes, u));
-    let provider = |adj: &Adjacency, u, v| adj.rel == Rel::C2P && adj.b == u && adj.a == v;
-    grow(world, instances, &mut routes, &seeds, PrefClass::Provider, provider);
+    grow(graph, instances, &mut routes, &seeds, PrefClass::Provider);
 
     RouteTree { origin, routes }
 }
@@ -107,15 +143,14 @@ fn hops_of(routes: &[Option<RouteInfo>], u: AsIdx) -> u16 {
 
 /// Routes level by level from `seeds` (routed ASes in ascending hop
 /// order): every AS routed at hop `h`, seed or reached, offers a `pref`
-/// route at `h + 1` over each usable adjacency `exports(adj, from, to)`
-/// admits. Returns the seeds and every AS reached, in hop order.
+/// route at `h + 1` over each usable adjacency it exports that class over.
+/// Returns the seeds and every AS reached, in hop order.
 fn grow(
-    world: &World,
+    graph: &Graph,
     instances: &[Option<u32>],
     routes: &mut [Option<RouteInfo>],
     seeds: &[AsIdx],
     pref: PrefClass,
-    exports: impl Fn(&Adjacency, AsIdx, AsIdx) -> bool,
 ) -> Vec<AsIdx> {
     let mut walked = Vec::with_capacity(routes.len());
     let (mut next_seed, mut sent) = (0, 0);
@@ -130,12 +165,9 @@ fn grow(
         let level_end = walked.len();
         for i in sent..level_end {
             let u = walked[i];
-            for &(v, adj) in &world.ases[u.0 as usize].neighbors {
+            for &(v, adj) in graph.exports(u, pref) {
                 let route = RouteInfo { pref, hops: h + 1, parent: Some((u, adj)) };
-                if instances[adj.0 as usize].is_some()
-                    && exports(&world.adjacencies[adj.0 as usize], u, v)
-                    && offer(world, routes, v, route)
-                {
+                if instances[adj.0 as usize].is_some() && offer(graph, routes, v, route) {
                     walked.push(v);
                 }
             }
@@ -149,10 +181,9 @@ fn grow(
 /// the same class that ranks after it by (hops, parent ASN, parent,
 /// adjacency); a route of another class came from an earlier, preferred
 /// phase. Returns whether `v` had no route.
-fn offer(world: &World, routes: &mut [Option<RouteInfo>], v: AsIdx, route: RouteInfo) -> bool {
-    let rank = |r: &RouteInfo| {
-        r.parent.map(|(p, adj)| (r.hops, world.ases[p.0 as usize].asn.0, p.0, adj.0))
-    };
+fn offer(graph: &Graph, routes: &mut [Option<RouteInfo>], v: AsIdx, route: RouteInfo) -> bool {
+    let rank =
+        |r: &RouteInfo| r.parent.map(|(p, adj)| (r.hops, graph.asn[p.0 as usize], p.0, adj.0));
     match &mut routes[v.0 as usize] {
         Some(held) => {
             if held.pref == route.pref && rank(&route) < rank(held) {
@@ -455,6 +486,40 @@ mod tests {
             drawn[kind] += 1;
         }
         failed
+    }
+
+    #[test]
+    fn graph_lists_each_adjacency_once_from_each_end_in_its_relationship_run() {
+        // The four worlds of the tree differential: a C2P customer lists its
+        // provider among those it exports customer routes to, the provider
+        // lists the customer among those it exports provider routes to, and
+        // the ends of a P2P adjacency list each other in their peer runs.
+        // Nothing else is listed, and every run is in neighbor order.
+        use PrefClass::{Customer, Peer, Provider};
+        for seed in [41, 3, 77, 1_000] {
+            let w = World::generate(WorldConfig::tiny(seed));
+            let g = &w.graph;
+            assert_eq!(g.asn, w.ases.iter().map(|a| a.asn.0).collect::<Vec<_>>(), "world {seed}");
+            let mut listed = vec![Vec::new(); w.adjacencies.len()];
+            for u in (0..w.ases.len() as u32).map(AsIdx) {
+                for pref in [Provider, Peer, Customer] {
+                    let run = g.exports(u, pref);
+                    assert!(run.windows(2).all(|e| e[0].0 <= e[1].0), "world {seed}, {u:?}");
+                    for &(v, adj) in run {
+                        listed[adj.0 as usize].push((u, pref, v));
+                    }
+                }
+            }
+            for (i, (adj, mut got)) in w.adjacencies.iter().zip(listed).enumerate() {
+                let mut want = match adj.rel {
+                    Rel::C2P => vec![(adj.a, Customer, adj.b), (adj.b, Provider, adj.a)],
+                    Rel::P2P => vec![(adj.a, Peer, adj.b), (adj.b, Peer, adj.a)],
+                };
+                want.sort();
+                got.sort();
+                assert_eq!(got, want, "world {seed}, adjacency {i}");
+            }
+        }
     }
 
     #[test]

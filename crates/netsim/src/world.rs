@@ -1,6 +1,7 @@
 //! The generated ground-truth world: physical infrastructure, AS ecosystem,
 //! peering fabric, community schemes and colocation-source snapshots.
 
+use crate::routing::propagate::Graph;
 use kepler_bgp::{Asn, Prefix};
 use kepler_docmine::scheme::{CommunityScheme, DocStyle, SchemeEntry, SchemeTarget};
 use kepler_topology::entities::{AsInfo, AsType, CityId, Facility, FacilityId, Ixp, IxpId};
@@ -226,6 +227,8 @@ pub struct World {
     pub adjacencies: Vec<Adjacency>,
     /// Unordered-pair lookup into [`World::adjacencies`].
     pub adj_of: HashMap<(AsIdx, AsIdx), AdjIdx>,
+    /// The adjacencies as provider, peer and customer runs, for trees.
+    pub graph: Graph,
     /// All originated prefixes with their origin AS.
     pub prefixes: Vec<(Prefix, AsIdx)>,
     /// All community schemes (documented or not), ground truth.
@@ -348,6 +351,7 @@ impl Generator {
         self.make_prefixes();
         self.make_schemes();
         self.finalize_neighbors();
+        let graph = Graph::new(&self.ases, &self.adjacencies);
         let snapshots = self.make_snapshots();
         let schemes: Vec<CommunityScheme> =
             self.ases.iter().filter_map(|a| a.scheme.clone()).collect();
@@ -362,6 +366,7 @@ impl Generator {
             asn_to_idx,
             adjacencies: self.adjacencies,
             adj_of: self.adj_index,
+            graph,
             prefixes: self.prefixes,
             schemes,
             snapshots,
