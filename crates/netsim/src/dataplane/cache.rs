@@ -67,7 +67,7 @@ impl PairWindow {
 /// path skeletons and per-pair epoch windows.
 ///
 /// Computing a route means building the per-origin routing tree
-/// ([`compute_tree`](crate::routing::propagate::compute_tree), ≈ 34 µs on
+/// ([`compute_tree`](crate::routing::propagate::compute_tree), ≈ 17 µs on
 /// the 528-AS AMS-IX world, over an active-instance table that costs
 /// ≈ 100 µs once per interned set) and walking it into interface hops.
 /// Neither depends on the instant: the tree is a function

@@ -68,7 +68,7 @@ impl RouteTree {
 
 /// The AS graph split by relationship, compiled once per world
 /// ([`World::graph`]): per AS, an offset row into one `(neighbor, adjacency)`
-/// table holding its customers, peers and providers ([`Graph::exports`]).
+/// table holding its customers, peers and providers (`Graph::exports`).
 #[derive(Debug, Clone)]
 pub struct Graph {
     rows: Vec<[u32; 4]>,
@@ -79,7 +79,7 @@ pub struct Graph {
 
 impl Graph {
     /// Files each AS's neighbors under the run its relationship gives them.
-    pub fn new(ases: &[AsNode], adjacencies: &[Adjacency]) -> Graph {
+    pub(crate) fn new(ases: &[AsNode], adjacencies: &[Adjacency]) -> Graph {
         let (mut rows, mut edges) = (Vec::with_capacity(ases.len()), Vec::new());
         for (u, node) in ases.iter().enumerate() {
             let exported = |&(_, adj): &(AsIdx, AdjIdx)| match adjacencies[adj.0 as usize] {
@@ -100,7 +100,7 @@ impl Graph {
     /// The neighbors `u` exports a `pref` route to, in neighbor order: its
     /// customers for a provider route, its peers for a peer route, its
     /// providers for a customer route. `pref` is never [`PrefClass::Origin`].
-    pub fn exports(&self, u: AsIdx, pref: PrefClass) -> &[(AsIdx, AdjIdx)] {
+    pub(crate) fn exports(&self, u: AsIdx, pref: PrefClass) -> &[(AsIdx, AdjIdx)] {
         let (row, k) = (self.rows[u.0 as usize], pref as usize);
         &self.edges[row[k] as usize..row[k + 1] as usize]
     }
@@ -143,7 +143,7 @@ fn hops_of(routes: &[Option<RouteInfo>], u: AsIdx) -> u16 {
 
 /// Routes level by level from `seeds` (routed ASes in ascending hop
 /// order): every AS routed at hop `h`, seed or reached, offers a `pref`
-/// route at `h + 1` over each usable adjacency it exports that class over.
+/// route at `h + 1` over each usable adjacency of its `pref` export run.
 /// Returns the seeds and every AS reached, in hop order.
 fn grow(
     graph: &Graph,
