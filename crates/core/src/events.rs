@@ -3,11 +3,13 @@
 use crate::signal::{SignalKind, SourceContribution};
 use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId, Timestamp};
-use kepler_docmine::LocationTag;
-use kepler_probe::{Epicenter, HopEvidence};
-use kepler_topology::{CityId, ColocationMap, FacilityId, IxpId};
+use kepler_probe::HopEvidence;
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// Where an outage is localized; defined beside the topology ids it
+/// names, re-exported here as part of the detector's output.
+pub use kepler_topology::OutageScope;
 
 /// Identity of one monitored route: a prefix as seen by one collector peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -18,79 +20,6 @@ pub struct RouteKey {
     pub peer: PeerId,
     /// The prefix.
     pub prefix: Prefix,
-}
-
-/// Where an outage is localized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum OutageScope {
-    /// A single building.
-    Facility(FacilityId),
-    /// An exchange fabric.
-    Ixp(IxpId),
-    /// A metropolitan area (several facilities/IXPs failed together).
-    City(CityId),
-}
-
-impl OutageScope {
-    /// Converts a monitoring tag into a scope.
-    pub fn from_tag(tag: LocationTag) -> Self {
-        match tag {
-            LocationTag::Facility(f) => OutageScope::Facility(f),
-            LocationTag::Ixp(x) => OutageScope::Ixp(x),
-            LocationTag::City(c) => OutageScope::City(c),
-        }
-    }
-
-    /// The monitoring tag of this scope (inverse of [`Self::from_tag`]).
-    pub(crate) fn tag(self) -> LocationTag {
-        match self {
-            OutageScope::Facility(f) => LocationTag::Facility(f),
-            OutageScope::Ixp(x) => LocationTag::Ixp(x),
-            OutageScope::City(c) => LocationTag::City(c),
-        }
-    }
-
-    /// The probe plane's name for this scope.
-    pub(crate) fn epicenter(self) -> Epicenter {
-        match self {
-            OutageScope::Facility(f) => Epicenter::Facility(f),
-            OutageScope::Ixp(x) => Epicenter::Ixp(x),
-            OutageScope::City(c) => Epicenter::City(c),
-        }
-    }
-
-    /// The buildings this scope spans: itself, an exchange's fabric
-    /// sites, or every facility of a city.
-    pub(crate) fn facilities(self, colo: &ColocationMap) -> Vec<FacilityId> {
-        match self {
-            OutageScope::Facility(f) => vec![f],
-            OutageScope::Ixp(x) => colo.facilities_of_ixp(x).iter().copied().collect(),
-            OutageScope::City(c) => colo.facilities_in_city(c),
-        }
-    }
-
-    /// The member ASes colocated at this scope.
-    pub(crate) fn members(self, colo: &ColocationMap) -> BTreeSet<Asn> {
-        match self {
-            OutageScope::Facility(f) => colo.members_of_facility(f).clone(),
-            OutageScope::Ixp(x) => colo.members_of_ixp(x).clone(),
-            OutageScope::City(c) => colo
-                .facilities_in_city(c)
-                .into_iter()
-                .flat_map(|f| colo.members_of_facility(f).iter().copied())
-                .collect(),
-        }
-    }
-}
-
-impl fmt::Display for OutageScope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OutageScope::Facility(x) => write!(f, "facility {}", x.0),
-            OutageScope::Ixp(x) => write!(f, "ixp {}", x.0),
-            OutageScope::City(x) => write!(f, "city {}", x.0),
-        }
-    }
 }
 
 /// How a bin's signals were classified (paper §4.3).
@@ -274,19 +203,7 @@ impl fmt::Display for OutageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scope_from_tag() {
-        assert_eq!(
-            OutageScope::from_tag(LocationTag::Facility(FacilityId(3))),
-            OutageScope::Facility(FacilityId(3))
-        );
-        assert_eq!(OutageScope::from_tag(LocationTag::Ixp(IxpId(1))), OutageScope::Ixp(IxpId(1)));
-        assert_eq!(
-            OutageScope::from_tag(LocationTag::City(CityId(9))),
-            OutageScope::City(CityId(9))
-        );
-    }
+    use kepler_topology::FacilityId;
 
     #[test]
     fn report_accessors() {

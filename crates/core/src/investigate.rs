@@ -259,15 +259,6 @@ impl Investigator {
         self.colo.ixps_in_city(city).into_iter().any(|x| self.remoteness.is_remote(x, a))
     }
 
-    /// The city a PoP tag belongs to, for cross-PoP signal correlation.
-    fn pop_city(&self, pop: &LocationTag) -> Option<CityId> {
-        match pop {
-            LocationTag::Facility(f) => self.colo.facility(*f).map(|f| f.city),
-            LocationTag::Ixp(x) => self.colo.ixp(*x).map(|x| x.city),
-            LocationTag::City(c) => Some(*c),
-        }
-    }
-
     /// Investigates one bin.
     ///
     /// Signals are first grouped per PoP, then *clustered by city*: one
@@ -287,7 +278,7 @@ impl Investigator {
         // Cluster PoPs by city (unknown-city PoPs stay alone).
         let mut clusters: BTreeMap<(u8, u32), Vec<LocationTag>> = BTreeMap::new();
         for pop in groups.keys() {
-            let key = match self.pop_city(pop) {
+            let key = match OutageScope::from(*pop).city(&self.colo) {
                 Some(c) => (0u8, c.0),
                 None => match pop {
                     LocationTag::Facility(f) => (1, f.0),
@@ -435,6 +426,7 @@ impl Investigator {
         stable_fars: &BTreeMap<Asn, usize>,
     ) -> Localization {
         let margin = self.config.colo_margin;
+        let pop_city = OutageScope::from(pop).city(&self.colo);
         match pop {
             LocationTag::Facility(f) => {
                 let mut suspects: Vec<FacilityCandidate> = Vec::new();
@@ -450,8 +442,7 @@ impl Investigator {
                     suspects.push(cov.candidate(f));
                 }
                 // 2. Far-end facilities.
-                let far =
-                    self.far_candidates(affected_far, stable_fars, Some(f), self.pop_city(&pop));
+                let far = self.far_candidates(affected_far, stable_fars, Some(f), pop_city);
                 if let Some(verdict) = self.far_verdict(&far) {
                     return verdict;
                 }
@@ -491,7 +482,7 @@ impl Investigator {
                 if cov.denom >= 1 && cov.fraction() >= margin {
                     return Localization::confident(OutageScope::Ixp(x));
                 }
-                let far = self.far_candidates(affected_far, stable_fars, None, self.pop_city(&pop));
+                let far = self.far_candidates(affected_far, stable_fars, None, pop_city);
                 if let Some(verdict) = self.far_verdict(&far) {
                     return verdict;
                 }
@@ -681,7 +672,7 @@ impl Investigator {
         // (including a city-level verdict corroborating a sharper one).
         let mut by_city: BTreeMap<CityId, Vec<OutageScope>> = BTreeMap::new();
         for scope in by_scope.keys() {
-            if let Some(c) = self.pop_city(&scope.tag()) {
+            if let Some(c) = scope.city(&self.colo) {
                 by_city.entry(c).or_default().push(*scope);
             }
         }
@@ -1083,7 +1074,7 @@ mod tests {
     /// A localized incident whose watch list names `keys` in the order
     /// given, each crossing `scope`'s tag at the first near-end AS.
     fn localized(scope: OutageScope, near: &[u32], far: &[u32], keys: &[u8]) -> LocalizedIncident {
-        let watch = keys.iter().map(|&k| (key(k), scope.tag(), Asn(near[0]))).collect();
+        let watch = keys.iter().map(|&k| (key(k), scope.into(), Asn(near[0]))).collect();
         let affected = Affected {
             near: near.iter().map(|&a| Asn(a)).collect(),
             far: far.iter().map(|&a| Asn(a)).collect(),

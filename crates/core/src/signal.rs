@@ -27,10 +27,9 @@
 use crate::config::KeplerConfig;
 use crate::events::OutageScope;
 use crate::fx::FxHashMap;
-use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
-use kepler_probe::telemetry::{lock_ledger, DelaySite, SharedRttLedger};
+use kepler_probe::telemetry::{lock_ledger, SharedRttLedger};
 use kepler_probe::{ProbeTask, Trace, TraceBackend};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -218,7 +217,7 @@ impl SignalSource for ForecastDetector {
                     self.alarms += 1;
                     let confidence = (deficit / (deficit + threshold)).clamp(0.0, 1.0);
                     out.push(SourceSignal {
-                        scope: OutageScope::from_tag(tag),
+                        scope: OutageScope::from(tag),
                         confidence,
                         weight: state.streak,
                     });
@@ -244,7 +243,7 @@ impl SignalSource for ForecastDetector {
 }
 
 /// Distinct anomalous measurement keys and summed excess RTT per site.
-type SiteAnomalies = BTreeMap<DelaySite, (std::collections::BTreeSet<(u32, u64, u64)>, f64)>;
+type SiteAnomalies = BTreeMap<OutageScope, (std::collections::BTreeSet<(u32, u64, u64)>, f64)>;
 
 /// Differential-RTT delay detector over the probe subsystem's passive
 /// telemetry ([`kepler_probe::telemetry`]).
@@ -254,14 +253,15 @@ type SiteAnomalies = BTreeMap<DelaySite, (std::collections::BTreeSet<(u32, u64, 
 /// source drains the recorded anomalies each bin, groups them by the
 /// infrastructure the slow segment enters, and fires when at least
 /// `delay_min_anomalous_pairs` *distinct* (vantage, hop-pair) keys agree
-/// — one noisy pair never blames a facility. An optional canary panel
-/// keeps the telemetry flowing on worlds where no campaign happens to be
-/// in progress.
-pub struct DelayDetector<B = NoCanary> {
+/// — one noisy pair never blames a facility. A canary panel, traced
+/// every bin, keeps the telemetry flowing on worlds where no campaign
+/// happens to be in progress; an empty panel leaves the ledger to the
+/// campaigns alone.
+pub struct DelayDetector<B> {
     ledger: SharedRttLedger,
     min_pairs: usize,
     threshold_ms: f64,
-    canary: Option<(B, Vec<ProbeTask>, Timestamp)>,
+    canary: (B, Vec<ProbeTask>, Timestamp),
     canary_baselined: bool,
     /// The one trace buffer the canary round refills per pair.
     scratch: Trace,
@@ -269,35 +269,12 @@ pub struct DelayDetector<B = NoCanary> {
     alarms: usize,
 }
 
-/// Placeholder backend for canary-less delay detectors.
-pub enum NoCanary {}
-
-impl TraceBackend for NoCanary {
-    fn trace(&self, _v: Asn, _t: Asn, _at: Timestamp) -> Trace {
-        match *self {}
-    }
-}
-
-impl DelayDetector<NoCanary> {
-    /// A detector reading an existing shared ledger (fed by a
-    /// [`ProbeEngine::with_telemetry`](kepler_probe::ProbeEngine) tap).
-    pub fn new(config: &KeplerConfig, ledger: SharedRttLedger) -> Self {
-        DelayDetector {
-            ledger,
-            min_pairs: config.delay_min_anomalous_pairs,
-            threshold_ms: config.delay_threshold_ms,
-            canary: None,
-            canary_baselined: false,
-            scratch: Trace::default(),
-            alarms: 0,
-        }
-    }
-}
-
 impl<B: TraceBackend> DelayDetector<B> {
-    /// A detector that additionally traces a fixed canary panel each bin
-    /// (one [`TraceBackend::trace_panel`] call), baselining the panel
-    /// once at `baseline_t` (a known-quiet instant, e.g. stream start).
+    /// A detector reading a shared ledger (fed by a
+    /// [`ProbeEngine::with_telemetry`](kepler_probe::ProbeEngine) tap)
+    /// that also traces a fixed canary panel each bin (one
+    /// [`TraceBackend::trace_panel`] call), baselining the panel once at
+    /// `baseline_t` (a known-quiet instant, e.g. stream start).
     pub fn with_canary(
         config: &KeplerConfig,
         ledger: SharedRttLedger,
@@ -309,7 +286,7 @@ impl<B: TraceBackend> DelayDetector<B> {
             ledger,
             min_pairs: config.delay_min_anomalous_pairs,
             threshold_ms: config.delay_threshold_ms,
-            canary: Some((backend, pairs, baseline_t)),
+            canary: (backend, pairs, baseline_t),
             canary_baselined: false,
             scratch: Trace::default(),
             alarms: 0,
@@ -332,18 +309,17 @@ impl<B: TraceBackend> SignalSource for DelayDetector<B> {
         // One lock per poll: the canary round and the drain are one
         // critical section (campaigns never run concurrently with a poll).
         let mut ledger = lock_ledger(&self.ledger);
-        if let Some((backend, panel, baseline_t)) = &self.canary {
-            let scratch = &mut self.scratch;
-            if !self.canary_baselined {
-                backend.trace_panel(panel, *baseline_t, scratch, &mut |p, trace| {
-                    ledger.observe_baseline(p.vantage, trace)
-                });
-                self.canary_baselined = true;
-            }
-            backend.trace_panel(panel, bin_end, scratch, &mut |p, trace| {
-                ledger.observe_current(p.vantage, bin_end, trace)
+        let (backend, panel, baseline_t) = &self.canary;
+        let scratch = &mut self.scratch;
+        if !self.canary_baselined {
+            backend.trace_panel(panel, *baseline_t, scratch, &mut |p, trace| {
+                ledger.observe_baseline(p.vantage, trace)
             });
+            self.canary_baselined = true;
         }
+        backend.trace_panel(panel, bin_end, scratch, &mut |p, trace| {
+            ledger.observe_current(p.vantage, bin_end, trace)
+        });
         let anomalies = ledger.drain_anomalies();
         drop(ledger);
         // Distinct anomalous measurement keys and total excess per site.
@@ -354,17 +330,13 @@ impl<B: TraceBackend> SignalSource for DelayDetector<B> {
             entry.1 += a.excess_ms;
         }
         let mut out = Vec::new();
-        for (site, (keys, total_excess)) in by_site {
+        for (scope, (keys, total_excess)) in by_site {
             if keys.len() < self.min_pairs {
                 continue;
             }
             self.alarms += 1;
             let mean_excess = total_excess / keys.len() as f64;
             let confidence = (mean_excess / (mean_excess + self.threshold_ms)).clamp(0.0, 1.0);
-            let scope = match site {
-                DelaySite::Facility(f) => OutageScope::Facility(f),
-                DelaySite::Ixp(x) => OutageScope::Ixp(x),
-            };
             out.push(SourceSignal { scope, confidence, weight: keys.len() });
         }
         out
@@ -374,6 +346,7 @@ impl<B: TraceBackend> SignalSource for DelayDetector<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kepler_bgp::Asn;
     use kepler_probe::telemetry::shared_ledger;
     use kepler_probe::{IfaceOwner, TraceHop};
     use kepler_topology::FacilityId;
@@ -488,7 +461,10 @@ mod tests {
     fn delay_detector_needs_distinct_pair_quorum() {
         let cfg = cfg();
         let ledger = shared_ledger(cfg.delay_threshold_ms);
-        let mut det = DelayDetector::new(&cfg, ledger.clone());
+        // An empty canary panel traces nothing: the ledger sees only
+        // what the test feeds it.
+        let quiet = SurgingBackend { surge_from: 0 };
+        let mut det = DelayDetector::with_canary(&cfg, ledger.clone(), quiet, Vec::new(), 0);
         assert_eq!(det.kind(), SignalKind::Delay);
         let base = Trace { hops: vec![fac_hop(1, 7, 5.0)], reached: true };
         let slow = Trace { hops: vec![fac_hop(1, 7, 60.0)], reached: true };

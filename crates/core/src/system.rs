@@ -140,15 +140,13 @@ impl Kepler {
     /// Builds the system.
     pub fn new(inputs: KeplerInputs) -> Self {
         let config = inputs.config.clone();
-        let mut tracker = Tracker::new(config.clone());
-        tracker.set_geography(&inputs.colo);
         Kepler {
             input: InputModule::new(inputs.dictionary, inputs.colo.clone()),
             gap: GapTracker::new(config.quarantine_secs),
             interner: Interner::new(),
             monitor: Monitor::new(config.clone()),
             investigator: Investigator::new(config.clone(), inputs.colo, inputs.orgs),
-            tracker,
+            tracker: Tracker::new(config.clone()),
             prober: None,
             restoration: None,
             signal_sources: Vec::new(),
@@ -390,7 +388,12 @@ impl Kepler {
                 }
                 (Why::Confirmed, Some(scope)) => {
                     let inc = d.pending.to_incident(scope);
-                    self.tracker.record(&[inc], &[s.meta], &mut self.interner);
+                    self.tracker.record(
+                        &[inc],
+                        &[s.meta],
+                        self.investigator.colo(),
+                        &mut self.interner,
+                    );
                 }
                 _ => {}
             }
@@ -468,7 +471,7 @@ impl Kepler {
             confident.chain(settled),
             &mut self.counts,
         );
-        self.tracker.record(&kept, &meta, &mut self.interner);
+        self.tracker.record(&kept, &meta, self.investigator.colo(), &mut self.interner);
         // Auxiliary detectors run after the deviation pipeline recorded,
         // so their signals corroborate this bin's incidents directly.
         self.fuse_signals(&presence, now);
@@ -519,7 +522,7 @@ impl Kepler {
         for (kind, sig) in raised {
             let contrib =
                 SourceContribution { kind, confidence: sig.confidence, first_bin: bin_start };
-            if self.tracker.corroborate(sig.scope, contrib) {
+            if self.tracker.corroborate(sig.scope, contrib, self.investigator.colo()) {
                 self.counts.fused_corroborations += 1;
                 continue;
             }
@@ -550,7 +553,7 @@ impl Kepler {
             let inc = LocalizedIncident { scope, bin_start, affected };
             let meta = IncidentMeta { sources, ..confirmation.unwrap_or_default() };
             self.counts.fused_opens += 1;
-            self.tracker.record(&[inc], &[meta], &mut self.interner);
+            self.tracker.record(&[inc], &[meta], self.investigator.colo(), &mut self.interner);
         }
     }
 
@@ -570,7 +573,7 @@ impl Kepler {
             return None;
         }
         let request = ProbeRequest {
-            pop: scope.tag(),
+            pop: scope.into(),
             bin_start,
             candidates,
             affected_far: scope.members(colo).into_iter().collect(),
@@ -1242,7 +1245,7 @@ mod tests {
     impl kepler_probe::RestorationProber for ClockedRestoration {
         fn check(
             &mut self,
-            _epicenter: kepler_probe::Epicenter,
+            _epicenter: OutageScope,
             _targets: &[Asn],
             _incident_start: Timestamp,
             now: Timestamp,

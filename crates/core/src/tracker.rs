@@ -36,8 +36,8 @@ use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
 use kepler_probe::{Backoff, HopEvidence, RestorationProber, RestorationVerdict};
-use kepler_topology::{CityId, ColocationMap, FacilityId};
-use std::collections::{BTreeMap, HashMap};
+use kepler_topology::{ColocationMap, FacilityId};
+use std::collections::BTreeMap;
 
 /// Validation metadata recorded alongside one localized incident: the
 /// passive data-plane confirmation (paper §4.4 baseline re-probe) and the
@@ -252,7 +252,8 @@ struct Ongoing {
 /// Tracks ongoing and closed outages. The lifecycle tables are ordered
 /// by scope, so every walk over them — merge targets, probe order, the
 /// order expiring incidents finish in, exports — is the same in every
-/// process; the geography maps are lookup-only.
+/// process. Which scopes relate is read off the colocation map the
+/// caller passes to [`Tracker::record`] and [`Tracker::corroborate`].
 #[derive(Debug, Default)]
 pub struct Tracker {
     config: KeplerConfig,
@@ -261,10 +262,6 @@ pub struct Tracker {
     /// (closed report, end time).
     cooling: BTreeMap<OutageScope, (OutageReport, u64 /* accumulated duration */)>,
     finished: Vec<OutageReport>,
-    /// Facility → city, for cross-scope incident reconciliation.
-    fac_city: HashMap<u32, CityId>,
-    /// IXP → city.
-    ixp_city: HashMap<u32, CityId>,
     /// Opening hysteresis state: scope → (consecutive signal bins so
     /// far, last bin seen, first bin of the streak). Only populated when
     /// `open_after_consecutive > 1`.
@@ -272,74 +269,39 @@ pub struct Tracker {
     revision: u64,
 }
 
+/// The key in `map` an incident at `scope` merges into: the exact scope
+/// first, then the smallest related scope (same city). Scopes order
+/// Facility < Ixp < City, so the sharpest one wins.
+fn merge_target<V>(
+    map: &BTreeMap<OutageScope, V>,
+    scope: OutageScope,
+    colo: &ColocationMap,
+) -> Option<OutageScope> {
+    if map.contains_key(&scope) {
+        Some(scope)
+    } else {
+        map.keys().find(|s| s.related(scope, colo)).copied()
+    }
+}
+
+/// The scope to keep when merging two related scopes: identical scopes
+/// stay; a city-level scope corroborating a sharper one is absorbed into
+/// the sharp scope; two distinct physical scopes abstract to their city.
+fn merged_scope(a: OutageScope, b: OutageScope, colo: &ColocationMap) -> OutageScope {
+    if a == b {
+        return a;
+    }
+    match (a, b) {
+        (OutageScope::City(_), sharp) => sharp,
+        (sharp, OutageScope::City(_)) => sharp,
+        _ => a.city(colo).map_or(a, OutageScope::City),
+    }
+}
+
 impl Tracker {
     /// A tracker with the given configuration.
     pub fn new(config: KeplerConfig) -> Self {
         Tracker { config, ..Default::default() }
-    }
-
-    /// Loads facility/IXP geography so that shadows of one incident seen
-    /// through different PoP tags (the facility, its IXP, its city) merge
-    /// into one report instead of three.
-    pub fn set_geography(&mut self, colo: &ColocationMap) {
-        for f in colo.facilities() {
-            self.fac_city.insert(f.id.0, f.city);
-        }
-        for x in colo.ixps() {
-            self.ixp_city.insert(x.id.0, x.city);
-        }
-    }
-
-    fn city_of(&self, scope: &OutageScope) -> Option<CityId> {
-        match scope {
-            OutageScope::Facility(f) => self.fac_city.get(&f.0).copied(),
-            OutageScope::Ixp(x) => self.ixp_city.get(&x.0).copied(),
-            OutageScope::City(c) => Some(*c),
-        }
-    }
-
-    /// Whether two scopes plausibly describe the same physical incident.
-    fn related(&self, a: &OutageScope, b: &OutageScope) -> bool {
-        if a == b {
-            return true;
-        }
-        match (self.city_of(a), self.city_of(b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
-    }
-
-    /// The key in `map` an incident at `scope` merges into: the exact
-    /// scope first, then the smallest related scope (same city). Scopes
-    /// order Facility < Ixp < City, so the sharpest one wins.
-    fn merge_target<V>(
-        &self,
-        map: &BTreeMap<OutageScope, V>,
-        scope: OutageScope,
-    ) -> Option<OutageScope> {
-        if map.contains_key(&scope) {
-            Some(scope)
-        } else {
-            map.keys().find(|s| self.related(s, &scope)).copied()
-        }
-    }
-
-    /// The scope to keep when merging two related scopes: identical scopes
-    /// stay; a city-level scope corroborating a sharper one is absorbed
-    /// into the sharp scope; two distinct physical scopes abstract to
-    /// their city.
-    fn merged_scope(&self, a: OutageScope, b: OutageScope) -> OutageScope {
-        if a == b {
-            return a;
-        }
-        match (a, b) {
-            (OutageScope::City(_), sharp) => sharp,
-            (sharp, OutageScope::City(_)) => sharp,
-            _ => match self.city_of(&a) {
-                Some(c) => OutageScope::City(c),
-                None => a,
-            },
-        }
     }
 
     /// The backoff schedule restoration re-probes follow.
@@ -396,24 +358,25 @@ impl Tracker {
 
     /// Records this bin's localized incidents. Each one picks its base —
     /// the ongoing incident it belongs to, a recently closed one it
-    /// reopens, or a fresh one — and is then absorbed into it. The
-    /// display-typed watch crossings are interned once here; every later
-    /// restoration check runs dense.
+    /// reopens, or a fresh one — and is then absorbed into it; `colo`
+    /// says which scopes relate. The display-typed watch crossings are
+    /// interned once here; every later restoration check runs dense.
     pub fn record(
         &mut self,
         incidents: &[LocalizedIncident],
         meta: &[IncidentMeta],
+        colo: &ColocationMap,
         interner: &mut Interner,
     ) {
         for (inc, meta) in incidents.iter().zip(meta.iter()) {
             self.revision += 1;
-            let base = match self.merge_target(&self.ongoing, inc.scope) {
+            let base = match merge_target(&self.ongoing, inc.scope, colo) {
                 Some(key) => {
                     let mut on = self.ongoing.remove(&key).expect("target present");
-                    on.inc.scope = self.merged_scope(key, inc.scope);
+                    on.inc.scope = merged_scope(key, inc.scope, colo);
                     Some(on)
                 }
-                None => self.reopen(inc).or_else(|| self.open(inc)),
+                None => self.reopen(inc, colo).or_else(|| self.open(inc)),
             };
             let Some(mut on) = base else { continue };
             self.absorb(&mut on, inc, meta, interner);
@@ -429,8 +392,8 @@ impl Tracker {
     /// Oscillation: the recently closed incident of a related scope,
     /// reopened with a new segment starting at `inc`'s bin. A cooled
     /// incident older than the merge window becomes final instead.
-    fn reopen(&mut self, inc: &LocalizedIncident) -> Option<Ongoing> {
-        let key = self.merge_target(&self.cooling, inc.scope)?;
+    fn reopen(&mut self, inc: &LocalizedIncident, colo: &ColocationMap) -> Option<Ongoing> {
+        let key = merge_target(&self.cooling, inc.scope, colo)?;
         let (report, acc) = self.cooling.remove(&key).expect("cooling present");
         let gap_ok = report
             .end
@@ -440,7 +403,7 @@ impl Tracker {
             self.finish_report(report);
             return None;
         }
-        let scope = self.merged_scope(key, inc.scope);
+        let scope = merged_scope(key, inc.scope, colo);
         // The earlier segment's confirmation spoke about the earlier
         // failure: the reopened incident starts at confidence 0 and must
         // re-earn it before any verdict reuse.
@@ -568,11 +531,17 @@ impl Tracker {
     }
 
     /// Merges an auxiliary source's contribution into an already-ongoing
-    /// incident of the same (or related) scope. Returns whether a live
-    /// incident absorbed it — a `false` leaves the decision of whether
-    /// the signal can open an incident on its own to the fusion layer.
-    pub fn corroborate(&mut self, scope: OutageScope, contrib: SourceContribution) -> bool {
-        match self.merge_target(&self.ongoing, scope) {
+    /// incident of the same (or, per `colo`, related) scope. Returns
+    /// whether a live incident absorbed it — a `false` leaves the decision
+    /// of whether the signal can open an incident on its own to the
+    /// fusion layer.
+    pub fn corroborate(
+        &mut self,
+        scope: OutageScope,
+        contrib: SourceContribution,
+        colo: &ColocationMap,
+    ) -> bool {
+        match merge_target(&self.ongoing, scope, colo) {
             Some(key) => {
                 let on = self.ongoing.get_mut(&key).expect("target present");
                 merge_sources(&mut on.inc.sources, &[contrib]);
@@ -602,7 +571,7 @@ impl Tracker {
     /// `restore_probe_initial_secs`). Every scope is probed at its own
     /// granularity — a facility epicenter directly, an IXP via its
     /// fabric, a city via any facility or fabric located there
-    /// ([`kepler_probe::Epicenter`]). A first `Restored` verdict marks
+    /// ([`kepler_probe::RestorationProber`]). A first `Restored` verdict marks
     /// the incident [`IncidentState::Recovering`] and schedules a quick
     /// confirming check; a **second consecutive** `Restored` closes it
     /// with the first verdict's timestamp as the end — typically well
@@ -625,8 +594,7 @@ impl Tracker {
         for scope in due {
             self.revision += 1;
             let on = &mut self.ongoing.get_mut(&scope).expect("present").inc;
-            let verdict =
-                prober.check(scope.epicenter(), &on.affected_far, on.started, now).verdict;
+            let verdict = prober.check(scope, &on.affected_far, on.started, now).verdict;
             match (verdict, on.probe_restored_at) {
                 (RestorationVerdict::Restored, Some(first)) => {
                     // Second consecutive confirmation: the outage ended
@@ -837,8 +805,8 @@ mod tests {
     use kepler_bgp::Prefix;
     use kepler_bgpstream::{CollectorId, PeerId};
     use kepler_docmine::LocationTag;
-    use kepler_probe::{Epicenter, PostState, RestorationReport};
-    use kepler_topology::FacilityId;
+    use kepler_probe::{PostState, RestorationReport};
+    use kepler_topology::{CityId, OutageScope};
 
     fn key(i: u8) -> RouteKey {
         RouteKey {
@@ -939,7 +907,7 @@ mod tests {
     impl RestorationProber for ScriptedRestoration {
         fn check(
             &mut self,
-            _epicenter: Epicenter,
+            _epicenter: OutageScope,
             _targets: &[Asn],
             _incident_start: Timestamp,
             now: Timestamp,
@@ -960,8 +928,14 @@ mod tests {
     #[test]
     fn open_then_restore() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
-        t.record(&[incident(1000, &[0, 1, 2, 3])], &[IncidentMeta::default()], &mut interner);
+        t.record(
+            &[incident(1000, &[0, 1, 2, 3])],
+            &[IncidentMeta::default()],
+            &colo,
+            &mut interner,
+        );
         assert_eq!(t.ongoing_count(), 1);
         assert_eq!(
             t.live_states(),
@@ -988,12 +962,23 @@ mod tests {
     #[test]
     fn oscillations_merge_within_window() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
-        t.record(&[incident(1000, &[0, 1, 2, 3])], &[IncidentMeta::default()], &mut interner);
+        t.record(
+            &[incident(1000, &[0, 1, 2, 3])],
+            &[IncidentMeta::default()],
+            &colo,
+            &mut interner,
+        );
         t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1, 2, 3]));
         assert_eq!(t.ongoing_count(), 0);
         // Re-fails 1h later (< 12h window): same incident.
-        t.record(&[incident(2000 + 3600, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(
+            &[incident(2000 + 3600, &[0, 1])],
+            &[IncidentMeta::default()],
+            &colo,
+            &mut interner,
+        );
         assert_eq!(t.ongoing_count(), 1);
         t.check_restorations(2000 + 7200, &monitor_with(&mut interner, &[0, 1, 2, 3]));
         let reports = t.finish();
@@ -1007,11 +992,17 @@ mod tests {
         let cfg = KeplerConfig::default();
         let w = cfg.merge_window_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(cfg);
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         // Second outage far beyond the merge window.
-        t.record(&[incident(2000 + w + 100, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(
+            &[incident(2000 + w + 100, &[0, 1])],
+            &[IncidentMeta::default()],
+            &colo,
+            &mut interner,
+        );
         t.check_restorations(2000 + w + 200, &monitor_with(&mut interner, &[0, 1]));
         let reports = t.finish();
         assert_eq!(reports.len(), 2);
@@ -1021,6 +1012,7 @@ mod tests {
     #[test]
     fn unrestored_outage_finishes_open() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
         t.record(
             &[incident(1000, &[0, 1])],
@@ -1029,6 +1021,7 @@ mod tests {
                 validation: ValidationStatus::Confirmed,
                 ..IncidentMeta::default()
             }],
+            &colo,
             &mut interner,
         );
         t.check_restorations(5000, &monitor_with(&mut interner, &[]));
@@ -1042,10 +1035,12 @@ mod tests {
     #[test]
     fn evidence_accumulates_and_dedupes_across_bins() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
         t.record(
             &[incident(1000, &[0, 1])],
             &[confirmed_meta(vec![hop_evidence(900, 20), hop_evidence(901, 21)])],
+            &colo,
             &mut interner,
         );
         // A later bin re-measures pair (900, 20) — now StillCrossing — and
@@ -1055,6 +1050,7 @@ mod tests {
         t.record(
             &[incident(1060, &[2])],
             &[confirmed_meta(vec![remeasured, hop_evidence(902, 22)])],
+            &colo,
             &mut interner,
         );
         assert_eq!(t.ongoing_count(), 1);
@@ -1074,10 +1070,12 @@ mod tests {
         let config = KeplerConfig::default();
         let half_life = config.evidence_half_life_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
         t.record(
             &[incident(1000, &[0, 1])],
             &[confirmed_meta(vec![hop_evidence(900, 20)])],
+            &colo,
             &mut interner,
         );
         let candidates = [FacilityId(1), FacilityId(2)];
@@ -1093,7 +1091,7 @@ mod tests {
         assert!(t.accumulated_confirmation(&[FacilityId(7)], 1000).is_none());
         // An unconfirmed incident is never reusable.
         let mut t2 = Tracker::new(KeplerConfig::default());
-        t2.record(&[incident(1000, &[0])], &[IncidentMeta::default()], &mut interner);
+        t2.record(&[incident(1000, &[0])], &[IncidentMeta::default()], &colo, &mut interner);
         assert!(t2.accumulated_confirmation(&candidates, 1000).is_none());
     }
 
@@ -1102,10 +1100,12 @@ mod tests {
         let config = KeplerConfig::default();
         let half_life = config.evidence_half_life_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
         t.record(
             &[incident(1000, &[0])],
             &[confirmed_meta(vec![hop_evidence(900, 20)])],
+            &colo,
             &mut interner,
         );
         let late = 1000 + 2 * half_life;
@@ -1114,6 +1114,7 @@ mod tests {
         t.record(
             &[incident(late, &[1])],
             &[confirmed_meta(vec![hop_evidence(901, 21)])],
+            &colo,
             &mut interner,
         );
         let (_, ev) = t.accumulated_confirmation(&[FacilityId(1)], late).expect("refreshed");
@@ -1125,10 +1126,12 @@ mod tests {
         let config = KeplerConfig::default();
         let half_life = config.evidence_half_life_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
         t.record(
             &[incident(1000, &[0])],
             &[confirmed_meta(vec![hop_evidence(900, 20)])],
+            &colo,
             &mut interner,
         );
         // Recurring deviations settled *by reuse* keep arriving well
@@ -1147,6 +1150,7 @@ mod tests {
                     reused: true,
                     ..IncidentMeta::default()
                 }],
+                &colo,
                 &mut interner,
             );
         }
@@ -1164,7 +1168,7 @@ mod tests {
         let mut t = Tracker::new(KeplerConfig::default());
         // Two distinct cities so the incidents stay separate (related()
         // merges same-city facility scopes).
-        t.set_geography(&geography(&[(0, 0), (1, 1), (2, 2)]));
+        let colo = geography(&[(0, 0), (1, 1), (2, 2)]);
         let mut inc2 = incident(1000, &[2, 3]);
         inc2.scope = OutageScope::Facility(FacilityId(2));
         t.record(
@@ -1173,6 +1177,7 @@ mod tests {
                 confirmed_meta(vec![hop_evidence(900, 20)]),
                 confirmed_meta(vec![hop_evidence(901, 21)]),
             ],
+            &colo,
             &mut interner,
         );
         // Both candidates carry confidence 1.0: the tie resolves to the
@@ -1190,8 +1195,9 @@ mod tests {
         let config = KeplerConfig::default();
         let first_delay = config.restore_probe_initial_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         let mut prober = ScriptedRestoration::new(vec![
             RestorationVerdict::Restored,
             RestorationVerdict::Restored,
@@ -1222,8 +1228,9 @@ mod tests {
         let initial = config.restore_probe_initial_secs;
         let max = config.restore_probe_max_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         let mut prober = ScriptedRestoration::new(vec![]); // always StillDown
                                                            // Sweep a day of wall clock in 1-minute steps: the incident must
                                                            // stay open and the probe cadence must follow 2x backoff.
@@ -1251,8 +1258,9 @@ mod tests {
         let config = KeplerConfig::default();
         let initial = config.restore_probe_initial_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         // Restored, then StillDown (a transient flap), then the real
         // restoration: the close time must come from the *second* streak.
         let mut prober = ScriptedRestoration::new(vec![
@@ -1281,10 +1289,11 @@ mod tests {
         let config = KeplerConfig::default();
         let first = config.restore_probe_initial_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         // Fresh: BGP crossing restore_fraction right after a Restored
         // verdict corroborates it — the close backdates to the verdict.
         let mut t = Tracker::new(config.clone());
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         let mut prober = ScriptedRestoration::new(vec![RestorationVerdict::Restored]);
         let t1 = 1000 + first;
         assert_eq!(t.probe_restorations(t1, &mut prober), 0);
@@ -1295,7 +1304,7 @@ mod tests {
         // never ran must not backdate a much later BGP close.
         let mut interner = Interner::new();
         let mut t = Tracker::new(config);
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         let mut prober = ScriptedRestoration::new(vec![RestorationVerdict::Restored]);
         assert_eq!(t.probe_restorations(t1, &mut prober), 0);
         let late = t1 + 10_000;
@@ -1309,8 +1318,9 @@ mod tests {
         let config = KeplerConfig::default();
         let first_delay = config.restore_probe_initial_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         let mut prober = ScriptedRestoration::new(vec![
             RestorationVerdict::Restored,
             RestorationVerdict::Restored,
@@ -1319,7 +1329,7 @@ mod tests {
         assert_eq!(t.probe_restorations(t1, &mut prober), 0);
         // Fresh deviation signals arrive before the confirming check: the
         // epicenter is clearly not stable — the streak must not survive.
-        t.record(&[incident(t1 + 30, &[2, 3])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(t1 + 30, &[2, 3])], &[IncidentMeta::default()], &colo, &mut interner);
         assert_eq!(t.probe_restorations(t1 + first_delay, &mut prober), 0, "streak was reset");
         assert_eq!(t.ongoing_count(), 1);
     }
@@ -1328,6 +1338,7 @@ mod tests {
     fn ixp_scoped_incidents_are_probe_checked_and_closed() {
         use kepler_topology::IxpId;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
         let inc = LocalizedIncident {
             scope: OutageScope::Ixp(IxpId(3)),
@@ -1339,7 +1350,7 @@ mod tests {
                 watch: vec![(key(0), LocationTag::Ixp(IxpId(3)), Asn(5))],
             },
         };
-        t.record(&[inc], &[IncidentMeta::default()], &mut interner);
+        t.record(&[inc], &[IncidentMeta::default()], &colo, &mut interner);
         let mut prober = ScriptedRestoration::new(vec![RestorationVerdict::Restored; 8]);
         let mut closed = 0;
         for now in (1000..30_000).step_by(300) {
@@ -1357,8 +1368,14 @@ mod tests {
         // A multi-year replay jumping to u64::MAX must not overflow the
         // re-probe schedule arithmetic.
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
-        t.record(&[incident(u64::MAX - 10, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(
+            &[incident(u64::MAX - 10, &[0, 1])],
+            &[IncidentMeta::default()],
+            &colo,
+            &mut interner,
+        );
         let mut prober = ScriptedRestoration::new(vec![]); // always StillDown
         t.probe_restorations(u64::MAX, &mut prober);
         t.probe_restorations(u64::MAX, &mut prober);
@@ -1369,8 +1386,14 @@ mod tests {
     #[test]
     fn closing_hysteresis_holds_until_the_streak_and_backdates_the_close() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 3));
-        t.record(&[incident(1000, &[0, 1, 2, 3])], &[IncidentMeta::default()], &mut interner);
+        t.record(
+            &[incident(1000, &[0, 1, 2, 3])],
+            &[IncidentMeta::default()],
+            &colo,
+            &mut interner,
+        );
         // First two restored checks: Recovering, not closed.
         t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1, 2]));
         assert_eq!(t.ongoing_count(), 1);
@@ -1392,8 +1415,9 @@ mod tests {
     #[test]
     fn closing_hysteresis_exactly_at_threshold() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         // One restored check: one short of the threshold.
         t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         assert_eq!(t.ongoing_count(), 1, "streak of 1 < threshold 2 must not close");
@@ -1406,8 +1430,9 @@ mod tests {
     #[test]
     fn a_dip_resets_the_closing_streak() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         // The watch list dips below restore_fraction: streak resets.
         t.check_restorations(2060, &monitor_with(&mut interner, &[]));
@@ -1426,12 +1451,13 @@ mod tests {
     #[test]
     fn new_signals_reset_the_closing_streak() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
         // Fresh deviation signals between restored checks: the epicenter
         // is flapping, the streak must not survive.
-        t.record(&[incident(2030, &[2, 3])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(2030, &[2, 3])], &[IncidentMeta::default()], &colo, &mut interner);
         t.check_restorations(2060, &monitor_with(&mut interner, &[0, 1, 2, 3]));
         assert_eq!(t.ongoing_count(), 1, "streak restarted after new signals");
         t.check_restorations(2120, &monitor_with(&mut interner, &[0, 1, 2, 3]));
@@ -1442,16 +1468,17 @@ mod tests {
     #[test]
     fn opening_hysteresis_defers_then_backdates_the_start() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(3, 1));
         // Two consecutive signal bins: one short of the threshold — no
         // incident yet.
-        t.record(&[incident(1000, &[0])], &[IncidentMeta::default()], &mut interner);
-        t.record(&[incident(1060, &[1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0])], &[IncidentMeta::default()], &colo, &mut interner);
+        t.record(&[incident(1060, &[1])], &[IncidentMeta::default()], &colo, &mut interner);
         assert_eq!(t.ongoing_count(), 0, "below the opening threshold");
         assert!(t.live_states().is_empty());
         // Exactly at the threshold: opens, start backdated to the first
         // bin of the streak.
-        t.record(&[incident(1120, &[2])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1120, &[2])], &[IncidentMeta::default()], &colo, &mut interner);
         assert_eq!(t.ongoing_count(), 1);
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
@@ -1461,14 +1488,15 @@ mod tests {
     #[test]
     fn opening_hysteresis_gap_resets_the_streak() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(2, 1));
-        t.record(&[incident(1000, &[0])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1000, &[0])], &[IncidentMeta::default()], &colo, &mut interner);
         // Next signal bin arrives beyond the 2-bin consecutiveness gap:
         // the streak restarts instead of opening.
-        t.record(&[incident(1300, &[1])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1300, &[1])], &[IncidentMeta::default()], &colo, &mut interner);
         assert_eq!(t.ongoing_count(), 0, "non-consecutive bins do not accumulate");
         // A genuinely consecutive follow-up opens, backdated to 1300.
-        t.record(&[incident(1360, &[2])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1360, &[2])], &[IncidentMeta::default()], &colo, &mut interner);
         assert_eq!(t.ongoing_count(), 1);
         assert_eq!(t.finish()[0].start, 1300);
     }
@@ -1476,12 +1504,14 @@ mod tests {
     #[test]
     fn single_bin_flap_never_opens_under_opening_hysteresis() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(2, 1));
         // Isolated single-bin blips, each far from the next: none opens.
         for k in 0..5u64 {
             t.record(
                 &[incident(1000 + k * 1000, &[k as u8])],
                 &[IncidentMeta::default()],
+                &colo,
                 &mut interner,
             );
         }
@@ -1492,10 +1522,12 @@ mod tests {
     #[test]
     fn completeness_is_minimized_across_bins() {
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
         t.record(
             &[incident(1000, &[0, 1])],
             &[IncidentMeta { completeness: 0.75, ..IncidentMeta::default() }],
+            &colo,
             &mut interner,
         );
         // A later, more degraded bin lowers the floor; a later clean bin
@@ -1503,9 +1535,10 @@ mod tests {
         t.record(
             &[incident(1060, &[2])],
             &[IncidentMeta { completeness: 0.5, ..IncidentMeta::default() }],
+            &colo,
             &mut interner,
         );
-        t.record(&[incident(1120, &[3])], &[IncidentMeta::default()], &mut interner);
+        t.record(&[incident(1120, &[3])], &[IncidentMeta::default()], &colo, &mut interner);
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].probe_completeness, 0.5);
@@ -1516,13 +1549,14 @@ mod tests {
         let fac1 = OutageScope::Facility(FacilityId(1));
         let mut interner = Interner::new();
         let mut t = Tracker::new(KeplerConfig::default());
-        t.set_geography(&geography(&[(0, 9), (1, 0), (2, 0)]));
-        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+        let colo = geography(&[(0, 9), (1, 0), (2, 0)]);
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         // The city-level shadow of the same failure corroborates the
         // sharper scope instead of opening a second incident.
         t.record(
             &[scoped(OutageScope::City(CityId(0)), 1060, &[2])],
             &[IncidentMeta { completeness: 0.5, ..IncidentMeta::default() }],
+            &colo,
             &mut interner,
         );
         assert_eq!(t.live_states(), vec![(fac1, IncidentState::Open)]);
@@ -1535,6 +1569,7 @@ mod tests {
         t.record(
             &[scoped(OutageScope::City(CityId(7)), 1120, &[3])],
             &[IncidentMeta::default()],
+            &colo,
             &mut interner,
         );
         assert_eq!(t.ongoing_count(), 2);
@@ -1545,10 +1580,11 @@ mod tests {
         let city = OutageScope::City(CityId(0));
         let first = KeplerConfig::default().restore_probe_initial_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
-        // Before geography is loaded the two scopes are unrelated. The
-        // city entry oscillates once and reopens probe-confirmed.
-        t.record(&[scoped(city, 400, &[4, 5])], &[IncidentMeta::default()], &mut interner);
+        // On a map without their geography the two scopes are unrelated.
+        // The city entry oscillates once and reopens probe-confirmed.
+        t.record(&[scoped(city, 400, &[4, 5])], &[IncidentMeta::default()], &colo, &mut interner);
         t.check_restorations(500, &monitor_with(&mut interner, &[4, 5]));
         t.record(
             &[scoped(city, 600, &[4])],
@@ -1556,15 +1592,17 @@ mod tests {
                 HopEvidence { post: PostState::Unreachable, ..hop_evidence(900, 20) },
                 hop_evidence(901, 21),
             ])],
+            &colo,
             &mut interner,
         );
         t.record(
             &[incident(1000, &[0, 1])],
             &[IncidentMeta { evidence: vec![hop_evidence(900, 20)], ..IncidentMeta::default() }],
+            &colo,
             &mut interner,
         );
         assert_eq!(t.ongoing_count(), 2);
-        t.set_geography(&geography(&[(0, 9), (1, 0), (2, 0)]));
+        let colo = geography(&[(0, 9), (1, 0), (2, 0)]);
         // A signal at a second facility of the city relates to both
         // entries; the smallest related scope, the facility entry, takes
         // it. Facility 1 + facility 2 abstract to the city, whose separate
@@ -1572,6 +1610,7 @@ mod tests {
         t.record(
             &[scoped(OutageScope::Facility(FacilityId(2)), 2000, &[2])],
             &[IncidentMeta::default()],
+            &colo,
             &mut interner,
         );
         let state = t.export();
@@ -1592,12 +1631,14 @@ mod tests {
     fn cooled_incidents_expiring_in_one_bin_finish_in_scope_order() {
         let w = KeplerConfig::default().merge_window_secs;
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
         let scopes = [9, 3, 6].map(|f| OutageScope::Facility(FacilityId(f)));
         let incidents = scopes.map(|s| scoped(s, 1000, &[0, 1]));
         t.record(
             &incidents,
             &[IncidentMeta::default(), IncidentMeta::default(), IncidentMeta::default()],
+            &colo,
             &mut interner,
         );
         t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
@@ -1614,12 +1655,17 @@ mod tests {
         for (gap, merged) in [(3600, true), (w - 1, true), (w, false), (w + 100, false)] {
             let mut interner = Interner::new();
             let mut t = Tracker::new(config.clone());
-            t.set_geography(&geography(&[(0, 9), (1, 0), (2, 0)]));
-            t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &mut interner);
+            let colo = geography(&[(0, 9), (1, 0), (2, 0)]);
+            t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
             t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
             assert_eq!(t.ongoing_count(), 0);
             // The neighbouring facility fails `gap` seconds after the close.
-            t.record(&[scoped(fac2, 2000 + gap, &[2])], &[IncidentMeta::default()], &mut interner);
+            t.record(
+                &[scoped(fac2, 2000 + gap, &[2])],
+                &[IncidentMeta::default()],
+                &colo,
+                &mut interner,
+            );
             assert_eq!(t.ongoing_count(), 1);
             let reports = t.finish();
             if merged {
@@ -1674,6 +1720,7 @@ mod tests {
             ("an image is imported", Op::Import, true),
         ];
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
         let mut prober = ScriptedRestoration::new(vec![]); // always StillDown
         let mut image = TrackerState::default();
@@ -1682,7 +1729,7 @@ mod tests {
             match op {
                 Op::Record(incidents) => {
                     let meta = vec![IncidentMeta::default(); incidents.len()];
-                    t.record(&incidents, &meta, &mut interner);
+                    t.record(&incidents, &meta, &colo, &mut interner);
                     image = t.export();
                 }
                 Op::Corroborate(fac) => {
@@ -1691,7 +1738,7 @@ mod tests {
                         confidence: 0.5,
                         first_bin: 1000,
                     };
-                    let hit = t.corroborate(OutageScope::Facility(FacilityId(fac)), contrib);
+                    let hit = t.corroborate(OutageScope::Facility(FacilityId(fac)), contrib, &colo);
                     assert_eq!(hit, changes, "{what}");
                 }
                 Op::Probe(now) => drop(t.probe_restorations(now, &mut prober)),
@@ -1712,6 +1759,7 @@ mod tests {
         // incident with evidence, a cooling segment, a warming streak and
         // a finished report.
         let mut interner = Interner::new();
+        let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 1));
         t.record(
             &[incident(1000, &[0, 1])],
@@ -1721,11 +1769,12 @@ mod tests {
                 completeness: 0.9,
                 ..IncidentMeta::default()
             }],
+            &colo,
             &mut interner,
         );
         let mut other = incident(2000, &[2]);
         other.scope = OutageScope::Facility(FacilityId(7));
-        t.record(&[other], &[IncidentMeta::default()], &mut interner);
+        t.record(&[other], &[IncidentMeta::default()], &colo, &mut interner);
         t.finish_report(OutageReport {
             scope: OutageScope::Facility(FacilityId(9)),
             start: 10,

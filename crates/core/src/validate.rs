@@ -125,7 +125,7 @@ pub(crate) fn confirm(
     let (mut kept, mut metas) = (Vec::new(), Vec::new());
     for (inc, mut meta) in incidents {
         meta.dataplane = (prober.as_deref_mut())
-            .and_then(|p| p.baseline(inc.scope.epicenter(), now))
+            .and_then(|p| p.baseline(inc.scope, now))
             .filter(|r| r.baseline > 0)
             .map(|r| kepler_probe::confirm(r, t_fail));
         if meta.dataplane == Some(false) {
@@ -189,7 +189,7 @@ impl ClassCounts {
 pub(crate) mod tests {
     use super::*;
     use kepler_bgp::Asn;
-    use kepler_probe::{Epicenter, PostState, ProbeRequest, ProbeResult};
+    use kepler_probe::{PostState, ProbeRequest, ProbeResult};
 
     /// A prober whose baseline re-probe has one fixed answer for every
     /// scope; its campaigns decide nothing.
@@ -201,7 +201,7 @@ pub(crate) mod tests {
             ProbeReport::default()
         }
 
-        fn baseline(&mut self, _epicenter: Epicenter, _now: Timestamp) -> Option<ProbeResult> {
+        fn baseline(&mut self, _epicenter: OutageScope, _now: Timestamp) -> Option<ProbeResult> {
             self.0
         }
     }

@@ -7,12 +7,18 @@ use crate::pos::{classify, Voice};
 use crate::scheme::{CommunityScheme, SchemeTarget};
 use kepler_bgp::fx::FxHashMap;
 use kepler_bgp::{Asn, Community};
-use kepler_topology::{CityGazetteer, CityId, ColocationMap, FacilityId, IxpId};
+use kepler_topology::{CityGazetteer, CityId, ColocationMap, FacilityId, IxpId, OutageScope};
 use std::collections::{BTreeSet, HashMap};
 
 /// What a dictionary entry geolocates (paper §3.2: "we only keep
 /// communities that tag three types of Named Entities: (i) city-level
 /// locations, (ii) IXPs, and (iii) colocation facilities").
+///
+/// It names the same three places as [`OutageScope`] and converts both
+/// ways with `From`, but stays its own type: it orders City < Facility <
+/// Ixp, which fixes the walk of every `BTreeMap<LocationTag, _>` in the
+/// investigator, and its store wire tags (City 0, Facility 1, Ixp 2)
+/// differ from the scope's (Facility 0, Ixp 1, City 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LocationTag {
     /// City-granularity ingress.
@@ -21,6 +27,26 @@ pub enum LocationTag {
     Facility(FacilityId),
     /// IXP-granularity ingress.
     Ixp(IxpId),
+}
+
+impl From<LocationTag> for OutageScope {
+    fn from(tag: LocationTag) -> Self {
+        match tag {
+            LocationTag::Facility(f) => OutageScope::Facility(f),
+            LocationTag::Ixp(x) => OutageScope::Ixp(x),
+            LocationTag::City(c) => OutageScope::City(c),
+        }
+    }
+}
+
+impl From<OutageScope> for LocationTag {
+    fn from(scope: OutageScope) -> Self {
+        match scope {
+            OutageScope::Facility(f) => LocationTag::Facility(f),
+            OutageScope::Ixp(x) => LocationTag::Ixp(x),
+            OutageScope::City(c) => LocationTag::City(c),
+        }
+    }
 }
 
 /// One dictionary entry.
@@ -378,6 +404,46 @@ mod tests {
             route_server_asn: Some(Asn(8714)),
         });
         (m, g)
+    }
+
+    /// The contract every crate relies on: scopes order Facility < Ixp <
+    /// City (the tracker merges into the smallest related scope and walks
+    /// its tables in this order), `city` and `related` read the map, and
+    /// tags convert to scopes and back unchanged.
+    #[test]
+    fn outage_scope_contract() {
+        let (mut m, g) = world();
+        let (london, la) = (CityId(g.geocode("London").unwrap() as u32), m.facilities()[0].city);
+        m.add_facility(Facility { id: FacilityId(1), city: london, ..m.facilities()[0].clone() });
+        let (lax, linx, ldn) = (
+            OutageScope::Facility(FacilityId(0)),
+            OutageScope::Ixp(IxpId(0)),
+            OutageScope::Facility(FacilityId(1)),
+        );
+
+        assert!(OutageScope::Facility(FacilityId(u32::MAX)) < OutageScope::Ixp(IxpId(0)));
+        assert!(OutageScope::Ixp(IxpId(u32::MAX)) < OutageScope::City(CityId(0)));
+
+        assert_eq!(lax.city(&m), Some(la));
+        assert_eq!(linx.city(&m), Some(london));
+        assert_eq!(ldn.city(&m), Some(london));
+        assert_eq!(OutageScope::City(CityId(7)).city(&m), Some(CityId(7)));
+        assert_eq!(OutageScope::Facility(FacilityId(9)).city(&m), None);
+        assert_eq!(OutageScope::Ixp(IxpId(9)).city(&m), None);
+
+        assert!(linx.related(ldn, &m) && ldn.related(OutageScope::City(london), &m));
+        assert!(!lax.related(linx, &m) && !lax.related(OutageScope::City(london), &m));
+        let unknown = OutageScope::Facility(FacilityId(9));
+        assert!(unknown.related(unknown, &m) && !unknown.related(lax, &m));
+
+        for (tag, scope) in [
+            (LocationTag::Facility(FacilityId(3)), OutageScope::Facility(FacilityId(3))),
+            (LocationTag::Ixp(IxpId(1)), OutageScope::Ixp(IxpId(1))),
+            (LocationTag::City(CityId(9)), OutageScope::City(CityId(9))),
+        ] {
+            assert_eq!(OutageScope::from(tag), scope);
+            assert_eq!(LocationTag::from(scope), tag);
+        }
     }
 
     fn scheme(g: &CityGazetteer) -> CommunityScheme {

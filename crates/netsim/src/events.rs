@@ -2,7 +2,7 @@
 
 use crate::world::World;
 use kepler_bgp::Asn;
-use kepler_topology::{FacilityId, IxpId};
+use kepler_topology::{FacilityId, IxpId, OutageScope};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -91,27 +91,18 @@ impl EventKind {
         !matches!(self, EventKind::CollectorFlap { .. } | EventKind::LatencySurge { .. })
     }
 
-    /// The facility/IXP epicenter, if the event has one.
-    pub fn epicenter(&self) -> Option<Epicenter> {
+    /// The physical epicenter, if the event has one: a facility or an
+    /// IXP, never a city.
+    pub fn epicenter(&self) -> Option<OutageScope> {
         match self {
-            EventKind::FacilityOutage { facility, .. } | EventKind::FiberCut { facility, .. } => {
-                Some(Epicenter::Facility(*facility))
-            }
-            EventKind::OperatorWithdraw { facility, .. } => Some(Epicenter::Facility(*facility)),
-            EventKind::LatencySurge { facility, .. } => Some(Epicenter::Facility(*facility)),
-            EventKind::IxpOutage { ixp, .. } => Some(Epicenter::Ixp(*ixp)),
+            EventKind::FacilityOutage { facility, .. }
+            | EventKind::FiberCut { facility, .. }
+            | EventKind::OperatorWithdraw { facility, .. }
+            | EventKind::LatencySurge { facility, .. } => Some(OutageScope::Facility(*facility)),
+            EventKind::IxpOutage { ixp, .. } => Some(OutageScope::Ixp(*ixp)),
             _ => None,
         }
     }
-}
-
-/// Physical epicenter of an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Epicenter {
-    /// A building.
-    Facility(FacilityId),
-    /// An exchange fabric.
-    Ixp(IxpId),
 }
 
 /// An event placed on the timeline.
@@ -172,7 +163,7 @@ mod tests {
     fn classification_helpers() {
         let f = EventKind::FacilityOutage { facility: FacilityId(1), affected_fraction: 1.0 };
         assert!(f.is_infrastructure_outage());
-        assert_eq!(f.epicenter(), Some(Epicenter::Facility(FacilityId(1))));
+        assert_eq!(f.epicenter(), Some(OutageScope::Facility(FacilityId(1))));
         let d = EventKind::Depeering { a: Asn(1), b: Asn(2) };
         assert!(!d.is_infrastructure_outage());
         assert_eq!(d.epicenter(), None);

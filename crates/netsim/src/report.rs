@@ -6,9 +6,9 @@
 //! to be written up, large incidents more than small ones, and overall
 //! only ≈24% of real infrastructure outages surface anywhere public.
 
-use crate::events::{Epicenter, EventKind, GroundTruthEvent};
+use crate::events::{EventKind, GroundTruthEvent};
 use crate::world::World;
-use kepler_topology::Continent;
+use kepler_topology::{Continent, OutageScope};
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -28,17 +28,18 @@ pub struct ReportedOutage {
 
 /// Where the epicenter sits and whether the country is US/GB.
 fn epicenter_region(world: &World, kind: &EventKind) -> Option<(Continent, bool)> {
-    let epi = kind.epicenter()?;
-    match epi {
-        Epicenter::Facility(f) => {
+    match kind.epicenter()? {
+        OutageScope::Facility(f) => {
             let fac = world.colo.facility(f)?;
             Some((fac.continent, fac.country == "US" || fac.country == "GB"))
         }
-        Epicenter::Ixp(x) => {
+        OutageScope::Ixp(x) => {
             let ixp = world.colo.ixp(x)?;
             let city = world.gazetteer.by_index(ixp.city.0 as usize)?;
             Some((ixp.continent, city.country == "US" || city.country == "GB"))
         }
+        // Ground truth never places an event at a whole city.
+        OutageScope::City(_) => None,
     }
 }
 

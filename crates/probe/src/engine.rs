@@ -33,15 +33,15 @@
 use crate::analysis::{FacilityVerdict, HopEvidence, MeasuredPair, PathAnalyzer};
 use crate::health::{BackendHealth, HealthConfig, HealthTracker};
 use crate::lifecycle::{drive, AsyncTraceBackend, LifecycleConfig, SyncAdapter};
-use crate::restoration::{Epicenter, RestorationProber, RestorationReport, RestorationVerdict};
+use crate::restoration::{RestorationProber, RestorationReport, RestorationVerdict};
 use crate::schedule::{CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit};
 use crate::telemetry::{lock_ledger, SharedRttLedger};
-use crate::trace::{IfaceOwner, ProbeResult, Trace};
+use crate::trace::{ProbeResult, Trace};
 use crate::vantage::VantageRegistry;
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
 use kepler_docmine::LocationTag;
-use kepler_topology::{CityId, ColocationMap, FacilityId};
+use kepler_topology::{ColocationMap, FacilityId, OutageScope};
 
 /// A validation request from the investigation stage: "passive evidence
 /// suspects these colocated facilities — which one is actually dark?"
@@ -184,7 +184,7 @@ pub trait Prober {
     /// paths known to cross `epicenter`. `None` (the default) means no
     /// baseline evidence, and so does a result with `baseline == 0`:
     /// the control-plane inference then stands.
-    fn baseline(&mut self, _epicenter: Epicenter, _now: Timestamp) -> Option<ProbeResult> {
+    fn baseline(&mut self, _epicenter: OutageScope, _now: Timestamp) -> Option<ProbeResult> {
         None
     }
 }
@@ -444,16 +444,13 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
     /// Probe targets for an epicenter at any granularity: affected
     /// far-ends co-located there, falling back to all affected far-ends
     /// when the map knows none.
-    fn targets_for_epicenter(&self, epicenter: Epicenter, affected_far: &[Asn]) -> Vec<Asn> {
+    fn targets_for_epicenter(&self, epicenter: OutageScope, affected_far: &[Asn]) -> Vec<Asn> {
         let cap = self.config.max_targets_per_candidate;
         let at_epicenter = |a: &Asn| match epicenter {
-            Epicenter::Facility(f) => self.colo.is_at_facility(*a, f),
-            Epicenter::Ixp(x) => self.colo.members_of_ixp(x).contains(a),
-            Epicenter::City(c) => self
-                .colo
-                .facilities_of_as(*a)
-                .iter()
-                .any(|f| self.colo.facility(*f).map(|f| f.city == c).unwrap_or(false)),
+            OutageScope::Facility(f) => self.colo.is_at_facility(*a, f),
+            OutageScope::Ixp(x) => self.colo.members_of_ixp(x).contains(a),
+            OutageScope::City(c) => (self.colo.facilities_of_as(*a).iter())
+                .any(|&f| OutageScope::Facility(f).city(&self.colo) == Some(c)),
         };
         let colocated: Vec<Asn> =
             affected_far.iter().copied().filter(|a| at_epicenter(a)).take(cap).collect();
@@ -463,28 +460,14 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
         affected_far.iter().copied().take(cap).collect()
     }
 
-    /// The metro to keep vantage points out of.
-    fn epicenter_city(&self, epicenter: Epicenter) -> Option<CityId> {
-        match epicenter {
-            Epicenter::Facility(f) => self.colo.facility(f).map(|f| f.city),
-            Epicenter::Ixp(x) => self.colo.ixp(x).map(|x| x.city),
-            Epicenter::City(c) => Some(c),
-        }
-    }
-
     /// Whether a trace demonstrably crosses the epicenter.
-    fn crosses_epicenter(&self, trace: &Trace, epicenter: Epicenter) -> bool {
+    fn crosses_epicenter(&self, trace: &Trace, epicenter: OutageScope) -> bool {
         match epicenter {
-            Epicenter::Facility(f) => trace.crosses_facility(f),
-            Epicenter::Ixp(x) => trace.crosses_ixp(x),
-            Epicenter::City(c) => trace.hops.iter().any(|h| match h.owner {
-                IfaceOwner::FacilityPort { facility, .. } => {
-                    self.colo.facility(facility).map(|f| f.city == c).unwrap_or(false)
-                }
-                IfaceOwner::IxpLan { ixp, .. } => {
-                    self.colo.ixp(ixp).map(|x| x.city == c).unwrap_or(false)
-                }
-            }),
+            OutageScope::Facility(f) => trace.crosses_facility(f),
+            OutageScope::Ixp(x) => trace.crosses_ixp(x),
+            OutageScope::City(c) => {
+                trace.hops.iter().any(|h| h.owner.site().city(&self.colo) == Some(c))
+            }
         }
     }
 
@@ -494,14 +477,15 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
     /// how many admission dropped.
     fn plan_epicenter_campaign(
         &mut self,
-        epicenter: Epicenter,
+        epicenter: OutageScope,
         affected_far: &[Asn],
         panel_seed: u64,
         now: Timestamp,
         vantage_cap: usize,
     ) -> (Vec<ProbeTask>, usize) {
         let targets = self.targets_for_epicenter(epicenter, affected_far);
-        let avoid = self.epicenter_city(epicenter);
+        // The metro to keep vantage points out of.
+        let avoid = epicenter.city(&self.colo);
         let panel = self.registry.select(
             avoid,
             vantage_cap.min(self.config.vantages_per_target),
@@ -517,7 +501,7 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
             }
         }
         let want = tasks.len() as u32;
-        let bucket_grant = self.scheduler.admit_key(epicenter.sched_key(), now, want);
+        let bucket_grant = self.scheduler.admit_key(sched_key(epicenter), now, want);
         let grant = self.credits.admit(now, bucket_grant);
         self.stats.credit_denied += (bucket_grant - grant) as usize;
         tasks.truncate(grant as usize);
@@ -555,6 +539,22 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
     }
 }
 
+/// Scheduler bucket key of an epicenter: the three id spaces are
+/// disjoint by tag bits, so an IXP's budget never drains a facility's.
+fn sched_key(epicenter: OutageScope) -> u32 {
+    match epicenter {
+        OutageScope::Facility(f) => f.0 & 0x3FFF_FFFF,
+        OutageScope::Ixp(x) => 0x4000_0000 | (x.0 & 0x3FFF_FFFF),
+        OutageScope::City(c) => 0x8000_0000 | (c.0 & 0x3FFF_FFFF),
+    }
+}
+
+/// A stable 64-bit discriminant of an epicenter, for vantage-panel
+/// seeding.
+fn seed(epicenter: OutageScope) -> u64 {
+    (sched_key(epicenter) as u64) << 32
+}
+
 impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
     fn validate(&mut self, request: &ProbeRequest, now: Timestamp) -> ProbeReport {
         self.stats.requests += 1;
@@ -571,7 +571,7 @@ impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
         let mut completed = 0usize;
         for &candidate in request.candidates.iter().take(cand_cap) {
             let (tasks, dropped) = self.plan_epicenter_campaign(
-                Epicenter::Facility(candidate),
+                OutageScope::Facility(candidate),
                 &request.affected_far,
                 (candidate.0 as u64) << 32 ^ request.bin_start,
                 now,
@@ -618,7 +618,7 @@ impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
     /// Re-traces the corpus pairs whose quiet trace crosses `epicenter`.
     /// A re-probe that does not complete counts toward neither number;
     /// `None` when none completes or no corpus trace crosses.
-    fn baseline(&mut self, epicenter: Epicenter, now: Timestamp) -> Option<ProbeResult> {
+    fn baseline(&mut self, epicenter: OutageScope, now: Timestamp) -> Option<ProbeResult> {
         let crossing: Vec<ProbeTask> = (self.corpus.iter())
             .filter(|(_, quiet)| self.crosses_epicenter(quiet, epicenter))
             .map(|&(task, _)| task)
@@ -644,7 +644,7 @@ impl<B: AsyncTraceBackend> RestorationProber for ProbeEngine<B> {
     /// credit ledger with validation campaigns.
     fn check(
         &mut self,
-        epicenter: Epicenter,
+        epicenter: OutageScope,
         targets: &[Asn],
         incident_start: Timestamp,
         now: Timestamp,
@@ -655,7 +655,7 @@ impl<B: AsyncTraceBackend> RestorationProber for ProbeEngine<B> {
         let (tasks, dropped) = self.plan_epicenter_campaign(
             epicenter,
             targets,
-            epicenter.seed() ^ now,
+            seed(epicenter) ^ now,
             now,
             vantage_cap,
         );
@@ -996,11 +996,11 @@ mod tests {
         let mut engine = ProbeEngine::new(backend, registry(), colo, ProbeEngineConfig::default());
         use crate::restoration::{RestorationProber, RestorationVerdict};
         let targets = [Asn(20), Asn(21), Asn(22)];
-        let during = engine.check(Epicenter::Facility(FacilityId(1)), &targets, 9_600, 12_000);
+        let during = engine.check(OutageScope::Facility(FacilityId(1)), &targets, 9_600, 12_000);
         assert_eq!(during.verdict, RestorationVerdict::StillDown);
         assert!(during.watched >= 2, "baseline paths crossed the building");
         assert_eq!(during.crossing, 0, "nothing crosses a dark building");
-        let after = engine.check(Epicenter::Facility(FacilityId(1)), &targets, 9_600, 30_000);
+        let after = engine.check(OutageScope::Facility(FacilityId(1)), &targets, 9_600, 30_000);
         assert_eq!(after.verdict, RestorationVerdict::Restored);
         assert_eq!(after.crossing, after.watched);
         assert_eq!(engine.stats().restoration_checks, 2);
@@ -1054,9 +1054,9 @@ mod tests {
         let mut engine =
             ProbeEngine::new(backend, registry(), colo_with_ixp(), ProbeEngineConfig::default());
         let targets = [Asn(20), Asn(21), Asn(22)];
-        let during = engine.check(Epicenter::Ixp(IxpId(4)), &targets, 9_600, 12_000);
+        let during = engine.check(OutageScope::Ixp(IxpId(4)), &targets, 9_600, 12_000);
         assert_eq!(during.verdict, RestorationVerdict::StillDown, "{during:?}");
-        let after = engine.check(Epicenter::Ixp(IxpId(4)), &targets, 9_600, 30_000);
+        let after = engine.check(OutageScope::Ixp(IxpId(4)), &targets, 9_600, 30_000);
         assert_eq!(after.verdict, RestorationVerdict::Restored, "{after:?}");
     }
 
@@ -1077,7 +1077,7 @@ mod tests {
         // city 0, so the city check must say Restored throughout. That is
         // correct behavior for this topology (the metro keeps forwarding);
         // assert the conservative direction only after repair.
-        let after = engine.check(Epicenter::City(CityId(0)), &targets, 9_600, 30_000);
+        let after = engine.check(OutageScope::City(CityId(0)), &targets, 9_600, 30_000);
         assert_eq!(after.verdict, RestorationVerdict::Restored, "{after:?}");
     }
 
@@ -1091,7 +1091,7 @@ mod tests {
             ScriptedBackend { dark: FacilityId(1), down_from: 9_500, down_to: 20_000, fac_of };
         let mut engine = ProbeEngine::new(backend, registry(), colo, ProbeEngineConfig::default());
         let no_baseline =
-            engine.check(Epicenter::Facility(FacilityId(1)), &[Asn(30), Asn(31)], 9_600, 30_000);
+            engine.check(OutageScope::Facility(FacilityId(1)), &[Asn(30), Asn(31)], 9_600, 30_000);
         assert_eq!(no_baseline.verdict, RestorationVerdict::Inconclusive);
         // A drained bucket yields Inconclusive, never Restored.
         let colo = colo_with(&[(1, &[20, 21, 22])]);
@@ -1103,7 +1103,7 @@ mod tests {
         };
         let mut engine = ProbeEngine::new(backend, registry(), colo, config);
         let starved = engine.check(
-            Epicenter::Facility(FacilityId(1)),
+            OutageScope::Facility(FacilityId(1)),
             &[Asn(20), Asn(21), Asn(22)],
             9_600,
             30_000,
@@ -1123,7 +1123,7 @@ mod tests {
         let mut engine =
             ProbeEngine::with_async(backend, registry(), colo, ProbeEngineConfig::default());
         let r = engine.check(
-            Epicenter::Facility(FacilityId(1)),
+            OutageScope::Facility(FacilityId(1)),
             &[Asn(20), Asn(21), Asn(22)],
             9_600,
             30_000,
@@ -1175,7 +1175,7 @@ mod tests {
                 .with_baseline_corpus(&pairs, quiet_t)
         };
         let mut quiet = engine(1_000);
-        let fac = |f| Epicenter::Facility(FacilityId(f));
+        let fac = |f| OutageScope::Facility(FacilityId(f));
         // During the outage 20 and 22 detour and 21 is unreachable: all
         // three complete, none crosses. After the repair all three do.
         assert_eq!(quiet.baseline(fac(1), 12_000), crossing(0, 3));
@@ -1208,7 +1208,7 @@ mod tests {
         let mut engine =
             ProbeEngine::new(backend, registry(), colo_in(&[], city_of), Default::default())
                 .with_baseline_corpus(&tasks(&[10, 20, 30]), 1_000);
-        let city = |c| Epicenter::City(CityId(c));
+        let city = |c| OutageScope::City(CityId(c));
         assert_eq!(engine.baseline(city(0), 5_000), crossing(2, 2));
         assert_eq!(engine.baseline(city(1), 5_000), crossing(1, 1));
         assert_eq!(engine.baseline(city(2), 5_000), crossing(3, 3));
@@ -1226,7 +1226,7 @@ mod tests {
         let mut engine =
             ProbeEngine::with_async(backend, registry(), colo_with(&[]), Default::default())
                 .with_baseline_corpus(&tasks(&[30, 31, 32]), 1_000);
-        let fac2 = Epicenter::Facility(FacilityId(2));
+        let fac2 = OutageScope::Facility(FacilityId(2));
         assert_eq!(engine.baseline(fac2, 12_000), crossing(2, 2));
         // Every live re-probe lost: no evidence at all.
         let backend = lossy(|m| m.at > 1_000, |_| false);

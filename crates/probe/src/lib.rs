@@ -50,7 +50,8 @@
 //!   outcome once, replay it bit-identically offline
 //!   ([`RecordingBackend`] / [`ReplayBackend`]).
 //! * [`restoration`] — probe-driven restoration detection: open
-//!   incident [`Epicenter`]s (facility-, IXP- or city-scoped) are
+//!   incident epicenters (a
+//!   [`kepler_topology::OutageScope`]: facility, IXP or city) are
 //!   re-probed on an exponential-backoff schedule ([`Backoff`]) behind
 //!   the [`RestorationProber`] trait, closing incidents on data-plane
 //!   recovery instead of waiting out BGP reconvergence.
@@ -116,14 +117,18 @@ pub use engine::{
 };
 pub use fixture::{CampaignTranscript, RecordedOutcome, RecordingBackend, ReplayBackend};
 pub use health::{BackendHealth, HealthConfig, HealthTracker};
+/// [`kepler_topology::OutageScope`] under the name this crate once gave
+/// its own copy.
+///
+/// Kept for `benchmark/`, which names it, until a change to the benchmark
+/// switches that code to `OutageScope`.
+pub use kepler_topology::OutageScope as Epicenter;
 pub use lifecycle::{
     drive, AsyncTraceBackend, LifecycleConfig, Measurement, MeasurementOutcome, MeasurementState,
     SubmitResult, SyncAdapter,
 };
-pub use restoration::{
-    Backoff, Epicenter, RestorationProber, RestorationReport, RestorationVerdict,
-};
+pub use restoration::{Backoff, RestorationProber, RestorationReport, RestorationVerdict};
 pub use schedule::{CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit};
-pub use telemetry::{shared_ledger, DelaySite, RttAnomaly, RttLedger, SharedRttLedger};
+pub use telemetry::{shared_ledger, RttAnomaly, RttLedger, SharedRttLedger};
 pub use trace::{confirm, splitmix64, IfaceOwner, ProbeResult, Trace, TraceHop};
 pub use vantage::{VantageId, VantagePoint, VantageRegistry};

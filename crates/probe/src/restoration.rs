@@ -5,11 +5,13 @@
 //! never returning), while Figure 10b shows ~85% of *data-plane* paths
 //! back within an hour. A tracker that waits for the control plane alone
 //! therefore over-reports downtime. This module closes the gap: the
-//! [`Epicenter`] of every open incident — facility-, IXP- or
-//! city-scoped, probe-confirmed or passively localized — is **re-probed
-//! on an exponential-backoff schedule**, and when baseline paths
-//! demonstrably cross it again the incident can be closed long before
-//! the BGP watch list recovers.
+//! epicenter of every open incident — an [`OutageScope`], facility-, IXP-
+//! or city-scoped, probe-confirmed or passively localized — is
+//! **re-probed on an exponential-backoff schedule**, and when baseline
+//! paths demonstrably cross it again the incident can be closed long
+//! before the BGP watch list recovers. A facility restores when baseline
+//! paths cross *it* again, an IXP when they cross its fabric, a city when
+//! they cross any facility or fabric located there.
 //!
 //! The same safety asymmetry as confirmation applies, mirrored:
 //!
@@ -30,39 +32,7 @@
 
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
-use kepler_topology::{CityId, FacilityId, IxpId};
-
-/// The epicenter of an open incident, at whatever granularity passive
-/// localization settled on. Restoration probing handles all three: a
-/// facility restores when baseline paths cross *it* again, an IXP when
-/// they cross its fabric, a city when they cross any facility or fabric
-/// located there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Epicenter {
-    /// A single building.
-    Facility(FacilityId),
-    /// An exchange fabric.
-    Ixp(IxpId),
-    /// A metropolitan area.
-    City(CityId),
-}
-
-impl Epicenter {
-    /// Scheduler bucket key: the three id spaces are disjoint by tag bits
-    /// so an IXP's budget never drains a facility's.
-    pub fn sched_key(&self) -> u32 {
-        match *self {
-            Epicenter::Facility(f) => f.0 & 0x3FFF_FFFF,
-            Epicenter::Ixp(x) => 0x4000_0000 | (x.0 & 0x3FFF_FFFF),
-            Epicenter::City(c) => 0x8000_0000 | (c.0 & 0x3FFF_FFFF),
-        }
-    }
-
-    /// A stable 64-bit discriminant for vantage-panel seeding.
-    pub fn seed(&self) -> u64 {
-        (self.sched_key() as u64) << 32
-    }
-}
+use kepler_topology::OutageScope;
 
 /// What a restoration re-probe concluded about an incident epicenter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +88,7 @@ pub trait RestorationProber {
     /// baseline lookup (traces are archived *before* that instant).
     fn check(
         &mut self,
-        epicenter: Epicenter,
+        epicenter: OutageScope,
         targets: &[Asn],
         incident_start: Timestamp,
         now: Timestamp,

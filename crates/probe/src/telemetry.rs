@@ -9,7 +9,9 @@
 //! recorded on a [`TraceHop`](crate::trace::TraceHop) is cumulative along
 //! the path, so the *step* `rtt(hop_k) - rtt(hop_{k-1})` isolates the
 //! segment entering `hop_k`; a step far above its shared baseline is a
-//! delay anomaly attributed to `hop_k`'s owning infrastructure.
+//! delay anomaly attributed to `hop_k`'s owning infrastructure — the
+//! facility or IXP [`OutageScope`] the detector localizes outages to, so
+//! a delay signal needs no translation on its way into the tracker.
 //!
 //! Baselines are min-filtered (the minimum observed step approximates
 //! propagation delay; queueing noise only ever adds), matching the
@@ -26,18 +28,8 @@ use crate::trace::{IfaceOwner, Trace};
 use kepler_bgp::fx::FxHashMap;
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
-use kepler_topology::{FacilityId, IxpId};
+use kepler_topology::OutageScope;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// The infrastructure a delay anomaly is attributed to: the owner of the
-/// hop whose RTT step exceeded its shared baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DelaySite {
-    /// A colocation facility.
-    Facility(FacilityId),
-    /// An IXP peering LAN.
-    Ixp(IxpId),
-}
 
 /// Key of one shared hop-pair baseline: the vantage AS plus the owner
 /// identities of two consecutive responding hops. [`PAIR_START`] stands
@@ -56,21 +48,16 @@ fn owner_key(owner: IfaceOwner) -> u64 {
     }
 }
 
-fn owner_site(owner: IfaceOwner) -> DelaySite {
-    match owner {
-        IfaceOwner::FacilityPort { facility, .. } => DelaySite::Facility(facility),
-        IfaceOwner::IxpLan { ixp, .. } => DelaySite::Ixp(ixp),
-    }
-}
-
 /// One recorded delay anomaly: a live hop-pair step exceeded its shared
 /// baseline by more than the ledger threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RttAnomaly {
     /// When the live trace was measured.
     pub t: Timestamp,
-    /// The infrastructure the slow segment enters.
-    pub site: DelaySite,
+    /// The infrastructure the slow segment enters: the facility or IXP
+    /// owning the hop whose RTT step exceeded its shared baseline (never a
+    /// city).
+    pub site: OutageScope,
     /// Milliseconds above the baseline step.
     pub excess_ms: f64,
     /// The measurement key (for distinct-pair counting downstream).
@@ -123,7 +110,7 @@ impl RttLedger {
                 if excess > self.threshold_ms {
                     self.anomalies.push(RttAnomaly {
                         t,
-                        site: owner_site(owner),
+                        site: owner.site(),
                         excess_ms: excess,
                         key,
                     });
@@ -187,6 +174,7 @@ pub fn lock_ledger(ledger: &SharedRttLedger) -> MutexGuard<'_, RttLedger> {
 mod tests {
     use super::*;
     use crate::trace::TraceHop;
+    use kepler_topology::{FacilityId, IxpId};
     use std::net::{IpAddr, Ipv4Addr};
 
     fn hop(oct: u8, owner: IfaceOwner, rtt: f64) -> TraceHop {
@@ -211,7 +199,7 @@ mod tests {
         ledger.observe_current(Asn(900), 1_000, &path(&[(1, 7, 5.0), (2, 8, 50.0)]));
         let anomalies = ledger.drain_anomalies();
         assert_eq!(anomalies.len(), 1, "{anomalies:?}");
-        assert_eq!(anomalies[0].site, DelaySite::Facility(FacilityId(8)));
+        assert_eq!(anomalies[0].site, OutageScope::Facility(FacilityId(8)));
         assert!((anomalies[0].excess_ms - 40.0).abs() < 1e-9);
         assert_eq!(anomalies[0].t, 1_000);
         // Drain empties the buffer but keeps baselines.
@@ -273,7 +261,7 @@ mod tests {
         ledger.observe_current(Asn(900), 700, &lan(60.0));
         let anomalies = ledger.drain_anomalies();
         assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].site, DelaySite::Ixp(IxpId(4)));
+        assert_eq!(anomalies[0].site, OutageScope::Ixp(IxpId(4)));
     }
 
     // ---- the hashed ledger against an ordered reference model ----
@@ -316,7 +304,7 @@ mod tests {
             for (key, step, owner) in Self::steps(vantage, trace) {
                 let Some(base) = self.baselines.get(&key) else { continue };
                 if step - base > threshold {
-                    let (site, excess_ms) = (owner_site(owner), step - base);
+                    let (site, excess_ms) = (owner.site(), step - base);
                     self.anomalies.push(RttAnomaly { t, site, excess_ms, key });
                 }
             }

@@ -7,7 +7,7 @@
 //! ([`ProbeResult`] / [`confirm`]) sits next to them.
 
 use kepler_bgp::Asn;
-use kepler_topology::{FacilityId, IxpId};
+use kepler_topology::{FacilityId, IxpId, OutageScope};
 use std::net::IpAddr;
 
 /// What an interface address resolves to (the traIXroute-style
@@ -28,6 +28,17 @@ pub enum IfaceOwner {
         /// The exchange.
         ixp: IxpId,
     },
+}
+
+impl IfaceOwner {
+    /// The infrastructure the interface sits in: its facility or its
+    /// IXP's fabric.
+    pub fn site(self) -> OutageScope {
+        match self {
+            IfaceOwner::FacilityPort { facility, .. } => OutageScope::Facility(facility),
+            IfaceOwner::IxpLan { ixp, .. } => OutageScope::Ixp(ixp),
+        }
+    }
 }
 
 /// One traceroute hop.

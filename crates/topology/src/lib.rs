@@ -16,6 +16,9 @@
 //!   their diverging naming conventions.
 //! * [`merge`] — source merging into a single [`colomap::ColocationMap`].
 //! * [`colomap`] — the queryable map with all indices Kepler needs.
+//! * [`scope`] — [`OutageScope`], where an outage is localized (facility,
+//!   IXP or city), with its city, members and relatedness read off the
+//!   map.
 //!
 //! # Invariants
 //!
@@ -37,9 +40,11 @@ pub mod entities;
 pub mod geo;
 pub mod merge;
 pub mod org;
+pub mod scope;
 pub mod sources;
 
 pub use colomap::ColocationMap;
 pub use entities::{AsInfo, AsType, CityId, Facility, FacilityId, Ixp, IxpId};
 pub use geo::{CityGazetteer, Continent, GeoPoint};
 pub use org::{OrgId, OrgMap};
+pub use scope::OutageScope;

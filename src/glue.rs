@@ -23,7 +23,7 @@ use kepler_core::signal::{DelayDetector, ForecastDetector};
 use kepler_core::{Kepler, KeplerConfig, KeplerInputs, RemotenessMap};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_netsim::dataplane::{default_pairs, DataplaneSim, PairWindow, ProbePair, TreeCache};
-use kepler_netsim::events::{Epicenter, ScheduledEvent};
+use kepler_netsim::events::ScheduledEvent;
 use kepler_netsim::scenario::Scenario;
 use kepler_netsim::world::{AsNode, World};
 use kepler_netsim::{FaultConfig, FaultyBackend};
@@ -401,7 +401,7 @@ pub fn trackable_facilities(scenario: &Scenario, config: &KeplerConfig) -> Vec<F
             is_trackable(
                 &scenario.world,
                 &dictionary,
-                &Epicenter::Facility(f.id),
+                OutageScope::Facility(f.id),
                 config.trackable_min_members,
             )
         })
@@ -425,19 +425,11 @@ pub fn detector_for(scenario: &Scenario, config: KeplerConfig) -> Kepler {
 pub fn is_trackable(
     world: &World,
     dictionary: &CommunityDictionary,
-    epicenter: &Epicenter,
+    epicenter: OutageScope,
     min_members: usize,
 ) -> bool {
-    let locatable = |asn: kepler_bgp::Asn| asn.is_16bit() && dictionary.covers_asn(asn.0 as u16);
-    match epicenter {
-        Epicenter::Facility(f) => {
-            world.colo.members_of_facility(*f).iter().filter(|&&a| locatable(a)).count()
-                >= min_members
-        }
-        Epicenter::Ixp(x) => {
-            world.colo.members_of_ixp(*x).iter().filter(|&&a| locatable(a)).count() >= min_members
-        }
-    }
+    let locatable = |asn: &Asn| asn.is_16bit() && dictionary.covers_asn(asn.0 as u16);
+    epicenter.members(&world.colo).iter().filter(|a| locatable(a)).count() >= min_members
 }
 
 /// Surveys which facilities are *observably trackable* in a world: emits a
@@ -489,30 +481,20 @@ pub fn survey_trackable_facilities(
     ranked
 }
 
-/// Every PoP tag through which an epicenter can be located: its own
-/// facility/IXP tag, its city tag, and co-located IXP/facility tags.
-fn epicenter_tags(world: &World, epicenter: &Epicenter) -> Vec<kepler_docmine::LocationTag> {
-    use kepler_docmine::LocationTag;
-    let mut tags: Vec<LocationTag> = Vec::new();
+/// Every PoP tag through which an epicenter can be located: its own tag,
+/// its city's tag, and the tags of co-located IXPs or fabric buildings.
+fn epicenter_tags(world: &World, epicenter: OutageScope) -> Vec<LocationTag> {
+    let colo = &world.colo;
+    let mut tags = vec![LocationTag::from(epicenter)];
+    tags.extend(epicenter.city(colo).map(LocationTag::City));
     match epicenter {
-        Epicenter::Facility(f) => {
-            tags.push(LocationTag::Facility(*f));
-            if let Some(fac) = world.colo.facility(*f) {
-                tags.push(LocationTag::City(fac.city));
-            }
-            for x in world.colo.ixps_at_facility(*f) {
-                tags.push(LocationTag::Ixp(*x));
-            }
+        OutageScope::Facility(f) => {
+            tags.extend(colo.ixps_at_facility(f).iter().map(|&x| LocationTag::Ixp(x)))
         }
-        Epicenter::Ixp(x) => {
-            tags.push(LocationTag::Ixp(*x));
-            if let Some(ixp) = world.colo.ixp(*x) {
-                tags.push(LocationTag::City(ixp.city));
-            }
-            for f in world.colo.facilities_of_ixp(*x) {
-                tags.push(LocationTag::Facility(*f));
-            }
+        OutageScope::Ixp(x) => {
+            tags.extend(colo.facilities_of_ixp(x).iter().map(|&f| LocationTag::Facility(f)))
         }
+        OutageScope::City(_) => {}
     }
     tags
 }
@@ -526,7 +508,7 @@ pub fn observed_trackable(
     world: &World,
     monitor: &kepler_core::monitor::Monitor,
     interner: &kepler_core::Interner,
-    epicenter: &Epicenter,
+    epicenter: OutageScope,
 ) -> bool {
     epicenter_tags(world, epicenter).iter().any(|t| {
         let (n, f) = interner.lookup_pop(*t).map(|pop| monitor.pop_coverage(pop)).unwrap_or((0, 0));
@@ -543,17 +525,9 @@ pub fn truth_outages_observed(
     detector: &Kepler,
 ) -> Vec<TruthOutage> {
     let mut out = truth_outages(scenario, config);
-    for t in &mut out {
-        if !t.trackable {
-            continue;
-        }
-        let epicenter = match t.scope {
-            OutageScope::Facility(f) => Epicenter::Facility(f),
-            OutageScope::Ixp(x) => Epicenter::Ixp(x),
-            OutageScope::City(_) => continue,
-        };
-        let (monitor, interner) = detector.monitor_and_interner();
-        t.trackable = observed_trackable(&scenario.world, monitor, interner, &epicenter);
+    let (monitor, interner) = detector.monitor_and_interner();
+    for t in out.iter_mut().filter(|t| t.trackable) {
+        t.trackable = observed_trackable(&scenario.world, monitor, interner, t.scope);
     }
     out
 }
@@ -561,48 +535,34 @@ pub fn truth_outages_observed(
 /// Converts simulator ground truth into detector-agnostic truth records.
 pub fn truth_outages(scenario: &Scenario, config: &KeplerConfig) -> Vec<TruthOutage> {
     let dictionary = scenario.mined_dictionary();
+    let colo = &scenario.world.colo;
     scenario
         .output
         .ground_truth
         .iter()
         .filter_map(|gt| {
-            let epicenter = gt.kind.epicenter()?;
-            let scope = match epicenter {
-                Epicenter::Facility(f) => OutageScope::Facility(f),
-                Epicenter::Ixp(x) => OutageScope::Ixp(x),
-            };
-            let city = match epicenter {
-                Epicenter::Facility(f) => scenario.world.colo.facility(f).map(|f| f.city),
-                Epicenter::Ixp(x) => scenario.world.colo.ixp(x).map(|x| x.city),
-            };
-            let aliases = match epicenter {
+            let scope = gt.kind.epicenter()?;
+            let aliases = match scope {
                 // An IXP outage may be pinned to a fabric building when no
                 // surviving path discriminates.
-                Epicenter::Ixp(x) => scenario
-                    .world
-                    .colo
-                    .facilities_of_ixp(x)
-                    .iter()
-                    .map(|f| OutageScope::Facility(*f))
-                    .collect(),
+                OutageScope::Ixp(x) => {
+                    colo.facilities_of_ixp(x).iter().map(|f| OutageScope::Facility(*f)).collect()
+                }
                 // A facility outage equals the outage of any IXP whose
                 // entire fabric lives inside it.
-                Epicenter::Facility(f) => scenario
-                    .world
-                    .colo
-                    .ixps_at_facility(f)
-                    .iter()
+                OutageScope::Facility(f) => (colo.ixps_at_facility(f).iter())
                     .filter(|x| {
-                        let fabric = scenario.world.colo.facilities_of_ixp(**x);
+                        let fabric = colo.facilities_of_ixp(**x);
                         fabric.len() == 1 && fabric.contains(&f)
                     })
                     .map(|x| OutageScope::Ixp(*x))
                     .collect(),
+                OutageScope::City(_) => Vec::new(),
             };
             Some(TruthOutage {
                 id: gt.id,
                 scope,
-                city,
+                city: scope.city(colo),
                 aliases,
                 start: gt.start,
                 duration: gt.duration,
@@ -610,7 +570,7 @@ pub fn truth_outages(scenario: &Scenario, config: &KeplerConfig) -> Vec<TruthOut
                 trackable: is_trackable(
                     &scenario.world,
                     &dictionary,
-                    &epicenter,
+                    scope,
                     config.trackable_min_members,
                 ),
             })
@@ -781,9 +741,8 @@ mod tests {
     /// overlap later events.
     #[test]
     fn engine_baseline_is_the_straight_line_reference() {
-        use kepler_netsim::dataplane::IfaceOwner;
         use kepler_netsim::fuzz::{generated, FailureKind};
-        use kepler_probe::{Epicenter, ProbeResult, Prober};
+        use kepler_probe::{ProbeResult, Prober};
         use std::collections::{BTreeMap, BTreeSet};
         let mut samples = 0usize;
         for (seed, kind) in
@@ -798,17 +757,9 @@ mod tests {
             let scopes = |hops: &[kepler_netsim::dataplane::TraceHop]| {
                 let mut out = BTreeSet::new();
                 for h in hops {
-                    let (scope, city) = match h.owner {
-                        IfaceOwner::FacilityPort { facility, .. } => (
-                            OutageScope::Facility(facility),
-                            world.colo.facility(facility).map(|f| f.city),
-                        ),
-                        IfaceOwner::IxpLan { ixp, .. } => {
-                            (OutageScope::Ixp(ixp), world.colo.ixp(ixp).map(|x| x.city))
-                        }
-                    };
-                    out.insert(scope);
-                    out.extend(city.map(OutageScope::City));
+                    let site = h.owner.site();
+                    out.insert(site);
+                    out.extend(site.city(&world.colo).map(OutageScope::City));
                 }
                 out
             };
@@ -837,12 +788,7 @@ mod tests {
                         })
                         .count();
                     let want = ProbeResult { still_crossing: still, baseline: scope_pairs.len() };
-                    let epicenter = match *scope {
-                        OutageScope::Facility(f) => Epicenter::Facility(f),
-                        OutageScope::Ixp(x) => Epicenter::Ixp(x),
-                        OutageScope::City(c) => Epicenter::City(c),
-                    };
-                    let got = engine.baseline(epicenter, t);
+                    let got = engine.baseline(*scope, t);
                     assert_eq!(got, Some(want), "seed {seed}, {scope:?} at {t}");
                     samples += 1;
                 }
