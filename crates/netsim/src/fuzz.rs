@@ -949,6 +949,41 @@ mod tests {
     }
 
     #[test]
+    fn world_recipes_the_generator_cannot_build_are_errors() {
+        // `World::generate` samples a provider from an empty tier, trips
+        // `gen_bool`'s assert on a rate outside [0, 1] and takes a
+        // remainder by the facility count: each is a refused script.
+        let text = ScenarioScript::generate_kind(3, Some(FailureKind::Single)).render();
+        let build = |key: &str, value: &str| {
+            let line = text.lines().find(|l| l.starts_with(&format!("{key} ="))).expect(key);
+            ScenarioScript::parse(&text.replace(line, &format!("{key} = {value}")))
+                .and_then(|s| s.build())
+        };
+        for (key, value) in [
+            ("world.n_tier1", "0"),
+            ("world.n_tier2", "0"),
+            ("world.n_eyeball", "0"),
+            ("world.facilities_per_continent", "0,0,0,0,0"),
+            ("world.pni_rate", "1.5"),
+            ("world.pni_rate", "NaN"),
+            ("world.remote_peering_rate", "-0.1"),
+            ("world.documentation_rate", "inf"),
+            ("world.v6_tagging_rate", "-1"),
+        ] {
+            assert!(build(key, value).is_err(), "{key} = {value} built");
+        }
+        for (key, value) in [
+            ("world.n_ixps", "0"),
+            ("world.max_ixp_facilities", "0"),
+            ("max_peers", "0"),
+            ("open_after", "0"),
+        ] {
+            let built = build(key, value);
+            assert!(built.is_ok(), "{key} = {value}: {:?}", built.err());
+        }
+    }
+
+    #[test]
     fn scripts_staging_a_facility_their_world_lacks_do_not_build() {
         let mut script = ScenarioScript::generate_kind(3, Some(FailureKind::Single));
         let FailureScript::Single { ref mut facility, .. } = script.script else {
