@@ -15,8 +15,6 @@
 //! * [`merge`] — deterministic k-way merge of many sources by timestamp.
 //! * [`gap`] — session-state tracking used to disregard measurement bins
 //!   affected by collector feed disruptions rather than real outages.
-//! * [`broker`] — time-windowed queries over a set of registered archives
-//!   (the "broker" interface of BGPStream).
 //!
 //! # Invariants
 //!
@@ -29,14 +27,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod broker;
 pub mod collector;
 pub mod gap;
 pub mod merge;
 pub mod record;
 pub mod source;
 
-pub use broker::Broker;
 pub use collector::{CollectorId, CollectorRegistry, PeerId};
 pub use gap::GapTracker;
 pub use merge::MergedStream;

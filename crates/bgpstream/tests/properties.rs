@@ -2,7 +2,7 @@
 
 use kepler_bgp::{Asn, BgpUpdate, Prefix};
 use kepler_bgpstream::{
-    BgpRecord, Broker, CollectorId, MemorySource, MergedStream, PeerId, RecordPayload, RecordSource,
+    BgpRecord, CollectorId, MemorySource, MergedStream, PeerId, RecordPayload, RecordSource,
 };
 use proptest::prelude::*;
 
@@ -37,25 +37,6 @@ proptest! {
         for w in merged.windows(2) {
             prop_assert!(w[0].time <= w[1].time);
         }
-    }
-
-    /// Broker window queries return exactly the records inside the window,
-    /// sorted, regardless of ingestion order.
-    #[test]
-    fn broker_window_semantics(
-        times in prop::collection::vec(0u64..1000, 0..100),
-        start in 0u64..1000,
-        len in 0u64..1000,
-    ) {
-        let mut b = Broker::new();
-        let c = b.register_collector("rrc00");
-        b.ingest(c, times.iter().map(|&t| rec(t, 0)).collect());
-        let end = start + len;
-        let got: Vec<u64> =
-            b.query(kepler_bgpstream::broker::TimeWindow::new(start, end)).map(|r| r.time).collect();
-        let mut expect: Vec<u64> = times.iter().copied().filter(|&t| t >= start && t < end).collect();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
     }
 
     /// Exploding a record yields one element per prefix, preserving time
