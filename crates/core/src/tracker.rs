@@ -753,9 +753,9 @@ impl Tracker {
     }
 
     /// Replaces the tracker's lifecycle state with an exported image,
-    /// interning each watch list into `interner` (geography and config
-    /// are not part of the image — configure the tracker first). The
-    /// round trip `export → import → export` is exact.
+    /// interning each watch list into `interner` (the config is not part
+    /// of the image — configure the tracker first). The round trip
+    /// `export → import → export` is exact.
     pub fn import(&mut self, state: &TrackerState, interner: &mut Interner) {
         self.revision += 1;
         self.ongoing = state

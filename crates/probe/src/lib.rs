@@ -117,11 +117,10 @@ pub use engine::{
 };
 pub use fixture::{CampaignTranscript, RecordedOutcome, RecordingBackend, ReplayBackend};
 pub use health::{BackendHealth, HealthConfig, HealthTracker};
-/// [`kepler_topology::OutageScope`] under the name this crate once gave
-/// its own copy.
+/// [`kepler_topology::OutageScope`] under a second name.
 ///
-/// Kept for `benchmark/`, which names it, until a change to the benchmark
-/// switches that code to `OutageScope`.
+/// Kept only because `benchmark/` names it; it goes when a change to the
+/// benchmark names `OutageScope` instead.
 pub use kepler_topology::OutageScope as Epicenter;
 pub use lifecycle::{
     drive, AsyncTraceBackend, LifecycleConfig, Measurement, MeasurementOutcome, MeasurementState,
