@@ -701,9 +701,12 @@ fn fig7c(ctx: &Ctx, cache: &mut Cache) {
             continue;
         }
         if let kepler::bgpstream::RecordPayload::Update(u) = &r.payload {
-            let Some(attrs) = &u.attrs else { continue };
-            let located = attrs.communities.iter().any(|c| dict.locate(*c).is_some());
-            for p in &u.announced {
+            let u = u.view();
+            if !u.has_announcements() {
+                continue;
+            }
+            let located = u.communities().iter().any(|c| dict.locate(c).is_some());
+            for p in u.announced_v4().chain(u.mp_announced()) {
                 let e = buckets.entry(month).or_default();
                 if p.is_ipv4() {
                     e.0 += 1;
@@ -1055,11 +1058,10 @@ fn fig10a(ctx: &Ctx, cache: &mut Cache) {
     // Replay the stream: which (collector, peer, prefix) routes carried an
     // AMS-IX-locating community before the outage, and when do they again?
     use kepler::bgpstream::RecordPayload;
-    let crosses = |attrs: &kepler::bgp::PathAttributes| {
-        attrs
-            .communities
+    let crosses = |communities: kepler::bgp::mrt::CommunitiesView<'_>| {
+        communities
             .iter()
-            .any(|c| matches!(dict.locate(*c), Some(LocationTag::Ixp(x)) if x == study.amsix))
+            .any(|c| matches!(dict.locate(c), Some(LocationTag::Ixp(x)) if x == study.amsix))
     };
     let mut state: BTreeMap<(u16, std::net::IpAddr, kepler::bgp::Prefix), bool> = BTreeMap::new();
     let mut baseline: Option<Vec<(u16, std::net::IpAddr, kepler::bgp::Prefix)>> = None;
@@ -1081,14 +1083,13 @@ fn fig10a(ctx: &Ctx, cache: &mut Cache) {
             gi += 1;
         }
         if let RecordPayload::Update(u) = &r.payload {
-            for p in &u.withdrawn {
-                state.insert((r.collector.0, r.peer.addr, *p), false);
+            let u = u.view();
+            for p in u.withdrawn_v4().chain(u.mp_withdrawn()) {
+                state.insert((r.collector.0, r.peer.addr, p), false);
             }
-            if let Some(attrs) = &u.attrs {
-                let c = crosses(attrs);
-                for p in &u.announced {
-                    state.insert((r.collector.0, r.peer.addr, *p), c);
-                }
+            let c = crosses(u.communities());
+            for p in u.announced_v4().chain(u.mp_announced()) {
+                state.insert((r.collector.0, r.peer.addr, p), c);
             }
         }
     }

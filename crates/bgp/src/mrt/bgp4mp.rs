@@ -2,9 +2,9 @@
 //! collector-peer state changes, both in their AS4 variants.
 
 use super::error::MrtError;
-use super::view::{decode_peer_header, MessageView};
-use super::wire::{encode_bgp_update, Cursor};
-use crate::message::{BgpUpdate, PeerState, StateChange};
+use super::view::{decode_peer_header, WireUpdate};
+use super::wire::Cursor;
+use crate::message::{PeerState, StateChange};
 use crate::Asn;
 use std::net::IpAddr;
 
@@ -22,8 +22,8 @@ pub struct Bgp4mpMessage {
     pub peer_ip: IpAddr,
     /// Collector-side address (must match the peer's family).
     pub local_ip: IpAddr,
-    /// The archived UPDATE.
-    pub update: BgpUpdate,
+    /// The archived UPDATE, as its validated wire bytes.
+    pub update: WireUpdate,
 }
 
 /// A `BGP4MP_STATE_CHANGE_AS4` record.
@@ -84,20 +84,16 @@ impl Bgp4mpMessage {
             self.peer_ip,
             self.local_ip,
         )?;
-        encode_bgp_update(out, &self.update)
+        out.extend_from_slice(self.update.bytes());
+        Ok(())
     }
 
-    /// Parses a record body: [`MessageView::parse`] folded into owned
-    /// values.
+    /// Parses a record body: the peer header, and the UPDATE kept as its
+    /// bytes and span table ([`WireUpdate::parse`]).
     pub fn decode_body(raw: &[u8]) -> Result<Self, MrtError> {
-        let m = MessageView::parse(raw)?;
-        Ok(Bgp4mpMessage {
-            peer_as: m.peer_as,
-            local_as: m.local_as,
-            interface_index: m.interface_index,
-            peer_ip: m.peer_ip,
-            local_ip: m.local_ip,
-            update: m.update.materialize(),
+        decode_peer_header(raw, |peer_as, local_as, interface_index, peer_ip, local_ip, rest| {
+            let update = WireUpdate::parse(rest)?;
+            Ok(Bgp4mpMessage { peer_as, local_as, interface_index, peer_ip, local_ip, update })
         })
     }
 }
@@ -136,6 +132,7 @@ impl Bgp4mpStateChange {
 mod tests {
     use super::*;
     use crate::attrs::PathAttributes;
+    use crate::message::BgpUpdate;
     use crate::prefix::Prefix;
 
     #[test]
@@ -146,7 +143,8 @@ mod tests {
             interface_index: 0,
             peer_ip: "10.0.0.1".parse().unwrap(),
             local_ip: "::1".parse().unwrap(),
-            update: BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 0, 0, 16)]),
+            update: WireUpdate::encode(&BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 0, 0, 16)]))
+                .unwrap(),
         };
         assert!(msg.encode_body(&mut Vec::new()).is_err());
     }
@@ -159,13 +157,14 @@ mod tests {
             interface_index: 9,
             peer_ip: "2001:7f8::14bc:0:1".parse().unwrap(),
             local_ip: "2001:7f8::1".parse().unwrap(),
-            update: BgpUpdate::announce(
+            update: WireUpdate::encode(&BgpUpdate::announce(
                 vec![Prefix::v4(184, 84, 242, 0, 24)],
                 PathAttributes::with_path_and_communities(
                     crate::aspath::AsPath::from_sequence([20940]),
                     vec![crate::community::Community::new(20940, 100)],
                 ),
-            ),
+            ))
+            .unwrap(),
         };
         let mut body = Vec::new();
         msg.encode_body(&mut body).unwrap();

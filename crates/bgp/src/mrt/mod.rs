@@ -11,7 +11,9 @@
 //!   `RIB_IPV6_UNICAST` — periodic RIB snapshots.
 //!
 //! There is one parser, the zero-copy [`FrameView`] / [`UpdateView`];
-//! [`MrtReader`]'s records are folds over it ([`FrameView::record`]).
+//! [`MrtReader`]'s records are built on it ([`FrameView::record`]), and
+//! keep each UPDATE as a [`WireUpdate`]: its bytes plus the span table
+//! the parse found.
 //!
 //! Records round-trip byte-exactly (`encode` ∘ `decode` = id), which the
 //! property tests in this module verify; this is what lets `kepler-netsim`
@@ -29,7 +31,9 @@ pub use bgp4mp::{Bgp4mpMessage, Bgp4mpStateChange};
 pub use error::MrtError;
 pub use reader::MrtReader;
 pub use tabledump::{PeerEntry, PeerIndexTable, RibEntry, RibPrefixEntries};
-pub use view::{AsPathView, CommunitiesView, FrameView, MessageView, PrefixIter, UpdateView};
+pub use view::{
+    AsPathView, CommunitiesView, FrameView, MessageView, PrefixIter, UpdateView, WireUpdate,
+};
 pub use writer::MrtWriter;
 
 /// MRT type code for BGP4MP records.
@@ -156,12 +160,14 @@ mod proptests {
                     interface_index: 0,
                     peer_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
                     local_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-                    update,
+                    update: WireUpdate::encode(&update).unwrap(),
                 }),
             };
             let mut buf = Vec::new();
             MrtWriter::new(&mut buf).write_record(&rec).unwrap();
             let decoded: Vec<_> = MrtReader::new(&buf[..]).map(|r| r.unwrap()).collect();
+            let MrtBody::Message(m) = &decoded[0].body else { panic!("a message") };
+            prop_assert_eq!(m.update.materialize(), update);
             prop_assert_eq!(decoded, vec![rec]);
         }
 

@@ -1,5 +1,5 @@
 //! Streaming MRT reader over any `io::Read`: frames cut by the one
-//! header parse, each body folded into an owned [`MrtRecord`].
+//! header parse, each body decoded into an [`MrtRecord`].
 
 use super::bgp4mp::{Bgp4mpMessage, Bgp4mpStateChange};
 use super::error::MrtError;
@@ -118,6 +118,7 @@ impl<R: Read> Iterator for MrtReader<R> {
 #[cfg(test)]
 mod tests {
     use super::super::writer::MrtWriter;
+    use super::super::WireUpdate;
     use super::*;
     use crate::attrs::PathAttributes;
     use crate::message::BgpUpdate;
@@ -133,13 +134,14 @@ mod tests {
                 interface_index: 0,
                 peer_ip: "192.0.2.1".parse().unwrap(),
                 local_ip: "192.0.2.2".parse().unwrap(),
-                update: BgpUpdate::announce(
+                update: WireUpdate::encode(&BgpUpdate::announce(
                     vec![Prefix::v4(184, 84, 242, 0, 24)],
                     PathAttributes::with_path_and_communities(
                         crate::aspath::AsPath::from_sequence([13030, 20940]),
                         vec![crate::community::Community::new(13030, 51904)],
                     ),
-                ),
+                ))
+                .unwrap(),
             }),
         }
     }

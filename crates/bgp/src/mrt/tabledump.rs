@@ -4,7 +4,7 @@
 //! waiting two days of updates when it starts on archived data.
 
 use super::error::MrtError;
-use super::view::AttrsView;
+use super::view::AttrSpans;
 use super::wire::{
     decode_nlri_prefix, encode_attrs, encode_nlri_prefix, with_len, AttrMode, Cursor,
 };
@@ -149,7 +149,7 @@ impl RibPrefixEntries {
             let originated_time = cur.u32("RIB originated time")?;
             let alen = cur.u16("RIB attribute length")? as usize;
             let araw = cur.take(alen, "RIB attributes")?;
-            let attrs = AttrsView::parse(araw, araw, AttrMode::TableDumpV2)?.to_attrs();
+            let attrs = AttrSpans::parse(araw, AttrMode::TableDumpV2)?.to_attrs(araw);
             entries.push(RibEntry { peer_index, originated_time, attrs });
         }
         Ok(RibPrefixEntries { sequence, prefix, entries })

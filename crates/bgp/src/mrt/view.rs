@@ -1,11 +1,15 @@
 //! The one MRT / BGP-4 parser: zero-copy views over the wire bytes.
 //!
 //! Every layer is parsed here once: the MRT frame header, the BGP4MP peer
-//! header, the UPDATE framing, the path-attribute TLV walk (`AttrsView`,
+//! header, the UPDATE framing, the path-attribute TLV walk (`AttrSpans`,
 //! BGP4MP and TABLE_DUMP_V2 modes), AS_PATH segments and NLRI prefixes.
-//! Parsing validates everything, so the lazy iterators are infallible, and
-//! the owned types are folds over the views ([`UpdateView::materialize`]
-//! reads the recorded attribute bodies without a second TLV walk).
+//! Parsing validates everything, so the lazy iterators are infallible. A
+//! parse leaves a span table — where each region lies in the message —
+//! and a read record keeps it with the bytes as a [`WireUpdate`], so an
+//! UPDATE is parsed once and read through [`UpdateView`] from then on.
+//! The owned [`BgpUpdate`] is the form an update is built from and
+//! inspected as ([`UpdateView::materialize`] folds the recorded
+//! attribute bodies without a second TLV walk).
 //! `tests/mrt_corpus.rs` fuzzes this parser against the decoder it
 //! replaced, in both directions.
 
@@ -131,23 +135,39 @@ pub(crate) fn decode_peer_header<'a, T>(
     then(peer_as, local_as, interface_index, peer_ip, local_ip, cur.rest())
 }
 
-/// Where a region lies in a view's base buffer, a BGP message body or an
-/// attribute block (both under 64 KiB).
-#[derive(Debug, Clone, Copy, Default)]
+/// Where a region lies in the bytes a span table indexes: an UPDATE
+/// message or a RIB entry's attribute block (both under 64 KiB).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Span {
     at: u16,
     len: u16,
 }
 
-fn span_of(base: &[u8], sub: &[u8]) -> Span {
-    Span { at: (sub.as_ptr() as usize - base.as_ptr() as usize) as u16, len: sub.len() as u16 }
+impl Span {
+    fn of(base: &[u8], sub: &[u8]) -> Span {
+        Span { at: (sub.as_ptr() as usize - base.as_ptr() as usize) as u16, len: sub.len() as u16 }
+    }
+
+    /// The bytes of a validated span.
+    #[inline]
+    fn get(self, base: &[u8]) -> &[u8] {
+        let at = usize::from(self.at);
+        base.get(at..at + usize::from(self.len)).unwrap_or_default()
+    }
 }
 
 /// A validated NLRI region of one address family.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Nlri {
     span: Span,
     v6: bool,
+}
+
+impl Nlri {
+    #[inline]
+    fn prefixes(self, base: &[u8]) -> PrefixIter<'_> {
+        PrefixIter { cur: Cursor::new(self.span.get(base)), v6: self.v6 }
+    }
 }
 
 /// Validates an NLRI region.
@@ -176,11 +196,11 @@ fn unicast_family(cur: &mut Cursor<'_>) -> Result<bool, MrtError> {
     }
 }
 
-/// One path-attribute block, walked once and validated: the span of each
-/// modelled attribute's body (its first occurrence) and of the MP NLRI.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct AttrsView<'a> {
-    base: &'a [u8],
+/// The span table of one path-attribute block, walked once and
+/// validated: where each modelled attribute's body (its first
+/// occurrence) and the MP NLRI lie in the base the walk was given.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct AttrSpans {
     origin: Span,
     as_path: Span,
     next_hop: Span,
@@ -195,20 +215,21 @@ pub(crate) struct AttrsView<'a> {
     mp_withdrawn: Nlri,
 }
 
-impl<'a> AttrsView<'a> {
-    /// The one attribute TLV walk over `block`, a region of `base`.
-    pub(crate) fn parse(base: &'a [u8], block: &'a [u8], mode: AttrMode) -> Result<Self, MrtError> {
-        let mut a = AttrsView { base, ..AttrsView::default() };
-        a.walk(block, mode)?;
+impl AttrSpans {
+    /// The one attribute TLV walk over `block`, spans relative to it.
+    pub(crate) fn parse(block: &[u8], mode: AttrMode) -> Result<Self, MrtError> {
+        let mut a = AttrSpans::default();
+        a.walk(block, block, mode)?;
         Ok(a)
     }
 
-    /// [`parse`](Self::parse) in place, skipping unknown attributes.
+    /// [`parse`](Self::parse) in place over `block`, a region of `base`,
+    /// skipping unknown attributes.
     #[inline]
-    fn walk(&mut self, block: &'a [u8], mode: AttrMode) -> Result<(), MrtError> {
-        let (base, a) = (self.base, self);
+    fn walk(&mut self, base: &[u8], block: &[u8], mode: AttrMode) -> Result<(), MrtError> {
+        let a = self;
         let bad = |context| MrtError::BadValue { context };
-        let span = |sub: &[u8]| span_of(base, sub);
+        let span = |sub: &[u8]| Span::of(base, sub);
         let nlri = |raw: &[u8], v6| validate_nlri(raw, v6).map(|()| Nlri { span: span(raw), v6 });
         let mut seen = 0u64;
         let mut cur = Cursor::new(block);
@@ -282,51 +303,38 @@ impl<'a> AttrsView<'a> {
         Ok(())
     }
 
-    /// The bytes of a validated span.
-    #[inline]
-    fn get(&self, span: Span) -> &'a [u8] {
-        let at = usize::from(span.at);
-        self.base.get(at..at + usize::from(span.len)).unwrap_or_default()
-    }
-
-    #[inline]
-    fn prefixes(&self, nlri: Nlri) -> PrefixIter<'a> {
-        PrefixIter { cur: Cursor::new(self.get(nlri.span)), v6: nlri.v6 }
-    }
-
     /// A fixed 4-byte attribute (NEXT_HOP, MED, LOCAL_PREF), if present.
-    fn fixed(&self, span: Span) -> Option<u32> {
-        (span.len == 4).then(|| be_u32(self.get(span)))
+    fn fixed(span: Span, base: &[u8]) -> Option<u32> {
+        (span.len == 4).then(|| be_u32(span.get(base)))
     }
 
-    /// The owned attribute bundle: NEXT_HOP, else the MP_REACH next hop;
-    /// absent ORIGIN and next hop default to IGP and 0.0.0.0.
+    /// The owned attribute bundle read from `base`: NEXT_HOP, else the
+    /// MP_REACH next hop; absent ORIGIN and next hop default to IGP and
+    /// 0.0.0.0.
     #[inline]
-    pub(crate) fn to_attrs(self) -> PathAttributes {
-        let mp_next_hop = self.get(self.mp_next_hop).first_chunk::<16>().copied();
+    pub(crate) fn to_attrs(self, base: &[u8]) -> PathAttributes {
+        let get = |span: Span| span.get(base);
+        let mp_next_hop = get(self.mp_next_hop).first_chunk::<16>().copied();
         PathAttributes {
-            origin: self
-                .get(self.origin)
+            origin: get(self.origin)
                 .first()
                 .and_then(|&c| Origin::from_code(c))
                 .unwrap_or(Origin::Igp),
-            as_path: AsPathView { raw: self.get(self.as_path) }.to_path(),
-            next_hop: match (self.fixed(self.next_hop), mp_next_hop) {
+            as_path: AsPathView { raw: get(self.as_path) }.to_path(),
+            next_hop: match (Self::fixed(self.next_hop, base), mp_next_hop) {
                 (Some(nh), _) => Ipv4Addr::from(nh).into(),
                 (None, Some(nh)) => Ipv6Addr::from(nh).into(),
                 (None, None) => Ipv4Addr::UNSPECIFIED.into(),
             },
-            med: self.fixed(self.med),
-            local_pref: self.fixed(self.local_pref),
+            med: Self::fixed(self.med, base),
+            local_pref: Self::fixed(self.local_pref, base),
             atomic_aggregate: self.atomic_aggregate,
-            communities: be_u32s(self.get(self.communities), Community),
-            extended_communities: self
-                .get(self.extended_communities)
+            communities: be_u32s(get(self.communities), Community),
+            extended_communities: get(self.extended_communities)
                 .chunks_exact(8)
                 .map(|c| ExtendedCommunity(c.try_into().unwrap_or_default()))
                 .collect(),
-            large_communities: self
-                .get(self.large_communities)
+            large_communities: get(self.large_communities)
                 .chunks_exact(12)
                 .map(|c| LargeCommunity::new(be_u32(&c[0..4]), be_u32(&c[4..8]), be_u32(&c[8..])))
                 .collect(),
@@ -334,20 +342,29 @@ impl<'a> AttrsView<'a> {
     }
 }
 
-/// A validated BGP UPDATE whose withdrawn / attribute / NLRI regions are
-/// borrowed from the input buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct UpdateView<'a> {
+/// The span table of one validated UPDATE: offsets into its message
+/// bytes, so it outlives the borrow it was parsed from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct UpdateSpans {
     withdrawn: Span,
     nlri: Span,
-    /// Spans here and in `attrs` are offsets into the message body.
-    attrs: AttrsView<'a>,
+    attrs: AttrSpans,
+}
+
+/// A validated BGP UPDATE: its message bytes, borrowed, plus the span
+/// table the parse found.
+#[derive(Debug, Clone, Copy)]
+pub struct UpdateView<'a> {
+    /// The message, marker to last NLRI byte.
+    msg: &'a [u8],
+    spans: UpdateSpans,
 }
 
 impl<'a> UpdateView<'a> {
     /// Parses and fully validates an UPDATE message (marker + header +
     /// body), so the iterators below and [`materialize`](Self::materialize)
-    /// are infallible. A repeated MP_REACH_NLRI or MP_UNREACH_NLRI is a
+    /// are infallible. Bytes past the message's own length are not part
+    /// of it. A repeated MP_REACH_NLRI or MP_UNREACH_NLRI is a
     /// `BadValue`; any other repeated attribute keeps its first occurrence
     /// (RFC 7606 §3(g)). MP NLRI must be IPv4 or IPv6 unicast.
     #[inline]
@@ -364,6 +381,7 @@ impl<'a> UpdateView<'a> {
             return Err(MrtError::BadValue { context: "BGP message type (expected UPDATE)" });
         }
         let body = cur.take(total - 19, "BGP message body")?;
+        let msg = &msg[..total];
         let mut bc = Cursor::new(body);
         let wlen = bc.u16("withdrawn routes length")? as usize;
         let withdrawn = bc.take(wlen, "withdrawn routes")?;
@@ -371,59 +389,58 @@ impl<'a> UpdateView<'a> {
         let alen = bc.u16("path attributes length")? as usize;
         // Filled in place: returning it through a `Result` costs a copy.
         let mut update = UpdateView {
-            withdrawn: span_of(body, withdrawn),
-            nlri: Span::default(),
-            attrs: AttrsView { base: body, ..AttrsView::default() },
+            msg,
+            spans: UpdateSpans { withdrawn: Span::of(msg, withdrawn), ..UpdateSpans::default() },
         };
-        update.attrs.walk(bc.take(alen, "path attributes")?, AttrMode::Bgp4mp)?;
+        update.spans.attrs.walk(msg, bc.take(alen, "path attributes")?, AttrMode::Bgp4mp)?;
         let nlri = bc.rest();
         validate_nlri(nlri, false)?;
-        update.nlri = span_of(body, nlri);
+        update.spans.nlri = Span::of(msg, nlri);
         Ok(update)
     }
 
     /// Withdrawn IPv4 prefixes, in wire order.
     #[inline]
     pub fn withdrawn_v4(&self) -> PrefixIter<'a> {
-        self.attrs.prefixes(Nlri { span: self.withdrawn, v6: false })
+        Nlri { span: self.spans.withdrawn, v6: false }.prefixes(self.msg)
     }
 
     /// Withdrawn MP prefixes (usually IPv6), in wire order.
     #[inline]
     pub fn mp_withdrawn(&self) -> PrefixIter<'a> {
-        self.attrs.prefixes(self.attrs.mp_withdrawn)
+        self.spans.attrs.mp_withdrawn.prefixes(self.msg)
     }
 
     /// Announced IPv4 prefixes (the trailing NLRI), in wire order.
     #[inline]
     pub fn announced_v4(&self) -> PrefixIter<'a> {
-        self.attrs.prefixes(Nlri { span: self.nlri, v6: false })
+        Nlri { span: self.spans.nlri, v6: false }.prefixes(self.msg)
     }
 
     /// Announced MP prefixes (usually IPv6), in wire order.
     #[inline]
     pub fn mp_announced(&self) -> PrefixIter<'a> {
-        self.attrs.prefixes(self.attrs.mp_announced)
+        self.spans.attrs.mp_announced.prefixes(self.msg)
     }
 
     /// Whether the message announces any prefix (either family); without
     /// one, [`materialize`](Self::materialize) leaves `attrs` `None`.
     #[inline]
     pub fn has_announcements(&self) -> bool {
-        self.nlri.len != 0 || self.attrs.mp_announced.span.len != 0
+        self.spans.nlri.len != 0 || self.spans.attrs.mp_announced.span.len != 0
     }
 
     /// Borrowed AS_PATH attribute body (empty when the attribute is
     /// absent, which decodes to the empty path either way).
     #[inline]
     pub fn as_path(&self) -> AsPathView<'a> {
-        AsPathView { raw: self.attrs.get(self.attrs.as_path) }
+        AsPathView { raw: self.spans.attrs.as_path.get(self.msg) }
     }
 
     /// Borrowed COMMUNITY attribute body (empty when absent).
     #[inline]
     pub fn communities(&self) -> CommunitiesView<'a> {
-        CommunitiesView { raw: self.attrs.get(self.attrs.communities) }
+        CommunitiesView { raw: self.spans.attrs.communities.get(self.msg) }
     }
 
     /// The owned [`BgpUpdate`], folded from the view's iterators and
@@ -438,9 +455,54 @@ impl<'a> UpdateView<'a> {
         let announced = both(self.announced_v4(), self.mp_announced());
         BgpUpdate {
             withdrawn: both(self.withdrawn_v4(), self.mp_withdrawn()),
-            attrs: (!announced.is_empty()).then(|| self.attrs.to_attrs()),
+            attrs: (!announced.is_empty()).then(|| self.spans.attrs.to_attrs(self.msg)),
             announced,
         }
+    }
+}
+
+/// A validated BGP UPDATE as a record holds it: the message bytes plus
+/// the span table their one parse found. [`view`](Self::view) reads it
+/// without parsing again; the owned [`BgpUpdate`] is what an update is
+/// built from ([`encode`](Self::encode)) and inspected as
+/// ([`materialize`](Self::materialize)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireUpdate {
+    bytes: Box<[u8]>,
+    spans: UpdateSpans,
+}
+
+impl WireUpdate {
+    /// Validates an UPDATE message ([`UpdateView::parse`]) and keeps a
+    /// copy of its bytes and its span table.
+    pub fn parse(msg: &[u8]) -> Result<Self, MrtError> {
+        let view = UpdateView::parse(msg)?;
+        Ok(WireUpdate { bytes: view.msg.into(), spans: view.spans })
+    }
+
+    /// Encodes `update` as an UPDATE message and parses it. A message or
+    /// a field past its 16-bit length is a `BadValue`.
+    pub fn encode(update: &BgpUpdate) -> Result<Self, MrtError> {
+        let mut bytes = Vec::with_capacity(128); // a one-prefix update without regrowth
+        encode_bgp_update(&mut bytes, update)?;
+        let spans = UpdateView::parse(&bytes)?.spans;
+        Ok(WireUpdate { bytes: bytes.into_boxed_slice(), spans })
+    }
+
+    /// The update, read through its span table.
+    #[inline]
+    pub fn view(&self) -> UpdateView<'_> {
+        UpdateView { msg: &self.bytes, spans: self.spans }
+    }
+
+    /// The owned form ([`UpdateView::materialize`]).
+    pub fn materialize(&self) -> BgpUpdate {
+        self.view().materialize()
+    }
+
+    /// The UPDATE message bytes, marker included.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
@@ -570,7 +632,7 @@ mod tests {
     use super::super::{Bgp4mpMessage, MrtBody, MrtRecord};
     use super::*;
 
-    fn frame_bytes(update: BgpUpdate) -> Vec<u8> {
+    fn frame_bytes(update: &BgpUpdate) -> Vec<u8> {
         let rec = MrtRecord {
             timestamp: 1_400_000_000,
             body: MrtBody::Message(Bgp4mpMessage {
@@ -579,7 +641,7 @@ mod tests {
                 interface_index: 0,
                 peer_ip: "192.0.2.1".parse().unwrap(),
                 local_ip: "192.0.2.2".parse().unwrap(),
-                update,
+                update: WireUpdate::encode(update).unwrap(),
             }),
         };
         let mut buf = Vec::new();
@@ -597,7 +659,7 @@ mod tests {
             )),
             announced: vec![Prefix::v4(184, 84, 242, 0, 24), "2600:2::/32".parse().unwrap()],
         };
-        let buf = frame_bytes(update.clone());
+        let buf = frame_bytes(&update);
         let (frame, used) = FrameView::parse(&buf).unwrap().unwrap();
         assert_eq!(used, buf.len());
         let msg = frame.message().unwrap().unwrap();

@@ -291,7 +291,7 @@ pub(crate) fn encode_bgp_update(out: &mut Vec<u8>, update: &BgpUpdate) -> Result
 
 #[cfg(test)]
 mod tests {
-    use super::super::view::{AttrsView, UpdateView};
+    use super::super::view::{AttrSpans, UpdateView};
     use super::*;
     use crate::community::Community;
 
@@ -328,7 +328,7 @@ mod tests {
 
     fn roundtrip_attrs(attrs: &PathAttributes, mode: AttrMode) -> PathAttributes {
         let raw = attrs_bytes(attrs, mode);
-        AttrsView::parse(&raw, &raw, mode).unwrap().to_attrs()
+        AttrSpans::parse(&raw, mode).unwrap().to_attrs(&raw)
     }
 
     #[test]
@@ -377,7 +377,7 @@ mod tests {
         let mut raw = attrs_bytes(&attrs, AttrMode::Bgp4mp);
         // Append an unknown optional-transitive attribute type 99.
         raw.extend_from_slice(&[FLAG_OPTIONAL | FLAG_TRANSITIVE, 99, 2, 0xAB, 0xCD]);
-        let decoded = AttrsView::parse(&raw, &raw, AttrMode::Bgp4mp).unwrap().to_attrs();
+        let decoded = AttrSpans::parse(&raw, AttrMode::Bgp4mp).unwrap().to_attrs(&raw);
         assert_eq!(decoded, attrs);
     }
 
@@ -591,8 +591,9 @@ mod tests {
         use crate::aspath::AsPathSegment;
         use crate::attrs::Origin;
         use crate::community::{Community, ExtendedCommunity, LargeCommunity};
-        use crate::mrt::{RibEntry, RibPrefixEntries};
+        use crate::mrt::{RibEntry, RibPrefixEntries, WireUpdate};
         use proptest::prelude::*;
+        use std::net::Ipv4Addr;
 
         /// A prefix of either family, any length.
         fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -679,7 +680,57 @@ mod tests {
                 })
         }
 
+        /// What an encoded `update` reads back as: in each direction the
+        /// IPv4 prefixes before the IPv6 ones; IPv6 announcements only
+        /// behind attributes; attributes only on an update that announces,
+        /// the defaults where it gave none; an IPv6 next hop only beside an
+        /// IPv6 announcement; and the AS path as its 255-ASN segments read
+        /// back, a sequence whose length is a multiple of 255 absorbing the
+        /// sequence after it.
+        fn read_back(update: &BgpUpdate) -> BgpUpdate {
+            let families = |prefixes: &[Prefix], v6: bool| {
+                let (v4s, v6s): (Vec<Prefix>, Vec<Prefix>) =
+                    prefixes.iter().partition(|p| p.is_ipv4());
+                [v4s, if v6 { v6s } else { Vec::new() }].concat()
+            };
+            let announced = families(&update.announced, update.attrs.is_some());
+            let attrs = (!announced.is_empty()).then(|| {
+                let mut attrs = update.attrs.clone().unwrap_or_default();
+                if attrs.next_hop.is_ipv6() && !announced.iter().any(Prefix::is_ipv6) {
+                    attrs.next_hop = Ipv4Addr::UNSPECIFIED.into();
+                }
+                let mut segments: Vec<AsPathSegment> = Vec::new();
+                for segment in attrs.as_path.segments() {
+                    let (set, asns) = match segment {
+                        AsPathSegment::Set(v) => (true, v),
+                        AsPathSegment::Sequence(v) => (false, v),
+                    };
+                    for chunk in asns.chunks(255) {
+                        match segments.last_mut() {
+                            Some(AsPathSegment::Sequence(prev))
+                                if !set && prev.len() % 255 == 0 =>
+                            {
+                                prev.extend_from_slice(chunk)
+                            }
+                            _ if set => segments.push(AsPathSegment::Set(chunk.to_vec())),
+                            _ => segments.push(AsPathSegment::Sequence(chunk.to_vec())),
+                        }
+                    }
+                }
+                attrs.as_path = AsPath::from_segments(segments);
+                attrs
+            });
+            BgpUpdate { withdrawn: families(&update.withdrawn, true), attrs, announced }
+        }
+
         proptest! {
+            #[test]
+            fn encoded_updates_materialize_as_they_read_back(update in arb_update()) {
+                let wire = WireUpdate::encode(&update).unwrap();
+                prop_assert_eq!(wire.materialize(), read_back(&update));
+                prop_assert_eq!(&WireUpdate::parse(wire.bytes()).unwrap(), &wire);
+            }
+
             #[test]
             fn update_encoding_matches_the_reference(update in arb_update()) {
                 let mut got = vec![0xAB];

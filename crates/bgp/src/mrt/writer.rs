@@ -51,11 +51,11 @@ mod tests {
     use crate::attrs::PathAttributes;
     use crate::community::Community;
     use crate::message::BgpUpdate;
-    use crate::mrt::{Bgp4mpMessage, MrtReader};
+    use crate::mrt::{Bgp4mpMessage, MrtReader, WireUpdate};
     use crate::prefix::Prefix;
     use crate::Asn;
 
-    fn message(update: BgpUpdate) -> MrtRecord {
+    fn message(update: WireUpdate) -> MrtRecord {
         MrtRecord {
             timestamp: 1_431_500_000,
             body: MrtBody::Message(Bgp4mpMessage {
@@ -77,26 +77,37 @@ mod tests {
     }
 
     /// The UPDATE's length fields are 16 bits wide: a message of 65,535
-    /// bytes round-trips, one prefix more is refused, as is an attribute
-    /// longer than 65,535 bytes, and a refused record writes nothing.
+    /// bytes encodes and round-trips through the writer and the reader,
+    /// one prefix more is refused where it is encoded, as is an attribute
+    /// longer than 65,535 bytes; and a record the writer refuses writes
+    /// nothing.
     #[test]
     fn updates_past_the_u16_lengths_are_refused_whole() {
-        let fits = message(announcement(16_373));
+        let update = announcement(16_373);
+        let fits = message(WireUpdate::encode(&update).unwrap());
         let mut buf = Vec::new();
         MrtWriter::new(&mut buf).write_record(&fits).unwrap();
         assert_eq!(buf.len(), 12 + 20 + 65_535, "MRT header, peer header, UPDATE");
         let back: Vec<_> = MrtReader::new(&buf[..]).map(Result::unwrap).collect();
         assert_eq!(back, vec![fits]);
+        let MrtBody::Message(m) = &back[0].body else { panic!("a message") };
+        assert_eq!(m.update.materialize(), update);
 
         let communities = (0..20_000).map(|i| Community::new(64_500, i as u16)).collect();
         let attrs =
             PathAttributes::with_path_and_communities(AsPath::from_sequence([1]), communities);
         let tagged = BgpUpdate::announce(vec![Prefix::v4(10, 0, 0, 0, 24)], attrs);
         for update in [announcement(16_374), announcement(20_000), tagged] {
-            let mut buf = Vec::new();
-            let err = MrtWriter::new(&mut buf).write_record(&message(update)).unwrap_err();
+            let err = WireUpdate::encode(&update).unwrap_err();
             assert!(matches!(err, MrtError::BadValue { .. }), "{err}");
-            assert!(buf.is_empty(), "{} bytes written", buf.len());
         }
+
+        let mut mismatched = message(WireUpdate::encode(&announcement(1)).unwrap());
+        let MrtBody::Message(m) = &mut mismatched.body else { unreachable!() };
+        m.local_ip = "2001:db8::1".parse().unwrap();
+        let mut buf = Vec::new();
+        let err = MrtWriter::new(&mut buf).write_record(&mismatched).unwrap_err();
+        assert!(matches!(err, MrtError::BadValue { .. }), "{err}");
+        assert!(buf.is_empty(), "{} bytes written", buf.len());
     }
 }

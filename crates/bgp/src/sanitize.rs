@@ -176,7 +176,8 @@ impl Sanitizer {
     }
 
     /// [`path_verdict`](Self::path_verdict) decomposed for callers that
-    /// never materialize an [`AsPath`] (the zero-copy wire decoder):
+    /// never materialize an [`AsPath`] (the record decode, which reads the
+    /// path from the wire bytes):
     /// `path_is_empty` is whether the raw path carries no ASNs, and
     /// `has_special` is consulted lazily (only when the loop check
     /// passes) to preserve the exact reject-reason precedence — and thus

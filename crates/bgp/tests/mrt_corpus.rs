@@ -10,12 +10,13 @@ mod reference;
 
 use kepler_bgp::mrt::{
     Bgp4mpMessage, FrameView, MrtBody, MrtError, MrtReader, MrtRecord, MrtWriter, PeerEntry,
-    PeerIndexTable, RibEntry, RibPrefixEntries, BGP4MP_MESSAGE_AS4, MRT_TYPE_BGP4MP,
+    PeerIndexTable, RibEntry, RibPrefixEntries, WireUpdate, BGP4MP_MESSAGE_AS4, MRT_TYPE_BGP4MP,
 };
 use kepler_bgp::{
     AsPath, Asn, BgpUpdate, Community, ExtendedCommunity, LargeCommunity, Origin, PathAttributes,
     Prefix,
 };
+use reference::Decoded;
 
 const FLAG_TRANSITIVE: u8 = 0x40;
 const FLAG_OPTIONAL: u8 = 0x80;
@@ -127,7 +128,7 @@ fn assert_golden(frame: &[u8], expected: &BgpUpdate) {
         MrtReader::new(frame).map(|r| r.expect("record decodes")).collect();
     assert_eq!(records.len(), 1);
     let MrtBody::Message(m) = &records[0].body else { panic!("expected message body") };
-    assert_eq!(&m.update, expected);
+    assert_eq!(&m.update.materialize(), expected);
 }
 
 /// Both front doors must reject the frame with a clean error (no panic).
@@ -278,7 +279,7 @@ fn decode_both(frame: &[u8]) -> BgpUpdate {
     let update = view.message().unwrap().unwrap().update.materialize();
     let records: Vec<MrtRecord> = MrtReader::new(frame).map(|r| r.unwrap()).collect();
     let MrtBody::Message(m) = &records[0].body else { panic!("expected message") };
-    assert_eq!(m.update, update, "reader and view agree");
+    assert_eq!(m.update.materialize(), update, "reader and view agree");
     update
 }
 
@@ -425,7 +426,7 @@ fn written(update: BgpUpdate) -> Vec<u8> {
             interface_index: 0,
             peer_ip: "192.0.2.1".parse().unwrap(),
             local_ip: "192.0.2.2".parse().unwrap(),
-            update,
+            update: WireUpdate::encode(&update).unwrap(),
         }),
     };
     let mut buf = Vec::new();
@@ -477,6 +478,27 @@ fn fuzz_corpus() -> Vec<Vec<u8>> {
         update_frame(&[16, 20, 3], &[], &[]),
         update_frame(&[], &asn4_attrs, &[16, 20, 9, 8, 10, 24, 20, 11, 0]),
     ]
+}
+
+/// A message frame read by [`MrtReader`] and written back by
+/// [`MrtWriter`] is the same bytes: a record keeps its UPDATE as wire
+/// bytes, so even what the owned form drops — a repeated attribute, an
+/// unknown one — passes through.
+#[test]
+fn message_frames_pass_through_byte_identical() {
+    let mut repeated = as_path_attr(&[3356, 13030]);
+    repeated.extend_from_slice(&as_path_attr(&[3356, 20_940]));
+    repeated.extend_from_slice(&attr(FLAG_OPTIONAL | FLAG_TRANSITIVE, 99, &[0xAB, 0xCD]));
+    let frames = fuzz_corpus().into_iter().chain([update_frame(&[], &repeated, &[16, 20, 1])]);
+    for frame in frames {
+        let records: Vec<MrtRecord> = MrtReader::new(&frame[..]).map(Result::unwrap).collect();
+        let mut again = Vec::new();
+        let mut writer = MrtWriter::new(&mut again);
+        for record in &records {
+            writer.write_record(record).unwrap();
+        }
+        assert_eq!(again, frame);
+    }
 }
 
 /// A TABLE_DUMP_V2 snapshot: the peer index table plus one IPv4 and one
@@ -537,7 +559,8 @@ fn table_dump_corpus() -> Vec<Vec<u8>> {
 /// accepted its first record. Nothing may panic, and:
 ///
 /// * the reference accepts the first frame exactly when [`MrtReader`]
-///   does, and both decode it to equal values;
+///   does, and decodes it to the values the parser's record holds (its
+///   UPDATE materialized);
 /// * on a BGP4MP message frame, [`FrameView::message`] accepts exactly
 ///   when [`MrtReader`] does, and the view's lazy iterators yield the
 ///   decoded record's prefixes, AS path and communities;
@@ -548,7 +571,13 @@ fn check_equivalence(buf: &[u8]) -> bool {
     let first = parsed.first();
     if let Some(reference) = reference::decode_frame(buf) {
         match (&reference, first) {
-            (Ok(r), Some(Ok(p))) => assert_eq!(r, p, "reference and parser decode differently"),
+            (Ok(r), Some(Ok(p))) => {
+                assert_eq!(
+                    Some(r),
+                    Decoded::of(p).as_ref(),
+                    "reference and parser decode differently"
+                )
+            }
             (Err(_), Some(Err(_))) => {}
             _ => panic!("reference {reference:?}, parser {first:?}"),
         }
@@ -562,7 +591,7 @@ fn check_equivalence(buf: &[u8]) -> bool {
             let Some(Ok(MrtRecord { body: MrtBody::Message(m), .. })) = first else {
                 panic!("view accepted, reader {first:?}")
             };
-            let (view, update) = (msg.update, &m.update);
+            let (view, update) = (msg.update, &m.update.materialize());
             assert_eq!(view.materialize(), *update);
             let withdrawn: Vec<Prefix> = view.withdrawn_v4().chain(view.mp_withdrawn()).collect();
             assert_eq!(withdrawn, update.withdrawn, "withdrawn prefixes diverged");

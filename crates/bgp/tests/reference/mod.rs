@@ -14,8 +14,8 @@
 //!   AFI but 2 decoded as IPv4, and SAFI was ignored).
 
 use kepler_bgp::mrt::{
-    Bgp4mpMessage, MrtBody, MrtError, MrtRecord, RibEntry, RibPrefixEntries, BGP4MP_MESSAGE_AS4,
-    MRT_TYPE_BGP4MP, MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST, TDV2_RIB_IPV6_UNICAST,
+    MrtBody, MrtError, MrtRecord, RibEntry, RibPrefixEntries, BGP4MP_MESSAGE_AS4, MRT_TYPE_BGP4MP,
+    MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST, TDV2_RIB_IPV6_UNICAST,
 };
 use kepler_bgp::{
     AsPath, AsPathSegment, Asn, BgpUpdate, Community, ExtendedCommunity, LargeCommunity, Origin,
@@ -93,10 +93,49 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// A frame as the reference decodes it, owned values throughout.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Decoded {
+    /// A `BGP4MP_MESSAGE_AS4` record: the MRT timestamp, the peer header
+    /// and the UPDATE.
+    Message {
+        timestamp: u32,
+        peer_as: Asn,
+        local_as: Asn,
+        interface_index: u16,
+        peer_ip: IpAddr,
+        local_ip: IpAddr,
+        update: BgpUpdate,
+    },
+    /// A TABLE_DUMP_V2 RIB record, which the parser decodes to owned
+    /// values too.
+    Rib(MrtRecord),
+}
+
+impl Decoded {
+    /// A parser's record in the reference's terms, its UPDATE
+    /// materialized: `None` for a record the reference does not model.
+    pub fn of(rec: &MrtRecord) -> Option<Decoded> {
+        match &rec.body {
+            MrtBody::Message(m) => Some(Decoded::Message {
+                timestamp: rec.timestamp,
+                peer_as: m.peer_as,
+                local_as: m.local_as,
+                interface_index: m.interface_index,
+                peer_ip: m.peer_ip,
+                local_ip: m.local_ip,
+                update: m.update.materialize(),
+            }),
+            MrtBody::RibEntries(_) => Some(Decoded::Rib(rec.clone())),
+            MrtBody::StateChange(_) | MrtBody::PeerIndexTable(_) => None,
+        }
+    }
+}
+
 /// Decodes the first frame of `buf`: `None` for an empty buffer or a
 /// complete frame of a type the reference does not model (anything but
 /// `BGP4MP_MESSAGE_AS4` and the two RIB subtypes).
-pub fn decode_frame(buf: &[u8]) -> Option<Result<MrtRecord, MrtError>> {
+pub fn decode_frame(buf: &[u8]) -> Option<Result<Decoded, MrtError>> {
     if buf.is_empty() {
         return None;
     }
@@ -112,20 +151,19 @@ pub fn decode_frame(buf: &[u8]) -> Option<Result<MrtRecord, MrtError>> {
         Ok(h) => h,
         Err(e) => return Some(Err(e)),
     };
-    let body = match (mrt_type, subtype) {
-        (MRT_TYPE_BGP4MP, BGP4MP_MESSAGE_AS4) => decode_message(body).map(MrtBody::Message),
-        (MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST) => {
-            decode_rib(body, false).map(MrtBody::RibEntries)
-        }
-        (MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV6_UNICAST) => {
-            decode_rib(body, true).map(MrtBody::RibEntries)
-        }
-        _ => return None,
+    let rib = |v6| {
+        let body = decode_rib(body, v6)?;
+        Ok(Decoded::Rib(MrtRecord { timestamp, body: MrtBody::RibEntries(body) }))
     };
-    Some(body.map(|body| MrtRecord { timestamp, body }))
+    Some(match (mrt_type, subtype) {
+        (MRT_TYPE_BGP4MP, BGP4MP_MESSAGE_AS4) => decode_message(timestamp, body),
+        (MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST) => rib(false),
+        (MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV6_UNICAST) => rib(true),
+        _ => return None,
+    })
 }
 
-fn decode_message(raw: &[u8]) -> Result<Bgp4mpMessage, MrtError> {
+fn decode_message(timestamp: u32, raw: &[u8]) -> Result<Decoded, MrtError> {
     let mut cur = Cursor::new(raw);
     let peer_as = Asn(cur.u32("BGP4MP peer AS")?);
     let local_as = Asn(cur.u32("BGP4MP local AS")?);
@@ -139,7 +177,15 @@ fn decode_message(raw: &[u8]) -> Result<Bgp4mpMessage, MrtError> {
     let peer_ip = cur.ip(v6, "BGP4MP peer IP")?;
     let local_ip = cur.ip(v6, "BGP4MP local IP")?;
     let update = decode_bgp_update(&mut cur)?;
-    Ok(Bgp4mpMessage { peer_as, local_as, interface_index, peer_ip, local_ip, update })
+    Ok(Decoded::Message {
+        timestamp,
+        peer_as,
+        local_as,
+        interface_index,
+        peer_ip,
+        local_ip,
+        update,
+    })
 }
 
 fn decode_rib(raw: &[u8], v6: bool) -> Result<RibPrefixEntries, MrtError> {

@@ -51,6 +51,7 @@ mod tests {
     use crate::collector::{CollectorId, PeerId};
     use crate::record::RecordPayload;
     use crate::source::MemorySource;
+    use kepler_bgp::mrt::WireUpdate;
     use kepler_bgp::{Asn, BgpUpdate, Prefix};
 
     fn rec(time: u64, collector: u16) -> BgpRecord {
@@ -58,9 +59,10 @@ mod tests {
             time,
             collector: CollectorId(collector),
             peer: PeerId { asn: Asn(1), addr: "192.0.2.1".parse().unwrap() },
-            payload: RecordPayload::Update(BgpUpdate::withdraw(vec![Prefix::v4(
-                184, 84, 0, 0, 16,
-            )])),
+            payload: RecordPayload::Update(
+                WireUpdate::encode(&BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 0, 0, 16)]))
+                    .unwrap(),
+            ),
         }
     }
 

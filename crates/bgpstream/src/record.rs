@@ -5,8 +5,8 @@
 //! `BGPElem`). Kepler's monitoring module works exclusively on elements.
 
 use crate::collector::{CollectorId, PeerId};
-use kepler_bgp::mrt::{Bgp4mpMessage, MrtBody, MrtRecord};
-use kepler_bgp::{BgpUpdate, PathAttributes, Prefix, StateChange};
+use kepler_bgp::mrt::{Bgp4mpMessage, MrtBody, MrtRecord, WireUpdate};
+use kepler_bgp::{PathAttributes, Prefix, StateChange};
 use std::sync::Arc;
 
 /// Seconds since the Unix epoch (virtual time in simulations).
@@ -15,8 +15,9 @@ pub type Timestamp = u64;
 /// Payload of a [`BgpRecord`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordPayload {
-    /// A BGP UPDATE received from the peer.
-    Update(BgpUpdate),
+    /// A BGP UPDATE received from the peer, as its validated wire bytes
+    /// (built from an owned update with [`WireUpdate::encode`]).
+    Update(WireUpdate),
     /// A collector-peer session state change.
     State(StateChange),
 }
@@ -75,12 +76,14 @@ impl BgpElem {
 }
 
 impl BgpRecord {
-    /// Explodes the record into per-prefix elements. State changes yield no
-    /// elements (they are consumed by the [`crate::gap::GapTracker`]).
+    /// Explodes the record into per-prefix elements, its UPDATE
+    /// materialized. State changes yield no elements (they are consumed
+    /// by the [`crate::gap::GapTracker`]).
     pub fn explode(&self) -> Vec<BgpElem> {
         match &self.payload {
             RecordPayload::State(_) => Vec::new(),
             RecordPayload::Update(u) => {
+                let u = u.materialize();
                 let mut out = Vec::with_capacity(u.withdrawn.len() + u.announced.len());
                 for p in &u.withdrawn {
                     out.push(BgpElem {
@@ -108,8 +111,8 @@ impl BgpRecord {
         }
     }
 
-    /// Converts a decoded MRT record into a [`BgpRecord`], if it is a
-    /// message or state change (RIB records are handled separately). The
+    /// Converts a decoded MRT record into a [`BgpRecord`] if it is a
+    /// message or a state change; a TABLE_DUMP_V2 record is `None`. The
     /// record is consumed: its update moves into the result uncopied.
     pub fn from_mrt(rec: MrtRecord, collector: CollectorId) -> Option<BgpRecord> {
         match rec.body {
@@ -156,14 +159,14 @@ impl BgpRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kepler_bgp::{AsPath, Asn, Community};
+    use kepler_bgp::{AsPath, Asn, BgpUpdate, Community};
 
     fn rec(update: BgpUpdate) -> BgpRecord {
         BgpRecord {
             time: 100,
             collector: CollectorId(0),
             peer: PeerId { asn: Asn(13030), addr: "192.0.2.1".parse().unwrap() },
-            payload: RecordPayload::Update(update),
+            payload: RecordPayload::Update(WireUpdate::encode(&update).unwrap()),
         }
     }
 

@@ -56,8 +56,8 @@ impl RecordSource for MemorySource {
 
 /// A source decoding records from an MRT byte stream on the fly.
 ///
-/// Unsupported MRT record types and RIB snapshot records are skipped (the
-/// broker handles RIB dumps separately). A record whose body does not
+/// Unsupported MRT record types and TABLE_DUMP_V2 records are skipped:
+/// RIB snapshots carry no session's updates. A record whose body does not
 /// decode is skipped and counted in [`MrtSource::skipped`]; the stream
 /// goes on with the next record. Only a failure to read the stream (I/O,
 /// a torn header or body) ends it, reported through
@@ -128,7 +128,7 @@ mod tests {
     use super::*;
     use crate::collector::PeerId;
     use crate::record::RecordPayload;
-    use kepler_bgp::mrt::MrtWriter;
+    use kepler_bgp::mrt::{MrtWriter, WireUpdate};
     use kepler_bgp::{AsPath, Asn, BgpUpdate, PathAttributes, Prefix};
 
     fn rec(time: u64) -> BgpRecord {
@@ -136,10 +136,16 @@ mod tests {
             time,
             collector: CollectorId(0),
             peer: PeerId { asn: Asn(13030), addr: "192.0.2.1".parse().unwrap() },
-            payload: RecordPayload::Update(BgpUpdate::announce(
-                vec![Prefix::v4(184, 84, 242, 0, 24)],
-                PathAttributes::with_path_and_communities(AsPath::from_sequence([13030]), vec![]),
-            )),
+            payload: RecordPayload::Update(
+                WireUpdate::encode(&BgpUpdate::announce(
+                    vec![Prefix::v4(184, 84, 242, 0, 24)],
+                    PathAttributes::with_path_and_communities(
+                        AsPath::from_sequence([13030]),
+                        vec![],
+                    ),
+                ))
+                .unwrap(),
+            ),
         }
     }
 

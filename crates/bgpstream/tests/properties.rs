@@ -1,5 +1,6 @@
 //! Property-based tests for the stream substrate.
 
+use kepler_bgp::mrt::WireUpdate;
 use kepler_bgp::{Asn, BgpUpdate, Prefix};
 use kepler_bgpstream::{
     BgpRecord, CollectorId, MemorySource, MergedStream, PeerId, RecordPayload, RecordSource,
@@ -11,7 +12,9 @@ fn rec(time: u64, collector: u16) -> BgpRecord {
         time,
         collector: CollectorId(collector),
         peer: PeerId { asn: Asn(1), addr: "10.0.0.1".parse().unwrap() },
-        payload: RecordPayload::Update(BgpUpdate::withdraw(vec![Prefix::v4(20, 0, 0, 0, 16)])),
+        payload: RecordPayload::Update(
+            WireUpdate::encode(&BgpUpdate::withdraw(vec![Prefix::v4(20, 0, 0, 0, 16)])).unwrap(),
+        ),
     }
 }
 
@@ -58,7 +61,7 @@ proptest! {
             time: 42,
             collector: CollectorId(0),
             peer: PeerId { asn: Asn(5), addr: "10.0.0.5".parse().unwrap() },
-            payload: RecordPayload::Update(update),
+            payload: RecordPayload::Update(WireUpdate::encode(&update).unwrap()),
         };
         let elems = r.explode();
         prop_assert_eq!(elems.len(), n_w + if n_a > 0 { n_a } else { 0 });

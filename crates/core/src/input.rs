@@ -9,11 +9,10 @@
 //! path, the method of Giotsas & Zhou \[51\].
 
 use crate::events::RouteKey;
-use crate::intern::{DenseCrossing, DenseRouteEvent, Interner, RouteId, RouteSession};
-use kepler_bgp::mrt::{AsPathView, UpdateView};
-use kepler_bgp::sanitize::{RejectReason, SanitizeStats, Sanitizer, SanitizerConfig};
-use kepler_bgp::{AsPath, Asn, Community, PathAttributes, Prefix};
-use kepler_bgpstream::{BgpElem, BgpRecord, CollectorId, ElemKind, PeerId, RecordPayload};
+use crate::intern::{DenseCrossing, DenseRouteEvent, Interner};
+use kepler_bgp::sanitize::{SanitizeStats, Sanitizer, SanitizerConfig};
+use kepler_bgp::{Asn, Community, PathAttributes};
+use kepler_bgpstream::{BgpElem, BgpRecord, ElemKind, RecordPayload};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_topology::ColocationMap;
 use std::sync::Arc;
@@ -75,55 +74,10 @@ impl InputStats {
     }
 }
 
-/// One decoded element in dense-id space, borrowed from the decoder's
-/// scratch buffers. Produced by [`InputModule::process_update_view_dense`].
-#[derive(Debug, Clone, Copy)]
-pub enum DenseElem<'a> {
-    /// The route is (re-)announced with these interned crossings.
-    Update {
-        /// Interned route identity.
-        route: RouteId,
-        /// Interned located crossings (scratch-backed; copy out to keep).
-        crossings: &'a [DenseCrossing],
-    },
-    /// The route was withdrawn.
-    Withdraw {
-        /// Interned route identity.
-        route: RouteId,
-    },
-}
-
-/// An announcement's AS path wherever it lives — materialized
-/// ([`AsPath`]) or still on the wire ([`AsPathView`]) — so the
-/// record-level decoder is one body over both.
-trait PathSource {
-    /// Collapses the path (prepending removed) into `hops`, cleared
-    /// first, and returns the sanitizer's path-level verdict on it.
-    fn assess(&self, sanitizer: &Sanitizer, hops: &mut Vec<Asn>) -> Result<(), RejectReason>;
-}
-
-impl PathSource for AsPath {
-    fn assess(&self, sanitizer: &Sanitizer, hops: &mut Vec<Asn>) -> Result<(), RejectReason> {
-        self.hops_into(hops);
-        sanitizer.path_verdict(self, hops)
-    }
-}
-
-impl PathSource for AsPathView<'_> {
-    fn assess(&self, sanitizer: &Sanitizer, hops: &mut Vec<Asn>) -> Result<(), RejectReason> {
-        self.hops_into(hops);
-        sanitizer.path_verdict_parts(self.is_empty(), hops, || self.has_special_purpose_asn())
-    }
-}
-
-/// Recycled per-record scratch arena for the record-level decoders. One
+/// Recycled per-record scratch arena for the record-level decode. One
 /// arena lives inside each [`InputModule`]; every record-level decode
 /// *resets* the buffers (length to zero, capacity kept), so after warm-up
 /// the per-record allocation count is zero.
-///
-/// Ownership rule: emitted [`DenseElem`]s borrow `dense` — callers must
-/// finish with (or copy out of) one record's elements before the next
-/// record-level call, which the `&mut self` receivers enforce.
 #[derive(Debug, Default)]
 struct RecordArena {
     hops: Vec<Asn>,
@@ -191,17 +145,21 @@ impl InputModule {
         }
     }
 
-    /// Decodes one whole record into owned [`DenseRouteEvent`]s, without
-    /// the per-prefix [`BgpElem`] explosion (no `Arc<PathAttributes>`
-    /// clone, no per-element `Vec`s): the path is sanitized and its
-    /// communities mapped **once per update**, and every announced prefix
-    /// shares one cached `Arc` per distinct crossing set (see
-    /// [`Interner::intern_crossings`]). Statistics (both [`InputStats`]
-    /// and [`SanitizeStats`]) are accounted per element, byte-identical
-    /// to calling [`process`](Self::process) on every exploded element
-    /// and interning the result, and `emit` receives events in the exact
-    /// order [`BgpRecord::explode`] would have produced them. State
-    /// records yield nothing (they are the
+    /// Decodes one whole record into owned [`DenseRouteEvent`]s straight
+    /// from its UPDATE's wire bytes, through the span table the read
+    /// kept ([`WireUpdate::view`](kepler_bgp::mrt::WireUpdate::view)),
+    /// without the per-prefix [`BgpElem`] explosion: hops collapse into
+    /// the arena from the AS_PATH bytes, communities stream out of the
+    /// attribute region, prefixes decode one at a time from the NLRI
+    /// regions, the path is sanitized and its communities mapped **once
+    /// per update**, and every announced prefix shares one cached `Arc`
+    /// per distinct crossing set (see [`Interner::intern_crossings`]).
+    /// Statistics (both [`InputStats`] and [`SanitizeStats`]) are
+    /// accounted per element, byte-identical to calling
+    /// [`process`](Self::process) on every exploded element and interning
+    /// the result, and `emit` receives events in the exact order
+    /// [`BgpRecord::explode`] would have produced them. State records
+    /// yield nothing (they are the
     /// [`GapTracker`](kepler_bgpstream::GapTracker)'s business).
     ///
     /// This is the decode stage of [`Kepler`](crate::system::Kepler).
@@ -212,79 +170,9 @@ impl InputModule {
         mut emit: F,
     ) {
         let RecordPayload::Update(update) = &rec.payload else { return };
-        let announcement =
-            update.attrs.as_ref().filter(|_| !update.announced.is_empty()).map(|a| {
-                (&a.as_path, a.communities.iter().copied(), update.announced.iter().copied())
-            });
-        // One update carries one crossing set: interned on first use.
-        let mut shared = None;
-        self.decode_update(
-            interner.route_session(rec.collector, rec.peer),
-            update.withdrawn.iter().copied(),
-            announcement,
-            interner,
-            |interner, elem| {
-                emit(match elem {
-                    DenseElem::Withdraw { route } => DenseRouteEvent::Withdraw { route },
-                    DenseElem::Update { route, crossings } => DenseRouteEvent::Update {
-                        route,
-                        crossings: Arc::clone(
-                            shared.get_or_insert_with(|| interner.intern_crossings(crossings)),
-                        ),
-                    },
-                })
-            },
-        );
-    }
-
-    /// Decodes a zero-copy [`UpdateView`] straight into dense-id space —
-    /// the wire-to-dense path with no materialization step at all: hops
-    /// are collapsed into the arena directly from the AS_PATH bytes,
-    /// communities stream out of the attribute region, and prefixes
-    /// decode one at a time from the NLRI regions. Event order, minted
-    /// ids and statistics are byte-identical to materializing the frame
-    /// into a [`BgpRecord`] and calling
-    /// [`process_record_events`](Self::process_record_events).
-    pub fn process_update_view_dense<F: for<'a> FnMut(DenseElem<'a>)>(
-        &mut self,
-        collector: CollectorId,
-        peer: PeerId,
-        update: &UpdateView<'_>,
-        interner: &mut Interner,
-        mut emit: F,
-    ) {
-        let path = update.as_path();
-        let communities = update.communities();
-        // Matches the materializing path's `attrs == None` normalization:
-        // an update announcing nothing carries no meaningful attributes.
-        let announcement = update.has_announcements().then(|| {
-            (&path, communities.iter(), update.announced_v4().chain(update.mp_announced()))
-        });
-        self.decode_update(
-            interner.route_session(collector, peer),
-            update.withdrawn_v4().chain(update.mp_withdrawn()),
-            announcement,
-            interner,
-            |_, elem| emit(elem),
-        );
-    }
-
-    /// The one record-level decode body behind
-    /// [`process_record_events`](Self::process_record_events) and
-    /// [`process_update_view_dense`](Self::process_update_view_dense):
-    /// every withdrawn prefix, then — for an `announcement` of (path,
-    /// communities, prefixes) — one path verdict and one community
-    /// mapping shared by every announced prefix. `emit` gets the interner
-    /// back so a front-end can intern what it keeps.
-    fn decode_update<P: PathSource>(
-        &mut self,
-        sess: RouteSession,
-        withdrawn: impl Iterator<Item = Prefix>,
-        announcement: Option<(&P, impl Iterator<Item = Community>, impl Iterator<Item = Prefix>)>,
-        interner: &mut Interner,
-        mut emit: impl for<'a> FnMut(&mut Interner, DenseElem<'a>),
-    ) {
-        for p in withdrawn {
+        let update = update.view();
+        let sess = interner.route_session(rec.collector, rec.peer);
+        for p in update.withdrawn_v4().chain(update.mp_withdrawn()) {
             self.stats.elems += 1;
             let v = self.sanitizer.assess_prefix(&p);
             self.sanitizer.tally(v);
@@ -292,21 +180,29 @@ impl InputModule {
                 self.stats.rejected += 1;
                 continue;
             }
-            let route = interner.route_id_in(sess, p);
-            emit(interner, DenseElem::Withdraw { route });
+            emit(DenseRouteEvent::Withdraw { route: interner.route_id_in(sess, p) });
         }
-        let Some((path, communities, announced)) = announcement else { return };
+        // An update announcing nothing carries no meaningful attributes.
+        if !update.has_announcements() {
+            return;
+        }
+        let path = update.as_path();
         let mut hops = std::mem::take(&mut self.arena.hops);
-        let path_verdict = path.assess(&self.sanitizer, &mut hops);
+        path.hops_into(&mut hops);
+        let path_verdict = self
+            .sanitizer
+            .path_verdict_parts(path.is_empty(), &hops, || path.has_special_purpose_asn());
         let mut cross = std::mem::take(&mut self.arena.cross);
         cross.clear();
         if path_verdict.is_ok() {
-            self.map_communities_into(communities, &hops, &mut cross);
+            self.map_communities_into(update.communities().iter(), &hops, &mut cross);
         }
         let located = !cross.is_empty();
         let mut dense = std::mem::take(&mut self.arena.dense);
         dense.clear();
-        for p in announced {
+        // One update carries one crossing set: interned on first use.
+        let mut shared = None;
+        for p in update.announced_v4().chain(update.mp_announced()) {
             self.stats.elems += 1;
             let v = path_verdict.and_then(|()| self.sanitizer.assess_prefix(&p));
             self.sanitizer.tally(v);
@@ -326,7 +222,8 @@ impl InputModule {
                 dense.extend(cross.iter().map(|c| interner.crossing(c)));
             }
             let route = interner.route_id_in(sess, p);
-            emit(interner, DenseElem::Update { route, crossings: &dense });
+            let crossings = shared.get_or_insert_with(|| interner.intern_crossings(&dense));
+            emit(DenseRouteEvent::Update { route, crossings: Arc::clone(crossings) });
         }
         self.arena.hops = hops;
         self.arena.cross = cross;
@@ -342,8 +239,8 @@ impl InputModule {
 
     /// [`map_crossings`](Self::map_crossings) over any community source,
     /// into a caller-provided buffer (cleared first) — this is what lets
-    /// the zero-copy path stream communities straight out of the
-    /// attribute bytes.
+    /// the record road stream communities straight out of the attribute
+    /// bytes.
     pub fn map_communities_into<I: IntoIterator<Item = Community>>(
         &self,
         communities: I,
@@ -385,6 +282,7 @@ impl InputModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kepler_bgp::mrt::WireUpdate;
     use kepler_bgp::{AsPath, BgpUpdate, Community, Prefix};
     use kepler_bgpstream::{BgpRecord, CollectorId, PeerId, RecordPayload};
     use kepler_topology::entities::{CityId, Facility, Ixp};
@@ -428,10 +326,13 @@ mod tests {
             time: 100,
             collector: CollectorId(0),
             peer: PeerId { asn: Asn(3356), addr: "10.0.0.1".parse().unwrap() },
-            payload: RecordPayload::Update(BgpUpdate::announce(
-                vec![Prefix::v4(184, 84, 242, 0, 24)],
-                attrs,
-            )),
+            payload: RecordPayload::Update(
+                WireUpdate::encode(&BgpUpdate::announce(
+                    vec![Prefix::v4(184, 84, 242, 0, 24)],
+                    attrs,
+                ))
+                .unwrap(),
+            ),
         };
         rec.explode().pop().unwrap()
     }
@@ -520,9 +421,10 @@ mod tests {
             time: 5,
             collector: CollectorId(1),
             peer: PeerId { asn: Asn(3356), addr: "10.0.0.1".parse().unwrap() },
-            payload: RecordPayload::Update(BgpUpdate::withdraw(vec![Prefix::v4(
-                184, 84, 242, 0, 24,
-            )])),
+            payload: RecordPayload::Update(
+                WireUpdate::encode(&BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 242, 0, 24)]))
+                    .unwrap(),
+            ),
         };
         let e = rec.explode().pop().unwrap();
         assert!(matches!(input.process(&e), Some(RouteEvent::Withdraw { .. })));

@@ -35,7 +35,7 @@
 //! given a second representation.
 
 use crate::events::RouteKey;
-use crate::fx::FxHashMap;
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::input::{PopCrossing, RouteEvent};
 use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId};
@@ -179,11 +179,11 @@ pub struct Interner {
     /// Scratch buffer so `intern_event` performs exactly one allocation
     /// (the `Arc<[_]>` itself) per announcement.
     scratch: Vec<DenseCrossing>,
-    /// Distinct crossing set → shared allocation, for
-    /// [`intern_crossings`](Self::intern_crossings). Crossing sets are
-    /// drawn from the (small) located-link universe, so the cache
-    /// converts per-announcement `Arc` allocations into lookups.
-    cross_cache: FxHashMap<Vec<DenseCrossing>, Arc<[DenseCrossing]>>,
+    /// One shared allocation per distinct crossing set, found by its
+    /// contents, for [`intern_crossings`](Self::intern_crossings).
+    /// Crossing sets are drawn from the (small) located-link universe, so
+    /// the cache converts per-announcement `Arc` allocations into lookups.
+    cross_cache: FxHashSet<Arc<[DenseCrossing]>>,
 }
 
 /// Handle to one `(collector, peer)` slot of the two-level route table,
@@ -255,7 +255,7 @@ impl Interner {
             return Arc::clone(a);
         }
         let arc: Arc<[DenseCrossing]> = Arc::from(dense);
-        self.cross_cache.insert(dense.to_vec(), Arc::clone(&arc));
+        self.cross_cache.insert(Arc::clone(&arc));
         arc
     }
 

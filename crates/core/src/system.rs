@@ -620,6 +620,7 @@ mod tests {
     use super::*;
     use crate::events::OutageScope;
     use crate::validate::tests::FixedProbe;
+    use kepler_bgp::mrt::WireUpdate;
     use kepler_bgp::{AsPath, Asn, BgpUpdate, Community, PathAttributes, Prefix};
     use kepler_bgpstream::{CollectorId, PeerId, RecordPayload};
     use kepler_docmine::LocationTag;
@@ -673,10 +674,13 @@ mod tests {
             time: t,
             collector: CollectorId(0),
             peer: peer(),
-            payload: RecordPayload::Update(BgpUpdate::announce(
-                vec![Prefix::v4(20, pfx, 0, 0, 16)],
-                attrs,
-            )),
+            payload: RecordPayload::Update(
+                WireUpdate::encode(&BgpUpdate::announce(
+                    vec![Prefix::v4(20, pfx, 0, 0, 16)],
+                    attrs,
+                ))
+                .unwrap(),
+            ),
         }
     }
 
@@ -690,10 +694,13 @@ mod tests {
             time: t,
             collector: CollectorId(0),
             peer: peer(),
-            payload: RecordPayload::Update(BgpUpdate::announce(
-                vec![Prefix::v4(20, pfx, 0, 0, 16)],
-                attrs,
-            )),
+            payload: RecordPayload::Update(
+                WireUpdate::encode(&BgpUpdate::announce(
+                    vec![Prefix::v4(20, pfx, 0, 0, 16)],
+                    attrs,
+                ))
+                .unwrap(),
+            ),
         }
     }
 
@@ -825,9 +832,10 @@ mod tests {
                 time: t_ev + 5,
                 collector: CollectorId(0),
                 peer: peer(),
-                payload: RecordPayload::Update(BgpUpdate::withdraw(vec![Prefix::v4(
-                    20, i, 0, 0, 16,
-                )])),
+                payload: RecordPayload::Update(
+                    WireUpdate::encode(&BgpUpdate::withdraw(vec![Prefix::v4(20, i, 0, 0, 16)]))
+                        .unwrap(),
+                ),
             });
         }
         records.push(announce(t_ev + 10_000, 10, 20, 0));

@@ -1,29 +1,40 @@
-//! Differential property tests for the three decode roads: the
-//! per-element reference (explode → [`InputModule::process`], interned),
-//! the record road the product runs
-//! ([`InputModule::process_record_events`]) and the zero-copy wire road
-//! (MRT archive → [`FrameView`] → `UpdateView` →
-//! [`InputModule::process_update_view_dense`]) must be bit-identical —
+//! Differential property tests for the two decode roads: the per-element
+//! reference (explode → [`InputModule::process`], interned) and the
+//! record road the product runs — MRT archives, one per collector, read
+//! through [`MrtSource`] and [`MergedStream`], each record keeping its
+//! UPDATE as wire bytes and spans, decoded by
+//! [`InputModule::process_record_events`]. They must be bit-identical:
 //! same dense event stream, same interner tables (ids, keys, tags), same
 //! input and sanitizer statistics, and same resolved
 //! [`BinOutcome`](kepler_core::monitor::BinOutcome)s once the events
-//! feed a [`Monitor`].
+//! feed a [`Monitor`]. The reference explodes the very records the
+//! record road reads, so every scripted update is first checked to read
+//! back as it was written ([`update`]): a parser fault cannot hide in
+//! both roads at once.
 
-use kepler_bgp::mrt::{FrameView, MrtWriter};
+use kepler_bgp::mrt::{MrtWriter, WireUpdate};
 use kepler_bgp::sanitize::SanitizeStats;
 use kepler_bgp::{
     AsPath, Asn, BgpUpdate, Community, PathAttributes, PeerState, Prefix, StateChange,
 };
-use kepler_bgpstream::{BgpRecord, CollectorId, GapTracker, PeerId, RecordPayload, Timestamp};
+use kepler_bgpstream::{
+    BgpRecord, CollectorId, GapTracker, MergedStream, MrtSource, PeerId, RecordPayload,
+    RecordSource, Timestamp,
+};
 use kepler_core::config::KeplerConfig;
-use kepler_core::input::{DenseElem, InputModule, InputStats};
+use kepler_core::input::{InputModule, InputStats};
 use kepler_core::intern::{DenseRouteEvent, Interner};
 use kepler_core::monitor::{BinOutcome, Monitor};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_topology::{ColocationMap, FacilityId};
 use proptest::prelude::*;
+use std::io::Cursor;
+use std::net::{IpAddr, Ipv6Addr};
 
 const QUARANTINE: u64 = 600;
+
+/// Collectors the scripts spread their records over.
+const COLLECTORS: usize = 4;
 
 /// Dictionary: community (100+n):500 tags Facility(n % 5) for n in 0..8.
 fn dictionary() -> CommunityDictionary {
@@ -49,9 +60,38 @@ fn peer(p: u8) -> PeerId {
     }
 }
 
-/// One scripted record, covering multi-prefix updates, withdraw-only
-/// updates, unlocated paths, sanitizer rejects (loops, bogons) and
-/// session state changes across several collector sessions.
+/// Prefix `x` of a script: IPv6 from 224 up, so updates mix both
+/// families (through MP_REACH and MP_UNREACH), IPv4 below, and 255 a
+/// bogon (0.0.0.0/8 space).
+fn prefix(x: u8) -> Prefix {
+    match x {
+        255 => Prefix::v4(0, 0, 0, 0, 16),
+        224.. => {
+            let addr = Ipv6Addr::new(0x2a00, u16::from(x % 24), 0, 0, 0, 0, 0, 0);
+            Prefix::new(IpAddr::V6(addr), 32).unwrap()
+        }
+        _ => Prefix::v4(20, x % 24, 0, 0, 16),
+    }
+}
+
+/// The prefixes `xs` name, IPv4 before IPv6 as the wire carries them.
+fn family_order(xs: &[u8]) -> Vec<Prefix> {
+    let mut prefixes: Vec<Prefix> = xs.iter().map(|&x| prefix(x)).collect();
+    prefixes.sort_by_key(Prefix::is_ipv6);
+    prefixes
+}
+
+/// A scripted UPDATE as a record carries it, checked to materialize to
+/// exactly what the script wrote.
+fn update(update: BgpUpdate) -> RecordPayload {
+    let wire = WireUpdate::encode(&update).unwrap();
+    assert_eq!(wire.materialize(), update, "the scripted update reads back as written");
+    RecordPayload::Update(wire)
+}
+
+/// One scripted record, covering multi-prefix updates of both families,
+/// withdraw-only updates, unlocated paths, sanitizer rejects (loops,
+/// bogons) and session state changes across several collector sessions.
 #[derive(Debug, Clone)]
 enum Op {
     Announce {
@@ -89,7 +129,7 @@ fn arb_announce() -> impl Strategy<Value = Op> {
         any::<u8>(),
     )
         .prop_map(|(collector, peer, prefixes, near, far, tagged, loop_roll)| Op::Announce {
-            collector: collector % 4,
+            collector: collector % COLLECTORS as u8,
             peer: peer % 4,
             prefixes,
             near: near % 8,
@@ -106,13 +146,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_announce(),
         (any::<u8>(), any::<u8>(), prop::collection::vec(any::<u8>(), 1..4)).prop_map(
             |(collector, peer, prefixes)| Op::Withdraw {
-                collector: collector % 4,
+                collector: collector % COLLECTORS as u8,
                 peer: peer % 4,
                 prefixes,
             }
         ),
         (any::<u8>(), any::<u8>(), any::<bool>()).prop_map(|(collector, peer, up)| Op::State {
-            collector: collector % 4,
+            collector: collector % COLLECTORS as u8,
             peer: peer % 4,
             up
         }),
@@ -141,32 +181,21 @@ fn records(ops: &[Op]) -> Vec<BgpRecord> {
                     vec![Community::new(64_000, 1)]
                 };
                 let attrs = PathAttributes::with_path_and_communities(path, communities);
-                // prefix value 255 yields a bogon (0.0.0.0/8 space).
-                let announced: Vec<Prefix> = prefixes
-                    .iter()
-                    .map(|&x| {
-                        if x == 255 {
-                            Prefix::v4(0, 0, 0, 0, 16)
-                        } else {
-                            Prefix::v4(20, x % 24, 0, 0, 16)
-                        }
-                    })
-                    .collect();
+                let announced = family_order(prefixes);
                 out.push(BgpRecord {
                     time: t,
                     collector: CollectorId(*collector as u16),
                     peer: peer(*p),
-                    payload: RecordPayload::Update(BgpUpdate::announce(announced, attrs)),
+                    payload: update(BgpUpdate::announce(announced, attrs)),
                 });
             }
             Op::Withdraw { collector, peer: p, prefixes } => {
-                let withdrawn: Vec<Prefix> =
-                    prefixes.iter().map(|&x| Prefix::v4(20, x % 24, 0, 0, 16)).collect();
+                let withdrawn = family_order(prefixes);
                 out.push(BgpRecord {
                     time: t,
                     collector: CollectorId(*collector as u16),
                     peer: peer(*p),
-                    payload: RecordPayload::Update(BgpUpdate::withdraw(withdrawn)),
+                    payload: update(BgpUpdate::withdraw(withdrawn)),
                 });
             }
             Op::State { collector, peer: p, up } => {
@@ -187,17 +216,25 @@ fn records(ops: &[Op]) -> Vec<BgpRecord> {
     out
 }
 
-/// Encodes the record stream as a contiguous MRT archive, state changes
-/// included (frame order == record order; MRT has no collector field, so
-/// the zero-copy runner re-pairs frames with records by position).
-fn mrt_archive(records: &[BgpRecord]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut w = MrtWriter::new(&mut buf);
+/// Encodes the record stream as one MRT archive per collector, state
+/// changes included.
+fn mrt_archives(records: &[BgpRecord]) -> Vec<Vec<u8>> {
+    let local_ip = "192.0.2.254".parse().unwrap();
+    let mut archives = vec![Vec::new(); COLLECTORS];
     for rec in records {
-        let mrt = rec.to_mrt(Asn(64_700), "192.0.2.254".parse().unwrap());
-        w.write_record(&mrt).expect("encode record");
+        let mrt = rec.to_mrt(Asn(64_700), local_ip);
+        let archive = &mut archives[usize::from(rec.collector.0)];
+        MrtWriter::new(archive).write_record(&mrt).expect("encode record");
     }
-    buf
+    archives
+}
+
+/// The records in the order the merged stream delivers them: by time,
+/// ties broken by collector, each collector's records in their order.
+fn merged_order(records: &[BgpRecord]) -> Vec<BgpRecord> {
+    let mut merged = records.to_vec();
+    merged.sort_by_key(|r| (r.time, r.collector));
+    merged
 }
 
 /// Full observable state of one decode run: the dense event stream (with
@@ -239,15 +276,16 @@ fn finish_run(
     }
 }
 
-/// The reference road: gap tracking → explode → per-element
-/// [`InputModule::process`] → [`Interner::intern_event`].
-fn run_materializing(records: &[BgpRecord]) -> DecodeRun {
+/// The reference road over the records in merged order: gap tracking
+/// → explode → per-element [`InputModule::process`] →
+/// [`Interner::intern_event`].
+fn run_reference(records: &[BgpRecord]) -> DecodeRun {
     let mut input = input_module();
     let mut gap = GapTracker::new(QUARANTINE);
     let mut interner = Interner::new();
     let mut events = Vec::new();
     let mut last = 0u64;
-    for rec in records {
+    for rec in &merged_order(records) {
         last = last.max(rec.time);
         gap.observe(rec);
         if !gap.is_usable(rec.collector, rec.peer, rec.time) {
@@ -262,77 +300,35 @@ fn run_materializing(records: &[BgpRecord]) -> DecodeRun {
     finish_run(interner, &input, events, last)
 }
 
-/// The record road: one sanitize + community-map per update, shared
-/// `Arc` crossing sets ([`InputModule::process_record_events`]).
-fn run_record_dense(records: &[BgpRecord]) -> DecodeRun {
+/// The record road: the stream written to one MRT archive per
+/// collector, read back through [`MrtSource`] and [`MergedStream`] as
+/// `Kepler`'s ingest reads it, then gap tracking and
+/// [`InputModule::process_record_events`] — one sanitize and community
+/// map per update, shared `Arc` crossing sets.
+fn run_record_road(records: &[BgpRecord]) -> DecodeRun {
+    let sources = mrt_archives(records)
+        .into_iter()
+        .enumerate()
+        .map(|(i, archive)| {
+            let collector = CollectorId(i as u16);
+            Box::new(MrtSource::new(Cursor::new(archive), collector)) as Box<dyn RecordSource>
+        })
+        .collect();
     let mut input = input_module();
     let mut gap = GapTracker::new(QUARANTINE);
     let mut interner = Interner::new();
     let mut events = Vec::new();
-    let mut last = 0u64;
-    for rec in records {
+    let (mut last, mut read) = (0u64, 0usize);
+    for rec in MergedStream::new(sources) {
+        read += 1;
         last = last.max(rec.time);
-        gap.observe(rec);
+        gap.observe(&rec);
         if !gap.is_usable(rec.collector, rec.peer, rec.time) {
             continue;
         }
-        input.process_record_events(rec, &mut interner, |ev| events.push((rec.time, ev)));
+        input.process_record_events(&rec, &mut interner, |ev| events.push((rec.time, ev)));
     }
-    finish_run(interner, &input, events, last)
-}
-
-/// The zero-copy wire path: the stream round-trips through an MRT
-/// archive, then decodes borrow-only — [`FrameView`] → `UpdateView` →
-/// [`InputModule::process_update_view_dense`] — with no `BgpUpdate`
-/// materialization. Gap tracking still runs on the original records
-/// (it is upstream of decode and identical in every path); collector
-/// ids re-pair by frame position since MRT does not carry them.
-fn zero_copy_events(
-    records: &[BgpRecord],
-    input: &mut InputModule,
-    interner: &mut Interner,
-) -> (Vec<(Timestamp, DenseRouteEvent)>, Timestamp) {
-    let archive = mrt_archive(records);
-    let mut gap = GapTracker::new(QUARANTINE);
-    let mut events = Vec::new();
-    let mut last = 0u64;
-    let mut idx = 0usize;
-    let mut off = 0usize;
-    while let Some((frame, used)) = FrameView::parse(&archive[off..]).expect("archive well-formed")
-    {
-        off += used;
-        let rec = &records[idx];
-        idx += 1;
-        assert_eq!(frame.timestamp as Timestamp, rec.time, "frame/record pairing drifted");
-        last = last.max(rec.time);
-        gap.observe(rec);
-        if !gap.is_usable(rec.collector, rec.peer, rec.time) {
-            continue;
-        }
-        // State-change frames carry no routes: `message()` is `None`,
-        // exactly as `explode()` yields no elements for them.
-        if let Some(msg) = frame.message().expect("round-tripped frame parses") {
-            assert_eq!(msg.peer_as, rec.peer.asn);
-            let peer = PeerId { asn: msg.peer_as, addr: msg.peer_ip };
-            input.process_update_view_dense(rec.collector, peer, &msg.update, interner, |elem| {
-                let ev = match elem {
-                    DenseElem::Withdraw { route } => DenseRouteEvent::Withdraw { route },
-                    DenseElem::Update { route, crossings } => {
-                        DenseRouteEvent::Update { route, crossings: crossings.to_vec().into() }
-                    }
-                };
-                events.push((rec.time, ev));
-            });
-        }
-    }
-    assert_eq!(idx, records.len(), "every record round-trips as one frame");
-    (events, last)
-}
-
-fn run_zero_copy(records: &[BgpRecord]) -> DecodeRun {
-    let mut input = input_module();
-    let mut interner = Interner::new();
-    let (events, last) = zero_copy_events(records, &mut input, &mut interner);
+    assert_eq!(read, records.len(), "every record reads back from its archive");
     finish_run(interner, &input, events, last)
 }
 
@@ -353,24 +349,22 @@ proptest! {
         std::env::var("PROPTEST_CASES").ok().and_then(|n| n.parse().ok()).unwrap_or(24)
     ))]
 
-    /// All three decode paths — materializing explode, record-dense, and
-    /// zero-copy MRT — produce bit-identical dense events, interner
-    /// tables, statistics and resolved bin outcomes.
+    /// The per-element reference and the record road over MRT archives
+    /// produce bit-identical dense events, interner tables, statistics
+    /// and resolved bin outcomes.
     #[test]
     fn decode_paths_are_bit_identical(ops in prop::collection::vec(arb_op(), 1..120)) {
         let recs = records(&ops);
-        let reference = run_materializing(&recs);
-        let record_dense = run_record_dense(&recs);
-        assert_runs_identical(&reference, &record_dense, "record-dense vs materializing");
-        let zero_copy = run_zero_copy(&recs);
-        assert_runs_identical(&reference, &zero_copy, "zero-copy vs materializing");
+        let reference = run_reference(&recs);
+        let record_road = run_record_road(&recs);
+        assert_runs_identical(&reference, &record_road, "record road vs per-element reference");
     }
 }
 
 /// An empty archive decodes to nothing, cleanly.
 #[test]
 fn empty_archive_decodes_to_nothing() {
-    let run = run_zero_copy(&[]);
+    let run = run_record_road(&[]);
     assert!(run.events.is_empty());
     assert!(run.outcomes.is_empty());
     assert_eq!(run.stats, InputStats::default());
@@ -379,10 +373,10 @@ fn empty_archive_decodes_to_nothing() {
 }
 
 /// A deterministic outage scenario survives the MRT round-trip: the
-/// zero-copy path sees the same withdrawal burst and reports the same
-/// outage as the materializing path.
+/// record road sees the same withdrawal burst and reports the same
+/// outage as the per-element reference.
 #[test]
-fn zero_copy_detects_the_same_outage() {
+fn the_record_road_detects_the_same_outage() {
     const DAY: u64 = 86_400;
     let t0 = 1_000_000u64;
     let mut recs = Vec::new();
@@ -391,7 +385,7 @@ fn zero_copy_detects_the_same_outage() {
             time: t0,
             collector: CollectorId(i as u16 % 4),
             peer: peer(i % 4),
-            payload: RecordPayload::Update(BgpUpdate::announce(
+            payload: update(BgpUpdate::announce(
                 vec![Prefix::v4(20, i, 0, 0, 16)],
                 PathAttributes::with_path_and_communities(
                     AsPath::from_sequence([3356, 101, 200 + i as u32]),
@@ -405,13 +399,13 @@ fn zero_copy_detects_the_same_outage() {
             time: t0 + 2 * DAY + 300,
             collector: CollectorId(i as u16 % 4),
             peer: peer(i % 4),
-            payload: RecordPayload::Update(BgpUpdate::withdraw(vec![Prefix::v4(20, i, 0, 0, 16)])),
+            payload: update(BgpUpdate::withdraw(vec![Prefix::v4(20, i, 0, 0, 16)])),
         });
     }
-    let reference = run_materializing(&recs);
+    let reference = run_reference(&recs);
     let signals: Vec<_> = reference.outcomes.iter().flat_map(|o| o.signals.iter()).collect();
     assert_eq!(signals.len(), 1, "precondition: one merged signal, got {signals:?}");
     assert_eq!(signals[0].stable_total, 8);
-    let zero_copy = run_zero_copy(&recs);
-    assert_runs_identical(&reference, &zero_copy, "outage scenario");
+    let record_road = run_record_road(&recs);
+    assert_runs_identical(&reference, &record_road, "outage scenario");
 }

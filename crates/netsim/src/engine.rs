@@ -27,6 +27,7 @@ use crate::routing::policy::FailedSet;
 use crate::routing::propagate::{compute_tree, RouteTree};
 use crate::routing::tag::{route_hops, snapshot_of, visits, Hop};
 use crate::world::{AsIdx, PrefixIdx, World};
+use kepler_bgp::mrt::WireUpdate;
 use kepler_bgp::{fx::FxHashMap, AsPath, Asn, BgpUpdate, PathAttributes, PeerState, StateChange};
 use kepler_bgpstream::{BgpRecord, CollectorId, PeerId, RecordPayload};
 use kepler_topology::{FacilityId, IxpId};
@@ -295,7 +296,7 @@ impl<'w> Simulation<'w> {
             Some(hops) => self.announcement(peer, prefix, hops),
             None => BgpUpdate::withdraw(vec![self.world.prefix(PrefixIdx(prefix))]),
         };
-        self.emit(peer, RecordPayload::Update(update), time);
+        self.emit_update(peer, &update, time);
         self.count(peer, route.as_deref(), prefix, true);
         let at = self.slot(peer, prefix);
         let old = std::mem::replace(&mut self.visible[at], route);
@@ -343,6 +344,13 @@ impl<'w> Simulation<'w> {
         for &collector in &self.setup.peers[slot as usize].collectors {
             self.records.push(BgpRecord { time, collector, peer, payload: payload.clone() });
         }
+    }
+
+    /// Emits `update` in wire form: encoded once, its bytes cloned per
+    /// collector.
+    fn emit_update(&mut self, slot: u32, update: &BgpUpdate, time: u64) {
+        let wire = WireUpdate::encode(update).expect("a one-prefix update fits its 16-bit lengths");
+        self.emit(slot, RecordPayload::Update(wire), time);
     }
 
     /// The announcement of the route `hops` for `prefix` to `slot`.
@@ -480,7 +488,7 @@ impl<'w> Simulation<'w> {
                                 let route = self.visible[self.slot(slot, p)].as_deref();
                                 if let Some(update) = route.map(|r| self.announcement(slot, p, r)) {
                                     let tt = t + self.rng.gen_range(1..120);
-                                    self.emit(slot, RecordPayload::Update(update), tt);
+                                    self.emit_update(slot, &update, tt);
                                 }
                             }
                         }
@@ -651,10 +659,9 @@ mod tests {
         assert!(!out.records.is_empty());
         // All records are initial announcements within the first 2 minutes.
         assert!(out.records.iter().all(|r| r.time < T0 + 121));
-        assert!(out
-            .records
-            .iter()
-            .all(|r| matches!(&r.payload, RecordPayload::Update(u) if !u.announced.is_empty())));
+        assert!(out.records.iter().all(
+            |r| matches!(&r.payload, RecordPayload::Update(u) if u.view().has_announcements())
+        ));
     }
 
     #[test]
@@ -747,7 +754,7 @@ mod tests {
             .filter(|r| window.contains(&r.time))
             .filter(|r| match &r.payload {
                 RecordPayload::Update(u) => {
-                    u.attrs.as_ref().is_some_and(|x| crosses(&x.as_path.hops()))
+                    u.materialize().attrs.is_some_and(|x| crosses(&x.as_path.hops()))
                 }
                 _ => false,
             })
@@ -776,7 +783,10 @@ mod tests {
             .iter()
             .filter(|r| r.time >= T0 + 200_000)
             .filter_map(|r| match &r.payload {
-                RecordPayload::Update(u) => u.announced.first().or(u.withdrawn.first()).copied(),
+                RecordPayload::Update(u) => {
+                    let u = u.materialize();
+                    u.announced.first().or(u.withdrawn.first()).copied()
+                }
                 _ => None,
             })
             .collect();

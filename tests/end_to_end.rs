@@ -136,6 +136,37 @@ fn detection_survives_mrt_roundtrip() {
     assert_eq!(direct, via_mrt, "MRT round-trip must be transparent");
 }
 
+/// A read archive re-writes byte for byte: a tiny AMS-IX study written
+/// to one archive per collector, read through `MrtSource` and written
+/// back with `to_mrt` and `MrtWriter`, is its input, because a read
+/// record keeps its UPDATE as the wire bytes.
+#[test]
+fn a_read_archive_rewrites_byte_identical() {
+    use kepler::bgp::mrt::MrtWriter;
+    use kepler::bgp::Asn;
+    use kepler::bgpstream::{CollectorId, MrtSource, RecordSource};
+
+    let study = AmsIxScenario::new(25).with_config(WorldConfig::tiny(25)).build();
+    let scenario = &study.scenario;
+    let local_ip = "192.0.2.254".parse().unwrap();
+    let mut archives = vec![Vec::new(); scenario.output.collector_names.len()];
+    for r in &scenario.output.records {
+        let archive = &mut archives[usize::from(r.collector.0)];
+        MrtWriter::new(archive).write_record(&r.to_mrt(Asn(64_700), local_ip)).unwrap();
+    }
+    assert!(archives.iter().all(|a| !a.is_empty()), "every collector archives records");
+    for (i, archive) in archives.iter().enumerate() {
+        let mut source = MrtSource::new(&archive[..], CollectorId(i as u16));
+        let mut again = Vec::new();
+        let mut writer = MrtWriter::new(&mut again);
+        while let Some(record) = source.next_record() {
+            writer.write_record(&record.to_mrt(Asn(64_700), local_ip)).unwrap();
+        }
+        assert!(source.take_error().is_none() && source.skipped() == 0);
+        assert!(again == *archive, "collector {i}: the re-written archive differs");
+    }
+}
+
 /// The mined dictionary agrees with ground truth well enough to drive
 /// detection (no wrong tags; most documented values recovered).
 #[test]
