@@ -594,9 +594,11 @@ impl<'a> AsPathView<'a> {
     /// [`AsPath::hops_into`](crate::aspath::AsPath::hops_into) without the intermediate segment `Vec`s.
     pub fn hops_into(&self, out: &mut Vec<Asn>) {
         out.clear();
-        for asn in self.asns() {
-            if out.last() != Some(&asn) {
-                out.push(asn);
+        for (_, asns) in self.segments() {
+            for asn in asns.chunks_exact(4).map(|c| Asn(be_u32(c))) {
+                if out.last() != Some(&asn) {
+                    out.push(asn);
+                }
             }
         }
     }

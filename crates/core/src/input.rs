@@ -186,12 +186,13 @@ impl InputModule {
         if !update.has_announcements() {
             return;
         }
-        let path = update.as_path();
         let mut hops = std::mem::take(&mut self.arena.hops);
-        path.hops_into(&mut hops);
-        let path_verdict = self
-            .sanitizer
-            .path_verdict_parts(path.is_empty(), &hops, || path.has_special_purpose_asn());
+        update.as_path().hops_into(&mut hops);
+        // Collapsing prepends keeps every ASN value: the path is empty, or
+        // holds a special-purpose ASN, exactly when its hops do.
+        let path_verdict = self.sanitizer.path_verdict_parts(hops.is_empty(), &hops, || {
+            hops.iter().any(|a| a.is_special_purpose())
+        });
         let mut cross = std::mem::take(&mut self.arena.cross);
         cross.clear();
         if path_verdict.is_ok() {

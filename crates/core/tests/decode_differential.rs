@@ -102,6 +102,7 @@ enum Op {
         far: u8,
         tagged: bool,
         looped: bool,
+        private: bool,
     },
     Withdraw {
         collector: u8,
@@ -136,6 +137,7 @@ fn arb_announce() -> impl Strategy<Value = Op> {
             far: far % 6,
             tagged,
             looped: loop_roll < 26, // ~10% of announcements carry a loop
+            private: (26..52).contains(&loop_roll), // ~10% a private-use ASN
         })
 }
 
@@ -166,12 +168,15 @@ fn records(ops: &[Op]) -> Vec<BgpRecord> {
     for op in ops {
         match op {
             Op::Advance { dt } => t += *dt as u64,
-            Op::Announce { collector, peer: p, prefixes, near, far, tagged, looped } => {
+            Op::Announce { collector, peer: p, prefixes, near, far, tagged, looped, private } => {
                 let near_asn = 100 + *near as u32;
                 let far_asn = 200 + *far as u32;
                 let path = if *looped {
                     // Non-adjacent revisit: rejected by the sanitizer.
                     AsPath::from_sequence([3356, near_asn, far_asn, near_asn])
+                } else if *private {
+                    // A private-use ASN behind the far end: rejected too.
+                    AsPath::from_sequence([3356, near_asn, far_asn, 64_512])
                 } else {
                     AsPath::from_sequence([3356, near_asn, far_asn])
                 };
