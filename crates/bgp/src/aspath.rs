@@ -1,6 +1,6 @@
 //! AS paths with SEQUENCE/SET segments (RFC 4271 §4.3, path attribute
-//! `AS_PATH`), including the loop and prepending semantics Kepler's
-//! sanitization and path-comparison logic rely on.
+//! `AS_PATH`), including the prepending semantics Kepler's sanitization
+//! and path-comparison logic rely on.
 
 use crate::asn::Asn;
 use std::fmt;
@@ -117,19 +117,6 @@ impl AsPath {
         self.asns().any(|a| a == asn)
     }
 
-    /// Detects AS loops: the same ASN appearing in two non-adjacent
-    /// positions (plain prepending is *not* a loop).
-    pub fn has_loop(&self) -> bool {
-        let hops = self.hops();
-        let mut seen = std::collections::HashSet::with_capacity(hops.len());
-        hops.iter().any(|a| !seen.insert(*a))
-    }
-
-    /// Whether any ASN in the path is private/reserved/documentation.
-    pub fn has_special_purpose_asn(&self) -> bool {
-        self.asns().any(|a| a.is_special_purpose())
-    }
-
     /// Prepends `asn` `count` times (what an AS does when exporting).
     pub fn prepend(&mut self, asn: Asn, count: usize) {
         if count == 0 {
@@ -204,16 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn prepending_is_not_a_loop() {
+    fn hops_collapse_prepending() {
         let p = AsPath::from_sequence([3356, 13030, 13030, 13030, 20940]);
-        assert!(!p.has_loop());
         assert_eq!(p.hops(), vec![Asn(3356), Asn(13030), Asn(20940)]);
-    }
-
-    #[test]
-    fn detects_real_loop() {
-        let p = AsPath::from_sequence([3356, 13030, 3356, 20940]);
-        assert!(p.has_loop());
     }
 
     #[test]
@@ -246,11 +226,5 @@ mod tests {
     fn links_are_adjacent_hop_pairs() {
         let p = AsPath::from_sequence([1, 2, 2, 3]);
         assert_eq!(p.links(), vec![(Asn(1), Asn(2)), (Asn(2), Asn(3))]);
-    }
-
-    #[test]
-    fn special_purpose_detection() {
-        assert!(AsPath::from_sequence([3356, 64512]).has_special_purpose_asn());
-        assert!(!AsPath::from_sequence([3356, 13030]).has_special_purpose_asn());
     }
 }

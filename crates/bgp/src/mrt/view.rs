@@ -602,12 +602,6 @@ impl<'a> AsPathView<'a> {
             }
         }
     }
-
-    /// Whether any ASN in the path is special-purpose, matching
-    /// [`AsPath::has_special_purpose_asn`](crate::aspath::AsPath::has_special_purpose_asn).
-    pub fn has_special_purpose_asn(&self) -> bool {
-        self.asns().any(|a| a.is_special_purpose())
-    }
 }
 
 /// A borrowed COMMUNITY attribute body.
@@ -680,7 +674,6 @@ mod tests {
         msg.update.as_path().hops_into(&mut hops);
         assert_eq!(hops, attrs.as_path.hops());
         assert!(!msg.update.as_path().is_empty());
-        assert!(!msg.update.as_path().has_special_purpose_asn());
         let comms: Vec<Community> = msg.update.communities().iter().collect();
         assert_eq!(comms, attrs.communities);
     }

@@ -195,7 +195,6 @@ fn zero_length_as_path_decodes_empty() {
     let (view, _) = FrameView::parse(&frame).unwrap().unwrap();
     let msg = view.message().unwrap().unwrap();
     assert!(msg.update.as_path().is_empty());
-    assert!(!msg.update.as_path().has_special_purpose_asn());
 }
 
 /// Confederation segments (AS_CONFED_SEQUENCE = 3, AS_CONFED_SET = 4) are
@@ -606,10 +605,6 @@ fn check_equivalence(buf: &[u8]) -> bool {
                 view.as_path().hops_into(&mut hops);
                 assert_eq!(hops, attrs.as_path.hops(), "collapsed hops diverged");
                 assert_eq!(view.as_path().is_empty(), attrs.as_path.is_empty());
-                assert_eq!(
-                    view.as_path().has_special_purpose_asn(),
-                    attrs.as_path.has_special_purpose_asn()
-                );
                 let comms: Vec<Community> = view.communities().iter().collect();
                 assert_eq!(comms, attrs.communities, "communities diverged");
             }

@@ -6,9 +6,8 @@
 //! records" across all RouteViews and RIPE RIS collectors. This crate
 //! reproduces that layer:
 //!
-//! * [`record`] — the record/element model: one [`record::BgpRecord`] per
-//!   archived message, exploded into per-prefix [`record::BgpElem`]s for
-//!   analysis (BGPStream's `BGPElem`).
+//! * [`record`] — the record model: one [`record::BgpRecord`] per
+//!   archived message, its UPDATE kept as wire bytes.
 //! * [`collector`] — collector and peer identities.
 //! * [`source`] — the [`source::RecordSource`] abstraction plus in-memory
 //!   and MRT-file-backed sources.
@@ -36,5 +35,5 @@ pub mod source;
 pub use collector::{CollectorId, CollectorRegistry, PeerId};
 pub use gap::GapTracker;
 pub use merge::MergedStream;
-pub use record::{BgpElem, BgpRecord, ElemKind, RecordPayload, Timestamp};
+pub use record::{BgpRecord, RecordPayload, Timestamp};
 pub use source::{MemorySource, MrtSource, RecordSource};

@@ -41,33 +41,4 @@ proptest! {
             prop_assert!(w[0].time <= w[1].time);
         }
     }
-
-    /// Exploding a record yields one element per prefix, preserving time
-    /// and peer identity.
-    #[test]
-    fn explode_counts(n_w in 0usize..6, n_a in 0usize..6) {
-        let withdrawn: Vec<Prefix> = (0..n_w).map(|i| Prefix::v4(20, i as u8, 0, 0, 16)).collect();
-        let announced: Vec<Prefix> = (0..n_a).map(|i| Prefix::v4(30, i as u8, 0, 0, 16)).collect();
-        let update = if n_a > 0 {
-            BgpUpdate {
-                withdrawn,
-                attrs: Some(kepler_bgp::PathAttributes::default()),
-                announced,
-            }
-        } else {
-            BgpUpdate { withdrawn, attrs: None, announced: vec![] }
-        };
-        let r = BgpRecord {
-            time: 42,
-            collector: CollectorId(0),
-            peer: PeerId { asn: Asn(5), addr: "10.0.0.5".parse().unwrap() },
-            payload: RecordPayload::Update(WireUpdate::encode(&update).unwrap()),
-        };
-        let elems = r.explode();
-        prop_assert_eq!(elems.len(), n_w + if n_a > 0 { n_a } else { 0 });
-        for e in &elems {
-            prop_assert_eq!(e.time, 42);
-            prop_assert_eq!(e.peer.asn, Asn(5));
-        }
-    }
 }

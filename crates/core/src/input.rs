@@ -1,18 +1,32 @@
 //! Input module (paper §4.1): sanitization plus community→PoP mapping.
 //!
-//! For every update, each location community is attributed to the AS-path
-//! hop whose ASN matches the community's top 16 bits — that hop is the
-//! *near-end* AS that received the route at the tagged location, and the
-//! next hop toward the origin is the *far-end* neighbor. Route-server
-//! communities (top 16 bits = the RS ASN, which never appears in the path)
-//! are resolved by finding the adjacent member pair of that IXP on the
-//! path, the method of Giotsas & Zhou \[51\].
+//! One record's UPDATE is read as its elements, one per prefix: the
+//! withdrawn prefixes, then the announced ones, each in wire order (the
+//! IPv4 fields before MP_UNREACH / MP_REACH). Each element is sanitized
+//! by the rules of [`kepler_bgp::sanitize`]. An announcement that
+//! survives is mapped onto crossings over its collapsed hops (prepending
+//! merged), community by community in attribute order, keeping the
+//! first occurrence of each crossing:
+//!
+//! * An **explicit** location community (in the dictionary) is
+//!   attributed to the first hop whose ASN equals the community's top 16
+//!   bits. That hop is the *near-end* AS that received the route at the
+//!   tagged location; the next hop toward the origin is the *far-end*
+//!   neighbor. A community whose AS is absent from the path, or is the
+//!   origin (no far end), yields nothing.
+//! * Otherwise, a **route-server** community (top 16 bits an RS ASN,
+//!   which never appears in the path) yields the first adjacent hop pair
+//!   that are both members of that IXP, near then far: the method of
+//!   Giotsas & Zhou \[51\].
+//!
+//! Identities become dense ids first-come ([`Interner`]): a kept
+//! withdrawal mints its route; a kept announcement mints its crossings'
+//! PoP, near and far ASN ids in crossing order, then its route.
 
-use crate::events::RouteKey;
 use crate::intern::{DenseCrossing, DenseRouteEvent, Interner};
-use kepler_bgp::sanitize::{SanitizeStats, Sanitizer, SanitizerConfig};
-use kepler_bgp::{Asn, Community, PathAttributes};
-use kepler_bgpstream::{BgpElem, BgpRecord, ElemKind, RecordPayload};
+use kepler_bgp::sanitize::{self, SanitizeStats};
+use kepler_bgp::{Asn, Community};
+use kepler_bgpstream::{BgpRecord, RecordPayload};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_topology::ColocationMap;
 use std::sync::Arc;
@@ -27,26 +41,6 @@ pub struct PopCrossing {
     pub near: Asn,
     /// Its neighbor toward the origin.
     pub far: Asn,
-}
-
-/// An input-module event handed to the monitor.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RouteEvent {
-    /// The route is (re-)announced with these crossings (possibly empty if
-    /// no location community was usable).
-    Update {
-        /// Route identity.
-        key: RouteKey,
-        /// Located crossings.
-        crossings: Vec<PopCrossing>,
-        /// Collapsed AS path hops (for link-level attribution).
-        hops: Vec<Asn>,
-    },
-    /// The route was withdrawn.
-    Withdraw {
-        /// Route identity.
-        key: RouteKey,
-    },
 }
 
 /// Statistics over processed elements.
@@ -89,7 +83,7 @@ struct RecordArena {
 pub struct InputModule {
     dictionary: CommunityDictionary,
     colo: ColocationMap,
-    sanitizer: Sanitizer,
+    sanitize: SanitizeStats,
     stats: InputStats,
     arena: RecordArena,
 }
@@ -100,7 +94,7 @@ impl InputModule {
         InputModule {
             dictionary,
             colo,
-            sanitizer: Sanitizer::new(SanitizerConfig::default()),
+            sanitize: SanitizeStats::default(),
             stats: InputStats::default(),
             arena: RecordArena::default(),
         }
@@ -113,52 +107,20 @@ impl InputModule {
 
     /// Sanitizer counters.
     pub fn sanitize_stats(&self) -> &SanitizeStats {
-        self.sanitizer.stats()
+        &self.sanitize
     }
 
-    /// Processes one element into a monitor event (or `None` if rejected).
-    pub fn process(&mut self, elem: &BgpElem) -> Option<RouteEvent> {
-        self.stats.elems += 1;
-        let key = RouteKey { collector: elem.collector, peer: elem.peer, prefix: elem.prefix };
-        match &elem.kind {
-            ElemKind::Withdraw => {
-                if self.sanitizer.check_prefix(&elem.prefix).is_err() {
-                    self.stats.rejected += 1;
-                    return None;
-                }
-                Some(RouteEvent::Withdraw { key })
-            }
-            ElemKind::Announce(attrs) => {
-                if self.sanitizer.check_route(&attrs.as_path, &elem.prefix).is_err() {
-                    self.stats.rejected += 1;
-                    return None;
-                }
-                let hops = attrs.as_path.hops();
-                let crossings = self.map_crossings(attrs, &hops);
-                if crossings.is_empty() {
-                    self.stats.unlocated += 1;
-                } else {
-                    self.stats.located += 1;
-                }
-                Some(RouteEvent::Update { key, crossings, hops })
-            }
-        }
-    }
-
-    /// Decodes one whole record into owned [`DenseRouteEvent`]s straight
-    /// from its UPDATE's wire bytes, through the span table the read
-    /// kept ([`WireUpdate::view`](kepler_bgp::mrt::WireUpdate::view)),
-    /// without the per-prefix [`BgpElem`] explosion: hops collapse into
-    /// the arena from the AS_PATH bytes, communities stream out of the
-    /// attribute region, prefixes decode one at a time from the NLRI
-    /// regions, the path is sanitized and its communities mapped **once
-    /// per update**, and every announced prefix shares one cached `Arc`
-    /// per distinct crossing set (see [`Interner::intern_crossings`]).
-    /// Statistics (both [`InputStats`] and [`SanitizeStats`]) are
-    /// accounted per element, byte-identical to calling
-    /// [`process`](Self::process) on every exploded element and interning
-    /// the result, and `emit` receives events in the exact order
-    /// [`BgpRecord::explode`] would have produced them. State records
+    /// Decodes one whole record into owned [`DenseRouteEvent`]s, in
+    /// element order, straight from its UPDATE's wire bytes through the
+    /// span table the read kept
+    /// ([`WireUpdate::view`](kepler_bgp::mrt::WireUpdate::view)): hops
+    /// collapse into the arena from the AS_PATH bytes, communities stream
+    /// out of the attribute region, prefixes decode one at a time from
+    /// the NLRI regions, the path is sanitized and its communities mapped
+    /// **once per update**, and every announced prefix shares one cached
+    /// `Arc` per distinct crossing set (see
+    /// [`Interner::intern_crossings`]). Statistics (both [`InputStats`]
+    /// and [`SanitizeStats`]) are accounted per element. State records
     /// yield nothing (they are the
     /// [`GapTracker`](kepler_bgpstream::GapTracker)'s business).
     ///
@@ -174,8 +136,8 @@ impl InputModule {
         let sess = interner.route_session(rec.collector, rec.peer);
         for p in update.withdrawn_v4().chain(update.mp_withdrawn()) {
             self.stats.elems += 1;
-            let v = self.sanitizer.assess_prefix(&p);
-            self.sanitizer.tally(v);
+            let v = sanitize::prefix_verdict(&p);
+            self.sanitize.tally(v);
             if v.is_err() {
                 self.stats.rejected += 1;
                 continue;
@@ -188,11 +150,7 @@ impl InputModule {
         }
         let mut hops = std::mem::take(&mut self.arena.hops);
         update.as_path().hops_into(&mut hops);
-        // Collapsing prepends keeps every ASN value: the path is empty, or
-        // holds a special-purpose ASN, exactly when its hops do.
-        let path_verdict = self.sanitizer.path_verdict_parts(hops.is_empty(), &hops, || {
-            hops.iter().any(|a| a.is_special_purpose())
-        });
+        let path_verdict = sanitize::path_verdict(&hops);
         let mut cross = std::mem::take(&mut self.arena.cross);
         cross.clear();
         if path_verdict.is_ok() {
@@ -205,8 +163,8 @@ impl InputModule {
         let mut shared = None;
         for p in update.announced_v4().chain(update.mp_announced()) {
             self.stats.elems += 1;
-            let v = path_verdict.and_then(|()| self.sanitizer.assess_prefix(&p));
-            self.sanitizer.tally(v);
+            let v = path_verdict.and_then(|()| sanitize::prefix_verdict(&p));
+            self.sanitize.tally(v);
             if v.is_err() {
                 self.stats.rejected += 1;
                 continue;
@@ -216,9 +174,9 @@ impl InputModule {
             } else {
                 self.stats.unlocated += 1;
             }
-            // Crossings are interned with the first prefix that survives,
-            // as the per-element road does: a record whose every prefix
-            // is rejected mints no pop or ASN ids.
+            // Crossings are interned with the first prefix that survives:
+            // a record whose every prefix is rejected mints no pop or ASN
+            // ids.
             if dense.len() < cross.len() {
                 dense.extend(cross.iter().map(|c| interner.crossing(c)));
             }
@@ -231,18 +189,11 @@ impl InputModule {
         self.arena.dense = dense;
     }
 
-    /// Maps the communities of an announcement onto path crossings.
-    pub fn map_crossings(&self, attrs: &PathAttributes, hops: &[Asn]) -> Vec<PopCrossing> {
-        let mut out: Vec<PopCrossing> = Vec::new();
-        self.map_communities_into(attrs.communities.iter().copied(), hops, &mut out);
-        out
-    }
-
-    /// [`map_crossings`](Self::map_crossings) over any community source,
-    /// into a caller-provided buffer (cleared first) — this is what lets
-    /// the record road stream communities straight out of the attribute
-    /// bytes.
-    pub fn map_communities_into<I: IntoIterator<Item = Community>>(
+    /// Maps an announcement's communities onto crossings over its
+    /// collapsed `hops` by the rules in the module docs, into `out`
+    /// (cleared first); the record road streams the communities straight
+    /// out of the attribute bytes.
+    fn map_communities_into<I: IntoIterator<Item = Community>>(
         &self,
         communities: I,
         hops: &[Asn],
@@ -284,8 +235,8 @@ impl InputModule {
 mod tests {
     use super::*;
     use kepler_bgp::mrt::WireUpdate;
-    use kepler_bgp::{AsPath, BgpUpdate, Community, Prefix};
-    use kepler_bgpstream::{BgpRecord, CollectorId, PeerId, RecordPayload};
+    use kepler_bgp::{AsPath, BgpUpdate, PathAttributes, Prefix};
+    use kepler_bgpstream::{CollectorId, PeerId};
     use kepler_topology::entities::{CityId, Facility, Ixp};
     use kepler_topology::{Continent, FacilityId, GeoPoint, IxpId};
 
@@ -322,20 +273,41 @@ mod tests {
         d
     }
 
-    fn elem(attrs: PathAttributes) -> BgpElem {
+    /// The events one record carrying `update` decodes to, crossings
+    /// resolved: `Some(crossings)` per announcement, `None` per withdrawal.
+    fn decode(input: &mut InputModule, update: BgpUpdate) -> Vec<Option<Vec<PopCrossing>>> {
         let rec = BgpRecord {
             time: 100,
             collector: CollectorId(0),
             peer: PeerId { asn: Asn(3356), addr: "10.0.0.1".parse().unwrap() },
-            payload: RecordPayload::Update(
-                WireUpdate::encode(&BgpUpdate::announce(
-                    vec![Prefix::v4(184, 84, 242, 0, 24)],
-                    attrs,
-                ))
-                .unwrap(),
-            ),
+            payload: RecordPayload::Update(WireUpdate::encode(&update).unwrap()),
         };
-        rec.explode().pop().unwrap()
+        let mut interner = Interner::new();
+        let mut events = Vec::new();
+        input.process_record_events(&rec, &mut interner, |ev| events.push(ev));
+        let resolve = |c: &DenseCrossing| PopCrossing {
+            pop: interner.pop_tag(c.pop),
+            near: interner.asn(c.near),
+            far: interner.asn(c.far),
+        };
+        events
+            .iter()
+            .map(|ev| match ev {
+                DenseRouteEvent::Update { crossings, .. } => {
+                    Some(crossings.iter().map(resolve).collect())
+                }
+                DenseRouteEvent::Withdraw { .. } => None,
+            })
+            .collect()
+    }
+
+    /// The crossings of one announcement of 184.84.242.0/24 with `attrs`.
+    fn announce(input: &mut InputModule, attrs: PathAttributes) -> Vec<PopCrossing> {
+        match &decode(input, BgpUpdate::announce(vec![Prefix::v4(184, 84, 242, 0, 24)], attrs))[..]
+        {
+            [Some(crossings)] => crossings.clone(),
+            other => panic!("expected one update, got {other:?}"),
+        }
     }
 
     #[test]
@@ -345,17 +317,12 @@ mod tests {
             AsPath::from_sequence([3356, 13030, 20940]),
             vec![Community::new(13030, 51702)],
         );
-        let ev = input.process(&elem(attrs)).unwrap();
-        match ev {
-            RouteEvent::Update { crossings, hops, .. } => {
-                assert_eq!(crossings.len(), 1);
-                assert_eq!(crossings[0].pop, LocationTag::Facility(FacilityId(0)));
-                assert_eq!(crossings[0].near, Asn(13030));
-                assert_eq!(crossings[0].far, Asn(20940));
-                assert_eq!(hops.len(), 3);
-            }
-            _ => panic!("expected update"),
-        }
+        let crossings = announce(&mut input, attrs);
+        assert_eq!(crossings.len(), 1);
+        assert_eq!(crossings[0].pop, LocationTag::Facility(FacilityId(0)));
+        assert_eq!(crossings[0].near, Asn(13030));
+        assert_eq!(crossings[0].far, Asn(20940));
+        assert_eq!(input.arena.hops.len(), 3);
         assert_eq!(input.stats().located, 1);
     }
 
@@ -366,10 +333,7 @@ mod tests {
             AsPath::from_sequence([3356, 20940]),
             vec![Community::new(13030, 51702)], // 13030 not on path
         );
-        match input.process(&elem(attrs)).unwrap() {
-            RouteEvent::Update { crossings, .. } => assert!(crossings.is_empty()),
-            _ => panic!(),
-        }
+        assert!(announce(&mut input, attrs).is_empty());
         assert_eq!(input.stats().unlocated, 1);
     }
 
@@ -380,10 +344,7 @@ mod tests {
             AsPath::from_sequence([3356, 13030]), // 13030 is the origin
             vec![Community::new(13030, 51702)],
         );
-        match input.process(&elem(attrs)).unwrap() {
-            RouteEvent::Update { crossings, .. } => assert!(crossings.is_empty()),
-            _ => panic!(),
-        }
+        assert!(announce(&mut input, attrs).is_empty());
     }
 
     #[test]
@@ -393,15 +354,11 @@ mod tests {
             AsPath::from_sequence([3356, 13030, 20940, 174]),
             vec![Community::new(8714, 1)],
         );
-        match input.process(&elem(attrs)).unwrap() {
-            RouteEvent::Update { crossings, .. } => {
-                assert_eq!(crossings.len(), 1);
-                assert_eq!(crossings[0].pop, LocationTag::Ixp(IxpId(0)));
-                assert_eq!(crossings[0].near, Asn(13030));
-                assert_eq!(crossings[0].far, Asn(20940));
-            }
-            _ => panic!(),
-        }
+        let crossings = announce(&mut input, attrs);
+        assert_eq!(crossings.len(), 1);
+        assert_eq!(crossings[0].pop, LocationTag::Ixp(IxpId(0)));
+        assert_eq!(crossings[0].near, Asn(13030));
+        assert_eq!(crossings[0].far, Asn(20940));
     }
 
     #[test]
@@ -411,24 +368,16 @@ mod tests {
             AsPath::from_sequence([3356, 13030, 3356, 20940]),
             vec![],
         );
-        assert!(input.process(&elem(attrs)).is_none());
+        let update = BgpUpdate::announce(vec![Prefix::v4(184, 84, 242, 0, 24)], attrs);
+        assert!(decode(&mut input, update).is_empty());
         assert_eq!(input.stats().rejected, 1);
     }
 
     #[test]
     fn withdraw_passes_through() {
         let mut input = InputModule::new(dict(), colo());
-        let rec = BgpRecord {
-            time: 5,
-            collector: CollectorId(1),
-            peer: PeerId { asn: Asn(3356), addr: "10.0.0.1".parse().unwrap() },
-            payload: RecordPayload::Update(
-                WireUpdate::encode(&BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 242, 0, 24)]))
-                    .unwrap(),
-            ),
-        };
-        let e = rec.explode().pop().unwrap();
-        assert!(matches!(input.process(&e), Some(RouteEvent::Withdraw { .. })));
+        let update = BgpUpdate::withdraw(vec![Prefix::v4(184, 84, 242, 0, 24)]);
+        assert_eq!(decode(&mut input, update), vec![None]);
     }
 
     #[test]
@@ -438,12 +387,8 @@ mod tests {
             AsPath::from_sequence([3356, 13030, 13030, 13030, 20940]),
             vec![Community::new(13030, 51702)],
         );
-        match input.process(&elem(attrs)).unwrap() {
-            RouteEvent::Update { crossings, .. } => {
-                assert_eq!(crossings.len(), 1);
-                assert_eq!(crossings[0].far, Asn(20940));
-            }
-            _ => panic!(),
-        }
+        let crossings = announce(&mut input, attrs);
+        assert_eq!(crossings.len(), 1);
+        assert_eq!(crossings[0].far, Asn(20940));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The monitoring module (paper §4.2) digests BGP update streams from
 //! ~100 collectors in small time bins over multi-year windows, so the cost
-//! of interning one [`RouteEvent`] is paid on every record. This module
+//! of interning one route event is paid on every record. This module
 //! assigns each identity (route, PoP tag, ASN) a dense `u32` id **once, at
 //! input time**; the monitor then works on flat `Vec`-indexed tables and
 //! small-int hash maps.
@@ -36,7 +36,7 @@
 
 use crate::events::RouteKey;
 use crate::fx::{FxHashMap, FxHashSet};
-use crate::input::{PopCrossing, RouteEvent};
+use crate::input::PopCrossing;
 use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId};
 use kepler_docmine::LocationTag;
@@ -100,9 +100,11 @@ pub fn unpack_group(key: GroupKey) -> (PopId, AsnId) {
     (PopId((key >> 32) as u32), AsnId(key as u32))
 }
 
-/// A [`RouteEvent`] with all identities interned. Crossing lists are
-/// `Arc<[_]>` so the monitor's `current`/`baseline` tables share one
-/// allocation per announcement instead of cloning `Vec`s.
+/// One element of a record as the monitor consumes it, every identity
+/// interned ([`InputModule::process_record_events`](crate::input::InputModule::process_record_events)
+/// emits them). Crossing lists are `Arc<[_]>` so the monitor's
+/// `current`/`baseline` tables share one allocation per announcement
+/// instead of cloning `Vec`s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DenseRouteEvent {
     /// The route is (re-)announced with these crossings.
@@ -176,9 +178,6 @@ pub struct Interner {
     pop_tags: Vec<LocationTag>,
     asns: FxHashMap<Asn, AsnId>,
     asn_values: Vec<Asn>,
-    /// Scratch buffer so `intern_event` performs exactly one allocation
-    /// (the `Arc<[_]>` itself) per announcement.
-    scratch: Vec<DenseCrossing>,
     /// One shared allocation per distinct crossing set, found by its
     /// contents, for [`intern_crossings`](Self::intern_crossings).
     /// Crossing sets are drawn from the (small) located-link universe, so
@@ -307,29 +306,6 @@ impl Interner {
         }
     }
 
-    /// Resolves a dense crossing back to display space.
-    #[inline]
-    pub fn resolve_crossing(&self, c: DenseCrossing) -> PopCrossing {
-        PopCrossing { pop: self.pop_tag(c.pop), near: self.asn(c.near), far: self.asn(c.far) }
-    }
-
-    /// Interns a whole input-module event (the input-time boundary where
-    /// fat keys leave the pipeline).
-    pub fn intern_event(&mut self, event: &RouteEvent) -> DenseRouteEvent {
-        match event {
-            RouteEvent::Withdraw { key } => DenseRouteEvent::Withdraw { route: self.route_id(key) },
-            RouteEvent::Update { key, crossings, .. } => {
-                let route = self.route_id(key);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                scratch.clear();
-                scratch.extend(crossings.iter().map(|c| self.crossing(c)));
-                let dense = Arc::from(scratch.as_slice());
-                self.scratch = scratch;
-                DenseRouteEvent::Update { route, crossings: dense }
-            }
-        }
-    }
-
     /// Display keys of the routes minted at id `n` and later, in id order
     /// — with `n == 0`, the whole table (what the differential tests
     /// compare across decode roads).
@@ -434,47 +410,6 @@ mod tests {
         for (p, a) in [(0u32, 0u32), (1, 2), (u32::MAX, 7), (3, u32::MAX)] {
             let k = pack_group(PopId(p), AsnId(a));
             assert_eq!(unpack_group(k), (PopId(p), AsnId(a)));
-        }
-    }
-
-    #[test]
-    fn intern_event_preserves_structure() {
-        let mut interner = Interner::new();
-        let ev = RouteEvent::Update {
-            key: key(1),
-            crossings: vec![
-                PopCrossing {
-                    pop: LocationTag::Facility(FacilityId(1)),
-                    near: Asn(5),
-                    far: Asn(6),
-                },
-                PopCrossing { pop: LocationTag::Ixp(IxpId(2)), near: Asn(5), far: Asn(7) },
-            ],
-            hops: vec![Asn(9), Asn(5), Asn(6)],
-        };
-        match interner.intern_event(&ev) {
-            DenseRouteEvent::Update { route, crossings } => {
-                assert_eq!(interner.route_key(route), key(1));
-                assert_eq!(crossings.len(), 2);
-                let back: Vec<PopCrossing> =
-                    crossings.iter().map(|&c| interner.resolve_crossing(c)).collect();
-                assert_eq!(
-                    back[0],
-                    PopCrossing {
-                        pop: LocationTag::Facility(FacilityId(1)),
-                        near: Asn(5),
-                        far: Asn(6)
-                    }
-                );
-                assert_eq!(back[1].far, Asn(7));
-                // `near` interned once, shared.
-                assert_eq!(crossings[0].near, crossings[1].near);
-            }
-            _ => panic!("expected update"),
-        }
-        match interner.intern_event(&RouteEvent::Withdraw { key: key(1) }) {
-            DenseRouteEvent::Withdraw { route } => assert_eq!(route, RouteId(0)),
-            _ => panic!("expected withdraw"),
         }
     }
 

@@ -71,6 +71,13 @@ pub mod system;
 pub mod tracker;
 pub mod validate;
 
+// The test-side route events name this crate as its integration tests do.
+#[cfg(test)]
+extern crate self as kepler_core;
+#[cfg(test)]
+#[path = "../tests/route_event/mod.rs"]
+mod route_event;
+
 pub use config::KeplerConfig;
 pub use events::{
     IncidentState, OutageReport, OutageScope, RouteKey, SignalClass, ValidationStatus,

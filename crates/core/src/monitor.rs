@@ -652,7 +652,8 @@ pub(crate) fn pop_order(p: &LocationTag) -> (u8, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{PopCrossing, RouteEvent};
+    use crate::input::PopCrossing;
+    use crate::route_event::RouteEvent;
     use kepler_bgp::Prefix;
     use kepler_bgpstream::{CollectorId, PeerId};
     use kepler_topology::FacilityId;
@@ -682,14 +683,13 @@ mod tests {
         t: u64,
         i: u8,
         crossings: Vec<PopCrossing>,
-        hops: Vec<Asn>,
     ) -> Vec<BinOutcome> {
-        let ev = interner.intern_event(&RouteEvent::Update { key: key(i), crossings, hops });
+        let ev = RouteEvent::Update { key: key(i), crossings }.intern(interner);
         m.observe(t, &ev).iter().map(|o| o.resolve(interner)).collect()
     }
 
     fn withdraw(m: &mut Monitor, interner: &mut Interner, t: u64, i: u8) -> Vec<BinOutcome> {
-        let ev = interner.intern_event(&RouteEvent::Withdraw { key: key(i) });
+        let ev = RouteEvent::Withdraw { key: key(i) }.intern(interner);
         m.observe(t, &ev).iter().map(|o| o.resolve(interner)).collect()
     }
 
@@ -703,7 +703,7 @@ mod tests {
         let mut m = Monitor::new(cfg());
         let t0 = 1_000_000u64;
         for i in 0..4u8 {
-            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60 + i as u32)], vec![]);
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60 + i as u32)]);
         }
         assert_eq!(m.baseline_size(), 0);
         m.advance_to(t0 + 2 * DAY + 120);
@@ -718,7 +718,7 @@ mod tests {
         let mut m = Monitor::new(cfg());
         let t0 = 1_000_000u64;
         for i in 0..4u8 {
-            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60 + i as u32)], vec![]);
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60 + i as u32)]);
         }
         let t1 = t0 + 2 * DAY + 300;
         m.advance_to(t1);
@@ -747,14 +747,14 @@ mod tests {
         let mut m = Monitor::new(cfg());
         let t0 = 1_000_000u64;
         for i in 0..4u8 {
-            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)], vec![]);
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)]);
         }
         let t1 = t0 + 2 * DAY + 300;
         m.advance_to(t1);
         // Re-announce with a *different facility tag*, same AS pair: the
         // paper's implicit withdrawal.
         for i in 0..4u8 {
-            update(&mut m, &mut interner, t1 + 2, i, vec![fac(2, 50, 60)], vec![]);
+            update(&mut m, &mut interner, t1 + 2, i, vec![fac(2, 50, 60)]);
         }
         let outcomes: Vec<BinOutcome> =
             m.advance_to(t1 + 120).iter().map(|o| o.resolve(&interner)).collect();
@@ -769,28 +769,14 @@ mod tests {
         let mut m = Monitor::new(cfg());
         let t0 = 1_000_000u64;
         for i in 0..4u8 {
-            update(
-                &mut m,
-                &mut interner,
-                t0,
-                i,
-                vec![fac(1, 50, 60)],
-                vec![Asn(1), Asn(50), Asn(60)],
-            );
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)]);
         }
         let t1 = t0 + 2 * DAY + 300;
         m.advance_to(t1);
         // Far end changes (different AS path) but the tag (pop 1, near 50)
         // survives: not a route change for pop 1.
         for i in 0..4u8 {
-            update(
-                &mut m,
-                &mut interner,
-                t1 + 2,
-                i,
-                vec![fac(1, 50, 61)],
-                vec![Asn(1), Asn(50), Asn(61)],
-            );
+            update(&mut m, &mut interner, t1 + 2, i, vec![fac(1, 50, 61)]);
         }
         let outcomes = m.advance_to(t1 + 120);
         assert!(outcomes.iter().all(|o| o.signals.is_empty()));
@@ -803,10 +789,10 @@ mod tests {
         let t0 = 1_000_000u64;
         // Group A: 3 paths via near-AS 50; Group B: 30 paths via near-AS 99.
         for i in 0..3u8 {
-            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)], vec![]);
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)]);
         }
         for i in 3..33u8 {
-            update(&mut m, &mut interner, t0, i, vec![fac(1, 99, 70)], vec![]);
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 99, 70)]);
         }
         let t1 = t0 + 2 * DAY + 300;
         m.advance_to(t1);
@@ -829,7 +815,7 @@ mod tests {
         m.watch(pop);
         let t0 = 1_000_000u64;
         for i in 0..4u8 {
-            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)], vec![]);
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)]);
         }
         let t1 = t0 + 2 * DAY + 300;
         m.advance_to(t1);
@@ -849,7 +835,7 @@ mod tests {
         let mut m = Monitor::new(KeplerConfig { min_stable_paths: 3, ..KeplerConfig::default() });
         let t0 = 1_000_000u64;
         for i in 0..2u8 {
-            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)], vec![]);
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60)]);
         }
         let t1 = t0 + 2 * DAY + 300;
         m.advance_to(t1);
@@ -865,9 +851,9 @@ mod tests {
         let mut interner = Interner::new();
         let mut m = Monitor::new(cfg());
         let t0 = 1_000_000u64;
-        update(&mut m, &mut interner, t0, 0, vec![fac(1, 50, 60)], vec![]);
+        update(&mut m, &mut interner, t0, 0, vec![fac(1, 50, 60)]);
         // Change the route after one day; stability clock restarts.
-        update(&mut m, &mut interner, t0 + DAY, 0, vec![fac(2, 50, 60)], vec![]);
+        update(&mut m, &mut interner, t0 + DAY, 0, vec![fac(2, 50, 60)]);
         m.advance_to(t0 + 2 * DAY + 300);
         assert_eq!(m.baseline_size(), 0, "not yet stable on new route");
         m.advance_to(t0 + 3 * DAY + 300);
@@ -884,7 +870,7 @@ mod tests {
         m.watch_presence(pop); // idempotent
         let t0 = 1_000_000u64;
         for i in 0..4u8 {
-            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60 + i as u32)], vec![]);
+            update(&mut m, &mut interner, t0, i, vec![fac(1, 50, 60 + i as u32)]);
         }
         let t1 = t0 + 2 * DAY + 300;
         let warm = m.advance_to(t1);
@@ -893,7 +879,7 @@ mod tests {
         // Withdraw two, move one to another facility.
         withdraw(&mut m, &mut interner, t1 + 1, 0);
         withdraw(&mut m, &mut interner, t1 + 2, 1);
-        update(&mut m, &mut interner, t1 + 3, 2, vec![fac(2, 50, 62)], vec![]);
+        update(&mut m, &mut interner, t1 + 3, 2, vec![fac(2, 50, 62)]);
         let outcomes = m.advance_to(t1 + 180);
         // Only route 3 still announces a facility-1 crossing.
         assert!(!outcomes.is_empty());
@@ -917,10 +903,10 @@ mod tests {
         withdraw(&mut m, &mut interner, t0, 9);
         // Announce, re-announce identically (same located route arm),
         // then flap to a different tag and back.
-        update(&mut m, &mut interner, t0 + 1, 0, vec![fac(1, 50, 60)], vec![]);
-        update(&mut m, &mut interner, t0 + 2, 0, vec![fac(1, 50, 60)], vec![]);
-        update(&mut m, &mut interner, t0 + 3, 0, vec![fac(2, 50, 60)], vec![]);
-        update(&mut m, &mut interner, t0 + 4, 0, vec![fac(1, 50, 60)], vec![]);
+        update(&mut m, &mut interner, t0 + 1, 0, vec![fac(1, 50, 60)]);
+        update(&mut m, &mut interner, t0 + 2, 0, vec![fac(1, 50, 60)]);
+        update(&mut m, &mut interner, t0 + 3, 0, vec![fac(2, 50, 60)]);
+        update(&mut m, &mut interner, t0 + 4, 0, vec![fac(1, 50, 60)]);
         let outcomes = m.advance_to(t0 + 120);
         assert_eq!(outcomes.last().unwrap().watch_presence, vec![(pop, 1)]);
     }
@@ -934,11 +920,11 @@ mod tests {
         let mut interner = Interner::new();
         let mut m = Monitor::new(cfg());
         let t0 = 1_000_000u64;
-        update(&mut m, &mut interner, t0 + 6_000, 0, vec![fac(1, 50, 60)], vec![]);
-        update(&mut m, &mut interner, t0 + 6_000, 1, vec![fac(1, 50, 61)], vec![]);
+        update(&mut m, &mut interner, t0 + 6_000, 0, vec![fac(1, 50, 60)]);
+        update(&mut m, &mut interner, t0 + 6_000, 1, vec![fac(1, 50, 61)]);
         // Time runs backwards: a new route, and route 1 changing again.
-        update(&mut m, &mut interner, t0, 2, vec![fac(1, 50, 62)], vec![]);
-        update(&mut m, &mut interner, t0 + 60, 1, vec![fac(2, 50, 61)], vec![]);
+        update(&mut m, &mut interner, t0, 2, vec![fac(1, 50, 62)]);
+        update(&mut m, &mut interner, t0 + 60, 1, vec![fac(2, 50, 61)]);
         assert_eq!((m.promotions.len(), m.stragglers.len()), (2, 2));
         // Only the stragglers are due: the FIFO head is 100 bins away.
         m.advance_to(t0 + 2 * DAY + 120);
@@ -963,7 +949,7 @@ mod tests {
         let mut interner = Interner::new();
         let mut m = Monitor::new(KeplerConfig { min_stable_paths: 1, ..KeplerConfig::default() });
         let t0 = 1_000_000u64;
-        update(&mut m, &mut interner, t0, 0, vec![fac(1, 50, 60), fac(1, 50, 61)], vec![]);
+        update(&mut m, &mut interner, t0, 0, vec![fac(1, 50, 60), fac(1, 50, 61)]);
         let t1 = t0 + 2 * DAY + 300;
         m.advance_to(t1);
         let pop = pop_of(&mut interner, 1);
@@ -995,7 +981,7 @@ mod tests {
         let mut m = Monitor::new(cfg());
         let t0 = 1_000_000u64;
         for i in 0..10_000u64 {
-            update(&mut m, &mut interner, t0 + i, 0, vec![fac(1 + (i % 2) as u32, 50, 60)], vec![]);
+            update(&mut m, &mut interner, t0 + i, 0, vec![fac(1 + (i % 2) as u32, 50, 60)]);
         }
         assert_eq!(m.promotions.len() + m.stragglers.len(), 1);
         let last = t0 + 9_999;

@@ -800,8 +800,9 @@ pub struct TrackerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{PopCrossing, RouteEvent};
+    use crate::input::PopCrossing;
     use crate::investigate::Affected;
+    use crate::route_event::RouteEvent;
     use kepler_bgp::Prefix;
     use kepler_bgpstream::{CollectorId, PeerId};
     use kepler_docmine::LocationTag;
@@ -878,15 +879,15 @@ mod tests {
     fn monitor_with(interner: &mut Interner, keys_present: &[u8]) -> Monitor {
         let mut m = Monitor::new(KeplerConfig::default());
         for &i in keys_present {
-            let ev = interner.intern_event(&RouteEvent::Update {
+            let ev = RouteEvent::Update {
                 key: key(i),
                 crossings: vec![PopCrossing {
                     pop: LocationTag::Facility(FacilityId(1)),
                     near: Asn(5),
                     far: Asn(6),
                 }],
-                hops: vec![],
-            });
+            }
+            .intern(interner);
             m.observe(1000, &ev);
         }
         m

@@ -18,13 +18,16 @@ use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId};
 use kepler_core::config::KeplerConfig;
 use kepler_core::events::RouteKey;
-use kepler_core::input::{PopCrossing, RouteEvent};
+use kepler_core::input::PopCrossing;
 use kepler_core::intern::{Interner, PopId};
 use kepler_core::monitor::{BinOutcome, DenseBinOutcome, Monitor, OutageSignal};
 use kepler_docmine::LocationTag;
 use kepler_topology::{FacilityId, IxpId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+
+mod route_event;
+use route_event::RouteEvent;
 
 fn key(i: u8) -> RouteKey {
     RouteKey {
@@ -119,7 +122,7 @@ impl ModelMonitor {
     fn observe(&mut self, t: u64, event: &RouteEvent) {
         self.advance_to(t);
         let (key, crossings) = match event {
-            RouteEvent::Update { key, crossings, .. } => (key, Some(crossings)),
+            RouteEvent::Update { key, crossings } => (key, Some(crossings)),
             RouteEvent::Withdraw { key } => (key, None),
         };
         // A stable crossing whose group the route no longer lists deviates.
@@ -273,7 +276,6 @@ fn run_all(ops: &[Op]) -> [Run; 3] {
             Op::Update { key: k, crossings } => Some(RouteEvent::Update {
                 key: key(*k),
                 crossings: crossings.iter().map(|&(p, n, f)| crossing(p, n, f)).collect(),
-                hops: vec![],
             }),
             Op::Withdraw { key: k } => Some(RouteEvent::Withdraw { key: key(*k) }),
             Op::Advance { dt } => {
@@ -287,7 +289,7 @@ fn run_all(ops: &[Op]) -> [Run; 3] {
         };
         match event {
             Some(event) => {
-                let ev = interner.intern_event(&event);
+                let ev = event.intern(&mut interner);
                 skipped.extend(skipping.observe(t, &ev));
                 walked.extend(walking.observe(t, &ev));
                 model.observe(t, &event);
@@ -336,8 +338,8 @@ fn flapped_route_is_promoted_in_the_bin_the_model_says() {
     let t0 = 1_000_000u64;
     for i in 0..10_000u64 {
         let flap = vec![crossing(2 * (i % 2) as u8, 0, 0)];
-        let event = RouteEvent::Update { key: key(0), crossings: flap, hops: vec![] };
-        monitor.observe(t0 + i, &interner.intern_event(&event));
+        let event = RouteEvent::Update { key: key(0), crossings: flap };
+        monitor.observe(t0 + i, &event.intern(&mut interner));
         model.observe(t0 + i, &event);
     }
     let deadline = t0 + 9_999 + config.stable_secs;

@@ -4,12 +4,15 @@ use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId};
 use kepler_core::config::KeplerConfig;
 use kepler_core::events::RouteKey;
-use kepler_core::input::{PopCrossing, RouteEvent};
+use kepler_core::input::PopCrossing;
 use kepler_core::intern::Interner;
 use kepler_core::monitor::Monitor;
 use kepler_docmine::LocationTag;
 use kepler_topology::FacilityId;
 use proptest::prelude::*;
+
+mod route_event;
+use route_event::RouteEvent;
 
 fn key(i: u8) -> RouteKey {
     RouteKey {
@@ -60,15 +63,11 @@ proptest! {
                 Op::Update { key: k, crossings } => {
                     let cs: Vec<PopCrossing> =
                         crossings.iter().map(|&(p, n, f)| crossing(p, n, f)).collect();
-                    let ev = interner.intern_event(&RouteEvent::Update {
-                        key: key(k),
-                        crossings: cs,
-                        hops: vec![],
-                    });
+                    let ev = RouteEvent::Update { key: key(k), crossings: cs }.intern(&mut interner);
                     m.observe(t, &ev)
                 }
                 Op::Withdraw { key: k } => {
-                    let ev = interner.intern_event(&RouteEvent::Withdraw { key: key(k) });
+                    let ev = RouteEvent::Withdraw { key: key(k) }.intern(&mut interner);
                     m.observe(t, &ev)
                 }
                 Op::Advance { dt } => {
@@ -108,11 +107,8 @@ proptest! {
         let mut m = Monitor::new(KeplerConfig { min_stable_paths: 1, ..KeplerConfig::default() });
         let t0 = 1_000_000u64;
         for &k in &keys {
-            let ev = interner.intern_event(&RouteEvent::Update {
-                key: key(k),
-                crossings: vec![crossing(k % 3, k, k)],
-                hops: vec![],
-            });
+            let ev = RouteEvent::Update { key: key(k), crossings: vec![crossing(k % 3, k, k)] }
+                .intern(&mut interner);
             m.observe(t0, &ev);
         }
         m.advance_to(t0 + 3 * 86_400);
