@@ -10,7 +10,8 @@
 //!   detector.
 //! * **per ingested record**: MRT archive bytes through `MrtSource`,
 //!   `MergedStream` and `Kepler::process_record_owned`, over the AMS-IX
-//!   study written to one archive per collector.
+//!   study written to one archive per collector, alone and with a RIB
+//!   frame after every record, which the reader skips by its header.
 //!
 //! This file holds the only `unsafe` in the tree — the `GlobalAlloc`
 //! impl a counting allocator cannot be written without. The counter is
@@ -111,16 +112,52 @@ fn a_quiet_fused_bin_stays_inside_its_allocation_budget() {
 /// communities `Vec`).
 const BUDGET_PER_RECORD: f64 = 1.5;
 
-#[test]
-fn an_ingested_record_stays_inside_its_allocation_budget() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+/// One TABLE_DUMP_V2 `RIB_IPV4_UNICAST` frame at `timestamp`: a /24 seen
+/// by 8 peers, each entry carrying ORIGIN, a 3-hop AS_PATH, NEXT_HOP and
+/// two communities. Built as bytes: the detector reads no RIB body.
+fn rib_frame(timestamp: u32, sequence: u32) -> Vec<u8> {
+    let mut body = sequence.to_be_bytes().to_vec();
+    body.extend_from_slice(&[24, 184, 84, (sequence % 256) as u8]);
+    body.extend_from_slice(&8u16.to_be_bytes());
+    for peer in 0..8u16 {
+        let mut attrs = vec![0x40, 1, 1, 0]; // ORIGIN: IGP
+        attrs.extend_from_slice(&[0x40, 2, 14, 2, 3]); // AS_PATH: one 3-ASN sequence
+        for asn in [64_500 + u32::from(peer), 13_030, 20_940] {
+            attrs.extend_from_slice(&asn.to_be_bytes());
+        }
+        attrs.extend_from_slice(&[0x40, 3, 4, 192, 0, 2, peer as u8]); // NEXT_HOP
+        attrs.extend_from_slice(&[0xC0, 8, 8]); // COMMUNITY: two values
+        for community in [(13_030u32 << 16) | 51_904, (20_940 << 16) | 1] {
+            attrs.extend_from_slice(&community.to_be_bytes());
+        }
+        body.extend_from_slice(&peer.to_be_bytes());
+        body.extend_from_slice(&timestamp.to_be_bytes()); // originated time
+        body.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+        body.extend_from_slice(&attrs);
+    }
+    let mut frame = timestamp.to_be_bytes().to_vec();
+    frame.extend_from_slice(&13u16.to_be_bytes()); // TABLE_DUMP_V2
+    frame.extend_from_slice(&2u16.to_be_bytes()); // RIB_IPV4_UNICAST
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// Allocations per ingested record of the AMS-IX study (seed 41) read
+/// back from one archive per collector through `MrtSource` →
+/// `MergedStream` → `process_record_owned`; with `rib_frames`, each
+/// record is followed in its archive by one [`rib_frame`], which is not
+/// a record.
+fn allocations_per_ingested_record(rib_frames: bool) -> f64 {
     let scenario = AmsIxScenario::new(41).build().scenario;
     let local_ip = "192.0.2.254".parse().unwrap();
     let mut archives = vec![Vec::new(); scenario.output.collector_names.len()];
-    for rec in &scenario.output.records {
-        MrtWriter::new(&mut archives[usize::from(rec.collector.0)])
-            .write_record(&rec.to_mrt(Asn(64_700), local_ip))
-            .unwrap();
+    for (i, rec) in scenario.output.records.iter().enumerate() {
+        let archive = &mut archives[usize::from(rec.collector.0)];
+        MrtWriter::new(&mut *archive).write_record(&rec.to_mrt(Asn(64_700), local_ip)).unwrap();
+        if rib_frames {
+            archive.extend_from_slice(&rib_frame(rec.time as u32, i as u32));
+        }
     }
     let mut kepler = detector(&scenario, KeplerConfig::default(), &Stack::Passive);
 
@@ -142,10 +179,34 @@ fn an_ingested_record_stays_inside_its_allocation_budget() {
 
     assert_eq!(records, scenario.output.records.len() as u64, "every record is read back");
     let per_record = allocs as f64 / records as f64;
-    println!("{allocs} allocations over {records} ingested records = {per_record:.3} per record");
+    let ribs = if rib_frames { ", a RIB frame after each" } else { "" };
+    println!(
+        "{allocs} allocations over {records} ingested records{ribs} = {per_record:.3} per record"
+    );
+    per_record
+}
+
+#[test]
+fn an_ingested_record_stays_inside_its_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let per_record = allocations_per_ingested_record(false);
     assert!(
         per_record <= BUDGET_PER_RECORD,
         "{per_record:.2} allocations per ingested record (budget {BUDGET_PER_RECORD}): \
          does the read path materialize records again?"
+    );
+}
+
+/// A frame the detector does not read costs its header: with one RIB
+/// frame per record, even one allocation per skipped frame breaks the
+/// per-record budget.
+#[test]
+fn a_skipped_rib_frame_costs_no_allocation() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let per_record = allocations_per_ingested_record(true);
+    assert!(
+        per_record <= BUDGET_PER_RECORD,
+        "{per_record:.2} allocations per ingested record with a RIB frame after each \
+         (budget {BUDGET_PER_RECORD}): does the reader decode bodies it skips?"
     );
 }
