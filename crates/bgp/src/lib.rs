@@ -19,9 +19,9 @@
 //!   route collectors.
 //! * [`sanitize`] — the input hygiene rules Kepler applies before any
 //!   analysis (AS loops, private/special-purpose ASNs, bogon prefixes).
-//! * [`mrt`] — a reader/writer for the MRT archive format (RFC 6396) subset
-//!   used by RouteViews and RIPE RIS: `BGP4MP` message/state records and
-//!   `TABLE_DUMP_V2` RIB snapshots.
+//! * [`mrt`] — a reader/writer for the `BGP4MP` message and state records
+//!   of the MRT archive format (RFC 6396) used by RouteViews and RIPE RIS;
+//!   every other frame is skipped by its header.
 //!
 //! # Key types
 //!

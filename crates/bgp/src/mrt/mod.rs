@@ -1,14 +1,17 @@
 //! MRT archive format (RFC 6396) — the on-disk format of RouteViews and
 //! RIPE RIS, which are Kepler's BGP data sources.
 //!
-//! Implemented subset (everything the collectors actually emit for BGP):
+//! Implemented subset: the `BGP4MP` records that carry what the detector
+//! reads.
 //!
 //! * `BGP4MP` / `BGP4MP_MESSAGE_AS4` — one archived BGP UPDATE, with the
 //!   full BGP-4 wire encoding of the message (RFC 4271) including
 //!   multiprotocol NLRI for IPv6 (RFC 4760).
 //! * `BGP4MP` / `BGP4MP_STATE_CHANGE_AS4` — collector-peer FSM transitions.
-//! * `TABLE_DUMP_V2` / `PEER_INDEX_TABLE` + `RIB_IPV4_UNICAST` +
-//!   `RIB_IPV6_UNICAST` — periodic RIB snapshots.
+//!
+//! Every other frame (a `TABLE_DUMP_V2` RIB snapshot among them) is
+//! skipped by its header, its body untouched:
+//! [`MrtError::UnsupportedRecord`].
 //!
 //! There is one parser, the zero-copy [`FrameView`] / [`UpdateView`];
 //! [`MrtReader`]'s records are built on it ([`FrameView::record`]), and
@@ -22,7 +25,6 @@
 mod bgp4mp;
 mod error;
 mod reader;
-mod tabledump;
 mod view;
 mod wire;
 mod writer;
@@ -30,7 +32,6 @@ mod writer;
 pub use bgp4mp::{Bgp4mpMessage, Bgp4mpStateChange};
 pub use error::MrtError;
 pub use reader::MrtReader;
-pub use tabledump::{PeerEntry, PeerIndexTable, RibEntry, RibPrefixEntries};
 pub use view::{
     AsPathView, CommunitiesView, FrameView, MessageView, PrefixIter, UpdateView, WireUpdate,
 };
@@ -38,20 +39,11 @@ pub use writer::MrtWriter;
 
 /// MRT type code for BGP4MP records.
 pub const MRT_TYPE_BGP4MP: u16 = 16;
-/// MRT type code for TABLE_DUMP_V2 records.
-pub const MRT_TYPE_TABLE_DUMP_V2: u16 = 13;
 
 /// BGP4MP subtype: state change with 4-byte ASNs.
 pub const BGP4MP_STATE_CHANGE_AS4: u16 = 5;
 /// BGP4MP subtype: BGP message with 4-byte ASNs.
 pub const BGP4MP_MESSAGE_AS4: u16 = 4;
-
-/// TABLE_DUMP_V2 subtype: peer index table.
-pub const TDV2_PEER_INDEX_TABLE: u16 = 1;
-/// TABLE_DUMP_V2 subtype: IPv4 unicast RIB entries.
-pub const TDV2_RIB_IPV4_UNICAST: u16 = 2;
-/// TABLE_DUMP_V2 subtype: IPv6 unicast RIB entries.
-pub const TDV2_RIB_IPV6_UNICAST: u16 = 4;
 
 /// One decoded MRT record: a Unix timestamp plus a typed body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,10 +61,6 @@ pub enum MrtBody {
     Message(Bgp4mpMessage),
     /// A collector-peer session state change.
     StateChange(Bgp4mpStateChange),
-    /// The peer index table heading a TABLE_DUMP_V2 snapshot.
-    PeerIndexTable(PeerIndexTable),
-    /// RIB entries for one prefix.
-    RibEntries(RibPrefixEntries),
 }
 
 #[cfg(test)]
@@ -185,27 +173,6 @@ mod proptests {
                         old: PeerState::from_code(old).unwrap(),
                         new: PeerState::from_code(new).unwrap(),
                     },
-                }),
-            };
-            let mut buf = Vec::new();
-            MrtWriter::new(&mut buf).write_record(&rec).unwrap();
-            let decoded: Vec<_> = MrtReader::new(&buf[..]).map(|r| r.unwrap()).collect();
-            prop_assert_eq!(decoded, vec![rec]);
-        }
-
-        #[test]
-        fn rib_entries_roundtrip(
-            prefix in arb_prefix_v4(),
-            seq in any::<u32>(),
-            attrs in arb_attrs(),
-            otime in any::<u32>(),
-        ) {
-            let rec = MrtRecord {
-                timestamp: 0,
-                body: MrtBody::RibEntries(RibPrefixEntries {
-                    sequence: seq,
-                    prefix,
-                    entries: vec![RibEntry { peer_index: 1, originated_time: otime, attrs }],
                 }),
             };
             let mut buf = Vec::new();

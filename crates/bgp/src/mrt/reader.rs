@@ -1,18 +1,19 @@
 //! Streaming MRT reader over any `io::Read`: frames cut by the one
-//! header parse, each body decoded into an [`MrtRecord`].
+//! header parse, each `BGP4MP` body decoded into an [`MrtRecord`].
 
 use super::bgp4mp::{Bgp4mpMessage, Bgp4mpStateChange};
 use super::error::MrtError;
-use super::tabledump::{PeerIndexTable, RibPrefixEntries};
 use super::view::{FrameView, HEADER_LEN};
 use super::{MrtBody, MrtRecord};
 use std::io::Read;
 
 /// Iterator of [`MrtRecord`]s decoded from a byte stream.
 ///
-/// A record whose body does not decode (an unsupported type, as in mixed
-/// archives, or a malformed body) yields its error and the reader goes on:
-/// the body was read whole. Only a failed header or body read ends it.
+/// A frame that is not a `BGP4MP` message or state change (a RIB snapshot
+/// in a mixed archive) is [`MrtError::UnsupportedRecord`] by its header
+/// alone; a body that does not decode yields its error. Either way the
+/// reader goes on: the body was read whole, as framing a non-seekable
+/// stream needs. Only a failed header or body read ends it.
 pub struct MrtReader<R: Read> {
     inner: R,
     /// The current record's body, reused across records. It grows with
@@ -80,8 +81,9 @@ impl<R: Read> MrtReader<R> {
 
 impl FrameView<'_> {
     /// Decodes the frame into an owned [`MrtRecord`]: the view parse of
-    /// its body folded into owned values. Unsupported (type, subtype)
-    /// pairs are [`MrtError::UnsupportedRecord`].
+    /// its body folded into owned values. Any (type, subtype) but a
+    /// `BGP4MP` message or state change is [`MrtError::UnsupportedRecord`],
+    /// its body untouched.
     #[inline]
     pub fn record(&self) -> Result<MrtRecord, MrtError> {
         let (mrt_type, subtype, body) = (self.mrt_type, self.subtype, self.body);
@@ -91,15 +93,6 @@ impl FrameView<'_> {
             }
             (super::MRT_TYPE_BGP4MP, super::BGP4MP_STATE_CHANGE_AS4) => {
                 MrtBody::StateChange(Bgp4mpStateChange::decode_body(body)?)
-            }
-            (super::MRT_TYPE_TABLE_DUMP_V2, super::TDV2_PEER_INDEX_TABLE) => {
-                MrtBody::PeerIndexTable(PeerIndexTable::decode_body(body)?)
-            }
-            (super::MRT_TYPE_TABLE_DUMP_V2, super::TDV2_RIB_IPV4_UNICAST) => {
-                MrtBody::RibEntries(RibPrefixEntries::decode_body(body, false)?)
-            }
-            (super::MRT_TYPE_TABLE_DUMP_V2, super::TDV2_RIB_IPV6_UNICAST) => {
-                MrtBody::RibEntries(RibPrefixEntries::decode_body(body, true)?)
             }
             _ => return Err(MrtError::UnsupportedRecord { mrt_type, subtype }),
         };

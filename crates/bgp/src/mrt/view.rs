@@ -1,8 +1,8 @@
 //! The one MRT / BGP-4 parser: zero-copy views over the wire bytes.
 //!
 //! Every layer is parsed here once: the MRT frame header, the BGP4MP peer
-//! header, the UPDATE framing, the path-attribute TLV walk (`AttrSpans`,
-//! BGP4MP and TABLE_DUMP_V2 modes), AS_PATH segments and NLRI prefixes.
+//! header, the UPDATE framing, the path-attribute TLV walk (`AttrSpans`),
+//! AS_PATH segments and NLRI prefixes.
 //! Parsing validates everything, so the lazy iterators are infallible. A
 //! parse leaves a span table — where each region lies in the message —
 //! and a read record keeps it with the bytes as a [`WireUpdate`], so an
@@ -75,7 +75,7 @@ impl<'a> FrameView<'a> {
 
     /// Parses the body as a `BGP4MP_MESSAGE_AS4` update. Returns
     /// `Ok(None)` for any other type/subtype (state changes, RIB dumps),
-    /// which carry no route events for the dense path.
+    /// which carry no route events, without touching the body.
     pub fn message(&self) -> Result<Option<MessageView<'a>>, MrtError> {
         if self.mrt_type != super::MRT_TYPE_BGP4MP || self.subtype != super::BGP4MP_MESSAGE_AS4 {
             return Ok(None);
@@ -136,7 +136,7 @@ pub(crate) fn decode_peer_header<'a, T>(
 }
 
 /// Where a region lies in the bytes a span table indexes: an UPDATE
-/// message or a RIB entry's attribute block (both under 64 KiB).
+/// message (under 64 KiB).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Span {
     at: u16,
@@ -217,16 +217,17 @@ pub(crate) struct AttrSpans {
 
 impl AttrSpans {
     /// The one attribute TLV walk over `block`, spans relative to it.
-    pub(crate) fn parse(block: &[u8], mode: AttrMode) -> Result<Self, MrtError> {
+    #[cfg(test)]
+    pub(crate) fn parse(block: &[u8]) -> Result<Self, MrtError> {
         let mut a = AttrSpans::default();
-        a.walk(block, block, mode)?;
+        a.walk(block, block)?;
         Ok(a)
     }
 
     /// [`parse`](Self::parse) in place over `block`, a region of `base`,
     /// skipping unknown attributes.
     #[inline]
-    fn walk(&mut self, base: &[u8], block: &[u8], mode: AttrMode) -> Result<(), MrtError> {
+    fn walk(&mut self, base: &[u8], block: &[u8]) -> Result<(), MrtError> {
         let a = self;
         let bad = |context| MrtError::BadValue { context };
         let span = |sub: &[u8]| Span::of(base, sub);
@@ -278,19 +279,13 @@ impl AttrSpans {
                 }
                 ATTR_LARGE_COMMUNITY => a.large_communities = span(body),
                 ATTR_MP_REACH => {
-                    // TABLE_DUMP_V2 abbreviates MP_REACH to its next hop.
                     let mut mp = Cursor::new(body);
-                    let v6 = match mode {
-                        AttrMode::Bgp4mp => Some(unicast_family(&mut mp)?),
-                        AttrMode::TableDumpV2 => None,
-                    };
+                    let v6 = unicast_family(&mut mp)?;
                     let nhlen = mp.u8("MP_REACH next-hop length")? as usize;
                     let nh = mp.take(nhlen, "MP_REACH next hop")?;
                     a.mp_next_hop = nh.get(..16).map(span).unwrap_or_default();
-                    if let Some(v6) = v6 {
-                        mp.u8("MP_REACH reserved")?;
-                        a.mp_announced = nlri(mp.rest(), v6)?;
-                    }
+                    mp.u8("MP_REACH reserved")?;
+                    a.mp_announced = nlri(mp.rest(), v6)?;
                 }
                 ATTR_MP_UNREACH => {
                     let mut mp = Cursor::new(body);
@@ -392,7 +387,7 @@ impl<'a> UpdateView<'a> {
             msg,
             spans: UpdateSpans { withdrawn: Span::of(msg, withdrawn), ..UpdateSpans::default() },
         };
-        update.spans.attrs.walk(msg, bc.take(alen, "path attributes")?, AttrMode::Bgp4mp)?;
+        update.spans.attrs.walk(msg, bc.take(alen, "path attributes")?)?;
         let nlri = bc.rest();
         validate_nlri(nlri, false)?;
         update.spans.nlri = Span::of(msg, nlri);
@@ -558,14 +553,6 @@ impl<'a> AsPathView<'a> {
         Segments(Cursor::new(self.raw)).map_while(Result::ok)
     }
 
-    /// Flat iterator over every ASN in segment order — the same sequence
-    /// [`AsPath::asns`](crate::aspath::AsPath::asns) yields after materialization (255-split segment
-    /// merging preserves flat order).
-    #[inline]
-    pub fn asns(&self) -> impl Iterator<Item = Asn> + 'a {
-        self.segments().flat_map(|(_, asns)| asns.chunks_exact(4).map(|c| Asn(be_u32(c))))
-    }
-
     /// The owned path. Adjacent sequences the encoder split at the
     /// 255-ASN segment limit merge back into one.
     fn to_path(self) -> AsPath {
@@ -582,12 +569,6 @@ impl<'a> AsPathView<'a> {
             }
         }
         AsPath::from_segments(out)
-    }
-
-    /// Whether the path carries no ASNs at all, matching
-    /// [`AsPath::is_empty`](crate::aspath::AsPath::is_empty) on the materialized path.
-    pub fn is_empty(&self) -> bool {
-        self.asns().next().is_none()
     }
 
     /// Collapses prepending into `out` straight from the wire bytes —
@@ -614,11 +595,6 @@ impl CommunitiesView<'_> {
     /// The communities in wire order.
     pub fn iter(&self) -> impl Iterator<Item = Community> + '_ {
         self.raw.chunks_exact(4).map(|c| Community(be_u32(c)))
-    }
-
-    /// Whether the list is empty (or the attribute absent).
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
     }
 }
 
@@ -673,7 +649,6 @@ mod tests {
         let mut hops = Vec::new();
         msg.update.as_path().hops_into(&mut hops);
         assert_eq!(hops, attrs.as_path.hops());
-        assert!(!msg.update.as_path().is_empty());
         let comms: Vec<Community> = msg.update.communities().iter().collect();
         assert_eq!(comms, attrs.communities);
     }

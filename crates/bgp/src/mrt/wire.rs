@@ -10,15 +10,6 @@ use crate::prefix::Prefix;
 use crate::Asn;
 use std::net::{IpAddr, Ipv6Addr};
 
-/// Attribute-encoding context: BGP4MP carries full MP_REACH_NLRI, while
-/// TABLE_DUMP_V2 RIB entries use the abbreviated form (next hop only,
-/// RFC 6396 §4.3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AttrMode {
-    Bgp4mp,
-    TableDumpV2,
-}
-
 pub(crate) const ATTR_ORIGIN: u8 = 1;
 pub(crate) const ATTR_AS_PATH: u8 = 2;
 pub(crate) const ATTR_NEXT_HOP: u8 = 3;
@@ -135,7 +126,7 @@ fn patch_len(out: &mut [u8], at: usize, from: usize, field: &'static str) -> Res
 }
 
 /// Appends a 16-bit length, then what `body` appends, which it counts.
-pub(crate) fn with_len(
+fn with_len(
     out: &mut Vec<u8>,
     context: &'static str,
     body: impl FnOnce(&mut Vec<u8>) -> Result<(), MrtError>,
@@ -203,15 +194,13 @@ fn push_mp_unreach(out: &mut Vec<u8>, withdrawn: &[Prefix]) -> Result<(), MrtErr
     })
 }
 
-/// Appends the attribute block. In BGP4MP mode the IPv6 prefixes among
-/// `announced`/`withdrawn` go into MP_REACH / MP_UNREACH; TDV2 RIB entries
-/// never carry NLRI inside attributes.
-pub(crate) fn encode_attrs(
+/// Appends the attribute block of an UPDATE; the IPv6 prefixes among
+/// `announced`/`withdrawn` go into MP_REACH / MP_UNREACH.
+fn encode_attrs(
     out: &mut Vec<u8>,
     attrs: &PathAttributes,
     announced: &[Prefix],
     withdrawn: &[Prefix],
-    mode: AttrMode,
 ) -> Result<(), MrtError> {
     push_attr(out, FLAG_TRANSITIVE, ATTR_ORIGIN, |out| out.push(attrs.origin.code()))?;
     push_attr(out, FLAG_TRANSITIVE, ATTR_AS_PATH, |out| encode_as_path(&attrs.as_path, out))?;
@@ -232,28 +221,16 @@ pub(crate) fn encode_attrs(
             out.extend(attrs.communities.iter().flat_map(|c| c.0.to_be_bytes()))
         })?;
     }
-    let nh6 = if let IpAddr::V6(a) = attrs.next_hop { Some(a) } else { None };
-    match mode {
-        AttrMode::Bgp4mp => {
-            if announced.iter().any(Prefix::is_ipv6) {
-                push_attr(out, FLAG_OPTIONAL, ATTR_MP_REACH, |out| {
-                    out.extend_from_slice(&[0, 2, 1, 16]); // IPv6 unicast, 16-byte next hop
-                    out.extend_from_slice(&nh6.unwrap_or(Ipv6Addr::UNSPECIFIED).octets());
-                    out.push(0); // reserved
-                    push_nlri(out, announced, true);
-                })?;
-            }
-            push_mp_unreach(out, withdrawn)?;
-        }
-        AttrMode::TableDumpV2 => {
-            if let Some(nh) = nh6 {
-                push_attr(out, FLAG_OPTIONAL, ATTR_MP_REACH, |out| {
-                    out.push(16);
-                    out.extend_from_slice(&nh.octets());
-                })?;
-            }
-        }
+    if announced.iter().any(Prefix::is_ipv6) {
+        let nh6 = if let IpAddr::V6(a) = attrs.next_hop { a } else { Ipv6Addr::UNSPECIFIED };
+        push_attr(out, FLAG_OPTIONAL, ATTR_MP_REACH, |out| {
+            out.extend_from_slice(&[0, 2, 1, 16]); // IPv6 unicast, 16-byte next hop
+            out.extend_from_slice(&nh6.octets());
+            out.push(0); // reserved
+            push_nlri(out, announced, true);
+        })?;
     }
+    push_mp_unreach(out, withdrawn)?;
     if !attrs.extended_communities.is_empty() {
         push_attr(out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_EXTENDED_COMMUNITIES, |out| {
             out.extend(attrs.extended_communities.iter().flat_map(|e| e.0))
@@ -279,9 +256,7 @@ pub(crate) fn encode_bgp_update(out: &mut Vec<u8>, update: &BgpUpdate) -> Result
         Ok(())
     })?;
     with_len(out, "total path attribute length", |out| match &update.attrs {
-        Some(attrs) => {
-            encode_attrs(out, attrs, &update.announced, &update.withdrawn, AttrMode::Bgp4mp)
-        }
+        Some(attrs) => encode_attrs(out, attrs, &update.announced, &update.withdrawn),
         // Withdraw-only IPv6 update: MP_UNREACH with no other attrs.
         None => push_mp_unreach(out, &update.withdrawn),
     })?;
@@ -314,9 +289,9 @@ mod tests {
         assert!(decode_nlri_prefix(&mut cur, false).is_err());
     }
 
-    fn attrs_bytes(attrs: &PathAttributes, mode: AttrMode) -> Vec<u8> {
+    fn attrs_bytes(attrs: &PathAttributes) -> Vec<u8> {
         let mut raw = Vec::new();
-        encode_attrs(&mut raw, attrs, &[], &[], mode).unwrap();
+        encode_attrs(&mut raw, attrs, &[], &[]).unwrap();
         raw
     }
 
@@ -326,9 +301,9 @@ mod tests {
         bytes
     }
 
-    fn roundtrip_attrs(attrs: &PathAttributes, mode: AttrMode) -> PathAttributes {
-        let raw = attrs_bytes(attrs, mode);
-        AttrSpans::parse(&raw, mode).unwrap().to_attrs(&raw)
+    fn roundtrip_attrs(attrs: &PathAttributes) -> PathAttributes {
+        let raw = attrs_bytes(attrs);
+        AttrSpans::parse(&raw).unwrap().to_attrs(&raw)
     }
 
     #[test]
@@ -337,7 +312,7 @@ mod tests {
             as_path: AsPath::from_sequence((1..=600u32).collect::<Vec<_>>()),
             ..Default::default()
         };
-        assert_eq!(roundtrip_attrs(&attrs, AttrMode::Bgp4mp), attrs);
+        assert_eq!(roundtrip_attrs(&attrs), attrs);
     }
 
     #[test]
@@ -374,28 +349,17 @@ mod tests {
     fn unknown_attribute_is_skipped() {
         let attrs =
             PathAttributes::with_path_and_communities(AsPath::from_sequence([1, 2]), vec![]);
-        let mut raw = attrs_bytes(&attrs, AttrMode::Bgp4mp);
+        let mut raw = attrs_bytes(&attrs);
         // Append an unknown optional-transitive attribute type 99.
         raw.extend_from_slice(&[FLAG_OPTIONAL | FLAG_TRANSITIVE, 99, 2, 0xAB, 0xCD]);
-        let decoded = AttrSpans::parse(&raw, AttrMode::Bgp4mp).unwrap().to_attrs(&raw);
+        let decoded = AttrSpans::parse(&raw).unwrap().to_attrs(&raw);
         assert_eq!(decoded, attrs);
-    }
-
-    #[test]
-    fn tdv2_mode_encodes_abbreviated_v6_next_hop() {
-        let attrs = PathAttributes {
-            next_hop: "2001:7f8::1".parse::<std::net::Ipv6Addr>().unwrap().into(),
-            as_path: AsPath::from_sequence([3356, 20940]),
-            ..Default::default()
-        };
-        assert_eq!(roundtrip_attrs(&attrs, AttrMode::TableDumpV2), attrs);
     }
 
     /// The `Vec`-building encoder the in-place one replaced, kept as the
     /// reference it is differentially tested against. Do not optimise it.
     mod reference {
         use super::super::*;
-        use crate::mrt::RibPrefixEntries;
 
         fn push_attr(out: &mut Vec<u8>, flags: u8, attr_type: u8, body: &[u8]) {
             if body.len() > 255 {
@@ -428,11 +392,10 @@ mod tests {
             body
         }
 
-        pub(super) fn encode_attrs(
+        fn encode_attrs(
             attrs: &PathAttributes,
             v6_announced: &[Prefix],
             v6_withdrawn: &[Prefix],
-            mode: AttrMode,
         ) -> Vec<u8> {
             let mut out = Vec::new();
             push_attr(&mut out, FLAG_TRANSITIVE, ATTR_ORIGIN, &[attrs.origin.code()]);
@@ -456,42 +419,30 @@ mod tests {
                 }
                 push_attr(&mut out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_COMMUNITY, &body);
             }
-            match mode {
-                AttrMode::Bgp4mp => {
-                    if !v6_announced.is_empty() {
-                        let mut body = Vec::new();
-                        body.extend_from_slice(&2u16.to_be_bytes());
-                        body.push(1);
-                        let nh = match attrs.next_hop {
-                            IpAddr::V6(a) => a,
-                            IpAddr::V4(_) => Ipv6Addr::UNSPECIFIED,
-                        };
-                        body.push(16);
-                        body.extend_from_slice(&nh.octets());
-                        body.push(0);
-                        for p in v6_announced {
-                            encode_nlri_prefix(p, &mut body);
-                        }
-                        push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_REACH, &body);
-                    }
-                    if !v6_withdrawn.is_empty() {
-                        let mut body = Vec::new();
-                        body.extend_from_slice(&2u16.to_be_bytes());
-                        body.push(1);
-                        for p in v6_withdrawn {
-                            encode_nlri_prefix(p, &mut body);
-                        }
-                        push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_UNREACH, &body);
-                    }
+            if !v6_announced.is_empty() {
+                let mut body = Vec::new();
+                body.extend_from_slice(&2u16.to_be_bytes());
+                body.push(1);
+                let nh = match attrs.next_hop {
+                    IpAddr::V6(a) => a,
+                    IpAddr::V4(_) => Ipv6Addr::UNSPECIFIED,
+                };
+                body.push(16);
+                body.extend_from_slice(&nh.octets());
+                body.push(0);
+                for p in v6_announced {
+                    encode_nlri_prefix(p, &mut body);
                 }
-                AttrMode::TableDumpV2 => {
-                    if let IpAddr::V6(nh) = attrs.next_hop {
-                        let mut body = Vec::with_capacity(17);
-                        body.push(16);
-                        body.extend_from_slice(&nh.octets());
-                        push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_REACH, &body);
-                    }
+                push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_REACH, &body);
+            }
+            if !v6_withdrawn.is_empty() {
+                let mut body = Vec::new();
+                body.extend_from_slice(&2u16.to_be_bytes());
+                body.push(1);
+                for p in v6_withdrawn {
+                    encode_nlri_prefix(p, &mut body);
                 }
+                push_attr(&mut out, FLAG_OPTIONAL, ATTR_MP_UNREACH, &body);
             }
             if !attrs.extended_communities.is_empty() {
                 let mut body = Vec::with_capacity(attrs.extended_communities.len() * 8);
@@ -528,7 +479,7 @@ mod tests {
                 Some(attrs) => {
                     let v6a: Vec<Prefix> = a6.iter().map(|p| **p).collect();
                     let v6w: Vec<Prefix> = w6.iter().map(|p| **p).collect();
-                    encode_attrs(attrs, &v6a, &v6w, AttrMode::Bgp4mp)
+                    encode_attrs(attrs, &v6a, &v6w)
                 }
                 None => {
                     if !w6.is_empty() {
@@ -566,32 +517,15 @@ mod tests {
             out.extend_from_slice(&nlri);
             out
         }
-
-        /// A TABLE_DUMP_V2 RIB body, as `RibPrefixEntries` encoded it
-        /// over the reference attribute encoder.
-        pub(super) fn encode_rib_reference(rib: &RibPrefixEntries) -> Vec<u8> {
-            let mut out = Vec::new();
-            out.extend_from_slice(&rib.sequence.to_be_bytes());
-            encode_nlri_prefix(&rib.prefix, &mut out);
-            out.extend_from_slice(&(rib.entries.len() as u16).to_be_bytes());
-            for e in &rib.entries {
-                out.extend_from_slice(&e.peer_index.to_be_bytes());
-                out.extend_from_slice(&e.originated_time.to_be_bytes());
-                let attrs = encode_attrs(&e.attrs, &[], &[], AttrMode::TableDumpV2);
-                out.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
-                out.extend_from_slice(&attrs);
-            }
-            out
-        }
     }
 
     mod differential {
         use super::super::*;
-        use super::reference::{encode_bgp_update_reference, encode_rib_reference};
+        use super::reference::encode_bgp_update_reference;
         use crate::aspath::AsPathSegment;
         use crate::attrs::Origin;
         use crate::community::{Community, ExtendedCommunity, LargeCommunity};
-        use crate::mrt::{RibEntry, RibPrefixEntries, WireUpdate};
+        use crate::mrt::WireUpdate;
         use proptest::prelude::*;
         use std::net::Ipv4Addr;
 
@@ -736,22 +670,6 @@ mod tests {
                 let mut got = vec![0xAB];
                 encode_bgp_update(&mut got, &update).unwrap();
                 prop_assert_eq!(&got[1..], &encode_bgp_update_reference(&update)[..]);
-            }
-
-            #[test]
-            fn rib_encoding_matches_the_reference(
-                prefix in arb_prefix(),
-                sequence in any::<u32>(),
-                entries in prop::collection::vec((any::<u16>(), any::<u32>(), arb_attrs()), 0..4),
-            ) {
-                let entries = entries
-                    .into_iter()
-                    .map(|(peer_index, originated_time, attrs)| RibEntry { peer_index, originated_time, attrs })
-                    .collect();
-                let rib = RibPrefixEntries { sequence, prefix, entries };
-                let mut got = vec![0xAB];
-                rib.encode_body(&mut got).unwrap();
-                prop_assert_eq!(&got[1..], &encode_rib_reference(&rib)[..]);
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Streaming MRT writer over any `io::Write`.
 
 use super::error::MrtError;
+use super::MRT_TYPE_BGP4MP as BGP4MP;
 use super::{MrtBody, MrtRecord, BGP4MP_MESSAGE_AS4, BGP4MP_STATE_CHANGE_AS4};
-use super::{MRT_TYPE_BGP4MP as BGP4MP, MRT_TYPE_TABLE_DUMP_V2 as TDV2, TDV2_PEER_INDEX_TABLE};
 use std::io::Write;
 
 /// Serializes [`MrtRecord`]s to a byte stream, one RFC 6396 record at a
@@ -30,8 +30,6 @@ impl<W: Write> MrtWriter<W> {
         let (mrt_type, subtype, encoded) = match &record.body {
             MrtBody::Message(m) => (BGP4MP, BGP4MP_MESSAGE_AS4, m.encode_body(out)),
             MrtBody::StateChange(s) => (BGP4MP, BGP4MP_STATE_CHANGE_AS4, s.encode_body(out)),
-            MrtBody::PeerIndexTable(t) => (TDV2, TDV2_PEER_INDEX_TABLE, t.encode_body(out)),
-            MrtBody::RibEntries(r) => (TDV2, r.subtype(), r.encode_body(out)),
         };
         encoded?;
         let len = u32::try_from(out.len() - 12)

@@ -1,11 +1,10 @@
 //! The reference decoder: the materializing decoder `kepler-bgp` shipped
 //! before its zero-copy views became the one parser (`decode_bgp_update`,
-//! both modes of `decode_attrs`, `decode_as_path`, and the peer-header,
-//! RIB-entry and frame-header reads around them), kept here so the
-//! mutation fuzz can compare the parser against an independent
-//! implementation in both directions.
+//! `decode_attrs`, `decode_as_path`, and the peer-header and frame-header
+//! reads around them), kept here so the mutation fuzz can compare the
+//! parser against an independent implementation in both directions.
 //!
-//! The code is unchanged but for two rules the parser adopted:
+//! The BGP4MP code is unchanged but for two rules the parser adopted:
 //!
 //! * duplicate attributes follow RFC 7606 §3(g) — a repeated MP_REACH /
 //!   MP_UNREACH is an error, any other repeat keeps its first occurrence
@@ -13,21 +12,12 @@
 //! * MP_REACH / MP_UNREACH must be IPv4 or IPv6 unicast (previously every
 //!   AFI but 2 decoded as IPv4, and SAFI was ignored).
 
-use kepler_bgp::mrt::{
-    MrtBody, MrtError, MrtRecord, RibEntry, RibPrefixEntries, BGP4MP_MESSAGE_AS4, MRT_TYPE_BGP4MP,
-    MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST, TDV2_RIB_IPV6_UNICAST,
-};
+use kepler_bgp::mrt::{MrtBody, MrtError, MrtRecord, BGP4MP_MESSAGE_AS4, MRT_TYPE_BGP4MP};
 use kepler_bgp::{
     AsPath, AsPathSegment, Asn, BgpUpdate, Community, ExtendedCommunity, LargeCommunity, Origin,
     PathAttributes, Prefix,
 };
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AttrMode {
-    Bgp4mp,
-    TableDumpV2,
-}
 
 const ATTR_ORIGIN: u8 = 1;
 const ATTR_AS_PATH: u8 = 2;
@@ -107,9 +97,6 @@ pub enum Decoded {
         local_ip: IpAddr,
         update: BgpUpdate,
     },
-    /// A TABLE_DUMP_V2 RIB record, which the parser decodes to owned
-    /// values too.
-    Rib(MrtRecord),
 }
 
 impl Decoded {
@@ -126,15 +113,14 @@ impl Decoded {
                 local_ip: m.local_ip,
                 update: m.update.materialize(),
             }),
-            MrtBody::RibEntries(_) => Some(Decoded::Rib(rec.clone())),
-            MrtBody::StateChange(_) | MrtBody::PeerIndexTable(_) => None,
+            MrtBody::StateChange(_) => None,
         }
     }
 }
 
 /// Decodes the first frame of `buf`: `None` for an empty buffer or a
 /// complete frame of a type the reference does not model (anything but
-/// `BGP4MP_MESSAGE_AS4` and the two RIB subtypes).
+/// `BGP4MP_MESSAGE_AS4`).
 pub fn decode_frame(buf: &[u8]) -> Option<Result<Decoded, MrtError>> {
     if buf.is_empty() {
         return None;
@@ -151,14 +137,8 @@ pub fn decode_frame(buf: &[u8]) -> Option<Result<Decoded, MrtError>> {
         Ok(h) => h,
         Err(e) => return Some(Err(e)),
     };
-    let rib = |v6| {
-        let body = decode_rib(body, v6)?;
-        Ok(Decoded::Rib(MrtRecord { timestamp, body: MrtBody::RibEntries(body) }))
-    };
     Some(match (mrt_type, subtype) {
         (MRT_TYPE_BGP4MP, BGP4MP_MESSAGE_AS4) => decode_message(timestamp, body),
-        (MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST) => rib(false),
-        (MRT_TYPE_TABLE_DUMP_V2, TDV2_RIB_IPV6_UNICAST) => rib(true),
         _ => return None,
     })
 }
@@ -186,23 +166,6 @@ fn decode_message(timestamp: u32, raw: &[u8]) -> Result<Decoded, MrtError> {
         local_ip,
         update,
     })
-}
-
-fn decode_rib(raw: &[u8], v6: bool) -> Result<RibPrefixEntries, MrtError> {
-    let mut cur = Cursor::new(raw);
-    let sequence = cur.u32("RIB sequence")?;
-    let prefix = decode_nlri_prefix(&mut cur, v6)?;
-    let count = cur.u16("RIB entry count")? as usize;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let peer_index = cur.u16("RIB peer index")?;
-        let originated_time = cur.u32("RIB originated time")?;
-        let alen = cur.u16("RIB attribute length")? as usize;
-        let araw = cur.take(alen, "RIB attributes")?;
-        let decoded = decode_attrs(araw, AttrMode::TableDumpV2)?;
-        entries.push(RibEntry { peer_index, originated_time, attrs: decoded.attrs });
-    }
-    Ok(RibPrefixEntries { sequence, prefix, entries })
 }
 
 /// Decodes one NLRI prefix of the given family.
@@ -273,7 +236,7 @@ fn unicast_v6(mp: &mut Cursor<'_>, afi_context: &'static str) -> Result<bool, Mr
 }
 
 /// Decodes an attribute block; unknown attribute types are skipped.
-fn decode_attrs(raw: &[u8], mode: AttrMode) -> Result<DecodedAttrs, MrtError> {
+fn decode_attrs(raw: &[u8]) -> Result<DecodedAttrs, MrtError> {
     let mut cur = Cursor::new(raw);
     let mut attrs = PathAttributes::default();
     let mut v6_announced = Vec::new();
@@ -334,33 +297,21 @@ fn decode_attrs(raw: &[u8], mode: AttrMode) -> Result<DecodedAttrs, MrtError> {
                     .map(|c| Community(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
                     .collect();
             }
-            ATTR_MP_REACH => match mode {
-                AttrMode::Bgp4mp => {
-                    let mut mp = Cursor::new(body);
-                    let v6 = unicast_v6(&mut mp, "MP_REACH AFI")?;
-                    let nhlen = mp.u8("MP_REACH next-hop length")? as usize;
-                    let nh_raw = mp.take(nhlen, "MP_REACH next hop")?;
-                    if nhlen >= 16 {
-                        let mut a = [0u8; 16];
-                        a.copy_from_slice(&nh_raw[..16]);
-                        mp_next_hop = Some(IpAddr::V6(Ipv6Addr::from(a)));
-                    }
-                    mp.u8("MP_REACH reserved")?;
-                    while mp.remaining() > 0 {
-                        v6_announced.push(decode_nlri_prefix(&mut mp, v6)?);
-                    }
+            ATTR_MP_REACH => {
+                let mut mp = Cursor::new(body);
+                let v6 = unicast_v6(&mut mp, "MP_REACH AFI")?;
+                let nhlen = mp.u8("MP_REACH next-hop length")? as usize;
+                let nh_raw = mp.take(nhlen, "MP_REACH next hop")?;
+                if nhlen >= 16 {
+                    let mut a = [0u8; 16];
+                    a.copy_from_slice(&nh_raw[..16]);
+                    mp_next_hop = Some(IpAddr::V6(Ipv6Addr::from(a)));
                 }
-                AttrMode::TableDumpV2 => {
-                    let mut mp = Cursor::new(body);
-                    let nhlen = mp.u8("TDV2 MP_REACH next-hop length")? as usize;
-                    let nh_raw = mp.take(nhlen, "TDV2 MP_REACH next hop")?;
-                    if nhlen >= 16 {
-                        let mut a = [0u8; 16];
-                        a.copy_from_slice(&nh_raw[..16]);
-                        mp_next_hop = Some(IpAddr::V6(Ipv6Addr::from(a)));
-                    }
+                mp.u8("MP_REACH reserved")?;
+                while mp.remaining() > 0 {
+                    v6_announced.push(decode_nlri_prefix(&mut mp, v6)?);
                 }
-            },
+            }
             ATTR_MP_UNREACH => {
                 let mut mp = Cursor::new(body);
                 let v6 = unicast_v6(&mut mp, "MP_UNREACH AFI")?;
@@ -434,7 +385,7 @@ fn decode_bgp_update(cur: &mut Cursor<'_>) -> Result<BgpUpdate, MrtError> {
 
     let alen = bc.u16("path attributes length")? as usize;
     let araw = bc.take(alen, "path attributes")?;
-    let decoded = decode_attrs(araw, AttrMode::Bgp4mp)?;
+    let decoded = decode_attrs(araw)?;
 
     let mut announced = Vec::new();
     while bc.remaining() > 0 {

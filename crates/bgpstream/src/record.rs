@@ -33,25 +33,19 @@ pub struct BgpRecord {
 }
 
 impl BgpRecord {
-    /// Converts a decoded MRT record into a [`BgpRecord`] if it is a
-    /// message or a state change; a TABLE_DUMP_V2 record is `None`. The
-    /// record is consumed: its update moves into the result uncopied.
-    pub fn from_mrt(rec: MrtRecord, collector: CollectorId) -> Option<BgpRecord> {
-        match rec.body {
-            MrtBody::Message(m) => Some(BgpRecord {
-                time: rec.timestamp as Timestamp,
-                collector,
-                peer: PeerId { asn: m.peer_as, addr: m.peer_ip },
-                payload: RecordPayload::Update(m.update),
-            }),
-            MrtBody::StateChange(s) => Some(BgpRecord {
-                time: rec.timestamp as Timestamp,
-                collector,
-                peer: PeerId { asn: s.peer_as, addr: s.peer_ip },
-                payload: RecordPayload::State(s.change),
-            }),
-            _ => None,
-        }
+    /// Converts a decoded MRT record (a message or a state change) into a
+    /// [`BgpRecord`]. The record is consumed: its update moves into the
+    /// result uncopied.
+    pub fn from_mrt(rec: MrtRecord, collector: CollectorId) -> BgpRecord {
+        let (peer, payload) = match rec.body {
+            MrtBody::Message(m) => {
+                (PeerId { asn: m.peer_as, addr: m.peer_ip }, RecordPayload::Update(m.update))
+            }
+            MrtBody::StateChange(s) => {
+                (PeerId { asn: s.peer_as, addr: s.peer_ip }, RecordPayload::State(s.change))
+            }
+        };
+        BgpRecord { time: rec.timestamp as Timestamp, collector, peer, payload }
     }
 
     /// Converts back to an MRT record for archiving (state or message).
@@ -98,7 +92,7 @@ mod tests {
             PathAttributes::with_path_and_communities(AsPath::from_sequence([13030]), vec![]);
         let r = rec(BgpUpdate::announce(vec![Prefix::v4(184, 84, 242, 0, 24)], attrs));
         let mrt = r.to_mrt(Asn(6447), "192.0.2.254".parse().unwrap());
-        let back = BgpRecord::from_mrt(mrt, CollectorId(0)).unwrap();
+        let back = BgpRecord::from_mrt(mrt, CollectorId(0));
         assert_eq!(back, r);
     }
 }

@@ -56,10 +56,11 @@ impl RecordSource for MemorySource {
 
 /// A source decoding records from an MRT byte stream on the fly.
 ///
-/// Unsupported MRT record types and TABLE_DUMP_V2 records are skipped:
-/// RIB snapshots carry no session's updates. A record whose body does not
-/// decode is skipped and counted in [`MrtSource::skipped`]; the stream
-/// goes on with the next record. Only a failure to read the stream (I/O,
+/// A frame that is not a `BGP4MP` message or state change (a RIB
+/// snapshot, say) is skipped by its header and counted in
+/// [`MrtSource::unsupported`]. A record whose body does not decode is
+/// skipped and counted in [`MrtSource::skipped`]. Either way the stream
+/// goes on with the next frame. Only a failure to read the stream (I/O,
 /// a torn header or body) ends it, reported through
 /// [`MrtSource::take_error`].
 pub struct MrtSource<R: Read> {
@@ -68,6 +69,7 @@ pub struct MrtSource<R: Read> {
     buffered: Option<BgpRecord>,
     error: Option<MrtError>,
     skipped: u64,
+    unsupported: u64,
 }
 
 impl<R: Read> MrtSource<R> {
@@ -79,6 +81,7 @@ impl<R: Read> MrtSource<R> {
             buffered: None,
             error: None,
             skipped: 0,
+            unsupported: 0,
         }
     }
 
@@ -92,6 +95,12 @@ impl<R: Read> MrtSource<R> {
         self.skipped
     }
 
+    /// Frames skipped so far by their header: any type but a `BGP4MP`
+    /// message or state change.
+    pub fn unsupported(&self) -> u64 {
+        self.unsupported
+    }
+
     fn fill(&mut self) {
         while self.buffered.is_none() {
             let record = match self.reader.next_frame() {
@@ -103,8 +112,8 @@ impl<R: Read> MrtSource<R> {
                 }
             };
             match record {
-                Ok(rec) => self.buffered = BgpRecord::from_mrt(rec, self.collector),
-                Err(MrtError::UnsupportedRecord { .. }) => {}
+                Ok(rec) => self.buffered = Some(BgpRecord::from_mrt(rec, self.collector)),
+                Err(MrtError::UnsupportedRecord { .. }) => self.unsupported += 1,
                 Err(_) => self.skipped += 1,
             }
         }
@@ -129,7 +138,7 @@ mod tests {
     use crate::collector::PeerId;
     use crate::record::RecordPayload;
     use kepler_bgp::mrt::{MrtWriter, WireUpdate};
-    use kepler_bgp::{AsPath, Asn, BgpUpdate, PathAttributes, Prefix};
+    use kepler_bgp::{AsPath, Asn, BgpUpdate, PathAttributes, PeerState, Prefix, StateChange};
 
     fn rec(time: u64) -> BgpRecord {
         BgpRecord {
@@ -198,6 +207,46 @@ mod tests {
         let times: Vec<u64> = std::iter::from_fn(|| s.next_record()).map(|r| r.time).collect();
         assert_eq!(times, vec![10, 30]);
         assert_eq!(s.skipped(), 1);
+        assert!(s.take_error().is_none());
+    }
+
+    /// An MRT frame of `mrt_type`/`subtype` around `body`.
+    fn frame(mrt_type: u16, subtype: u16, body: &[u8]) -> Vec<u8> {
+        let mut out = 15u32.to_be_bytes().to_vec();
+        out.extend_from_slice(&mrt_type.to_be_bytes());
+        out.extend_from_slice(&subtype.to_be_bytes());
+        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn frames_of_other_types_are_counted_apart_from_undecodable_ones() {
+        let local_ip = "192.0.2.254".parse().unwrap();
+        let state = BgpRecord {
+            time: 20,
+            payload: RecordPayload::State(StateChange {
+                old: PeerState::Established,
+                new: PeerState::Idle,
+            }),
+            ..rec(20)
+        };
+        // A RIB_IPV4_UNICAST body: sequence, 10.0.0.0/8, one entry whose
+        // attributes are an ORIGIN.
+        let mut rib = vec![0, 0, 0, 1, 8, 10, 0, 1, 0, 0];
+        rib.extend_from_slice(&[0, 0, 0, 9, 0, 4, 0x40, 1, 1, 0]);
+        let mut buf = Vec::new();
+        MrtWriter::new(&mut buf).write_record(&rec(10).to_mrt(Asn(6447), local_ip)).unwrap();
+        buf.extend_from_slice(&frame(13, 2, &rib)); // TABLE_DUMP_V2
+        buf.extend_from_slice(&frame(11, 0, &[1, 2, 3, 4])); // OSPFv2
+        let mut w = MrtWriter::new(&mut buf);
+        w.write_record(&state.to_mrt(Asn(6447), local_ip)).unwrap();
+        w.write_record(&rec(30).to_mrt(Asn(6447), local_ip)).unwrap();
+
+        let mut s = MrtSource::new(&buf[..], CollectorId(7));
+        let times: Vec<u64> = std::iter::from_fn(|| s.next_record()).map(|r| r.time).collect();
+        assert_eq!(times, vec![10, 20, 30]);
+        assert_eq!((s.unsupported(), s.skipped()), (2, 0));
         assert!(s.take_error().is_none());
     }
 }
