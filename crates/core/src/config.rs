@@ -1,4 +1,6 @@
-//! Kepler's tunables, with the paper's calibrated defaults (§5.1).
+//! Kepler's tunables, with the paper's calibrated defaults (§5.1). A
+//! value no caller turns is a `const` beside the code that reads it
+//! (e.g. [`monitor::STABLE_SECS`](crate::monitor::STABLE_SECS)).
 
 /// Configuration for the whole detection pipeline.
 #[derive(Debug, Clone)]
@@ -10,24 +12,9 @@ pub struct KeplerConfig {
     /// Update binning interval: **60 s** — twice the default MRAI, enough
     /// for correlated updates to land in one bin.
     pub bin_secs: u64,
-    /// How long a route must stay unchanged to enter the stable baseline:
-    /// **2 days** (1 day admits transients, 5+ days starves coverage).
-    pub stable_secs: u64,
-    /// More than this many distinct ASes must be affected before a signal
-    /// is investigated at all (link-level events are below it): **3**.
-    pub min_affected_ases: usize,
-    /// PoP-level classification needs at least this many *non-sibling*
-    /// near-end AND far-end ASes: **3**.
-    pub min_disjoint_orgs: usize,
-    /// Co-location coverage required to pin an epicenter facility: **95%**
-    /// (5% slack absorbs colocation-map inaccuracies).
-    pub colo_margin: f64,
     /// An outage is restored once more than this fraction of its affected
     /// paths has returned to the baseline PoP: **50%**.
     pub restore_fraction: f64,
-    /// Two outages of the same PoP closer than this merge into one
-    /// incident (oscillation handling): **12 h**.
-    pub merge_window_secs: u64,
     /// Post-session-recovery quarantine for collector feeds (gap guard).
     pub quarantine_secs: u64,
     /// Minimum stable paths a (PoP, AS) group needs before its deviation
@@ -36,23 +23,6 @@ pub struct KeplerConfig {
     /// A facility needs this many community-locatable members to be
     /// *trackable* (3 near-end + 3 far-end): **6**.
     pub trackable_min_members: usize,
-    /// Half-life of accumulated probe evidence on an open incident: a
-    /// probe-confirmed verdict can be reused for later bins of the same
-    /// incident (instead of re-probing from scratch) while its decayed
-    /// confidence stays above [`Self::evidence_reuse_confidence`]:
-    /// **30 min**.
-    pub evidence_half_life_secs: u64,
-    /// Minimum decayed confidence at which an open incident's confirmed
-    /// verdict is reused for a new pending localization of the same
-    /// epicenter: **0.5** (i.e. evidence older than one half-life must be
-    /// re-measured).
-    pub evidence_reuse_confidence: f64,
-    /// First restoration re-probe fires this long after an incident
-    /// opens; subsequent delays double ([`kepler_probe::Backoff`]):
-    /// **5 min**.
-    pub restore_probe_initial_secs: u64,
-    /// Ceiling of the restoration re-probe backoff: **1 h**.
-    pub restore_probe_max_secs: u64,
     /// Opening hysteresis: a localized signal must recur in this many
     /// consecutive bins before an incident opens. **1** (open on the
     /// first signal — the paper's behavior). Raising it suppresses
@@ -72,23 +42,6 @@ pub struct KeplerConfig {
     /// predicts this bin's per-facility crossing presence from the same
     /// bin one season earlier.
     pub forecast_season_secs: u64,
-    /// EWMA smoothing factor for the forecast residual band (applied to
-    /// `|observed - predicted|` each bin while not alarming).
-    pub forecast_band_alpha: f64,
-    /// The forecast deficit must exceed `band_k × band` (in addition to
-    /// the absolute and relative floors) before a bin counts toward an
-    /// alarm.
-    pub forecast_band_k: f64,
-    /// Absolute floor on the forecast deficit (stable crossings lost
-    /// below prediction) — guards against alarms on tiny facilities and
-    /// the handful of routes that permanently re-home after unrelated
-    /// churn elsewhere in the topology.
-    pub forecast_abs_floor: f64,
-    /// Relative floor: the deficit must also exceed this fraction of the
-    /// predicted presence. Reconvergence after a remote event can shift
-    /// a facility's level by 10–20% day over day without anything being
-    /// wrong locally; an outage drains most of it.
-    pub forecast_rel_floor: f64,
     /// Consecutive deficit bins required before the forecast detector
     /// raises a signal (filters 1–2-bin reconvergence edge mismatches).
     pub forecast_confirm_bins: usize,
@@ -106,26 +59,13 @@ impl Default for KeplerConfig {
         KeplerConfig {
             t_fail: 0.10,
             bin_secs: 60,
-            stable_secs: 2 * 86_400,
-            min_affected_ases: 3,
-            min_disjoint_orgs: 3,
-            colo_margin: 0.95,
             restore_fraction: 0.5,
-            merge_window_secs: 12 * 3600,
             quarantine_secs: 600,
             min_stable_paths: 2,
             trackable_min_members: 6,
-            evidence_half_life_secs: 1_800,
-            evidence_reuse_confidence: 0.5,
-            restore_probe_initial_secs: 300,
-            restore_probe_max_secs: 3_600,
             open_after_consecutive: 1,
             close_after_consecutive: 1,
             forecast_season_secs: 86_400,
-            forecast_band_alpha: 0.2,
-            forecast_band_k: 3.0,
-            forecast_abs_floor: 4.0,
-            forecast_rel_floor: 0.25,
             forecast_confirm_bins: 5,
             delay_threshold_ms: 15.0,
             delay_min_anomalous_pairs: 3,
@@ -150,43 +90,36 @@ impl KeplerConfig {
         self.close_after_consecutive = close.max(1);
         self
     }
-
-    /// Tunes the forecast detector: season length, confirmation streak,
-    /// and the band multiplier over the EWMA residual. Scenario sweeps
-    /// with compressed clocks shrink the season the same way they shrink
-    /// [`Self::stable_secs`].
-    pub fn with_forecast(mut self, season_secs: u64, confirm_bins: usize, band_k: f64) -> Self {
-        self.forecast_season_secs = season_secs.max(self.bin_secs);
-        self.forecast_confirm_bins = confirm_bins.max(1);
-        self.forecast_band_k = band_k;
-        self
-    }
-
-    /// Tunes the delay detector: anomaly threshold (ms over the shared
-    /// hop-pair baseline) and the self-evidencing pair floor.
-    pub fn with_delay(mut self, threshold_ms: f64, min_anomalous_pairs: usize) -> Self {
-        self.delay_threshold_ms = threshold_ms;
-        self.delay_min_anomalous_pairs = min_anomalous_pairs.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{investigate, monitor, signal, tracker};
 
     #[test]
     fn defaults_match_paper() {
         let c = KeplerConfig::default();
         assert!((c.t_fail - 0.10).abs() < 1e-9);
         assert_eq!(c.bin_secs, 60);
-        assert_eq!(c.stable_secs, 172_800);
-        assert!((c.colo_margin - 0.95).abs() < 1e-9);
         assert!((c.restore_fraction - 0.5).abs() < 1e-9);
-        assert_eq!(c.merge_window_secs, 43_200);
         assert_eq!(c.trackable_min_members, 6);
         assert_eq!(c.open_after_consecutive, 1, "no opening hysteresis by default");
         assert_eq!(c.close_after_consecutive, 1, "no closing hysteresis by default");
+        // The values no caller turns live beside their readers.
+        assert_eq!(monitor::STABLE_SECS, 172_800, "2 days");
+        assert_eq!(investigate::MIN_AFFECTED_ASES, 3);
+        assert_eq!(investigate::MIN_DISJOINT_ORGS, 3);
+        assert_eq!(investigate::COLO_MARGIN, 0.95);
+        assert_eq!(tracker::MERGE_WINDOW_SECS, 43_200, "12 h");
+        assert_eq!(tracker::EVIDENCE_HALF_LIFE_SECS, 1_800, "30 min");
+        assert_eq!(tracker::EVIDENCE_REUSE_CONFIDENCE, 0.5);
+        assert_eq!(signal::FORECAST_BAND_ALPHA, 0.2);
+        assert_eq!(signal::FORECAST_BAND_K, 3.0);
+        assert_eq!(signal::FORECAST_ABS_FLOOR, 4.0);
+        assert_eq!(signal::FORECAST_REL_FLOOR, 0.25);
+        let backoff = kepler_probe::Backoff::default();
+        assert_eq!((backoff.initial_secs, backoff.max_secs), (300, 3_600), "5 min, 1 h");
     }
 
     #[test]
@@ -200,20 +133,5 @@ mod tests {
         let c = KeplerConfig::default().with_hysteresis(0, 0);
         assert_eq!(c.open_after_consecutive, 1);
         assert_eq!(c.close_after_consecutive, 1);
-    }
-
-    #[test]
-    fn fusion_builders() {
-        let c = KeplerConfig::default().with_forecast(3_600, 3, 2.5).with_delay(10.0, 2);
-        assert_eq!(c.forecast_season_secs, 3_600);
-        assert_eq!(c.forecast_confirm_bins, 3);
-        assert!((c.forecast_band_k - 2.5).abs() < 1e-9);
-        assert!((c.delay_threshold_ms - 10.0).abs() < 1e-9);
-        assert_eq!(c.delay_min_anomalous_pairs, 2);
-        // A season shorter than one bin clamps up; zero floors clamp to 1.
-        let c = KeplerConfig::default().with_forecast(0, 0, 3.0).with_delay(5.0, 0);
-        assert_eq!(c.forecast_season_secs, c.bin_secs);
-        assert_eq!(c.forecast_confirm_bins, 1);
-        assert_eq!(c.delay_min_anomalous_pairs, 1);
     }
 }

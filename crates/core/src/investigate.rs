@@ -30,6 +30,16 @@ use kepler_probe::ProbeRequest;
 use kepler_topology::{CityId, ColocationMap, FacilityId, IxpId, OrgMap};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// More than this many distinct ASes must be affected before a signal
+/// is investigated at all (link-level events are below it): **3**.
+pub(crate) const MIN_AFFECTED_ASES: usize = 3;
+/// PoP-level classification needs at least this many *non-sibling*
+/// near-end AND far-end ASes: **3**.
+pub(crate) const MIN_DISJOINT_ORGS: usize = 3;
+/// Co-location coverage required to pin an epicenter facility: **95%**
+/// (5% slack absorbs colocation-map inaccuracies).
+pub(crate) const COLO_MARGIN: f64 = 0.95;
+
 /// What a signal group says was hit — the evidence a localized or
 /// pending incident hands to validation and the tracker.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -198,7 +208,6 @@ pub struct BinInvestigation {
 
 /// The investigator.
 pub struct Investigator {
-    config: KeplerConfig,
     colo: ColocationMap,
     orgs: OrgMap,
     /// Latency-derived remote-peering evidence ([`crate::remote`]).
@@ -229,9 +238,11 @@ impl Coverage {
 
 impl Investigator {
     /// Builds an investigator over the detector's colocation map and
-    /// organization map.
-    pub fn new(config: KeplerConfig, colo: ColocationMap, orgs: OrgMap) -> Self {
-        Investigator { config, colo, orgs, remoteness: RemotenessMap::default() }
+    /// organization map. Its thresholds are the paper's constants, so it
+    /// reads nothing from the config; the parameter stays while
+    /// `benchmark/` passes one.
+    pub fn new(_config: KeplerConfig, colo: ColocationMap, orgs: OrgMap) -> Self {
+        Investigator { colo, orgs, remoteness: RemotenessMap::default() }
     }
 
     /// Attaches remote-peering evidence: far-end ASes flagged remote at
@@ -370,7 +381,7 @@ impl Investigator {
             all_ases.insert(*b);
         }
         // Link-level: too few distinct ASes to be anything bigger.
-        if all_ases.len() <= self.config.min_affected_ases {
+        if all_ases.len() <= MIN_AFFECTED_ASES {
             return SignalClass::LinkLevel;
         }
         // AS-level: all links share one AS.
@@ -395,7 +406,7 @@ impl Investigator {
         let fars: Vec<Asn> = links.iter().map(|(_, b)| *b).collect();
         let near_orgs = self.orgs.distinct_orgs(nears.iter().copied());
         let far_orgs = self.orgs.distinct_orgs(fars.iter().copied());
-        if near_orgs >= self.config.min_disjoint_orgs && far_orgs >= self.config.min_disjoint_orgs {
+        if near_orgs >= MIN_DISJOINT_ORGS && far_orgs >= MIN_DISJOINT_ORGS {
             SignalClass::PopLevel
         } else {
             SignalClass::AsLevel
@@ -425,7 +436,6 @@ impl Investigator {
         affected_far: &BTreeSet<Asn>,
         stable_fars: &BTreeMap<Asn, usize>,
     ) -> Localization {
-        let margin = self.config.colo_margin;
         let pop_city = OutageScope::from(pop).city(&self.colo);
         match pop {
             LocationTag::Facility(f) => {
@@ -433,10 +443,10 @@ impl Investigator {
                 // 1. Near-end facility test.
                 let members = self.colo.members_of_facility(f);
                 let cov = self.coverage(affected_far, stable_fars, members);
-                if cov.denom >= 1 && cov.fraction() >= margin {
+                if cov.denom >= 1 && cov.fraction() >= COLO_MARGIN {
                     return Localization::confident(OutageScope::Facility(f));
                 }
-                if cov.denom >= 1 && cov.containment >= margin {
+                if cov.denom >= 1 && cov.containment >= COLO_MARGIN {
                     // The near-end building contains the affected set but
                     // its surviving members dilute the coverage: a suspect.
                     suspects.push(cov.candidate(f));
@@ -462,8 +472,8 @@ impl Investigator {
                 for &f in self.colo.facilities_of_ixp(x) {
                     let members = self.colo.members_of_facility(f);
                     let cov = self.coverage(affected_far, stable_fars, members);
-                    if cov.denom >= 1 && cov.containment >= margin {
-                        if cov.fraction() >= margin {
+                    if cov.denom >= 1 && cov.containment >= COLO_MARGIN {
+                        if cov.fraction() >= COLO_MARGIN {
                             let score = cov.containment;
                             if best.map(|(_, s)| score > s).unwrap_or(true) {
                                 best = Some((f, score));
@@ -479,7 +489,7 @@ impl Investigator {
                 // Whole-exchange test.
                 let members = self.colo.members_of_ixp(x);
                 let cov = self.coverage(affected_far, stable_fars, members);
-                if cov.denom >= 1 && cov.fraction() >= margin {
+                if cov.denom >= 1 && cov.fraction() >= COLO_MARGIN {
                     return Localization::confident(OutageScope::Ixp(x));
                 }
                 let far = self.far_candidates(affected_far, stable_fars, None, pop_city);
@@ -516,7 +526,7 @@ impl Investigator {
                     let members = self.colo.members_of_facility(*f);
                     let cov = self.coverage(affected_far, stable_fars, members);
                     let candidate = cov.candidate(*f);
-                    if cov.denom >= 2 && cov.fraction() >= margin {
+                    if cov.denom >= 2 && cov.fraction() >= COLO_MARGIN {
                         let covered: BTreeSet<Asn> = stable_fars
                             .keys()
                             .filter(|a| members.contains(a) && affected_far.contains(a))
@@ -528,7 +538,7 @@ impl Investigator {
                     let in_building = affected_far.iter().filter(|a| members.contains(a)).count();
                     if cov.denom >= 2
                         && affected_in_city >= 1
-                        && in_building as f64 >= margin * affected_in_city as f64
+                        && in_building as f64 >= COLO_MARGIN * affected_in_city as f64
                     {
                         // Concrete building suspect behind a coarse city
                         // tag — the colocation-twin shape the probe
@@ -550,7 +560,7 @@ impl Investigator {
                     let indistinguishable = fac_cands.iter().enumerate().all(|(i, (_, a))| {
                         fac_cands.iter().skip(i + 1).all(|(_, b)| {
                             let inter = a.intersection(b).count();
-                            inter as f64 >= margin * a.len().min(b.len()) as f64
+                            inter as f64 >= COLO_MARGIN * a.len().min(b.len()) as f64
                         })
                     });
                     if !indistinguishable {
@@ -563,7 +573,7 @@ impl Investigator {
                 for x in self.colo.ixps_in_city(c) {
                     let members = self.colo.members_of_ixp(x);
                     let cov = self.coverage(affected_far, stable_fars, members);
-                    if cov.denom >= 2 && cov.fraction() >= margin {
+                    if cov.denom >= 2 && cov.fraction() >= COLO_MARGIN {
                         ixp_cands.push(x);
                     }
                 }
@@ -587,7 +597,6 @@ impl Investigator {
         exclude: Option<FacilityId>,
         signal_city: Option<CityId>,
     ) -> Vec<FacilityCandidate> {
-        let margin = self.config.colo_margin;
         let mut candidates: BTreeSet<FacilityId> = BTreeSet::new();
         for a in affected_far {
             // A far end peering remotely at this metro was hit through
@@ -605,7 +614,7 @@ impl Investigator {
         for g in candidates {
             let members = self.colo.members_of_facility(g);
             let cov = self.coverage(affected_far, stable_fars, members);
-            if cov.denom >= 2 && cov.containment >= margin {
+            if cov.denom >= 2 && cov.containment >= COLO_MARGIN {
                 out.push(cov.candidate(g));
             }
         }
@@ -618,9 +627,8 @@ impl Investigator {
     /// can break (fallback: the best passive score, the historical
     /// behavior).
     fn far_verdict(&self, far: &[FacilityCandidate]) -> Option<Localization> {
-        let margin = self.config.colo_margin;
         let passing: Vec<FacilityCandidate> =
-            far.iter().filter(|c| c.coverage >= margin).copied().collect();
+            far.iter().filter(|c| c.coverage >= COLO_MARGIN).copied().collect();
         let best = OutageScope::Facility(passing.first()?.facility);
         Some(if passing.len() == 1 {
             Localization::confident(best)
@@ -635,7 +643,6 @@ impl Investigator {
         affected_far: &BTreeSet<Asn>,
         stable_fars: &BTreeMap<Asn, usize>,
     ) -> Option<OutageScope> {
-        let margin = self.config.colo_margin;
         let mut candidates: BTreeSet<IxpId> = BTreeSet::new();
         for a in affected_far {
             candidates.extend(self.colo.ixps_of_as(*a));
@@ -645,8 +652,8 @@ impl Investigator {
             let members = self.colo.members_of_ixp(x);
             let cov = self.coverage(affected_far, stable_fars, members);
             if cov.denom >= 2
-                && cov.fraction() >= margin
-                && cov.containment >= margin
+                && cov.fraction() >= COLO_MARGIN
+                && cov.containment >= COLO_MARGIN
                 && best.map(|(_, s)| cov.containment > s).unwrap_or(true)
             {
                 best = Some((x, cov.containment));

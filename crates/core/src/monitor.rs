@@ -2,7 +2,7 @@
 //!
 //! Maintains the stable-path baseline and bins route events at
 //! `bin_secs`. A route is *stable* once its located crossings have been
-//! unchanged for `stable_secs` (default 2 days). Within each bin, any
+//! unchanged for [`STABLE_SECS`] (2 days). Within each bin, any
 //! stable route that loses a (PoP, near-end AS) crossing — by explicit
 //! withdrawal, by moving to a path without the PoP, or by an announcement
 //! with a different community (*implicit withdrawal*) — counts as a
@@ -43,6 +43,10 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::num::NonZeroU64;
 use std::sync::Arc;
+
+/// How long a route must stay unchanged to enter the stable baseline:
+/// **2 days** (1 day admits transients, 5+ days starves coverage).
+pub const STABLE_SECS: u64 = 2 * 86_400;
 
 /// One (PoP, near-end AS) group whose stable paths deviated beyond
 /// `T_fail` within a bin — display form, produced by
@@ -309,7 +313,7 @@ impl Monitor {
                             Some(CurrentRoute { crossings: Arc::clone(crossings), since: t });
                         // A stability deadline past the end of the `u64`
                         // clock can never arrive; don't enqueue it.
-                        if let Some(due) = t.checked_add(self.config.stable_secs) {
+                        if let Some(due) = t.checked_add(STABLE_SECS) {
                             self.schedule(due, *route);
                         }
                     }
@@ -393,7 +397,7 @@ impl Monitor {
             let Some(Some(cur)) = self.current.get(slot) else { continue };
             // Checked: a route (re-)announced near the top of the clock
             // has an unreachable stability deadline, never a wrapped one.
-            let due = cur.since.checked_add(self.config.stable_secs);
+            let due = cur.since.checked_add(STABLE_SECS);
             if due.is_none_or(|d| d > now) {
                 if let Some(due) = due {
                     self.schedule(due, route); // changed again since: re-arm

@@ -34,6 +34,24 @@ use kepler_probe::{ProbeTask, Trace, TraceBackend};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// EWMA smoothing factor for the forecast residual band (applied to
+/// `|observed - predicted|` each bin while not alarming).
+pub(crate) const FORECAST_BAND_ALPHA: f64 = 0.2;
+/// The forecast deficit must exceed `FORECAST_BAND_K × band` (in
+/// addition to the absolute and relative floors) before a bin counts
+/// toward an alarm.
+pub(crate) const FORECAST_BAND_K: f64 = 3.0;
+/// Absolute floor on the forecast deficit (stable crossings lost below
+/// prediction) — guards against alarms on tiny facilities and the
+/// handful of routes that permanently re-home after unrelated churn
+/// elsewhere in the topology.
+pub(crate) const FORECAST_ABS_FLOOR: f64 = 4.0;
+/// Relative floor: the deficit must also exceed this fraction of the
+/// predicted presence. Reconvergence after a remote event can shift a
+/// facility's level by 10–20% day over day without anything being wrong
+/// locally; an outage drains most of it.
+pub(crate) const FORECAST_REL_FLOOR: f64 = 0.25;
+
 /// Which detector produced a signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SignalKind {
@@ -148,15 +166,12 @@ struct SeasonState {
 /// observed presence exactly one season earlier. The residual band is an
 /// EWMA of absolute residuals, updated only while *not* alarming so a
 /// long drain cannot widen its own acceptance band. A deficit must
-/// exceed `max(abs_floor, band_k × band, rel_floor × prediction)` for
-/// `confirm_bins` consecutive bins before the detector fires, filtering
+/// exceed the largest of `FORECAST_ABS_FLOOR`, `FORECAST_BAND_K` ×
+/// band and `FORECAST_REL_FLOOR` × prediction for `confirm_bins`
+/// consecutive bins before the detector fires, filtering
 /// the 1–2-bin edge mismatches BGP reconvergence jitter produces.
 pub struct ForecastDetector {
     season_bins: usize,
-    alpha: f64,
-    band_k: f64,
-    abs_floor: f64,
-    rel_floor: f64,
     confirm_bins: usize,
     states: FxHashMap<LocationTag, SeasonState>,
     /// Lifetime alarms raised (observability).
@@ -169,10 +184,6 @@ impl ForecastDetector {
         let season_bins = (config.forecast_season_secs / config.bin_secs).max(1) as usize;
         ForecastDetector {
             season_bins,
-            alpha: config.forecast_band_alpha,
-            band_k: config.forecast_band_k,
-            abs_floor: config.forecast_abs_floor,
-            rel_floor: config.forecast_rel_floor,
             confirm_bins: config.forecast_confirm_bins,
             states: FxHashMap::default(),
             alarms: 0,
@@ -208,8 +219,9 @@ impl SignalSource for ForecastDetector {
             });
             let predicted = state.ring[state.idx];
             let deficit = predicted - observed;
-            let threshold =
-                self.abs_floor.max(self.band_k * state.band).max(self.rel_floor * predicted);
+            let threshold = FORECAST_ABS_FLOOR
+                .max(FORECAST_BAND_K * state.band)
+                .max(FORECAST_REL_FLOOR * predicted);
             let deficient = state.warmed && deficit > threshold;
             if deficient {
                 state.streak += 1;
@@ -228,7 +240,8 @@ impl SignalSource for ForecastDetector {
                 state.streak = 0;
                 if state.warmed {
                     let residual = deficit.abs();
-                    state.band = self.alpha * residual + (1.0 - self.alpha) * state.band;
+                    state.band =
+                        FORECAST_BAND_ALPHA * residual + (1.0 - FORECAST_BAND_ALPHA) * state.band;
                 }
             }
             state.ring[state.idx] = observed;
@@ -353,7 +366,13 @@ mod tests {
     use std::net::{IpAddr, Ipv4Addr};
 
     fn cfg() -> KeplerConfig {
-        KeplerConfig::default().with_forecast(600, 3, 3.0).with_delay(10.0, 2)
+        KeplerConfig {
+            forecast_season_secs: 600,
+            forecast_confirm_bins: 3,
+            delay_threshold_ms: 10.0,
+            delay_min_anomalous_pairs: 2,
+            ..KeplerConfig::default()
+        }
     }
 
     fn fac_tag(id: u32) -> LocationTag {

@@ -6,15 +6,15 @@
 //! when **re-probes of the epicenter observe baseline paths crossing it
 //! again** (the data plane reconverges well before BGP, Figure 10a vs
 //! 10b). Two outages of the same scope separated by less than
-//! `merge_window_secs` are one oscillating incident whose downtime is the
+//! `MERGE_WINDOW_SECS` are one oscillating incident whose downtime is the
 //! sum of the individual outage durations.
 //!
 //! The tracker is also the system's **evidence ledger**: judged
 //! (vantage, target, facility) hop-evidence pairs from consecutive bins
 //! accumulate on the open incident (deduplicated, fresh measurement
 //! wins), and a probe-confirmed verdict carries a confidence score that
-//! decays with the configured half-life. While the decayed confidence
-//! stays above `evidence_reuse_confidence`, later bins of the same
+//! decays with a 30-minute half-life. While the decayed confidence
+//! stays at or above `EVIDENCE_REUSE_CONFIDENCE`, later bins of the same
 //! incident reuse the accumulated verdict instead of re-probing from
 //! scratch ([`Tracker::accumulated_confirmation`]).
 //!
@@ -38,6 +38,20 @@ use kepler_docmine::LocationTag;
 use kepler_probe::{Backoff, HopEvidence, RestorationProber, RestorationVerdict};
 use kepler_topology::{ColocationMap, FacilityId};
 use std::collections::BTreeMap;
+
+/// Two outages of the same scope closer than this merge into one
+/// incident (oscillation handling): **12 h**.
+pub(crate) const MERGE_WINDOW_SECS: u64 = 12 * 3600;
+/// Half-life of accumulated probe evidence on an open incident: a
+/// probe-confirmed verdict can be reused for later bins of the same
+/// incident (instead of re-probing from scratch) while its decayed
+/// confidence stays at or above [`EVIDENCE_REUSE_CONFIDENCE`]: **30 min**.
+pub(crate) const EVIDENCE_HALF_LIFE_SECS: u64 = 1_800;
+/// Minimum decayed confidence at which an open incident's confirmed
+/// verdict is reused for a new pending localization of the same
+/// epicenter: **0.5** (evidence older than one half-life must be
+/// re-measured).
+pub(crate) const EVIDENCE_REUSE_CONFIDENCE: f64 = 0.5;
 
 /// Validation metadata recorded alongside one localized incident: the
 /// passive data-plane confirmation (paper §4.4 baseline re-probe) and the
@@ -169,6 +183,16 @@ pub struct Incident {
 }
 
 impl Incident {
+    /// The accumulated confidence of the probe verdict at `now`, decayed
+    /// by [`EVIDENCE_HALF_LIFE_SECS`].
+    fn decayed_confidence(&self, now: Timestamp) -> f64 {
+        if self.confidence <= 0.0 {
+            return 0.0;
+        }
+        let age = now.saturating_sub(self.confidence_at) as f64;
+        self.confidence * 0.5_f64.powf(age / EVIDENCE_HALF_LIFE_SECS as f64)
+    }
+
     /// An incident opening at `scope` with nothing absorbed yet: `started`
     /// may backdate the bin `now` that opened it (opening hysteresis).
     fn opened(scope: OutageScope, started: Timestamp, now: Timestamp, backoff: u64) -> Incident {
@@ -304,32 +328,10 @@ impl Tracker {
         Tracker { config, ..Default::default() }
     }
 
-    /// The backoff schedule restoration re-probes follow.
-    fn backoff(&self) -> Backoff {
-        Backoff {
-            initial_secs: self.config.restore_probe_initial_secs,
-            max_secs: self.config.restore_probe_max_secs,
-        }
-    }
-
-    /// The accumulated confidence of `inc`'s probe verdict at `now`,
-    /// decayed by the configured half-life.
-    fn decayed_confidence(&self, inc: &Incident, now: Timestamp) -> f64 {
-        if inc.confidence <= 0.0 {
-            return 0.0;
-        }
-        let half_life = self.config.evidence_half_life_secs;
-        if half_life == 0 {
-            return 0.0;
-        }
-        let age = now.saturating_sub(inc.confidence_at) as f64;
-        inc.confidence * 0.5_f64.powf(age / half_life as f64)
-    }
-
     /// Cross-bin evidence reuse: if an *open* incident whose epicenter is
     /// one of `candidates` already carries a probe-confirmed verdict
     /// whose decayed confidence still clears
-    /// `evidence_reuse_confidence`, returns that facility and the
+    /// `EVIDENCE_REUSE_CONFIDENCE`, returns that facility and the
     /// accumulated hop evidence — the caller can settle the new bin's
     /// pending localization without re-probing from scratch.
     pub fn accumulated_confirmation(
@@ -345,8 +347,8 @@ impl Tracker {
             if on.inc.validation != ValidationStatus::Confirmed {
                 continue;
             }
-            let c = self.decayed_confidence(&on.inc, now);
-            if c < self.config.evidence_reuse_confidence {
+            let c = on.inc.decayed_confidence(now);
+            if c < EVIDENCE_REUSE_CONFIDENCE {
                 continue;
             }
             if best.as_ref().map(|(b, ..)| c > *b).unwrap_or(true) {
@@ -383,7 +385,7 @@ impl Tracker {
             // A previously separate ongoing entry under the merged scope
             // is the same incident too.
             if let Some(other) = self.ongoing.remove(&on.inc.scope) {
-                self.absorb_entry(&mut on, other, inc.bin_start);
+                Self::absorb_entry(&mut on, other, inc.bin_start);
             }
             self.ongoing.insert(on.inc.scope, on);
         }
@@ -397,7 +399,7 @@ impl Tracker {
         let (report, acc) = self.cooling.remove(&key).expect("cooling present");
         let gap_ok = report
             .end
-            .map(|e| inc.bin_start.saturating_sub(e) < self.config.merge_window_secs)
+            .map(|e| inc.bin_start.saturating_sub(e) < MERGE_WINDOW_SECS)
             .unwrap_or(false);
         if !gap_ok {
             self.finish_report(report);
@@ -418,7 +420,7 @@ impl Tracker {
             evidence: report.probe_evidence,
             completeness: report.probe_completeness,
             sources: report.sources,
-            ..Incident::opened(scope, inc.bin_start, inc.bin_start, self.backoff().first())
+            ..Incident::opened(scope, inc.bin_start, inc.bin_start, Backoff::default().first())
         };
         Some(Ongoing { inc, watch: Vec::new() })
     }
@@ -449,7 +451,7 @@ impl Tracker {
             self.warming.remove(&inc.scope);
             started = first;
         }
-        let inc = Incident::opened(inc.scope, started, inc.bin_start, self.backoff().first());
+        let inc = Incident::opened(inc.scope, started, inc.bin_start, Backoff::default().first());
         Some(Ongoing { inc, watch: Vec::new() })
     }
 
@@ -506,10 +508,10 @@ impl Tracker {
     /// Folds a second ongoing entry of the same physical incident into
     /// `on`: the earlier clocks, the larger counters and the verdict with
     /// the higher confidence at `now` win; `on`'s evidence wins per pair.
-    fn absorb_entry(&self, on: &mut Ongoing, other: Ongoing, now: Timestamp) {
+    fn absorb_entry(on: &mut Ongoing, other: Ongoing, now: Timestamp) {
         on.watch.extend(other.watch);
         let (on, other) = (&mut on.inc, other.inc);
-        if self.decayed_confidence(&other, now) > self.decayed_confidence(on, now) {
+        if other.decayed_confidence(now) > on.decayed_confidence(now) {
             on.confidence = other.confidence;
             on.confidence_at = other.confidence_at;
         }
@@ -553,7 +555,7 @@ impl Tracker {
     }
 
     /// Ends `scope`'s current segment at `end`: the incident leaves the
-    /// ongoing set and cools, reopenable for `merge_window_secs`.
+    /// ongoing set and cools, reopenable for [`MERGE_WINDOW_SECS`].
     fn close(&mut self, scope: OutageScope, end: Timestamp) {
         let inc = self.ongoing.remove(&scope).expect("present").inc;
         let duration = inc.prior_duration + end.saturating_sub(inc.segment_start);
@@ -567,9 +569,8 @@ impl Tracker {
     }
 
     /// Runs due restoration re-probes against ongoing incidents
-    /// (exponential backoff per incident, starting at
-    /// `restore_probe_initial_secs`). Every scope is probed at its own
-    /// granularity — a facility epicenter directly, an IXP via its
+    /// (exponential backoff per incident, [`Backoff::default`]). Every
+    /// scope is probed at its own granularity — a facility epicenter directly, an IXP via its
     /// fabric, a city via any facility or fabric located there
     /// ([`kepler_probe::RestorationProber`]). A first `Restored` verdict marks
     /// the incident [`IncidentState::Recovering`] and schedules a quick
@@ -583,7 +584,7 @@ impl Tracker {
         now: Timestamp,
         prober: &mut dyn RestorationProber,
     ) -> usize {
-        let backoff = self.backoff();
+        let backoff = Backoff::default();
         let due: Vec<OutageScope> = self
             .ongoing
             .iter()
@@ -631,7 +632,7 @@ impl Tracker {
         // already have faced — and failed — its confirming re-probe, so
         // it must be stale state from a caller that skips
         // `probe_restorations`).
-        let fresh_window = self.backoff().first().saturating_add(self.config.bin_secs);
+        let fresh_window = Backoff::default().first().saturating_add(self.config.bin_secs);
         let scopes: Vec<OutageScope> = self.ongoing.keys().copied().collect();
         for scope in scopes {
             let on = self.ongoing.get_mut(&scope).expect("present");
@@ -685,9 +686,7 @@ impl Tracker {
             .cooling
             .iter()
             .filter(|(_, (r, _))| {
-                r.end
-                    .map(|e| now.saturating_sub(e) >= self.config.merge_window_secs)
-                    .unwrap_or(true)
+                r.end.map(|e| now.saturating_sub(e) >= MERGE_WINDOW_SECS).unwrap_or(true)
             })
             .map(|(s, _)| *s)
             .collect();
@@ -991,7 +990,7 @@ mod tests {
     #[test]
     fn separate_outages_beyond_window() {
         let cfg = KeplerConfig::default();
-        let w = cfg.merge_window_secs;
+        let w = MERGE_WINDOW_SECS;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(cfg);
@@ -1069,7 +1068,7 @@ mod tests {
     #[test]
     fn accumulated_confirmation_reuses_then_decays() {
         let config = KeplerConfig::default();
-        let half_life = config.evidence_half_life_secs;
+        let half_life = EVIDENCE_HALF_LIFE_SECS;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
@@ -1099,7 +1098,7 @@ mod tests {
     #[test]
     fn fresh_confirmation_refreshes_decayed_confidence() {
         let config = KeplerConfig::default();
-        let half_life = config.evidence_half_life_secs;
+        let half_life = EVIDENCE_HALF_LIFE_SECS;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
@@ -1125,7 +1124,7 @@ mod tests {
     #[test]
     fn reused_confirmations_do_not_refresh_the_decay_clock() {
         let config = KeplerConfig::default();
-        let half_life = config.evidence_half_life_secs;
+        let half_life = EVIDENCE_HALF_LIFE_SECS;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
@@ -1194,7 +1193,7 @@ mod tests {
     #[test]
     fn probe_restoration_closes_after_two_confirms() {
         let config = KeplerConfig::default();
-        let first_delay = config.restore_probe_initial_secs;
+        let first_delay = Backoff::default().initial_secs;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
@@ -1226,8 +1225,8 @@ mod tests {
     #[test]
     fn still_down_verdicts_never_close_and_back_off_exponentially() {
         let config = KeplerConfig::default();
-        let initial = config.restore_probe_initial_secs;
-        let max = config.restore_probe_max_secs;
+        let initial = Backoff::default().initial_secs;
+        let max = Backoff::default().max_secs;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
@@ -1257,7 +1256,7 @@ mod tests {
     #[test]
     fn restored_streak_is_reset_by_still_down() {
         let config = KeplerConfig::default();
-        let initial = config.restore_probe_initial_secs;
+        let initial = Backoff::default().initial_secs;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
@@ -1288,7 +1287,7 @@ mod tests {
     #[test]
     fn fresh_probe_verdicts_backdate_bgp_closes_but_stale_ones_do_not() {
         let config = KeplerConfig::default();
-        let first = config.restore_probe_initial_secs;
+        let first = Backoff::default().initial_secs;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         // Fresh: BGP crossing restore_fraction right after a Restored
@@ -1317,7 +1316,7 @@ mod tests {
     #[test]
     fn new_signals_reset_a_restoration_streak() {
         let config = KeplerConfig::default();
-        let first_delay = config.restore_probe_initial_secs;
+        let first_delay = Backoff::default().initial_secs;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(config);
@@ -1579,7 +1578,7 @@ mod tests {
     #[test]
     fn two_facilities_of_one_city_abstract_to_the_city_and_absorb_its_entry() {
         let city = OutageScope::City(CityId(0));
-        let first = KeplerConfig::default().restore_probe_initial_secs;
+        let first = Backoff::default().initial_secs;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
@@ -1630,7 +1629,7 @@ mod tests {
 
     #[test]
     fn cooled_incidents_expiring_in_one_bin_finish_in_scope_order() {
-        let w = KeplerConfig::default().merge_window_secs;
+        let w = MERGE_WINDOW_SECS;
         let mut interner = Interner::new();
         let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default());
@@ -1651,7 +1650,7 @@ mod tests {
     #[test]
     fn related_scope_reopens_from_cooling_only_inside_the_merge_window() {
         let config = KeplerConfig::default();
-        let w = config.merge_window_secs;
+        let w = MERGE_WINDOW_SECS;
         let fac2 = OutageScope::Facility(FacilityId(2));
         for (gap, merged) in [(3600, true), (w - 1, true), (w, false), (w + 100, false)] {
             let mut interner = Interner::new();
@@ -1698,8 +1697,8 @@ mod tests {
             Import,
         }
         let config = KeplerConfig::default().with_hysteresis(1, 2);
-        let first = config.restore_probe_initial_secs;
-        let window = config.merge_window_secs;
+        let first = Backoff::default().initial_secs;
+        let window = MERGE_WINDOW_SECS;
         // One incident's life, every mutating entry point on the way:
         // (what happens, the call, whether exported state changes).
         let table = [

@@ -29,6 +29,10 @@ use std::collections::{BTreeMap, BTreeSet};
 mod route_event;
 use route_event::RouteEvent;
 
+/// The paper's 2-day stability window, spelled out here rather than
+/// imported so the model pins the value the monitor uses.
+const STABLE_SECS: u64 = 2 * 86_400;
+
 fn key(i: u8) -> RouteKey {
     RouteKey {
         collector: CollectorId((i % 3) as u16),
@@ -216,7 +220,7 @@ impl ModelMonitor {
     /// Every located route unchanged for the stability window is stable.
     fn promote(&mut self, now: u64) {
         for (key, (crossings, since)) in &self.current {
-            let due = since.checked_add(self.config.stable_secs);
+            let due = since.checked_add(STABLE_SECS);
             if due.is_some_and(|due| due <= now) && !crossings.is_empty() {
                 self.baseline.insert(*key, crossings.clone());
                 for c in crossings {
@@ -342,7 +346,7 @@ fn flapped_route_is_promoted_in_the_bin_the_model_says() {
         monitor.observe(t0 + i, &event.intern(&mut interner));
         model.observe(t0 + i, &event);
     }
-    let deadline = t0 + 9_999 + config.stable_secs;
+    let deadline = t0 + 9_999 + STABLE_SECS;
     let mut sizes = Vec::new();
     for t in (deadline - 600..deadline + 600).step_by(config.bin_secs as usize) {
         monitor.advance_to(t);

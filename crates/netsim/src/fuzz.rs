@@ -490,35 +490,14 @@ impl ScenarioScript {
     /// Regenerates the world and runs the failure plan through the
     /// engine. Deterministic: the same script always builds the same
     /// stream. A script staging a facility its world lacks, with a
-    /// collector count outside `1..=65_536`, or with a world recipe the
-    /// generator cannot build, is an error, found before simulating.
+    /// collector count outside `1..=65_536`, or with a world recipe
+    /// [`WorldConfig::validate`] refuses, is an error, found before
+    /// simulating.
     pub fn build(&self) -> Result<FuzzWorld, String> {
         if !(1..=1 << 16).contains(&self.collectors) {
             return Err(format!("collectors = {} is outside 1..=65536", self.collectors));
         }
-        let w = &self.world;
-        // The generator draws each AS's providers from the tiers above it
-        // and each IXP's city from the cities with buildings, and flips
-        // each rate as a coin.
-        let empty_tier = [
-            ("world.n_tier1", w.n_tier1 == 0),
-            ("world.n_tier2", w.n_tier2 == 0 && (w.n_content, w.n_eyeball, w.n_stub) != (0, 0, 0)),
-            ("world.n_eyeball", w.n_eyeball == 0 && w.n_stub > 0),
-            ("world.facilities_per_continent", w.facilities_per_continent == [0; 5]),
-        ];
-        if let Some((key, _)) = empty_tier.iter().find(|(_, empty)| *empty) {
-            return Err(format!("{key} leaves the world generator nothing to draw from"));
-        }
-        for (key, rate) in [
-            ("world.pni_rate", w.pni_rate),
-            ("world.remote_peering_rate", w.remote_peering_rate),
-            ("world.documentation_rate", w.documentation_rate),
-            ("world.v6_tagging_rate", w.v6_tagging_rate),
-        ] {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("{key} = {rate} is outside [0, 1]"));
-            }
-        }
+        self.world.validate()?;
         let world = World::generate(self.world.clone());
         let mut cities = Vec::new();
         for f in self.script.epicenters() {

@@ -206,6 +206,36 @@ impl WorldConfig {
             v6_tagging_rate: 0.6,
         }
     }
+
+    /// Whether the generator can build this recipe: it draws each AS's
+    /// providers from the tiers above it and each IXP's city from the
+    /// cities with buildings, and flips each rate as a coin. The error
+    /// names the offending key as a fuzz script spells it.
+    pub fn validate(&self) -> Result<(), String> {
+        let empty_tier = [
+            ("world.n_tier1", self.n_tier1 == 0),
+            (
+                "world.n_tier2",
+                self.n_tier2 == 0 && (self.n_content, self.n_eyeball, self.n_stub) != (0, 0, 0),
+            ),
+            ("world.n_eyeball", self.n_eyeball == 0 && self.n_stub > 0),
+            ("world.facilities_per_continent", self.facilities_per_continent == [0; 5]),
+        ];
+        if let Some((key, _)) = empty_tier.iter().find(|(_, empty)| *empty) {
+            return Err(format!("{key} leaves the world generator nothing to draw from"));
+        }
+        for (key, rate) in [
+            ("world.pni_rate", self.pni_rate),
+            ("world.remote_peering_rate", self.remote_peering_rate),
+            ("world.documentation_rate", self.documentation_rate),
+            ("world.v6_tagging_rate", self.v6_tagging_rate),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("{key} = {rate} is outside [0, 1]"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The generated world.
@@ -239,6 +269,8 @@ pub struct World {
 
 impl World {
     /// Generates a world from `config`. Deterministic in `config.seed`.
+    /// `config` must pass [`WorldConfig::validate`]; a recipe that does
+    /// not may panic.
     pub fn generate(config: WorldConfig) -> World {
         Generator::new(config).run()
     }
@@ -1088,6 +1120,13 @@ fn key(a: AsIdx, b: AsIdx) -> (AsIdx, AsIdx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn preset_recipes_validate() {
+        for config in [WorldConfig::tiny(1), WorldConfig::small(1), WorldConfig::paper_scale(1)] {
+            assert_eq!(config.validate(), Ok(()), "{config:?}");
+        }
+    }
 
     #[test]
     fn tiny_world_is_deterministic() {

@@ -31,7 +31,7 @@
 //! re-probe from it ([`Prober::baseline`]) through the same backend.
 
 use crate::analysis::{FacilityVerdict, HopEvidence, MeasuredPair, PathAnalyzer};
-use crate::health::{BackendHealth, HealthConfig, HealthTracker};
+use crate::health::{BackendHealth, HealthTracker};
 use crate::lifecycle::{drive, AsyncTraceBackend, LifecycleConfig, SyncAdapter};
 use crate::restoration::{RestorationProber, RestorationReport, RestorationVerdict};
 use crate::schedule::{CreditConfig, CreditLedger, ProbeScheduler, ProbeTask, RateLimit};
@@ -189,53 +189,32 @@ pub trait Prober {
     }
 }
 
-/// Engine tunables.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Vantage points probing each target.
+const VANTAGES_PER_TARGET: usize = 6;
+/// Targets measured per candidate facility.
+const MAX_TARGETS_PER_CANDIDATE: usize = 10;
+/// Candidates judged per request (paper: a physical link traverses up
+/// to four facilities).
+const MAX_CANDIDATES: usize = 4;
+/// How far before the bin the baseline lookup reaches (must predate the
+/// event; archives are weekly in the paper, the simulator answers any
+/// past instant).
+const BASELINE_LOOKBACK_SECS: u64 = 3_600;
+/// Fraction of watched baseline paths that must cross the epicenter
+/// again before a restoration check reports
+/// [`RestorationVerdict::Restored`].
+const RESTORE_QUORUM: f64 = 0.5;
+
+/// Engine tunables: the probe budgets. The measurement lifecycle,
+/// backend-health hysteresis and verdict thresholds are their types'
+/// defaults.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProbeEngineConfig {
-    /// Vantage points probing each target.
-    pub vantages_per_target: usize,
-    /// Targets measured per candidate facility.
-    pub max_targets_per_candidate: usize,
-    /// Candidates judged per request (paper: a physical link traverses up
-    /// to four facilities).
-    pub max_candidates: usize,
     /// Per-facility probe budget.
     pub rate: RateLimit,
     /// Platform credit budget (shared across all campaigns of this
     /// engine's API key).
     pub credits: CreditConfig,
-    /// Per-measurement lifecycle: deadlines, retries, completeness
-    /// quorum.
-    pub lifecycle: LifecycleConfig,
-    /// Backend-health hysteresis thresholds.
-    pub health: HealthConfig,
-    /// How far before the bin the baseline lookup reaches (must predate
-    /// the event; archives are weekly in the paper, the simulator answers
-    /// any past instant).
-    pub baseline_lookback_secs: u64,
-    /// Fraction of watched baseline paths that must cross the epicenter
-    /// again before a restoration check reports
-    /// [`RestorationVerdict::Restored`].
-    pub restore_quorum: f64,
-    /// Verdict thresholds.
-    pub analyzer: PathAnalyzer,
-}
-
-impl Default for ProbeEngineConfig {
-    fn default() -> Self {
-        ProbeEngineConfig {
-            vantages_per_target: 6,
-            max_targets_per_candidate: 10,
-            max_candidates: 4,
-            rate: RateLimit::default(),
-            credits: CreditConfig::default(),
-            lifecycle: LifecycleConfig::default(),
-            health: HealthConfig::default(),
-            baseline_lookback_secs: 3_600,
-            restore_quorum: 0.5,
-            analyzer: PathAnalyzer::default(),
-        }
-    }
 }
 
 /// Lifetime counters of one engine.
@@ -349,7 +328,6 @@ pub struct ProbeEngine<B> {
     scheduler: ProbeScheduler,
     credits: CreditLedger,
     health: HealthTracker,
-    config: ProbeEngineConfig,
     stats: ProbeStats,
     telemetry: Option<SharedRttLedger>,
     /// The quiet-time baseline corpus: each pair whose quiet trace
@@ -386,8 +364,7 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
             colo,
             scheduler: ProbeScheduler::new(config.rate),
             credits: CreditLedger::new(config.credits),
-            health: HealthTracker::new(config.health),
-            config,
+            health: HealthTracker::default(),
             stats: ProbeStats::default(),
             telemetry: None,
             corpus: Vec::new(),
@@ -401,7 +378,7 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
     /// their target are kept. Like every baseline lookup, corpus traces
     /// and their re-probes bypass admission, health and the telemetry tap.
     pub fn with_baseline_corpus(mut self, pairs: &[ProbeTask], quiet_t: Timestamp) -> Self {
-        let cfg = self.config.lifecycle;
+        let cfg = LifecycleConfig::default();
         for &task in pairs {
             let quiet = drive(&mut self.backend, task.vantage, task.target, quiet_t, quiet_t, &cfg);
             if let Some(trace) = quiet.trace.filter(|t| t.reached) {
@@ -445,7 +422,7 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
     /// far-ends co-located there, falling back to all affected far-ends
     /// when the map knows none.
     fn targets_for_epicenter(&self, epicenter: OutageScope, affected_far: &[Asn]) -> Vec<Asn> {
-        let cap = self.config.max_targets_per_candidate;
+        let cap = MAX_TARGETS_PER_CANDIDATE;
         let at_epicenter = |a: &Asn| match epicenter {
             OutageScope::Facility(f) => self.colo.is_at_facility(*a, f),
             OutageScope::Ixp(x) => self.colo.members_of_ixp(x).contains(a),
@@ -486,11 +463,7 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
         let targets = self.targets_for_epicenter(epicenter, affected_far);
         // The metro to keep vantage points out of.
         let avoid = epicenter.city(&self.colo);
-        let panel = self.registry.select(
-            avoid,
-            vantage_cap.min(self.config.vantages_per_target),
-            panel_seed,
-        );
+        let panel = self.registry.select(avoid, vantage_cap.min(VANTAGES_PER_TARGET), panel_seed);
         // Target-major task order: trimming a campaign still spreads the
         // remaining probes over all targets.
         let mut tasks: Vec<ProbeTask> = Vec::new();
@@ -519,7 +492,7 @@ impl<B: AsyncTraceBackend> ProbeEngine<B> {
         report: &mut ProbeReport,
     ) -> Option<MeasuredPair> {
         let ProbeTask { vantage, target } = task;
-        let cfg = self.config.lifecycle;
+        let cfg = LifecycleConfig::default();
         let pre = drive(&mut self.backend, vantage, target, pre_t, now, &cfg);
         let post = drive(&mut self.backend, vantage, target, now, now, &cfg);
         report.probes_sent += 1;
@@ -558,15 +531,14 @@ fn seed(epicenter: OutageScope) -> u64 {
 impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
     fn validate(&mut self, request: &ProbeRequest, now: Timestamp) -> ProbeReport {
         self.stats.requests += 1;
-        let pre_t = request.bin_start.saturating_sub(self.config.baseline_lookback_secs);
+        let pre_t = request.bin_start.saturating_sub(BASELINE_LOOKBACK_SECS);
         let mut report = ProbeReport::default();
         // While the backend is OFFLINE, shrink to a canary: one candidate,
         // one vantage per target. The canary keeps recovery detectable
         // without hammering a dead platform; its verdicts are marked
         // degraded regardless of how they come out.
         let offline = self.health.state() == BackendHealth::Offline;
-        let (cand_cap, vantage_cap) =
-            if offline { (1, 1) } else { (self.config.max_candidates, usize::MAX) };
+        let (cand_cap, vantage_cap) = if offline { (1, 1) } else { (MAX_CANDIDATES, usize::MAX) };
         let mut planned = 0usize;
         let mut completed = 0usize;
         for &candidate in request.candidates.iter().take(cand_cap) {
@@ -586,7 +558,7 @@ impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
                 }
             }
             completed += pairs.len();
-            let (verdict, evidence) = self.config.analyzer.judge(candidate, &pairs);
+            let (verdict, evidence) = PathAnalyzer::default().judge(candidate, &pairs);
             match verdict {
                 FacilityVerdict::Confirmed => self.stats.confirmed += 1,
                 FacilityVerdict::Refuted => self.stats.refuted += 1,
@@ -596,7 +568,7 @@ impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
             report.evidence.extend(evidence);
         }
         report.completeness = if planned == 0 { 1.0 } else { completed as f64 / planned as f64 };
-        let quorum_met = report.completeness >= self.config.lifecycle.quorum;
+        let quorum_met = report.completeness >= LifecycleConfig::default().quorum;
         report.degraded = offline || (planned > 0 && !quorum_met);
         if planned > 0 {
             self.health.record(quorum_met);
@@ -623,7 +595,7 @@ impl<B: AsyncTraceBackend> Prober for ProbeEngine<B> {
             .filter(|(_, quiet)| self.crosses_epicenter(quiet, epicenter))
             .map(|&(task, _)| task)
             .collect();
-        let cfg = self.config.lifecycle;
+        let cfg = LifecycleConfig::default();
         let mut result = ProbeResult { still_crossing: 0, baseline: 0 };
         for task in crossing {
             let live = drive(&mut self.backend, task.vantage, task.target, now, now, &cfg);
@@ -666,7 +638,7 @@ impl<B: AsyncTraceBackend> RestorationProber for ProbeEngine<B> {
             probes_sent: 0,
             rate_limited: dropped,
         };
-        let pre_t = incident_start.saturating_sub(self.config.baseline_lookback_secs);
+        let pre_t = incident_start.saturating_sub(BASELINE_LOOKBACK_SECS);
         let planned = tasks.len();
         let mut completed = 0usize;
         let mut scratch = ProbeReport::default();
@@ -684,16 +656,17 @@ impl<B: AsyncTraceBackend> RestorationProber for ProbeEngine<B> {
             }
         }
         report.probes_sent = scratch.probes_sent;
-        report.verdict = if report.watched < self.config.analyzer.min_baseline {
+        report.verdict = if report.watched < PathAnalyzer::default().min_baseline {
             RestorationVerdict::Inconclusive
-        } else if report.crossing as f64 / report.watched as f64 >= self.config.restore_quorum {
+        } else if report.crossing as f64 / report.watched as f64 >= RESTORE_QUORUM {
             self.stats.restorations_seen += 1;
             RestorationVerdict::Restored
         } else {
             RestorationVerdict::StillDown
         };
         if planned > 0 {
-            self.health.record(completed as f64 / planned as f64 >= self.config.lifecycle.quorum);
+            self.health
+                .record(completed as f64 / planned as f64 >= LifecycleConfig::default().quorum);
         }
         self.stats.probes_sent += scratch.probes_sent;
         self.stats.rate_limited += report.rate_limited;

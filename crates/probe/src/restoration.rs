@@ -97,7 +97,11 @@ pub trait RestorationProber {
 
 /// Exponential-backoff arithmetic for the re-probe schedule. Pure and
 /// clock-free: the tracker stores the current delay per incident and asks
-/// for the next one after each unsuccessful check.
+/// for the next one after each unsuccessful check. The default is the
+/// tracker's schedule: a first re-probe after **5 min** sees a short
+/// outage's data plane recover while BGP still reconverges (Figure 10a
+/// vs 10b), and a **1 h** ceiling keeps a long outage from spending probe
+/// credits every few minutes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     /// First re-probe delay after an incident opens (and after a first

@@ -259,7 +259,7 @@ fn check_invariants(
 
     // 3. Flapping converges to one Open↔Recovering incident spanning the
     // whole flap. The stable-path baseline prunes deviated routes at bin
-    // close and re-promotion takes `stable_secs`, so only the *first*
+    // close and re-promotion takes `STABLE_SECS`, so only the *first*
     // down phase can open an incident passively — which is exactly why a
     // mid-flap close is unrecoverable: the detector cannot re-open on
     // later cycles, and the rest of the flap becomes a missed outage.

@@ -444,7 +444,7 @@ pub fn survey_trackable_facilities(
 ) -> Vec<(kepler_topology::FacilityId, usize, usize)> {
     use kepler_core::input::InputModule;
     use kepler_core::intern::Interner;
-    use kepler_core::monitor::Monitor;
+    use kepler_core::monitor::{Monitor, STABLE_SECS};
     use kepler_docmine::dictionary::dictionary_from_schemes;
     use kepler_docmine::LocationTag;
     use kepler_netsim::engine::{CollectorSetup, Simulation};
@@ -455,16 +455,14 @@ pub fn survey_trackable_facilities(
     let mut dictionary = dictionary_from_schemes(&world.schemes, false);
     dictionary.add_route_servers_from(&world.colo);
     let mut input = InputModule::new(dictionary, world.detector_colomap());
-    let config = KeplerConfig::default();
-    let stable = config.stable_secs;
     let mut interner = Interner::new();
-    let mut monitor = Monitor::new(config);
+    let mut monitor = Monitor::new(KeplerConfig::default());
     for rec in &output.records {
         input.process_record_events(rec, &mut interner, |ev| {
             monitor.observe(rec.time, &ev);
         });
     }
-    monitor.advance_to(start + stable + 3600);
+    monitor.advance_to(start + STABLE_SECS + 3600);
     let mut ranked: Vec<(kepler_topology::FacilityId, usize, usize)> = world
         .colo
         .facilities()
