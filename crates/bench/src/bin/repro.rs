@@ -18,7 +18,7 @@ use kepler::core::system::ClassCounts;
 use kepler::core::KeplerConfig;
 use kepler::docmine::LocationTag;
 use kepler::fuzz_harness::check;
-use kepler::glue::{detector_for, truth_outages_observed, FusionOptions, Stack};
+use kepler::glue::{detector_for, locatable_members, truth_outages_observed, FusionOptions, Stack};
 use kepler::netsim::dataplane::{default_pairs, DataplaneSim};
 use kepler::netsim::scenario::amsix::{AmsIxScenario, AmsIxStudy, OUTAGE_DURATION, OUTAGE_START};
 use kepler::netsim::scenario::five_year::{build as build_five_year, FiveYearConfig, STUDY_START};
@@ -640,26 +640,27 @@ fn fig7a(ctx: &Ctx) {
 fn fig7b(ctx: &Ctx) {
     let world = world_for(ctx);
     let (dict, _) = mined_dict_for(&world, ctx.seed);
-    let mut small = 0usize; // <6 members at all
+    let min = KeplerConfig::default().trackable_min_members;
+    let mut small = 0usize; // <min members at all
     let mut trackable = 0usize;
-    let mut missed = 0usize; // >=6 members but <6 mapped
+    let mut missed = 0usize; // >=min members but <min mapped
     let mut big_total = 0usize;
     let mut big_trackable = 0usize;
     let mut scatter: Vec<(usize, usize)> = Vec::new();
     for f in world.colo.facilities() {
-        let members = world.colo.members_of_facility(f.id);
-        let mapped = members.iter().filter(|a| a.is_16bit() && dict.covers_asn(a.0 as u16)).count();
-        scatter.push((members.len(), mapped));
-        if members.len() < 6 {
+        let members = world.colo.members_of_facility(f.id).len();
+        let mapped = locatable_members(&world, &dict, OutageScope::Facility(f.id));
+        scatter.push((members, mapped));
+        if members < min {
             small += 1;
-        } else if mapped >= 6 {
+        } else if mapped >= min {
             trackable += 1;
         } else {
             missed += 1;
         }
-        if members.len() >= 20 {
+        if members >= 20 {
             big_total += 1;
-            if mapped >= 6 {
+            if mapped >= min {
                 big_trackable += 1;
             }
         }
@@ -736,6 +737,7 @@ fn fig7c(ctx: &Ctx, cache: &mut Cache) {
 fn tab1(ctx: &Ctx) {
     let world = world_for(ctx);
     let (dict, _) = mined_dict_for(&world, ctx.seed);
+    let min = KeplerConfig::default().trackable_min_members;
     println!("continent     |  all | >5 members | trackable");
     for cont in Continent::ALL {
         let mut all = 0usize;
@@ -743,12 +745,9 @@ fn tab1(ctx: &Ctx) {
         let mut trackable = 0usize;
         for f in world.colo.facilities().iter().filter(|f| f.continent == cont) {
             all += 1;
-            let members = world.colo.members_of_facility(f.id);
-            if members.len() > 5 {
+            if world.colo.members_of_facility(f.id).len() >= min {
                 big += 1;
-                let mapped =
-                    members.iter().filter(|a| a.is_16bit() && dict.covers_asn(a.0 as u16)).count();
-                if mapped >= 6 {
+                if locatable_members(&world, &dict, OutageScope::Facility(f.id)) >= min {
                     trackable += 1;
                 }
             }

@@ -14,10 +14,13 @@
 //! PoP-level signals are then **localized**: ingress communities only name
 //! the near-end PoP, but the failure may sit in any of up to four
 //! facilities along the physical link. The colocation map disambiguates:
-//! if ≥95% of the stable paths whose far ends are co-located in candidate
-//! facility *g* are affected, *g* is the epicenter (near-end facility
-//! checked first, then the far-end ASes' facilities, then common IXPs,
-//! with facility↔IXP resolution escalation and city abstraction).
+//! if ≥95% of the distinct far-end ASes co-located in candidate facility
+//! *g* that the affected near ends reach over stable paths are affected,
+//! *g* is the epicenter (near-end facility checked first, then the
+//! far-end ASes' facilities, then common IXPs, with facility↔IXP
+//! resolution escalation and city abstraction). The rules are transcribed
+//! step by step in `crates/core/tests/localizer/`, the reference this
+//! module is differentially tested against.
 
 use crate::config::KeplerConfig;
 use crate::events::{OutageScope, RouteKey, SignalClass};
@@ -36,8 +39,10 @@ pub(crate) const MIN_AFFECTED_ASES: usize = 3;
 /// PoP-level classification needs at least this many *non-sibling*
 /// near-end AND far-end ASes: **3**.
 pub(crate) const MIN_DISJOINT_ORGS: usize = 3;
-/// Co-location coverage required to pin an epicenter facility: **95%**
-/// (5% slack absorbs colocation-map inaccuracies).
+/// Share of a candidate's co-located stable far-end ASes that must be
+/// affected to pin it as the epicenter (its *coverage*), and share of the
+/// affected far-end ASes it must host (its *containment*): **95%** (5%
+/// slack absorbs colocation-map inaccuracies).
 pub(crate) const COLO_MARGIN: f64 = 0.95;
 
 /// What a signal group says was hit — the evidence a localized or
@@ -110,42 +115,11 @@ pub struct FacilityCandidate {
     pub containment: f64,
 }
 
-/// Result of localizing one PoP-level signal group, with the passive
-/// confidence signal the probing stage keys on.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Localization {
-    /// The passive verdict, if any.
-    pub scope: Option<OutageScope>,
-    /// Facility suspects, best passive score first, each named once.
-    pub suspects: Vec<FacilityCandidate>,
-}
-
-impl Localization {
-    /// A verdict confident enough to skip probing.
-    fn confident(scope: OutageScope) -> Localization {
-        Localization { scope: Some(scope), suspects: Vec::new() }
-    }
-
-    /// A verdict (or none) with suspects for probes to decide between,
-    /// sorted best-first. A building can qualify through several
-    /// collection paths — e.g. an IXP's fabric loop *and* the far-end
-    /// facility scan — so duplicates are dropped: a duplicated candidate
-    /// would be probed twice and defeat the unique-confirmation rule.
-    fn suspected(scope: Option<OutageScope>, mut suspects: Vec<FacilityCandidate>) -> Localization {
-        sort_candidates(&mut suspects);
-        let mut seen: BTreeSet<FacilityId> = BTreeSet::new();
-        suspects.retain(|c| seen.insert(c.facility));
-        Localization { scope, suspects }
-    }
-
-    /// Whether the verdict is below confidence and targeted probes should
-    /// disambiguate: no verdict but live suspects, a coarse city verdict
-    /// over concrete building suspects, or several buildings tied at the
-    /// coverage margin — exactly when there are suspects.
-    pub fn needs_probe(&self) -> bool {
-        !self.suspects.is_empty()
-    }
-}
+/// The passive verdict on one PoP's group, if any, and the facility
+/// suspects probes should decide between, best passive score first.
+/// Suspects mean the verdict is below confidence: no verdict, a coarse
+/// city verdict over concrete buildings, or buildings tied at the margin.
+type Localization = (Option<OutageScope>, Vec<FacilityCandidate>);
 
 /// A PoP-level group whose localization needs active-measurement help
 /// (paper §4.4: targeted traceroutes toward the suspect facilities).
@@ -215,27 +189,6 @@ pub struct Investigator {
     remoteness: RemotenessMap,
 }
 
-struct Coverage {
-    covered: usize,
-    denom: usize,
-    containment: f64,
-}
-
-impl Coverage {
-    fn fraction(&self) -> f64 {
-        if self.denom == 0 {
-            0.0
-        } else {
-            self.covered as f64 / self.denom as f64
-        }
-    }
-
-    /// `facility` as a suspect scored by this coverage.
-    fn candidate(&self, facility: FacilityId) -> FacilityCandidate {
-        FacilityCandidate { facility, coverage: self.fraction(), containment: self.containment }
-    }
-}
-
 impl Investigator {
     /// Builds an investigator over the detector's colocation map and
     /// organization map. Its thresholds are the paper's constants, so it
@@ -258,18 +211,6 @@ impl Investigator {
         &self.colo
     }
 
-    /// Whether an affected far-end AS's involvement at this metro is
-    /// explained by remote peering: the latency heuristic flags it as
-    /// remote at an IXP located in `city`. Its own facility tenancies
-    /// (in its home metro) are then not epicenter evidence.
-    fn remote_at_metro(&self, a: Asn, city: Option<CityId>) -> bool {
-        if self.remoteness.is_empty() {
-            return false;
-        }
-        let Some(city) = city else { return false };
-        self.colo.ixps_in_city(city).into_iter().any(|x| self.remoteness.is_remote(x, a))
-    }
-
     /// Investigates one bin.
     ///
     /// Signals are first grouped per PoP, then *clustered by city*: one
@@ -281,29 +222,21 @@ impl Investigator {
     /// then runs per contributing PoP and the verdicts are merged.
     pub fn investigate(&self, outcome: &BinOutcome) -> BinInvestigation {
         let mut result = BinInvestigation { bin_start: outcome.bin_start, ..Default::default() };
-        // Group signals per PoP.
         let mut groups: BTreeMap<LocationTag, Vec<&OutageSignal>> = BTreeMap::new();
         for s in &outcome.signals {
             groups.entry(s.pop).or_default().push(s);
         }
-        // Cluster PoPs by city (unknown-city PoPs stay alone).
-        let mut clusters: BTreeMap<(u8, u32), Vec<LocationTag>> = BTreeMap::new();
-        for pop in groups.keys() {
-            let key = match OutageScope::from(*pop).city(&self.colo) {
-                Some(c) => (0u8, c.0),
-                None => match pop {
-                    LocationTag::Facility(f) => (1, f.0),
-                    LocationTag::Ixp(x) => (2, x.0),
-                    LocationTag::City(c) => (3, c.0),
-                },
-            };
-            clusters.entry(key).or_default().push(*pop);
+        // Known cities first; a PoP of unknown city is a cluster alone.
+        let mut clusters: BTreeMap<Result<CityId, LocationTag>, Vec<LocationTag>> = BTreeMap::new();
+        for &pop in groups.keys() {
+            let city = OutageScope::from(pop).city(&self.colo);
+            clusters.entry(city.ok_or(pop)).or_default().push(pop);
         }
         let mut incidents: Vec<LocalizedIncident> = Vec::new();
         for pops in clusters.values() {
-            let all_signals: Vec<&OutageSignal> =
+            let signals: Vec<&OutageSignal> =
                 pops.iter().flat_map(|p| groups[p].iter().copied()).collect();
-            let class = self.classify(&all_signals);
+            let class = self.classify(&signals);
             if class != SignalClass::PopLevel {
                 result.dismissed.push((pops[0], class));
                 continue;
@@ -317,38 +250,31 @@ impl Investigator {
                 // all of their co-located links — near-ends whose ports
                 // survived a partial outage raise no signal and must not
                 // dilute the check.
-                let mut stable_fars: BTreeMap<Asn, usize> = BTreeMap::new();
-                if let Some(by_near) = outcome.stable_fars.get(pop) {
-                    for near in &affected.near {
-                        if let Some(fars) = by_near.get(near) {
-                            for (far, n) in fars {
-                                *stable_fars.entry(*far).or_insert(0) += n;
-                            }
-                        }
-                    }
-                }
-                let loc = self.localize(*pop, &affected.far, &stable_fars);
-                if loc.needs_probe() {
+                let by_near = outcome.stable_fars.get(pop);
+                let reached = affected.near.iter().filter_map(|n| by_near?.get(n));
+                let stable: BTreeSet<Asn> = reached.flatten().copied().collect();
+                let (scope, suspects) = self.localize(*pop, &affected.far, &stable);
+                // A group with a fallback scope counts as found: it will
+                // be reported one way or the other.
+                found_any |= scope.is_some();
+                if !suspects.is_empty() {
                     // Low confidence: hand the group to the probing stage
-                    // instead of committing to a passive guess. A group
-                    // with a fallback scope still counts as found — it
-                    // will be reported one way or the other.
-                    found_any |= loc.scope.is_some();
+                    // instead of committing to a passive guess.
                     result.pending.push(PendingIncident {
                         pop: *pop,
                         bin_start: outcome.bin_start,
-                        candidates: loc.suspects,
-                        fallback: loc.scope,
+                        candidates: suspects,
+                        fallback: scope,
                         affected,
                         booked_unresolved: 0,
                     });
-                    continue;
+                } else if let Some(scope) = scope {
+                    incidents.push(LocalizedIncident {
+                        scope,
+                        bin_start: outcome.bin_start,
+                        affected,
+                    });
                 }
-                let Some(scope) = loc.scope else {
-                    continue;
-                };
-                found_any = true;
-                incidents.push(LocalizedIncident { scope, bin_start: outcome.bin_start, affected });
             }
             if !found_any {
                 result.unresolved.push(pops[0]);
@@ -366,46 +292,29 @@ impl Investigator {
         result
     }
 
-    /// Classifies one PoP's signal group.
-    pub fn classify(&self, signals: &[&OutageSignal]) -> SignalClass {
-        // Affected links: (near, far) pairs.
-        let mut links: BTreeSet<(Asn, Asn)> = BTreeSet::new();
-        for s in signals {
-            for far in &s.far_ases {
-                links.insert((s.near, *far));
-            }
-        }
-        let mut all_ases: BTreeSet<Asn> = BTreeSet::new();
-        for (a, b) in &links {
-            all_ases.insert(*a);
-            all_ases.insert(*b);
-        }
-        // Link-level: too few distinct ASes to be anything bigger.
-        if all_ases.len() <= MIN_AFFECTED_ASES {
+    /// Classifies one cluster's signals by the links they affect.
+    fn classify(&self, signals: &[&OutageSignal]) -> SignalClass {
+        let links: BTreeSet<(Asn, Asn)> =
+            signals.iter().flat_map(|s| s.far_ases.iter().map(|&far| (s.near, far))).collect();
+        let ases: BTreeSet<Asn> = links.iter().flat_map(|&(near, far)| [near, far]).collect();
+        if ases.len() <= MIN_AFFECTED_ASES {
             return SignalClass::LinkLevel;
         }
-        // AS-level: all links share one AS.
-        let first = links.iter().next().expect("non-empty");
-        for candidate in [first.0, first.1] {
-            if links.iter().all(|(a, b)| *a == candidate || *b == candidate) {
-                return SignalClass::AsLevel;
-            }
+        // An AS or an organization common to every link is in the first.
+        let &(near, far) = links.first().expect("more ASes than links allow");
+        if [near, far].into_iter().any(|c| links.iter().all(|&(a, b)| a == c || b == c)) {
+            return SignalClass::AsLevel;
         }
-        // Operator-level: all links touch one organization's siblings.
-        let candidate_orgs: BTreeSet<_> =
-            [first.0, first.1].iter().filter_map(|a| self.orgs.org_of(*a)).collect();
-        for org in candidate_orgs {
-            if links.iter().all(|(a, b)| {
-                self.orgs.org_of(*a) == Some(org) || self.orgs.org_of(*b) == Some(org)
-            }) {
-                return SignalClass::OperatorLevel;
-            }
+        let org = |a: Asn| self.orgs.org_of(a);
+        let common_org = [near, far]
+            .into_iter()
+            .filter_map(org)
+            .any(|o| links.iter().all(|&(a, b)| org(a) == Some(o) || org(b) == Some(o)));
+        if common_org {
+            return SignalClass::OperatorLevel;
         }
-        // PoP-level requires ≥3 disjoint non-sibling orgs on each side.
-        let nears: Vec<Asn> = links.iter().map(|(a, _)| *a).collect();
-        let fars: Vec<Asn> = links.iter().map(|(_, b)| *b).collect();
-        let near_orgs = self.orgs.distinct_orgs(nears.iter().copied());
-        let far_orgs = self.orgs.distinct_orgs(fars.iter().copied());
+        let near_orgs = self.orgs.distinct_orgs(links.iter().map(|l| l.0));
+        let far_orgs = self.orgs.distinct_orgs(links.iter().map(|l| l.1));
         if near_orgs >= MIN_DISJOINT_ORGS && far_orgs >= MIN_DISJOINT_ORGS {
             SignalClass::PopLevel
         } else {
@@ -413,143 +322,132 @@ impl Investigator {
         }
     }
 
-    fn coverage(
+    /// Facility `f` scored as a suspect, with its denominator.
+    fn suspect(
         &self,
+        f: FacilityId,
         affected: &BTreeSet<Asn>,
-        stable: &BTreeMap<Asn, usize>,
-        members: &BTreeSet<Asn>,
-    ) -> Coverage {
-        let covered = stable.keys().filter(|a| members.contains(a) && affected.contains(a)).count();
-        let denom = stable.keys().filter(|a| members.contains(a)).count();
-        let in_members = affected.iter().filter(|a| members.contains(a)).count();
-        let containment =
-            if affected.is_empty() { 0.0 } else { in_members as f64 / affected.len() as f64 };
-        Coverage { covered, denom, containment }
+        stable: &BTreeSet<Asn>,
+    ) -> (usize, FacilityCandidate) {
+        let (denom, coverage, containment) =
+            score(self.colo.members_of_facility(f), affected, stable);
+        (denom, FacilityCandidate { facility: f, coverage, containment })
     }
 
-    /// Localizes a PoP-level signal, reporting the passive scope and
-    /// every facility suspect with its passive scores; suspects mean the
-    /// verdict needs active-measurement disambiguation.
-    pub fn localize(
+    /// Localizes one PoP's group: `affected` are its far-end ASes,
+    /// `stable` the far-end ASes its near ends reach over stable paths.
+    fn localize(
         &self,
         pop: LocationTag,
-        affected_far: &BTreeSet<Asn>,
-        stable_fars: &BTreeMap<Asn, usize>,
+        affected: &BTreeSet<Asn>,
+        stable: &BTreeSet<Asn>,
     ) -> Localization {
         let pop_city = OutageScope::from(pop).city(&self.colo);
+        let ixp_score = |x: IxpId| score(self.colo.members_of_ixp(x), affected, stable);
         match pop {
             LocationTag::Facility(f) => {
-                let mut suspects: Vec<FacilityCandidate> = Vec::new();
-                // 1. Near-end facility test.
-                let members = self.colo.members_of_facility(f);
-                let cov = self.coverage(affected_far, stable_fars, members);
-                if cov.denom >= 1 && cov.fraction() >= COLO_MARGIN {
-                    return Localization::confident(OutageScope::Facility(f));
+                // 1. The near-end facility; a suspect if it contains the
+                // affected set but its surviving members dilute coverage.
+                let (denom, near) = self.suspect(f, affected, stable);
+                if denom >= 1 && near.coverage >= COLO_MARGIN {
+                    return confident(OutageScope::Facility(f));
                 }
-                if cov.denom >= 1 && cov.containment >= COLO_MARGIN {
-                    // The near-end building contains the affected set but
-                    // its surviving members dilute the coverage: a suspect.
-                    suspects.push(cov.candidate(f));
+                let mut suspects = Vec::new();
+                if denom >= 1 && near.containment >= COLO_MARGIN {
+                    suspects.push(near);
                 }
-                // 2. Far-end facilities.
-                let far = self.far_candidates(affected_far, stable_fars, Some(f), pop_city);
-                if let Some(verdict) = self.far_verdict(&far) {
+                // 2. The far ends' facilities.
+                let far = self.far_candidates(affected, stable, Some(f), pop_city);
+                if let Some(verdict) = far_verdict(&far) {
                     return verdict;
                 }
-                // 3. IXP escalation.
-                if let Some(scope) = self.best_common_ixp(affected_far, stable_fars) {
-                    return Localization::confident(scope);
+                // 3. The far ends' best common IXP.
+                let ixps: BTreeSet<IxpId> =
+                    affected.iter().flat_map(|a| self.colo.ixps_of_as(*a)).collect();
+                let common = ixps.into_iter().filter_map(|x| {
+                    let (denom, coverage, containment) = ixp_score(x);
+                    (denom >= 2 && coverage >= COLO_MARGIN && containment >= COLO_MARGIN)
+                        .then_some((x, containment))
+                });
+                if let Some(x) = most_contained(common) {
+                    return confident(OutageScope::Ixp(x));
                 }
                 suspects.extend(far);
-                Localization::suspected(None, suspects)
+                suspected(None, suspects)
             }
             LocationTag::Ixp(x) => {
                 // Resolution increase: a single fabric facility whose
                 // members account for (almost) all affected paths means the
                 // outage is the building, not the exchange.
+                let mut fabric: Vec<(FacilityId, f64)> = Vec::new();
                 let mut suspects: Vec<FacilityCandidate> = Vec::new();
-                let mut best: Option<(FacilityId, f64)> = None;
                 for &f in self.colo.facilities_of_ixp(x) {
-                    let members = self.colo.members_of_facility(f);
-                    let cov = self.coverage(affected_far, stable_fars, members);
-                    if cov.denom >= 1 && cov.containment >= COLO_MARGIN {
-                        if cov.fraction() >= COLO_MARGIN {
-                            let score = cov.containment;
-                            if best.map(|(_, s)| score > s).unwrap_or(true) {
-                                best = Some((f, score));
-                            }
+                    let (denom, c) = self.suspect(f, affected, stable);
+                    if denom >= 1 && c.containment >= COLO_MARGIN {
+                        if c.coverage >= COLO_MARGIN {
+                            fabric.push((f, c.containment));
                         } else {
-                            suspects.push(cov.candidate(f));
+                            suspects.push(c);
                         }
                     }
                 }
-                if let Some((f, _)) = best {
-                    return Localization::confident(OutageScope::Facility(f));
+                if let Some(f) = most_contained(fabric) {
+                    return confident(OutageScope::Facility(f));
                 }
-                // Whole-exchange test.
-                let members = self.colo.members_of_ixp(x);
-                let cov = self.coverage(affected_far, stable_fars, members);
-                if cov.denom >= 1 && cov.fraction() >= COLO_MARGIN {
-                    return Localization::confident(OutageScope::Ixp(x));
+                // The whole exchange, then the far ends' facilities.
+                let (denom, coverage, _) = ixp_score(x);
+                if denom >= 1 && coverage >= COLO_MARGIN {
+                    return confident(OutageScope::Ixp(x));
                 }
-                let far = self.far_candidates(affected_far, stable_fars, None, pop_city);
-                if let Some(verdict) = self.far_verdict(&far) {
+                let far = self.far_candidates(affected, stable, None, pop_city);
+                if let Some(verdict) = far_verdict(&far) {
                     return verdict;
                 }
                 suspects.extend(far);
-                Localization::suspected(None, suspects)
+                suspected(None, suspects)
             }
             LocationTag::City(c) => {
                 // Sharpen to a facility in the city, then an IXP, else stay
-                // at city level. Unlike the facility-tag case, affected
-                // far-ends here span every building the near-end ASes use
-                // in the city, so candidates are judged by *coverage* of
-                // their co-located members (are this building's tenants
-                // wiped out?) rather than by containment.
-                // Of the affected far-ends the city's buildings can
-                // explain at all, how concentrated is each building? A
-                // far-end with a port but no recorded tenancy anywhere in
-                // the city (remote peering through a reseller) must not
-                // break the containment test for every building at once.
+                // at city level. The affected far ends span every building
+                // the near ends use in the city, so a building is judged by
+                // the *coverage* of its tenants, and is a suspect when it
+                // holds the affected far ends the city's buildings explain
+                // at all (a far end peering through a reseller, tenant of
+                // none of them, must not veto every building at once).
                 let city_facilities = self.colo.facilities_in_city(c);
-                let affected_in_city = affected_far
+                let tenants: BTreeSet<&Asn> = city_facilities
                     .iter()
-                    .filter(|a| {
-                        city_facilities
-                            .iter()
-                            .any(|f| self.colo.members_of_facility(*f).contains(a))
-                    })
-                    .count();
-                let mut fac_cands: Vec<(FacilityCandidate, BTreeSet<Asn>)> = Vec::new();
+                    .flat_map(|f| self.colo.members_of_facility(*f))
+                    .collect();
+                let affected_in_city = affected.iter().filter(|a| tenants.contains(a)).count();
+                let mut passing: Vec<(FacilityCandidate, BTreeSet<Asn>)> = Vec::new();
                 let mut suspects: Vec<FacilityCandidate> = Vec::new();
-                for f in &city_facilities {
-                    let members = self.colo.members_of_facility(*f);
-                    let cov = self.coverage(affected_far, stable_fars, members);
-                    let candidate = cov.candidate(*f);
-                    if cov.denom >= 2 && cov.fraction() >= COLO_MARGIN {
-                        let covered: BTreeSet<Asn> = stable_fars
-                            .keys()
-                            .filter(|a| members.contains(a) && affected_far.contains(a))
-                            .copied()
-                            .collect();
-                        fac_cands.push((candidate, covered));
+                for &f in &city_facilities {
+                    let (denom, cand) = self.suspect(f, affected, stable);
+                    if denom < 2 {
                         continue;
                     }
-                    let in_building = affected_far.iter().filter(|a| members.contains(a)).count();
-                    if cov.denom >= 2
-                        && affected_in_city >= 1
+                    let members = self.colo.members_of_facility(f);
+                    if cand.coverage >= COLO_MARGIN {
+                        let covered = stable
+                            .iter()
+                            .filter(|a| members.contains(a) && affected.contains(a))
+                            .copied()
+                            .collect();
+                        passing.push((cand, covered));
+                        continue;
+                    }
+                    let in_building = affected.iter().filter(|a| members.contains(a)).count();
+                    if affected_in_city >= 1
                         && in_building as f64 >= COLO_MARGIN * affected_in_city as f64
                     {
-                        // Concrete building suspect behind a coarse city
-                        // tag — the colocation-twin shape the probe
-                        // subsystem disambiguates.
-                        suspects.push(candidate);
+                        suspects.push(cand);
                     }
                 }
-                if let [(only, _)] = fac_cands.as_slice() {
-                    return Localization::confident(OutageScope::Facility(only.facility));
+                if let [(only, _)] = passing.as_slice() {
+                    return confident(OutageScope::Facility(only.facility));
                 }
-                if fac_cands.len() >= 2 {
+                if passing.len() >= 2 {
                     // Several buildings clear the margin. If each is
                     // backed by its *own* wiped-out tenants, several
                     // buildings really failed together: a metro event.
@@ -557,30 +455,26 @@ impl Investigator {
                     // (near-)identical, the candidates are colocation
                     // twins — one piece of evidence counted twice — and
                     // only the data plane can name the building.
-                    let indistinguishable = fac_cands.iter().enumerate().all(|(i, (_, a))| {
-                        fac_cands.iter().skip(i + 1).all(|(_, b)| {
-                            let inter = a.intersection(b).count();
-                            inter as f64 >= COLO_MARGIN * a.len().min(b.len()) as f64
+                    let twins = passing.iter().enumerate().all(|(i, (_, a))| {
+                        passing[i + 1..].iter().all(|(_, b)| {
+                            a.intersection(b).count() as f64
+                                >= COLO_MARGIN * a.len().min(b.len()) as f64
                         })
                     });
-                    if !indistinguishable {
-                        return Localization::confident(OutageScope::City(c));
+                    if !twins {
+                        return confident(OutageScope::City(c));
                     }
-                    let twins = fac_cands.into_iter().map(|(cand, _)| cand).collect();
-                    return Localization::suspected(Some(OutageScope::City(c)), twins);
+                    let twins = passing.into_iter().map(|(cand, _)| cand).collect();
+                    return suspected(Some(OutageScope::City(c)), twins);
                 }
-                let mut ixp_cands: Vec<IxpId> = Vec::new();
-                for x in self.colo.ixps_in_city(c) {
-                    let members = self.colo.members_of_ixp(x);
-                    let cov = self.coverage(affected_far, stable_fars, members);
-                    if cov.denom >= 2 && cov.fraction() >= COLO_MARGIN {
-                        ixp_cands.push(x);
-                    }
+                let mut ixps = self.colo.ixps_in_city(c);
+                ixps.retain(
+                    |&x| matches!(ixp_score(x), (2.., coverage, _) if coverage >= COLO_MARGIN),
+                );
+                if let [only] = ixps[..] {
+                    return confident(OutageScope::Ixp(only));
                 }
-                if let [only] = ixp_cands.as_slice() {
-                    return Localization::confident(OutageScope::Ixp(*only));
-                }
-                Localization::suspected(Some(OutageScope::City(c)), suspects)
+                suspected(Some(OutageScope::City(c)), suspects)
             }
         }
     }
@@ -590,127 +484,117 @@ impl Investigator {
     /// evidence of a *facility* failure) and near-complete containment of
     /// the affected set. Sorted best passive score first; entries at or
     /// above the coverage margin are the historical "passing" candidates.
+    /// A far end peering remotely at this metro was hit through its
+    /// reseller port on the fabric, not through any building it is a
+    /// tenant of: its home facilities are no evidence.
     fn far_candidates(
         &self,
-        affected_far: &BTreeSet<Asn>,
-        stable_fars: &BTreeMap<Asn, usize>,
+        affected: &BTreeSet<Asn>,
+        stable: &BTreeSet<Asn>,
         exclude: Option<FacilityId>,
-        signal_city: Option<CityId>,
+        city: Option<CityId>,
     ) -> Vec<FacilityCandidate> {
-        let mut candidates: BTreeSet<FacilityId> = BTreeSet::new();
-        for a in affected_far {
-            // A far end peering remotely at this metro was hit through
-            // its reseller port on the fabric, not through any building
-            // it is a tenant of — its home facilities are no evidence.
-            if self.remote_at_metro(*a, signal_city) {
-                continue;
-            }
-            candidates.extend(self.colo.facilities_of_as(*a));
-        }
+        let remote = |a: Asn| {
+            !self.remoteness.is_empty()
+                && city.is_some_and(|c| {
+                    self.colo.ixps_in_city(c).into_iter().any(|x| self.remoteness.is_remote(x, a))
+                })
+        };
+        let mut facilities: BTreeSet<FacilityId> = affected
+            .iter()
+            .filter(|a| !remote(**a))
+            .flat_map(|a| self.colo.facilities_of_as(*a))
+            .collect();
         if let Some(f) = exclude {
-            candidates.remove(&f);
+            facilities.remove(&f);
         }
-        let mut out: Vec<FacilityCandidate> = Vec::new();
-        for g in candidates {
-            let members = self.colo.members_of_facility(g);
-            let cov = self.coverage(affected_far, stable_fars, members);
-            if cov.denom >= 2 && cov.containment >= COLO_MARGIN {
-                out.push(cov.candidate(g));
-            }
-        }
+        let mut out: Vec<FacilityCandidate> = facilities
+            .into_iter()
+            .map(|g| self.suspect(g, affected, stable))
+            .filter(|(denom, c)| *denom >= 2 && c.containment >= COLO_MARGIN)
+            .map(|(_, c)| c)
+            .collect();
         sort_candidates(&mut out);
         out
     }
 
-    /// The far-end facility verdict, if any building clears the coverage
-    /// margin: one is confident; several are a tie only the data plane
-    /// can break (fallback: the best passive score, the historical
-    /// behavior).
-    fn far_verdict(&self, far: &[FacilityCandidate]) -> Option<Localization> {
-        let passing: Vec<FacilityCandidate> =
-            far.iter().filter(|c| c.coverage >= COLO_MARGIN).copied().collect();
-        let best = OutageScope::Facility(passing.first()?.facility);
-        Some(if passing.len() == 1 {
-            Localization::confident(best)
-        } else {
-            Localization::suspected(Some(best), passing)
-        })
-    }
-
-    /// Best common IXP of the affected far-end ASes.
-    fn best_common_ixp(
-        &self,
-        affected_far: &BTreeSet<Asn>,
-        stable_fars: &BTreeMap<Asn, usize>,
-    ) -> Option<OutageScope> {
-        let mut candidates: BTreeSet<IxpId> = BTreeSet::new();
-        for a in affected_far {
-            candidates.extend(self.colo.ixps_of_as(*a));
-        }
-        let mut best: Option<(IxpId, f64)> = None;
-        for x in candidates {
-            let members = self.colo.members_of_ixp(x);
-            let cov = self.coverage(affected_far, stable_fars, members);
-            if cov.denom >= 2
-                && cov.fraction() >= COLO_MARGIN
-                && cov.containment >= COLO_MARGIN
-                && best.map(|(_, s)| cov.containment > s).unwrap_or(true)
-            {
-                best = Some((x, cov.containment));
-            }
-        }
-        best.map(|(x, _)| OutageScope::Ixp(x))
-    }
-
-    /// Deduplicates incidents converging on one scope and abstracts
-    /// multiple same-city epicenters to a city-level incident.
-    fn merge_incidents(&self, incidents: Vec<LocalizedIncident>) -> Vec<LocalizedIncident> {
-        // 1. Merge identical scopes.
-        let mut by_scope: BTreeMap<OutageScope, LocalizedIncident> = BTreeMap::new();
+    /// Merges verdicts converging on one scope, and abstracts distinct
+    /// scopes of one city to the city — unless the only sharp scope among
+    /// them sits beside the city-level verdict that corroborates it.
+    /// Evidence is absorbed in scope order.
+    fn merge_incidents(&self, mut incidents: Vec<LocalizedIncident>) -> Vec<LocalizedIncident> {
+        incidents.sort_by_key(|i| i.scope);
+        let mut by_city: BTreeMap<Result<CityId, OutageScope>, Vec<LocalizedIncident>> =
+            BTreeMap::new();
         for inc in incidents {
-            match by_scope.get_mut(&inc.scope) {
-                None => {
-                    by_scope.insert(inc.scope, inc);
-                }
-                Some(existing) => existing.affected.absorb(inc.affected),
-            }
-        }
-        // 2. City abstraction: ≥2 distinct physical scopes in one city
-        // (including a city-level verdict corroborating a sharper one).
-        let mut by_city: BTreeMap<CityId, Vec<OutageScope>> = BTreeMap::new();
-        for scope in by_scope.keys() {
-            if let Some(c) = scope.city(&self.colo) {
-                by_city.entry(c).or_default().push(*scope);
-            }
+            by_city.entry(inc.scope.city(&self.colo).ok_or(inc.scope)).or_default().push(inc);
         }
         let mut out: Vec<LocalizedIncident> = Vec::new();
-        for (city, scopes) in by_city {
-            if scopes.len() < 2 {
-                continue;
-            }
-            // A city-level verdict next to exactly one sharper verdict
-            // merely corroborates it: merge *into* the sharp scope. Two or
-            // more distinct physical scopes abstract to the city.
-            let sharp: Vec<OutageScope> =
-                scopes.iter().filter(|s| !matches!(s, OutageScope::City(_))).copied().collect();
-            let target = match sharp.as_slice() {
-                [only] => *only,
-                _ => OutageScope::City(city),
-            };
-            // `by_city` was read off `by_scope`'s keys, and each scope
-            // sits in one city: every scope is still there, once.
-            let mut members = scopes.iter().map(|s| by_scope.remove(s).expect("scope present"));
-            let first = members.next().expect("at least two scopes");
-            let mut merged = LocalizedIncident { scope: target, ..first };
-            for inc in members {
-                merged.affected.absorb(inc.affected);
+        for (city, group) in by_city {
+            let scopes: BTreeSet<OutageScope> = group.iter().map(|i| i.scope).collect();
+            let mut group = group.into_iter();
+            let mut merged = group.next().expect("a city holds an incident");
+            group.for_each(|inc| merged.affected.absorb(inc.affected));
+            if let (Ok(city), true) = (city, scopes.len() >= 2) {
+                let mut sharp = scopes.iter().filter(|s| !matches!(s, OutageScope::City(_)));
+                merged.scope = match (sharp.next(), sharp.next()) {
+                    (Some(only), None) => *only,
+                    _ => OutageScope::City(city),
+                };
             }
             out.push(merged);
         }
-        out.extend(by_scope.into_values());
         out.sort_by_key(|i| i.scope);
         out
     }
+}
+
+/// How the affected far ends sit in `members`: how many stable far ends
+/// it hosts (the denominator), the share of those affected (coverage),
+/// and the share of the affected set it hosts (containment).
+fn score(
+    members: &BTreeSet<Asn>,
+    affected: &BTreeSet<Asn>,
+    stable: &BTreeSet<Asn>,
+) -> (usize, f64, f64) {
+    let share = |n: usize, of: usize| if of == 0 { 0.0 } else { n as f64 / of as f64 };
+    let denom = stable.iter().filter(|a| members.contains(a)).count();
+    let covered = stable.iter().filter(|a| members.contains(a) && affected.contains(a)).count();
+    let contained = affected.iter().filter(|a| members.contains(a)).count();
+    (denom, share(covered, denom), share(contained, affected.len()))
+}
+
+/// A verdict confident enough to skip probing.
+fn confident(scope: OutageScope) -> Localization {
+    (Some(scope), Vec::new())
+}
+
+/// A verdict (or none) with suspects for probes to decide between,
+/// sorted best-first. A building can qualify through several collection
+/// paths — e.g. an IXP's fabric loop *and* the far-end facility scan — so
+/// duplicates are dropped: a duplicated candidate would be probed twice
+/// and defeat the unique-confirmation rule.
+fn suspected(scope: Option<OutageScope>, mut suspects: Vec<FacilityCandidate>) -> Localization {
+    sort_candidates(&mut suspects);
+    let mut seen: BTreeSet<FacilityId> = BTreeSet::new();
+    suspects.retain(|c| seen.insert(c.facility));
+    (scope, suspects)
+}
+
+/// The far-end facility verdict, if any building clears the coverage
+/// margin: one is confident; several are a tie only the data plane can
+/// break (fallback: the best passive score, the historical behavior).
+fn far_verdict(far: &[FacilityCandidate]) -> Option<Localization> {
+    let passing: Vec<FacilityCandidate> =
+        far.iter().filter(|c| c.coverage >= COLO_MARGIN).copied().collect();
+    let best = OutageScope::Facility(passing.first()?.facility);
+    Some(if passing.len() == 1 { confident(best) } else { suspected(Some(best), passing) })
+}
+
+/// The first of `scored` with the highest containment: a tie keeps the
+/// earliest, i.e. the lowest id.
+fn most_contained<T>(scored: impl IntoIterator<Item = (T, f64)>) -> Option<T> {
+    scored.into_iter().reduce(|best, next| if next.1 > best.1 { next } else { best }).map(|b| b.0)
 }
 
 /// Sorts candidates best passive score first: containment, then
@@ -734,15 +618,12 @@ fn merge_pending(pending: Vec<PendingIncident>) -> Vec<PendingIncident> {
         let mut key: Vec<u32> = p.candidates.iter().map(|c| c.facility.0).collect();
         key.sort_unstable();
         key.dedup();
-        match by_cands.get_mut(&key) {
-            None => {
-                by_cands.insert(key, p);
-            }
-            Some(existing) => {
-                existing.affected.absorb(p.affected);
-                existing.booked_unresolved += p.booked_unresolved;
-                existing.fallback = existing.fallback.or(p.fallback);
-            }
+        if let Some(existing) = by_cands.get_mut(&key) {
+            existing.affected.absorb(p.affected);
+            existing.booked_unresolved += p.booked_unresolved;
+            existing.fallback = existing.fallback.or(p.fallback);
+        } else {
+            by_cands.insert(key, p);
         }
     }
     by_cands.into_values().collect()
@@ -811,8 +692,8 @@ mod tests {
         }
     }
 
-    fn stable_all() -> BTreeMap<Asn, usize> {
-        (201..=205).chain(301..=305).map(|a| (Asn(a), 2)).collect()
+    fn stable_all() -> BTreeSet<Asn> {
+        (201..=205).chain(301..=305).map(Asn).collect()
     }
 
     #[test]
@@ -879,8 +760,7 @@ mod tests {
         let inv = build();
         // All far-end members of facility 0 are affected.
         let affected: BTreeSet<Asn> = (201..=205).chain(301..=305).map(Asn).collect();
-        let scope =
-            inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_all()).scope;
+        let scope = inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_all()).0;
         assert_eq!(scope, Some(OutageScope::Facility(FacilityId(0))));
     }
 
@@ -890,8 +770,7 @@ mod tests {
         // Only the fars at facility 1 are affected: epicenter must be
         // facility 1, not the near-end facility 0 (the London case).
         let affected: BTreeSet<Asn> = (201..=205).map(Asn).collect();
-        let scope =
-            inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_all()).scope;
+        let scope = inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_all()).0;
         assert_eq!(scope, Some(OutageScope::Facility(FacilityId(1))));
     }
 
@@ -902,7 +781,7 @@ mod tests {
         // Facility 0 hosts the fabric and all those fars are members of
         // facility 0 too, so the facility test fires first — which is the
         // desired "outage is the building, not the IXP" resolution.
-        let scope = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable_all()).scope;
+        let scope = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable_all()).0;
         assert_eq!(scope, Some(OutageScope::Facility(FacilityId(0))));
     }
 
@@ -932,12 +811,12 @@ mod tests {
         colo.link_ixp_facility(IxpId(0), FacilityId(1));
         let inv = Investigator::new(KeplerConfig::default(), colo, OrgMap::new());
         let affected: BTreeSet<Asn> = (1..=8).map(Asn).collect();
-        let stable: BTreeMap<Asn, usize> = (1..=8).map(|a| (Asn(a), 1)).collect();
-        let scope = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable).scope;
+        let stable: BTreeSet<Asn> = (1..=8).map(Asn).collect();
+        let scope = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable).0;
         assert_eq!(scope, Some(OutageScope::Ixp(IxpId(0))));
         // Only facility 0's members affected -> the building, not the IXP.
         let affected0: BTreeSet<Asn> = (1..=4).map(Asn).collect();
-        let scope0 = inv.localize(LocationTag::Ixp(IxpId(0)), &affected0, &stable).scope;
+        let scope0 = inv.localize(LocationTag::Ixp(IxpId(0)), &affected0, &stable).0;
         assert_eq!(scope0, Some(OutageScope::Facility(FacilityId(0))));
     }
 
@@ -946,11 +825,11 @@ mod tests {
         let inv = build();
         // All members of facility 1 affected: city tag sharpens to it.
         let affected: BTreeSet<Asn> = (201..=205).map(Asn).collect();
-        let scope = inv.localize(LocationTag::City(CityId(0)), &affected, &stable_all()).scope;
+        let scope = inv.localize(LocationTag::City(CityId(0)), &affected, &stable_all()).0;
         assert_eq!(scope, Some(OutageScope::Facility(FacilityId(1))));
         // Mixed affected set that matches nothing cleanly stays city-wide.
         let mixed: BTreeSet<Asn> = [201u32, 301, 999].iter().map(|&a| Asn(a)).collect();
-        let scope2 = inv.localize(LocationTag::City(CityId(0)), &mixed, &stable_all()).scope;
+        let scope2 = inv.localize(LocationTag::City(CityId(0)), &mixed, &stable_all()).0;
         assert_eq!(scope2, Some(OutageScope::City(CityId(0))));
     }
 
@@ -970,8 +849,8 @@ mod tests {
         Investigator::new(KeplerConfig::default(), colo, OrgMap::new())
     }
 
-    fn stable_twins() -> BTreeMap<Asn, usize> {
-        (201..=210).map(|a| (Asn(a), 2)).collect()
+    fn stable_twins() -> BTreeSet<Asn> {
+        (201..=210).map(Asn).collect()
     }
 
     #[test]
@@ -980,17 +859,17 @@ mod tests {
         let affected: BTreeSet<Asn> = (201..=205).map(Asn).collect();
         // Through the bystander facility tag: no verdict, two suspects.
         let loc = inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_twins());
-        assert_eq!(loc.scope, None);
-        assert!(loc.needs_probe());
-        let named: Vec<FacilityId> = loc.suspects.iter().map(|c| c.facility).collect();
+        assert_eq!(loc.0, None);
+        assert!(!loc.1.is_empty());
+        let named: Vec<FacilityId> = loc.1.iter().map(|c| c.facility).collect();
         assert_eq!(named, vec![FacilityId(1), FacilityId(2)]);
-        assert!((loc.suspects[0].containment - 1.0).abs() < 1e-9);
-        assert!(loc.suspects[0].coverage < 0.95, "live twin ports dilute coverage");
+        assert!((loc.1[0].containment - 1.0).abs() < 1e-9);
+        assert!(loc.1[0].coverage < 0.95, "live twin ports dilute coverage");
         // Through the city tag: coarse city verdict over the same suspects.
         let loc = inv.localize(LocationTag::City(CityId(0)), &affected, &stable_twins());
-        assert_eq!(loc.scope, Some(OutageScope::City(CityId(0))));
-        assert!(loc.needs_probe());
-        assert_eq!(loc.suspects.len(), 2);
+        assert_eq!(loc.0, Some(OutageScope::City(CityId(0))));
+        assert!(!loc.1.is_empty());
+        assert_eq!(loc.1.len(), 2);
     }
 
     #[test]
@@ -999,9 +878,9 @@ mod tests {
         // Both buildings fully wiped: two candidates clear the margin.
         let affected: BTreeSet<Asn> = (201..=210).map(Asn).collect();
         let loc = inv.localize(LocationTag::Facility(FacilityId(0)), &affected, &stable_twins());
-        assert_eq!(loc.scope, Some(OutageScope::Facility(FacilityId(1))), "historical best");
-        assert!(loc.needs_probe(), "a tie is not confidence");
-        assert_eq!(loc.suspects.len(), 2);
+        assert_eq!(loc.0, Some(OutageScope::Facility(FacilityId(1))), "historical best");
+        assert!(!loc.1.is_empty(), "a tie is not confidence");
+        assert_eq!(loc.1.len(), 2);
     }
 
     #[test]
@@ -1030,11 +909,11 @@ mod tests {
         colo.link_ixp_facility(IxpId(0), FacilityId(1));
         let inv = Investigator::new(KeplerConfig::default(), colo, OrgMap::new());
         let affected: BTreeSet<Asn> = (201..=205).map(Asn).collect();
-        let stable: BTreeMap<Asn, usize> = (201..=210).map(|a| (Asn(a), 2)).collect();
+        let stable: BTreeSet<Asn> = (201..=210).map(Asn).collect();
         let loc = inv.localize(LocationTag::Ixp(IxpId(0)), &affected, &stable);
-        assert_eq!(loc.scope, None);
-        assert!(loc.needs_probe());
-        let named: Vec<FacilityId> = loc.suspects.iter().map(|c| c.facility).collect();
+        assert_eq!(loc.0, None);
+        assert!(!loc.1.is_empty());
+        let named: Vec<FacilityId> = loc.1.iter().map(|c| c.facility).collect();
         let unique: BTreeSet<FacilityId> = named.iter().copied().collect();
         assert_eq!(named.len(), unique.len(), "duplicate suspects: {named:?}");
         assert!(unique.contains(&FacilityId(1)) && unique.contains(&FacilityId(2)));
@@ -1050,7 +929,7 @@ mod tests {
             outcome.signals.push(signal(LocationTag::Facility(FacilityId(0)), near, &fars));
             outcome.signals.push(signal(LocationTag::City(CityId(0)), near, &fars));
         }
-        let by_near: BTreeMap<Asn, BTreeMap<Asn, usize>> =
+        let by_near: BTreeMap<Asn, BTreeSet<Asn>> =
             [(Asn(1), stable_twins()), (Asn(2), stable_twins()), (Asn(3), stable_twins())].into();
         outcome.stable_fars.insert(LocationTag::Facility(FacilityId(0)), by_near.clone());
         outcome.stable_fars.insert(LocationTag::City(CityId(0)), by_near);
@@ -1137,7 +1016,7 @@ mod tests {
         // Link-level group at facility 2.
         outcome.signals.push(signal(LocationTag::Facility(FacilityId(2)), 7, &[8]));
         // Every signaling near-end (1, 2, 3) sees the full far set.
-        let by_near: BTreeMap<Asn, BTreeMap<Asn, usize>> =
+        let by_near: BTreeMap<Asn, BTreeSet<Asn>> =
             [(Asn(1), stable_all()), (Asn(2), stable_all()), (Asn(3), stable_all())].into();
         outcome.stable_fars.insert(LocationTag::Facility(FacilityId(0)), by_near);
         outcome.stable_fars.insert(LocationTag::Facility(FacilityId(2)), BTreeMap::new());

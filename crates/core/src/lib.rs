@@ -83,7 +83,7 @@ pub use events::{
     IncidentState, OutageReport, OutageScope, RouteKey, SignalClass, ValidationStatus,
 };
 pub use intern::{AsnId, DenseCrossing, DenseRouteEvent, Interner, PopId, RouteId};
-pub use investigate::{FacilityCandidate, Localization, PendingIncident};
+pub use investigate::{FacilityCandidate, PendingIncident};
 pub use kepler_bgp::fx;
 pub use remote::RemotenessMap;
 pub use signal::{

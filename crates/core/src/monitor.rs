@@ -76,13 +76,11 @@ pub struct BinOutcome {
     pub bin_start: Timestamp,
     /// Raised signals.
     pub signals: Vec<OutageSignal>,
-    /// For each signaled PoP: stable far-end ASes with path counts, broken
-    /// down by near-end AS (denominators for the colocation coverage
+    /// For each signaled PoP: the far-end ASes each near-end AS reaches
+    /// over stable paths (denominators for the colocation coverage
     /// checks — the paper scopes them to the *affected* near-ends).
     /// Snapshotted before stable-set pruning.
-    pub stable_fars: HashMap<LocationTag, BTreeMap<Asn, BTreeMap<Asn, usize>>>,
-    /// For each signaled PoP: stable near-end ASes with path counts.
-    pub stable_nears: HashMap<LocationTag, BTreeMap<Asn, usize>>,
+    pub stable_fars: HashMap<LocationTag, BTreeMap<Asn, BTreeSet<Asn>>>,
 }
 
 /// An outage signal in dense-id space.
@@ -114,21 +112,16 @@ pub struct DenseBinOutcome {
     pub bin_start: Timestamp,
     /// Raised signals.
     pub signals: Vec<DenseOutageSignal>,
-    /// Per signaled PoP: near-end → (far-end → stable path count).
+    /// Per signaled PoP: near-end → its stable far ends.
     pub stable_fars: Vec<(PopId, PopFars)>,
-    /// Per signaled PoP: near-end → stable path count.
-    pub stable_nears: Vec<(PopId, PopNears)>,
     /// Per presence-watched PoP: crossings on currently announced routes
     /// at bin close (the forecast detector's input series). Empty unless
     /// presence watches are registered, so plain runs are unchanged.
     pub watch_presence: Vec<(PopId, u64)>,
 }
 
-/// Stable far-end ASes of one PoP with path counts, grouped by near-end.
-pub type PopFars = Vec<(AsnId, Vec<(AsnId, usize)>)>;
-
-/// Stable near-end ASes of one PoP with path counts.
-pub type PopNears = Vec<(AsnId, usize)>;
+/// Stable far-end ASes of one PoP, grouped by near-end.
+pub type PopFars = Vec<(AsnId, Vec<AsnId>)>;
 
 impl DenseBinOutcome {
     /// Resolves dense ids back to display types, restoring the canonical
@@ -156,15 +149,7 @@ impl DenseBinOutcome {
             let entry = out.stable_fars.entry(interner.pop_tag(*pop)).or_default();
             for (near, fars) in by_near {
                 let near_entry = entry.entry(interner.asn(*near)).or_default();
-                for (far, n) in fars {
-                    *near_entry.entry(interner.asn(*far)).or_insert(0) += n;
-                }
-            }
-        }
-        for (pop, nears) in &self.stable_nears {
-            let entry = out.stable_nears.entry(interner.pop_tag(*pop)).or_default();
-            for (near, n) in nears {
-                *entry.entry(interner.asn(*near)).or_insert(0) += n;
+                near_entry.extend(fars.iter().map(|&far| interner.asn(far)));
             }
         }
         out
@@ -495,18 +480,12 @@ impl Monitor {
             .unwrap_or(false)
     }
 
-    /// Far-end ASes (with stable path counts) of the baseline routes
-    /// crossing `pop`, grouped by the near-end AS of the crossing.
+    /// Far-end ASes of the baseline routes crossing `pop`, grouped by
+    /// the near-end AS of the crossing.
     fn stable_fars(&self, pop: PopId) -> PopFars {
         self.groups_at(pop)
-            .map(|(near, group)| (near, group.fars.iter().map(|(&far, &n)| (far, n)).collect()))
+            .map(|(near, group)| (near, group.fars.keys().copied().collect()))
             .collect()
-    }
-
-    /// Near-end ASes (with stable path counts) of the baseline routes
-    /// crossing `pop`.
-    fn stable_nears(&self, pop: PopId) -> PopNears {
-        self.groups_at(pop).map(|(near, group)| (near, group.routes)).collect()
     }
 
     /// High-water observability of a PoP: distinct near-end and far-end
@@ -633,7 +612,6 @@ impl Monitor {
         pops.dedup();
         for pop in pops {
             outcome.stable_fars.push((pop, self.stable_fars(pop)));
-            outcome.stable_nears.push((pop, self.stable_nears(pop)));
         }
         outcome
     }
@@ -967,14 +945,13 @@ mod tests {
         assert_eq!(signaled.len(), 1);
         let tag = LocationTag::Facility(FacilityId(1));
         assert_eq!(signaled[0].signals[0].stable_total, 1);
-        assert_eq!(signaled[0].stable_nears[&tag], BTreeMap::from([(Asn(50), 1)]));
         assert_eq!(
-            signaled[0].stable_fars[&tag][&Asn(50)],
-            BTreeMap::from([(Asn(60), 1), (Asn(61), 1)])
+            signaled[0].stable_fars[&tag],
+            BTreeMap::from([(Asn(50), BTreeSet::from([Asn(60), Asn(61)]))])
         );
         // Pruned at bin close: the group is gone, not left at zero.
         assert_eq!((m.baseline_size(), m.stable_count(pop)), (0, 0));
-        assert!(m.stable_nears(pop).is_empty() && m.pop_index.is_empty());
+        assert!(m.stable_fars(pop).is_empty() && m.pop_index.is_empty());
     }
 
     /// A flapping route holds one queue entry, not one per flap, and is

@@ -1575,6 +1575,28 @@ mod tests {
         assert_eq!(t.ongoing_count(), 2);
     }
 
+    /// The metro merge rule, as it stands across bins: an ongoing
+    /// `City(c)`, which the investigator reports when two buildings of
+    /// `c` fail in one bin, narrows to a third building `h` of `c` that
+    /// signals alone in a later bin, though the investigator reports
+    /// `City(c)` when all three signal in one bin (the localizer
+    /// reference pins that side). Settling on one rule is ROADMAP item 15
+    /// step 1; it moves `settlement-v1`, and this test with it.
+    #[test]
+    fn a_later_building_narrows_an_ongoing_city_incident() {
+        let city = OutageScope::City(CityId(0));
+        let h = OutageScope::Facility(FacilityId(2));
+        let mut interner = Interner::new();
+        let mut t = Tracker::new(KeplerConfig::default());
+        let colo = geography(&[(0, 0), (1, 0), (2, 0)]);
+        t.record(&[scoped(city, 1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
+        t.record(&[scoped(h, 1060, &[2])], &[IncidentMeta::default()], &colo, &mut interner);
+        assert_eq!(t.live_states(), vec![(h, IncidentState::Open)]);
+        let state = t.export();
+        let on = &state.ongoing[0];
+        assert_eq!((on.scope, on.started, on.affected_keys.len()), (h, 1000, 3));
+    }
+
     #[test]
     fn two_facilities_of_one_city_abstract_to_the_city_and_absorb_its_entry() {
         let city = OutageScope::City(CityId(0));

@@ -5,8 +5,8 @@
 //!   and one that cannot (a `watch` on a PoP no route crosses forces the
 //!   bin-by-bin walk), and
 //! * [`ModelMonitor`], which keeps no stable index and no promotion queue:
-//!   at every bin end it recomputes each group's totals and far/near
-//!   splits from the baseline table and promotes by scanning every route.
+//!   at every bin end it recomputes each group's totals and stable far
+//!   ends from the baseline table and promotes by scanning every route.
 //!
 //! All must raise the same signals with the same denominators, in the
 //! same bins, and end with the same stable set and coverage. The stream
@@ -98,8 +98,8 @@ struct Run {
 
 type Group = (LocationTag, Asn);
 
-/// Group → (stable routes crossing it, far end → stable crossings).
-type Groups = BTreeMap<Group, (BTreeSet<RouteKey>, BTreeMap<Asn, usize>)>;
+/// Group → (stable routes crossing it, their far ends).
+type Groups = BTreeMap<Group, (BTreeSet<RouteKey>, BTreeSet<Asn>)>;
 
 /// The reference monitor: display-typed `BTreeMap`s, no stable index, no
 /// promotion queue. Everything a bin close reports is recomputed from the
@@ -174,7 +174,7 @@ impl ModelMonitor {
             for c in crossings {
                 let entry = groups.entry(group(c)).or_default();
                 entry.0.insert(*key);
-                *entry.1.entry(c.far).or_insert(0) += 1;
+                entry.1.insert(c.far);
             }
         }
         groups
@@ -200,9 +200,8 @@ impl ModelMonitor {
         }
         out.signals.sort_by_key(|s| (pop_rank(&s.pop), s.near));
         // Denominators of the signaled PoPs, before pruning.
-        for (&(pop, near), (routes, fars)) in &groups {
+        for (&(pop, near), (_, fars)) in &groups {
             if out.signals.iter().any(|s| s.pop == pop) {
-                out.stable_nears.entry(pop).or_default().insert(near, routes.len());
                 out.stable_fars.entry(pop).or_default().insert(near, fars.clone());
             }
         }

@@ -428,8 +428,18 @@ pub fn is_trackable(
     epicenter: OutageScope,
     min_members: usize,
 ) -> bool {
+    locatable_members(world, dictionary, epicenter) >= min_members
+}
+
+/// How many of a facility's/IXP's members are locatable through the
+/// dictionary: 16-bit ASNs whose communities it covers.
+pub fn locatable_members(
+    world: &World,
+    dictionary: &CommunityDictionary,
+    epicenter: OutageScope,
+) -> usize {
     let locatable = |asn: &Asn| asn.is_16bit() && dictionary.covers_asn(asn.0 as u16);
-    epicenter.members(&world.colo).iter().filter(|a| locatable(a)).count() >= min_members
+    epicenter.members(&world.colo).iter().filter(|a| locatable(a)).count()
 }
 
 /// Surveys which facilities are *observably trackable* in a world: emits a
