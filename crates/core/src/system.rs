@@ -438,7 +438,8 @@ impl Kepler {
         if let Some(rp) = self.restoration.as_mut() {
             self.counts.probe_closed += self.tracker.probe_restorations(bin_end, rp.as_mut());
         }
-        self.tracker.check_restorations(bin_end, &self.monitor);
+        let monitor = &self.monitor;
+        self.tracker.check_restorations(bin_end, |r, p, a| monitor.route_has_crossing(r, p, a));
     }
 
     /// One closed bin through the stages of the module doc.

@@ -30,7 +30,6 @@ use crate::config::KeplerConfig;
 use crate::events::{IncidentState, OutageReport, OutageScope, RouteKey, ValidationStatus};
 use crate::intern::{AsnId, Interner, PopId, RouteId};
 use crate::investigate::LocalizedIncident;
-use crate::monitor::Monitor;
 use crate::signal::{SignalKind, SourceContribution};
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
@@ -158,8 +157,8 @@ pub struct Incident {
     /// Worst campaign completeness observed across the incident's bins.
     pub completeness: f64,
     /// Confidence of the accumulated probe verdict at `confidence_at`
-    /// (1.0 = freshly probe-confirmed, decays with the configured
-    /// half-life; 0.0 = nothing reusable).
+    /// (1.0 = freshly probe-confirmed, decays with the 30-minute
+    /// `EVIDENCE_HALF_LIFE_SECS`; 0.0 = nothing reusable).
     pub confidence: f64,
     /// Anchor of the confidence decay clock.
     pub confidence_at: Timestamp,
@@ -195,7 +194,8 @@ impl Incident {
 
     /// An incident opening at `scope` with nothing absorbed yet: `started`
     /// may backdate the bin `now` that opened it (opening hysteresis).
-    fn opened(scope: OutageScope, started: Timestamp, now: Timestamp, backoff: u64) -> Incident {
+    fn opened(scope: OutageScope, started: Timestamp, now: Timestamp) -> Incident {
+        let backoff = Backoff::default().first();
         Incident {
             scope,
             started,
@@ -244,8 +244,11 @@ impl Incident {
         }
     }
 
-    /// The report this incident closes as.
-    fn into_report(self, end: Option<Timestamp>, state: IncidentState) -> OutageReport {
+    /// The report this incident closes as: `Recovering` at `end` inside
+    /// its merge window, or with no end, when the run ends first, in its
+    /// live state.
+    fn into_report(self, end: Option<Timestamp>) -> OutageReport {
+        let state = if end.is_some() { IncidentState::Recovering } else { self.live_state() };
         OutageReport {
             scope: self.scope,
             start: self.started,
@@ -264,6 +267,27 @@ impl Incident {
     }
 }
 
+/// A watch list in dense-id space: the same crossings in the same order.
+fn intern<'a>(
+    watch: &'a [(RouteKey, LocationTag, Asn)],
+    interner: &'a mut Interner,
+) -> impl Iterator<Item = (RouteId, PopId, AsnId)> + 'a {
+    watch
+        .iter()
+        .map(|(k, pop, near)| (interner.route_id(k), interner.pop_id(*pop), interner.asn_id(*near)))
+}
+
+/// Whether a cooled incident can no longer reopen at `now`: it closed
+/// [`MERGE_WINDOW_SECS`] or more before.
+fn past_merge_window(report: &OutageReport, now: Timestamp) -> bool {
+    report.end.is_none_or(|e| now.saturating_sub(e) >= MERGE_WINDOW_SECS)
+}
+
+/// A cooled incident made final.
+fn finalized((report, _): (OutageReport, u64)) -> OutageReport {
+    OutageReport { state: IncidentState::Closed, ..report }
+}
+
 /// A live incident plus its watch list in dense-id space — restoration
 /// checks run every bin, so they must not touch fat keys.
 #[derive(Debug)]
@@ -271,6 +295,19 @@ struct Ongoing {
     inc: Incident,
     /// `inc.watch`, interned: same crossings, same order.
     watch: Vec<(RouteId, PopId, AsnId)>,
+}
+
+/// The live set of a tracker's tables: `Recovering` for a restored
+/// incident inside the oscillation window, [`Incident::live_state`] for
+/// an ongoing one, which shadows a cooling entry of the same scope. The
+/// one rule [`Tracker::live_states`] and the serve store's transitions
+/// share.
+pub fn live_set<'a>(
+    ongoing: impl IntoIterator<Item = &'a Incident>,
+    cooling: impl IntoIterator<Item = OutageScope>,
+) -> BTreeMap<OutageScope, IncidentState> {
+    let cooling = cooling.into_iter().map(|s| (s, IncidentState::Recovering));
+    cooling.chain(ongoing.into_iter().map(|inc| (inc.scope, inc.live_state()))).collect()
 }
 
 /// Tracks ongoing and closed outages. The lifecycle tables are ordered
@@ -283,7 +320,7 @@ pub struct Tracker {
     config: KeplerConfig,
     ongoing: BTreeMap<OutageScope, Ongoing>,
     /// Closed segments waiting for possible oscillation-reopen: scope →
-    /// (closed report, end time).
+    /// (closed report, accumulated downtime).
     cooling: BTreeMap<OutageScope, (OutageReport, u64 /* accumulated duration */)>,
     finished: Vec<OutageReport>,
     /// Opening hysteresis state: scope → (consecutive signal bins so
@@ -339,22 +376,15 @@ impl Tracker {
         candidates: &[FacilityId],
         now: Timestamp,
     ) -> Option<(FacilityId, Vec<HopEvidence>)> {
-        let mut best: Option<(f64, FacilityId, &Incident)> = None;
+        let reusable = candidates.iter().filter_map(|&f| {
+            let inc = &self.ongoing.get(&OutageScope::Facility(f))?.inc;
+            let c = inc.decayed_confidence(now);
+            let confirmed = inc.validation == ValidationStatus::Confirmed;
+            (confirmed && c >= EVIDENCE_REUSE_CONFIDENCE).then_some((c, f, inc))
+        });
         // Candidate order (best passive score first) breaks confidence
         // ties, so attribution never depends on map iteration order.
-        for &f in candidates {
-            let Some(on) = self.ongoing.get(&OutageScope::Facility(f)) else { continue };
-            if on.inc.validation != ValidationStatus::Confirmed {
-                continue;
-            }
-            let c = on.inc.decayed_confidence(now);
-            if c < EVIDENCE_REUSE_CONFIDENCE {
-                continue;
-            }
-            if best.as_ref().map(|(b, ..)| c > *b).unwrap_or(true) {
-                best = Some((c, f, &on.inc));
-            }
-        }
+        let best = reusable.reduce(|best, next| if next.0 > best.0 { next } else { best });
         best.map(|(_, f, inc)| (f, inc.evidence.clone()))
     }
 
@@ -397,12 +427,8 @@ impl Tracker {
     fn reopen(&mut self, inc: &LocalizedIncident, colo: &ColocationMap) -> Option<Ongoing> {
         let key = merge_target(&self.cooling, inc.scope, colo)?;
         let (report, acc) = self.cooling.remove(&key).expect("cooling present");
-        let gap_ok = report
-            .end
-            .map(|e| inc.bin_start.saturating_sub(e) < MERGE_WINDOW_SECS)
-            .unwrap_or(false);
-        if !gap_ok {
-            self.finish_report(report);
+        if past_merge_window(&report, inc.bin_start) {
+            self.finished.push(finalized((report, acc)));
             return None;
         }
         let scope = merged_scope(key, inc.scope, colo);
@@ -420,7 +446,7 @@ impl Tracker {
             evidence: report.probe_evidence,
             completeness: report.probe_completeness,
             sources: report.sources,
-            ..Incident::opened(scope, inc.bin_start, inc.bin_start, Backoff::default().first())
+            ..Incident::opened(scope, inc.bin_start, inc.bin_start)
         };
         Some(Ongoing { inc, watch: Vec::new() })
     }
@@ -451,7 +477,7 @@ impl Tracker {
             self.warming.remove(&inc.scope);
             started = first;
         }
-        let inc = Incident::opened(inc.scope, started, inc.bin_start, Backoff::default().first());
+        let inc = Incident::opened(inc.scope, started, inc.bin_start);
         Some(Ongoing { inc, watch: Vec::new() })
     }
 
@@ -463,9 +489,7 @@ impl Tracker {
         meta: &IncidentMeta,
         interner: &mut Interner,
     ) {
-        on.watch.extend(inc.affected.watch.iter().map(|(k, pop, near)| {
-            (interner.route_id(k), interner.pop_id(*pop), interner.asn_id(*near))
-        }));
+        on.watch.extend(intern(&inc.affected.watch, interner));
         let on = &mut on.inc;
         union(&mut on.affected_near, inc.affected.near.iter().copied());
         union(&mut on.affected_far, inc.affected.far.iter().copied());
@@ -543,29 +567,22 @@ impl Tracker {
         contrib: SourceContribution,
         colo: &ColocationMap,
     ) -> bool {
-        match merge_target(&self.ongoing, scope, colo) {
-            Some(key) => {
-                let on = self.ongoing.get_mut(&key).expect("target present");
-                merge_sources(&mut on.inc.sources, &[contrib]);
-                self.revision += 1;
-                true
-            }
-            None => false,
+        let Some(key) = merge_target(&self.ongoing, scope, colo) else { return false };
+        let on = self.ongoing.get_mut(&key).expect("target present");
+        merge_sources(&mut on.inc.sources, &[contrib]);
+        self.revision += 1;
+        true
+    }
+
+    /// Ends each `(scope, end)`'s current segment at `end`: the incident
+    /// leaves the ongoing set and cools, reopenable for
+    /// [`MERGE_WINDOW_SECS`].
+    fn close(&mut self, closes: Vec<(OutageScope, Timestamp)>) {
+        for (scope, end) in closes {
+            let inc = self.ongoing.remove(&scope).expect("present").inc;
+            let duration = inc.prior_duration.saturating_add(end.saturating_sub(inc.segment_start));
+            self.cooling.insert(scope, (inc.into_report(Some(end)), duration));
         }
-    }
-
-    /// Ends `scope`'s current segment at `end`: the incident leaves the
-    /// ongoing set and cools, reopenable for [`MERGE_WINDOW_SECS`].
-    fn close(&mut self, scope: OutageScope, end: Timestamp) {
-        let inc = self.ongoing.remove(&scope).expect("present").inc;
-        let duration = inc.prior_duration + end.saturating_sub(inc.segment_start);
-        let report = inc.into_report(Some(end), IncidentState::Recovering);
-        self.cooling.insert(scope, (report, duration));
-    }
-
-    fn finish_report(&mut self, mut report: OutageReport) {
-        report.state = IncidentState::Closed;
-        self.finished.push(report);
     }
 
     /// Runs due restoration re-probes against ongoing incidents
@@ -576,39 +593,32 @@ impl Tracker {
     /// the incident [`IncidentState::Recovering`] and schedules a quick
     /// confirming check; a **second consecutive** `Restored` closes it
     /// with the first verdict's timestamp as the end — typically well
-    /// before the BGP watch list recovers. `StillDown` resets the streak
-    /// and doubles the backoff; `Inconclusive` only backs off. Returns
-    /// how many incidents were closed by probes.
+    /// before the BGP watch list recovers. `StillDown` and `Inconclusive`
+    /// both reset the streak and double the backoff. Returns how many
+    /// incidents were closed by probes.
     pub fn probe_restorations(
         &mut self,
         now: Timestamp,
         prober: &mut dyn RestorationProber,
     ) -> usize {
         let backoff = Backoff::default();
-        let due: Vec<OutageScope> = self
-            .ongoing
-            .iter()
-            .filter(|(_, on)| now >= on.inc.next_probe)
-            .map(|(s, _)| *s)
-            .collect();
-        let mut closed = 0usize;
-        for scope in due {
+        let mut closes = Vec::new();
+        for (&scope, on) in self.ongoing.iter_mut().filter(|(_, on)| now >= on.inc.next_probe) {
             self.revision += 1;
-            let on = &mut self.ongoing.get_mut(&scope).expect("present").inc;
+            let on = &mut on.inc;
             let verdict = prober.check(scope, &on.affected_far, on.started, now).verdict;
             match (verdict, on.probe_restored_at) {
                 (RestorationVerdict::Restored, Some(first)) => {
                     // Second consecutive confirmation: the outage ended
                     // when the streak began.
-                    self.close(scope, first);
-                    closed += 1;
+                    closes.push((scope, first));
+                    continue;
                 }
                 (RestorationVerdict::Restored, None) => {
                     // Observe once, confirm quickly: the streak resets
                     // the backoff to its floor.
                     on.probe_restored_at = Some(now);
                     on.probe_backoff = backoff.first();
-                    on.next_probe = now.saturating_add(on.probe_backoff);
                 }
                 (RestorationVerdict::StillDown | RestorationVerdict::Inconclusive, _) => {
                     // "Two consecutive Restored" is literal: an
@@ -618,26 +628,33 @@ impl Tracker {
                     // Restored, erasing real downtime in between.
                     on.probe_restored_at = None;
                     on.probe_backoff = backoff.next(on.probe_backoff);
-                    on.next_probe = now.saturating_add(on.probe_backoff);
                 }
             }
+            on.next_probe = now.saturating_add(on.probe_backoff);
         }
+        let closed = closes.len();
+        self.close(closes);
         closed
     }
 
-    /// Checks ongoing outages for restoration at the close of a bin.
-    pub fn check_restorations(&mut self, now: Timestamp, monitor: &Monitor) {
+    /// Checks ongoing outages for restoration at the close of a bin:
+    /// `crossing_back(route, pop, near)` says whether a watched crossing
+    /// is back ([`Monitor::route_has_crossing`](crate::monitor::Monitor::route_has_crossing)
+    /// in the product).
+    pub fn check_restorations(
+        &mut self,
+        now: Timestamp,
+        crossing_back: impl Fn(RouteId, PopId, AsnId) -> bool,
+    ) {
         // How far a close may backdate to a probe's `Restored` verdict:
         // one initial-backoff window (a streak older than that would
         // already have faced — and failed — its confirming re-probe, so
         // it must be stale state from a caller that skips
         // `probe_restorations`).
         let fresh_window = Backoff::default().first().saturating_add(self.config.bin_secs);
-        let scopes: Vec<OutageScope> = self.ongoing.keys().copied().collect();
-        for scope in scopes {
-            let on = self.ongoing.get_mut(&scope).expect("present");
-            let returned =
-                on.watch.iter().filter(|&&(r, p, a)| monitor.route_has_crossing(r, p, a)).count();
+        let mut closes = Vec::new();
+        for (&scope, on) in &mut self.ongoing {
+            let returned = on.watch.iter().filter(|&&(r, p, a)| crossing_back(r, p, a)).count();
             let restored = !on.watch.is_empty()
                 && returned as f64 / on.watch.len() as f64 > self.config.restore_fraction;
             let on = &mut on.inc;
@@ -678,59 +695,40 @@ impl Tracker {
                 .filter(|&t| anchor.saturating_sub(t) <= fresh_window)
                 .unwrap_or(anchor)
                 .min(anchor);
-            self.close(scope, end);
+            closes.push((scope, end));
         }
+        self.close(closes);
         // Promote cooled incidents older than the merge window to final,
-        // in scope order.
-        let expired: Vec<OutageScope> = self
-            .cooling
-            .iter()
-            .filter(|(_, (r, _))| {
-                r.end.map(|e| now.saturating_sub(e) >= MERGE_WINDOW_SECS).unwrap_or(true)
-            })
-            .map(|(s, _)| *s)
-            .collect();
-        for s in expired {
-            let (report, _) = self.cooling.remove(&s).expect("present");
-            self.finish_report(report);
+        // in scope order. An opening streak last extended more than two
+        // bins ago can no longer extend (the gap rule of `open`): it goes.
+        let held = (self.finished.len(), self.warming.len());
+        let expired = self.cooling.extract_if(.., |_, (r, _)| past_merge_window(r, now));
+        self.finished.extend(expired.map(|(_, cooled)| finalized(cooled)));
+        let max_gap = 2 * self.config.bin_secs;
+        self.warming.retain(|_, &mut (_, last, _)| now.saturating_sub(last) <= max_gap);
+        if (self.finished.len(), self.warming.len()) != held {
             self.revision += 1;
         }
     }
 
-    /// Lifecycle states of the incidents the tracker is still holding
-    /// (sorted by scope; the sort merges the two ordered tables):
-    /// `Open`/`Recovering` for ongoing ones, `Recovering` for restored
-    /// incidents inside the oscillation window.
+    /// Lifecycle states of the incidents the tracker is still holding,
+    /// sorted by scope ([`live_set`]).
     pub fn live_states(&self) -> Vec<(OutageScope, IncidentState)> {
-        let mut out: Vec<(OutageScope, IncidentState)> = self
-            .ongoing
-            .iter()
-            .map(|(s, on)| (*s, on.inc.live_state()))
-            .chain(self.cooling.keys().map(|s| (*s, IncidentState::Recovering)))
-            .collect();
-        out.sort();
-        out
+        let ongoing = self.ongoing.values().map(|on| &on.inc);
+        live_set(ongoing, self.cooling.keys().copied()).into_iter().collect()
     }
 
     /// Ends the run: ongoing outages close as ongoing (`end = None`),
-    /// cooled ones become final. Leaves the tracker empty but usable for
-    /// post-run inspection.
+    /// cooled ones become final, opening streaks are dropped. Leaves the
+    /// tracker empty but usable for post-run inspection.
     pub fn finish(&mut self) -> Vec<OutageReport> {
         self.revision += 1;
-        for (report, _) in std::mem::take(&mut self.cooling).into_values() {
-            self.finish_report(report);
-        }
-        for on in std::mem::take(&mut self.ongoing).into_values() {
-            let state = on.inc.live_state();
-            self.finished.push(on.inc.into_report(None, state));
-        }
+        self.warming.clear();
+        self.finished.extend(std::mem::take(&mut self.cooling).into_values().map(finalized));
+        let ongoing = std::mem::take(&mut self.ongoing).into_values();
+        self.finished.extend(ongoing.map(|on| on.inc.into_report(None)));
         self.finished.sort_by_key(|r| (r.start, r.scope));
         std::mem::take(&mut self.finished)
-    }
-
-    /// Number of currently ongoing outages.
-    pub fn ongoing_count(&self) -> usize {
-        self.ongoing.len()
     }
 
     /// Bumped by every `&mut` path where it changes what
@@ -757,20 +755,11 @@ impl Tracker {
     /// `export → import → export` is exact.
     pub fn import(&mut self, state: &TrackerState, interner: &mut Interner) {
         self.revision += 1;
-        self.ongoing = state
-            .ongoing
-            .iter()
-            .map(|inc| {
-                let watch = inc
-                    .watch
-                    .iter()
-                    .map(|(k, pop, near)| {
-                        (interner.route_id(k), interner.pop_id(*pop), interner.asn_id(*near))
-                    })
-                    .collect();
-                (inc.scope, Ongoing { inc: inc.clone(), watch })
-            })
-            .collect();
+        let ongoing = state.ongoing.iter().map(|inc| {
+            let watch = intern(&inc.watch, interner).collect();
+            (inc.scope, Ongoing { inc: inc.clone(), watch })
+        });
+        self.ongoing = ongoing.collect();
         self.cooling = state.cooling.iter().map(|(s, r, acc)| (*s, (r.clone(), *acc))).collect();
         self.warming =
             state.warming.iter().map(|&(s, n, last, first)| (s, (n, last, first))).collect();
@@ -799,9 +788,7 @@ pub struct TrackerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::PopCrossing;
     use crate::investigate::Affected;
-    use crate::route_event::RouteEvent;
     use kepler_bgp::Prefix;
     use kepler_bgpstream::{CollectorId, PeerId};
     use kepler_docmine::LocationTag;
@@ -874,22 +861,16 @@ mod tests {
         LocalizedIncident { scope, ..incident(t, keys) }
     }
 
-    /// Monitor whose `current` holds crossings for the given keys.
-    fn monitor_with(interner: &mut Interner, keys_present: &[u8]) -> Monitor {
-        let mut m = Monitor::new(KeplerConfig::default());
-        for &i in keys_present {
-            let ev = RouteEvent::Update {
-                key: key(i),
-                crossings: vec![PopCrossing {
-                    pop: LocationTag::Facility(FacilityId(1)),
-                    near: Asn(5),
-                    far: Asn(6),
-                }],
-            }
-            .intern(interner);
-            m.observe(1000, &ev);
-        }
-        m
+    /// The lookup of crossings back for the given keys, each at facility 1
+    /// behind AS 5 as [`incident`] watches them.
+    fn crossings_back(
+        interner: &mut Interner,
+        keys: &[u8],
+    ) -> impl Fn(RouteId, PopId, AsnId) -> bool {
+        let routes: Vec<RouteId> = keys.iter().map(|&i| interner.route_id(&key(i))).collect();
+        let pop = interner.pop_id(LocationTag::Facility(FacilityId(1)));
+        let near = interner.asn_id(Asn(5));
+        move |r, p, a| routes.contains(&r) && p == pop && a == near
     }
 
     /// A restoration prober answering from a fixed script of verdicts.
@@ -936,17 +917,17 @@ mod tests {
             &colo,
             &mut interner,
         );
-        assert_eq!(t.ongoing_count(), 1);
+        assert_eq!(t.ongoing.len(), 1);
         assert_eq!(
             t.live_states(),
             vec![(OutageScope::Facility(FacilityId(1)), IncidentState::Open)]
         );
         // 2 of 4 back: exactly 50%, not >50% — still ongoing.
-        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
-        assert_eq!(t.ongoing_count(), 1);
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1]));
+        assert_eq!(t.ongoing.len(), 1);
         // 3 of 4 back: restored.
-        t.check_restorations(3000, &monitor_with(&mut interner, &[0, 1, 2]));
-        assert_eq!(t.ongoing_count(), 0);
+        t.check_restorations(3000, crossings_back(&mut interner, &[0, 1, 2]));
+        assert_eq!(t.ongoing.len(), 0);
         assert_eq!(
             t.live_states(),
             vec![(OutageScope::Facility(FacilityId(1)), IncidentState::Recovering)]
@@ -970,8 +951,8 @@ mod tests {
             &colo,
             &mut interner,
         );
-        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1, 2, 3]));
-        assert_eq!(t.ongoing_count(), 0);
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1, 2, 3]));
+        assert_eq!(t.ongoing.len(), 0);
         // Re-fails 1h later (< 12h window): same incident.
         t.record(
             &[incident(2000 + 3600, &[0, 1])],
@@ -979,8 +960,8 @@ mod tests {
             &colo,
             &mut interner,
         );
-        assert_eq!(t.ongoing_count(), 1);
-        t.check_restorations(2000 + 7200, &monitor_with(&mut interner, &[0, 1, 2, 3]));
+        assert_eq!(t.ongoing.len(), 1);
+        t.check_restorations(2000 + 7200, crossings_back(&mut interner, &[0, 1, 2, 3]));
         let reports = t.finish();
         assert_eq!(reports.len(), 1, "one merged incident");
         assert_eq!(reports[0].oscillations, 2);
@@ -995,7 +976,7 @@ mod tests {
         let colo = ColocationMap::new();
         let mut t = Tracker::new(cfg);
         t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
-        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1]));
         // Second outage far beyond the merge window.
         t.record(
             &[incident(2000 + w + 100, &[0, 1])],
@@ -1003,7 +984,7 @@ mod tests {
             &colo,
             &mut interner,
         );
-        t.check_restorations(2000 + w + 200, &monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000 + w + 200, crossings_back(&mut interner, &[0, 1]));
         let reports = t.finish();
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.oscillations == 1));
@@ -1024,7 +1005,7 @@ mod tests {
             &colo,
             &mut interner,
         );
-        t.check_restorations(5000, &monitor_with(&mut interner, &[]));
+        t.check_restorations(5000, crossings_back(&mut interner, &[]));
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].end, None);
@@ -1053,7 +1034,7 @@ mod tests {
             &colo,
             &mut interner,
         );
-        assert_eq!(t.ongoing_count(), 1);
+        assert_eq!(t.ongoing.len(), 1);
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].probe_evidence.len(), 3, "{:?}", reports[0].probe_evidence);
@@ -1216,7 +1197,7 @@ mod tests {
         // Confirming check closes with the *first* verdict's timestamp.
         let t2 = t1 + first_delay;
         assert_eq!(t.probe_restorations(t2, &mut prober), 1);
-        assert_eq!(t.ongoing_count(), 0);
+        assert_eq!(t.ongoing.len(), 0);
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].end, Some(t1), "closed at the first Restored observation");
@@ -1237,7 +1218,7 @@ mod tests {
         for now in (1000..1000 + 86_400).step_by(60) {
             assert_eq!(t.probe_restorations(now, &mut prober), 0);
         }
-        assert_eq!(t.ongoing_count(), 1, "a still-down facility is never closed");
+        assert_eq!(t.ongoing.len(), 1, "a still-down facility is never closed");
         assert_eq!(
             t.live_states(),
             vec![(OutageScope::Facility(FacilityId(1)), IncidentState::Open)]
@@ -1297,7 +1278,7 @@ mod tests {
         let mut prober = ScriptedRestoration::new(vec![RestorationVerdict::Restored]);
         let t1 = 1000 + first;
         assert_eq!(t.probe_restorations(t1, &mut prober), 0);
-        t.check_restorations(t1 + 60, &monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(t1 + 60, crossings_back(&mut interner, &[0, 1]));
         let reports = t.finish();
         assert_eq!(reports[0].end, Some(t1), "corroborated verdict stamps the earlier end");
         // Stale: a single unconfirmed verdict whose confirming check
@@ -1308,7 +1289,7 @@ mod tests {
         let mut prober = ScriptedRestoration::new(vec![RestorationVerdict::Restored]);
         assert_eq!(t.probe_restorations(t1, &mut prober), 0);
         let late = t1 + 10_000;
-        t.check_restorations(late, &monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(late, crossings_back(&mut interner, &[0, 1]));
         let reports = t.finish();
         assert_eq!(reports[0].end, Some(late), "stale streaks cannot erase downtime");
     }
@@ -1331,7 +1312,7 @@ mod tests {
         // epicenter is clearly not stable — the streak must not survive.
         t.record(&[incident(t1 + 30, &[2, 3])], &[IncidentMeta::default()], &colo, &mut interner);
         assert_eq!(t.probe_restorations(t1 + first_delay, &mut prober), 0, "streak was reset");
-        assert_eq!(t.ongoing_count(), 1);
+        assert_eq!(t.ongoing.len(), 1);
     }
 
     #[test]
@@ -1360,7 +1341,7 @@ mod tests {
         // consecutive Restored verdicts end the IXP incident.
         assert!(!prober.calls.is_empty(), "IXP epicenters are re-probed too");
         assert_eq!(closed, 1);
-        assert_eq!(t.ongoing_count(), 0);
+        assert_eq!(t.ongoing.len(), 0);
     }
 
     #[test]
@@ -1379,8 +1360,8 @@ mod tests {
         let mut prober = ScriptedRestoration::new(vec![]); // always StillDown
         t.probe_restorations(u64::MAX, &mut prober);
         t.probe_restorations(u64::MAX, &mut prober);
-        t.check_restorations(u64::MAX, &monitor_with(&mut interner, &[]));
-        assert_eq!(t.ongoing_count(), 1, "incident survives without panicking");
+        t.check_restorations(u64::MAX, crossings_back(&mut interner, &[]));
+        assert_eq!(t.ongoing.len(), 1, "incident survives without panicking");
     }
 
     #[test]
@@ -1395,18 +1376,18 @@ mod tests {
             &mut interner,
         );
         // First two restored checks: Recovering, not closed.
-        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1, 2]));
-        assert_eq!(t.ongoing_count(), 1);
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1, 2]));
+        assert_eq!(t.ongoing.len(), 1);
         assert_eq!(
             t.live_states(),
             vec![(OutageScope::Facility(FacilityId(1)), IncidentState::Recovering)]
         );
-        t.check_restorations(2060, &monitor_with(&mut interner, &[0, 1, 2]));
-        assert_eq!(t.ongoing_count(), 1);
+        t.check_restorations(2060, crossings_back(&mut interner, &[0, 1, 2]));
+        assert_eq!(t.ongoing.len(), 1);
         // Third consecutive restored check closes, backdated to the
         // streak's first check.
-        t.check_restorations(2120, &monitor_with(&mut interner, &[0, 1, 2]));
-        assert_eq!(t.ongoing_count(), 0);
+        t.check_restorations(2120, crossings_back(&mut interner, &[0, 1, 2]));
+        assert_eq!(t.ongoing.len(), 0);
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].end, Some(2000), "close anchors at the streak's first check");
@@ -1419,11 +1400,11 @@ mod tests {
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
         t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
         // One restored check: one short of the threshold.
-        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
-        assert_eq!(t.ongoing_count(), 1, "streak of 1 < threshold 2 must not close");
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1]));
+        assert_eq!(t.ongoing.len(), 1, "streak of 1 < threshold 2 must not close");
         // Exactly at the threshold: closes.
-        t.check_restorations(2060, &monitor_with(&mut interner, &[0, 1]));
-        assert_eq!(t.ongoing_count(), 0, "streak of 2 == threshold 2 closes");
+        t.check_restorations(2060, crossings_back(&mut interner, &[0, 1]));
+        assert_eq!(t.ongoing.len(), 0, "streak of 2 == threshold 2 closes");
         assert_eq!(t.finish()[0].end, Some(2000));
     }
 
@@ -1433,18 +1414,18 @@ mod tests {
         let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
         t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
-        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1]));
         // The watch list dips below restore_fraction: streak resets.
-        t.check_restorations(2060, &monitor_with(&mut interner, &[]));
+        t.check_restorations(2060, crossings_back(&mut interner, &[]));
         assert_eq!(
             t.live_states(),
             vec![(OutageScope::Facility(FacilityId(1)), IncidentState::Open)],
             "a broken streak is Open again, not Recovering"
         );
-        t.check_restorations(2120, &monitor_with(&mut interner, &[0, 1]));
-        assert_eq!(t.ongoing_count(), 1, "post-dip streak restarts at 1");
-        t.check_restorations(2180, &monitor_with(&mut interner, &[0, 1]));
-        assert_eq!(t.ongoing_count(), 0);
+        t.check_restorations(2120, crossings_back(&mut interner, &[0, 1]));
+        assert_eq!(t.ongoing.len(), 1, "post-dip streak restarts at 1");
+        t.check_restorations(2180, crossings_back(&mut interner, &[0, 1]));
+        assert_eq!(t.ongoing.len(), 0);
         assert_eq!(t.finish()[0].end, Some(2120), "close anchors after the dip");
     }
 
@@ -1454,14 +1435,14 @@ mod tests {
         let colo = ColocationMap::new();
         let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(1, 2));
         t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
-        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1]));
         // Fresh deviation signals between restored checks: the epicenter
         // is flapping, the streak must not survive.
         t.record(&[incident(2030, &[2, 3])], &[IncidentMeta::default()], &colo, &mut interner);
-        t.check_restorations(2060, &monitor_with(&mut interner, &[0, 1, 2, 3]));
-        assert_eq!(t.ongoing_count(), 1, "streak restarted after new signals");
-        t.check_restorations(2120, &monitor_with(&mut interner, &[0, 1, 2, 3]));
-        assert_eq!(t.ongoing_count(), 0);
+        t.check_restorations(2060, crossings_back(&mut interner, &[0, 1, 2, 3]));
+        assert_eq!(t.ongoing.len(), 1, "streak restarted after new signals");
+        t.check_restorations(2120, crossings_back(&mut interner, &[0, 1, 2, 3]));
+        assert_eq!(t.ongoing.len(), 0);
         assert_eq!(t.finish()[0].end, Some(2060));
     }
 
@@ -1474,12 +1455,12 @@ mod tests {
         // incident yet.
         t.record(&[incident(1000, &[0])], &[IncidentMeta::default()], &colo, &mut interner);
         t.record(&[incident(1060, &[1])], &[IncidentMeta::default()], &colo, &mut interner);
-        assert_eq!(t.ongoing_count(), 0, "below the opening threshold");
+        assert_eq!(t.ongoing.len(), 0, "below the opening threshold");
         assert!(t.live_states().is_empty());
         // Exactly at the threshold: opens, start backdated to the first
         // bin of the streak.
         t.record(&[incident(1120, &[2])], &[IncidentMeta::default()], &colo, &mut interner);
-        assert_eq!(t.ongoing_count(), 1);
+        assert_eq!(t.ongoing.len(), 1);
         let reports = t.finish();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].start, 1000, "start backdates to the streak's first bin");
@@ -1494,10 +1475,10 @@ mod tests {
         // Next signal bin arrives beyond the 2-bin consecutiveness gap:
         // the streak restarts instead of opening.
         t.record(&[incident(1300, &[1])], &[IncidentMeta::default()], &colo, &mut interner);
-        assert_eq!(t.ongoing_count(), 0, "non-consecutive bins do not accumulate");
+        assert_eq!(t.ongoing.len(), 0, "non-consecutive bins do not accumulate");
         // A genuinely consecutive follow-up opens, backdated to 1300.
         t.record(&[incident(1360, &[2])], &[IncidentMeta::default()], &colo, &mut interner);
-        assert_eq!(t.ongoing_count(), 1);
+        assert_eq!(t.ongoing.len(), 1);
         assert_eq!(t.finish()[0].start, 1300);
     }
 
@@ -1515,8 +1496,28 @@ mod tests {
                 &mut interner,
             );
         }
-        assert_eq!(t.ongoing_count(), 0);
+        assert_eq!(t.ongoing.len(), 0);
         assert!(t.finish().is_empty(), "no incident, no report");
+    }
+
+    #[test]
+    fn opening_streaks_expire_once_stale_and_end_with_the_run() {
+        let mut interner = Interner::new();
+        let colo = ColocationMap::new();
+        let mut t = Tracker::new(KeplerConfig::default().with_hysteresis(2, 1));
+        // A one-bin flap warms; two bins on it could still extend.
+        t.record(&[incident(1000, &[0])], &[IncidentMeta::default()], &colo, &mut interner);
+        t.check_restorations(1120, crossings_back(&mut interner, &[]));
+        assert_eq!(t.export().warming.len(), 1, "a streak that can still extend stays");
+        // Three bins on it cannot: it goes, and the revision says so.
+        let revision = t.revision();
+        t.check_restorations(1180, crossings_back(&mut interner, &[]));
+        assert!(t.export().warming.is_empty(), "a stale streak expires");
+        assert_ne!(t.revision(), revision);
+        // A streak still warm when the run ends does not outlive it.
+        t.record(&[incident(5000, &[1])], &[IncidentMeta::default()], &colo, &mut interner);
+        assert!(t.finish().is_empty());
+        assert_eq!(t.export(), TrackerState::default());
     }
 
     #[test]
@@ -1572,7 +1573,7 @@ mod tests {
             &colo,
             &mut interner,
         );
-        assert_eq!(t.ongoing_count(), 2);
+        assert_eq!(t.ongoing.len(), 2);
     }
 
     /// The metro merge rule, as it stands across bins: an ongoing
@@ -1607,7 +1608,7 @@ mod tests {
         // On a map without their geography the two scopes are unrelated.
         // The city entry oscillates once and reopens probe-confirmed.
         t.record(&[scoped(city, 400, &[4, 5])], &[IncidentMeta::default()], &colo, &mut interner);
-        t.check_restorations(500, &monitor_with(&mut interner, &[4, 5]));
+        t.check_restorations(500, crossings_back(&mut interner, &[4, 5]));
         t.record(
             &[scoped(city, 600, &[4])],
             &[confirmed_meta(vec![
@@ -1623,7 +1624,7 @@ mod tests {
             &colo,
             &mut interner,
         );
-        assert_eq!(t.ongoing_count(), 2);
+        assert_eq!(t.ongoing.len(), 2);
         let colo = geography(&[(0, 9), (1, 0), (2, 0)]);
         // A signal at a second facility of the city relates to both
         // entries; the smallest related scope, the facility entry, takes
@@ -1663,8 +1664,8 @@ mod tests {
             &colo,
             &mut interner,
         );
-        t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
-        t.check_restorations(2000 + w, &monitor_with(&mut interner, &[0, 1]));
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1]));
+        t.check_restorations(2000 + w, crossings_back(&mut interner, &[0, 1]));
         let finished: Vec<OutageScope> = t.export().finished.iter().map(|r| r.scope).collect();
         assert_eq!(finished, [3, 6, 9].map(|f| OutageScope::Facility(FacilityId(f))));
     }
@@ -1679,8 +1680,8 @@ mod tests {
             let mut t = Tracker::new(config.clone());
             let colo = geography(&[(0, 9), (1, 0), (2, 0)]);
             t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
-            t.check_restorations(2000, &monitor_with(&mut interner, &[0, 1]));
-            assert_eq!(t.ongoing_count(), 0);
+            t.check_restorations(2000, crossings_back(&mut interner, &[0, 1]));
+            assert_eq!(t.ongoing.len(), 0);
             // The neighbouring facility fails `gap` seconds after the close.
             t.record(
                 &[scoped(fac2, 2000 + gap, &[2])],
@@ -1688,7 +1689,7 @@ mod tests {
                 &colo,
                 &mut interner,
             );
-            assert_eq!(t.ongoing_count(), 1);
+            assert_eq!(t.ongoing.len(), 1);
             let reports = t.finish();
             if merged {
                 assert_eq!(reports.len(), 1, "gap {gap}: one oscillating incident");
@@ -1718,14 +1719,16 @@ mod tests {
             Finish,
             Import,
         }
-        let config = KeplerConfig::default().with_hysteresis(1, 2);
+        let config = KeplerConfig::default().with_hysteresis(2, 2);
         let first = Backoff::default().initial_secs;
         let window = MERGE_WINDOW_SECS;
+        let flap = scoped(OutageScope::Facility(FacilityId(2)), 2190, &[2]);
         // One incident's life, every mutating entry point on the way:
         // (what happens, the call, whether exported state changes).
         let table = [
             ("a bin without incidents", Op::Record(vec![]), false),
-            ("an incident opens", Op::Record(vec![incident(1000, &[0, 1])]), true),
+            ("a first signal bin only warms", Op::Record(vec![incident(940, &[0, 1])]), true),
+            ("the next bin opens the incident", Op::Record(vec![incident(1000, &[0, 1])]), true),
             ("corroboration finds no incident", Op::Corroborate(9), false),
             ("corroboration lands", Op::Corroborate(1), true),
             ("no re-probe is due", Op::Probe(1000 + first - 1), false),
@@ -1734,8 +1737,10 @@ mod tests {
             ("a restored check starts the streak", Op::Check(2060, &[0, 1]), true),
             ("a dip breaks it", Op::Check(2120, &[]), true),
             ("dark again", Op::Check(2180, &[]), false),
+            ("a one-bin flap elsewhere warms", Op::Record(vec![flap]), true),
             ("restored once", Op::Check(2240, &[0, 1]), true),
             ("restored twice: the incident closes", Op::Check(2300, &[0, 1]), true),
+            ("the flap's streak can no longer extend", Op::Check(2320, &[0, 1]), true),
             ("cooling inside the merge window", Op::Check(2360, &[0, 1]), false),
             ("the merge window expires", Op::Check(2240 + window, &[0, 1]), true),
             ("the run finishes", Op::Finish, true),
@@ -1765,7 +1770,7 @@ mod tests {
                 }
                 Op::Probe(now) => drop(t.probe_restorations(now, &mut prober)),
                 Op::Check(now, back) => {
-                    t.check_restorations(now, &monitor_with(&mut interner, back))
+                    t.check_restorations(now, crossings_back(&mut interner, back))
                 }
                 Op::Finish => assert_eq!(t.finish().len(), 1, "{what}"),
                 Op::Import => t.import(&image, &mut interner),
@@ -1773,6 +1778,28 @@ mod tests {
             assert_eq!(t.export() != before, changes, "{what}: the table's own claim");
             assert_eq!(t.revision() != revision, changes, "{what}");
         }
+    }
+
+    /// Only an imported image can hold one scope both ongoing and
+    /// cooling. The live set shows the ongoing entry, in the tracker and
+    /// in the store's transitions alike.
+    #[test]
+    fn an_ongoing_entry_shadows_a_cooling_one_of_its_scope() {
+        let fac1 = OutageScope::Facility(FacilityId(1));
+        let mut interner = Interner::new();
+        let colo = ColocationMap::new();
+        let mut t = Tracker::new(KeplerConfig::default());
+        t.record(&[incident(1000, &[0, 1])], &[IncidentMeta::default()], &colo, &mut interner);
+        let live = t.export().ongoing;
+        t.check_restorations(2000, crossings_back(&mut interner, &[0, 1]));
+        let mut image = t.export();
+        assert_eq!((image.ongoing.len(), image.cooling.len()), (0, 1));
+        image.ongoing = live;
+        let mut t = Tracker::new(KeplerConfig::default());
+        t.import(&image, &mut interner);
+        assert_eq!(t.live_states(), [(fac1, IncidentState::Open)]);
+        let shared = live_set(&image.ongoing, image.cooling.iter().map(|c| c.0));
+        assert_eq!(shared.into_iter().collect::<Vec<_>>(), t.live_states());
     }
 
     #[test]
@@ -1797,7 +1824,7 @@ mod tests {
         let mut other = incident(2000, &[2]);
         other.scope = OutageScope::Facility(FacilityId(7));
         t.record(&[other], &[IncidentMeta::default()], &colo, &mut interner);
-        t.finish_report(OutageReport {
+        t.finished.push(OutageReport {
             scope: OutageScope::Facility(FacilityId(9)),
             start: 10,
             end: Some(20),
@@ -1830,7 +1857,7 @@ mod tests {
         let mut t2 = Tracker::new(KeplerConfig::default().with_hysteresis(1, 1));
         t2.import(&exported, &mut interner2);
         assert_eq!(t2.export(), exported);
-        assert_eq!(t2.ongoing_count(), t.ongoing_count());
+        assert_eq!(t2.ongoing.len(), t.ongoing.len());
         assert_eq!(t2.live_states(), t.live_states());
         assert_eq!(
             t2.accumulated_confirmation(&[FacilityId(1)], 1100).map(|(f, _)| f),

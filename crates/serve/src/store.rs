@@ -27,9 +27,8 @@ use crate::codec::{self, wire_struct, CodecError, Dec, Wire};
 use crate::wal::{read_frames, WalWriter};
 use kepler_bgpstream::Timestamp;
 use kepler_core::events::{IncidentState, OutageReport, OutageScope, ValidationStatus};
-use kepler_core::tracker::{Incident, TrackerState};
+use kepler_core::tracker::{live_set, Incident, TrackerState};
 use kepler_probe::HopEvidence;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -290,12 +289,7 @@ fn record<'a>(tag: u8, body: &'a impl Wire) -> impl FnOnce(&mut Vec<u8>) + 'a {
 
 /// Lifecycle transitions between two states, in scope order.
 fn transitions(old: &TrackerState, new: &TrackerState, at: Timestamp) -> Vec<Transition> {
-    // A state's live set: scope → lifecycle state, the ongoing entry
-    // shadowing a cooling one (as `Tracker::live_states` reports it).
-    let live = |state: &TrackerState| -> BTreeMap<OutageScope, IncidentState> {
-        let cooling = state.cooling.iter().map(|(s, ..)| (*s, IncidentState::Recovering));
-        cooling.chain(state.ongoing.iter().map(|o| (o.scope, o.live_state()))).collect()
-    };
+    let live = |state: &TrackerState| live_set(&state.ongoing, state.cooling.iter().map(|c| c.0));
     // The context of `scope` in the new state: the live entry, else the
     // cooling one, else the most recent finished report of that scope,
     // else — the incident merged into another scope — nothing.
