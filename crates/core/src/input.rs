@@ -181,8 +181,8 @@ impl InputModule {
                 dense.extend(cross.iter().map(|c| interner.crossing(c)));
             }
             let route = interner.route_id_in(sess, p);
-            let crossings = shared.get_or_insert_with(|| interner.intern_crossings(&dense));
-            emit(DenseRouteEvent::Update { route, crossings: Arc::clone(crossings) });
+            let (list, crossings) = shared.get_or_insert_with(|| interner.intern_crossings(&dense));
+            emit(DenseRouteEvent::Update { route, list: *list, crossings: Arc::clone(crossings) });
         }
         self.arena.hops = hops;
         self.arena.cross = cross;

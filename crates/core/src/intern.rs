@@ -35,7 +35,7 @@
 //! given a second representation.
 
 use crate::events::RouteKey;
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::fx::FxHashMap;
 use crate::input::PopCrossing;
 use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId};
@@ -84,6 +84,13 @@ impl DenseCrossing {
     }
 }
 
+/// Dense id of one distinct crossing list, minted first-come by
+/// [`Interner::intern_crossings`]: two lists share an id exactly when
+/// their crossings are equal, so the monitor keys its route table and its
+/// promotion tally by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ListId(pub u32);
+
 /// A `(PopId, AsnId)` pair packed into one word — the key of every
 /// deviation-group map on the hot path.
 pub type GroupKey = u64;
@@ -102,15 +109,17 @@ pub fn unpack_group(key: GroupKey) -> (PopId, AsnId) {
 
 /// One element of a record as the monitor consumes it, every identity
 /// interned ([`InputModule::process_record_events`](crate::input::InputModule::process_record_events)
-/// emits them). Crossing lists are `Arc<[_]>` so the monitor's
-/// `current`/`baseline` tables share one allocation per announcement
-/// instead of cloning `Vec`s.
+/// emits them). Crossing lists are hash-consed `Arc<[_]>`s named by a
+/// [`ListId`], so the monitor's route table holds list ids and never
+/// clones a list.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DenseRouteEvent {
     /// The route is (re-)announced with these crossings.
     Update {
         /// Interned route identity.
         route: RouteId,
+        /// Dense id of `crossings`.
+        list: ListId,
         /// Interned located crossings.
         crossings: Arc<[DenseCrossing]>,
     },
@@ -178,11 +187,12 @@ pub struct Interner {
     pop_tags: Vec<LocationTag>,
     asns: FxHashMap<Asn, AsnId>,
     asn_values: Vec<Asn>,
-    /// One shared allocation per distinct crossing set, found by its
-    /// contents, for [`intern_crossings`](Self::intern_crossings).
-    /// Crossing sets are drawn from the (small) located-link universe, so
-    /// the cache converts per-announcement `Arc` allocations into lookups.
-    cross_cache: FxHashSet<Arc<[DenseCrossing]>>,
+    /// One shared allocation and id per distinct crossing set, found by
+    /// its contents, for [`intern_crossings`](Self::intern_crossings); its
+    /// length is the next [`ListId`]. Crossing sets are drawn from the
+    /// (small) located-link universe, so the cache converts
+    /// per-announcement `Arc` allocations into lookups.
+    cross_cache: FxHashMap<Arc<[DenseCrossing]>, ListId>,
 }
 
 /// Handle to one `(collector, peer)` slot of the two-level route table,
@@ -246,16 +256,18 @@ impl Interner {
         RouteId(slot.get() - 1)
     }
 
-    /// A shared allocation for `dense`, reusing one `Arc` per distinct
-    /// crossing set. [`DenseRouteEvent`] compares by contents, so
-    /// consumers cannot observe the sharing — only the allocator can.
-    pub fn intern_crossings(&mut self, dense: &[DenseCrossing]) -> Arc<[DenseCrossing]> {
-        if let Some(a) = self.cross_cache.get(dense) {
-            return Arc::clone(a);
+    /// The id of `dense` and a shared allocation of it, minting both on
+    /// first sight: one `Arc` per distinct crossing set.
+    /// [`DenseRouteEvent`] compares by id and contents, so consumers
+    /// cannot observe the sharing — only the allocator can.
+    pub fn intern_crossings(&mut self, dense: &[DenseCrossing]) -> (ListId, Arc<[DenseCrossing]>) {
+        if let Some((arc, &id)) = self.cross_cache.get_key_value(dense) {
+            return (id, Arc::clone(arc));
         }
+        let id = u32::try_from(self.cross_cache.len()).expect("list id space exhausted");
         let arc: Arc<[DenseCrossing]> = Arc::from(dense);
-        self.cross_cache.insert(Arc::clone(&arc));
-        arc
+        self.cross_cache.insert(Arc::clone(&arc), ListId(id));
+        (ListId(id), arc)
     }
 
     /// The display key of a minted route id.

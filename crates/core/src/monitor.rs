@@ -15,24 +15,28 @@
 //! # Hot-path layout
 //!
 //! All per-event state is keyed by dense ids from [`crate::intern`]:
-//! `current`, `baseline` and `queued` are flat `Vec`s indexed by
-//! [`RouteId`] and `presence` one indexed by [`PopId`] (so the per-event
-//! lookups are array indexing, not hashing), a bin's deviations are one
-//! small-int map keyed by packed `(PopId, AsnId)` words, and crossing
-//! lists are shared `Arc<[DenseCrossing]>` snapshots. The stable index
-//! holds *counts* per group, kept at promote/prune time, so nothing at bin
-//! close walks the routes of a group; stability deadlines sit in a FIFO
-//! (push and pop O(1)) with a heap only for stragglers whose timestamp ran
-//! backwards. [`Monitor`] is one sequential struct — route tables, stable
-//! index, promotion queue, bin clock and watches — and the only monitor
-//! (`ARCHITECTURE.md` records the measurements behind both).
+//! one route table of 32-byte rows (current list, since, baseline list,
+//! queued deadline) indexed by [`RouteId`] and grown when a route is
+//! first announced, so a promotion never grows it; the crossings of each
+//! hash-consed list indexed by [`ListId`], registered by the first event
+//! that names it; and `presence` indexed by [`PopId`]. So the per-event
+//! lookups are array indexing, not hashing. A bin's deviations are one
+//! small-int map keyed by packed `(PopId, AsnId)` words. The stable index
+//! holds *counts* per group, kept at promote/prune time: a promotion
+//! tallies its routes per distinct list and adds each list's crossings
+//! once, `n` routes at a time, so nothing at bin close walks the routes
+//! of a group. Stability deadlines sit in a FIFO (push and pop O(1)) with
+//! a heap only for stragglers whose timestamp ran backwards. [`Monitor`]
+//! is one sequential struct — route table, stable index, promotion queue,
+//! bin clock and watches — and the only monitor (`ARCHITECTURE.md`
+//! records the measurements behind both).
 
 use crate::config::KeplerConfig;
 use crate::events::RouteKey;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::intern::{
-    pack_group, unpack_group, AsnId, DenseCrossing, DenseRouteEvent, GroupKey, Interner, PopId,
-    RouteId,
+    pack_group, unpack_group, AsnId, DenseCrossing, DenseRouteEvent, GroupKey, Interner, ListId,
+    PopId, RouteId,
 };
 use kepler_bgp::Asn;
 use kepler_bgpstream::Timestamp;
@@ -156,11 +160,23 @@ impl DenseBinOutcome {
     }
 }
 
-#[derive(Debug, Clone)]
-struct CurrentRoute {
-    crossings: Arc<[DenseCrossing]>,
+/// One route's row of the route table.
+#[derive(Clone, Copy, Default)]
+struct RouteRow {
+    /// The announced crossing list, if the route is announced.
+    current: Option<ListId>,
+    /// When `current` last changed.
     since: Timestamp,
+    /// The crossing list in the stable baseline.
+    baseline: Option<ListId>,
+    /// The deadline of the route's one live queue entry: a flapping route
+    /// re-arms it on pop, so the route table bounds the queue. Non-zero
+    /// keeps it 8 bytes; a deadline of 0 is due at once and goes
+    /// untracked.
+    queued: Option<NonZeroU64>,
 }
+
+const _: () = assert!(size_of::<RouteRow>() == 32);
 
 /// The stable paths of one (PoP, near-end AS) group, as counts: §4.2's
 /// baseline never asks *which* routes cross a group.
@@ -184,10 +200,13 @@ struct GroupBin {
 
 /// The monitoring module: route tables, stable index, promotion queue,
 /// bin clock and watch series in one single-threaded state machine.
+#[derive(Default)]
 pub struct Monitor {
     config: KeplerConfig,
-    current: Vec<Option<CurrentRoute>>,
-    baseline: Vec<Option<Arc<[DenseCrossing]>>>,
+    /// Indexed by [`RouteId`]; a row exists once its route was announced.
+    routes: Vec<RouteRow>,
+    /// The crossings of every list an event named, indexed by [`ListId`].
+    lists: Vec<Option<Arc<[DenseCrossing]>>>,
     baseline_len: usize,
     /// Group → its stable path counts.
     pop_index: FxHashMap<GroupKey, GroupCount>,
@@ -199,11 +218,12 @@ pub struct Monitor {
     /// to `stragglers` instead.
     promotions: VecDeque<(Timestamp, RouteId)>,
     stragglers: BinaryHeap<Reverse<(Timestamp, RouteId)>>,
-    /// Per route, the deadline of its one live queue entry: a flapping
-    /// route re-arms it on pop, so the route table bounds the queue.
-    /// Non-zero keeps it 8 bytes a route; a deadline of 0 is due at once
-    /// and goes untracked.
-    queued: Vec<Option<NonZeroU64>>,
+    /// Routes promoted per list by the running
+    /// [`run_promotions`](Self::run_promotions), indexed by [`ListId`];
+    /// zero between calls.
+    promoted: Vec<usize>,
+    /// The lists with a non-zero `promoted` count, in first-seen order.
+    promoted_lists: Vec<ListId>,
     deviations: FxHashMap<GroupKey, GroupBin>,
     /// High-water coverage per PoP: every near/far AS ever seen in a
     /// *stable* crossing. Determines which PoPs are trackable (the paper's
@@ -223,87 +243,64 @@ pub struct Monitor {
 impl Monitor {
     /// A monitor with the given configuration.
     pub fn new(config: KeplerConfig) -> Self {
-        Monitor {
-            config,
-            current: Vec::new(),
-            baseline: Vec::new(),
-            baseline_len: 0,
-            pop_index: FxHashMap::default(),
-            pop_groups: FxHashMap::default(),
-            promotions: VecDeque::new(),
-            stragglers: BinaryHeap::new(),
-            queued: Vec::new(),
-            deviations: FxHashMap::default(),
-            coverage: FxHashMap::default(),
-            presence: Vec::new(),
-            bin_start: None,
-            watches: FxHashMap::default(),
-            presence_watch: Vec::new(),
-        }
+        Monitor { config, ..Default::default() }
     }
 
-    /// Applies one event to the route tables (no bin logic).
+    /// Applies one event to the route table (no bin logic).
     fn apply(&mut self, t: Timestamp, event: &DenseRouteEvent) {
-        match event {
-            DenseRouteEvent::Withdraw { route } => {
-                let slot = route.0 as usize;
-                if let Some(Some(base)) = self.baseline.get(slot) {
-                    let base = Arc::clone(base);
-                    for c in base.iter() {
-                        self.mark_deviation(c, *route);
-                    }
-                }
-                if slot < self.current.len() {
-                    if let Some(cur) = self.current[slot].take() {
-                        for c in cur.crossings.iter() {
-                            self.dec_presence(c.pop);
-                        }
-                    }
-                }
-            }
-            DenseRouteEvent::Update { route, crossings } => {
-                let slot = route.0 as usize;
-                if let Some(Some(base)) = self.baseline.get(slot) {
-                    let base = Arc::clone(base);
-                    for c in base.iter() {
-                        let still_there =
-                            crossings.iter().any(|n| n.pop == c.pop && n.near == c.near);
-                        if !still_there {
-                            self.mark_deviation(c, *route);
-                        }
-                    }
-                }
-                if slot >= self.current.len() {
-                    self.current.resize_with(slot + 1, || None);
-                    self.queued.resize(slot + 1, None);
-                }
-                match &self.current[slot] {
-                    Some(cur) if cur.crossings[..] == crossings[..] => {
-                        // Same located route: stability clock keeps running.
-                    }
-                    _ => {
-                        if let Some(cur) = self.current[slot].take() {
-                            for c in cur.crossings.iter() {
-                                self.dec_presence(c.pop);
-                            }
-                        }
-                        for c in crossings.iter() {
-                            let pop = c.pop.0 as usize;
-                            if pop >= self.presence.len() {
-                                self.presence.resize(pop + 1, 0);
-                            }
-                            self.presence[pop] += 1;
-                        }
-                        self.current[slot] =
-                            Some(CurrentRoute { crossings: Arc::clone(crossings), since: t });
-                        // A stability deadline past the end of the `u64`
-                        // clock can never arrive; don't enqueue it.
-                        if let Some(due) = t.checked_add(STABLE_SECS) {
-                            self.schedule(due, *route);
-                        }
-                    }
+        let route = event.route();
+        let slot = route.0 as usize;
+        let update = match event {
+            DenseRouteEvent::Update { list, crossings, .. } => Some((*list, crossings)),
+            DenseRouteEvent::Withdraw { .. } => None,
+        };
+        let list = update.map(|(list, _)| list);
+        let announced = update.map_or(&[][..], |(_, crossings)| &crossings[..]);
+        let row = self.routes.get(slot).copied().unwrap_or_default();
+        // A stable crossing whose group the event drops deviates.
+        if let Some(base) = row.baseline.filter(|&base| Some(base) != list) {
+            for c in crossings_of(&self.lists, base) {
+                if !announced.iter().any(|n| n.pop == c.pop && n.near == c.near) {
+                    let bin = self.deviations.entry(c.group()).or_default();
+                    bin.routes.insert(route);
+                    bin.fars.insert(c.far);
                 }
             }
+        }
+        if row.current == list {
+            return; // same located route: the stability clock keeps running
+        }
+        for c in row.current.map_or(&[][..], |old| crossings_of(&self.lists, old)) {
+            if let Some(n) = self.presence.get_mut(c.pop.0 as usize) {
+                *n = n.saturating_sub(1);
+            }
+        }
+        let Some((list, crossings)) = update else {
+            self.routes[slot].current = None;
+            return;
+        };
+        let id = list.0 as usize;
+        if id >= self.lists.len() {
+            self.lists.resize(id + 1, None);
+        }
+        let known = self.lists[id].get_or_insert_with(|| Arc::clone(crossings));
+        debug_assert!(known[..] == crossings[..], "one list id names one crossing list");
+        for c in crossings.iter() {
+            let pop = c.pop.0 as usize;
+            if pop >= self.presence.len() {
+                self.presence.resize(pop + 1, 0);
+            }
+            self.presence[pop] += 1;
+        }
+        if slot >= self.routes.len() {
+            self.routes.resize_with(slot + 1, RouteRow::default);
+        }
+        self.routes[slot].current = Some(list);
+        self.routes[slot].since = t;
+        // A stability deadline past the end of the `u64` clock can never
+        // arrive; don't enqueue it.
+        if let Some(due) = t.checked_add(STABLE_SECS) {
+            self.schedule(due, route);
         }
     }
 
@@ -311,7 +308,7 @@ impl Monitor {
     /// already due by then (that one re-arms itself when it pops). An
     /// entry it supersedes stays queued and is dropped when popped.
     fn schedule(&mut self, due: Timestamp, route: RouteId) {
-        let queued = &mut self.queued[route.0 as usize];
+        let queued = &mut self.routes[route.0 as usize].queued;
         if queued.is_some_and(|q| q.get() <= due) {
             return;
         }
@@ -332,20 +329,6 @@ impl Monitor {
         let top = self.stragglers.peek_mut()?;
         let Reverse((due, _)) = *top;
         (due <= now).then(|| PeekMut::pop(top).0)
-    }
-
-    #[inline]
-    fn mark_deviation(&mut self, c: &DenseCrossing, route: RouteId) {
-        let bin = self.deviations.entry(c.group()).or_default();
-        bin.routes.insert(route);
-        bin.fars.insert(c.far);
-    }
-
-    #[inline]
-    fn dec_presence(&mut self, pop: PopId) {
-        if let Some(n) = self.presence.get_mut(pop.0 as usize) {
-            *n = n.saturating_sub(1);
-        }
     }
 
     /// Number of this bin's deviated stable routes crossing `pop`.
@@ -371,68 +354,81 @@ impl Monitor {
     }
 
     /// Promotes routes whose crossings have been unchanged for the
-    /// stability window as of `now`.
+    /// stability window as of `now`. Each route takes its baseline slot at
+    /// once; the index hears of the promoted routes per distinct list, in
+    /// first-seen order, after the queue is drained.
     fn run_promotions(&mut self, now: Timestamp) {
         while let Some((due, route)) = self.pop_due(now) {
-            let slot = route.0 as usize;
-            if self.queued[slot] != NonZeroU64::new(due) {
+            let row = &mut self.routes[route.0 as usize];
+            if row.queued != NonZeroU64::new(due) {
                 continue; // superseded by an earlier deadline
             }
-            self.queued[slot] = None;
-            let Some(Some(cur)) = self.current.get(slot) else { continue };
+            row.queued = None;
+            let Some(list) = row.current else { continue };
             // Checked: a route (re-)announced near the top of the clock
             // has an unreachable stability deadline, never a wrapped one.
-            let due = cur.since.checked_add(STABLE_SECS);
+            let due = row.since.checked_add(STABLE_SECS);
             if due.is_none_or(|d| d > now) {
                 if let Some(due) = due {
                     self.schedule(due, route); // changed again since: re-arm
                 }
                 continue;
             }
-            if cur.crossings.is_empty() {
-                continue; // nothing locatable to monitor
-            }
-            let crossings = Arc::clone(&cur.crossings);
-            let same = |b: &Arc<[_]>| Arc::ptr_eq(b, &crossings) || b[..] == crossings[..];
-            if self.baseline.get(slot).and_then(Option::as_ref).is_some_and(same) {
+            // Nothing locatable to monitor, or already stable as it is.
+            if row.baseline == Some(list) || crossings_of(&self.lists, list).is_empty() {
                 continue;
             }
             self.remove_from_baseline(route);
-            for (i, c) in crossings.iter().enumerate() {
-                let group = self.pop_index.entry(c.group()).or_default();
-                // `pop_groups` and `coverage` only hear of a group, or a
-                // far end within one, going 0 → 1.
-                if first_in_group(&crossings, i) {
-                    group.routes += 1;
-                    if group.routes == 1 {
-                        self.pop_groups.entry(c.pop).or_default().insert(c.near);
-                        self.coverage.entry(c.pop).or_default().0.insert(c.near);
-                    }
+            self.routes[route.0 as usize].baseline = Some(list);
+            self.baseline_len += 1;
+            let id = list.0 as usize;
+            if id >= self.promoted.len() {
+                self.promoted.resize(id + 1, 0);
+            }
+            if self.promoted[id] == 0 {
+                self.promoted_lists.push(list);
+            }
+            self.promoted[id] += 1;
+        }
+        let mut lists = std::mem::take(&mut self.promoted_lists);
+        for list in lists.drain(..) {
+            let n = std::mem::take(&mut self.promoted[list.0 as usize]);
+            self.add_to_index(list, n);
+        }
+        self.promoted_lists = lists;
+    }
+
+    /// Indexes `n` stable routes that all cross `list`: each group and far
+    /// end the list names gains `n`, and `pop_groups` and `coverage` only
+    /// hear of a group, or a far end within one, going 0 → `n`.
+    fn add_to_index(&mut self, list: ListId, n: usize) {
+        let list = crossings_of(&self.lists, list);
+        for (i, c) in list.iter().enumerate() {
+            let group = self.pop_index.entry(c.group()).or_default();
+            if first_in_group(list, i) {
+                group.routes += n;
+                if group.routes == n {
+                    self.pop_groups.entry(c.pop).or_default().insert(c.near);
+                    self.coverage.entry(c.pop).or_default().0.insert(c.near);
                 }
-                let far = group.fars.entry(c.far).or_insert(0);
-                *far += 1;
-                if *far == 1 {
-                    self.coverage.entry(c.pop).or_default().1.insert(c.far);
-                }
             }
-            if slot >= self.baseline.len() {
-                self.baseline.resize_with(slot + 1, || None);
+            let far = group.fars.entry(c.far).or_insert(0);
+            *far += n;
+            if *far == n {
+                self.coverage.entry(c.pop).or_default().1.insert(c.far);
             }
-            if self.baseline[slot].is_none() {
-                self.baseline_len += 1;
-            }
-            self.baseline[slot] = Some(crossings);
         }
     }
 
     fn remove_from_baseline(&mut self, route: RouteId) {
-        let Some(opt) = self.baseline.get_mut(route.0 as usize) else { return };
-        let Some(base) = opt.take() else { return };
+        let Some(row) = self.routes.get_mut(route.0 as usize) else { return };
+        let Some(base) = row.baseline.take() else { return };
+        let base = crossings_of(&self.lists, base);
         self.baseline_len -= 1;
         for (i, c) in base.iter().enumerate() {
             let key = c.group();
             let Some(group) = self.pop_index.get_mut(&key) else { continue };
-            if first_in_group(&base, i) {
+            if first_in_group(base, i) {
                 group.routes -= 1;
             }
             if let Entry::Occupied(mut far) = group.fars.entry(c.far) {
@@ -473,11 +469,10 @@ impl Monitor {
 
     /// Whether the current route of `route` still crosses `pop` at `near`.
     pub fn route_has_crossing(&self, route: RouteId, pop: PopId, near: AsnId) -> bool {
-        self.current
-            .get(route.0 as usize)
-            .and_then(Option::as_ref)
-            .map(|c| c.crossings.iter().any(|x| x.pop == pop && x.near == near))
-            .unwrap_or(false)
+        let current = self.routes.get(route.0 as usize).and_then(|row| row.current);
+        current.is_some_and(|list| {
+            crossings_of(&self.lists, list).iter().any(|x| x.pop == pop && x.near == near)
+        })
     }
 
     /// Far-end ASes of the baseline routes crossing `pop`, grouped by
@@ -615,6 +610,11 @@ impl Monitor {
         }
         outcome
     }
+}
+
+/// The crossings of a list an event registered (a row names no other).
+fn crossings_of(lists: &[Option<Arc<[DenseCrossing]>>], list: ListId) -> &[DenseCrossing] {
+    lists[list.0 as usize].as_deref().expect("registered by the event that named it")
 }
 
 /// Whether `crossings[i]` is the route's first crossing of its group (a
@@ -978,6 +978,7 @@ mod tests {
     fn synthetic_update(route: u32) -> DenseRouteEvent {
         DenseRouteEvent::Update {
             route: RouteId(route),
+            list: ListId(0),
             crossings: vec![DenseCrossing { pop: PopId(0), near: AsnId(0), far: AsnId(1) }].into(),
         }
     }

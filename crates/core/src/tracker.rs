@@ -531,7 +531,9 @@ impl Tracker {
 
     /// Folds a second ongoing entry of the same physical incident into
     /// `on`: the earlier clocks, the larger counters and the verdict with
-    /// the higher confidence at `now` win; `on`'s evidence wins per pair.
+    /// the higher confidence at `now` win; the re-probe due first brings
+    /// its backoff; a verdict `on` lacks is adopted, as in `absorb`; `on`'s
+    /// evidence wins per pair.
     fn absorb_entry(on: &mut Ongoing, other: Ongoing, now: Timestamp) {
         on.watch.extend(other.watch);
         let (on, other) = (&mut on.inc, other.inc);
@@ -539,7 +541,9 @@ impl Tracker {
             on.confidence = other.confidence;
             on.confidence_at = other.confidence_at;
         }
-        on.next_probe = on.next_probe.min(other.next_probe);
+        if other.next_probe < on.next_probe {
+            (on.next_probe, on.probe_backoff) = (other.next_probe, other.probe_backoff);
+        }
         on.started = on.started.min(other.started);
         on.segment_start = on.segment_start.min(other.segment_start);
         on.prior_duration = on.prior_duration.max(other.prior_duration);
@@ -548,6 +552,9 @@ impl Tracker {
         union(&mut on.affected_far, other.affected_far);
         union(&mut on.affected_keys, other.affected_keys);
         on.watch.extend(other.watch);
+        if on.dataplane_confirmed.is_none() {
+            on.dataplane_confirmed = other.dataplane_confirmed;
+        }
         if on.validation == ValidationStatus::Unvalidated {
             on.validation = other.validation;
         }
@@ -1648,6 +1655,35 @@ mod tests {
         assert_eq!(on.validation, ValidationStatus::Confirmed, "unvalidated adopts the other's");
         assert_eq!((on.confidence, on.confidence_at), (1.0, 600), "higher decayed confidence");
         assert_eq!(on.evidence, [hop_evidence(900, 20), hop_evidence(901, 21)], "or_insert");
+    }
+
+    /// A second entry folded in lends its baseline verdict when the base
+    /// has none, as a bin's localization does, and the two probe clocks
+    /// come from one entry: the one due first.
+    #[test]
+    fn a_folded_entry_lends_its_baseline_verdict_and_its_probe_clock() {
+        let first = Backoff::default().initial_secs;
+        let (f0, city) = (OutageScope::Facility(FacilityId(0)), OutageScope::City(CityId(0)));
+        let mut interner = Interner::new();
+        let empty = ColocationMap::new();
+        let mut t = Tracker::new(KeplerConfig::default());
+        t.record(&[scoped(f0, 1000, &[0])], &[IncidentMeta::default()], &empty, &mut interner);
+        // A still-down re-probe doubles the facility entry's backoff.
+        t.probe_restorations(1000 + first, &mut ScriptedRestoration::new(vec![]));
+        let verdict = IncidentMeta { dataplane: Some(true), ..IncidentMeta::default() };
+        t.record(&[scoped(city, 1320, &[1])], &[verdict], &empty, &mut interner);
+        assert_eq!(t.ongoing.len(), 2, "unrelated on a map without their geography");
+        // Facility 1 joins the facility entry; the join is the city, whose
+        // entry folds in.
+        let colo = geography(&[(0, 0), (1, 0), (2, 0)]);
+        let f1 = OutageScope::Facility(FacilityId(1));
+        t.record(&[scoped(f1, 1380, &[2])], &[IncidentMeta::default()], &colo, &mut interner);
+        let state = t.export();
+        let scopes: Vec<OutageScope> = state.ongoing.iter().map(|o| o.scope).collect();
+        assert_eq!(scopes, [city]);
+        let on = &state.ongoing[0];
+        assert_eq!(on.dataplane_confirmed, Some(true), "the city entry's verdict");
+        assert_eq!((on.next_probe, on.probe_backoff), (1320 + first, first), "the city's clocks");
     }
 
     #[test]

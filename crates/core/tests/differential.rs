@@ -10,9 +10,13 @@
 //!
 //! All must raise the same signals with the same denominators, in the
 //! same bins, and end with the same stable set and coverage. The stream
-//! includes backwards time steps and routes that list one (PoP, near-end)
-//! twice, and the skipping monitor is finally driven to the top of the
-//! `u64` clock: no panic, and bin starts only ever increase.
+//! includes backwards time steps, routes that list one (PoP, near-end)
+//! twice, and bursts that announce many routes with one of a few fixed
+//! crossing lists at one instant: they promote in one call, which indexes
+//! each shared list `n` routes at a time, and a burst over stable routes
+//! swaps their baseline list in that call. The skipping monitor is
+//! finally driven to the top of the `u64` clock: no panic, and bin starts
+//! only ever increase.
 
 use kepler_bgp::{Asn, Prefix};
 use kepler_bgpstream::{CollectorId, PeerId};
@@ -54,10 +58,19 @@ fn crossing(pop: u8, near: u8, far: u8) -> PopCrossing {
 /// but disables the skip.
 const IDLE_POP: LocationTag = LocationTag::Facility(FacilityId(99));
 
+/// The lists a burst announces. The first two name the same groups
+/// through another far end, so moving a stable route from one to the other
+/// deviates nowhere and its promotion replaces its baseline list; the
+/// third names a group twice. `Op::Burst { first, len, list }` announces
+/// `BURST_LISTS[list]` on `len` consecutive routes from `first`.
+const BURST_LISTS: [&[(u8, u8, u8)]; 3] =
+    [&[(0, 0, 0), (1, 1, 1)], &[(0, 0, 2), (1, 1, 1)], &[(0, 0, 0), (0, 0, 3), (2, 2, 2)]];
+
 #[derive(Debug, Clone)]
 enum Op {
     Update { key: u8, crossings: Vec<(u8, u8, u8)> },
     Withdraw { key: u8 },
+    Burst { first: u8, len: u8, list: usize },
     Advance { dt: u32 },
     Rewind { dt: u32 },
 }
@@ -74,6 +87,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
             Op::Update { key: key % 24, crossings }
         }),
         any::<u8>().prop_map(|key| Op::Withdraw { key: key % 24 }),
+        (0u8..24, 2u8..12, 0..BURST_LISTS.len()).prop_map(|(first, len, list)| Op::Burst {
+            first,
+            len,
+            list
+        }),
         // Mix of intra-bin jitter, multi-day jumps and jumps of about the
         // stability window, so streams cross it, land on either side of a
         // deadline and produce real deviation bins.
@@ -274,34 +292,36 @@ fn run_all(ops: &[Op]) -> [Run; 3] {
     let mut model = ModelMonitor::new(config);
     let (mut skipped, mut walked) = (Vec::new(), Vec::new());
     let mut t = 1_000_000u64;
+    let update = |k: u8, crossings: &[(u8, u8, u8)]| RouteEvent::Update {
+        key: key(k),
+        crossings: crossings.iter().map(|&(p, n, f)| crossing(p, n, f)).collect(),
+    };
     for op in ops {
-        let event = match op {
-            Op::Update { key: k, crossings } => Some(RouteEvent::Update {
-                key: key(*k),
-                crossings: crossings.iter().map(|&(p, n, f)| crossing(p, n, f)).collect(),
-            }),
-            Op::Withdraw { key: k } => Some(RouteEvent::Withdraw { key: key(*k) }),
+        let events = match op {
+            Op::Update { key: k, crossings } => vec![update(*k, crossings)],
+            Op::Withdraw { key: k } => vec![RouteEvent::Withdraw { key: key(*k) }],
+            Op::Burst { first, len, list } => {
+                (0..*len).map(|i| update((first + i) % 24, BURST_LISTS[*list])).collect()
+            }
             Op::Advance { dt } => {
                 t += *dt as u64;
-                None
+                Vec::new()
             }
             Op::Rewind { dt } => {
                 t = t.saturating_sub(*dt as u64);
-                None
+                Vec::new()
             }
         };
-        match event {
-            Some(event) => {
-                let ev = event.intern(&mut interner);
-                skipped.extend(skipping.observe(t, &ev));
-                walked.extend(walking.observe(t, &ev));
-                model.observe(t, &event);
-            }
-            None => {
-                skipped.extend(skipping.advance_to(t));
-                walked.extend(walking.advance_to(t));
-                model.advance_to(t);
-            }
+        if events.is_empty() {
+            skipped.extend(skipping.advance_to(t));
+            walked.extend(walking.advance_to(t));
+            model.advance_to(t);
+        }
+        for event in events {
+            let ev = event.intern(&mut interner);
+            skipped.extend(skipping.observe(t, &ev));
+            walked.extend(walking.observe(t, &ev));
+            model.observe(t, &event);
         }
     }
     skipped.extend(skipping.advance_to(t + 200_000));
@@ -356,7 +376,7 @@ fn flapped_route_is_promoted_in_the_bin_the_model_says() {
     assert_eq!((sizes[0], sizes[sizes.len() - 1]), (0, 1), "the walk straddles the promotion");
 }
 
-// Default config: 64 cases, or `PROPTEST_CASES` (CI runs 512 in release).
+// Default config: 64 cases, or `PROPTEST_CASES` (CI runs 2,000 in release).
 proptest! {
     /// Skipping an empty stretch in one step is indistinguishable from
     /// closing its bins one by one.

@@ -4,15 +4,15 @@
 //! `kepler_core::input` and `kepler_bgp::sanitize` and sharing no code
 //! with the record road. The record's UPDATE is materialized into an
 //! owned update and exploded into one element per prefix. Each element is
-//! sanitized, its communities attributed and its ids minted on its own,
-//! first-come in `BTreeMap`s.
+//! sanitized, its communities attributed and its ids — crossing lists'
+//! too — minted on its own, first-come in `BTreeMap`s.
 
 use kepler_bgp::sanitize::{RejectReason, SanitizeStats};
 use kepler_bgp::{AsPath, Asn, PathAttributes, Prefix};
 use kepler_bgpstream::{BgpRecord, RecordPayload};
 use kepler_core::events::RouteKey;
 use kepler_core::input::{InputStats, PopCrossing};
-use kepler_core::intern::{AsnId, DenseCrossing, DenseRouteEvent, PopId, RouteId};
+use kepler_core::intern::{AsnId, DenseCrossing, DenseRouteEvent, ListId, PopId, RouteId};
 use kepler_docmine::{CommunityDictionary, LocationTag};
 use kepler_topology::ColocationMap;
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,14 +26,14 @@ struct Ids<K> {
     order: Vec<K>,
 }
 
-impl<K: Ord + Copy> Ids<K> {
+impl<K: Ord + Clone> Ids<K> {
     fn new() -> Self {
         Ids { ids: BTreeMap::new(), order: Vec::new() }
     }
 
     fn id(&mut self, key: K) -> u32 {
         let next = self.order.len() as u32;
-        *self.ids.entry(key).or_insert_with(|| {
+        *self.ids.entry(key.clone()).or_insert_with(|| {
             self.order.push(key);
             next
         })
@@ -52,6 +52,8 @@ pub struct Reference {
     routes: Ids<RouteKey>,
     pops: Ids<LocationTag>,
     asns: Ids<Asn>,
+    /// Crossing lists, as `(pop, near, far)` id triples.
+    lists: Ids<Vec<(u32, u32, u32)>>,
 }
 
 impl Reference {
@@ -64,6 +66,7 @@ impl Reference {
             routes: Ids::new(),
             pops: Ids::new(),
             asns: Ids::new(),
+            lists: Ids::new(),
         }
     }
 
@@ -135,10 +138,10 @@ impl Reference {
                 far: AsnId(self.asns.id(c.far)),
             })
             .collect();
-        Some(DenseRouteEvent::Update {
-            route: RouteId(self.routes.id(key)),
-            crossings: dense.into(),
-        })
+        let route = RouteId(self.routes.id(key));
+        let triples = dense.iter().map(|c| (c.pop.0, c.near.0, c.far.0)).collect();
+        let list = ListId(self.lists.id(triples));
+        Some(DenseRouteEvent::Update { route, list, crossings: dense.into() })
     }
 
     /// The crossings an announcement's communities name, in community

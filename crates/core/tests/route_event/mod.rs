@@ -5,7 +5,6 @@
 use kepler_core::events::RouteKey;
 use kepler_core::input::PopCrossing;
 use kepler_core::intern::{DenseRouteEvent, Interner};
-use std::sync::Arc;
 
 /// A route event before interning.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,13 +16,16 @@ pub enum RouteEvent {
 }
 
 impl RouteEvent {
-    /// Interns the event's route, then its crossings in order.
+    /// Interns the event's route, then its crossings in order, then the
+    /// list they make.
     pub fn intern(&self, interner: &mut Interner) -> DenseRouteEvent {
         match self {
-            RouteEvent::Update { key, crossings } => DenseRouteEvent::Update {
-                route: interner.route_id(key),
-                crossings: crossings.iter().map(|c| interner.crossing(c)).collect::<Arc<[_]>>(),
-            },
+            RouteEvent::Update { key, crossings } => {
+                let route = interner.route_id(key);
+                let dense: Vec<_> = crossings.iter().map(|c| interner.crossing(c)).collect();
+                let (list, crossings) = interner.intern_crossings(&dense);
+                DenseRouteEvent::Update { route, list, crossings }
+            }
             RouteEvent::Withdraw { key } => {
                 DenseRouteEvent::Withdraw { route: interner.route_id(key) }
             }

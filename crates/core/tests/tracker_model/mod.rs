@@ -27,8 +27,10 @@
 //!    confirmation confirms the incident and restarts the confidence
 //!    clock at 1.0; a reused one restarts nothing. New signals
 //!    reset every restoration streak. A second ongoing entry under the
-//!    joined scope folds in after: earlier clocks, larger counters, the
-//!    confidence higher once decayed, its evidence only for new pairs.
+//!    joined scope folds in after by the same rules: earlier clocks,
+//!    larger counters, the first data-plane and non-`Unvalidated`
+//!    verdicts kept, the confidence higher once decayed, its evidence
+//!    only for new pairs; the re-probe due first brings its backoff.
 //! 4. **Probes.** A due incident (in scope order) is re-probed. A first
 //!    `Restored` marks it recovering and re-probes after 300 s; a second
 //!    closes it at the first one's time. `StillDown` and `Inconclusive`
@@ -282,7 +284,10 @@ impl Live {
             self.confidence = other.confidence;
             self.confidence_at = other.confidence_at;
         }
-        self.next_probe = self.next_probe.min(other.next_probe);
+        if other.next_probe < self.next_probe {
+            self.next_probe = other.next_probe;
+            self.backoff = other.backoff;
+        }
         self.started = self.started.min(other.started);
         self.segment_start = self.segment_start.min(other.segment_start);
         self.prior_duration = self.prior_duration.max(other.prior_duration);
@@ -290,6 +295,9 @@ impl Live {
         self.near.extend(other.near);
         self.far.extend(other.far);
         self.keys.extend(other.keys);
+        if self.dataplane.is_none() {
+            self.dataplane = other.dataplane;
+        }
         if self.validation == ValidationStatus::Unvalidated {
             self.validation = other.validation;
         }
