@@ -1686,6 +1686,42 @@ mod tests {
         assert_eq!((on.next_probe, on.probe_backoff), (1320 + first, first), "the city's clocks");
     }
 
+    /// The same fold reached through `import`: a restored state may hold
+    /// two related ongoing entries, and a bin at a third building of
+    /// their city merges them with the city entry's verdict and the probe
+    /// clock of whichever entry is due first.
+    #[test]
+    fn an_imported_entry_lends_its_baseline_verdict_and_its_probe_clock() {
+        let first = Backoff::default().initial_secs;
+        let (f0, city) = (OutageScope::Facility(FacilityId(0)), OutageScope::City(CityId(0)));
+        let facility = Incident {
+            next_probe: 1000 + 4 * first,
+            probe_backoff: 4 * first,
+            ..Incident::opened(f0, 1000, 1000)
+        };
+        let city_entry = Incident {
+            dataplane_confirmed: Some(true),
+            next_probe: 1200 + first,
+            probe_backoff: 2 * first,
+            ..Incident::opened(city, 1200, 1200)
+        };
+        let mut interner = Interner::new();
+        let mut t = Tracker::new(KeplerConfig::default());
+        let state = TrackerState { ongoing: vec![facility, city_entry], ..TrackerState::default() };
+        t.import(&state, &mut interner);
+        let colo = geography(&[(0, 0), (1, 0), (2, 0)]);
+        let f2 = OutageScope::Facility(FacilityId(2));
+        t.record(&[scoped(f2, 1380, &[2])], &[IncidentMeta::default()], &colo, &mut interner);
+        let state = t.export();
+        let scopes: Vec<OutageScope> = state.ongoing.iter().map(|o| o.scope).collect();
+        assert_eq!(scopes, [city]);
+        let on = &state.ongoing[0];
+        assert_eq!(on.dataplane_confirmed, Some(true), "the city entry's verdict");
+        assert_eq!((on.next_probe, on.probe_backoff), (1200 + first, 2 * first), "due first");
+        let reports = t.finish();
+        assert_eq!(reports[0].dataplane_confirmed, Some(true), "the report carries it");
+    }
+
     #[test]
     fn cooled_incidents_expiring_in_one_bin_finish_in_scope_order() {
         let w = MERGE_WINDOW_SECS;

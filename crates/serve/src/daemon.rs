@@ -72,6 +72,9 @@ pub struct Daemon {
     store: IncidentStore,
     router: AlertRouter,
     view: Arc<ViewCell>,
+    /// The view last stored in `view`: an idle commit restamps it, so
+    /// the daemon never loads its own cell.
+    published: StatusView,
     recovery: RecoveryReport,
     /// Store sequence at startup: the fresh detector's bin counter
     /// restarts at zero, so committed sequences are `seq_base +
@@ -93,18 +96,15 @@ impl Daemon {
         if recovered != &kepler_core::TrackerState::default() {
             detector.import_incidents(recovered);
         }
-        let view = Arc::new(ViewCell::new(StatusView::from_state(
-            store.state(),
-            store.last_bin(),
-            store.seq(),
-        )));
+        let published = StatusView::from_state(store.state(), store.last_bin(), store.seq());
         let seq_base = store.seq();
         Ok(Daemon {
             committed_revision: detector.incident_revision(),
             detector,
             store,
             router: AlertRouter::new(),
-            view,
+            view: Arc::new(ViewCell::new(published.clone())),
+            published,
             recovery,
             seq_base,
             queue_depth: config.queue_depth.max(1),
@@ -161,9 +161,8 @@ impl Daemon {
             debug_assert!(self.detector.export_incidents() == *self.store.state(), "stale gate");
             self.store.advance(seq, bin_end)?;
             // The same scope map (a pointer copy) under this bin's stamps.
-            let mut view = StatusView::clone(&self.view.load());
-            (view.as_of, view.seq) = (bin_end, seq);
-            self.view.store(view);
+            (self.published.as_of, self.published.seq) = (bin_end, seq);
+            self.view.store(self.published.clone());
             self.router.flush(bin_end);
             self.summary.idle_commits += 1;
         } else {
@@ -180,7 +179,8 @@ impl Daemon {
         self.summary.transitions += transitions.len() as u64;
         self.router.dispatch(transitions, bin_end);
         self.router.flush(bin_end);
-        self.view.store(StatusView::from_state(self.store.state(), bin_end, seq));
+        self.published = StatusView::from_state(self.store.state(), bin_end, seq);
+        self.view.store(self.published.clone());
     }
 
     /// Pulls a whole record stream through a bounded queue: the producer

@@ -44,5 +44,5 @@ pub use alert::{
     TokenBucket,
 };
 pub use daemon::{Daemon, DaemonConfig, RunSummary};
-pub use query::{ScopeStatus, StatusView, ViewCell};
+pub use query::{ScopeStatus, StatusView, ViewCell, ViewRef};
 pub use store::{IncidentStore, RecoveryReport, Transition, TransitionKind};
