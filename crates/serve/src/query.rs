@@ -16,7 +16,10 @@
 //! count; any other load takes the cell's read lock once and replaces the
 //! thread's entry. So readers polling between publishes touch no shared
 //! cache line but the version, and each thread pins at most one view
-//! (its last) until it loads again or exits.
+//! (its last) until it loads again or exits. Dropping a cell clears the
+//! dropping thread's entry for it; another thread's entry may still pin a
+//! dropped cell's last view until that thread loads from another cell or
+//! exits.
 
 use kepler_bgpstream::Timestamp;
 use kepler_core::events::{IncidentState, OutageReport, OutageScope, ValidationStatus};
@@ -214,11 +217,15 @@ impl ViewCell {
         ViewRef(cached.unwrap_or_else(|_| self.locked().1))
     }
 
-    /// The version and view under the read lock (`store` moves both
-    /// under the write lock, so they belong together).
+    /// The version and view, read together under the read lock (`store`
+    /// moves both under the write lock). The `Rc` is allocated after the
+    /// guard drops, so a `store` never waits on a reader's allocation.
     fn locked(&self) -> (u64, Rc<StatusView>) {
-        let inner = self.inner.read().expect("view lock poisoned");
-        (self.version.load(Ordering::Relaxed), Rc::new(inner.clone()))
+        let (version, view) = {
+            let inner = self.inner.read().expect("view lock poisoned");
+            (self.version.load(Ordering::Relaxed), inner.clone())
+        };
+        (version, Rc::new(view))
     }
 
     /// Publishes a new view, atomically replacing the old one. In-flight
@@ -227,6 +234,19 @@ impl ViewCell {
         let mut inner = self.inner.write().expect("view lock poisoned");
         *inner = view;
         self.version.fetch_add(1, Ordering::Release);
+    }
+}
+
+impl Drop for ViewCell {
+    /// Releases this thread's entry if it holds this cell's view, so a
+    /// thread that drops a cell does not pin its last view.
+    fn drop(&mut self) {
+        let _ = LAST_LOAD.try_with(|last| {
+            let mut last = last.borrow_mut();
+            if last.as_ref().is_some_and(|c| c.cell == self.id) {
+                *last = None;
+            }
+        });
     }
 }
 
@@ -395,8 +415,10 @@ mod tests {
         assert_eq!((a.load().seq, b.load().seq, b.load().seq), (1, 3, 3));
         for seq in 10..20 {
             let cell = Box::new(ViewCell::new(stamped(seq)));
-            assert_eq!(cell.load().seq, seq, "a rebuilt cell reads its own view");
+            let view = cell.load();
+            assert_eq!(view.seq, seq, "a rebuilt cell reads its own view");
             drop(cell);
+            assert_eq!(Rc::strong_count(&view.0), 1, "the dropped cell's entry is released");
         }
         let kept = a.load();
         a.store(stamped(4));
