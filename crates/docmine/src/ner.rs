@@ -20,73 +20,80 @@ pub enum Entity {
     City(usize),
 }
 
-/// Recognizer holding normalized name tables.
+/// Recognizer holding normalized name tables, built once: facility and
+/// IXP names padded (`" TELEHOUSE EAST LONDON "`) and sorted longest
+/// first, and by gazetteer index each city's normalized name (`"NEW
+/// YORK"`), IATA code and alias.
 #[derive(Debug, Clone)]
 pub struct EntityRecognizer {
     facility_names: Vec<(String, FacilityId)>,
     ixp_names: Vec<(String, IxpId)>,
-    gazetteer: CityGazetteer,
+    cities: Vec<(String, &'static str, &'static str)>,
 }
 
-fn normalize(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_uppercase() } else { ' ' })
-        .collect::<String>()
-        .split_whitespace()
-        .collect::<Vec<_>>()
-        .join(" ")
+/// `s` upper-cased, each run of characters other than ASCII letters and
+/// digits turned into one space, with one space before and after
+/// (`" RECEIVED AT LINX "`): a padded name inside a padded line matches
+/// whole words only. An `s` without a letter or digit pads to `" "`.
+fn padded(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push(' ');
+    for word in s.split(|c: char| !c.is_ascii_alphanumeric()).filter(|w| !w.is_empty()) {
+        out.push_str(word);
+        out.push(' ');
+    }
+    out.make_ascii_uppercase();
+    out
+}
+
+/// Padded names of non-empty entities, longest first, so "Telehouse
+/// East London" beats "Telehouse".
+fn name_table<I>(names: impl Iterator<Item = (String, I)>) -> Vec<(String, I)> {
+    let mut table: Vec<(String, I)> = names.filter(|(n, _)| n.len() > 1).collect();
+    table.sort_by_key(|(n, _)| std::cmp::Reverse(n.len()));
+    table
 }
 
 impl EntityRecognizer {
     /// Builds a recognizer from the colocation map's entity names.
     pub fn from_colomap(map: &ColocationMap, gazetteer: &CityGazetteer) -> Self {
-        let mut facility_names: Vec<(String, FacilityId)> =
-            map.facilities().iter().map(|f| (normalize(&f.name), f.id)).collect();
-        // Longest names first so "Telehouse East London" beats "Telehouse".
-        facility_names.sort_by_key(|(n, _)| std::cmp::Reverse(n.len()));
-        let mut ixp_names: Vec<(String, IxpId)> =
-            map.ixps().iter().map(|x| (normalize(&x.name), x.id)).collect();
-        ixp_names.sort_by_key(|(n, _)| std::cmp::Reverse(n.len()));
-        EntityRecognizer { facility_names, ixp_names, gazetteer: gazetteer.clone() }
+        EntityRecognizer {
+            facility_names: name_table(map.facilities().iter().map(|f| (padded(&f.name), f.id))),
+            ixp_names: name_table(map.ixps().iter().map(|x| (padded(&x.name), x.id))),
+            cities: (gazetteer.cities().iter())
+                .map(|c| (padded(c.name).trim().to_owned(), c.iata, c.alias))
+                .collect(),
+        }
     }
 
     /// Recognizes the most specific entity mentioned in `text`.
     pub fn recognize(&self, text: &str) -> Option<Entity> {
-        let norm = normalize(text);
-        if norm.is_empty() {
-            return None;
+        let line = padded(text);
+        if let Some((_, id)) = self.facility_names.iter().find(|(n, _)| line.contains(n.as_str())) {
+            return Some(Entity::Facility(*id));
         }
-        let padded = format!(" {norm} ");
-        for (name, id) in &self.facility_names {
-            if !name.is_empty() && padded.contains(&format!(" {name} ")) {
-                return Some(Entity::Facility(*id));
-            }
+        if let Some((_, id)) = self.ixp_names.iter().find(|(n, _)| line.contains(n.as_str())) {
+            return Some(Entity::Ixp(*id));
         }
-        for (name, id) in &self.ixp_names {
-            if !name.is_empty() && padded.contains(&format!(" {name} ")) {
-                return Some(Entity::Ixp(*id));
-            }
-        }
-        self.recognize_city(&norm).map(Entity::City)
+        self.recognize_city(&line).map(Entity::City)
     }
 
-    /// City recognition over normalized text: bigrams first (multi-word
+    /// City recognition over a padded line: bigrams first (multi-word
     /// city names), then single tokens against names, IATA codes and
     /// aliases. Tokens shorter than two characters never match.
-    pub fn recognize_city(&self, norm: &str) -> Option<usize> {
-        let tokens: Vec<&str> = norm.split(' ').filter(|t| t.len() >= 2).collect();
-        for w in tokens.windows(2) {
-            let bigram = format!("{} {}", w[0], w[1]);
-            if let Some(idx) =
-                self.gazetteer.cities().iter().position(|c| normalize(c.name) == bigram)
-            {
+    fn recognize_city(&self, line: &str) -> Option<usize> {
+        let tokens = || line.split(' ').filter(|t| t.len() >= 2);
+        for (first, second) in tokens().zip(tokens().skip(1)) {
+            let bigram = Some((first, second));
+            if let Some(idx) = self.cities.iter().position(|(n, ..)| n.split_once(' ') == bigram) {
                 return Some(idx);
             }
         }
-        for t in &tokens {
-            if let Some(idx) = self.gazetteer.cities().iter().position(|c| {
-                normalize(c.name) == *t || (t.len() >= 3 && (c.iata == *t || c.alias == *t))
-            }) {
+        for t in tokens() {
+            let hit = |(name, iata, alias): &(String, &str, &str)| {
+                name == t || (t.len() >= 3 && (*iata == t || *alias == t))
+            };
+            if let Some(idx) = self.cities.iter().position(hit) {
                 return Some(idx);
             }
         }

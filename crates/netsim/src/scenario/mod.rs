@@ -60,11 +60,15 @@ impl Scenario {
     /// The community dictionary *mined* from generated operator
     /// documentation (what Kepler actually runs on).
     pub fn mined_dictionary(&self) -> CommunityDictionary {
+        self.mined_dictionary_on(&self.detector_colo())
+    }
+
+    /// [`Scenario::mined_dictionary`] against an already merged
+    /// [`Scenario::detector_colo`], for a caller that keeps the map.
+    pub fn mined_dictionary_on(&self, colo: &ColocationMap) -> CommunityDictionary {
         let corpus = render_corpus(&self.world.schemes, self.seed ^ 0xD1C7);
-        let colo = self.detector_colo();
-        let miner = DictionaryMiner::new(&colo, &self.world.gazetteer);
-        let (mut dict, _) = miner.mine(&corpus);
-        dict.add_route_servers_from(&colo);
+        let (mut dict, _) = DictionaryMiner::new(colo, &self.world.gazetteer).mine(&corpus);
+        dict.add_route_servers_from(colo);
         dict
     }
 

@@ -8,7 +8,7 @@
 //!   simulated traceroute plane ([`sim_backend`], one seed per scenario).
 //!   Every trace goes through one: targeted campaigns ([`prober`]), the
 //!   §4.4 re-probe of [`baseline_pairs`], and the quiet-time selections
-//!   [`canary_panel_on`] and [`remoteness_for`];
+//!   [`canary_panel`] and [`remoteness_for`];
 //! * [`detector`] — builds the [`Stack`] it is given, from the passive
 //!   pipeline ([`detector_for`]) up to the fused multi-signal stack;
 //! * [`truth_outages`] — converts simulator ground truth into the
@@ -31,7 +31,7 @@ use kepler_probe::{
     AsyncTraceBackend, ProbeEngine, ProbeEngineConfig, ProbeTask, SyncAdapter, Trace, TraceBackend,
     VantagePoint, VantageRegistry,
 };
-use kepler_topology::{AsType, FacilityId};
+use kepler_topology::{AsType, ColocationMap, Facility, FacilityId};
 use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -160,12 +160,12 @@ pub fn sim_backend(scenario: &Scenario) -> SimTraceBackend {
 /// the detector's (merged-snapshot) colocation map and the default
 /// engine configuration.
 pub fn prober<B: AsyncTraceBackend>(scenario: &Scenario, backend: B) -> ProbeEngine<B> {
-    ProbeEngine::with_async(
-        backend,
-        vantage_registry_for(&scenario.world),
-        scenario.detector_colo(),
-        ProbeEngineConfig::default(),
-    )
+    prober_on(scenario, backend, scenario.detector_colo())
+}
+
+/// [`prober`] over an already merged colocation map.
+fn prober_on<B: AsyncTraceBackend>(s: &Scenario, b: B, colo: ColocationMap) -> ProbeEngine<B> {
+    ProbeEngine::with_async(b, vantage_registry_for(&s.world), colo, ProbeEngineConfig::default())
 }
 
 /// Pairs in a scenario's §4.4 baseline corpus.
@@ -189,7 +189,7 @@ pub fn baseline_pairs(scenario: &Scenario) -> Vec<ProbeTask> {
 /// vantage per member and up to `per_facility` pairs per building. The
 /// panel keeps delay telemetry flowing even when no validation campaign
 /// happens to be running.
-pub fn canary_panel_on(
+fn canary_panel_on(
     backend: &impl TraceBackend,
     world: &World,
     facilities: &[FacilityId],
@@ -225,7 +225,7 @@ pub fn canary_panel_on(
     panel
 }
 
-/// [`canary_panel_on`] through a fresh [`sim_backend`].
+/// `canary_panel_on` through a fresh [`sim_backend`].
 ///
 /// Kept for `benchmark/` until ROADMAP item 4 moves it onto [`Stack`].
 pub fn canary_panel(
@@ -304,30 +304,68 @@ pub enum Stack {
     Fused(FusionOptions),
 }
 
-/// Builds the detector `stack` names for a scenario.
+/// What one build of `stack` derives, each once: the merged colocation
+/// map, the dictionary mined against it and, for [`Stack::Fused`] only,
+/// the facilities that dictionary makes trackable.
+fn derived_inputs(
+    scenario: &Scenario,
+    config: &KeplerConfig,
+    stack: &Stack,
+) -> (ColocationMap, CommunityDictionary, Vec<FacilityId>) {
+    let colo = scenario.detector_colo();
+    let dictionary = scenario.mined_dictionary_on(&colo);
+    let trackable = match stack {
+        Stack::Fused(_) => {
+            trackable_with(&scenario.world, &dictionary, config.trackable_min_members)
+        }
+        _ => Vec::new(),
+    };
+    (colo, dictionary, trackable)
+}
+
+/// Builds the detector `stack` names for a scenario. The build merges the
+/// colocation snapshots once and mines the dictionary once against that
+/// map (`derived_inputs`). Each probe engine gets a copy of the map; the
+/// map and the dictionary then move into the detector.
 pub fn detector(scenario: &Scenario, config: KeplerConfig, stack: &Stack) -> Kepler {
+    let (colo, dictionary, trackable) = derived_inputs(scenario, &config, stack);
     // One copy of the world for all of the stack's backends, made on first use.
     let shared = OnceCell::new();
     let world = || Arc::clone(shared.get_or_init(|| Arc::new(scenario.world.clone())));
     let backend = || backend_on(world(), scenario);
-    let engine = || prober(scenario, SyncAdapter(backend()));
-    let passive = detector_for(scenario, config.clone());
+    let engine = || prober_on(scenario, SyncAdapter(backend()), colo.clone());
+    let orgs = scenario.world.orgs.clone();
+    // Built after the engines: it takes the map they copy.
+    let passive = |colo, dictionary| {
+        Kepler::new(KeplerInputs { config: config.clone(), dictionary, colo, orgs })
+    };
     match stack {
-        Stack::Passive => passive,
-        Stack::Probed => passive.with_prober(Box::new(engine())),
-        Stack::Validated => passive.with_prober(Box::new(
-            engine().with_baseline_corpus(&baseline_pairs(scenario), scenario.start + 600),
-        )),
+        Stack::Passive => passive(colo, dictionary),
+        Stack::Probed => {
+            let probe = engine();
+            passive(colo, dictionary).with_prober(Box::new(probe))
+        }
+        Stack::Validated => {
+            let corpus = baseline_pairs(scenario);
+            let probe = engine().with_baseline_corpus(&corpus, scenario.start + 600);
+            passive(colo, dictionary).with_prober(Box::new(probe))
+        }
         Stack::Lifecycle => {
-            passive.with_prober(Box::new(engine())).with_restoration_prober(Box::new(engine()))
+            let (probe, restore) = (engine(), engine());
+            passive(colo, dictionary)
+                .with_prober(Box::new(probe))
+                .with_restoration_prober(Box::new(restore))
         }
         Stack::Faulty(fault) => {
-            let faulty = || prober(scenario, FaultyBackend::new(backend(), fault.clone()));
-            passive.with_prober(Box::new(faulty())).with_restoration_prober(Box::new(faulty()))
+            let faulty = || FaultyBackend::new(backend(), fault.clone());
+            let probe = prober_on(scenario, faulty(), colo.clone());
+            let restore = prober_on(scenario, faulty(), colo.clone());
+            passive(colo, dictionary)
+                .with_prober(Box::new(probe))
+                .with_restoration_prober(Box::new(restore))
         }
         Stack::Fused(opts) => {
             let quiet_t = scenario.start + 600;
-            let trackable = trackable_facilities(scenario, &config);
             let mut engine = engine();
             // The ledger, its tap on the engine and its only reader are
             // built together: without the delay source nothing would ever
@@ -341,7 +379,7 @@ pub fn detector(scenario: &Scenario, config: KeplerConfig, stack: &Stack) -> Kep
                 let panel = canary_panel_on(&backend, world, &trackable, per, quiet_t);
                 delay = Some(DelayDetector::with_canary(&config, ledger, backend, panel, quiet_t));
             }
-            let mut kepler = passive.with_prober(Box::new(engine));
+            let mut kepler = passive(colo, dictionary).with_prober(Box::new(engine));
             if opts.forecast || opts.delay {
                 // Presence watches keep the monitor closing every dense bin
                 // even through record silence — the signal sources are
@@ -391,48 +429,25 @@ pub fn detector_with_fusion(
 /// Facilities the detector can track in this scenario, under the paper's
 /// ≥`min_members` locatable-members rule.
 pub fn trackable_facilities(scenario: &Scenario, config: &KeplerConfig) -> Vec<FacilityId> {
-    let dictionary = scenario.mined_dictionary();
-    scenario
-        .world
-        .colo
-        .facilities()
-        .iter()
-        .filter(|f| {
-            is_trackable(
-                &scenario.world,
-                &dictionary,
-                OutageScope::Facility(f.id),
-                config.trackable_min_members,
-            )
-        })
-        .map(|f| f.id)
-        .collect()
+    trackable_with(&scenario.world, &scenario.mined_dictionary(), config.trackable_min_members)
+}
+
+/// [`trackable_facilities`] through an already mined dictionary.
+fn trackable_with(world: &World, dict: &CommunityDictionary, min: usize) -> Vec<FacilityId> {
+    let trackable =
+        |f: &&Facility| locatable_members(world, dict, OutageScope::Facility(f.id)) >= min;
+    world.colo.facilities().iter().filter(trackable).map(|f| f.id).collect()
 }
 
 /// Builds a detector for a scenario: mined dictionary, merged colocation
-/// map, organization map, and the given configuration.
+/// map, organization map, and the given configuration ([`Stack::Passive`]).
 pub fn detector_for(scenario: &Scenario, config: KeplerConfig) -> Kepler {
-    Kepler::new(KeplerInputs {
-        config,
-        dictionary: scenario.mined_dictionary(),
-        colo: scenario.detector_colo(),
-        orgs: scenario.world.orgs.clone(),
-    })
-}
-
-/// Whether a facility/IXP is *trackable* under the paper's rule: at least
-/// `min_members` of its members are locatable through the dictionary.
-pub fn is_trackable(
-    world: &World,
-    dictionary: &CommunityDictionary,
-    epicenter: OutageScope,
-    min_members: usize,
-) -> bool {
-    locatable_members(world, dictionary, epicenter) >= min_members
+    detector(scenario, config, &Stack::Passive)
 }
 
 /// How many of a facility's/IXP's members are locatable through the
-/// dictionary: 16-bit ASNs whose communities it covers.
+/// dictionary: 16-bit ASNs whose communities it covers. Under the paper's
+/// rule an epicenter is *trackable* when `trackable_min_members` are.
 pub fn locatable_members(
     world: &World,
     dictionary: &CommunityDictionary,
@@ -512,7 +527,7 @@ fn epicenter_tags(world: &World, epicenter: OutageScope) -> Vec<LocationTag> {
 /// IXP tag) accumulated ≥3 near-end and ≥3 far-end ASes in the stable
 /// baseline. This is the paper's applicability criterion evaluated against
 /// what the vantage points actually delivered.
-pub fn observed_trackable(
+fn observed_trackable(
     world: &World,
     monitor: &kepler_core::monitor::Monitor,
     interner: &kepler_core::Interner,
@@ -575,12 +590,8 @@ pub fn truth_outages(scenario: &Scenario, config: &KeplerConfig) -> Vec<TruthOut
                 start: gt.start,
                 duration: gt.duration,
                 is_infrastructure: gt.kind.is_infrastructure_outage(),
-                trackable: is_trackable(
-                    &scenario.world,
-                    &dictionary,
-                    scope,
-                    config.trackable_min_members,
-                ),
+                trackable: locatable_members(&scenario.world, &dictionary, scope)
+                    >= config.trackable_min_members,
             })
         })
         .collect()
@@ -660,6 +671,35 @@ mod tests {
             "seasonal-3 38 f0981778957c9201",
         ];
         assert_eq!(got, want);
+    }
+
+    /// A fused build mines once, against the one map it merges: that
+    /// dictionary has the entries and counts of `Scenario::mined_dictionary`,
+    /// and the trackable set the build watches equals
+    /// [`trackable_facilities`]. On the AMS-IX tiny world above and on the
+    /// AMS-IX study `live_fused` runs (seed 41).
+    #[test]
+    fn one_mining_build_derives_what_the_public_helpers_do() {
+        let config = KeplerConfig::default();
+        let entries = |d: &CommunityDictionary| {
+            let mut e: Vec<_> = d.entries().map(|e| (e.community, e.tag)).collect();
+            e.sort();
+            e
+        };
+        let tiny = AmsIxScenario::new(7).with_config(WorldConfig::tiny(7)).build().scenario;
+        for scenario in [tiny, AmsIxScenario::new(41).build().scenario] {
+            let colo = scenario.detector_colo();
+            let on = scenario.mined_dictionary_on(&colo);
+            let mined = scenario.mined_dictionary();
+            assert_eq!(entries(&on), entries(&mined));
+            let stats = |d: &CommunityDictionary| d.stats(&scenario.world.gazetteer, &colo);
+            assert_eq!(stats(&on), stats(&mined));
+            let fused = Stack::Fused(FusionOptions::default());
+            let (_, dictionary, trackable) = derived_inputs(&scenario, &config, &fused);
+            assert_eq!(entries(&dictionary), entries(&mined));
+            assert_eq!(trackable, trackable_facilities(&scenario, &config));
+            assert!(trackable.len() >= 2, "{trackable:?}");
+        }
     }
 
     /// Whole-trace equality, `f64` bits included.
